@@ -99,22 +99,25 @@ def expected_conforming(spec: EntropySpec, axiom_id: str) -> bool:
     return axiom_id in _STRUCTURAL_CONFORMANCE.get(spec.id, frozenset())
 
 
+# gamma of H(P x Q) = H(P) + H(Q) + gamma H(P) H(Q), from the parameters.
+_PSEUDO_ADDITIVITY_GAMMA: dict[str, Callable[[dict], float]] = {
+    "shannon": lambda p: 0.0,
+    "renyi": lambda p: 0.0,
+    "tsallis": lambda p: 1.0 - float(p["q"]),
+    "havrda_charvat": lambda p: math.pow(2.0, 1.0 - float(p["q"])) - 1.0,
+    # the order reindexing q -> 2 - q turns 1 - q into q - 1
+    "mathai_Mq": lambda p: float(p["q"]) - 1.0,
+}
+
+
 def pseudo_additivity_gamma(spec: EntropySpec) -> float | None:
     """The composition constant gamma making products compose, if known.
 
     Additive functionals return 0; functionals with no known product
     composition rule return None.
     """
-    if spec.id in ("shannon", "renyi"):
-        return 0.0
-    if spec.id == "tsallis":
-        return 1.0 - float(spec.params["q"])
-    if spec.id == "havrda_charvat":
-        return math.pow(2.0, 1.0 - float(spec.params["q"])) - 1.0
-    if spec.id == "mathai_Mq":
-        # the order reindexing q -> 2 - q turns 1 - q into q - 1
-        return float(spec.params["q"]) - 1.0
-    return None
+    rule = _PSEUDO_ADDITIVITY_GAMMA.get(spec.id)
+    return None if rule is None else rule(spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +201,7 @@ def check_basic_axioms(
             continue
         counts["continuity"] += 1
         rate = abs(moved - value) / _CONTINUITY_EPS
-        inner = float(np.sum(f.phi(p, n)))
+        inner = float(np.sum(f.phi(p)))
         budget = _slope_budget(spec, float(p[hi]), float(p[lo]), inner)
         if rate / budget > cont[-1][0] / cont[-1][1]:
             cont.append((rate, budget, {"probs": p.tolist(), "rate": rate}))

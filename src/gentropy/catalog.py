@@ -13,6 +13,17 @@ functional (``counterexample_HE``) that satisfies positivity, expandability,
 symmetry and continuity yet *gains* value under state aggregation.  It is
 shipped as a built-in fixture for the verification engine.
 
+A family is declared by one row of ``_FAMILIES``: its parameter names,
+checks (one-line rules plus a validator), default campaign samples and a
+*form* binding the parameters to a functional.  Most forms are power sums
+``phi(x) = sum_i w_i x**e_i / divisor`` (:func:`_power_sum`) given by their
+``(w, e)`` terms; ``phi'`` (and ``phi''``) are derived from the terms.
+``s_delta`` and ``universal_group`` share the form ``phi(x) = x g(-ln x)``
+(:func:`_x_g_neglog`) with ``phi' = g - g'``.  An outer map is one of the
+``_OUTER`` kinds (identity, log, expm1 of a scaled log, shift), each with
+its derivative.  The few remaining families give ``phi`` and ``phi'`` as
+explicit callables in their row.
+
 Parameter domains are validated at construction; zero-probability support is
 declared per functional (``zero_safe``).  Natural logarithms throughout,
 with two deliberate exceptions fixed by the defining formulas: ``nath`` uses
@@ -36,17 +47,24 @@ from .errors import (
     DeltaExceedsBound,
     DomainViolation,
     NoDerivative,
-    NoPhiDecomposition,
+    NonFinite,
     ParamOutOfDomain,
     UnsupportedPair,
+    UserCallableError,
     ValidationError,
     ZeroUnsupported,
 )
-from .special import check_series_coefficients, upper_incomplete_gamma
+from .special import (
+    check_series_coefficients,
+    universal_group_G,
+    universal_group_G_prime,
+    upper_incomplete_gamma,
+)
 
 _LN2 = math.log(2.0)
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
+_Terms = tuple[tuple[float, float], ...]
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -74,30 +92,121 @@ class FunctionalDescriptor:
 
 @dataclass(frozen=True)
 class _Functional:
-    """Resolved, parameter-bound form of one catalog entry."""
+    """Resolved, parameter-bound form of one catalog entry.
 
-    zero_safe: bool
-    phi: Callable[[np.ndarray, int | None], np.ndarray] | None
-    phi_at_zero: float | None
+    ``check_n``, when present, vets the dimension before evaluation.
+    """
+
+    phi: ArrayFn
     phi_prime: ArrayFn | None
-    h: Callable[[float], float] | None
-    h_prime: Callable[[float], float] | None
-    depends_on_n: bool = False
+    zero_safe: bool = True
+    phi_at_zero: float | None = 0.0
+    h: Callable[[float], float] | None = None
+    h_prime: Callable[[float], float] | None = None
     breakpoints: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
-class _Definition:
-    """Registry entry: parameter contract plus the functional builder."""
-
-    required: tuple[str, ...]
-    validate: Callable[[dict], None]
-    build: Callable[[dict], _Functional]
-    json_safe: bool = True
+    check_n: Callable[[int], None] | None = None
 
 
 # ---------------------------------------------------------------------------
-# Per-family builders.  Each returns a _Functional with vectorized phi.
+# Forms: power sums, x g(-ln x), and the outer-map kinds
+# ---------------------------------------------------------------------------
+
+def _sum_of_powers(terms: _Terms, divisor: float) -> ArrayFn:
+    """x -> sum_i w_i x**e_i / divisor.
+
+    Terms with w = +-1 are added or subtracted and x**1 is x itself, so the
+    arithmetic is that of the literal formulas, bit for bit.
+    """
+
+    def phi(x: np.ndarray) -> np.ndarray:
+        acc = None
+        for w, e in terms:
+            p = x if e == 1.0 else np.power(x, e)
+            if acc is None:
+                acc = p if w == 1.0 else w * p
+            elif w == 1.0:
+                acc = acc + p
+            elif w == -1.0:
+                acc = acc - p
+            else:
+                acc = acc + w * p
+        return acc if divisor == 1.0 else acc / divisor
+
+    return phi
+
+
+def _derive(terms: _Terms) -> _Terms:
+    """Terms of the derivative: w x**e -> w e x**(e - 1)."""
+    return tuple((w * e, e - 1.0) for w, e in terms if w * e != 0.0)
+
+
+# Outer maps h by kind, each built from its constants as the pair (h, h').
+_OUTER: dict[str, Callable[..., tuple[Callable | None, Callable | None]]] = {
+    "identity": lambda: (None, None),
+    "log": lambda c: (lambda y: math.log(y) / c, lambda y: 1.0 / (c * y)),
+    # expm1/log keep the s -> 1 neighborhood (the log-family limit) stable
+    "expm1_log": lambda m, c: (
+        lambda y: math.expm1(m * math.log(y)) / c,
+        lambda y: m / c * math.pow(y, m - 1.0),
+    ),
+    "shift": lambda s: (lambda y: y - s, lambda y: 1.0),
+}
+
+
+def _power_sum(
+    terms,
+    divisor: float = 1.0,
+    *,
+    outer: tuple = ("identity",),
+    zero_safe: bool = True,
+    at_zero: float | None = None,
+) -> _Functional:
+    """phi(x) = sum_i w_i x**e_i / divisor with phi' derived from the terms.
+
+    ``at_zero`` defaults to 0 when every exponent is positive and to
+    undefined otherwise.
+    """
+    terms = tuple((float(w), float(e)) for w, e in terms if w != 0.0)
+    if at_zero is None and all(e > 0.0 for _, e in terms):
+        at_zero = 0.0
+    h, h_prime = _OUTER[outer[0]](*outer[1:])
+    return _Functional(
+        phi=_sum_of_powers(terms, divisor),
+        phi_prime=_sum_of_powers(_derive(terms), divisor),
+        zero_safe=zero_safe,
+        phi_at_zero=at_zero,
+        h=h,
+        h_prime=h_prime,
+    )
+
+
+def _x_g_neglog(g: ArrayFn, g_prime: ArrayFn, check_n=None) -> _Functional:
+    """phi(x) = x g(-ln x), extended by 0 at x = 0; phi'(x) = (g - g')(-ln x)."""
+
+    def phi(x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        mask = x > 0.0
+        out[mask] = x[mask] * g(_neg_log(x[mask]))
+        return out
+
+    def phi_prime(x: np.ndarray) -> np.ndarray:
+        t = _neg_log(x)
+        return g(t) - g_prime(t)
+
+    return _Functional(phi=phi, phi_prime=phi_prime, check_n=check_n)
+
+
+def _four_power(eps: float, weights) -> tuple[_Terms, float]:
+    """Terms and divisor of (w0 x^(1-2e) + w1 x^(1-e) + w2 x^(1+e) + w3 x^(1+2e)) / e."""
+    exps = (1.0 - 2.0 * eps, 1.0 - eps, 1.0 + eps, 1.0 + 2.0 * eps)
+    return tuple(zip(weights, exps)), eps
+
+
+_S_IV_WEIGHTS = (1.0, -1.5, 1.5, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Parameter checks that a one-line rule of the family table cannot express
 # ---------------------------------------------------------------------------
 
 def _require_number(params: dict, name: str, integer: bool = False) -> float:
@@ -111,129 +220,8 @@ def _require_number(params: dict, name: str, integer: bool = False) -> float:
     return float(value)
 
 
-def _build_shannon(params: dict) -> _Functional:
-    return _Functional(
-        zero_safe=True,
-        phi=lambda x, n: -_xlogx(x),
-        phi_at_zero=0.0,
-        phi_prime=lambda x: -np.log(x) - 1.0,
-        h=None,
-        h_prime=None,
-    )
-
-
-def _validate_renyi(params: dict) -> None:
-    q = _require_number(params, "q")
-    if not (q > 0.0) or q == 1.0:
-        raise ParamOutOfDomain(f"renyi needs q > 0, q != 1, got q={q!r}")
-
-
-def _build_renyi(params: dict) -> _Functional:
-    q = float(params["q"])
-    return _Functional(
-        zero_safe=True,
-        phi=lambda x, n: np.power(x, q),
-        phi_at_zero=0.0,
-        phi_prime=lambda x: q * np.power(x, q - 1.0),
-        h=lambda y: math.log(y) / (1.0 - q),
-        h_prime=lambda y: 1.0 / ((1.0 - q) * y),
-    )
-
-
-def _validate_tsallis(params: dict) -> None:
-    q = _require_number(params, "q")
-    if not (q >= 0.0) or q == 1.0:
-        raise ParamOutOfDomain(f"tsallis needs q >= 0, q != 1, got q={q!r}")
-
-
-def _build_tsallis(params: dict) -> _Functional:
-    q = float(params["q"])
-    return _Functional(
-        zero_safe=q > 0.0,  # q = 0 would need the 0**0 convention
-        phi=lambda x, n: (np.power(x, q) - x) / (1.0 - q),
-        phi_at_zero=0.0 if q > 0.0 else None,
-        phi_prime=lambda x: (q * np.power(x, q - 1.0) - 1.0) / (1.0 - q),
-        h=None,
-        h_prime=None,
-    )
-
-
-def _build_genetic(params: dict) -> _Functional:
-    def phi(x: np.ndarray, n: int | None) -> np.ndarray:
-        return x - x**2 - x**2 * (1.0 - x) ** 2
-
-    def phi_prime(x: np.ndarray) -> np.ndarray:
-        return 1.0 - 2.0 * x - 2.0 * x * (1.0 - x) * (1.0 - 2.0 * x)
-
-    return _Functional(
-        zero_safe=True, phi=phi, phi_at_zero=0.0, phi_prime=phi_prime,
-        h=None, h_prime=None,
-    )
-
-
-def _build_paired(params: dict) -> _Functional:
-    def phi(x: np.ndarray, n: int | None) -> np.ndarray:
-        return -_xlogx(x) - _xlogx(1.0 - x)
-
-    def phi_prime(x: np.ndarray) -> np.ndarray:
-        return np.log((1.0 - x) / x)
-
-    return _Functional(
-        zero_safe=True, phi=phi, phi_at_zero=0.0, phi_prime=phi_prime,
-        h=None, h_prime=None,
-    )
-
-
-def _validate_hypoentropy(params: dict) -> None:
-    lam = _require_number(params, "lambda")
-    if not (lam > 0.0):
-        raise ParamOutOfDomain(f"hypoentropy needs lambda > 0, got {lam!r}")
-
-
-def _build_hypoentropy(params: dict) -> _Functional:
-    lam = float(params["lambda"])
-    const = (1.0 + 1.0 / lam) * math.log1p(lam)
-
-    def phi(x: np.ndarray, n: int | None) -> np.ndarray:
-        if n is None:
-            raise ValidationError(
-                "hypoentropy's per-state component depends on the dimension; pass n"
-            )
-        lx = np.log1p(lam * x)
-        return const / n - (1.0 / lam) * (1.0 + lam * x) * lx
-
-    def phi_prime(x: np.ndarray) -> np.ndarray:
-        return -np.log1p(lam * x) - 1.0
-
-    return _Functional(
-        zero_safe=True, phi=phi, phi_at_zero=None, phi_prime=phi_prime,
-        h=None, h_prime=None, depends_on_n=True,
-    )
-
-
-def _validate_sharma_mittal(params: dict) -> None:
-    r = _require_number(params, "r")
-    s = _require_number(params, "s")
-    if not (r > 0.0) or r == 1.0 or s == 1.0:
-        raise ParamOutOfDomain(
-            f"sharma_mittal_rs needs r > 0, r != 1, s != 1, got r={r!r}, s={s!r}"
-        )
-
-
-def _build_sharma_mittal(params: dict) -> _Functional:
-    r = float(params["r"])
-    s = float(params["s"])
-    m = (s - 1.0) / (r - 1.0)
-
-    return _Functional(
-        zero_safe=True,
-        phi=lambda x, n: np.power(x, r),
-        phi_at_zero=0.0,
-        phi_prime=lambda x: r * np.power(x, r - 1.0),
-        # expm1/log keep the s -> 1 neighborhood (the log-family limit) stable
-        h=lambda y: math.expm1(m * math.log(y)) / (1.0 - s),
-        h_prime=lambda y: math.pow(y, m - 1.0) / (1.0 - r),
-    )
+def _no_checks(params: dict) -> None:
+    pass
 
 
 def _validate_universal_group(params: dict) -> None:
@@ -241,140 +229,6 @@ def _validate_universal_group(params: dict) -> None:
     if callable(coeffs):
         return
     check_series_coefficients(coeffs)
-
-
-def _build_universal_group(params: dict) -> _Functional:
-    coeffs = params["coeffs"]
-    if callable(coeffs):
-        from .special import universal_group_G, universal_group_G_prime
-
-        g_scalar = lambda t: universal_group_G(coeffs, t)  # noqa: E731
-        gp_scalar = lambda t: universal_group_G_prime(coeffs, t)  # noqa: E731
-
-        def g_vec(t: np.ndarray) -> np.ndarray:
-            return np.array([g_scalar(v) for v in t])
-
-        def gp_vec(t: np.ndarray) -> np.ndarray:
-            return np.array([gp_scalar(v) for v in t])
-    else:
-        a = np.asarray(check_series_coefficients(coeffs))
-        g_coeffs = a / np.arange(1.0, a.size + 1.0)  # G(t) = t * sum c_k t^k
-
-        def g_vec(t: np.ndarray) -> np.ndarray:
-            return t * np.polynomial.polynomial.polyval(t, g_coeffs)
-
-        def gp_vec(t: np.ndarray) -> np.ndarray:
-            return np.polynomial.polynomial.polyval(t, a)
-
-    def phi(x: np.ndarray, n: int | None) -> np.ndarray:
-        out = np.zeros_like(x)
-        mask = x > 0.0
-        out[mask] = x[mask] * g_vec(_neg_log(x[mask]))
-        return out
-
-    def phi_prime(x: np.ndarray) -> np.ndarray:
-        t = _neg_log(x)
-        return g_vec(t) - gp_vec(t)
-
-    return _Functional(
-        zero_safe=True, phi=phi, phi_at_zero=0.0, phi_prime=phi_prime,
-        h=None, h_prime=None,
-    )
-
-
-def _validate_s_cd(params: dict) -> None:
-    c = _require_number(params, "c")
-    d = _require_number(params, "d")
-    if not (0.0 < c <= 1.0):
-        raise ParamOutOfDomain(f"s_cd needs c in (0, 1], got {c!r}")
-    if 1.0 - c + c * d == 0.0:
-        raise ParamOutOfDomain(
-            f"s_cd normalizer 1 - c + c*d vanishes at c={c!r}, d={d!r}"
-        )
-
-
-def _build_s_cd(params: dict) -> _Functional:
-    c = float(params["c"])
-    d = float(params["d"])
-    norm = 1.0 - c + c * d
-    scale = math.e / norm
-    shift = c / norm
-
-    def phi(x: np.ndarray, n: int | None) -> np.ndarray:
-        flat = np.asarray(x, dtype=float).ravel()
-        vals = [upper_incomplete_gamma(1.0 + d, 1.0 - c * math.log(v)) for v in flat]
-        return scale * np.array(vals).reshape(np.shape(x))
-
-    def phi_prime(x: np.ndarray) -> np.ndarray:
-        # d/dx Gamma(1+d, 1 - c ln x) = (c/x) (1 - c ln x)^d exp(-(1 - c ln x))
-        u = 1.0 - c * np.log(x)
-        return (c / norm) * np.power(x, c - 1.0) * np.power(u, d)
-
-    return _Functional(
-        zero_safe=False,
-        phi=phi,
-        phi_at_zero=0.0,  # Gamma(1+d, +inf) = 0
-        phi_prime=phi_prime,
-        h=lambda y: y - shift,
-        h_prime=lambda y: 1.0,
-    )
-
-
-def _validate_s_delta(params: dict) -> None:
-    delta = _require_number(params, "delta")
-    if not (delta > 0.0):
-        raise ParamOutOfDomain(f"s_delta needs delta > 0, got {delta!r}")
-
-
-def _build_s_delta(params: dict) -> _Functional:
-    delta = float(params["delta"])
-
-    def phi(x: np.ndarray, n: int | None) -> np.ndarray:
-        out = np.zeros_like(x)
-        mask = x > 0.0
-        out[mask] = x[mask] * np.power(_neg_log(x[mask]), delta)
-        return out
-
-    def phi_prime(x: np.ndarray) -> np.ndarray:
-        t = _neg_log(x)
-        return np.power(t, delta) - delta * np.power(t, delta - 1.0)
-
-    return _Functional(
-        zero_safe=True, phi=phi, phi_at_zero=0.0, phi_prime=phi_prime,
-        h=None, h_prime=None,
-    )
-
-
-def _validate_borges_roditi(params: dict) -> None:
-    a = _require_number(params, "a")
-    b = _require_number(params, "b")
-    if not (0.0 <= a < 1.0 and 0.0 <= b < 1.0):
-        raise ParamOutOfDomain(f"borges_roditi needs 0 <= a, b < 1, got a={a!r}, b={b!r}")
-    if a == b:
-        # The defining formula divides by a - b; the analytic a -> b limit is
-        # deliberately not substituted.
-        raise ParamOutOfDomain("borges_roditi needs a != b")
-
-
-def _build_borges_roditi(params: dict) -> _Functional:
-    a = float(params["a"])
-    b = float(params["b"])
-    zero_safe = a > 0.0 and b > 0.0
-    if zero_safe:
-        at_zero = 0.0
-    else:
-        at_zero = (0.0 if b > 0.0 else 1.0) - (0.0 if a > 0.0 else 1.0)
-        at_zero /= a - b  # x**0 = 1 survives at x = 0, breaking expandability
-
-    return _Functional(
-        zero_safe=zero_safe,
-        phi=lambda x, n: (np.power(x, b) - np.power(x, a)) / (a - b),
-        phi_at_zero=at_zero,
-        phi_prime=lambda x: (b * np.power(x, b - 1.0) - a * np.power(x, a - 1.0))
-        / (a - b),
-        h=None,
-        h_prime=None,
-    )
 
 
 def _validate_group_entropy(params: dict) -> None:
@@ -402,126 +256,16 @@ def _validate_group_entropy(params: dict) -> None:
         raise ParamOutOfDomain("group_entropy needs k_l != 0 and k_m != 0")
 
 
-def _build_group_entropy(params: dict) -> _Functional:
-    l = int(params["l"])
-    m = int(params["m"])
-    sigma = float(params["sigma"])
-    k = np.asarray([float(v) for v in params["coeffs"]])
-    js = np.arange(l, m + 1, dtype=float)
-
-    def phi(x: np.ndarray, n: int | None) -> np.ndarray:
-        # literal per-state reading of the double sum (see module notes)
-        powers = np.power(x[:, None], -js * sigma)
-        return (powers @ k) / sigma
-
-    def phi_prime(x: np.ndarray) -> np.ndarray:
-        powers = np.power(x[:, None], -js * sigma - 1.0)
-        return -(powers @ (js * k))
-
-    return _Functional(
-        zero_safe=False, phi=phi, phi_at_zero=None, phi_prime=phi_prime,
-        h=None, h_prime=None,
-    )
-
-
-def _four_power_phi(eps: float, weights: tuple[float, float, float, float]):
-    """phi(x) = (w0*x^(1-2e) + w1*x^(1-e) + w2*x^(1+e) + w3*x^(1+2e)) / e."""
-    exps = (1.0 - 2.0 * eps, 1.0 - eps, 1.0 + eps, 1.0 + 2.0 * eps)
-
-    def phi(x: np.ndarray, n: int | None) -> np.ndarray:
-        acc = np.zeros_like(x)
-        for w, e in zip(weights, exps):
-            if w != 0.0:
-                acc = acc + w * np.power(x, e)
-        return acc / eps
-
-    def phi_prime(x: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(x)
-        for w, e in zip(weights, exps):
-            if w != 0.0:
-                acc = acc + w * e * np.power(x, e - 1.0)
-        return acc / eps
-
-    return phi, phi_prime
-
-
-def _validate_s_III(params: dict) -> None:
-    q = _require_number(params, "q")
-    if not (2.0 / 3.0 < q < 1.0):
-        raise ParamOutOfDomain(f"s_III needs 2/3 < q < 1, got {q!r}")
-
-
-def _build_s_III(params: dict) -> _Functional:
-    eps = 1.0 - float(params["q"])
-    # x * (x^(2e) - 2 x^e + x^(-e)) / e, written on combined exponents
-    phi, phi_prime = _four_power_phi(eps, (0.0, 1.0, -2.0, 1.0))
-    return _Functional(
-        zero_safe=True, phi=phi, phi_at_zero=0.0, phi_prime=phi_prime,
-        h=None, h_prime=None,
-    )
-
-
-def _s_IV_concavity_gate(q: float) -> None:
-    eps = 1.0 - q
+def _s_IV_concavity_gate(params: dict) -> None:
+    q = float(params["q"])
+    terms, eps = _four_power(1.0 - q, _S_IV_WEIGHTS)
     x = np.linspace(1.0 / 513.0, 512.0 / 513.0, 512)
-    second = (
-        -2.0 * (1.0 - 2.0 * eps) * np.power(x, -2.0 * eps - 1.0)
-        + 1.5 * (1.0 - eps) * np.power(x, -eps - 1.0)
-        + 1.5 * (1.0 + eps) * np.power(x, eps - 1.0)
-        - 2.0 * (1.0 + 2.0 * eps) * np.power(x, 2.0 * eps - 1.0)
-    )
-    worst = float(second.max())
+    worst = float(_sum_of_powers(_derive(_derive(terms)), eps)(x).max())
     if worst > 1e-9:
         raise ParamOutOfDomain(
             f"s_IV per-state component is not concave at q={q!r} "
             f"(max second derivative {worst:.3e} on the unit interval)"
         )
-
-
-def _validate_s_IV(params: dict) -> None:
-    q = _require_number(params, "q")
-    if not (0.5 < q < 1.5) or q == 1.0:
-        raise ParamOutOfDomain(f"s_IV needs 1/2 < q < 3/2, q != 1, got {q!r}")
-    _s_IV_concavity_gate(q)
-
-
-def _build_s_IV(params: dict) -> _Functional:
-    eps = 1.0 - float(params["q"])
-    phi, phi_prime = _four_power_phi(eps, (1.0, -1.5, 1.5, -1.0))
-    return _Functional(
-        zero_safe=False, phi=phi, phi_at_zero=0.0, phi_prime=phi_prime,
-        h=None, h_prime=None,
-    )
-
-
-def _validate_three_param(params: dict) -> None:
-    q = _require_number(params, "q")
-    alpha = _require_number(params, "alpha")
-    beta = _require_number(params, "beta")
-    if not (0.5 < q < 1.5) or q == 1.0:
-        raise ParamOutOfDomain(f"three_param needs 1/2 < q < 3/2, q != 1, got {q!r}")
-    if not (0.0 < alpha < 0.5):
-        raise ParamOutOfDomain(f"three_param needs 0 < alpha < 1/2, got {alpha!r}")
-    if not (-0.25 < beta < 0.0):
-        raise ParamOutOfDomain(f"three_param needs -1/4 < beta < 0, got {beta!r}")
-
-
-def _build_three_param(params: dict) -> _Functional:
-    q = float(params["q"])
-    alpha = float(params["alpha"])
-    beta = float(params["beta"])
-    eps = 1.0 - q
-    w = (
-        alpha,
-        0.5 * (1.0 - 3.0 * alpha + beta),
-        0.5 * (alpha - 1.0 - 3.0 * beta),
-        beta,
-    )
-    phi, phi_prime = _four_power_phi(eps, w)
-    return _Functional(
-        zero_safe=False, phi=phi, phi_at_zero=0.0, phi_prime=phi_prime,
-        h=None, h_prime=None,
-    )
 
 
 def _two_param_region_ok(r: float, k: float) -> bool:
@@ -531,123 +275,6 @@ def _two_param_region_ok(r: float, k: float) -> bool:
     if ak < 1.0:
         return ak - 1.0 < r < 1.0 - ak
     return False
-
-
-def _validate_two_param(params: dict) -> None:
-    r = _require_number(params, "r")
-    k = _require_number(params, "k")
-    if k == 0.0:
-        raise ParamOutOfDomain("two_param needs k != 0 (formula divides by 2k)")
-    if not _two_param_region_ok(r, k):
-        raise ParamOutOfDomain(
-            f"two_param parameters (r={r!r}, k={k!r}) outside the admissible region"
-        )
-
-
-def _build_two_param_phi(r: float, k: float) -> tuple[ArrayFn, ArrayFn]:
-    lo, hi = 1.0 + r - k, 1.0 + r + k
-
-    def phi(x: np.ndarray, n: int | None = None) -> np.ndarray:
-        return (np.power(x, lo) - np.power(x, hi)) / (2.0 * k)
-
-    def phi_prime(x: np.ndarray) -> np.ndarray:
-        return (lo * np.power(x, lo - 1.0) - hi * np.power(x, hi - 1.0)) / (2.0 * k)
-
-    return phi, phi_prime
-
-
-def _build_two_param(params: dict) -> _Functional:
-    r = float(params["r"])
-    k = float(params["k"])
-    phi, phi_prime = _build_two_param_phi(r, k)
-    return _Functional(
-        # r >= |k| keeps the bare p**(-k) factor of the defining formula bounded
-        zero_safe=r - abs(k) >= 0.0,
-        phi=phi,
-        phi_at_zero=0.0,
-        phi_prime=phi_prime,
-        h=None,
-        h_prime=None,
-    )
-
-
-def _validate_abe(params: dict) -> None:
-    k = _require_number(params, "k")
-    if k == 0.0:
-        raise ParamOutOfDomain("abe needs k != 0")
-
-
-def _build_abe(params: dict) -> _Functional:
-    k = float(params["k"])
-    q = math.sqrt(1.0 + k * k) + k
-    denom = q - 1.0 / q  # = 2k
-
-    def phi(x: np.ndarray, n: int | None) -> np.ndarray:
-        return (np.power(x, 1.0 / q) - np.power(x, q)) / denom
-
-    def phi_prime(x: np.ndarray) -> np.ndarray:
-        return (
-            (1.0 / q) * np.power(x, 1.0 / q - 1.0) - q * np.power(x, q - 1.0)
-        ) / denom
-
-    return _Functional(
-        zero_safe=False, phi=phi, phi_at_zero=0.0, phi_prime=phi_prime,
-        h=None, h_prime=None,
-    )
-
-
-def _validate_kaniadakis(params: dict) -> None:
-    k = _require_number(params, "k")
-    if not (-1.0 < k < 1.0) or k == 0.0:
-        raise ParamOutOfDomain(f"kaniadakis needs -1 < k < 1, k != 0, got {k!r}")
-
-
-def _build_kaniadakis(params: dict) -> _Functional:
-    k = float(params["k"])
-
-    def phi(x: np.ndarray, n: int | None) -> np.ndarray:
-        return (np.power(x, 1.0 - k) - np.power(x, 1.0 + k)) / (2.0 * k)
-
-    def phi_prime(x: np.ndarray) -> np.ndarray:
-        return (
-            (1.0 - k) * np.power(x, -k) - (1.0 + k) * np.power(x, k)
-        ) / (2.0 * k)
-
-    return _Functional(
-        zero_safe=True, phi=phi, phi_at_zero=0.0, phi_prime=phi_prime,
-        h=None, h_prime=None,
-    )
-
-
-def _validate_gamma_entropy(params: dict) -> None:
-    gamma = _require_number(params, "gamma")
-    if gamma == 0.0:
-        raise ParamOutOfDomain("gamma_entropy needs gamma != 0")
-    if not _two_param_region_ok(0.5 * gamma, 1.5 * gamma):
-        raise ParamOutOfDomain(
-            f"gamma_entropy: (r, k) = (gamma/2, 3*gamma/2) leaves the admissible "
-            f"region at gamma={gamma!r}"
-        )
-
-
-def _build_gamma_entropy(params: dict) -> _Functional:
-    gamma = float(params["gamma"])
-
-    def phi(x: np.ndarray, n: int | None) -> np.ndarray:
-        return (np.power(x, 1.0 - gamma) - np.power(x, 1.0 + 2.0 * gamma)) / (
-            3.0 * gamma
-        )
-
-    def phi_prime(x: np.ndarray) -> np.ndarray:
-        return (
-            (1.0 - gamma) * np.power(x, -gamma)
-            - (1.0 + 2.0 * gamma) * np.power(x, 2.0 * gamma)
-        ) / (3.0 * gamma)
-
-    return _Functional(
-        zero_safe=True, phi=phi, phi_at_zero=0.0, phi_prime=phi_prime,
-        h=None, h_prime=None,
-    )
 
 
 def _validate_nath(params: dict) -> None:
@@ -669,86 +296,105 @@ def _validate_nath(params: dict) -> None:
             )
 
 
-def _build_nath(params: dict) -> _Functional:
+def _validate_h_phi_custom(params: dict) -> None:
+    if not callable(params.get("phi")):
+        raise ParamOutOfDomain("h_phi_custom needs a callable 'phi'")
+    for name in ("h", "phi_prime", "h_prime"):
+        if name in params and params[name] is not None and not callable(params[name]):
+            raise ParamOutOfDomain(f"h_phi_custom parameter {name!r} must be callable")
+
+
+# ---------------------------------------------------------------------------
+# Forms that are not power sums
+# ---------------------------------------------------------------------------
+
+def _hypoentropy(params: dict) -> _Functional:
+    lam = float(params["lambda"])
+    c = (1.0 + 1.0 / lam) * math.log1p(lam)
+    # c x spreads the constant c = sum_i c p_i over the states, so phi(0) = 0
+    return _Functional(
+        phi=lambda x: c * x - (1.0 / lam) * (1.0 + lam * x) * np.log1p(lam * x),
+        phi_prime=lambda x: c - np.log1p(lam * x) - 1.0,
+    )
+
+
+def _universal_group(params: dict) -> _Functional:
+    coeffs = params["coeffs"]
+    if callable(coeffs):
+        g = np.vectorize(lambda t: universal_group_G(coeffs, t), otypes=[float])
+        g_prime = np.vectorize(lambda t: universal_group_G_prime(coeffs, t), otypes=[float])
+    else:
+        a = np.asarray(check_series_coefficients(coeffs))
+        g_coeffs = a / np.arange(1.0, a.size + 1.0)  # G(t) = t * sum c_k t^k
+
+        def g(t: np.ndarray) -> np.ndarray:
+            return t * np.polynomial.polynomial.polyval(t, g_coeffs)
+
+        def g_prime(t: np.ndarray) -> np.ndarray:
+            return np.polynomial.polynomial.polyval(t, a)
+
+    return _x_g_neglog(g, g_prime)
+
+
+def _s_cd(params: dict) -> _Functional:
+    c = float(params["c"])
+    d = float(params["d"])
+    norm = 1.0 - c + c * d
+    scale = math.e / norm
+
+    def phi(x: np.ndarray) -> np.ndarray:
+        flat = np.asarray(x, dtype=float).ravel()
+        vals = [upper_incomplete_gamma(1.0 + d, 1.0 - c * math.log(v)) for v in flat]
+        return scale * np.array(vals).reshape(np.shape(x))
+
+    def phi_prime(x: np.ndarray) -> np.ndarray:
+        # d/dx Gamma(1+d, 1 - c ln x) = (c/x) (1 - c ln x)^d exp(-(1 - c ln x))
+        u = 1.0 - c * np.log(x)
+        return (c / norm) * np.power(x, c - 1.0) * np.power(u, d)
+
+    h, h_prime = _OUTER["shift"](c / norm)
+    # phi(0) = 0 because Gamma(1+d, +inf) = 0
+    return _Functional(phi, phi_prime, zero_safe=False, h=h, h_prime=h_prime)
+
+
+def _s_delta(params: dict) -> _Functional:
+    delta = float(params["delta"])
+
+    def check_n(n: int) -> None:
+        bound = 1.0 + math.log(n)
+        if params["delta"] > bound:
+            raise DeltaExceedsBound(
+                f"s_delta with delta={params['delta']!r} exceeds 1 + ln({n}) = {bound!r}"
+            )
+
+    return _x_g_neglog(
+        lambda t: np.power(t, delta),
+        lambda t: delta * np.power(t, delta - 1.0),
+        check_n=check_n,
+    )
+
+
+def _nath(params: dict) -> _Functional:
     lam = float(params["lambda"])
     if lam == 1.0:
         tau = float(params["tau"])
-
-        def phi(x: np.ndarray, n: int | None) -> np.ndarray:
-            return tau * _xlogx(x) / _LN2
-
-        def phi_prime(x: np.ndarray) -> np.ndarray:
-            return tau * (np.log(x) + 1.0) / _LN2
-
         return _Functional(
-            zero_safe=True, phi=phi, phi_at_zero=0.0, phi_prime=phi_prime,
-            h=None, h_prime=None,
+            phi=lambda x: tau * _xlogx(x) / _LN2,
+            phi_prime=lambda x: tau * (np.log(x) + 1.0) / _LN2,
         )
-
-    alpha = float(params["alpha"])
-    return _Functional(
-        zero_safe=True,
-        phi=lambda x, n: np.power(x, alpha),
-        phi_at_zero=0.0,
-        phi_prime=lambda x: alpha * np.power(x, alpha - 1.0),
-        h=lambda y: math.log(y) / (lam * _LN2),
-        h_prime=lambda y: 1.0 / (lam * _LN2 * y),
-    )
+    return _power_sum(((1.0, params["alpha"]),), outer=("log", lam * _LN2))
 
 
-def _validate_havrda_charvat(params: dict) -> None:
-    q = _require_number(params, "q")
-    if not (q > 0.0) or q == 1.0:
-        raise ParamOutOfDomain(f"havrda_charvat needs q > 0, q != 1, got {q!r}")
-
-
-def _build_havrda_charvat(params: dict) -> _Functional:
-    q = float(params["q"])
-    norm = math.pow(2.0, 1.0 - q) - 1.0
-    return _Functional(
-        zero_safe=True,
-        phi=lambda x, n: (np.power(x, q) - x) / norm,
-        phi_at_zero=0.0,
-        phi_prime=lambda x: (q * np.power(x, q - 1.0) - 1.0) / norm,
-        h=None,
-        h_prime=None,
-    )
-
-
-def _validate_mathai(params: dict) -> None:
-    q = _require_number(params, "q")
-    if not (q < 2.0) or q == 1.0:
-        raise ParamOutOfDomain(f"needs q < 2, q != 1, got {q!r}")
-
-
-def _build_mathai_Mq(params: dict) -> _Functional:
-    q = float(params["q"])
-    return _Functional(
-        zero_safe=True,
-        phi=lambda x, n: (np.power(x, 2.0 - q) - x) / (q - 1.0),
-        phi_at_zero=0.0,
-        phi_prime=lambda x: ((2.0 - q) * np.power(x, 1.0 - q) - 1.0) / (q - 1.0),
-        h=None,
-        h_prime=None,
-    )
-
-
-def _build_mathai_Mq_star(params: dict) -> _Functional:
-    q = float(params["q"])
-    return _Functional(
-        zero_safe=True,
-        phi=lambda x, n: np.power(x, 2.0 - q),
-        phi_at_zero=0.0,
-        phi_prime=lambda x: (2.0 - q) * np.power(x, 1.0 - q),
-        h=lambda y: math.log(y) / (q - 1.0),
-        h_prime=lambda y: 1.0 / ((q - 1.0) * y),
-    )
+def _abe(k: float) -> _Functional:
+    q = math.sqrt(1.0 + k * k) + k
+    # q - 1/q = 2k
+    return _power_sum(((1, 1.0 / q), (-1, q)), q - 1.0 / q, zero_safe=False)
 
 
 _HE_BREAKPOINTS = (0.25, 0.5, 0.75)
 
 
-def _he_phi(x: np.ndarray, n: int | None = None) -> np.ndarray:
+def _he_phi(x: np.ndarray) -> np.ndarray:
     return np.select(
         [x <= 0.25, x < 0.5, x < 0.75],
         [x, 2.0 * x - 0.25, 1.75 - 2.0 * x],
@@ -764,105 +410,210 @@ def _he_phi_prime(x: np.ndarray) -> np.ndarray:
     )
 
 
-def _build_counterexample(params: dict) -> _Functional:
-    return _Functional(
-        zero_safe=True,
-        phi=_he_phi,
-        phi_at_zero=0.0,
-        phi_prime=_he_phi_prime,
-        h=None,
-        h_prime=None,
-        breakpoints=_HE_BREAKPOINTS,
-    )
+def _guarded(fn: Callable, name: str) -> Callable[[float], float]:
+    """Call a user callable on one float; its failures become a typed error."""
+
+    def call(v: float) -> float:
+        try:
+            return float(fn(v))
+        except Exception as exc:
+            raise UserCallableError(
+                f"h_phi_custom {name} raised {type(exc).__name__}: {exc}"
+            ) from exc
+
+    return call
 
 
-def _validate_h_phi_custom(params: dict) -> None:
-    if not callable(params.get("phi")):
-        raise ParamOutOfDomain("h_phi_custom needs a callable 'phi'")
-    for name in ("h", "phi_prime", "h_prime"):
-        if name in params and params[name] is not None and not callable(params[name]):
-            raise ParamOutOfDomain(f"h_phi_custom parameter {name!r} must be callable")
+def _h_phi_custom(params: dict) -> _Functional:
+    user = {
+        name: _guarded(params[name], name)
+        for name in ("phi", "phi_prime", "h", "h_prime")
+        if params.get(name) is not None
+    }
 
+    def pointwise(fn: Callable[[float], float]) -> ArrayFn:
+        return lambda x: np.array([fn(v) for v in np.asarray(x, dtype=float)])
 
-def _build_h_phi_custom(params: dict) -> _Functional:
-    user_phi = params["phi"]
-    user_h = params.get("h")
-    user_phi_prime = params.get("phi_prime")
-    user_h_prime = params.get("h_prime")
     zero_safe = bool(params.get("zero_safe", False))
-
-    def phi(x: np.ndarray, n: int | None) -> np.ndarray:
-        return np.array([float(user_phi(v)) for v in np.asarray(x, dtype=float)])
-
-    phi_prime = None
-    if user_phi_prime is not None:
-        def phi_prime(x: np.ndarray) -> np.ndarray:  # noqa: F811
-            return np.array(
-                [float(user_phi_prime(v)) for v in np.asarray(x, dtype=float)]
-            )
-
-    at_zero = float(user_phi(0.0)) if zero_safe else None
     return _Functional(
+        phi=pointwise(user["phi"]),
+        phi_prime=pointwise(user["phi_prime"]) if "phi_prime" in user else None,
         zero_safe=zero_safe,
-        phi=phi,
-        phi_at_zero=at_zero,
-        phi_prime=phi_prime,
-        h=(lambda y: float(user_h(y))) if user_h is not None else None,
-        h_prime=(lambda y: float(user_h_prime(y))) if user_h_prime is not None else None,
+        phi_at_zero=user["phi"](0.0) if zero_safe else None,
+        h=user.get("h"),
+        h_prime=user.get("h_prime"),
     )
 
 
-_DEFINITIONS: dict[str, _Definition] = {
-    "shannon": _Definition((), lambda p: None, _build_shannon),
-    "renyi": _Definition(("q",), _validate_renyi, _build_renyi),
-    "tsallis": _Definition(("q",), _validate_tsallis, _build_tsallis),
-    "h_phi_custom": _Definition(
-        ("phi",), _validate_h_phi_custom, _build_h_phi_custom, json_safe=False
+# ---------------------------------------------------------------------------
+# The family table
+# ---------------------------------------------------------------------------
+
+_Rule = tuple[str, Callable[..., bool], str]
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Catalog row: parameter contract, checks, form and campaign samples.
+
+    Each rule ``(names, ok, requirement)`` reads the space-separated numeric
+    parameters ``names`` and demands ``ok(*values)``; ``validate`` runs the
+    checks no rule expresses.  ``samples`` are the default campaign's
+    parameter sets.
+    """
+
+    required: tuple[str, ...]
+    form: Callable[[dict], _Functional]
+    rules: tuple[_Rule, ...] = ()
+    validate: Callable[[dict], None] = _no_checks
+    optional: tuple[str, ...] = ()
+    samples: tuple[dict, ...] = ()
+    json_safe: bool = True
+
+
+def _each(name: str, *values: float) -> tuple[dict, ...]:
+    return tuple({name: value} for value in values)
+
+
+_ORDER_RULE: _Rule = ("q", lambda q: q > 0.0 and q != 1.0, "q > 0, q != 1")
+_MATHAI_RULE: _Rule = ("q", lambda q: q < 2.0 and q != 1.0, "q < 2, q != 1")
+
+_FAMILIES: dict[str, _Family] = {
+    "shannon": _Family((), lambda p: _Functional(
+        phi=lambda x: -_xlogx(x), phi_prime=lambda x: -np.log(x) - 1.0,
+    ), samples=({},)),
+    "renyi": _Family(("q",), lambda p: _power_sum(
+        ((1, p["q"]),), outer=("log", 1.0 - p["q"]),
+    ), rules=(_ORDER_RULE,), samples=_each("q", 0.5, 2.0, 3.0)),
+    "tsallis": _Family(("q",), lambda p: _power_sum(
+        # q = 0 would need the 0**0 convention
+        ((1, p["q"]), (-1, 1)), 1.0 - p["q"], zero_safe=p["q"] > 0.0,
+    ), rules=(("q", lambda q: q >= 0.0 and q != 1.0, "q >= 0, q != 1"),),
+        samples=_each("q", 0.5, 2.0, 3.0)),
+    "h_phi_custom": _Family(
+        ("phi",), _h_phi_custom, validate=_validate_h_phi_custom,
+        optional=("h", "phi_prime", "h_prime", "zero_safe"), json_safe=False,
     ),
-    "genetic": _Definition((), lambda p: None, _build_genetic),
-    "paired": _Definition((), lambda p: None, _build_paired),
-    "hypoentropy": _Definition(("lambda",), _validate_hypoentropy, _build_hypoentropy),
-    "sharma_mittal_rs": _Definition(
-        ("r", "s"), _validate_sharma_mittal, _build_sharma_mittal
+    "genetic": _Family((), lambda p: _Functional(
+        phi=lambda x: x - x**2 - x**2 * (1.0 - x) ** 2,
+        phi_prime=lambda x: 1.0 - 2.0 * x - 2.0 * x * (1.0 - x) * (1.0 - 2.0 * x),
+    ), samples=({},)),
+    "paired": _Family((), lambda p: _Functional(
+        phi=lambda x: -_xlogx(x) - _xlogx(1.0 - x),
+        phi_prime=lambda x: np.log((1.0 - x) / x),
+    ), samples=({},)),
+    "hypoentropy": _Family(
+        ("lambda",), _hypoentropy, rules=(("lambda", lambda lam: lam > 0.0, "lambda > 0"),),
+        samples=_each("lambda", 0.5, 1.0, 5.0),
     ),
-    "universal_group": _Definition(
-        ("coeffs",), _validate_universal_group, _build_universal_group
+    "sharma_mittal_rs": _Family(("r", "s"), lambda p: _power_sum(
+        ((1, p["r"]),),
+        outer=("expm1_log", (p["s"] - 1.0) / (p["r"] - 1.0), 1.0 - p["s"]),
+    ), rules=(("r s", lambda r, s: r > 0.0 and r != 1.0 and s != 1.0,
+               "r > 0, r != 1, s != 1"),),
+        samples=({"r": 0.5, "s": 2.0}, {"r": 0.5, "s": 0.3}, {"r": 2.0, "s": 0.5})),
+    "universal_group": _Family(
+        ("coeffs",), _universal_group, validate=_validate_universal_group,
+        samples=_each("coeffs", (1.0,), (1.0, 0.4), (1.0, 0.4, 0.1)),
     ),
-    "s_cd": _Definition(("c", "d"), _validate_s_cd, _build_s_cd),
-    "s_delta": _Definition(("delta",), _validate_s_delta, _build_s_delta),
-    "borges_roditi": _Definition(
-        ("a", "b"), _validate_borges_roditi, _build_borges_roditi
+    "s_cd": _Family(("c", "d"), _s_cd, rules=(
+        ("c", lambda c: 0.0 < c <= 1.0, "c in (0, 1]"),
+        ("c d", lambda c, d: 1.0 - c + c * d != 0.0, "a nonzero normalizer 1 - c + c*d"),
+    ), samples=({"c": 0.5, "d": 1.0}, {"c": 0.8, "d": 0.5}, {"c": 1.0, "d": 2.0})),
+    "s_delta": _Family(
+        ("delta",), _s_delta, rules=(("delta", lambda delta: delta > 0.0, "delta > 0"),),
+        samples=_each("delta", 0.5, 1.0, 2.0),
     ),
-    "group_entropy": _Definition(
-        ("l", "m", "coeffs", "sigma"), _validate_group_entropy, _build_group_entropy
+    "borges_roditi": _Family(("a", "b"), lambda p: _power_sum(
+        ((1, p["b"]), (-1, p["a"])), p["a"] - p["b"],
+        zero_safe=p["a"] > 0.0 and p["b"] > 0.0,
+        # a or b at 0 leaves x**0 = 1 at x = 0 (breaking expandability); else 0
+        at_zero=((p["b"] == 0.0) - (p["a"] == 0.0)) / (p["a"] - p["b"]) or None,
+    ), rules=(
+        ("a b", lambda a, b: 0.0 <= a < 1.0 and 0.0 <= b < 1.0, "0 <= a, b < 1"),
+        # The defining formula divides by a - b; the analytic a -> b limit is
+        # deliberately not substituted.
+        ("a b", lambda a, b: a != b, "a != b"),
     ),
-    "s_III": _Definition(("q",), _validate_s_III, _build_s_III),
-    "s_IV": _Definition(("q",), _validate_s_IV, _build_s_IV),
-    "three_param": _Definition(
-        ("q", "alpha", "beta"), _validate_three_param, _build_three_param
+        # concave-component samples: b(1-b) >= a(1-a); low-b corners stay
+        # merge-monotone but lose uniform maximality
+        samples=({"a": 0.7, "b": 0.3}, {"a": 0.8, "b": 0.3}, {"a": 0.9, "b": 0.4})),
+    "group_entropy": _Family(("l", "m", "coeffs", "sigma"), lambda p: _power_sum(
+        # literal per-state reading of the double sum (see module notes)
+        zip(p["coeffs"], -np.arange(int(p["l"]), int(p["m"]) + 1.0) * p["sigma"]),
+        float(p["sigma"]), zero_safe=False,
+    ), validate=_validate_group_entropy),
+    "s_III": _Family(("q",), lambda p: _power_sum(
+        # x * (x^(2e) - 2 x^e + x^(-e)) / e, written on combined exponents
+        *_four_power(1.0 - p["q"], (0.0, 1.0, -2.0, 1.0)),
+    ), rules=(("q", lambda q: 2.0 / 3.0 < q < 1.0, "2/3 < q < 1"),),
+        samples=_each("q", 0.7, 0.8, 0.9)),
+    "s_IV": _Family(("q",), lambda p: _power_sum(
+        *_four_power(1.0 - p["q"], _S_IV_WEIGHTS), zero_safe=False,
+    ), rules=(("q", lambda q: 0.5 < q < 1.5 and q != 1.0, "1/2 < q < 3/2, q != 1"),),
+        validate=_s_IV_concavity_gate, samples=_each("q", 0.75, 0.9, 1.2)),
+    "three_param": _Family(("q", "alpha", "beta"), lambda p: _power_sum(
+        *_four_power(1.0 - p["q"], (
+            p["alpha"],
+            0.5 * (1.0 - 3.0 * p["alpha"] + p["beta"]),
+            0.5 * (p["alpha"] - 1.0 - 3.0 * p["beta"]),
+            p["beta"],
+        )), zero_safe=False,
+    ), rules=(
+        ("q", lambda q: 0.5 < q < 1.5 and q != 1.0, "1/2 < q < 3/2, q != 1"),
+        ("alpha", lambda alpha: 0.0 < alpha < 0.5, "0 < alpha < 1/2"),
+        ("beta", lambda beta: -0.25 < beta < 0.0, "-1/4 < beta < 0"),
+    ), samples=(
+        {"q": 0.8, "alpha": 0.3, "beta": -0.1},
+        {"q": 1.2, "alpha": 0.25, "beta": -0.2},
+        {"q": 1.1, "alpha": 0.4, "beta": -0.05},
+    )),
+    "two_param": _Family(("r", "k"), lambda p: _power_sum(
+        ((1, 1.0 + p["r"] - p["k"]), (-1, 1.0 + p["r"] + p["k"])), 2.0 * p["k"],
+        # r >= |k| keeps the bare p**(-k) factor of the defining formula bounded
+        zero_safe=p["r"] - abs(p["k"]) >= 0.0,
+    ), rules=(
+        ("k", lambda k: k != 0.0, "k != 0 (formula divides by 2k)"),
+        ("r k", _two_param_region_ok, "(r, k) inside the admissible region"),
+    ), samples=({"r": 0.0, "k": 0.3}, {"r": 0.2, "k": 0.4}, {"r": -0.2, "k": 0.6})),
+    "abe": _Family(
+        ("k",), lambda p: _abe(float(p["k"])), rules=(("k", lambda k: k != 0.0, "k != 0"),),
+        samples=_each("k", -0.5, 0.3, 1.0),
     ),
-    "two_param": _Definition(("r", "k"), _validate_two_param, _build_two_param),
-    "abe": _Definition(("k",), _validate_abe, _build_abe),
-    "kaniadakis": _Definition(("k",), _validate_kaniadakis, _build_kaniadakis),
-    "gamma_entropy": _Definition(
-        ("gamma",), _validate_gamma_entropy, _build_gamma_entropy
+    "kaniadakis": _Family(("k",), lambda p: _power_sum(
+        ((1, 1.0 - p["k"]), (-1, 1.0 + p["k"])), 2.0 * p["k"],
+    ), rules=(("k", lambda k: -1.0 < k < 1.0 and k != 0.0, "-1 < k < 1, k != 0"),),
+        samples=_each("k", 0.3, 0.5, -0.7)),
+    "gamma_entropy": _Family(("gamma",), lambda p: _power_sum(
+        ((1, 1.0 - p["gamma"]), (-1, 1.0 + 2.0 * p["gamma"])), 3.0 * p["gamma"],
+    ), rules=(
+        ("gamma", lambda g: g != 0.0, "gamma != 0"),
+        ("gamma", lambda g: _two_param_region_ok(0.5 * g, 1.5 * g),
+         "(r, k) = (gamma/2, 3*gamma/2) inside the admissible region"),
+    ), samples=_each("gamma", 0.2, 0.4, -0.3)),
+    "nath": _Family(
+        ("lambda",), _nath, validate=_validate_nath, optional=("tau", "alpha"),
+        samples=(
+            {"tau": -1.0, "lambda": 1.0},
+            {"alpha": 0.5, "lambda": 2.0},
+            {"alpha": 2.0, "lambda": -1.0},
+        ),
     ),
-    "nath": _Definition(("lambda",), _validate_nath, _build_nath),
-    "havrda_charvat": _Definition(
-        ("q",), _validate_havrda_charvat, _build_havrda_charvat
-    ),
-    "mathai_Mq": _Definition(("q",), _validate_mathai, _build_mathai_Mq),
-    "mathai_Mq_star": _Definition(("q",), _validate_mathai, _build_mathai_Mq_star),
-    "counterexample_HE": _Definition((), lambda p: None, _build_counterexample),
+    "havrda_charvat": _Family(("q",), lambda p: _power_sum(
+        ((1, p["q"]), (-1, 1)), math.pow(2.0, 1.0 - p["q"]) - 1.0,
+    ), rules=(_ORDER_RULE,), samples=_each("q", 0.5, 2.0, 3.0)),
+    "mathai_Mq": _Family(("q",), lambda p: _power_sum(
+        ((1, 2.0 - p["q"]), (-1, 1)), p["q"] - 1.0,
+    ), rules=(_MATHAI_RULE,), samples=_each("q", -0.5, 0.5, 1.5)),
+    "mathai_Mq_star": _Family(("q",), lambda p: _power_sum(
+        ((1, 2.0 - p["q"]),), outer=("log", p["q"] - 1.0),
+    ), rules=(_MATHAI_RULE,), samples=_each("q", 0.5, 1.5, 1.9)),
+    "counterexample_HE": _Family((), lambda p: _Functional(
+        _he_phi, _he_phi_prime, breakpoints=_HE_BREAKPOINTS,
+    )),
 }
 
-CATALOG_IDS: tuple[str, ...] = tuple(_DEFINITIONS)
-
-# Extra parameter names accepted beyond `required` (branch-dependent).
-_OPTIONAL_PARAMS: dict[str, tuple[str, ...]] = {
-    "nath": ("tau", "alpha"),
-    "h_phi_custom": ("h", "phi_prime", "h_prime", "zero_safe"),
-}
+CATALOG_IDS: tuple[str, ...] = tuple(_FAMILIES)
 
 
 class EntropySpec:
@@ -876,24 +627,29 @@ class EntropySpec:
     def __init__(self, id: str, params: Mapping[str, Any] | None = None, **kw: Any):
         merged = dict(params or {})
         merged.update(kw)
-        if id not in _DEFINITIONS:
+        if id not in _FAMILIES:
             raise ValidationError(
                 f"unknown entropy id {id!r}; known ids: {', '.join(CATALOG_IDS)}"
             )
-        definition = _DEFINITIONS[id]
-        allowed = set(definition.required) | set(_OPTIONAL_PARAMS.get(id, ()))
+        family = _FAMILIES[id]
+        allowed = set(family.required) | set(family.optional)
         unknown = sorted(set(merged) - allowed)
         if unknown:
             raise ValidationError(f"unknown parameters for {id!r}: {unknown}")
-        missing = sorted(set(definition.required) - set(merged))
+        missing = sorted(set(family.required) - set(merged))
         if missing:
             raise ValidationError(f"missing parameters for {id!r}: {missing}")
         if isinstance(merged.get("coeffs"), list):
             merged["coeffs"] = tuple(merged["coeffs"])
-        definition.validate(merged)
+        for names, ok, requirement in family.rules:
+            values = [_require_number(merged, name) for name in names.split()]
+            if not ok(*values):
+                got = ", ".join(f"{n}={v!r}" for n, v in zip(names.split(), values))
+                raise ParamOutOfDomain(f"{id} needs {requirement}, got {got}")
+        family.validate(merged)
         object.__setattr__(self, "_id", id)
         object.__setattr__(self, "_params", merged)
-        object.__setattr__(self, "_functional", definition.build(merged))
+        object.__setattr__(self, "_functional", family.form(merged))
 
     def __setattr__(self, name, value):
         raise AttributeError("EntropySpec is immutable")
@@ -954,7 +710,7 @@ class EntropySpec:
 
 def spec_to_json(spec: EntropySpec) -> str:
     """Serialize as ``{"id": ..., "params": {...}}`` (callables rejected)."""
-    if not _DEFINITIONS[spec.id].json_safe:
+    if not _FAMILIES[spec.id].json_safe:
         raise ValidationError(f"{spec.id!r} holds callables and has no JSON form")
     params = {
         key: (list(value) if isinstance(value, tuple) else value)
@@ -969,7 +725,7 @@ def spec_from_json(source: str | Mapping[str, Any]) -> EntropySpec:
         raise ValidationError('entropy JSON must be {"id": ..., "params": {...}}')
     spec_id = data["id"]
     params = data.get("params", {})
-    if spec_id in _DEFINITIONS and not _DEFINITIONS[spec_id].json_safe:
+    if spec_id in _FAMILIES and not _FAMILIES[spec_id].json_safe:
         raise ValidationError(f"{spec_id!r} cannot be built from JSON")
     if not isinstance(params, dict):
         raise ValidationError('"params" must be an object')
@@ -989,21 +745,24 @@ def evaluate(spec: EntropySpec, dist: FiniteDistribution) -> float:
         If the distribution contains zeros and the functional is not
         zero-safe.
     DeltaExceedsBound
-        For ``s_delta`` when delta > 1 + ln(n) at the evaluated dimension.
+        When the functional's dimension hook rejects ``dist.n`` (``s_delta``
+        with delta > 1 + ln(n)).
+    NonFinite
+        If the value is NaN or infinite.
+    UserCallableError
+        If a callable of an ``h_phi_custom`` spec raises.
     """
     f = spec.functional
     p = dist.probs
     if not f.zero_safe and np.any(p == 0.0):
         raise ZeroUnsupported(f"{spec.id} does not admit zero probabilities")
-    if spec.id == "s_delta":
-        bound = 1.0 + math.log(dist.n)
-        delta = spec.params["delta"]
-        if delta > bound:
-            raise DeltaExceedsBound(
-                f"s_delta with delta={delta!r} exceeds 1 + ln({dist.n}) = {bound!r}"
-            )
-    total = float(np.sum(f.phi(p, dist.n)))
-    return float(f.h(total)) if f.h is not None else total
+    if f.check_n is not None:
+        f.check_n(dist.n)
+    total = float(np.sum(f.phi(p)))
+    value = float(f.h(total)) if f.h is not None else total
+    if not math.isfinite(value):
+        raise NonFinite(f"{spec.id} evaluates to {value!r} on this distribution")
+    return value
 
 
 def phi_component(spec: EntropySpec, x: float, n: int | None = None) -> float:
@@ -1011,23 +770,17 @@ def phi_component(spec: EntropySpec, x: float, n: int | None = None) -> float:
 
     At ``x = 0`` the analytic limit is returned when it exists (it is the
     value that makes expandability meaningful); functionals whose component
-    diverges or is undefined at 0 raise.  Dimension-dependent components
-    (``hypoentropy``) require ``n``.
+    diverges or is undefined at 0 raise.  No component depends on the
+    dimension: ``n`` is accepted for compatibility and ignored.
     """
     f = spec.functional
-    if f.phi is None:
-        raise NoPhiDecomposition(f"{spec.id} exposes no per-state component")
     if not (0.0 <= x <= 1.0):
         raise ValidationError(f"x must lie in [0, 1], got {x!r}")
-    if f.depends_on_n:
-        if n is None:
-            raise ValidationError(f"{spec.id} per-state component requires n")
-        return float(f.phi(np.array([float(x)]), n)[0])
     if x == 0.0:
         if f.phi_at_zero is None:
             raise ZeroUnsupported(f"{spec.id} per-state component undefined at 0")
         return f.phi_at_zero
-    return float(f.phi(np.array([float(x)]), None)[0])
+    return float(f.phi(np.array([float(x)]))[0])
 
 
 def phi_prime(spec: EntropySpec, x: float) -> float:
@@ -1036,8 +789,6 @@ def phi_prime(spec: EntropySpec, x: float) -> float:
     Piecewise components reject their non-differentiable breakpoints.
     """
     f = spec.functional
-    if f.phi is None:
-        raise NoPhiDecomposition(f"{spec.id} exposes no per-state component")
     if f.phi_prime is None:
         raise NoDerivative(f"{spec.id} has no closed-form component derivative")
     if not (0.0 < x < 1.0):
@@ -1064,8 +815,35 @@ def outer_map_prime(spec: EntropySpec, y: float) -> float:
 # Value transforms between functionals that are monotone images of each other
 # ---------------------------------------------------------------------------
 
-def _match_param(source: EntropySpec, name: str) -> float:
-    return float(source.params[name])
+def _same(q: float) -> float:
+    return q
+
+
+# Forward pairs: (source id, target id) -> (kind, coefficient c from the
+# source's q, target q).  Kind "scale" maps v to c v and "log1p" maps it to
+# log1p(c v) / c; the reverse pair inverts that (v / c, expm1(c v) / c).
+# The q maps are involutions, so a reverse source's q maps back as well.
+_TRANSFORMS: dict[tuple[str, str], tuple[str, Callable, Callable]] = {
+    ("tsallis", "renyi"): ("log1p", lambda q: 1.0 - q, _same),
+    ("tsallis", "havrda_charvat"): (
+        "scale", lambda q: (1.0 - q) / (math.pow(2.0, 1.0 - q) - 1.0), _same
+    ),
+    # the same functional under the order reindexing q -> 2 - q
+    ("tsallis", "mathai_Mq"): ("scale", lambda q: 1.0, lambda q: 2.0 - q),
+    ("mathai_Mq", "mathai_Mq_star"): ("log1p", lambda q: q - 1.0, _same),
+}
+
+TRANSFORM_PAIRS: tuple[tuple[str, str], ...] = tuple(_TRANSFORMS)
+
+
+def _transform(source: EntropySpec, target_id: str) -> tuple[str, float, float, bool]:
+    """Kind, coefficient, target q and direction of a registered pair."""
+    for pair, forward in (((source.id, target_id), True), ((target_id, source.id), False)):
+        if pair in _TRANSFORMS:
+            kind, coefficient, target_q = _TRANSFORMS[pair]
+            q = float(source.params["q"])
+            return kind, coefficient(q if forward else target_q(q)), target_q(q), forward
+    raise UnsupportedPair(f"no transform registered for {source.id!r} -> {target_id!r}")
 
 
 def transform_between(source: EntropySpec, target_id: str, value: float) -> float:
@@ -1076,128 +854,25 @@ def transform_between(source: EntropySpec, target_id: str, value: float) -> floa
     2 - q), mathai_Mq <-> mathai_Mq_star.  Every transform is strictly
     increasing on its domain and fixes 0.
     """
-    pair = (source.id, target_id)
-    if pair == ("tsallis", "renyi"):
-        q = _match_param(source, "q")
-        argument = (1.0 - q) * value
-        if argument <= -1.0:
-            raise DomainViolation(f"1 + (1-q)*T = {1.0 + argument!r} is not positive")
-        return math.log1p(argument) / (1.0 - q)
-    if pair == ("renyi", "tsallis"):
-        q = _match_param(source, "q")
-        return math.expm1((1.0 - q) * value) / (1.0 - q)
-    if pair == ("tsallis", "havrda_charvat"):
-        q = _match_param(source, "q")
-        return value * (1.0 - q) / (math.pow(2.0, 1.0 - q) - 1.0)
-    if pair == ("havrda_charvat", "tsallis"):
-        q = _match_param(source, "q")
-        return value * (math.pow(2.0, 1.0 - q) - 1.0) / (1.0 - q)
-    if pair in (("tsallis", "mathai_Mq"), ("mathai_Mq", "tsallis")):
-        return value  # same functional under the order reindexing q -> 2 - q
-    if pair == ("mathai_Mq", "mathai_Mq_star"):
-        q = _match_param(source, "q")
-        argument = (q - 1.0) * value
-        if argument <= -1.0:
-            raise DomainViolation(f"1 + (q-1)*M = {1.0 + argument!r} is not positive")
-        return math.log1p(argument) / (q - 1.0)
-    if pair == ("mathai_Mq_star", "mathai_Mq"):
-        q = _match_param(source, "q")
-        return math.expm1((q - 1.0) * value) / (q - 1.0)
-    raise UnsupportedPair(f"no transform registered for {source.id!r} -> {target_id!r}")
+    kind, c, _, forward = _transform(source, target_id)
+    if kind == "scale":
+        return value * c if forward else value / c
+    if not forward:
+        return math.expm1(c * value) / c
+    argument = c * value
+    if argument <= -1.0:
+        raise DomainViolation(f"1 + {c!r}*value = {1.0 + argument!r} is not positive")
+    return math.log1p(argument) / c
 
 
 def matched_transform_target(source: EntropySpec, target_id: str) -> EntropySpec:
     """Build the target spec whose parameters match ``source`` for a transform."""
-    if (source.id, target_id) in (("tsallis", "mathai_Mq"), ("mathai_Mq", "tsallis")):
-        return EntropySpec(target_id, q=2.0 - _match_param(source, "q"))
-    if (source.id, target_id) in (
-        ("tsallis", "renyi"),
-        ("renyi", "tsallis"),
-        ("tsallis", "havrda_charvat"),
-        ("havrda_charvat", "tsallis"),
-        ("mathai_Mq", "mathai_Mq_star"),
-        ("mathai_Mq_star", "mathai_Mq"),
-    ):
-        return EntropySpec(target_id, q=_match_param(source, "q"))
-    raise UnsupportedPair(f"no transform registered for {source.id!r} -> {target_id!r}")
-
-
-TRANSFORM_PAIRS: tuple[tuple[str, str], ...] = (
-    ("tsallis", "renyi"),
-    ("tsallis", "havrda_charvat"),
-    ("tsallis", "mathai_Mq"),
-    ("mathai_Mq", "mathai_Mq_star"),
-)
+    return EntropySpec(target_id, q=_transform(source, target_id)[2])
 
 
 # ---------------------------------------------------------------------------
 # Shipped parameter samples for campaigns
 # ---------------------------------------------------------------------------
-
-_DEFAULT_SAMPLES: tuple[tuple[str, dict], ...] = (
-    ("shannon", {}),
-    ("renyi", {"q": 0.5}),
-    ("renyi", {"q": 2.0}),
-    ("renyi", {"q": 3.0}),
-    ("tsallis", {"q": 0.5}),
-    ("tsallis", {"q": 2.0}),
-    ("tsallis", {"q": 3.0}),
-    ("genetic", {}),
-    ("paired", {}),
-    ("hypoentropy", {"lambda": 0.5}),
-    ("hypoentropy", {"lambda": 1.0}),
-    ("hypoentropy", {"lambda": 5.0}),
-    ("sharma_mittal_rs", {"r": 0.5, "s": 2.0}),
-    ("sharma_mittal_rs", {"r": 0.5, "s": 0.3}),
-    ("sharma_mittal_rs", {"r": 2.0, "s": 0.5}),
-    ("universal_group", {"coeffs": (1.0,)}),
-    ("universal_group", {"coeffs": (1.0, 0.4)}),
-    ("universal_group", {"coeffs": (1.0, 0.4, 0.1)}),
-    ("s_cd", {"c": 0.5, "d": 1.0}),
-    ("s_cd", {"c": 0.8, "d": 0.5}),
-    ("s_cd", {"c": 1.0, "d": 2.0}),
-    ("s_delta", {"delta": 0.5}),
-    ("s_delta", {"delta": 1.0}),
-    ("s_delta", {"delta": 2.0}),
-    # concave-component samples: b(1-b) >= a(1-a); low-b corners stay
-    # merge-monotone but lose uniform maximality
-    ("borges_roditi", {"a": 0.7, "b": 0.3}),
-    ("borges_roditi", {"a": 0.8, "b": 0.3}),
-    ("borges_roditi", {"a": 0.9, "b": 0.4}),
-    ("s_III", {"q": 0.7}),
-    ("s_III", {"q": 0.8}),
-    ("s_III", {"q": 0.9}),
-    ("s_IV", {"q": 0.75}),
-    ("s_IV", {"q": 0.9}),
-    ("s_IV", {"q": 1.2}),
-    ("three_param", {"q": 0.8, "alpha": 0.3, "beta": -0.1}),
-    ("three_param", {"q": 1.2, "alpha": 0.25, "beta": -0.2}),
-    ("three_param", {"q": 1.1, "alpha": 0.4, "beta": -0.05}),
-    ("two_param", {"r": 0.0, "k": 0.3}),
-    ("two_param", {"r": 0.2, "k": 0.4}),
-    ("two_param", {"r": -0.2, "k": 0.6}),
-    ("abe", {"k": -0.5}),
-    ("abe", {"k": 0.3}),
-    ("abe", {"k": 1.0}),
-    ("kaniadakis", {"k": 0.3}),
-    ("kaniadakis", {"k": 0.5}),
-    ("kaniadakis", {"k": -0.7}),
-    ("gamma_entropy", {"gamma": 0.2}),
-    ("gamma_entropy", {"gamma": 0.4}),
-    ("gamma_entropy", {"gamma": -0.3}),
-    ("nath", {"tau": -1.0, "lambda": 1.0}),
-    ("nath", {"alpha": 0.5, "lambda": 2.0}),
-    ("nath", {"alpha": 2.0, "lambda": -1.0}),
-    ("havrda_charvat", {"q": 0.5}),
-    ("havrda_charvat", {"q": 2.0}),
-    ("havrda_charvat", {"q": 3.0}),
-    ("mathai_Mq", {"q": -0.5}),
-    ("mathai_Mq", {"q": 0.5}),
-    ("mathai_Mq", {"q": 1.5}),
-    ("mathai_Mq_star", {"q": 0.5}),
-    ("mathai_Mq_star", {"q": 1.5}),
-    ("mathai_Mq_star", {"q": 1.9}),
-)
 
 _UNSTABLE_SAMPLES: tuple[tuple[str, dict], ...] = (
     # literal double-sum form; excluded from default campaigns
@@ -1213,5 +888,6 @@ def default_campaign_specs(include_unstable: bool = False) -> list[EntropySpec]:
     ``h_phi_custom`` (no canonical parameters).  ``group_entropy`` joins
     only on request.
     """
-    samples = _DEFAULT_SAMPLES + (_UNSTABLE_SAMPLES if include_unstable else ())
+    samples = [(spec_id, p) for spec_id, row in _FAMILIES.items() for p in row.samples]
+    samples += _UNSTABLE_SAMPLES if include_unstable else ()
     return [EntropySpec(spec_id, params) for spec_id, params in samples]

@@ -33,7 +33,7 @@ from .catalog import (
     transform_between,
 )
 from .distributions import FiniteDistribution, _dirichlet_interior
-from .errors import NoPhiDecomposition, UnsupportedPair, ValidationError
+from .errors import UnsupportedPair, ValidationError
 
 SLOPE_TOLERANCE = 1e-9
 ZERO_TOLERANCE = 1e-12
@@ -94,19 +94,13 @@ def _slope_function(spec: EntropySpec):
 
     def fd(t: np.ndarray) -> np.ndarray:
         h = _FD_STEP * np.maximum(t, 1e-3)
-        return (f.phi(t + h, 2) - f.phi(t - h, 2)) / (2.0 * h)
+        return (f.phi(t + h) - f.phi(t - h)) / (2.0 * h)
 
     return fd
 
 
 def _component_zero_report(spec: EntropySpec) -> tuple[bool, float]:
-    """Check phi(0) = 0, or dimension-consistency for n-dependent components."""
-    f = spec.functional
-    if f.depends_on_n:
-        # sum over a full support of zeros must not depend on the dimension
-        totals = [n * phi_component(spec, 0.0, n) for n in range(2, 13)]
-        deviation = max(totals) - min(totals)
-        return deviation <= ZERO_TOLERANCE, deviation
+    """Check phi(0) = 0."""
     try:
         value = phi_component(spec, 0.0)
     except Exception:
@@ -129,8 +123,6 @@ def check_slope_condition(spec: EntropySpec, grid_density: int = 200) -> GridCer
     the witnessing point and both slopes.
     """
     f = spec.functional
-    if f.phi is None:
-        raise NoPhiDecomposition(f"{spec.id} exposes no per-state component")
     g = int(grid_density)
     if g < 10:
         raise ValidationError(f"grid_density must be >= 10, got {grid_density!r}")
@@ -198,8 +190,6 @@ def check_concavity(spec: EntropySpec, grid_density: int = 200) -> GridCertifica
     detects.
     """
     f = spec.functional
-    if f.phi is None:
-        raise NoPhiDecomposition(f"{spec.id} exposes no per-state component")
     g = int(grid_density)
     if g < 10:
         raise ValidationError(f"grid_density must be >= 10, got {grid_density!r}")
@@ -208,15 +198,14 @@ def check_concavity(spec: EntropySpec, grid_density: int = 200) -> GridCertifica
     ts = h * np.arange(0, g + 2)
     values = np.empty(ts.size)
     start = 0
-    if f.depends_on_n or f.phi_at_zero is None:
-        n_arg = 2 if f.depends_on_n else None
+    if f.phi_at_zero is None:
         try:
-            values[0] = float(f.phi(np.array([0.0]), n_arg)[0])
+            values[0] = float(f.phi(np.array([0.0]))[0])
         except Exception:
             start = 1  # component undefined at 0; check the interior only
     else:
         values[0] = f.phi_at_zero
-    values[1:] = f.phi(ts[1:], 2)
+    values[1:] = f.phi(ts[1:])
 
     second = values[start:-2] + values[start + 2 :] - 2.0 * values[start + 1 : -1]
     scale = max(1.0, float(np.max(np.abs(values[start:]))))
@@ -255,7 +244,7 @@ def _component_sum_bracket(spec: EntropySpec) -> tuple[float, float]:
         spiked = np.full(n, eps)
         spiked[0] = 1.0 - (n - 1) * eps
         for arr in (uniform, spiked):
-            sums.append(float(np.sum(f.phi(arr, n))))
+            sums.append(float(np.sum(f.phi(arr))))
     return min(sums), max(sums)
 
 
@@ -269,8 +258,6 @@ def check_outer_map_pairing(spec: EntropySpec, grid_density: int = 200) -> GridC
     identity (h' = 1), so the check degenerates to a concavity test there.
     """
     f = spec.functional
-    if f.phi is None:
-        raise NoPhiDecomposition(f"{spec.id} exposes no per-state component")
     h_prime = f.h_prime if f.h_prime is not None else (lambda y: 1.0)
     g = int(grid_density)
     lo, hi = _component_sum_bracket(spec)
@@ -281,7 +268,7 @@ def check_outer_map_pairing(spec: EntropySpec, grid_density: int = 200) -> GridC
     xs = step * np.arange(1, g + 1)
     inner = xs[(xs - step > 0.0) & (xs + step < 1.0)]
     second = (
-        f.phi(inner - step, 2) + f.phi(inner + step, 2) - 2.0 * f.phi(inner, 2)
+        f.phi(inner - step) + f.phi(inner + step) - 2.0 * f.phi(inner)
     ) / step**2
 
     tol = 1e-12

@@ -187,7 +187,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         spec = EntropySpec("counterexample_HE")
         phi = spec.functional.phi
         lines = ["x,phi"] + [
-            f"{float(x)!r},{float(phi(np.array([x]), None)[0])!r}" for x in xs
+            f"{float(x)!r},{float(phi(np.array([x]))[0])!r}" for x in xs
         ]
         with open(args.curve, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")

@@ -44,6 +44,14 @@ class DeltaExceedsBound(GentropyError):
     """The logarithmic-exponent entropy was evaluated with delta > 1 + ln(n)."""
 
 
+class NonFinite(GentropyError):
+    """A functional evaluated to NaN or an infinity."""
+
+
+class UserCallableError(GentropyError):
+    """A user-supplied callable (of ``h_phi_custom``) raised."""
+
+
 class NoPhiDecomposition(GentropyError):
     """The functional exposes no per-term (sum-form) component."""
 

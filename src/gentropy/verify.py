@@ -25,7 +25,7 @@ import numpy as np
 
 from .catalog import EntropySpec, evaluate, phi_prime
 from .distributions import FiniteDistribution, _dirichlet_interior, coarse_grain
-from .errors import GentropyError, TooLarge, UnsupportedFormat
+from .errors import GentropyError, NonFinite, TooLarge, UnsupportedFormat
 from .partitions import Partition, _random_refinement_pair, enumerate_partitions
 
 MARGIN_TOLERANCE = 1e-9
@@ -613,11 +613,15 @@ def max_entropy_check(
 def emit_report(report: VerificationReport, format: str = "json") -> bytes:
     """Serialize a report deterministically (identical reports, identical bytes).
 
-    Formats: ``json`` (lossless, schema-versioned), ``markdown`` (human
-    review), ``csv`` (spec, n, case, margin rows for plotting).
+    Formats: ``json`` (lossless, schema-versioned, strict: a non-finite
+    number raises :class:`NonFinite`), ``markdown`` (human review), ``csv``
+    (spec, n, case, margin rows for plotting).
     """
     if format == "json":
-        text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+        try:
+            text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise NonFinite(f"a report value is not finite: {exc}") from exc
         return (text + "\n").encode("utf-8")
     if format == "csv":
         lines = ["spec,n,case,margin"]

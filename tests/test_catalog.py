@@ -113,11 +113,16 @@ def test_hypoentropy_value_frozen():
 
 
 def test_hypoentropy_dimension_consistency():
-    """sum over n zero-states of the component is the same constant for all n."""
+    """The component vanishes at 0, so zero-padding never changes the value."""
     hyp = spec("hypoentropy", **{"lambda": 0.5})
-    expected = 1.216395324324493145934039  # (1 + 1/lam) * ln(1 + lam), 50-digit
+    assert phi_component(hyp, 0.0) == 0.0
+    base = evaluate(hyp, FiniteDistribution([0.3, 0.7]))
     for n in range(2, 13):
-        assert n * phi_component(hyp, 0.0, n) == pytest.approx(expected, abs=1e-12)
+        padded = np.zeros(n)
+        padded[:2] = [0.3, 0.7]
+        assert evaluate(hyp, FiniteDistribution(padded)) == pytest.approx(
+            base, abs=1e-12
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +177,19 @@ def test_hypoentropy_dimension_consistency():
 def test_rejected_parameters(spec_id, params):
     with pytest.raises(ParamOutOfDomain):
         EntropySpec(spec_id, params)
+
+
+def test_s_IV_concavity_gate_grid():
+    """On q = 0.51..1.49 (step 0.01, q != 1) the gate rejects the two edge bands."""
+    rejected = []
+    for i in range(51, 150):
+        if i == 100:
+            continue
+        try:
+            EntropySpec("s_IV", q=i / 100)
+        except ParamOutOfDomain:
+            rejected.append(i)
+    assert rejected == list(range(51, 65)) + list(range(136, 150))
 
 
 def test_unknown_and_missing_params():
@@ -360,7 +378,7 @@ def test_decomposition_consistency():
 def test_component_vanishes_at_zero():
     for sp in default_campaign_specs():
         descriptor = sp.descriptor()
-        if not descriptor.phi_available or sp.id == "hypoentropy":
+        if not descriptor.phi_available:
             continue
         if sp.id == "borges_roditi" and not descriptor.zero_safe:
             assert phi_component(sp, 0.0) != 0.0  # the documented breakage

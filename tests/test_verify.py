@@ -20,7 +20,7 @@ from gentropy import (
     report_from_json,
     run_monotonicity_campaign,
 )
-from gentropy.errors import TooLarge, UnsupportedFormat
+from gentropy.errors import NonFinite, TooLarge, UnsupportedFormat, UserCallableError
 
 SHANNON = EntropySpec("shannon")
 HE = EntropySpec("counterexample_HE")
@@ -246,3 +246,24 @@ def test_emit_empty_campaign():
 def test_emit_unknown_format():
     with pytest.raises(UnsupportedFormat):
         emit_report(counterexample_suite(), "yaml")
+
+
+def test_non_finite_values_are_typed_skips_and_json_stays_strict():
+    """A component yielding NaN is a recorded NonFinite skip, never a bare NaN."""
+    nan_phi = EntropySpec("h_phi_custom", phi=lambda x: math.nan)
+    with pytest.raises(NonFinite):
+        evaluate(nan_phi, FiniteDistribution([0.5, 0.5]))
+    report = run_monotonicity_campaign([nan_phi], [3, 4], 5, rng_seed=0)
+    assert report.passed
+    assert all(e.skipped.startswith("NonFinite") for e in report.entries)
+    text = emit_report(report).decode("utf-8")
+    json.loads(text, parse_constant=lambda token: pytest.fail(f"bare {token}"))
+
+
+def test_user_callable_exceptions_become_recorded_skips():
+    """An exception raised by a user outer map never aborts a campaign."""
+    broken_h = EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x), h=lambda y: 1 / 0)
+    with pytest.raises(UserCallableError, match="ZeroDivisionError"):
+        evaluate(broken_h, FiniteDistribution([0.5, 0.5]))
+    report = run_monotonicity_campaign([broken_h], [3], 4, rng_seed=0)
+    assert [e.skipped.split(":")[0] for e in report.entries] == ["UserCallableError"] * 4
