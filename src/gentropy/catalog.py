@@ -95,6 +95,8 @@ class _Functional:
     """Resolved, parameter-bound form of one catalog entry.
 
     ``check_n``, when present, vets the dimension before evaluation.
+    ``elementwise`` says that ``phi`` maps each entry on its own, so it can
+    run once on many distributions laid end to end.
     """
 
     phi: ArrayFn
@@ -105,6 +107,7 @@ class _Functional:
     h_prime: Callable[[float], float] | None = None
     breakpoints: tuple[float, ...] = ()
     check_n: Callable[[int], None] | None = None
+    elementwise: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +445,7 @@ def _h_phi_custom(params: dict) -> _Functional:
         phi_at_zero=user["phi"](0.0) if zero_safe else None,
         h=user.get("h"),
         h_prime=user.get("h_prime"),
+        elementwise=False,  # a user phi need not be
     )
 
 
@@ -754,11 +758,25 @@ def evaluate(spec: EntropySpec, dist: FiniteDistribution) -> float:
     """
     f = spec.functional
     p = dist.probs
-    if not f.zero_safe and np.any(p == 0.0):
+    _admit(spec, dist.n, not f.zero_safe and bool(np.any(p == 0.0)))
+    return _outer_value(spec, float(np.sum(f.phi(p))))
+
+
+def _admit(spec: EntropySpec, n: int, has_zero: bool) -> None:
+    """The checks :func:`evaluate` makes before calling phi.
+
+    ``has_zero`` tells whether the distribution holds a zero probability.
+    """
+    f = spec.functional
+    if has_zero and not f.zero_safe:
         raise ZeroUnsupported(f"{spec.id} does not admit zero probabilities")
     if f.check_n is not None:
-        f.check_n(dist.n)
-    total = float(np.sum(f.phi(p)))
+        f.check_n(n)
+
+
+def _outer_value(spec: EntropySpec, total: float) -> float:
+    """H from the component sum: h(total), or total itself when h is absent."""
+    f = spec.functional
     value = float(f.h(total)) if f.h is not None else total
     if not math.isfinite(value):
         raise NonFinite(f"{spec.id} evaluates to {value!r} on this distribution")

@@ -17,7 +17,7 @@ can be replayed byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import json
@@ -65,25 +65,27 @@ class GridCertificate:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """JSON-ready form; a non-finite number (phi(0) undefined) is None."""
         return {
             "spec": self.spec.label(),
             "check": self.check,
             "grid_points": self.grid_points,
-            "max_violation": self.max_violation,
+            "max_violation": _finite_or_none(self.max_violation),
             "witness": None
             if self.witness is None
-            else {
-                "x": self.witness.x,
-                "p": self.witness.p,
-                "slope_at_x": self.witness.slope_at_x,
-                "slope_at_x_plus_p": self.witness.slope_at_x_plus_p,
-            },
+            else {k: _finite_or_none(v) for k, v in asdict(self.witness).items()},
             "passed": self.passed,
-            "detail": self.detail,
+            "detail": {key: _finite_or_none(v) for key, v in self.detail.items()},
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+
+def _finite_or_none(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _slope_function(spec: EntropySpec):

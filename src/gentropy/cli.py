@@ -41,7 +41,7 @@ from .catalog import (
 )
 from .classify import check_concavity, check_outer_map_pairing, check_slope_condition
 from .distributions import FiniteDistribution, _dirichlet_interior, coarse_grain
-from .errors import GentropyError
+from .errors import GentropyError, NonFinite
 from .partitions import Partition, bell_number, enumerate_partitions
 
 _HE_CURVE_SAMPLES = 401
@@ -90,6 +90,15 @@ def _parse_n_range(value: str) -> list[int]:
     return [int(part) for part in value.split(",")]
 
 
+def _print_json(payload) -> None:
+    """Print strict indent-2 JSON; a non-finite number is an error, not a token."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFinite(f"an output value is not finite: {exc}") from exc
+    print(text)
+
+
 def _emit(report: verify_mod.VerificationReport, fmt: str) -> None:
     sys.stdout.write(verify_mod.emit_report(report, fmt).decode("utf-8"))
 
@@ -134,7 +143,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     # wrapped forms may certify through the sign pairing instead
     pairing = check_outer_map_pairing(spec, args.grid_density)
     results = [slope.to_dict(), concavity.to_dict(), pairing.to_dict()]
-    print(json.dumps(results, sort_keys=True, indent=2))
+    _print_json(results)
     return 0 if (slope.passed or pairing.passed) else 1
 
 
@@ -167,7 +176,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "residuals": residuals,
     }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    _print_json(payload)
 
     failed = False
     for entry in residuals:
@@ -225,7 +234,7 @@ def _cmd_partitions(args: argparse.Namespace) -> int:
             "bell": bell_number(n),
             "partitions": [[list(b) for b in part.blocks] for part in parts],
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _print_json(payload)
     return 0
 
 

@@ -22,6 +22,8 @@ from .errors import DimensionMismatch, TooSmall, TooLarge, ValidationError
 
 ENUMERATION_LIMIT = 12  # Bell(12) = 4_213_597; beyond this exhaustive work explodes
 
+_Blocks = tuple[tuple[int, ...], ...]
+
 
 class Partition:
     """An ordered set partition of the ground set {0..ground_size-1}."""
@@ -203,19 +205,28 @@ def _merge_random_blocks(blocks: list[list[int]], rng: np.random.Generator) -> N
     del blocks[j]
 
 
-def _random_refinement_pair(
-    n: int, rng: np.random.Generator
-) -> tuple[Partition, Partition]:
+def _refinement_pair_blocks(n: int, rng: np.random.Generator) -> tuple[_Blocks, _Blocks]:
+    """The pair sampler: canonical blocks of (finer, coarser), unvalidated."""
     k1 = int(rng.integers(3, n + 1))
     k2 = int(rng.integers(2, k1))
     blocks = [[i] for i in range(n)]
     while len(blocks) > k1:
         _merge_random_blocks(blocks, rng)
-    finer = Partition(blocks, n)
+    finer = _canonical(blocks)
     while len(blocks) > k2:
         _merge_random_blocks(blocks, rng)
-    coarser = Partition(blocks, n)
-    return finer, coarser
+    return finer, _canonical(blocks)
+
+
+def _canonical(blocks: list[list[int]]) -> _Blocks:
+    return tuple(sorted(tuple(sorted(block)) for block in blocks))
+
+
+def _random_refinement_pair(
+    n: int, rng: np.random.Generator
+) -> tuple[Partition, Partition]:
+    finer, coarser = _refinement_pair_blocks(n, rng)
+    return Partition(finer, n), Partition(coarser, n)
 
 
 def random_refinement_pair(n: int, rng_seed: int) -> tuple[Partition, Partition]:

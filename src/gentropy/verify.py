@@ -11,22 +11,57 @@ Determinism contract: every case derives its random state from
 across runs and independent of execution order.  A per-case evaluation
 error never aborts a campaign; the case is recorded as skipped with its
 reason so coverage accounting stays honest.
+
+A campaign runs in two phases.  The *draw phase* makes each case's rng
+calls in a fixed order: a fresh generator from the seed coordinates, the
+Dirichlet draw, then the merges of the pair sampler.  The *evaluate phase*
+aggregates every distribution of the campaign by both of its partitions in
+one gather, calls each functional's ``phi`` once on all of its
+coarse-grained vectors laid end to end, and sums each vector's components.
+Its results equal, bit for bit, those of ``coarse_grain`` and ``evaluate``
+called case by case, because:
+
+* every sum (block sums, vector totals) is taken over a group of segments
+  of one width, as the rows of a C-contiguous matrix reduced with
+  ``sum(axis=1)``: numpy's pairwise summation then runs on each row as it
+  does on a 1-d array, which ``np.add.reduceat`` and ``np.bincount`` do not;
+* the outer map ``h`` is applied to each total by the same scalar callable
+  (``math.log``, ``math.expm1``), never by a vectorised numpy twin;
+* the checks of ``FiniteDistribution``, ``Partition`` and ``evaluate`` run
+  vectorised, and a failing vector gets the error the per-case path gives.
+
+Functionals whose ``phi`` is not elementwise (``h_phi_custom``), and any
+functional whose batched ``phi`` raises, fall back to ``coarse_grain`` and
+``evaluate`` one vector at a time, so ``evaluate`` stays the definition of
+a value.  Report bytes therefore depend on numpy's summation order: a
+change to the kernel must keep the reference test in ``tests/test_verify.py``
+passing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, NamedTuple, Sequence
 
 import json
 import math
 
 import numpy as np
 
-from .catalog import EntropySpec, evaluate, phi_prime
-from .distributions import FiniteDistribution, _dirichlet_interior, coarse_grain
+from .catalog import EntropySpec, _admit, _outer_value, evaluate, phi_prime
+from .distributions import (
+    SUM_TOLERANCE,
+    FiniteDistribution,
+    _dirichlet_interior,
+    coarse_grain,
+)
 from .errors import GentropyError, NonFinite, TooLarge, UnsupportedFormat
-from .partitions import Partition, _random_refinement_pair, enumerate_partitions
+from .partitions import Partition, _Blocks, enumerate_partitions
+# The pair sampler, looked up per case under the name perfbench's tracer
+# times as the sampler layer.
+from .partitions import _refinement_pair_blocks as _random_refinement_pair
 
 MARGIN_TOLERANCE = 1e-9
 REPORT_SCHEMA = 1
@@ -122,6 +157,10 @@ class VerificationReport:
         return not self.violations
 
     def to_dict(self) -> dict:
+        return {**self._header(), "entries": [e.to_dict() for e in self.entries]}
+
+    def _header(self) -> dict:
+        """Everything in :meth:`to_dict` but the entries."""
         return {
             "schema": REPORT_SCHEMA,
             "campaign_id": self.campaign_id,
@@ -129,7 +168,6 @@ class VerificationReport:
             "tolerance": self.tolerance,
             "metadata": self.metadata,
             "summary": [s.to_dict() for s in self.summary],
-            "entries": [e.to_dict() for e in self.entries],
         }
 
 
@@ -197,52 +235,36 @@ def run_monotonicity_campaign(
     n_list = sorted(set(int(n) for n in n_values))
     if any(n < 3 for n in n_list):
         raise TooLarge(f"refinement pairs need n >= 3, got {n_list}")
+    cases = _draw_cases(specs, n_list, cases_per_cell, rng_seed)
+    values = _CampaignValues(specs, cases)
+    labels = [spec.label() for spec in specs]
     entries: list[CaseRecord] = []
-    for s_index, spec in enumerate(specs):
-        label = spec.label()
-        floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
-        for n in n_list:
-            for case in range(cases_per_cell):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([rng_seed, s_index, n, case])
-                )
-                p = _dirichlet_interior(n, rng, floor)
-                dist = FiniteDistribution(p)
-                finer, coarser = _random_refinement_pair(n, rng)
-                try:
-                    value_finer = evaluate(spec, coarse_grain(dist, finer))
-                    value_coarser = evaluate(spec, coarse_grain(dist, coarser))
-                except GentropyError as exc:
-                    entries.append(
-                        CaseRecord(
-                            kind="monotonicity",
-                            spec=label,
-                            n=n,
-                            index=case,
-                            passed=True,
-                            probs=tuple(p.tolist()),
-                            blocks_finer=finer.blocks,
-                            blocks_coarser=coarser.blocks,
-                            skipped=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    continue
-                margin = value_finer - value_coarser
-                entries.append(
-                    CaseRecord(
-                        kind="monotonicity",
-                        spec=label,
-                        n=n,
-                        index=case,
-                        passed=margin >= -tolerance,
-                        probs=tuple(p.tolist()),
-                        blocks_finer=finer.blocks,
-                        blocks_coarser=coarser.blocks,
-                        value_finer=value_finer,
-                        value_coarser=value_coarser,
-                        margin=margin,
-                    )
-                )
+    for c, case in enumerate(cases):
+        value_finer = values.value(2 * c)
+        value_coarser = values.value(2 * c + 1) if type(value_finer) is float else None
+        common = dict(
+            kind="monotonicity",
+            spec=labels[case.spec_index],
+            n=case.n,
+            index=case.index,
+            probs=tuple(case.probs.tolist()),
+            blocks_finer=case.finer,
+            blocks_coarser=case.coarser,
+        )
+        if type(value_coarser) is not float:
+            skipped = value_coarser if value_coarser is not None else value_finer
+            entries.append(CaseRecord(passed=True, skipped=skipped, **common))
+            continue
+        margin = value_finer - value_coarser
+        entries.append(
+            CaseRecord(
+                passed=margin >= -tolerance,
+                value_finer=value_finer,
+                value_coarser=value_coarser,
+                margin=margin,
+                **common,
+            )
+        )
     return _finish(
         campaign_id,
         rng_seed,
@@ -255,6 +277,212 @@ def run_monotonicity_campaign(
             "interior_floor": _INTERIOR_FLOOR,
         },
     )
+
+
+class _Case(NamedTuple):
+    """The draws of one campaign case."""
+
+    spec_index: int
+    n: int
+    index: int
+    probs: np.ndarray
+    finer: _Blocks
+    coarser: _Blocks
+
+
+def _draw_cases(
+    specs: Sequence[EntropySpec], n_list: list[int], cases_per_cell: int, rng_seed: int
+) -> list[_Case]:
+    """Draw phase: each case's rng calls, in the order the contract fixes."""
+    cases = []
+    for s_index, spec in enumerate(specs):
+        floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
+        for n in n_list:
+            for index in range(cases_per_cell):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([rng_seed, s_index, n, index])
+                )
+                probs = _dirichlet_interior(n, rng, floor)
+                finer, coarser = _random_refinement_pair(n, rng)
+                cases.append(_Case(s_index, n, index, probs, finer, coarser))
+    return cases
+
+
+def _starts(widths: np.ndarray) -> np.ndarray:
+    """Start of each segment when segments of these widths lie end to end."""
+    return np.concatenate(([0], np.cumsum(widths)[:-1])).astype(np.intp)
+
+
+def _segment_sums(values: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """``np.sum(values[s : s + w])`` for every segment, bit for bit.
+
+    The segments of one width are the rows of a C-contiguous matrix, and
+    ``sum(axis=1)`` runs numpy's pairwise summation on each row exactly as
+    ``np.sum`` does on a 1-d array.
+    """
+    out = np.zeros(len(starts))
+    for w in np.unique(widths):
+        rows = np.flatnonzero(widths == w)
+        out[rows] = values[starts[rows, None] + np.arange(w)].sum(axis=1)
+    return out
+
+
+def _segments_with(mask: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray:
+    """Which of ``count`` segments hold an element where ``mask`` is set."""
+    return np.bincount(owner[mask], minlength=count) > 0
+
+
+def _rejected(values: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Segments that ``FiniteDistribution`` would reject.
+
+    A segment is rejected for an entry that is negative or not finite, or
+    for a total further than ``SUM_TOLERANCE`` from 1.
+    """
+    owner = np.repeat(np.arange(len(starts)), widths)
+    bad_entry = ~np.isfinite(values) | (values < 0.0)
+    off = np.abs(_segment_sums(values, starts, widths) - 1.0) > SUM_TOLERANCE
+    return _segments_with(bad_entry, owner, len(starts)) | off
+
+
+def _skip_reason(exc: GentropyError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+class _CampaignValues:
+    """Evaluate phase: the entropy of every coarse-grained vector of a campaign.
+
+    Vector ``2c`` is case ``c`` aggregated by its finer blocks and
+    ``2c + 1`` by its coarser ones.  :meth:`value` gives a vector's entropy
+    as a float, or as a str the reason ``coarse_grain`` or ``evaluate``
+    would fail on it.
+    """
+
+    def __init__(self, specs: Sequence[EntropySpec], cases: list[_Case]):
+        self._specs = specs
+        self._cases = cases
+        self._reasons: dict[int, str] = {}
+        self._fallback = {s for s, spec in enumerate(specs) if not spec.functional.elementwise}
+        if cases:
+            sizes = np.array([case.n for case in cases], dtype=np.intp)
+            probs = np.concatenate([case.probs for case in cases])
+            for c in np.flatnonzero(_rejected(probs, _starts(sizes), sizes))[:1]:
+                FiniteDistribution(cases[c].probs)  # raises as the per-case path did
+            self._totals = self._phi_totals(*self._coarse_grain_all(probs, sizes))
+
+    def value(self, v: int) -> float | str:
+        case = self._cases[v // 2]
+        spec = self._specs[case.spec_index]
+        if case.spec_index in self._fallback:
+            blocks = case.coarser if v % 2 else case.finer
+            dist = FiniteDistribution(case.probs)
+            try:
+                return evaluate(spec, coarse_grain(dist, Partition._raw(blocks, case.n)))
+            except GentropyError as exc:
+                return _skip_reason(exc)
+        if v in self._reasons:
+            return self._reasons[v]
+        try:
+            return _outer_value(spec, float(self._totals[v]))
+        except GentropyError as exc:
+            return _skip_reason(exc)
+
+    def _coarse_grain_all(
+        self, probs: np.ndarray, sizes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every coarse-grained vector from one gather of block elements.
+
+        ``probs`` holds the draws end to end, ``sizes`` their lengths.
+        Returns the vectors laid end to end, with each one's start and
+        width, and records the reason for each vector ``FiniteDistribution``
+        would reject.
+        """
+        widths, block_widths, elements = [], [], []
+        for case in self._cases:
+            for blocks in (case.finer, case.coarser):
+                widths.append(len(blocks))
+                block_widths.extend(map(len, blocks))
+                elements.extend(chain.from_iterable(blocks))
+        widths = np.array(widths, dtype=np.intp)
+        block_widths = np.array(block_widths, dtype=np.intp)
+        elements = np.array(elements, dtype=np.intp)
+        block_owner = np.repeat(np.arange(len(widths)), widths)
+        element_owner = np.repeat(block_owner, block_widths)
+        self._check_partitions(elements, element_owner, block_widths, block_owner, sizes)
+
+        gathered = probs[elements + _starts(sizes)[element_owner // 2]]
+        flat = _segment_sums(gathered, _starts(block_widths), block_widths)
+        starts = _starts(widths)
+        for v in np.flatnonzero(_rejected(flat, starts, widths)):
+            try:
+                FiniteDistribution(flat[starts[v] : starts[v] + widths[v]])
+            except GentropyError as exc:
+                self._reasons[int(v)] = _skip_reason(exc)
+        return flat, starts, widths
+
+    def _check_partitions(
+        self,
+        elements: np.ndarray,
+        owner: np.ndarray,
+        block_widths: np.ndarray,
+        block_owner: np.ndarray,
+        sizes: np.ndarray,
+    ) -> None:
+        """Raise what ``Partition`` raises on the first block tuple that is none.
+
+        The blocks of a vector must be nonempty and hold each element of
+        0..n-1 exactly once: n elements, all in range, none repeated.
+        """
+        vectors = 2 * len(sizes)
+        n = np.repeat(sizes, 2)
+        in_range = (elements >= 0) & (elements < n[owner])
+        seen = np.bincount(
+            owner * n.max() + np.where(in_range, elements, 0), minlength=vectors * n.max()
+        )
+        bad = (
+            (np.bincount(owner, minlength=vectors) != n)
+            | _segments_with(~in_range, owner, vectors)
+            | (seen.reshape(vectors, -1) > 1).any(axis=1)
+            | _segments_with(block_widths == 0, block_owner, vectors)
+        )
+        for v in np.flatnonzero(bad)[:1]:
+            case = self._cases[v // 2]
+            Partition(case.coarser if v % 2 else case.finer, case.n)
+
+    def _phi_totals(
+        self, flat: np.ndarray, starts: np.ndarray, widths: np.ndarray
+    ) -> np.ndarray:
+        """Each vector's component sum, one ``phi`` call per functional.
+
+        A vector that ``evaluate`` would reject before calling phi gets its
+        reason instead; a functional whose batched phi raises falls back to
+        the per-vector path.
+        """
+        vectors = len(widths)
+        has_zero = _segments_with(flat == 0.0, np.repeat(np.arange(vectors), widths), vectors)
+        rejected = np.zeros(vectors, dtype=bool)
+        rejected[list(self._reasons)] = True
+        phis = np.zeros_like(flat)
+        spec_of_vector = np.repeat([case.spec_index for case in self._cases], 2)
+        bounds = np.searchsorted(spec_of_vector, np.arange(len(self._specs) + 1))
+        for s, spec in enumerate(self._specs):
+            lo, hi = bounds[s], bounds[s + 1]
+            if lo == hi or s in self._fallback:
+                continue
+            for width, zero in set(zip(widths[lo:hi].tolist(), has_zero[lo:hi].tolist())):
+                try:
+                    _admit(spec, width, zero)
+                except GentropyError as exc:
+                    hit = (widths[lo:hi] == width) & (has_zero[lo:hi] == zero)
+                    for v in lo + np.flatnonzero(hit & ~rejected[lo:hi]):
+                        self._reasons[int(v)] = _skip_reason(exc)
+                        rejected[v] = True
+            ok = np.repeat(~rejected[lo:hi], widths[lo:hi])
+            segment = slice(starts[lo], starts[hi - 1] + widths[hi - 1])
+            try:
+                phis[segment][ok] = spec.functional.phi(flat[segment][ok])
+            except Exception:  # the per-vector path reproduces it exactly
+                self._fallback.add(s)
+        return _segment_sums(phis, starts, widths)
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +838,103 @@ def max_entropy_check(
 # Report emission
 # ---------------------------------------------------------------------------
 
+# The JSON layout is that of ``json.dumps(report.to_dict(), sort_keys=True,
+# indent=2, allow_nan=False)``.  ``json.dumps`` still writes the small header;
+# the entries, nearly all of the bytes, are written here from their fields,
+# because ``indent`` sends ``json.dumps`` to its pure-Python encoder.
+
+_ENTRIES_KEY = '\n  "entries": []'
+
+
+def _json_scalar(value) -> str:
+    """One value as ``json.dumps`` writes it; non-finite floats are rejected."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise NonFinite(f"a report value is not finite: {value!r}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_PAD = tuple("\n" + "  " * level for level in range(8))
+_SEPARATOR = tuple("," + pad for pad in _PAD)
+
+
+def _json_array(items: Iterable[str], level: int) -> str:
+    """Encoded items as an indent-2 array whose brackets sit at ``level``."""
+    items = list(items)
+    if not items:
+        return "[]"
+    return "[" + _PAD[level + 1] + _SEPARATOR[level + 1].join(items) + _PAD[level] + "]"
+
+
+def _json_numbers(values, level: int = 3) -> str:
+    """An array of scalars; an all-float array of finite values is encoded in bulk."""
+    if set(map(type, values)) == {float}:
+        items = list(map(float.__repr__, values))
+        if not ("nan" in items or "inf" in items or "-inf" in items):
+            return _json_array(items, level)
+    return _json_array(map(_json_scalar, values), level)
+
+
+def _json_blocks(blocks, level: int = 3) -> str:
+    if set(map(type, chain.from_iterable(blocks))) == {int}:
+        inner = (_json_array(map(int.__repr__, block), level + 1) for block in blocks)
+    else:
+        inner = (_json_numbers(block, level + 1) for block in blocks)
+    return _json_array(inner, level)
+
+
+# CaseRecord fields in sorted-key order: (name, encoder, written even if None)
+_ENTRY_FIELDS = (
+    ("blocks_coarser", _json_blocks, False),
+    ("blocks_finer", _json_blocks, False),
+    ("index", _json_scalar, True),
+    ("kind", _json_scalar, True),
+    ("margin", _json_scalar, False),
+    ("n", _json_scalar, True),
+    ("note", _json_scalar, False),
+    ("passed", _json_scalar, True),
+    ("probs", _json_numbers, False),
+    ("skipped", _json_scalar, False),
+    ("spec", _json_scalar, True),
+    ("value_coarser", _json_scalar, False),
+    ("value_finer", _json_scalar, False),
+)
+
+
+def _json_entry(entry: CaseRecord) -> str:
+    fields = []
+    for name, encode, always in _ENTRY_FIELDS:
+        value = getattr(entry, name)
+        if always or value is not None:
+            fields.append(f'"{name}": {encode(value)}')
+    return "    {\n      " + ",\n      ".join(fields) + "\n    }"
+
+
+def _json_report(report: VerificationReport) -> str:
+    try:
+        head = json.dumps(
+            {**report._header(), "entries": []}, sort_keys=True, indent=2, allow_nan=False
+        )
+    except ValueError as exc:
+        raise NonFinite(f"a report value is not finite: {exc}") from exc
+    if not report.entries:
+        return head + "\n"
+    before, after = head.split(_ENTRIES_KEY, 1)
+    body = ",\n".join(map(_json_entry, report.entries))
+    return "".join((before, '\n  "entries": [\n', body, "\n  ]", after, "\n"))
+
+
 def emit_report(report: VerificationReport, format: str = "json") -> bytes:
     """Serialize a report deterministically (identical reports, identical bytes).
 
@@ -618,11 +943,7 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
     (spec, n, case, margin rows for plotting).
     """
     if format == "json":
-        try:
-            text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
-        except ValueError as exc:
-            raise NonFinite(f"a report value is not finite: {exc}") from exc
-        return (text + "\n").encode("utf-8")
+        return _json_report(report).encode("utf-8")
     if format == "csv":
         lines = ["spec,n,case,margin"]
         for entry in report.entries:

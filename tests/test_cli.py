@@ -132,6 +132,22 @@ def test_classify_counterexample_fails(capsys):
     assert witness["slope_at_x_plus_p"] == pytest.approx(2.0, abs=1e-6)
 
 
+def test_classify_output_is_strict_json_when_phi_undefined_at_zero(capsys):
+    """The unstable group_entropy sample has no phi(0): null, not Infinity."""
+    spec = '{"id":"group_entropy","params":{"coeffs":[-1.0,1.0],"l":-1,"m":0,"sigma":0.5}}'
+    code, out, _ = run_cli(capsys, "classify", "--entropy", spec)
+    assert code == 1
+
+    def reject(token):
+        raise AssertionError(f"bare {token} in classify output")
+
+    checks = {entry["check"]: entry for entry in json.loads(out, parse_constant=reject)}
+    slope = checks["slope_condition"]
+    assert slope["max_violation"] is None
+    assert slope["detail"]["component_zero_deviation"] is None
+    assert slope["detail"]["component_zero_ok"] is False
+
+
 def test_axioms_shannon(capsys):
     code, out, _ = run_cli(
         capsys, "axioms", "--entropy", '{"id":"shannon"}', "--samples", "100"

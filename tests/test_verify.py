@@ -1,5 +1,6 @@
 """Campaign engine: sampling, exhaustive oracle, determinism, emission."""
 
+from dataclasses import replace
 import json
 import math
 
@@ -20,7 +21,22 @@ from gentropy import (
     report_from_json,
     run_monotonicity_campaign,
 )
-from gentropy.errors import NonFinite, TooLarge, UnsupportedFormat, UserCallableError
+from gentropy.catalog import default_campaign_specs
+from gentropy.distributions import _dirichlet_interior
+from gentropy.errors import (
+    GentropyError,
+    NonFinite,
+    TooLarge,
+    UnsupportedFormat,
+    UserCallableError,
+)
+from gentropy.partitions import _random_refinement_pair
+from gentropy.verify import (
+    _INTERIOR_FLOOR,
+    CaseRecord,
+    VerificationReport,
+    _summarize,
+)
 
 SHANNON = EntropySpec("shannon")
 HE = EntropySpec("counterexample_HE")
@@ -267,3 +283,134 @@ def test_user_callable_exceptions_become_recorded_skips():
         evaluate(broken_h, FiniteDistribution([0.5, 0.5]))
     report = run_monotonicity_campaign([broken_h], [3], 4, rng_seed=0)
     assert [e.skipped.split(":")[0] for e in report.entries] == ["UserCallableError"] * 4
+
+
+# ---------------------------------------------------------------------------
+# The batched campaign kernel against the per-case loop
+# ---------------------------------------------------------------------------
+
+def _reference_campaign(specs, n_values, cases_per_cell, rng_seed, tolerance=1e-9):
+    """The per-case campaign loop: coarse_grain + evaluate for every case."""
+    entries = []
+    for s_index, spec in enumerate(specs):
+        label = spec.label()
+        floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
+        for n in sorted(set(n_values)):
+            for case in range(cases_per_cell):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([rng_seed, s_index, n, case])
+                )
+                p = _dirichlet_interior(n, rng, floor)
+                dist = FiniteDistribution(p)
+                finer, coarser = _random_refinement_pair(n, rng)
+                common = dict(
+                    kind="monotonicity",
+                    spec=label,
+                    n=n,
+                    index=case,
+                    probs=tuple(p.tolist()),
+                    blocks_finer=finer.blocks,
+                    blocks_coarser=coarser.blocks,
+                )
+                try:
+                    value_finer = evaluate(spec, coarse_grain(dist, finer))
+                    value_coarser = evaluate(spec, coarse_grain(dist, coarser))
+                except GentropyError as exc:
+                    skipped = f"{type(exc).__name__}: {exc}"
+                    entries.append(CaseRecord(passed=True, skipped=skipped, **common))
+                    continue
+                margin = value_finer - value_coarser
+                entries.append(
+                    CaseRecord(
+                        passed=margin >= -tolerance,
+                        value_finer=value_finer,
+                        value_coarser=value_coarser,
+                        margin=margin,
+                        **common,
+                    )
+                )
+    return tuple(entries)
+
+
+def _assert_matches_reference(specs, n_values, cases, seed):
+    report = run_monotonicity_campaign(specs, n_values, cases, seed)
+    expected = _reference_campaign(specs, n_values, cases, seed)
+    assert report.entries == expected
+    assert report.summary == _summarize(expected)
+
+
+def test_campaign_kernel_equals_per_case_loop_exactly():
+    """Every catalog family, n = 3..12 (pairwise sums past 8 entries), exact ==.
+
+    The two h_phi_custom specs (a NaN component and a raising outer map)
+    take the per-vector fallback between batched specs.
+    """
+    specs = default_campaign_specs(include_unstable=True) + [HE]
+    specs[5:5] = [
+        EntropySpec("h_phi_custom", phi=lambda x: math.nan),
+        EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x), h=lambda y: 1 / 0),
+    ]
+    for seed in (0, 1729):
+        _assert_matches_reference(specs, range(3, 13), 3, seed)
+
+
+def test_campaign_kernel_falls_back_when_batched_phi_raises():
+    """A phi that fails on the batch is evaluated one vector at a time."""
+    spec = EntropySpec("tsallis", q=2.0)
+    phi = spec.functional.phi
+
+    def small_only(x):
+        if x.size > 12:
+            raise FloatingPointError("batch refused")
+        return phi(x)
+
+    object.__setattr__(spec, "_functional", replace(spec.functional, phi=small_only))
+    _assert_matches_reference([SHANNON, spec], [3, 4, 5], 4, 11)
+
+
+# ---------------------------------------------------------------------------
+# The indent-2 emitter against json.dumps
+# ---------------------------------------------------------------------------
+
+def _hand_built_report():
+    record = CaseRecord(
+        kind="hand",
+        spec='quote " backslash \\ non-ASCII \u00fc \U0001d6fc',
+        n=2,
+        index=0,
+        passed=False,
+        probs=(0.25, 0.75),
+        blocks_finer=((0,), (1,)),
+        blocks_coarser=((0, 1),),
+        value_finer=0.5,
+        value_coarser=1e-300,
+        margin=-1.0,
+        note="tab\tnewline\n",
+    )
+    return VerificationReport("hand \u00e9", None, 1e-9, (record,), _summarize([record]))
+
+
+def test_emit_json_equals_json_dumps():
+    uniform4 = FiniteDistribution([0.1, 0.2, 0.3, 0.4])
+    reports = [
+        run_monotonicity_campaign(
+            [EntropySpec("s_delta", delta=2.0), SHANNON, HE], [3, 4], 4, rng_seed=5
+        ),
+        run_monotonicity_campaign([], [3], 5, rng_seed=0),
+        exhaustive_lattice_check(EntropySpec("tsallis", q=2.0), uniform4),
+        corollary1_check(HE, uniform4),
+        counterexample_suite(),
+        max_entropy_check(HE, [3, 4], 6, rng_seed=2),
+        _hand_built_report(),
+    ]
+    assert any(e.skipped for e in reports[0].entries)
+    for report in reports:
+        expected = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+        assert emit_report(report, "json") == (expected + "\n").encode("utf-8")
+
+
+def test_emit_json_rejects_non_finite_entry():
+    record = CaseRecord(kind="hand", spec="x", n=3, index=0, passed=True, margin=math.nan)
+    report = VerificationReport("nan", 0, 1e-9, (record,), summary=())
+    with pytest.raises(NonFinite):
+        emit_report(report, "json")
