@@ -22,6 +22,7 @@ from typing import Sequence
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -240,8 +241,8 @@ def _cmd_partitions(args: argparse.Namespace) -> int:
 
 def _positive_float(value: str) -> float:
     out = float(value)
-    if not out > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value!r}")
+    if not 0.0 < out < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value!r}")
     return out
 
 

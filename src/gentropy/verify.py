@@ -34,8 +34,20 @@ Functionals whose ``phi`` is not elementwise (``h_phi_custom``), and any
 functional whose batched ``phi`` raises, fall back to ``coarse_grain`` and
 ``evaluate`` one vector at a time, so ``evaluate`` stays the definition of
 a value.  Report bytes therefore depend on numpy's summation order: a
-change to the kernel must keep the reference test in ``tests/test_verify.py``
-passing.
+change to the kernel must keep the reference tests in
+``tests/test_verify.py`` passing.
+
+The oracles share the evaluate phase.  The lattice and corollary checks
+hand it one vector per non-identity partition of the single enumeration
+they make, and evaluate the identity (the distribution itself) with
+``evaluate``; the lattice finds the coarser end of each covering edge by
+arithmetic on restricted growth strings, so it builds no ``Partition`` and
+calls no ``coarse_grain``.  ``max_entropy_check`` hands it its sampled
+distributions with identity blocks, and evaluates the uniform one with
+``evaluate``.  Each lattice or corollary call thus makes exactly one
+``enumerate_partitions`` call, consumed in full, and at least one but far
+fewer ``evaluate`` calls than it has edges; both names are looked up in
+this module, where the benchmark's tracer times them.
 """
 
 from __future__ import annotations
@@ -214,6 +226,28 @@ def _finish(
     )
 
 
+def _checked(
+    tolerance: float, value_finer: float | str, value_coarser: float | str | None, **fields
+) -> CaseRecord:
+    """The record of one check of H(finer) >= H(coarser).
+
+    A value is a float, or a str the reason it could not be computed; the
+    first such reason makes the case skipped.  ``fields`` are the record's
+    identifying fields and inputs.
+    """
+    for value in (value_finer, value_coarser):
+        if type(value) is str:
+            return CaseRecord(passed=True, skipped=value, **fields)
+    margin = value_finer - value_coarser
+    return CaseRecord(
+        passed=margin >= -tolerance,
+        value_finer=value_finer,
+        value_coarser=value_coarser,
+        margin=margin,
+        **fields,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Randomized campaign
 # ---------------------------------------------------------------------------
@@ -236,33 +270,31 @@ def run_monotonicity_campaign(
     if any(n < 3 for n in n_list):
         raise TooLarge(f"refinement pairs need n >= 3, got {n_list}")
     cases = _draw_cases(specs, n_list, cases_per_cell, rng_seed)
-    values = _CampaignValues(specs, cases)
+    values = _VectorValues(
+        specs,
+        [
+            _Vector(case.spec_index, case.probs, blocks)
+            for case in cases
+            for blocks in (case.finer, case.coarser)
+        ],
+    )
     labels = [spec.label() for spec in specs]
     entries: list[CaseRecord] = []
     for c, case in enumerate(cases):
         value_finer = values.value(2 * c)
         value_coarser = values.value(2 * c + 1) if type(value_finer) is float else None
-        common = dict(
-            kind="monotonicity",
-            spec=labels[case.spec_index],
-            n=case.n,
-            index=case.index,
-            probs=tuple(case.probs.tolist()),
-            blocks_finer=case.finer,
-            blocks_coarser=case.coarser,
-        )
-        if type(value_coarser) is not float:
-            skipped = value_coarser if value_coarser is not None else value_finer
-            entries.append(CaseRecord(passed=True, skipped=skipped, **common))
-            continue
-        margin = value_finer - value_coarser
         entries.append(
-            CaseRecord(
-                passed=margin >= -tolerance,
-                value_finer=value_finer,
-                value_coarser=value_coarser,
-                margin=margin,
-                **common,
+            _checked(
+                tolerance,
+                value_finer,
+                value_coarser,
+                kind="monotonicity",
+                spec=labels[case.spec_index],
+                n=case.n,
+                index=case.index,
+                probs=tuple(case.probs.tolist()),
+                blocks_finer=case.finer,
+                blocks_coarser=case.coarser,
             )
         )
     return _finish(
@@ -308,6 +340,14 @@ def _draw_cases(
     return cases
 
 
+class _Vector(NamedTuple):
+    """A distribution to aggregate by canonical blocks, and the spec to evaluate."""
+
+    spec_index: int
+    probs: np.ndarray
+    blocks: _Blocks
+
+
 def _starts(widths: np.ndarray) -> np.ndarray:
     """Start of each segment when segments of these widths lie end to end."""
     return np.concatenate(([0], np.cumsum(widths)[:-1])).astype(np.intp)
@@ -348,35 +388,36 @@ def _skip_reason(exc: GentropyError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-class _CampaignValues:
-    """Evaluate phase: the entropy of every coarse-grained vector of a campaign.
+class _VectorValues:
+    """Evaluate phase: the entropy of every coarse-grained vector of a batch.
 
-    Vector ``2c`` is case ``c`` aggregated by its finer blocks and
-    ``2c + 1`` by its coarser ones.  :meth:`value` gives a vector's entropy
-    as a float, or as a str the reason ``coarse_grain`` or ``evaluate``
-    would fail on it.
+    Vector ``v`` is ``vectors[v].probs`` aggregated by ``vectors[v].blocks``
+    and evaluated under ``specs[vectors[v].spec_index]``; the vectors must
+    be grouped by ascending spec index.  :meth:`value` gives a vector's
+    entropy as a float, or as a str the reason ``coarse_grain`` or
+    ``evaluate`` would fail on it.  A draw that ``FiniteDistribution``
+    rejects, or blocks that ``Partition`` rejects, raise what they raise.
     """
 
-    def __init__(self, specs: Sequence[EntropySpec], cases: list[_Case]):
+    def __init__(self, specs: Sequence[EntropySpec], vectors: list[_Vector]):
         self._specs = specs
-        self._cases = cases
+        self._vectors = vectors
         self._reasons: dict[int, str] = {}
         self._fallback = {s for s, spec in enumerate(specs) if not spec.functional.elementwise}
-        if cases:
-            sizes = np.array([case.n for case in cases], dtype=np.intp)
-            probs = np.concatenate([case.probs for case in cases])
-            for c in np.flatnonzero(_rejected(probs, _starts(sizes), sizes))[:1]:
-                FiniteDistribution(cases[c].probs)  # raises as the per-case path did
+        if vectors:
+            sizes = np.array([len(vector.probs) for vector in vectors], dtype=np.intp)
+            probs = np.concatenate([vector.probs for vector in vectors])
+            for v in np.flatnonzero(_rejected(probs, _starts(sizes), sizes))[:1]:
+                FiniteDistribution(vectors[v].probs)  # raises as the per-case path did
             self._totals = self._phi_totals(*self._coarse_grain_all(probs, sizes))
 
     def value(self, v: int) -> float | str:
-        case = self._cases[v // 2]
-        spec = self._specs[case.spec_index]
-        if case.spec_index in self._fallback:
-            blocks = case.coarser if v % 2 else case.finer
-            dist = FiniteDistribution(case.probs)
+        vector = self._vectors[v]
+        spec = self._specs[vector.spec_index]
+        if vector.spec_index in self._fallback:
+            dist = FiniteDistribution(vector.probs)
             try:
-                return evaluate(spec, coarse_grain(dist, Partition._raw(blocks, case.n)))
+                return evaluate(spec, coarse_grain(dist, Partition._raw(vector.blocks, dist.n)))
             except GentropyError as exc:
                 return _skip_reason(exc)
         if v in self._reasons:
@@ -391,17 +432,16 @@ class _CampaignValues:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every coarse-grained vector from one gather of block elements.
 
-        ``probs`` holds the draws end to end, ``sizes`` their lengths.
-        Returns the vectors laid end to end, with each one's start and
-        width, and records the reason for each vector ``FiniteDistribution``
-        would reject.
+        ``probs`` holds the vectors' draws end to end, ``sizes`` their
+        lengths.  Returns the coarse-grained vectors laid end to end, with
+        each one's start and width, and records the reason for each vector
+        ``FiniteDistribution`` would reject.
         """
         widths, block_widths, elements = [], [], []
-        for case in self._cases:
-            for blocks in (case.finer, case.coarser):
-                widths.append(len(blocks))
-                block_widths.extend(map(len, blocks))
-                elements.extend(chain.from_iterable(blocks))
+        for vector in self._vectors:
+            widths.append(len(vector.blocks))
+            block_widths.extend(map(len, vector.blocks))
+            elements.extend(chain.from_iterable(vector.blocks))
         widths = np.array(widths, dtype=np.intp)
         block_widths = np.array(block_widths, dtype=np.intp)
         elements = np.array(elements, dtype=np.intp)
@@ -409,7 +449,7 @@ class _CampaignValues:
         element_owner = np.repeat(block_owner, block_widths)
         self._check_partitions(elements, element_owner, block_widths, block_owner, sizes)
 
-        gathered = probs[elements + _starts(sizes)[element_owner // 2]]
+        gathered = probs[elements + _starts(sizes)[element_owner]]
         flat = _segment_sums(gathered, _starts(block_widths), block_widths)
         starts = _starts(widths)
         for v in np.flatnonzero(_rejected(flat, starts, widths)):
@@ -425,15 +465,14 @@ class _CampaignValues:
         owner: np.ndarray,
         block_widths: np.ndarray,
         block_owner: np.ndarray,
-        sizes: np.ndarray,
+        n: np.ndarray,
     ) -> None:
         """Raise what ``Partition`` raises on the first block tuple that is none.
 
         The blocks of a vector must be nonempty and hold each element of
         0..n-1 exactly once: n elements, all in range, none repeated.
         """
-        vectors = 2 * len(sizes)
-        n = np.repeat(sizes, 2)
+        vectors = len(n)
         in_range = (elements >= 0) & (elements < n[owner])
         seen = np.bincount(
             owner * n.max() + np.where(in_range, elements, 0), minlength=vectors * n.max()
@@ -445,8 +484,7 @@ class _CampaignValues:
             | _segments_with(block_widths == 0, block_owner, vectors)
         )
         for v in np.flatnonzero(bad)[:1]:
-            case = self._cases[v // 2]
-            Partition(case.coarser if v % 2 else case.finer, case.n)
+            Partition(self._vectors[v].blocks, int(n[v]))
 
     def _phi_totals(
         self, flat: np.ndarray, starts: np.ndarray, widths: np.ndarray
@@ -462,7 +500,7 @@ class _CampaignValues:
         rejected = np.zeros(vectors, dtype=bool)
         rejected[list(self._reasons)] = True
         phis = np.zeros_like(flat)
-        spec_of_vector = np.repeat([case.spec_index for case in self._cases], 2)
+        spec_of_vector = np.array([vector.spec_index for vector in self._vectors])
         bounds = np.searchsorted(spec_of_vector, np.arange(len(self._specs) + 1))
         for s, spec in enumerate(self._specs):
             lo, hi = bounds[s], bounds[s + 1]
@@ -489,11 +527,56 @@ class _CampaignValues:
 # Exhaustive small-n oracle
 # ---------------------------------------------------------------------------
 
-def _merge_blocks(partition: Partition, i: int, j: int) -> Partition:
-    blocks = list(partition.blocks)
-    merged = tuple(sorted(blocks[i] + blocks[j]))
-    rest = [b for idx, b in enumerate(blocks) if idx not in (i, j)]
-    return Partition(rest + [merged], partition.ground_size)
+def _partition_values(
+    spec: EntropySpec, dist: FiniteDistribution
+) -> tuple[list[_Blocks], list[float | str]]:
+    """Every partition of ``dist.n``, and ``dist`` aggregated by each and evaluated.
+
+    The partitions come in enumeration order as canonical blocks.  The
+    identity comes last in that order and gets no value here: the callers
+    evaluate ``dist`` itself.  A value is a float, or a str the reason
+    ``coarse_grain`` or ``evaluate`` would fail.
+    """
+    partitions = [part.blocks for part in enumerate_partitions(dist.n)]
+    values = _VectorValues(
+        [spec], [_Vector(0, dist.probs, blocks) for blocks in partitions[:-1]]
+    )
+    return partitions, [values.value(v) for v in range(len(partitions) - 1)]
+
+
+def _covering_targets(partitions: list[_Blocks], n: int) -> list[int]:
+    """The coarser end of every covering edge, as an index into ``partitions``.
+
+    Edges are listed partition by partition, and within one as the merges
+    of its blocks i < j in lexicographic order.  In the restricted growth
+    string (RGS) of a partition, element x carries the index of its block.
+    Merging blocks i < j relabels j as i and lowers every label above j by
+    one, which gives the RGS of the merged partition in canonical form.
+    Read as base-n numbers, the RGSs of the enumeration ascend, so a merged
+    partition's index is a ``np.searchsorted`` of its code.
+    """
+    k = np.array([len(blocks) for blocks in partitions], dtype=np.intp)
+    block_widths = np.fromiter(map(len, chain.from_iterable(partitions)), dtype=np.intp)
+    elements = np.fromiter(
+        chain.from_iterable(chain.from_iterable(partitions)), dtype=np.intp, count=k.size * n
+    )
+    labels = np.arange(block_widths.size) - np.repeat(_starts(k), k)
+    rgs = np.zeros((k.size, n), dtype=np.intp)
+    rgs[np.repeat(np.arange(k.size), n), elements] = np.repeat(labels, block_widths)
+    weights = n ** np.arange(n - 1, -1, -1)
+    codes = rgs @ weights
+    edges = k * (k - 1) // 2
+    first_edge = _starts(edges)
+    targets = np.zeros(edges.sum(), dtype=np.intp)
+    for size in range(2, n + 1):
+        rows = np.flatnonzero(k == size)
+        i, j = np.triu_indices(size, 1)
+        rgs_k = rgs[rows][:, None, :]  # (partition, merge, element)
+        merged = np.where(rgs_k == j[:, None], i[:, None], rgs_k) - (rgs_k > j[:, None])
+        targets[first_edge[rows, None] + np.arange(i.size)] = np.searchsorted(
+            codes, merged @ weights
+        )
+    return targets.tolist()
 
 
 def exhaustive_lattice_check(
@@ -512,65 +595,36 @@ def exhaustive_lattice_check(
     if n > 8:
         raise TooLarge(f"exhaustive check is limited to n <= 8, got {n}")
     label = spec.label()
-    partitions = list(enumerate_partitions(n))
-    values: dict[Partition, float | None] = {}
-    errors: dict[Partition, str] = {}
-    for part in partitions:
-        try:
-            values[part] = evaluate(spec, coarse_grain(dist, part))
-        except GentropyError as exc:
-            values[part] = None
-            errors[part] = f"{type(exc).__name__}: {exc}"
-
+    partitions, values = _partition_values(spec, dist)
+    try:
+        values.append(evaluate(spec, dist))
+    except GentropyError as exc:
+        values.append(_skip_reason(exc))
+    identity = len(partitions) - 1
+    targets = iter(_covering_targets(partitions, n))
     entries: list[CaseRecord] = []
-    index = 0
-    min_margin = math.inf
 
-    def record(kind: str, finer: Partition, coarser: Partition) -> None:
-        nonlocal index, min_margin
-        value_finer = values[finer]
-        value_coarser = values[coarser]
-        if value_finer is None or value_coarser is None:
-            reason = errors.get(finer) or errors.get(coarser) or "evaluation failed"
-            entries.append(
-                CaseRecord(
-                    kind=kind,
-                    spec=label,
-                    n=n,
-                    index=index,
-                    passed=True,
-                    blocks_finer=finer.blocks,
-                    blocks_coarser=coarser.blocks,
-                    skipped=reason,
-                )
+    def record(kind: str, finer: int, coarser: int) -> None:
+        entries.append(
+            _checked(
+                tolerance,
+                values[finer],
+                values[coarser],
+                kind=kind,
+                spec=label,
+                n=n,
+                index=len(entries),
+                blocks_finer=partitions[finer],
+                blocks_coarser=partitions[coarser],
             )
-        else:
-            margin = value_finer - value_coarser
-            min_margin = min(min_margin, margin)
-            entries.append(
-                CaseRecord(
-                    kind=kind,
-                    spec=label,
-                    n=n,
-                    index=index,
-                    passed=margin >= -tolerance,
-                    blocks_finer=finer.blocks,
-                    blocks_coarser=coarser.blocks,
-                    value_finer=value_finer,
-                    value_coarser=value_coarser,
-                    margin=margin,
-                )
-            )
-        index += 1
+        )
 
-    identity = Partition.identity(n)
-    for part in partitions:
-        for i in range(part.k):
-            for j in range(i + 1, part.k):
-                record("covering_edge", part, _merge_blocks(part, i, j))
+    for part, blocks in enumerate(partitions):
+        for _ in range(len(blocks) * (len(blocks) - 1) // 2):
+            record("covering_edge", part, next(targets))
         if part != identity:
-            record("total_merge" if part.k == 1 else "vs_identity", identity, part)
-
+            record("total_merge" if len(blocks) == 1 else "vs_identity", identity, part)
+    min_margin = min((e.margin for e in entries if e.margin is not None), default=math.inf)
     return _finish(
         f"lattice-n{n}",
         None,
@@ -600,47 +654,24 @@ def corollary1_check(
     if n > 8:
         raise TooLarge(f"exhaustive check is limited to n <= 8, got {n}")
     label = spec.label()
-    identity = Partition.identity(n)
     base = evaluate(spec, dist)
+    partitions, values = _partition_values(spec, dist)
+    identity = partitions[-1]
     entries: list[CaseRecord] = []
-    index = 0
-    for part in enumerate_partitions(n):
-        if part == identity:
-            continue
-        kind = "total_merge" if part.k == 1 else "vs_identity"
-        try:
-            value = evaluate(spec, coarse_grain(dist, part))
-        except GentropyError as exc:
-            entries.append(
-                CaseRecord(
-                    kind=kind,
-                    spec=label,
-                    n=n,
-                    index=index,
-                    passed=True,
-                    blocks_finer=identity.blocks,
-                    blocks_coarser=part.blocks,
-                    skipped=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            index += 1
-            continue
-        margin = base - value
+    for blocks, value in zip(partitions, values):
         entries.append(
-            CaseRecord(
-                kind=kind,
+            _checked(
+                tolerance,
+                base,
+                value,
+                kind="total_merge" if len(blocks) == 1 else "vs_identity",
                 spec=label,
                 n=n,
-                index=index,
-                passed=margin >= -tolerance,
-                blocks_finer=identity.blocks,
-                blocks_coarser=part.blocks,
-                value_finer=base,
-                value_coarser=value,
-                margin=margin,
+                index=len(entries),
+                blocks_finer=identity,
+                blocks_coarser=blocks,
             )
         )
-        index += 1
     return _finish(
         f"corollary-n{n}",
         None,
@@ -768,26 +799,19 @@ def max_entropy_check(
     planted among the samples, so the report demonstrably contains at least
     one violation there.
     """
-    entries: list[CaseRecord] = []
     label = spec.label()
     floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
     n_list = sorted(set(int(n) for n in n_values))
+    tops: list[tuple[int, float | str]] = []
+    vectors: list[_Vector] = []
     for n in n_list:
         uniform = FiniteDistribution(np.full(n, 1.0 / n))
         try:
-            top = evaluate(spec, uniform)
+            tops.append((n, evaluate(spec, uniform)))
         except GentropyError as exc:
-            entries.append(
-                CaseRecord(
-                    kind="max_entropy",
-                    spec=label,
-                    n=n,
-                    index=0,
-                    passed=True,
-                    skipped=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            tops.append((n, _skip_reason(exc)))
             continue
+        identity = tuple((i,) for i in range(n))
         planted: list[np.ndarray] = []
         if spec.id == "counterexample_HE" and n == 4:
             planted.append(np.array([0.2, 0.25, 0.25, 0.3]))
@@ -796,35 +820,31 @@ def max_entropy_check(
                 np.random.SeedSequence([rng_seed, n, case])
             )
             p = planted.pop(0) if planted else _dirichlet_interior(n, rng, floor)
-            try:
-                value = evaluate(spec, FiniteDistribution(p))
-            except GentropyError as exc:
-                entries.append(
-                    CaseRecord(
-                        kind="max_entropy",
-                        spec=label,
-                        n=n,
-                        index=case,
-                        passed=True,
-                        probs=tuple(p.tolist()),
-                        skipped=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            margin = top - value
+            vectors.append(_Vector(0, p, identity))
+    values = _VectorValues([spec], vectors)
+
+    entries: list[CaseRecord] = []
+    v = 0
+    for n, top in tops:
+        if type(top) is str:
             entries.append(
-                CaseRecord(
+                _checked(tolerance, top, None, kind="max_entropy", spec=label, n=n, index=0)
+            )
+            continue
+        for case in range(samples):
+            entries.append(
+                _checked(
+                    tolerance,
+                    top,
+                    values.value(v),
                     kind="max_entropy",
                     spec=label,
                     n=n,
                     index=case,
-                    passed=margin >= -tolerance,
-                    probs=tuple(p.tolist()),
-                    value_finer=top,
-                    value_coarser=value,
-                    margin=margin,
+                    probs=tuple(vectors[v].probs.tolist()),
                 )
             )
+            v += 1
     return _finish(
         "max-entropy",
         rng_seed,

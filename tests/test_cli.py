@@ -106,6 +106,25 @@ def test_verify_needs_specs(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan"])
+def test_verify_rejects_non_finite_tolerance_before_running(capsys, monkeypatch, tolerance):
+    """A non-finite tolerance is an argument error, not a failed emission."""
+    from gentropy import verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(verify, "run_monotonicity_campaign", refuse)
+    argv = ["verify", "--entropy", '{"id":"shannon"}', "--n", "3", "--cases", "2",
+            f"--tolerance={tolerance}"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert "--tolerance: must be positive and finite" in captured.err
+
+
 def test_verify_byte_identical_runs(capsys):
     args = ("verify", "--all", "--n", "3..4", "--cases", "3", "--seed", "0")
     code_a, out_a, _ = run_cli(capsys, *args)

@@ -4,6 +4,8 @@ from dataclasses import replace
 import json
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from gentropy import (
     EntropySpec,
     FiniteDistribution,
     Partition,
+    bell_number,
     coarse_grain,
     corollary1_check,
     counterexample_suite,
     emit_report,
+    enumerate_partitions,
     evaluate,
     exhaustive_lattice_check,
     max_entropy_check,
@@ -354,9 +358,8 @@ def test_campaign_kernel_equals_per_case_loop_exactly():
         _assert_matches_reference(specs, range(3, 13), 3, seed)
 
 
-def test_campaign_kernel_falls_back_when_batched_phi_raises():
-    """A phi that fails on the batch is evaluated one vector at a time."""
-    spec = EntropySpec("tsallis", q=2.0)
+def _with_batch_refusing_phi(spec):
+    """``spec`` with a phi that raises on more than 12 entries at once."""
     phi = spec.functional.phi
 
     def small_only(x):
@@ -365,6 +368,12 @@ def test_campaign_kernel_falls_back_when_batched_phi_raises():
         return phi(x)
 
     object.__setattr__(spec, "_functional", replace(spec.functional, phi=small_only))
+    return spec
+
+
+def test_campaign_kernel_falls_back_when_batched_phi_raises():
+    """A phi that fails on the batch is evaluated one vector at a time."""
+    spec = _with_batch_refusing_phi(EntropySpec("tsallis", q=2.0))
     _assert_matches_reference([SHANNON, spec], [3, 4, 5], 4, 11)
 
 
@@ -414,3 +423,282 @@ def test_emit_json_rejects_non_finite_entry():
     report = VerificationReport("nan", 0, 1e-9, (record,), summary=())
     with pytest.raises(NonFinite):
         emit_report(report, "json")
+
+
+# ---------------------------------------------------------------------------
+# The oracles on the batched kernel against the per-partition loops
+# ---------------------------------------------------------------------------
+
+def _merge_blocks(partition, i, j):
+    blocks = list(partition.blocks)
+    merged = tuple(sorted(blocks[i] + blocks[j]))
+    rest = [b for idx, b in enumerate(blocks) if idx not in (i, j)]
+    return Partition(rest + [merged], partition.ground_size)
+
+
+def _reference_lattice(spec, dist, tolerance=1e-9):
+    """The per-partition lattice loop: coarse_grain + evaluate per partition."""
+    n = dist.n
+    label = spec.label()
+    partitions = list(enumerate_partitions(n))
+    values, errors = {}, {}
+    for part in partitions:
+        try:
+            values[part] = evaluate(spec, coarse_grain(dist, part))
+        except GentropyError as exc:
+            values[part] = None
+            errors[part] = f"{type(exc).__name__}: {exc}"
+    entries = []
+    min_margin = math.inf
+
+    def record(kind, finer, coarser):
+        nonlocal min_margin
+        common = dict(
+            kind=kind,
+            spec=label,
+            n=n,
+            index=len(entries),
+            blocks_finer=finer.blocks,
+            blocks_coarser=coarser.blocks,
+        )
+        if values[finer] is None or values[coarser] is None:
+            reason = errors.get(finer) or errors.get(coarser)
+            entries.append(CaseRecord(passed=True, skipped=reason, **common))
+            return
+        margin = values[finer] - values[coarser]
+        min_margin = min(min_margin, margin)
+        entries.append(
+            CaseRecord(
+                passed=margin >= -tolerance,
+                value_finer=values[finer],
+                value_coarser=values[coarser],
+                margin=margin,
+                **common,
+            )
+        )
+
+    identity = Partition.identity(n)
+    for part in partitions:
+        for i in range(part.k):
+            for j in range(i + 1, part.k):
+                record("covering_edge", part, _merge_blocks(part, i, j))
+        if part != identity:
+            record("total_merge" if part.k == 1 else "vs_identity", identity, part)
+    metadata = {
+        "partitions": len(partitions),
+        "probs": dist.probs.tolist(),
+        "min_margin": None if math.isinf(min_margin) else min_margin,
+    }
+    return VerificationReport(
+        f"lattice-n{n}", None, tolerance, tuple(entries), _summarize(entries), metadata
+    )
+
+
+def _reference_corollary(spec, dist, tolerance=1e-9):
+    """The per-partition corollary loop."""
+    n = dist.n
+    label = spec.label()
+    identity = Partition.identity(n)
+    base = evaluate(spec, dist)
+    entries = []
+    for part in enumerate_partitions(n):
+        if part == identity:
+            continue
+        common = dict(
+            kind="total_merge" if part.k == 1 else "vs_identity",
+            spec=label,
+            n=n,
+            index=len(entries),
+            blocks_finer=identity.blocks,
+            blocks_coarser=part.blocks,
+        )
+        try:
+            value = evaluate(spec, coarse_grain(dist, part))
+        except GentropyError as exc:
+            entries.append(
+                CaseRecord(passed=True, skipped=f"{type(exc).__name__}: {exc}", **common)
+            )
+            continue
+        margin = base - value
+        entries.append(
+            CaseRecord(
+                passed=margin >= -tolerance,
+                value_finer=base,
+                value_coarser=value,
+                margin=margin,
+                **common,
+            )
+        )
+    metadata = {"probs": dist.probs.tolist(), "base_value": base}
+    return VerificationReport(
+        f"corollary-n{n}", None, tolerance, tuple(entries), _summarize(entries), metadata
+    )
+
+
+def _reference_max_entropy(spec, n_values, samples, rng_seed, tolerance=1e-9):
+    """The per-sample uniform-maximality loop."""
+    entries = []
+    label = spec.label()
+    floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
+    n_list = sorted(set(n_values))
+    for n in n_list:
+        try:
+            top = evaluate(spec, FiniteDistribution(np.full(n, 1.0 / n)))
+        except GentropyError as exc:
+            skipped = f"{type(exc).__name__}: {exc}"
+            entries.append(
+                CaseRecord(
+                    kind="max_entropy", spec=label, n=n, index=0, passed=True, skipped=skipped
+                )
+            )
+            continue
+        planted = []
+        if spec.id == "counterexample_HE" and n == 4:
+            planted.append(np.array([0.2, 0.25, 0.25, 0.3]))
+        for case in range(samples):
+            rng = np.random.default_rng(np.random.SeedSequence([rng_seed, n, case]))
+            p = planted.pop(0) if planted else _dirichlet_interior(n, rng, floor)
+            common = dict(
+                kind="max_entropy", spec=label, n=n, index=case, probs=tuple(p.tolist())
+            )
+            try:
+                value = evaluate(spec, FiniteDistribution(p))
+            except GentropyError as exc:
+                entries.append(
+                    CaseRecord(passed=True, skipped=f"{type(exc).__name__}: {exc}", **common)
+                )
+                continue
+            margin = top - value
+            entries.append(
+                CaseRecord(
+                    passed=margin >= -tolerance,
+                    value_finer=top,
+                    value_coarser=value,
+                    margin=margin,
+                    **common,
+                )
+            )
+    metadata = {"n_values": n_list, "samples": samples}
+    return VerificationReport(
+        "max-entropy", rng_seed, tolerance, tuple(entries), _summarize(entries), metadata
+    )
+
+
+def _assert_oracles_match_reference(spec, dist):
+    """Both oracles equal their reference loops; returns both reports.
+
+    When the reference corollary raises on its base value, the corollary
+    must raise the same error, and ``None`` stands for its report.
+    """
+    lattice = exhaustive_lattice_check(spec, dist)
+    assert lattice == _reference_lattice(spec, dist)
+    try:
+        expected = _reference_corollary(spec, dist)
+    except GentropyError as exc:
+        with pytest.raises(type(exc)) as raised:
+            corollary1_check(spec, dist)
+        assert str(raised.value) == str(exc)
+        return lattice, None
+    corollary = corollary1_check(spec, dist)
+    assert corollary == expected
+    return lattice, corollary
+
+
+def _custom_specs():
+    """Specs that take the per-vector fallback: a user phi and a refused batch."""
+    return [
+        EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x), zero_safe=True),
+        EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x), h=lambda y: 1 / 0),
+        _with_batch_refusing_phi(EntropySpec("tsallis", q=2.0)),
+    ]
+
+
+def test_lattice_and_corollary_equal_per_partition_loops_exactly():
+    """Every catalog family and counterexample_HE at n = 2..6, exact ==.
+
+    The zero-holding distribution makes the identity fail for functionals
+    that reject zeros while coarser partitions that merge the zero pass, and
+    the corollary raise on its base value.
+    """
+    specs = default_campaign_specs(include_unstable=True) + [HE] + _custom_specs()
+    for n in range(2, 7):
+        for s_index, spec in enumerate(specs):
+            rng = np.random.default_rng([n, s_index])
+            _assert_oracles_match_reference(spec, FiniteDistribution(rng.dirichlet(np.ones(n))))
+    for n in (3, 5):
+        with_zero = FiniteDistribution(np.r_[0.0, np.arange(1.0, n)] / (n * (n - 1) / 2))
+        for spec in specs:
+            lattice, corollary = _assert_oracles_match_reference(spec, with_zero)
+            if not spec.functional.zero_safe:
+                assert corollary is None
+                assert lattice.summary[0].skipped > 0
+                if spec.id != "h_phi_custom":  # the custom one's h always raises
+                    assert lattice.summary[0].skipped < len(lattice.entries)
+
+
+def test_lattice_and_corollary_equal_per_partition_loops_at_n8():
+    """At n = 8, including s_delta(3.0): the identity passes, k <= 7 is rejected."""
+    dist = FiniteDistribution(np.random.default_rng(8).dirichlet(np.ones(8)))
+    s_delta = EntropySpec("s_delta", delta=3.0)
+    for spec in (SHANNON, HE):
+        _assert_oracles_match_reference(spec, dist)
+    lattice, corollary = _assert_oracles_match_reference(s_delta, dist)
+    assert lattice.summary[0].skipped == len(lattice.entries)
+    assert corollary.summary[0].skipped == len(corollary.entries) == bell_number(8) - 1
+
+
+def test_max_entropy_check_equals_per_sample_loop_exactly():
+    specs = [SHANNON, EntropySpec("tsallis", q=2.0), HE, EntropySpec("s_delta", delta=2.5)]
+    specs += _custom_specs()
+    for s_index, spec in enumerate(specs):
+        assert max_entropy_check(spec, [3, 4, 5], 6, s_index) == _reference_max_entropy(
+            spec, [3, 4, 5], 6, s_index
+        )
+
+
+# ---------------------------------------------------------------------------
+# Lattice properties over random distributions
+# ---------------------------------------------------------------------------
+
+def _stirling2(n, k):
+    """Partitions of an n-set into k blocks: S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 6),
+    seed=st.integers(0, 2**32 - 1),
+    spec=st.sampled_from(
+        [SHANNON, EntropySpec("tsallis", q=2.0), EntropySpec("renyi", q=0.5), HE]
+    ),
+)
+def test_lattice_properties(n, seed, spec):
+    """Each edge merges exactly two blocks, margins telescope, kinds count right."""
+    dist = FiniteDistribution(np.random.default_rng(seed).dirichlet(np.ones(n)))
+    report = exhaustive_lattice_check(spec, dist)
+    assert all(e.skipped is None for e in report.entries)
+    identity = tuple((i,) for i in range(n))
+    vs_identity = {identity: 0.0}
+    for entry in report.entries:
+        if entry.kind != "covering_edge":
+            assert entry.blocks_finer == identity
+            vs_identity[entry.blocks_coarser] = entry.margin
+    edges = [e for e in report.entries if e.kind == "covering_edge"]
+    for edge in edges:
+        finer, coarser = set(edge.blocks_finer), set(edge.blocks_coarser)
+        gone, made = finer - coarser, coarser - finer
+        assert len(gone) == 2 and len(made) == 1
+        assert sorted(sum(gone, ())) == list(made.pop())
+        expected = vs_identity[edge.blocks_coarser] - vs_identity[edge.blocks_finer]
+        assert abs(edge.margin - expected) <= 1e-12
+    kinds = [e.kind for e in report.entries]
+    assert kinds.count("covering_edge") == sum(
+        _stirling2(n, k) * k * (k - 1) // 2 for k in range(2, n + 1)
+    )
+    assert kinds.count("vs_identity") == sum(_stirling2(n, k) for k in range(2, n))
+    assert kinds.count("total_merge") == 1
+    assert len(vs_identity) == bell_number(n)
