@@ -56,6 +56,7 @@ from .classify import (
 from .axioms import (
     AxiomResidual,
     check_basic_axioms,
+    check_product_composability,
     expected_conforming,
     pseudo_additivity_gamma,
     residual_escort_composability,
@@ -99,6 +100,7 @@ __all__ = [
     "check_basic_axioms",
     "check_concavity",
     "check_outer_map_pairing",
+    "check_product_composability",
     "check_slope_condition",
     "check_transform_consistency",
     "coarse_grain",

@@ -23,18 +23,28 @@ Axiom identifiers used throughout:
   escort weights and a caller-supplied invertible aggregation map f.
   Only f = identity presets ship; the composition map of specific
   axiomatizations is never guessed.
+
+The sampled probes (:func:`check_basic_axioms` and
+:func:`check_product_composability`) run on the evaluation kernel of the
+campaign engine, ``verify._VectorValues``.  A draw phase makes the rng
+calls of a per-sample loop, in its order, and builds every vector the
+probe needs; one kernel call evaluates them all, and a reduction walks the
+samples in order.  The results, and any exception raised, are those of
+calling ``FiniteDistribution`` and ``evaluate`` sample by sample; the
+reference loops in ``tests/test_axioms.py`` pin this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import math
 
 import numpy as np
 
-from .catalog import EntropySpec, evaluate, outer_map_prime, phi_prime
+from .catalog import EntropySpec, _admit, evaluate, outer_map_prime, phi_prime
 from .distributions import (
     FiniteDistribution,
     JointDistribution,
@@ -44,13 +54,16 @@ from .distributions import (
 from .errors import (
     BadInverse,
     DimensionMismatch,
+    GentropyError,
     NoDerivative,
     TooSmall,
     ValidationError,
     ZeroUnsupported,
 )
+from .verify import _INTERIOR_FLOOR, _Vector, _VectorValues
 
 _CONTINUITY_EPS = 1e-8
+_ZERO = np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -124,19 +137,135 @@ def pseudo_additivity_gamma(spec: EntropySpec) -> float | None:
 # Basic axioms (positivity, expandability, symmetry, continuity)
 # ---------------------------------------------------------------------------
 
-def _slope_budget(spec: EntropySpec, a: float, b: float, inner_sum: float) -> float:
+def _slope_budget(
+    spec: EntropySpec, a: float, b: float, inner_sum: float, slope: float | None = None
+) -> float:
     """A per-case Lipschitz allowance for the continuity probe.
 
     Mass is transferred between entries valued ``a`` and ``b``; the response
     is first-order bounded by the component slopes there times the outer-map
-    slope, with a x50 allowance for curvature and rounding.
+    slope, with a x50 allowance for curvature and rounding.  ``slope``, when
+    given, is ``|phi'(a)| + |phi'(b)|``, already computed.
     """
-    try:
-        slope = abs(phi_prime(spec, a)) + abs(phi_prime(spec, b))
-    except NoDerivative:
-        slope = 0.0
+    if slope is None:
+        try:
+            slope = abs(phi_prime(spec, a)) + abs(phi_prime(spec, b))
+        except NoDerivative:
+            slope = 0.0
     outer = abs(outer_map_prime(spec, inner_sum)) if spec.functional.h else 1.0
     return 50.0 * (1.0 + slope * max(outer, 1.0))
+
+
+def _slopes(spec: EntropySpec, points: list[tuple[float, float]]) -> list[float | None]:
+    """``|phi'(a)| + |phi'(b)|`` for every point pair, from one ``phi'`` call.
+
+    None marks a pair where :func:`phi_prime` would raise (a point outside
+    (0, 1) or at a breakpoint), or every pair when the batched call fails;
+    the caller then asks :func:`phi_prime` itself.
+    """
+    f = spec.functional
+    if f.phi_prime is None:  # phi_prime raises NoDerivative: no slope term
+        return [0.0] * len(points)
+    x = np.array(points, dtype=float).reshape(-1, 2)
+    ok = (x > 0.0) & (x < 1.0)
+    for b in f.breakpoints:
+        ok &= ~(np.abs(x - b) < 1e-12)
+    try:
+        d = np.abs(f.phi_prime(x.ravel())).reshape(-1, 2)
+    except Exception:
+        return [None] * len(points)
+    slope = (d[:, 0] + d[:, 1]).tolist()
+    return [s if good else None for s, good in zip(slope, ok.all(axis=1).tolist())]
+
+
+@lru_cache(maxsize=None)
+def _singletons(n: int) -> tuple[tuple[int, ...], ...]:
+    """The singleton blocks of {0..n-1}: the kernel evaluates a vector as it is."""
+    return tuple((i,) for i in range(n))
+
+
+class _Draw(NamedTuple):
+    """The draws of a basic-axiom sample whose base is taken as accepted.
+
+    Kernel vector ``first`` is the base; the permuted, (for zero-safe
+    functionals) zero-padded and continuity-shifted vectors follow it in
+    that order.
+    """
+
+    probs: np.ndarray
+    first: int
+    permutation: np.ndarray
+    position: int | None
+    hi: int
+    lo: int
+
+
+def _draw_basic(
+    spec: EntropySpec,
+    rng: np.random.Generator,
+    start: int,
+    stop: int,
+    reject: int | None = None,
+) -> tuple[list[_Draw | None], list[_Vector]]:
+    """Draw phase of :func:`check_basic_axioms` for samples ``start..stop-1``.
+
+    The rng calls are those of a per-sample loop, in its order.  A sample's
+    base is taken as accepted when ``_admit`` passes its dimension, except
+    for sample ``reject``; only an accepted base draws its permutation and,
+    for zero-safe functionals, its padding position.  A draw is None where
+    the base is taken as rejected.
+    """
+    f = spec.functional
+    floor = 0.0 if f.zero_safe else _INTERIOR_FLOOR
+    admitted = {}
+    draws: list[_Draw | None] = []
+    vectors: list[_Vector] = []
+    for index in range(start, stop):
+        n = 2 + index % 5
+        p = _dirichlet_interior(n, rng, floor)
+        if n not in admitted:
+            try:  # a draw holds no zero: its minimum exceeds the floor
+                _admit(spec, n, False)
+                admitted[n] = True
+            except GentropyError:
+                admitted[n] = False
+        if not admitted[n] or index == reject:
+            draws.append(None)
+            continue
+        first = len(vectors)
+        vectors.append(_Vector(0, p, _singletons(n)))
+        perm = rng.permutation(n)
+        vectors.append(_Vector(0, p[perm], _singletons(n)))
+        position = None
+        if f.zero_safe:
+            position = int(rng.integers(0, n + 1))
+            padded = np.concatenate((p[:position], _ZERO, p[position:]))
+            vectors.append(_Vector(0, padded, _singletons(n + 1)))
+        order = np.argsort(p)
+        hi, lo = int(order[-1]), int(order[-2])
+        shifted = p.copy()
+        shifted[hi] -= _CONTINUITY_EPS
+        shifted[lo] += _CONTINUITY_EPS
+        vectors.append(_Vector(0, shifted, _singletons(n)))
+        draws.append(_Draw(p, first, perm, position, hi, lo))
+    return draws, vectors
+
+
+def _accepted(values: _VectorValues, v: int) -> float | None:
+    """Vector ``v``'s value, or None where ``evaluate`` would raise on it."""
+    try:
+        value = values.value(v)
+    except Exception:  # a raising phi on the per-vector path
+        return None
+    return value if type(value) is float else None
+
+
+def _exact(spec: EntropySpec, values: _VectorValues, vectors: list[_Vector], v: int) -> float:
+    """Vector ``v``'s value; where the kernel holds a reason, ``evaluate`` raises it."""
+    value = values.value(v)
+    if type(value) is float:
+        return value
+    return evaluate(spec, FiniteDistribution(vectors[v].probs))
 
 
 def check_basic_axioms(
@@ -145,64 +274,78 @@ def check_basic_axioms(
     """Probe positivity, expandability, symmetry and continuity by sampling.
 
     Never raises for in-domain specs: per-case evaluation errors (e.g. the
-    dimension bound of ``s_delta``) simply reduce the case count.
-    """
-    rng = np.random.default_rng(rng_seed)
-    f = spec.functional
-    floor = 0.0 if f.zero_safe else 1e-6
+    dimension bound of ``s_delta``) simply reduce the case count.  A
+    rejected permuted vector, or a slope budget that ``phi_prime`` refuses,
+    raises what ``evaluate`` or ``phi_prime`` raise.
 
+    Whether a sample draws beyond its base depends on the base's value, so
+    the draw phase takes each base that ``_admit`` passes as accepted.
+    Where the kernel then rejects one, the samples up to it stand; the
+    generator is reset to its state before them and replays their draws
+    with that base rejected, and the next round resumes after it, over
+    twice as many samples as the round kept.  The common case is one
+    round, and frequent rejections cost small rounds, not whole redraws.
+    """
+    f = spec.functional
+    rng = np.random.default_rng(rng_seed)
+    runs = []  # consecutive samples: their draws, base values and kernel
+    start, width = 0, samples
+    while start < samples:
+        state = rng.bit_generator.state
+        draws, vectors = _draw_basic(spec, rng, start, min(start + width, samples))
+        values = _VectorValues([spec], vectors)
+        bases = [None if d is None else _accepted(values, d.first) for d in draws]
+        for k, (d, value) in enumerate(zip(draws, bases)):
+            if d is not None and value is None:  # it drew as if accepted
+                del draws[k + 1 :], bases[k + 1 :]
+                rng.bit_generator.state = state
+                _draw_basic(spec, rng, start, start + k + 1, reject=start + k)
+                break
+        runs.append((draws, bases, vectors, values))
+        start += len(draws)
+        width = 2 * len(draws)
+
+    accepted = [
+        (d, value, vectors, values)
+        for draws, bases, vectors, values in runs
+        for d, value in zip(draws, bases)
+        if value is not None
+    ]
+    slopes = _slopes(spec, [(d.probs[d.hi], d.probs[d.lo]) for d, *_ in accepted])
     neg: list[tuple[float, dict]] = [(0.0, {})]
     sym: list[tuple[float, dict]] = [(0.0, {})]
     exp_: list[tuple[float, dict]] = [(0.0, {})]
     cont: list[tuple[float, float, dict]] = [(0.0, 1.0, {})]
     counts = {"positivity": 0, "symmetry": 0, "expandability": 0, "continuity": 0}
 
-    for index in range(samples):
-        n = 2 + index % 5
-        p = _dirichlet_interior(n, rng, floor)
-        dist = FiniteDistribution(p)
-        try:
-            value = evaluate(spec, dist)
-        except Exception:
-            continue
-
+    for (d, value, vectors, values), slope in zip(accepted, slopes):
+        p, v = d.probs, d.first + 1
         counts["positivity"] += 1
         if -value > neg[-1][0]:
             neg.append((-value, {"probs": p.tolist(), "value": value}))
 
-        perm = rng.permutation(n)
-        permuted = evaluate(spec, FiniteDistribution(p[perm]))
+        permuted = _exact(spec, values, vectors, v)
         counts["symmetry"] += 1
         gap = abs(value - permuted)
         if gap > sym[-1][0]:
-            sym.append((gap, {"probs": p.tolist(), "permutation": perm.tolist()}))
+            sym.append((gap, {"probs": p.tolist(), "permutation": d.permutation.tolist()}))
 
         if f.zero_safe:
-            position = int(rng.integers(0, n + 1))
-            padded = np.insert(p, position, 0.0)
-            try:
-                expanded = evaluate(spec, FiniteDistribution(padded))
-            except Exception:
-                expanded = None
+            v += 1
+            expanded = _accepted(values, v)
             if expanded is not None:
                 counts["expandability"] += 1
                 gap = abs(value - expanded)
                 if gap > exp_[-1][0]:
-                    exp_.append((gap, {"probs": p.tolist(), "position": position}))
+                    exp_.append((gap, {"probs": p.tolist(), "position": d.position}))
 
-        order = np.argsort(p)
-        hi, lo = int(order[-1]), int(order[-2])
-        shifted = p.copy()
-        shifted[hi] -= _CONTINUITY_EPS
-        shifted[lo] += _CONTINUITY_EPS
-        try:
-            moved = evaluate(spec, FiniteDistribution(shifted))
-        except Exception:
+        moved = _accepted(values, v + 1)
+        if moved is None:
             continue
         counts["continuity"] += 1
         rate = abs(moved - value) / _CONTINUITY_EPS
-        inner = float(np.sum(f.phi(p)))
-        budget = _slope_budget(spec, float(p[hi]), float(p[lo]), inner)
+        inner = values.total(d.first)
+        budget = _slope_budget(spec, float(p[d.hi]), float(p[d.lo]), inner, slope)
         if rate / budget > cont[-1][0] / cont[-1][1]:
             cont.append((rate, budget, {"probs": p.tolist(), "rate": rate}))
 
@@ -211,25 +354,57 @@ def check_basic_axioms(
         return AxiomResidual(
             axiom_id=axiom,
             max_abs_residual=value,
-            cases_run=max(counts[axiom], 1),
+            cases_run=counts[axiom],
             worst_case=case or None,
             budget=budget,
             expected_conforming=expected_conforming(spec, axiom),
         )
 
-    continuity = AxiomResidual(
-        axiom_id="continuity",
-        max_abs_residual=cont[-1][0],
-        cases_run=max(counts["continuity"], 1),
-        worst_case=cont[-1][2] or None,
-        budget=cont[-1][1],
-        expected_conforming=True,
-    )
     results = [residual("positivity", neg)]
     if f.zero_safe:
         results.append(residual("expandability", exp_))
-    results.extend([residual("symmetry", sym), continuity])
+    results.extend([residual("symmetry", sym), residual("continuity", cont, cont[-1][1])])
     return results
+
+
+def check_product_composability(
+    spec: EntropySpec, samples: int = 1000, rng_seed: int = 0
+) -> dict | None:
+    """Worst |H(P x Q) - [H(P) + H(Q) + gamma H(P) H(Q)]| over sampled pairs.
+
+    ``max(samples // 10, 1)`` pairs of interior draws, P on 3 states and Q
+    on 4, from one generator seeded with ``rng_seed``.  Returns the residual
+    entry of the ``axioms`` command, or None for a functional with no known
+    composition constant gamma.  An evaluation error raises.
+    """
+    gamma = pseudo_additivity_gamma(spec)
+    if gamma is None:
+        return None
+    rng = np.random.default_rng(rng_seed)
+    cases = max(samples // 10, 1)
+    vectors: list[_Vector] = []
+    for _ in range(cases):
+        left = _dirichlet_interior(3, rng, _INTERIOR_FLOOR)
+        right = _dirichlet_interior(4, rng, _INTERIOR_FLOOR)
+        product = np.outer(left, right).ravel()
+        vectors += [
+            _Vector(0, left, _singletons(3)),
+            _Vector(0, right, _singletons(4)),
+            _Vector(0, product, _singletons(12)),
+        ]
+    values = _VectorValues([spec], vectors)
+    worst = 0.0
+    for v in range(0, len(vectors), 3):
+        hl, hr, joint = (_exact(spec, values, vectors, v + k) for k in range(3))
+        worst = max(worst, abs(joint - (hl + hr + gamma * hl * hr)))
+    axiom = "product_additivity" if gamma == 0.0 else "product_pseudo_additivity"
+    return {
+        "axiom_id": axiom,
+        "gamma": gamma,
+        "max_abs_residual": worst,
+        "cases_run": cases,
+        "expected_conforming": expected_conforming(spec, axiom),
+    }
 
 
 # ---------------------------------------------------------------------------

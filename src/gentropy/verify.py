@@ -358,10 +358,11 @@ def _segment_sums(values: np.ndarray, starts: np.ndarray, widths: np.ndarray) ->
 
     The segments of one width are the rows of a C-contiguous matrix, and
     ``sum(axis=1)`` runs numpy's pairwise summation on each row exactly as
-    ``np.sum`` does on a 1-d array.
+    ``np.sum`` does on a 1-d array.  The widths are found with
+    ``np.bincount``: ``np.unique`` would import ``numpy.ma`` on first use.
     """
     out = np.zeros(len(starts))
-    for w in np.unique(widths):
+    for w in np.flatnonzero(np.bincount(widths)):
         rows = np.flatnonzero(widths == w)
         out[rows] = values[starts[rows, None] + np.arange(w)].sum(axis=1)
     return out
@@ -426,6 +427,15 @@ class _VectorValues:
             return _outer_value(spec, float(self._totals[v]))
         except GentropyError as exc:
             return _skip_reason(exc)
+
+    def total(self, v: int) -> float:
+        """The component sum that gives vector ``v`` its value (the argument of h)."""
+        vector = self._vectors[v]
+        if vector.spec_index not in self._fallback:
+            return float(self._totals[v])
+        dist = FiniteDistribution(vector.probs)
+        coarse = coarse_grain(dist, Partition._raw(vector.blocks, dist.n))
+        return float(np.sum(self._specs[vector.spec_index].functional.phi(coarse.probs)))
 
     def _coarse_grain_all(
         self, probs: np.ndarray, sizes: np.ndarray

@@ -1,5 +1,6 @@
 """Axiom residuals: basic axioms, recursivity family, and composability."""
 
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -10,6 +11,9 @@ from gentropy import (
     FiniteDistribution,
     JointDistribution,
     check_basic_axioms,
+    check_product_composability,
+    default_campaign_specs,
+    evaluate,
     expected_conforming,
     joint_from_conditionals,
     pseudo_additivity_gamma,
@@ -19,7 +23,19 @@ from gentropy import (
     residual_split_recursivity,
     residual_strong_additivity,
 )
-from gentropy.errors import BadInverse, TooSmall, ValidationError, ZeroUnsupported
+from gentropy import axioms
+from gentropy.axioms import AxiomResidual
+from gentropy.catalog import outer_map_prime, phi_prime
+from gentropy.distributions import _dirichlet_interior
+from gentropy.errors import (
+    BadInverse,
+    NoDerivative,
+    TooSmall,
+    UserCallableError,
+    ValidationError,
+    ZeroUnsupported,
+)
+from test_verify import _with_batch_refusing_phi
 
 SHANNON = EntropySpec("shannon")
 
@@ -324,3 +340,220 @@ def test_basic_axioms_cover_campaign_set():
                 assert residual.max_abs_residual <= 1e-12, spec.label()
             if residual.axiom_id == "continuity":
                 assert residual.max_abs_residual <= residual.budget, spec.label()
+
+
+# ---------------------------------------------------------------------------
+# The batched probes against the per-sample loops they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_slope_budget(spec, a, b, inner_sum):
+    try:
+        slope = abs(phi_prime(spec, a)) + abs(phi_prime(spec, b))
+    except NoDerivative:
+        slope = 0.0
+    outer = abs(outer_map_prime(spec, inner_sum)) if spec.functional.h else 1.0
+    return 50.0 * (1.0 + slope * max(outer, 1.0))
+
+
+def _reference_basic_axioms(spec, samples, rng_seed):
+    """The per-sample loop, one FiniteDistribution and evaluate per vector.
+
+    It reports the number of cases each axiom ran, which may be 0.
+    """
+    rng = np.random.default_rng(rng_seed)
+    f = spec.functional
+    floor = 0.0 if f.zero_safe else 1e-6
+
+    neg = [(0.0, {})]
+    sym = [(0.0, {})]
+    exp_ = [(0.0, {})]
+    cont = [(0.0, 1.0, {})]
+    counts = {"positivity": 0, "symmetry": 0, "expandability": 0, "continuity": 0}
+
+    for index in range(samples):
+        n = 2 + index % 5
+        p = _dirichlet_interior(n, rng, floor)
+        dist = FiniteDistribution(p)
+        try:
+            value = evaluate(spec, dist)
+        except Exception:
+            continue
+
+        counts["positivity"] += 1
+        if -value > neg[-1][0]:
+            neg.append((-value, {"probs": p.tolist(), "value": value}))
+
+        perm = rng.permutation(n)
+        permuted = evaluate(spec, FiniteDistribution(p[perm]))
+        counts["symmetry"] += 1
+        gap = abs(value - permuted)
+        if gap > sym[-1][0]:
+            sym.append((gap, {"probs": p.tolist(), "permutation": perm.tolist()}))
+
+        if f.zero_safe:
+            position = int(rng.integers(0, n + 1))
+            padded = np.insert(p, position, 0.0)
+            try:
+                expanded = evaluate(spec, FiniteDistribution(padded))
+            except Exception:
+                expanded = None
+            if expanded is not None:
+                counts["expandability"] += 1
+                gap = abs(value - expanded)
+                if gap > exp_[-1][0]:
+                    exp_.append((gap, {"probs": p.tolist(), "position": position}))
+
+        order = np.argsort(p)
+        hi, lo = int(order[-1]), int(order[-2])
+        shifted = p.copy()
+        shifted[hi] -= 1e-8
+        shifted[lo] += 1e-8
+        try:
+            moved = evaluate(spec, FiniteDistribution(shifted))
+        except Exception:
+            continue
+        counts["continuity"] += 1
+        rate = abs(moved - value) / 1e-8
+        inner = float(np.sum(f.phi(p)))
+        budget = _reference_slope_budget(spec, float(p[hi]), float(p[lo]), inner)
+        if rate / budget > cont[-1][0] / cont[-1][1]:
+            cont.append((rate, budget, {"probs": p.tolist(), "rate": rate}))
+
+    def residual(axiom, stack, budget=None):
+        return AxiomResidual(
+            axiom_id=axiom,
+            max_abs_residual=stack[-1][0],
+            cases_run=counts[axiom],
+            worst_case=stack[-1][-1] or None,
+            budget=budget,
+            expected_conforming=expected_conforming(spec, axiom),
+        )
+
+    results = [residual("positivity", neg)]
+    if f.zero_safe:
+        results.append(residual("expandability", exp_))
+    results.extend([residual("symmetry", sym), residual("continuity", cont, cont[-1][1])])
+    return results
+
+
+def _reference_product(spec, samples, rng_seed):
+    """The product-composition loop the ``axioms`` command used to run."""
+    gamma = axioms.pseudo_additivity_gamma(spec)
+    if gamma is None:
+        return None
+    rng = np.random.default_rng(rng_seed)
+    worst = 0.0
+    for _ in range(max(samples // 10, 1)):
+        left = FiniteDistribution(_dirichlet_interior(3, rng, 1e-6))
+        right = FiniteDistribution(_dirichlet_interior(4, rng, 1e-6))
+        worst = max(worst, abs(residual_product_composability(spec, left, right, gamma)))
+    axiom = "product_additivity" if gamma == 0.0 else "product_pseudo_additivity"
+    return {
+        "axiom_id": axiom,
+        "gamma": gamma,
+        "max_abs_residual": worst,
+        "cases_run": max(samples // 10, 1),
+        "expected_conforming": expected_conforming(spec, axiom),
+    }
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, as plain data, or the type and message it raises."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, (dict, type(None))) else [r.to_dict() for r in result]
+
+
+def _assert_probes_match(spec, samples, seed):
+    for batched, reference in (
+        (check_basic_axioms, _reference_basic_axioms),
+        (check_product_composability, _reference_product),
+    ):
+        expected = _outcome(reference, spec, samples, seed)
+        assert _outcome(batched, spec, samples, seed) == expected, (spec.label(), seed)
+
+
+def _rare_nonfinite_h(y):
+    return math.inf if 0.55 < y < 0.56 else y
+
+
+def _with_phi_refusing_a_large_first_entry(spec):
+    """``spec`` whose phi raises on a batch, or on a vector led by an entry > 0.9.
+
+    Such a base is rejected, and a permutation that moves such an entry to
+    the front of an accepted base raises out of the probe.
+    """
+    phi = spec.functional.phi
+
+    def picky(x):
+        if x.size > 12 or x[0] > 0.9:
+            raise FloatingPointError("refused")
+        return phi(x)
+
+    object.__setattr__(spec, "_functional", replace(spec.functional, phi=picky))
+    return spec
+
+
+# These take the kernel's per-vector path; the last two raise mid-run.
+_PER_VECTOR_SPECS = (
+    EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x), zero_safe=True,
+                phi_prime=lambda x: 1.0 - 2.0 * x, h=math.sqrt, h_prime=lambda y: 0.5 / y),
+    EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x), h=_rare_nonfinite_h),
+    EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x),
+                h=lambda y: math.nan if y > 0.5 else y),
+    _with_batch_refusing_phi(EntropySpec("tsallis", q=2.0)),
+    EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x),
+                phi_prime=lambda x: 1.0 / (0.9 - x) if x < 0.9 else 1 / 0),
+    _with_phi_refusing_a_large_first_entry(EntropySpec("shannon")),
+)
+
+
+def test_basic_axioms_equal_per_sample_loop_exactly():
+    """Every default spec and counterexample_HE, seeds 0 and 1729, exact ==."""
+    for seed in (0, 1729):
+        for spec in default_campaign_specs() + [EntropySpec("counterexample_HE")]:
+            _assert_probes_match(spec, 100, seed)
+        for spec in (SHANNON, EntropySpec("tsallis", q=0.7), EntropySpec("counterexample_HE")):
+            _assert_probes_match(spec, 1000, seed)
+
+
+@pytest.mark.parametrize("index", range(len(_PER_VECTOR_SPECS)))
+def test_basic_axioms_on_per_vector_path_equal_per_sample_loop(index):
+    """Rare and frequent rejected bases, a refused batch, and raises mid-run."""
+    _assert_probes_match(_PER_VECTOR_SPECS[index], 300, 7)
+
+
+def test_basic_axioms_raise_as_the_per_sample_loop_does():
+    """A refused slope budget, and a rejected permuted vector, raise mid-run."""
+    slope, permuted = _PER_VECTOR_SPECS[-2:]
+    assert _outcome(check_basic_axioms, slope, 300, 7)[0] is UserCallableError
+    assert _outcome(check_basic_axioms, permuted, 300, 7) == (FloatingPointError, "refused")
+
+
+def test_basic_axioms_redraw_after_a_rejected_admitted_base(monkeypatch):
+    """Bases that _admit passes but h sends to inf skip their later draws.
+
+    Each such base ends a round of draws; the next resumes after it.
+    """
+    spec = _PER_VECTOR_SPECS[1]
+    calls = []
+    draw = axioms._dirichlet_interior
+    monkeypatch.setattr(
+        axioms, "_dirichlet_interior", lambda *args: calls.append(1) or draw(*args)
+    )
+    for seed in (0, 7):
+        calls.clear()
+        _assert_probes_match(spec, 300, seed)
+        assert len(calls) > 300  # the reference draws through its own import
+        assert 0 < check_basic_axioms(spec, 300, seed)[0].cases_run < 300
+
+
+@pytest.mark.parametrize("delta, cases", [(2.0, 160), (3.0, 0)])
+def test_basic_axioms_skip_dimensions_that_admit_rejects(delta, cases):
+    """delta = 2 rejects n = 2, delta = 3 every sampled n = 2..6."""
+    spec = EntropySpec("s_delta", delta=delta)
+    for seed in (0, 1729):
+        _assert_probes_match(spec, 200, seed)
+    assert {r.cases_run for r in check_basic_axioms(spec, 200, 0)} == {cases}

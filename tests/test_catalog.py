@@ -2,6 +2,8 @@
 
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -474,3 +476,24 @@ def test_phi_prime_matches_finite_differences():
             closed = phi_prime(sp, float(x))
             fd = central_difference(sp, float(x))
             assert closed == pytest.approx(fd, rel=1e-5, abs=1e-5), (sp.label(), x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    spec=st.sampled_from([
+        EntropySpec("shannon"),
+        EntropySpec("tsallis", q=2.0),
+        EntropySpec("renyi", q=0.5),
+        EntropySpec("kaniadakis", k=0.3),
+        EntropySpec("counterexample_HE"),
+    ]),
+)
+def test_evaluate_is_permutation_symmetric(n, seed, spec):
+    """Relabelling the states leaves the value unchanged up to rounding."""
+    rng = np.random.default_rng(seed)
+    p = _dirichlet_interior(n, rng, 1e-6)
+    value = evaluate(spec, FiniteDistribution(p))
+    permuted = evaluate(spec, FiniteDistribution(p[rng.permutation(n)]))
+    assert permuted == pytest.approx(value, rel=1e-12, abs=0.0)

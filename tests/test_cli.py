@@ -125,6 +125,72 @@ def test_verify_rejects_non_finite_tolerance_before_running(capsys, monkeypatch,
     assert "--tolerance: must be positive and finite" in captured.err
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a campaign or axiom probe ran")
+
+
+def _usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-1729"])
+def test_negative_seed_is_usage_error_before_running(capsys, monkeypatch, seed):
+    """A negative seed is an argument error, not a traceback exiting 1."""
+    from gentropy import cli, verify
+
+    monkeypatch.setattr(verify, "run_monotonicity_campaign", _refuse)
+    monkeypatch.setattr(cli, "check_basic_axioms", _refuse)
+    monkeypatch.setattr(cli, "check_product_composability", _refuse)
+    message = "--seed: must be a non-negative integer"
+    _usage_error(capsys, ["verify", "--entropy", '{"id":"shannon"}', "--n", "3",
+                          f"--seed={seed}"], message)
+    _usage_error(capsys, ["axioms", "--entropy", '{"id":"shannon"}', f"--seed={seed}"],
+                 message)
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_non_positive_counts_are_usage_errors_before_running(capsys, monkeypatch, count):
+    """--cases 0 is not an empty passed campaign, nor --samples 0 one probed case."""
+    from gentropy import cli, verify
+
+    monkeypatch.setattr(verify, "run_monotonicity_campaign", _refuse)
+    monkeypatch.setattr(cli, "check_basic_axioms", _refuse)
+    monkeypatch.setattr(cli, "check_product_composability", _refuse)
+    message = "must be a positive integer"
+    _usage_error(capsys, ["verify", "--entropy", '{"id":"shannon"}', "--n", "3",
+                          f"--cases={count}"], "--cases: " + message)
+    _usage_error(capsys, ["axioms", "--entropy", '{"id":"shannon"}',
+                          f"--samples={count}"], "--samples: " + message)
+
+
+def test_axioms_with_no_admissible_sample_fails(capsys):
+    """delta = 3 exceeds 1 + ln n for every sampled n = 2..6: nothing is probed."""
+    code, out, _ = run_cli(
+        capsys, "axioms", "--entropy", '{"id":"s_delta","params":{"delta":3.0}}'
+    )
+    residuals = json.loads(out)["residuals"]
+    assert [r["axiom_id"] for r in residuals] == [
+        "positivity", "expandability", "symmetry", "continuity"
+    ]
+    assert all(r["cases_run"] == 0 and r["worst_case"] is None for r in residuals)
+    assert code == 1
+
+
+def test_axioms_counts_only_admitted_samples(capsys):
+    """delta = 2 rejects n = 2 only, so a fifth of the samples are skipped."""
+    code, out, _ = run_cli(
+        capsys, "axioms", "--entropy", '{"id":"s_delta","params":{"delta":2.0}}',
+        "--samples", "100",
+    )
+    assert code == 0
+    assert all(r["cases_run"] == 80 for r in json.loads(out)["residuals"])
+
+
 def test_verify_byte_identical_runs(capsys):
     args = ("verify", "--all", "--n", "3..4", "--cases", "3", "--seed", "0")
     code_a, out_a, _ = run_cli(capsys, *args)

@@ -1,5 +1,7 @@
 """Distribution construction, aggregation, escort, joint, and sampling."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gentropy import (
     joint_from_conditionals,
     merge_pair,
     quotient_partition,
+    random_refinement_pair,
     sample_dirichlet_uniform,
 )
 from gentropy.errors import DimensionMismatch, ValidationError, ZeroUnsupported
@@ -93,6 +96,18 @@ def test_coarse_grain_transitive():
         )
         direct = coarse_grain(dist, coarser)
         assert np.max(np.abs(via_quotient.probs - direct.probs)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 10), seed=st.integers(0, 2**32 - 1))
+def test_coarse_grain_composes_through_the_quotient(n, seed):
+    """Coarse-graining by A and then by B/A equals coarse-graining by B."""
+    finer, coarser = random_refinement_pair(n, seed)
+    dist = FiniteDistribution(np.random.default_rng(seed).dirichlet(np.ones(n)))
+    via = coarse_grain(coarse_grain(dist, finer), quotient_partition(finer, coarser))
+    direct = coarse_grain(dist, coarser)
+    assert via.n == direct.n == coarser.k
+    assert np.max(np.abs(via.probs - direct.probs)) <= 1e-14
 
 
 def test_merge_pair_examples():
