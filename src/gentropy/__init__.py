@@ -74,6 +74,7 @@ from .verify import (
     emit_report,
     exhaustive_lattice_check,
     max_entropy_check,
+    replay_case,
     report_from_json,
     run_monotonicity_campaign,
 )
@@ -127,6 +128,7 @@ __all__ = [
     "pseudo_additivity_gamma",
     "quotient_partition",
     "random_refinement_pair",
+    "replay_case",
     "report_from_json",
     "residual_escort_composability",
     "residual_product_composability",

@@ -26,35 +26,37 @@ Axiom identifiers used throughout:
 
 The sampled probes (:func:`check_basic_axioms` and
 :func:`check_product_composability`) run on the evaluation kernel of the
-campaign engine, ``verify._VectorValues``.  A draw phase makes the rng
-calls of a per-sample loop, in its order, and builds every vector the
-probe needs; one kernel call evaluates them all, and a reduction walks the
-samples in order.  The results, and any exception raised, are those of
-calling ``FiniteDistribution`` and ``evaluate`` sample by sample; the
-reference loops in ``tests/test_axioms.py`` pin this.
+campaign engine, ``verify._VectorValues``.  A draw phase draws every
+sample's randomness in batches and builds every vector the probe needs;
+one kernel call evaluates them all, and a reduction walks the samples in
+order.  The results, and any exception raised, are those of calling
+``FiniteDistribution`` and ``evaluate`` sample by sample on the same
+draws; the reference loops in ``tests/test_axioms.py`` pin this.  The
+basic-axiom draws come from three child streams of the seed (bases,
+permutations, padding positions), so what the kernel makes of one sample
+never moves another's draws.  The product probe keeps its single stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import math
 
 import numpy as np
 
-from .catalog import EntropySpec, _admit, evaluate, outer_map_prime, phi_prime
+from .catalog import EntropySpec, evaluate, outer_map_prime, phi_prime
 from .distributions import (
     FiniteDistribution,
     JointDistribution,
     _dirichlet_interior,
+    _flat_dirichlet,
     escort,
 )
 from .errors import (
     BadInverse,
     DimensionMismatch,
-    GentropyError,
     NoDerivative,
     TooSmall,
     ValidationError,
@@ -63,7 +65,6 @@ from .errors import (
 from .verify import _INTERIOR_FLOOR, _Vector, _VectorValues
 
 _CONTINUITY_EPS = 1e-8
-_ZERO = np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -178,14 +179,8 @@ def _slopes(spec: EntropySpec, points: list[tuple[float, float]]) -> list[float 
     return [s if good else None for s, good in zip(slope, ok.all(axis=1).tolist())]
 
 
-@lru_cache(maxsize=None)
-def _singletons(n: int) -> tuple[tuple[int, ...], ...]:
-    """The singleton blocks of {0..n-1}: the kernel evaluates a vector as it is."""
-    return tuple((i,) for i in range(n))
-
-
 class _Draw(NamedTuple):
-    """The draws of a basic-axiom sample whose base is taken as accepted.
+    """The draws of one basic-axiom sample.
 
     Kernel vector ``first`` is the base; the permuted, (for zero-safe
     functionals) zero-padded and continuity-shifted vectors follow it in
@@ -195,59 +190,68 @@ class _Draw(NamedTuple):
     probs: np.ndarray
     first: int
     permutation: np.ndarray
-    position: int | None
+    position: int
     hi: int
     lo: int
 
 
-def _draw_basic(
-    spec: EntropySpec,
-    rng: np.random.Generator,
-    start: int,
-    stop: int,
-    reject: int | None = None,
-) -> tuple[list[_Draw | None], list[_Vector]]:
-    """Draw phase of :func:`check_basic_axioms` for samples ``start..stop-1``.
+_MAX_N = 6  # sample i has n = 2 + i % 5
 
-    The rng calls are those of a per-sample loop, in its order.  A sample's
-    base is taken as accepted when ``_admit`` passes its dimension, except
-    for sample ``reject``; only an accepted base draws its permutation and,
-    for zero-safe functionals, its padding position.  A draw is None where
-    the base is taken as rejected.
+
+def _padded(p: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Each row of ``p`` with a zero inserted before column ``at`` of that row."""
+    column = np.arange(p.shape[1] + 1)
+    source = np.minimum(column - (column > at[:, None]), p.shape[1] - 1)
+    return np.where(column == at[:, None], 0.0, np.take_along_axis(p, source, axis=1))
+
+
+def _draw_basic(
+    spec: EntropySpec, samples: int, rng_seed: int
+) -> tuple[list[_Draw], list[_Vector]]:
+    """Draw phase of :func:`check_basic_axioms`: every sample's draws and vectors.
+
+    Three child streams of ``SeedSequence(rng_seed)`` each draw one batch
+    with a row per sample: the bases (flat Dirichlet draws from the first
+    n of ``_MAX_N`` uniforms), the permutations (the ranks of the first n
+    of ``_MAX_N`` uniforms) and the padding positions (uniform on 0..n).
+    A base whose minimum is not above the floor is redrawn, in sample
+    order, from the base stream after its batch.  So no draw depends on
+    any value, and every sample gets all of its vectors.
     """
     f = spec.functional
     floor = 0.0 if f.zero_safe else _INTERIOR_FLOOR
-    admitted = {}
-    draws: list[_Draw | None] = []
-    vectors: list[_Vector] = []
-    for index in range(start, stop):
-        n = 2 + index % 5
-        p = _dirichlet_interior(n, rng, floor)
-        if n not in admitted:
-            try:  # a draw holds no zero: its minimum exceeds the floor
-                _admit(spec, n, False)
-                admitted[n] = True
-            except GentropyError:
-                admitted[n] = False
-        if not admitted[n] or index == reject:
-            draws.append(None)
-            continue
-        first = len(vectors)
-        vectors.append(_Vector(0, p, _singletons(n)))
-        perm = rng.permutation(n)
-        vectors.append(_Vector(0, p[perm], _singletons(n)))
-        position = None
-        if f.zero_safe:
-            position = int(rng.integers(0, n + 1))
-            padded = np.concatenate((p[:position], _ZERO, p[position:]))
-            vectors.append(_Vector(0, padded, _singletons(n + 1)))
-        order = np.argsort(p)
-        hi, lo = int(order[-1]), int(order[-2])
+    bases, perms, pads = map(np.random.default_rng, np.random.SeedSequence(rng_seed).spawn(3))
+    dims = 2 + np.arange(samples) % 5
+    u, w = bases.random((samples, _MAX_N)), perms.random((samples, _MAX_N))
+    positions = pads.integers(0, dims + 1)
+    groups = {n: np.flatnonzero(dims == n) for n in range(2, _MAX_N + 1)}
+    probs = {n: _flat_dirichlet(u[rows, :n]) for n, rows in groups.items()}
+    low = [
+        (rows[j], n, j)
+        for n, rows in groups.items()
+        for j in np.flatnonzero(probs[n].min(axis=1) <= floor)
+    ]
+    for _, n, j in sorted(low):  # in sample order
+        probs[n][j] = _dirichlet_interior(n, bases, floor)
+
+    stride = 4 if f.zero_safe else 3
+    draws: list[_Draw] = [None] * samples
+    vectors: list[_Vector] = [None] * (stride * samples)
+    for n, rows in groups.items():
+        p, every = probs[n], np.arange(rows.size)
+        perm = np.argsort(w[rows, :n], axis=1)
+        order = np.argsort(p, axis=1)
+        hi, lo = order[:, -1], order[:, -2]
         shifted = p.copy()
-        shifted[hi] -= _CONTINUITY_EPS
-        shifted[lo] += _CONTINUITY_EPS
-        vectors.append(_Vector(0, shifted, _singletons(n)))
-        draws.append(_Draw(p, first, perm, position, hi, lo))
+        shifted[every, hi] -= _CONTINUITY_EPS
+        shifted[every, lo] += _CONTINUITY_EPS
+        kinds = [p, np.take_along_axis(p, perm, axis=1)]
+        kinds += [_padded(p, positions[rows])] if f.zero_safe else []
+        kinds.append(shifted)
+        for j, i in enumerate(rows.tolist()):
+            first = stride * i
+            vectors[first : first + stride] = [_Vector(0, kind[j], None) for kind in kinds]
+            draws[i] = _Draw(p[j], first, perm[j], int(positions[i]), int(hi[j]), int(lo[j]))
     return draws, vectors
 
 
@@ -276,49 +280,26 @@ def check_basic_axioms(
     Never raises for in-domain specs: per-case evaluation errors (e.g. the
     dimension bound of ``s_delta``) simply reduce the case count.  A
     rejected permuted vector, or a slope budget that ``phi_prime`` refuses,
-    raises what ``evaluate`` or ``phi_prime`` raise.
-
-    Whether a sample draws beyond its base depends on the base's value, so
-    the draw phase takes each base that ``_admit`` passes as accepted.
-    Where the kernel then rejects one, the samples up to it stand; the
-    generator is reset to its state before them and replays their draws
-    with that base rejected, and the next round resumes after it, over
-    twice as many samples as the round kept.  The common case is one
-    round, and frequent rejections cost small rounds, not whole redraws.
+    raises what ``evaluate`` or ``phi_prime`` raise.  Every sample draws
+    all of its vectors (see ``_draw_basic``), and those of a sample whose
+    base is rejected go unused.
     """
     f = spec.functional
-    rng = np.random.default_rng(rng_seed)
-    runs = []  # consecutive samples: their draws, base values and kernel
-    start, width = 0, samples
-    while start < samples:
-        state = rng.bit_generator.state
-        draws, vectors = _draw_basic(spec, rng, start, min(start + width, samples))
-        values = _VectorValues([spec], vectors)
-        bases = [None if d is None else _accepted(values, d.first) for d in draws]
-        for k, (d, value) in enumerate(zip(draws, bases)):
-            if d is not None and value is None:  # it drew as if accepted
-                del draws[k + 1 :], bases[k + 1 :]
-                rng.bit_generator.state = state
-                _draw_basic(spec, rng, start, start + k + 1, reject=start + k)
-                break
-        runs.append((draws, bases, vectors, values))
-        start += len(draws)
-        width = 2 * len(draws)
-
-    accepted = [
-        (d, value, vectors, values)
-        for draws, bases, vectors, values in runs
-        for d, value in zip(draws, bases)
-        if value is not None
-    ]
-    slopes = _slopes(spec, [(d.probs[d.hi], d.probs[d.lo]) for d, *_ in accepted])
+    draws, vectors = _draw_basic(spec, samples, rng_seed)
+    values = _VectorValues([spec], vectors)
+    accepted = []
+    for d in draws:
+        value = _accepted(values, d.first)
+        if value is not None:
+            accepted.append((d, value))
+    slopes = _slopes(spec, [(d.probs[d.hi], d.probs[d.lo]) for d, _ in accepted])
     neg: list[tuple[float, dict]] = [(0.0, {})]
     sym: list[tuple[float, dict]] = [(0.0, {})]
     exp_: list[tuple[float, dict]] = [(0.0, {})]
     cont: list[tuple[float, float, dict]] = [(0.0, 1.0, {})]
     counts = {"positivity": 0, "symmetry": 0, "expandability": 0, "continuity": 0}
 
-    for (d, value, vectors, values), slope in zip(accepted, slopes):
+    for (d, value), slope in zip(accepted, slopes):
         p, v = d.probs, d.first + 1
         counts["positivity"] += 1
         if -value > neg[-1][0]:
@@ -387,11 +368,7 @@ def check_product_composability(
         left = _dirichlet_interior(3, rng, _INTERIOR_FLOOR)
         right = _dirichlet_interior(4, rng, _INTERIOR_FLOOR)
         product = np.outer(left, right).ravel()
-        vectors += [
-            _Vector(0, left, _singletons(3)),
-            _Vector(0, right, _singletons(4)),
-            _Vector(0, product, _singletons(12)),
-        ]
+        vectors += [_Vector(0, left, None), _Vector(0, right, None), _Vector(0, product, None)]
     values = _VectorValues([spec], vectors)
     worst = 0.0
     for v in range(0, len(vectors), 3):

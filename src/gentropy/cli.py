@@ -5,6 +5,7 @@ Subcommands
 compute         evaluate a functional on a distribution
 coarsen         aggregate a distribution by a partition
 verify          run a monotonicity campaign (exit 1 on any violation)
+replay          rebuild one campaign case from its coordinates
 classify        run the grid certificates for one functional
 axioms          basic-axiom and composition residuals for one functional
 counterexample  reproduce the built-in pathological functional's behavior
@@ -113,15 +114,17 @@ def _cmd_coarsen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _campaign_specs(args: argparse.Namespace) -> list[EntropySpec]:
     if args.all:
-        specs = default_campaign_specs(include_unstable=args.include_unstable)
-    elif args.entropy:
-        specs = [_parse_entropy(value) for value in args.entropy]
-    else:
-        raise GentropyError("verify needs --all or at least one --entropy")
+        return default_campaign_specs(include_unstable=args.include_unstable)
+    if args.entropy:
+        return [_parse_entropy(value) for value in args.entropy]
+    raise GentropyError(f"{args.command} needs --all or at least one --entropy")
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_mod.run_monotonicity_campaign(
-        specs,
+        _campaign_specs(args),
         _parse_n_range(args.n),
         args.cases,
         args.seed,
@@ -130,6 +133,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     _emit(report, args.format)
     return 0 if report.passed else 1
+
+
+def _cmd_replay(args: argparse.Namespace) -> int:
+    entry = verify_mod.replay_case(
+        _campaign_specs(args),
+        args.spec_index,
+        args.n_value,
+        args.case,
+        args.seed,
+        tolerance=args.tolerance,
+    )
+    _print_json(entry.to_dict())
+    return 0 if entry.passed else 1
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -225,7 +241,7 @@ def _positive_int(value: str) -> int:
     return out
 
 
-def _seed(value: str) -> int:
+def _non_negative_int(value: str) -> int:
     out = int(value)
     if out < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
@@ -237,6 +253,21 @@ def _positive_float(value: str) -> float:
     if not 0.0 < out < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {value!r}")
     return out
+
+
+def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
+    """The spec selection, seed and tolerance that ``verify`` and ``replay`` share."""
+    parser.add_argument("--all", action="store_true", help="whole shipped catalog")
+    parser.add_argument(
+        "--include-unstable",
+        action="store_true",
+        help="add the literal double-sum family excluded by default",
+    )
+    parser.add_argument(
+        "--entropy", action="append", help="entropy spec JSON or path (repeatable)"
+    )
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
+    parser.add_argument("--tolerance", type=_positive_float, default=1e-9)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,23 +288,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_coarsen.set_defaults(func=_cmd_coarsen)
 
     p_verify = sub.add_parser("verify", help="run a monotonicity campaign")
-    p_verify.add_argument("--all", action="store_true", help="whole shipped catalog")
-    p_verify.add_argument(
-        "--include-unstable",
-        action="store_true",
-        help="add the literal double-sum family excluded by default",
-    )
-    p_verify.add_argument(
-        "--entropy", action="append", help="entropy spec JSON or path (repeatable)"
-    )
+    _add_campaign_arguments(p_verify)
     p_verify.add_argument("--n", default="3..8", help="dimension range, e.g. 3..8 or 3,5,7")
     p_verify.add_argument(
         "--cases", type=_positive_int, default=200, help="cases per (spec, n)"
     )
-    p_verify.add_argument("--seed", type=_seed, default=0)
-    p_verify.add_argument("--tolerance", type=_positive_float, default=1e-9)
     p_verify.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
     p_verify.set_defaults(func=_cmd_verify)
+
+    p_replay = sub.add_parser(
+        "replay", help="rebuild one campaign case from its coordinates"
+    )
+    _add_campaign_arguments(p_replay)
+    p_replay.add_argument(
+        "--spec-index", type=_non_negative_int, required=True,
+        help="position of the spec in the selection",
+    )
+    p_replay.add_argument("--n", dest="n_value", type=int, required=True)
+    p_replay.add_argument("--case", type=_non_negative_int, required=True)
+    p_replay.set_defaults(func=_cmd_replay)
 
     p_classify = sub.add_parser("classify", help="grid certificates for one functional")
     p_classify.add_argument("--entropy", required=True)
@@ -283,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_axioms = sub.add_parser("axioms", help="axiom residuals for one functional")
     p_axioms.add_argument("--entropy", required=True)
     p_axioms.add_argument("--samples", type=_positive_int, default=1000)
-    p_axioms.add_argument("--seed", type=_seed, default=0)
+    p_axioms.add_argument("--seed", type=_non_negative_int, default=0)
     p_axioms.set_defaults(func=_cmd_axioms)
 
     p_counter = sub.add_parser(

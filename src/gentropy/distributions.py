@@ -244,6 +244,15 @@ def joint_from_conditionals(
     return JointDistribution(np.stack(cols, axis=1))
 
 
+def _flat_dirichlet(u: np.ndarray) -> np.ndarray:
+    """One flat Dirichlet draw per row of uniforms on [0, 1): normalised exponentials.
+
+    A 2-d ``u`` gives, row for row, the bits that each row alone would give.
+    """
+    e = -np.log1p(-u)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _dirichlet_interior(n: int, rng: np.random.Generator, floor: float = 0.0) -> np.ndarray:
     """Flat Dirichlet draw, redrawn until min entry exceeds ``floor``."""
     alpha = np.ones(n)

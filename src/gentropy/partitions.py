@@ -12,6 +12,7 @@ deterministic.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import json
@@ -23,6 +24,12 @@ from .errors import DimensionMismatch, TooSmall, TooLarge, ValidationError
 ENUMERATION_LIMIT = 12  # Bell(12) = 4_213_597; beyond this exhaustive work explodes
 
 _Blocks = tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _identity_blocks(n: int) -> _Blocks:
+    """The singleton blocks of {0..n-1}."""
+    return tuple((i,) for i in range(n))
 
 
 class Partition:
@@ -77,7 +84,7 @@ class Partition:
 
     @classmethod
     def identity(cls, n: int) -> "Partition":
-        return cls._raw(tuple((i,) for i in range(n)), n)
+        return cls._raw(_identity_blocks(n), n)
 
     @classmethod
     def total(cls, n: int) -> "Partition":
@@ -198,44 +205,61 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     yield from rec(1, 1)
 
 
-def _merge_random_blocks(blocks: list[list[int]], rng: np.random.Generator) -> None:
-    i, j = rng.choice(len(blocks), size=2, replace=False)
-    i, j = (int(i), int(j)) if i < j else (int(j), int(i))
-    blocks[i] = blocks[i] + blocks[j]
-    del blocks[j]
+def pair_draw_width(n: int) -> int:
+    """How many uniforms the pair sampler reads for one pair at dimension n."""
+    return 2 * n + 1
 
 
-def _refinement_pair_blocks(n: int, rng: np.random.Generator) -> tuple[_Blocks, _Blocks]:
-    """The pair sampler: canonical blocks of (finer, coarser), unvalidated."""
-    k1 = int(rng.integers(3, n + 1))
-    k2 = int(rng.integers(2, k1))
-    blocks = [[i] for i in range(n)]
-    while len(blocks) > k1:
-        _merge_random_blocks(blocks, rng)
-    finer = _canonical(blocks)
-    while len(blocks) > k2:
-        _merge_random_blocks(blocks, rng)
-    return finer, _canonical(blocks)
+def _runs(order: list[int], cuts: list[int]) -> _Blocks:
+    """Canonical blocks of ``order`` cut before each position in ``cuts``."""
+    bounds = [0, *sorted(cuts), len(order)]
+    return tuple(sorted([tuple(sorted(order[a:b])) for a, b in zip(bounds, bounds[1:])]))
 
 
-def _canonical(blocks: list[list[int]]) -> _Blocks:
-    return tuple(sorted(tuple(sorted(block)) for block in blocks))
+def _refinement_pair_blocks(n: int, u: list[float]) -> tuple[_Blocks, _Blocks]:
+    """The pair sampler: canonical blocks of (finer, coarser), unvalidated.
+
+    ``u`` holds ``pair_draw_width(n)`` uniforms on [0, 1) at fixed offsets,
+    so a pair depends on nothing else.  k_A is uniform on [3, n] (u[0]) and
+    k_B uniform on [2, k_A - 1] (u[1]).  The states are put in a uniformly
+    random order, ranked by u[2 : n+2], and the n - 1 gaps of that order are
+    ranked by u[n+2 : 2n+1].  The finer partition cuts the order at the
+    k_A - 1 first-ranked gaps, the coarser at the k_B - 1 first-ranked.
+
+    This is the law of merging uniformly random pairs of blocks from the
+    singletons down to k_A blocks, and on down to k_B (Kingman's
+    coalescent).  A random order cut at k - 1 uniformly chosen gaps gives a
+    partition into k blocks of sizes lambda_1..lambda_k with probability
+    ``k! (k-1)! (n-k)! prod(lambda_i!) / (n! (n-1)!)``, the random-merge law.
+    Given the finer partition, its blocks appear in the order in a uniformly
+    random order, and the first k_B - 1 gaps are a uniform subset of its
+    k_A - 1 cuts; so the coarser is the same construction applied to the
+    k_A blocks, as continued merging is.
+    """
+    k_a = 3 + int(u[0] * (n - 2))
+    k_b = 2 + int(u[1] * (k_a - 2))
+    order = sorted(range(n), key=u[2 : n + 2].__getitem__)
+    gaps = sorted(range(1, n), key=u[n + 1 : 2 * n + 1].__getitem__)
+    finer = _identity_blocks(n) if k_a == n else _runs(order, gaps[: k_a - 1])
+    return finer, _runs(order, gaps[: k_b - 1])
 
 
 def _random_refinement_pair(
     n: int, rng: np.random.Generator
 ) -> tuple[Partition, Partition]:
-    finer, coarser = _refinement_pair_blocks(n, rng)
+    finer, coarser = _refinement_pair_blocks(n, rng.random(pair_draw_width(n)).tolist())
     return Partition(finer, n), Partition(coarser, n)
 
 
 def random_refinement_pair(n: int, rng_seed: int) -> tuple[Partition, Partition]:
     """Sample a strict refinement pair (A, B): B coarser, 2 <= k_B < k_A <= n.
 
-    Sampling merges uniformly random block pairs starting from the singleton
-    partition, first down to a random target k_A in [3, n], then further to a
-    random k_B in [2, k_A - 1].  This covers the whole order but is *not*
-    uniform over it; exhaustive enumeration exists for certainty at small n.
+    k_A is uniform on [3, n] and k_B on [2, k_A - 1].  A is a uniformly
+    random order of the states cut at k_A - 1 uniformly chosen gaps, and B
+    the same construction on the blocks of A: the law of merging uniformly
+    random block pairs from the singletons (see ``_refinement_pair_blocks``).
+    This covers the whole order but is *not* uniform over it; exhaustive
+    enumeration exists for certainty at small n.
     """
     if n < 3:
         raise TooSmall(f"refinement pairs with 2 <= k_B < k_A need n >= 3, got {n}")

@@ -6,25 +6,33 @@ coarsens the other, the coarser entropy is no larger.  Campaigns sample
 distributions and refinement pairs; the exhaustive oracle walks every
 covering edge of the full partition order at small n.
 
-Determinism contract: every case derives its random state from
-(campaign seed, spec index, n, case index) only, so reports are identical
-across runs and independent of execution order.  A per-case evaluation
+Determinism contract (sampler 2): each (spec index, n) cell of a campaign
+has one generator, seeded with ``SeedSequence([seed, spec index, n])``,
+and draws one block of uniforms with a row of ``n + pair_draw_width(n)``
+per case.  Row c holds all of case c's randomness: its first n uniforms
+give the flat Dirichlet draw (normalised exponentials) and the rest the
+refinement pair.  A draw whose minimum is not above the interior floor is
+redrawn from the case's own child stream, ``SeedSequence([seed, spec
+index, n], spawn_key=(c,))``.  So a case depends only on (seed, spec index,
+n, c): not on ``cases_per_cell``, other cells or execution order, and
+:func:`replay_case` rebuilds any one case alone.  A per-case evaluation
 error never aborts a campaign; the case is recorded as skipped with its
 reason so coverage accounting stays honest.
 
-A campaign runs in two phases.  The *draw phase* makes each case's rng
-calls in a fixed order: a fresh generator from the seed coordinates, the
-Dirichlet draw, then the merges of the pair sampler.  The *evaluate phase*
-aggregates every distribution of the campaign by both of its partitions in
-one gather, calls each functional's ``phi`` once on all of its
-coarse-grained vectors laid end to end, and sums each vector's components.
-Its results equal, bit for bit, those of ``coarse_grain`` and ``evaluate``
-called case by case, because:
+A campaign runs in two phases.  The *draw phase* draws each cell's block
+and calls the pair sampler once per case, a pure function of the case's
+row.  The *evaluate phase* aggregates every distribution of the campaign
+by both of its partitions in one gather, calls each functional's ``phi``
+once on all of its coarse-grained vectors laid end to end, and sums each
+vector's components.  Its results equal, bit for bit, those of
+``coarse_grain`` and ``evaluate`` called case by case, because:
 
 * every sum (block sums, vector totals) is taken over a group of segments
   of one width, as the rows of a C-contiguous matrix reduced with
   ``sum(axis=1)``: numpy's pairwise summation then runs on each row as it
   does on a 1-d array, which ``np.add.reduceat`` and ``np.bincount`` do not;
+* a vector with no blocks (the identity) is its draw, which is what
+  aggregating by singletons gives;
 * the outer map ``h`` is applied to each total by the same scalar callable
   (``math.log``, ``math.expm1``), never by a vectorised numpy twin;
 * the checks of ``FiniteDistribution``, ``Partition`` and ``evaluate`` run
@@ -42,18 +50,19 @@ hand it one vector per non-identity partition of the single enumeration
 they make, and evaluate the identity (the distribution itself) with
 ``evaluate``; the lattice finds the coarser end of each covering edge by
 arithmetic on restricted growth strings, so it builds no ``Partition`` and
-calls no ``coarse_grain``.  ``max_entropy_check`` hands it its sampled
-distributions with identity blocks, and evaluates the uniform one with
-``evaluate``.  Each lattice or corollary call thus makes exactly one
-``enumerate_partitions`` call, consumed in full, and at least one but far
-fewer ``evaluate`` calls than it has edges; both names are looked up in
-this module, where the benchmark's tracer times them.
+calls no ``coarse_grain``.  ``max_entropy_check`` draws one cell per n
+with the campaign's row layout, seeded with ``SeedSequence([seed, n])``,
+hands the draws to the kernel as they are, and evaluates the uniform
+distribution with ``evaluate``.  Each lattice or corollary call thus makes
+exactly one ``enumerate_partitions`` call, consumed in full, and at least
+one but far fewer ``evaluate`` calls than it has edges; both names are
+looked up in this module, where the benchmark's tracer times them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple, Sequence
 
@@ -67,16 +76,18 @@ from .distributions import (
     SUM_TOLERANCE,
     FiniteDistribution,
     _dirichlet_interior,
+    _flat_dirichlet,
     coarse_grain,
 )
-from .errors import GentropyError, NonFinite, TooLarge, UnsupportedFormat
-from .partitions import Partition, _Blocks, enumerate_partitions
+from .errors import GentropyError, NonFinite, TooLarge, UnsupportedFormat, ValidationError
+from .partitions import Partition, _Blocks, enumerate_partitions, pair_draw_width
 # The pair sampler, looked up per case under the name perfbench's tracer
 # times as the sampler layer.
 from .partitions import _refinement_pair_blocks as _random_refinement_pair
 
 MARGIN_TOLERANCE = 1e-9
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
+SAMPLER = 2  # the draw layout of campaigns and max_entropy_check (see module doc)
 
 _INTERIOR_FLOOR = 1e-6  # resampling floor for functionals that reject zeros
 
@@ -133,19 +144,33 @@ class CaseRecord:
 
 @dataclass(frozen=True)
 class SpecSummary:
+    """Per-spec tallies of a report.
+
+    ``worst`` locates the entry that holds ``min_margin`` as (spec index,
+    n, index), the coordinates :func:`replay_case` takes for a campaign
+    entry; ``skip_reasons`` counts skipped entries per reason, by reason.
+    """
+
     spec: str
     cases: int
     violations: int
     skipped: int
     min_margin: float | None
+    worst: tuple[int, int, int] | None = None
+    skip_reasons: tuple[tuple[str, int], ...] = ()
 
     def to_dict(self) -> dict:
+        worst = None
+        if self.worst is not None:
+            worst = dict(zip(("spec_index", "n", "index"), self.worst))
         return {
             "spec": self.spec,
             "cases": self.cases,
             "violations": self.violations,
             "skipped": self.skipped,
             "min_margin": self.min_margin,
+            "worst": worst,
+            "skip_reasons": dict(self.skip_reasons),
         }
 
 
@@ -183,27 +208,39 @@ class VerificationReport:
         }
 
 
-def _summarize(entries: Sequence[CaseRecord]) -> tuple[SpecSummary, ...]:
-    order: list[str] = []
-    buckets: dict[str, list[CaseRecord]] = {}
-    for entry in entries:
-        if entry.spec not in buckets:
-            order.append(entry.spec)
-            buckets[entry.spec] = []
-        buckets[entry.spec].append(entry)
+def _summarize(
+    entries: Sequence[CaseRecord], spec_indices: Sequence[int] | None = None
+) -> tuple[SpecSummary, ...]:
+    """One summary per spec label, in order of first appearance.
+
+    ``spec_indices`` gives each entry's spec index (all 0 when omitted, as
+    for a single-spec report); the worst case is the first entry holding
+    the minimum margin.
+    """
+    buckets: dict[str, list[int]] = {}
+    for i, entry in enumerate(entries):
+        buckets.setdefault(entry.spec, []).append(i)
     out = []
-    for label in order:
-        group = buckets[label]
-        margins = [e.margin for e in group if e.margin is not None and e.skipped is None]
+    for label, group in buckets.items():
+        violations, min_margin, worst, reasons = 0, None, None, {}
+        for i in group:
+            e = entries[i]
+            if e.skipped is not None:
+                reasons[e.skipped] = reasons.get(e.skipped, 0) + 1
+                continue
+            violations += not e.passed
+            if e.margin is not None and (min_margin is None or e.margin < min_margin):
+                min_margin = e.margin
+                worst = (0 if spec_indices is None else spec_indices[i], e.n, e.index)
         out.append(
             SpecSummary(
                 spec=label,
                 cases=len(group),
-                violations=sum(
-                    1 for e in group if not e.passed and e.skipped is None
-                ),
-                skipped=sum(1 for e in group if e.skipped is not None),
-                min_margin=min(margins) if margins else None,
+                violations=violations,
+                skipped=sum(reasons.values()),
+                min_margin=min_margin,
+                worst=worst,
+                skip_reasons=tuple(sorted(reasons.items())),
             )
         )
     return tuple(out)
@@ -215,13 +252,14 @@ def _finish(
     tolerance: float,
     entries: list[CaseRecord],
     metadata: dict,
+    spec_indices: Sequence[int] | None = None,
 ) -> VerificationReport:
     return VerificationReport(
         campaign_id=campaign_id,
         seed=seed,
         tolerance=tolerance,
         entries=tuple(entries),
-        summary=_summarize(entries),
+        summary=_summarize(entries, spec_indices),
         metadata=metadata,
     )
 
@@ -266,16 +304,72 @@ def run_monotonicity_campaign(
     at 1e-6 for functionals rejecting zeros), a strict refinement pair
     (finer A, coarser B), and the assertion H(P^B) <= H(P^A) + tolerance.
     """
+    n_list = _campaign_dimensions(n_values)
+    cells = [(s_index, n, 0, cases_per_cell) for s_index in range(len(specs)) for n in n_list]
+    entries, spec_indices = _campaign_entries(specs, cells, rng_seed, tolerance)
+    return _finish(
+        campaign_id,
+        rng_seed,
+        tolerance,
+        entries,
+        {
+            "n_values": n_list,
+            "cases_per_cell": cases_per_cell,
+            "spec_count": len(specs),
+            "interior_floor": _INTERIOR_FLOOR,
+            "sampler": SAMPLER,
+        },
+        spec_indices,
+    )
+
+
+def replay_case(
+    specs: Sequence[EntropySpec],
+    spec_index: int,
+    n: int,
+    case: int,
+    rng_seed: int,
+    tolerance: float = MARGIN_TOLERANCE,
+) -> CaseRecord:
+    """Rebuild one campaign entry from its coordinates, drawing nothing else.
+
+    The entry equals the one :func:`run_monotonicity_campaign` records for
+    ``specs`` and ``rng_seed`` at (spec index, n, case), whatever
+    ``cases_per_cell`` and ``n_values`` that campaign ran with.
+    """
+    if not 0 <= spec_index < len(specs):
+        raise ValidationError(f"spec index {spec_index} is out of range for {len(specs)} specs")
+    if case < 0:
+        raise ValidationError(f"case must be >= 0, got {case}")
+    cells = [(spec_index, _campaign_dimensions([n])[0], case, 1)]
+    return _campaign_entries(specs, cells, rng_seed, tolerance)[0][0]
+
+
+def _campaign_dimensions(n_values: Iterable[int]) -> list[int]:
     n_list = sorted(set(int(n) for n in n_values))
     if any(n < 3 for n in n_list):
         raise TooLarge(f"refinement pairs need n >= 3, got {n_list}")
-    cases = _draw_cases(specs, n_list, cases_per_cell, rng_seed)
+    return n_list
+
+
+def _campaign_entries(
+    specs: Sequence[EntropySpec],
+    cells: list[tuple[int, int, int, int]],
+    rng_seed: int,
+    tolerance: float,
+) -> tuple[list[CaseRecord], list[int]]:
+    """The records of the cases of ``cells``, and each one's spec index.
+
+    A cell is (spec index, n, first case, case count); cells must come in
+    ascending spec index.
+    """
+    cases = _draw_cases(specs, cells, rng_seed)
     values = _VectorValues(
         specs,
         [
             _Vector(case.spec_index, case.probs, blocks)
             for case in cases
-            for blocks in (case.finer, case.coarser)
+            for blocks in (None if len(case.finer) == case.n else case.finer, case.coarser)
         ],
     )
     labels = [spec.label() for spec in specs]
@@ -297,18 +391,7 @@ def run_monotonicity_campaign(
                 blocks_coarser=case.coarser,
             )
         )
-    return _finish(
-        campaign_id,
-        rng_seed,
-        tolerance,
-        entries,
-        {
-            "n_values": n_list,
-            "cases_per_cell": cases_per_cell,
-            "spec_count": len(specs),
-            "interior_floor": _INTERIOR_FLOOR,
-        },
-    )
+    return entries, [case.spec_index for case in cases]
 
 
 class _Case(NamedTuple):
@@ -322,30 +405,50 @@ class _Case(NamedTuple):
     coarser: _Blocks
 
 
+def _cell_draws(
+    entropy: list[int], n: int, first: int, count: int, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cases ``first..first+count-1`` of one cell: their draws and pair uniforms.
+
+    The cell's generator is seeded with ``SeedSequence(entropy)`` and skips
+    the rows of the cases before ``first``.  A draw whose minimum is not
+    above ``floor`` is redrawn from the case's child stream, so that no
+    other case moves.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    width = n + pair_draw_width(n)
+    rng.bit_generator.advance(first * width)  # one 64-bit output per double
+    u = rng.random((count, width))
+    probs = _flat_dirichlet(u[:, :n])
+    for c in np.flatnonzero(probs.min(axis=1) <= floor).tolist():
+        child = np.random.SeedSequence(entropy, spawn_key=(first + c,))
+        probs[c] = _dirichlet_interior(n, np.random.default_rng(child), floor)
+    return probs, u[:, n:]
+
+
 def _draw_cases(
-    specs: Sequence[EntropySpec], n_list: list[int], cases_per_cell: int, rng_seed: int
+    specs: Sequence[EntropySpec], cells: list[tuple[int, int, int, int]], rng_seed: int
 ) -> list[_Case]:
-    """Draw phase: each case's rng calls, in the order the contract fixes."""
+    """Draw phase: one block of uniforms per cell and one pair per case."""
     cases = []
-    for s_index, spec in enumerate(specs):
-        floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
-        for n in n_list:
-            for index in range(cases_per_cell):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([rng_seed, s_index, n, index])
-                )
-                probs = _dirichlet_interior(n, rng, floor)
-                finer, coarser = _random_refinement_pair(n, rng)
-                cases.append(_Case(s_index, n, index, probs, finer, coarser))
+    for s_index, n, first, count in cells:
+        floor = 0.0 if specs[s_index].functional.zero_safe else _INTERIOR_FLOOR
+        probs, pair_uniforms = _cell_draws([rng_seed, s_index, n], n, first, count, floor)
+        for c, (p, row) in enumerate(zip(probs, pair_uniforms)):
+            finer, coarser = _random_refinement_pair(n, row.tolist())
+            cases.append(_Case(s_index, n, first + c, p, finer, coarser))
     return cases
 
 
 class _Vector(NamedTuple):
-    """A distribution to aggregate by canonical blocks, and the spec to evaluate."""
+    """A distribution to aggregate by canonical blocks, and the spec to evaluate.
+
+    ``blocks`` None is the identity: the distribution is evaluated as it is.
+    """
 
     spec_index: int
     probs: np.ndarray
-    blocks: _Blocks
+    blocks: _Blocks | None
 
 
 def _starts(widths: np.ndarray) -> np.ndarray:
@@ -416,9 +519,8 @@ class _VectorValues:
         vector = self._vectors[v]
         spec = self._specs[vector.spec_index]
         if vector.spec_index in self._fallback:
-            dist = FiniteDistribution(vector.probs)
             try:
-                return evaluate(spec, coarse_grain(dist, Partition._raw(vector.blocks, dist.n)))
+                return evaluate(spec, self._coarse(vector))
             except GentropyError as exc:
                 return _skip_reason(exc)
         if v in self._reasons:
@@ -433,9 +535,16 @@ class _VectorValues:
         vector = self._vectors[v]
         if vector.spec_index not in self._fallback:
             return float(self._totals[v])
-        dist = FiniteDistribution(vector.probs)
-        coarse = coarse_grain(dist, Partition._raw(vector.blocks, dist.n))
+        coarse = self._coarse(vector)
         return float(np.sum(self._specs[vector.spec_index].functional.phi(coarse.probs)))
+
+    @staticmethod
+    def _coarse(vector: _Vector) -> FiniteDistribution:
+        """``coarse_grain`` of the vector's draw by its blocks, one vector alone."""
+        dist = FiniteDistribution(vector.probs)
+        if vector.blocks is None:
+            return dist
+        return coarse_grain(dist, Partition._raw(vector.blocks, dist.n))
 
     def _coarse_grain_all(
         self, probs: np.ndarray, sizes: np.ndarray
@@ -445,22 +554,37 @@ class _VectorValues:
         ``probs`` holds the vectors' draws end to end, ``sizes`` their
         lengths.  Returns the coarse-grained vectors laid end to end, with
         each one's start and width, and records the reason for each vector
-        ``FiniteDistribution`` would reject.
+        ``FiniteDistribution`` would reject.  A vector without blocks is
+        copied as it is; only the others are gathered and summed.
         """
-        widths, block_widths, elements = [], [], []
-        for vector in self._vectors:
-            widths.append(len(vector.blocks))
-            block_widths.extend(map(len, vector.blocks))
-            elements.extend(chain.from_iterable(vector.blocks))
-        widths = np.array(widths, dtype=np.intp)
-        block_widths = np.array(block_widths, dtype=np.intp)
-        elements = np.array(elements, dtype=np.intp)
-        block_owner = np.repeat(np.arange(len(widths)), widths)
-        element_owner = np.repeat(block_owner, block_widths)
-        self._check_partitions(elements, element_owner, block_widths, block_owner, sizes)
-
-        gathered = probs[elements + _starts(sizes)[element_owner]]
-        flat = _segment_sums(gathered, _starts(block_widths), block_widths)
+        blocks = [vector.blocks for vector in self._vectors]
+        grouped = [v for v, b in enumerate(blocks) if b is not None]
+        chosen = [blocks[v] for v in grouped]
+        grouped = np.array(grouped, dtype=np.intp)
+        widths = sizes.copy()
+        widths[grouped] = list(map(len, chosen))
+        flat = np.empty(0)
+        if chosen:
+            block_widths = np.fromiter(map(len, chain.from_iterable(chosen)), dtype=np.intp)
+            elements = np.fromiter(
+                chain.from_iterable(chain.from_iterable(chosen)),
+                dtype=np.intp,
+                count=block_widths.sum(),
+            )
+            block_owner = np.repeat(np.arange(grouped.size), widths[grouped])
+            element_owner = np.repeat(block_owner, block_widths)
+            self._check_partitions(
+                grouped, elements, element_owner, block_widths, block_owner, sizes[grouped]
+            )
+            gathered = probs[elements + _starts(sizes)[grouped][element_owner]]
+            flat = _segment_sums(gathered, _starts(block_widths), block_widths)
+        if grouped.size < len(blocks):  # the vectors without blocks are their draws
+            direct = np.ones(len(blocks), dtype=bool)
+            direct[grouped] = False
+            merged = np.empty(int(widths.sum()))
+            merged[np.repeat(direct, widths)] = probs[np.repeat(direct, sizes)]
+            merged[np.repeat(~direct, widths)] = flat
+            flat = merged
         starts = _starts(widths)
         for v in np.flatnonzero(_rejected(flat, starts, widths)):
             try:
@@ -471,6 +595,7 @@ class _VectorValues:
 
     def _check_partitions(
         self,
+        grouped: np.ndarray,
         elements: np.ndarray,
         owner: np.ndarray,
         block_widths: np.ndarray,
@@ -481,6 +606,7 @@ class _VectorValues:
 
         The blocks of a vector must be nonempty and hold each element of
         0..n-1 exactly once: n elements, all in range, none repeated.
+        ``owner``, ``block_owner`` and ``n`` index the vectors ``grouped``.
         """
         vectors = len(n)
         in_range = (elements >= 0) & (elements < n[owner])
@@ -494,7 +620,7 @@ class _VectorValues:
             | _segments_with(block_widths == 0, block_owner, vectors)
         )
         for v in np.flatnonzero(bad)[:1]:
-            Partition(self._vectors[v].blocks, int(n[v]))
+            Partition(self._vectors[grouped[v]].blocks, int(n[v]))
 
     def _phi_totals(
         self, flat: np.ndarray, starts: np.ndarray, widths: np.ndarray
@@ -805,9 +931,10 @@ def max_entropy_check(
 ) -> VerificationReport:
     """Check H(uniform) >= H(P) for sampled P at each dimension.
 
-    For ``counterexample_HE`` the known offending distribution at n = 4 is
-    planted among the samples, so the report demonstrably contains at least
-    one violation there.
+    Each n is one cell of the campaign's row layout, seeded with
+    ``SeedSequence([rng_seed, n])``.  For ``counterexample_HE`` the known
+    offending distribution at n = 4 takes the place of sample 0, so the
+    report demonstrably contains at least one violation there.
     """
     label = spec.label()
     floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
@@ -821,16 +948,10 @@ def max_entropy_check(
         except GentropyError as exc:
             tops.append((n, _skip_reason(exc)))
             continue
-        identity = tuple((i,) for i in range(n))
-        planted: list[np.ndarray] = []
-        if spec.id == "counterexample_HE" and n == 4:
-            planted.append(np.array([0.2, 0.25, 0.25, 0.3]))
-        for case in range(samples):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([rng_seed, n, case])
-            )
-            p = planted.pop(0) if planted else _dirichlet_interior(n, rng, floor)
-            vectors.append(_Vector(0, p, identity))
+        probs, _ = _cell_draws([rng_seed, n], n, 0, samples, floor)
+        if spec.id == "counterexample_HE" and n == 4 and samples:
+            probs[0] = [0.2, 0.25, 0.25, 0.3]
+        vectors += [_Vector(0, p, None) for p in probs]
     values = _VectorValues([spec], vectors)
 
     entries: list[CaseRecord] = []
@@ -860,7 +981,7 @@ def max_entropy_check(
         rng_seed,
         tolerance,
         entries,
-        {"n_values": n_list, "samples": samples},
+        {"n_values": n_list, "samples": samples, "sampler": SAMPLER},
     )
 
 
@@ -907,21 +1028,33 @@ def _json_array(items: Iterable[str], level: int) -> str:
     return "[" + _PAD[level + 1] + _SEPARATOR[level + 1].join(items) + _PAD[level] + "]"
 
 
+def _finite_reprs(values) -> list[str] | None:
+    """``float.__repr__`` of every value, or None unless all are finite floats.
+
+    None also where finite values sum past the float range; callers then
+    encode value by value.
+    """
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:  # a value that is not a float
+        return None
+    return texts if math.isfinite(sum(values)) else None
+
+
 def _json_numbers(values, level: int = 3) -> str:
     """An array of scalars; an all-float array of finite values is encoded in bulk."""
-    if set(map(type, values)) == {float}:
-        items = list(map(float.__repr__, values))
-        if not ("nan" in items or "inf" in items or "-inf" in items):
-            return _json_array(items, level)
-    return _json_array(map(_json_scalar, values), level)
+    texts = _finite_reprs(values)
+    return _json_array(map(_json_scalar, values) if texts is None else texts, level)
+
+
+def _json_block(block, level: int = 4) -> str:
+    if set(map(type, block)) == {int}:
+        return _json_array(map(int.__repr__, block), level)
+    return _json_numbers(block, level)
 
 
 def _json_blocks(blocks, level: int = 3) -> str:
-    if set(map(type, chain.from_iterable(blocks))) == {int}:
-        inner = (_json_array(map(int.__repr__, block), level + 1) for block in blocks)
-    else:
-        inner = (_json_numbers(block, level + 1) for block in blocks)
-    return _json_array(inner, level)
+    return _json_array((_json_block(block, level + 1) for block in blocks), level)
 
 
 # CaseRecord fields in sorted-key order: (name, encoder, written even if None)
@@ -951,6 +1084,72 @@ def _json_entry(entry: CaseRecord) -> str:
     return "    {\n      " + ",\n      ".join(fields) + "\n    }"
 
 
+# A campaign case that was evaluated: every field but ``note`` and
+# ``skipped``, with a nonempty ``probs``.
+_FULL_ENTRY = """    {
+      "blocks_coarser": %s,
+      "blocks_finer": %s,
+      "index": %s,
+      "kind": %s,
+      "margin": %s,
+      "n": %s,
+      "passed": %s,
+      "probs": [
+        %s
+      ],
+      "spec": %s,
+      "value_coarser": %s,
+      "value_finer": %s
+    }"""
+
+
+def _json_entries(entries: Sequence[CaseRecord]) -> Iterable[str]:
+    """Each entry as :func:`_json_entry` writes it.
+
+    A full-shape entry is written from one template, its floats encoded in
+    bulk, and the encoding of each distinct blocks tuple, block, kind and
+    spec label is made once per call (values that compare equal share it,
+    as the records compare them).
+    """
+    memo: dict = {}
+
+    def once(value, encode) -> str:
+        text = memo.get(value)
+        if text is None:
+            text = memo[value] = encode(value)
+        return text
+
+    def blocks(value) -> str:  # as _json_blocks, each block encoded once too
+        text = memo.get(value)
+        if text is None:
+            text = memo[value] = _json_array([once(block, _json_block) for block in value], 3)
+        return text
+
+    for e in entries:
+        floats = None
+        if (
+            e.note is None and e.skipped is None and e.probs
+            and e.blocks_coarser is not None and e.blocks_finer is not None
+        ):
+            floats = _finite_reprs((*e.probs, e.margin, e.value_coarser, e.value_finer))
+        if floats is None:
+            yield _json_entry(e)
+            continue
+        yield _FULL_ENTRY % (
+            blocks(e.blocks_coarser),
+            blocks(e.blocks_finer),
+            _json_scalar(e.index),
+            once(e.kind, _json_scalar),
+            floats[-3],
+            _json_scalar(e.n),
+            _json_scalar(e.passed),
+            _SEPARATOR[4].join(floats[:-3]),
+            once(e.spec, _json_scalar),
+            floats[-2],
+            floats[-1],
+        )
+
+
 def _json_report(report: VerificationReport) -> str:
     try:
         head = json.dumps(
@@ -961,7 +1160,12 @@ def _json_report(report: VerificationReport) -> str:
     if not report.entries:
         return head + "\n"
     before, after = head.split(_ENTRIES_KEY, 1)
-    body = ",\n".join(map(_json_entry, report.entries))
+    # Joined a chunk at a time, so that only one chunk's entry strings, not
+    # the whole report's, are alive beside the text joined so far (an entry
+    # string is never empty, so "" marks the end).
+    entries = _json_entries(report.entries)
+    chunks = iter(lambda: ",\n".join(islice(entries, 1024)), "")
+    body = ",\n".join(chunks)
     return "".join((before, '\n  "entries": [\n', body, "\n  ]", after, "\n"))
 
 
@@ -1055,6 +1259,10 @@ def report_from_json(data: bytes | str) -> VerificationReport:
             violations=raw["violations"],
             skipped=raw["skipped"],
             min_margin=raw["min_margin"],
+            worst=None
+            if raw.get("worst") is None
+            else (raw["worst"]["spec_index"], raw["worst"]["n"], raw["worst"]["index"]),
+            skip_reasons=tuple(sorted(raw.get("skip_reasons", {}).items())),
         )
         for raw in obj["summary"]
     )

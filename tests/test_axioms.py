@@ -23,7 +23,7 @@ from gentropy import (
     residual_split_recursivity,
     residual_strong_additivity,
 )
-from gentropy import axioms
+from gentropy import axioms, verify
 from gentropy.axioms import AxiomResidual
 from gentropy.catalog import outer_map_prime, phi_prime
 from gentropy.distributions import _dirichlet_interior
@@ -355,12 +355,35 @@ def _reference_slope_budget(spec, a, b, inner_sum):
     return 50.0 * (1.0 + slope * max(outer, 1.0))
 
 
+def _sampler2_basic(samples, rng_seed, floor):
+    """Sampler 2 of the basic-axiom probe, one sample at a time.
+
+    Child streams of the seed give a row of 6 uniforms per sample for the
+    bases and another for the permutations, and a padding position per
+    sample.  Sample i has n = 2 + i % 5: its base is the first n uniforms
+    of its row as normalised exponentials, its permutation their ranks in
+    the other.  Bases at or below ``floor`` are redrawn afterwards, in
+    sample order, from the base stream.
+    """
+    bases, perms, pads = map(np.random.default_rng, np.random.SeedSequence(rng_seed).spawn(3))
+    u, w = bases.random((samples, 6)), perms.random((samples, 6))
+    positions = pads.integers(0, 3 + np.arange(samples) % 5)
+    draws = []
+    for index in range(samples):
+        n = 2 + index % 5
+        e = -np.log1p(-u[index, :n])
+        draws.append([e / e.sum(), np.argsort(w[index, :n]), int(positions[index])])
+    for index in range(samples):
+        if draws[index][0].min() <= floor:
+            draws[index][0] = _dirichlet_interior(2 + index % 5, bases, floor)
+    return draws
+
+
 def _reference_basic_axioms(spec, samples, rng_seed):
     """The per-sample loop, one FiniteDistribution and evaluate per vector.
 
     It reports the number of cases each axiom ran, which may be 0.
     """
-    rng = np.random.default_rng(rng_seed)
     f = spec.functional
     floor = 0.0 if f.zero_safe else 1e-6
 
@@ -370,9 +393,8 @@ def _reference_basic_axioms(spec, samples, rng_seed):
     cont = [(0.0, 1.0, {})]
     counts = {"positivity": 0, "symmetry": 0, "expandability": 0, "continuity": 0}
 
-    for index in range(samples):
+    for index, (p, perm, position) in enumerate(_sampler2_basic(samples, rng_seed, floor)):
         n = 2 + index % 5
-        p = _dirichlet_interior(n, rng, floor)
         dist = FiniteDistribution(p)
         try:
             value = evaluate(spec, dist)
@@ -383,7 +405,6 @@ def _reference_basic_axioms(spec, samples, rng_seed):
         if -value > neg[-1][0]:
             neg.append((-value, {"probs": p.tolist(), "value": value}))
 
-        perm = rng.permutation(n)
         permuted = evaluate(spec, FiniteDistribution(p[perm]))
         counts["symmetry"] += 1
         gap = abs(value - permuted)
@@ -391,7 +412,6 @@ def _reference_basic_axioms(spec, samples, rng_seed):
             sym.append((gap, {"probs": p.tolist(), "permutation": perm.tolist()}))
 
         if f.zero_safe:
-            position = int(rng.integers(0, n + 1))
             padded = np.insert(p, position, 0.0)
             try:
                 expanded = evaluate(spec, FiniteDistribution(padded))
@@ -532,22 +552,51 @@ def test_basic_axioms_raise_as_the_per_sample_loop_does():
     assert _outcome(check_basic_axioms, permuted, 300, 7) == (FloatingPointError, "refused")
 
 
-def test_basic_axioms_redraw_after_a_rejected_admitted_base(monkeypatch):
-    """Bases that _admit passes but h sends to inf skip their later draws.
+def _probe_vectors(monkeypatch, spec, samples, seed):
+    """The vectors ``check_basic_axioms`` hands the kernel."""
+    seen = []
+    kernel = verify._VectorValues
 
-    Each such base ends a round of draws; the next resumes after it.
+    def capture(specs, vectors):
+        seen.extend(vectors)
+        return kernel(specs, vectors)
+
+    monkeypatch.setattr(axioms, "_VectorValues", capture)
+    check_basic_axioms(spec, samples, seed)
+    return seen
+
+
+def test_basic_axiom_vectors_follow_the_three_streams(monkeypatch):
+    """Base, permuted, zero-padded and shifted vectors, from the sampler-2 draws."""
+    vectors = _probe_vectors(monkeypatch, SHANNON, 60, 3)
+    assert len(vectors) == 4 * 60
+    for i, (p, perm, position) in enumerate(_sampler2_basic(60, 3, 0.0)):
+        order = np.argsort(p)
+        shifted = p.copy()
+        shifted[order[-1]] -= 1e-8
+        shifted[order[-2]] += 1e-8
+        expected = [p, p[perm], np.insert(p, position, 0.0), shifted]
+        got = [v.probs for v in vectors[4 * i : 4 * i + 4]]
+        assert all(np.array_equal(v, e) for v, e in zip(got, expected))
+
+
+def test_kernel_rejected_bases_leave_every_draw_unchanged(monkeypatch):
+    """Bases that _admit passes but h rejects move no other sample's draws.
+
+    The same component with an h that is finite everywhere, and with one
+    that is NaN above 0.5 (most bases), gets the very same vectors.
     """
-    spec = _PER_VECTOR_SPECS[1]
-    calls = []
-    draw = axioms._dirichlet_interior
-    monkeypatch.setattr(
-        axioms, "_dirichlet_interior", lambda *args: calls.append(1) or draw(*args)
-    )
+    accepting = EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x), h=lambda y: y)
+    rejecting = _PER_VECTOR_SPECS[2]
     for seed in (0, 7):
-        calls.clear()
-        _assert_probes_match(spec, 300, seed)
-        assert len(calls) > 300  # the reference draws through its own import
-        assert 0 < check_basic_axioms(spec, 300, seed)[0].cases_run < 300
+        kept = check_basic_axioms(rejecting, 300, seed)[0].cases_run
+        assert 0 < kept < check_basic_axioms(accepting, 300, seed)[0].cases_run == 300
+        vectors = [_probe_vectors(monkeypatch, s, 300, seed) for s in (accepting, rejecting)]
+        assert len(vectors[0]) == len(vectors[1]) == 3 * 300
+        for a, b in zip(*vectors):
+            assert a.blocks is b.blocks is None
+            assert np.array_equal(a.probs, b.probs)
+        _assert_probes_match(rejecting, 300, seed)
 
 
 @pytest.mark.parametrize("delta, cases", [(2.0, 160), (3.0, 0)])

@@ -82,7 +82,7 @@ def test_verify_small_campaign_passes(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert len(report["entries"]) == 60
 
 
@@ -166,6 +166,41 @@ def test_non_positive_counts_are_usage_errors_before_running(capsys, monkeypatch
                           f"--cases={count}"], "--cases: " + message)
     _usage_error(capsys, ["axioms", "--entropy", '{"id":"shannon"}',
                           f"--samples={count}"], "--samples: " + message)
+
+
+def test_replay_prints_the_campaign_entry_and_its_verdict(capsys):
+    """The counterexample's worst case replays to its entry, a violation (exit 1)."""
+    selection = ("--entropy", '{"id":"shannon"}', "--entropy", '{"id":"counterexample_HE"}',
+                 "--seed", "3")
+    code, out, _ = run_cli(capsys, "verify", *selection, "--n", "4..5", "--cases", "6")
+    assert code == 1
+    report = json.loads(out)
+    worst = report["summary"][1]["worst"]
+    assert worst["spec_index"] == 1
+    code, out, _ = run_cli(capsys, "replay", *selection, "--spec-index", "1",
+                           "--n", str(worst["n"]), "--case", str(worst["index"]))
+    assert code == 1
+    entry = json.loads(out)
+    assert not entry["passed"] and entry["margin"] == report["summary"][1]["min_margin"]
+    assert entry in report["entries"]
+
+
+@pytest.mark.parametrize("coordinates, message", [
+    (("--spec-index", "1", "--n", "4", "--case", "0"), "spec index 1 is out of range"),
+    (("--spec-index", "0", "--n", "2", "--case", "0"), "n >= 3"),
+])
+def test_replay_rejects_coordinates_outside_the_campaign(capsys, coordinates, message):
+    code, out, err = run_cli(capsys, "replay", "--entropy", '{"id":"shannon"}', *coordinates)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_replay_needs_specs_and_a_non_negative_case(capsys):
+    code, out, err = run_cli(capsys, "replay", "--spec-index", "0", "--n", "3", "--case", "0")
+    assert code == 2 and out == ""
+    assert "replay needs --all or at least one --entropy" in err
+    _usage_error(capsys, ["replay", "--all", "--spec-index", "0", "--n", "3", "--case=-1"],
+                 "--case: must be a non-negative integer")
 
 
 def test_axioms_with_no_admissible_sample_fails(capsys):

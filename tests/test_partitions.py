@@ -1,5 +1,7 @@
 """Partition canonical form, refinement order, enumeration, and sampling."""
 
+from collections import Counter, defaultdict
+from fractions import Fraction
 import math
 
 import numpy as np
@@ -14,7 +16,11 @@ from gentropy import (
     random_refinement_pair,
 )
 from gentropy.errors import DimensionMismatch, TooLarge, TooSmall, ValidationError
-from gentropy.partitions import _random_refinement_pair
+from gentropy.partitions import (
+    _random_refinement_pair,
+    _refinement_pair_blocks,
+    pair_draw_width,
+)
 
 
 def independent_bell(n):
@@ -131,6 +137,100 @@ def test_random_refinement_pair_bounds_sweep():
     for _ in range(1000):
         finer, coarser = _random_refinement_pair(8, rng)
         assert 2 <= coarser.k < finer.k <= 8
+
+
+def _merges(blocks):
+    """Every merge of two blocks, in canonical form: each one of C(k, 2) equally likely."""
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
+            yield tuple(sorted(rest + (tuple(sorted(blocks[i] + blocks[j])),)))
+
+
+def _merge_step(law):
+    """The law after one more merge of a uniformly random pair of blocks."""
+    out = defaultdict(Fraction)
+    for blocks, p in law.items():
+        k = len(blocks)
+        for merged in _merges(blocks):
+            out[merged] += p / (k * (k - 1) // 2)
+    return out
+
+
+def _random_merge_law(n):
+    """Exact law of (finer, coarser) when pairs are merged at random.
+
+    k_A is uniform on [3, n] and k_B on [2, k_A - 1].  Starting from the
+    singletons, uniformly random pairs of blocks merge down to k_A blocks,
+    then on down to k_B: the sum over every merge sequence.
+    """
+    levels = {n: {tuple((i,) for i in range(n)): Fraction(1)}}
+    for k in range(n - 1, 1, -1):
+        levels[k] = _merge_step(levels[k + 1])
+    joint = defaultdict(Fraction)
+    for k_a in range(3, n + 1):
+        for finer, p_finer in levels[k_a].items():
+            law = {finer: Fraction(1)}
+            for _ in range(k_a - 2):  # k_B = k_A - 1 down to 2
+                law = _merge_step(law)
+                for coarser, p_coarser in law.items():
+                    joint[finer, coarser] += p_finer * p_coarser / ((n - 2) * (k_a - 2))
+    return joint
+
+
+def _chi_square(counts, probabilities, draws):
+    return sum(
+        (counts.get(cell, 0) - draws * float(p)) ** 2 / (draws * float(p))
+        for cell, p in probabilities.items()
+    )
+
+
+def _sampled_pairs(n, draws, seed):
+    rows = np.random.default_rng(seed).random((draws, pair_draw_width(n))).tolist()
+    return Counter(_refinement_pair_blocks(n, row) for row in rows)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_pair_sampler_has_the_random_merge_law(n):
+    """200k draws against the exact law of merging random block pairs."""
+    from scipy.stats import chi2
+
+    law = _random_merge_law(n)
+    assert sum(law.values()) == 1
+    finer_law = defaultdict(Fraction)
+    for (finer, _), p in law.items():
+        finer_law[finer] += p
+    for finer, p in finer_law.items():  # the closed form, times P(k_A = k)
+        k = len(finer)
+        assert p * (n - 2) == Fraction(
+            math.factorial(k) * math.factorial(k - 1) * math.factorial(n - k)
+            * math.prod(math.factorial(len(b)) for b in finer),
+            math.factorial(n) * math.factorial(n - 1),
+        )
+    draws = 200_000
+    counts = _sampled_pairs(n, draws, seed=n)
+    assert set(counts) <= set(law)
+    assert _chi_square(counts, law, draws) < chi2.ppf(0.999, len(law) - 1)
+
+
+def test_pair_sampler_block_counts_are_uniform():
+    """k_A uniform on [3, n]; k_B uniform on [2, k_A - 1] given k_A."""
+    from scipy.stats import chi2
+
+    n, draws = 8, 60_000
+    counts = _sampled_pairs(n, draws, seed=1)
+    k_a = Counter()
+    k_b = defaultdict(Counter)
+    for (finer, coarser), count in counts.items():
+        k_a[len(finer)] += count
+        k_b[len(finer)][len(coarser)] += count
+    uniform = {k: Fraction(1, n - 2) for k in range(3, n + 1)}
+    assert _chi_square(k_a, uniform, draws) < chi2.ppf(0.999, n - 3)
+    for k, given in k_b.items():
+        uniform = {j: Fraction(1, k - 2) for j in range(2, k)}
+        assert set(given) == set(uniform)
+        if k > 3:
+            assert _chi_square(given, uniform, k_a[k]) < chi2.ppf(0.999, k - 3)
 
 
 def test_random_refinement_pair_too_small():

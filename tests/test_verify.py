@@ -34,11 +34,12 @@ from gentropy.errors import (
     UnsupportedFormat,
     UserCallableError,
 )
-from gentropy.partitions import _random_refinement_pair
+from gentropy.partitions import pair_draw_width
 from gentropy.verify import (
     _INTERIOR_FLOOR,
     CaseRecord,
     VerificationReport,
+    _random_refinement_pair,
     _summarize,
 )
 
@@ -233,7 +234,8 @@ def test_emit_json_round_trip_lossless():
     rebuilt = report_from_json(blob)
     assert emit_report(rebuilt, "json") == blob
     parsed = json.loads(blob)
-    assert parsed["schema"] == 1
+    assert parsed["schema"] == 2
+    assert parsed["metadata"]["sampler"] == 2
     assert parsed["seed"] == 9
 
 
@@ -293,20 +295,42 @@ def test_user_callable_exceptions_become_recorded_skips():
 # The batched campaign kernel against the per-case loop
 # ---------------------------------------------------------------------------
 
+def _sampler2_rows(entropy, n, count, floor):
+    """Sampler 2, one case at a time: each case's draw and pair uniforms.
+
+    The cell's generator gives one row of uniforms per case, in case
+    order; a draw is its first n uniforms as normalised exponentials, and
+    one whose minimum is not above ``floor`` is redrawn from the case's
+    child stream.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    for case in range(count):
+        row = rng.random(n + pair_draw_width(n))
+        e = -np.log1p(-row[:n])
+        p = e / e.sum()
+        if p.min() <= floor:
+            child = np.random.SeedSequence(entropy, spawn_key=(case,))
+            p = _dirichlet_interior(n, np.random.default_rng(child), floor)
+        yield p, row[n:].tolist()
+
+
 def _reference_campaign(specs, n_values, cases_per_cell, rng_seed, tolerance=1e-9):
-    """The per-case campaign loop: coarse_grain + evaluate for every case."""
-    entries = []
+    """The per-case campaign loop: coarse_grain + evaluate for every case.
+
+    Returns the entries and each one's spec index.
+    """
+    entries, spec_indices = [], []
     for s_index, spec in enumerate(specs):
         label = spec.label()
         floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
         for n in sorted(set(n_values)):
-            for case in range(cases_per_cell):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([rng_seed, s_index, n, case])
-                )
-                p = _dirichlet_interior(n, rng, floor)
+            rows = _sampler2_rows([rng_seed, s_index, n], n, cases_per_cell, floor)
+            for case, (p, pair_uniforms) in enumerate(rows):
+                spec_indices.append(s_index)
                 dist = FiniteDistribution(p)
-                finer, coarser = _random_refinement_pair(n, rng)
+                finer, coarser = (
+                    Partition(blocks, n) for blocks in _random_refinement_pair(n, pair_uniforms)
+                )
                 common = dict(
                     kind="monotonicity",
                     spec=label,
@@ -333,14 +357,14 @@ def _reference_campaign(specs, n_values, cases_per_cell, rng_seed, tolerance=1e-
                         **common,
                     )
                 )
-    return tuple(entries)
+    return tuple(entries), spec_indices
 
 
 def _assert_matches_reference(specs, n_values, cases, seed):
     report = run_monotonicity_campaign(specs, n_values, cases, seed)
-    expected = _reference_campaign(specs, n_values, cases, seed)
+    expected, spec_indices = _reference_campaign(specs, n_values, cases, seed)
     assert report.entries == expected
-    assert report.summary == _summarize(expected)
+    assert report.summary == _summarize(expected, spec_indices)
 
 
 def test_campaign_kernel_equals_per_case_loop_exactly():
@@ -371,6 +395,88 @@ def _with_batch_refusing_phi(spec):
     return spec
 
 
+def test_campaign_cases_do_not_depend_on_the_case_count():
+    """Every cell's first 3 entries at --cases 3 are those at --cases 5."""
+    specs = default_campaign_specs()
+    short = run_monotonicity_campaign(specs, range(3, 7), 3, rng_seed=0).entries
+    long = run_monotonicity_campaign(specs, range(3, 7), 5, rng_seed=0).entries
+    assert len(short) == len(specs) * 4 * 3
+    assert short == tuple(e for e in long if e.index < 3)
+
+
+def test_floor_redraw_moves_no_other_case():
+    """Case 581 of cell (seed 0, spec 0, n = 12) draws a minimum of 6.8e-7.
+
+    Below the interior floor it is redrawn from its own child stream; every
+    other case, and every case's pair, is what the unfloored draw gives.
+    """
+    floored = run_monotonicity_campaign([EntropySpec("s_cd", c=0.5, d=1.0)], [12], 600, 0)
+    unfloored = run_monotonicity_campaign([SHANNON], [12], 600, 0)
+    moved = []
+    for a, b in zip(floored.entries, unfloored.entries):
+        assert (a.blocks_finer, a.blocks_coarser) == (b.blocks_finer, b.blocks_coarser)
+        if a.probs != b.probs:
+            moved.append(a.index)
+            assert min(a.probs) > _INTERIOR_FLOOR >= min(b.probs)
+    assert moved == [581]
+    child = np.random.SeedSequence([0, 0, 12], spawn_key=(581,))
+    redraw = _dirichlet_interior(12, np.random.default_rng(child), _INTERIOR_FLOOR)
+    assert floored.entries[581].probs == tuple(redraw.tolist())
+
+
+def _cli_json(capsys, *argv):
+    from gentropy.cli import main
+
+    code = main(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_replay_reproduces_every_worst_case(capsys):
+    """Each summary's worst case replays, alone, to its report entry."""
+    selection = ("--all", "--seed", "7")
+    code, report = _cli_json(capsys, "verify", *selection, "--n", "3..6", "--cases", "4")
+    assert code == 0
+    entries = {(e["spec"], e["n"], e["index"]): e for e in report["entries"]}
+    located = 0
+    for s_index, summary in enumerate(report["summary"]):
+        worst = summary["worst"]
+        if worst is None:
+            assert summary["skipped"] == summary["cases"]
+            continue
+        assert worst["spec_index"] == s_index
+        coordinates = ("--spec-index", str(s_index), "--n", str(worst["n"]))
+        coordinates += ("--case", str(worst["index"]))
+        code, entry = _cli_json(capsys, "replay", *selection, *coordinates)
+        assert code == 0
+        assert entry == entries[summary["spec"], worst["n"], worst["index"]]
+        assert entry["margin"] == summary["min_margin"]
+        located += 1
+    assert located == len(report["summary"])
+
+
+def test_summary_counts_skips_per_reason_and_locates_the_worst_case():
+    report = run_monotonicity_campaign(
+        [SHANNON, EntropySpec("s_delta", delta=2.0), HE], [3, 4], 20, rng_seed=3
+    )
+    for s_index, summary in enumerate(report.summary):
+        group = [e for e in report.entries if e.spec == summary.spec]
+        reasons = {}
+        for e in group:
+            if e.skipped:
+                reasons[e.skipped] = reasons.get(e.skipped, 0) + 1
+        assert dict(summary.skip_reasons) == reasons
+        assert summary.skipped == sum(reasons.values())
+        spec_index, n, index = summary.worst
+        worst = next(e for e in group if (e.n, e.index) == (n, index))
+        assert spec_index == s_index
+        assert worst.margin == summary.min_margin
+    assert report.summary[1].skip_reasons  # n = 2 blocks exceed the s_delta bound
+    assert report.summary[2].violations > 0
+    assert report_from_json(emit_report(report)).summary == report.summary
+    tied = [CaseRecord("hand", "x", 3, index, True, margin=0.0) for index in range(3)]
+    assert _summarize(tied, [4, 5, 6])[0].worst == (4, 3, 0)  # the first of equal margins
+
+
 def test_campaign_kernel_falls_back_when_batched_phi_raises():
     """A phi that fails on the batch is evaluated one vector at a time."""
     spec = _with_batch_refusing_phi(EntropySpec("tsallis", q=2.0))
@@ -399,9 +505,28 @@ def _hand_built_report():
     return VerificationReport("hand \u00e9", None, 1e-9, (record,), _summarize([record]))
 
 
+def _mixed_report():
+    """Full-shape campaign entries beside skipped, noted and odd-valued ones."""
+    campaign = run_monotonicity_campaign(
+        [EntropySpec("s_delta", delta=2.0), SHANNON], [3, 4], 3, rng_seed=5
+    )
+    full = next(e for e in campaign.entries if e.skipped is None)
+    entries = list(campaign.entries) + [
+        replace(full, note="noted"),
+        replace(full, probs=()),
+        replace(full, value_finer=1),
+        replace(full, margin=np.float64(0.5)),
+        replace(full, margin=1.5e308, value_coarser=1.5e308),
+        replace(full, blocks_finer=None),
+    ]
+    assert any(e.skipped for e in entries)
+    return VerificationReport("mixed", 5, 1e-9, tuple(entries), _summarize(entries))
+
+
 def test_emit_json_equals_json_dumps():
     uniform4 = FiniteDistribution([0.1, 0.2, 0.3, 0.4])
     reports = [
+        _mixed_report(),
         run_monotonicity_campaign(
             [EntropySpec("s_delta", delta=2.0), SHANNON, HE], [3, 4], 4, rng_seed=5
         ),
@@ -412,7 +537,7 @@ def test_emit_json_equals_json_dumps():
         max_entropy_check(HE, [3, 4], 6, rng_seed=2),
         _hand_built_report(),
     ]
-    assert any(e.skipped for e in reports[0].entries)
+    assert any(e.skipped for e in reports[1].entries)
     for report in reports:
         expected = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
         assert emit_report(report, "json") == (expected + "\n").encode("utf-8")
@@ -552,12 +677,10 @@ def _reference_max_entropy(spec, n_values, samples, rng_seed, tolerance=1e-9):
                 )
             )
             continue
-        planted = []
-        if spec.id == "counterexample_HE" and n == 4:
-            planted.append(np.array([0.2, 0.25, 0.25, 0.3]))
-        for case in range(samples):
-            rng = np.random.default_rng(np.random.SeedSequence([rng_seed, n, case]))
-            p = planted.pop(0) if planted else _dirichlet_interior(n, rng, floor)
+        rows = _sampler2_rows([rng_seed, n], n, samples, floor)
+        for case, (p, _) in enumerate(rows):
+            if spec.id == "counterexample_HE" and n == 4 and case == 0:
+                p = np.array([0.2, 0.25, 0.25, 0.3])
             common = dict(
                 kind="max_entropy", spec=label, n=n, index=case, probs=tuple(p.tolist())
             )
@@ -578,7 +701,7 @@ def _reference_max_entropy(spec, n_values, samples, rng_seed, tolerance=1e-9):
                     **common,
                 )
             )
-    metadata = {"n_values": n_list, "samples": samples}
+    metadata = {"n_values": n_list, "samples": samples, "sampler": 2}
     return VerificationReport(
         "max-entropy", rng_seed, tolerance, tuple(entries), _summarize(entries), metadata
     )
