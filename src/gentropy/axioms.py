@@ -62,7 +62,7 @@ from .errors import (
     ValidationError,
     ZeroUnsupported,
 )
-from .verify import _INTERIOR_FLOOR, _Vector, _VectorValues
+from .verify import _INTERIOR_FLOOR, _Vector, _VectorValues, _require_non_negative
 
 _CONTINUITY_EPS = 1e-8
 
@@ -284,6 +284,7 @@ def check_basic_axioms(
     all of its vectors (see ``_draw_basic``), and those of a sample whose
     base is rejected go unused.
     """
+    _require_non_negative(samples=samples, rng_seed=rng_seed)
     f = spec.functional
     draws, vectors = _draw_basic(spec, samples, rng_seed)
     values = _VectorValues([spec], vectors)
@@ -358,6 +359,7 @@ def check_product_composability(
     entry of the ``axioms`` command, or None for a functional with no known
     composition constant gamma.  An evaluation error raises.
     """
+    _require_non_negative(samples=samples, rng_seed=rng_seed)
     gamma = pseudo_additivity_gamma(spec)
     if gamma is None:
         return None

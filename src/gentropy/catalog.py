@@ -95,8 +95,8 @@ class _Functional:
     """Resolved, parameter-bound form of one catalog entry.
 
     ``check_n``, when present, vets the dimension before evaluation.
-    ``elementwise`` says that ``phi`` maps each entry on its own, so it can
-    run once on many distributions laid end to end.
+    ``phi`` maps each entry on its own, so it can run once on many
+    distributions laid end to end.
     """
 
     phi: ArrayFn
@@ -107,7 +107,6 @@ class _Functional:
     h_prime: Callable[[float], float] | None = None
     breakpoints: tuple[float, ...] = ()
     check_n: Callable[[int], None] | None = None
-    elementwise: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +444,6 @@ def _h_phi_custom(params: dict) -> _Functional:
         phi_at_zero=user["phi"](0.0) if zero_safe else None,
         h=user.get("h"),
         h_prime=user.get("h_prime"),
-        elementwise=False,  # a user phi need not be
     )
 
 
@@ -472,7 +470,6 @@ class _Family:
     validate: Callable[[dict], None] = _no_checks
     optional: tuple[str, ...] = ()
     samples: tuple[dict, ...] = ()
-    json_safe: bool = True
 
 
 def _each(name: str, *values: float) -> tuple[dict, ...]:
@@ -496,7 +493,7 @@ _FAMILIES: dict[str, _Family] = {
         samples=_each("q", 0.5, 2.0, 3.0)),
     "h_phi_custom": _Family(
         ("phi",), _h_phi_custom, validate=_validate_h_phi_custom,
-        optional=("h", "phi_prime", "h_prime", "zero_safe"), json_safe=False,
+        optional=("h", "phi_prime", "h_prime", "zero_safe"),
     ),
     "genetic": _Family((), lambda p: _Functional(
         phi=lambda x: x - x**2 - x**2 * (1.0 - x) ** 2,
@@ -714,8 +711,7 @@ class EntropySpec:
 
 def spec_to_json(spec: EntropySpec) -> str:
     """Serialize as ``{"id": ..., "params": {...}}`` (callables rejected)."""
-    if not _FAMILIES[spec.id].json_safe:
-        raise ValidationError(f"{spec.id!r} holds callables and has no JSON form")
+    _reject_callables(spec.id, spec.params)
     params = {
         key: (list(value) if isinstance(value, tuple) else value)
         for key, value in spec.params.items()
@@ -729,11 +725,15 @@ def spec_from_json(source: str | Mapping[str, Any]) -> EntropySpec:
         raise ValidationError('entropy JSON must be {"id": ..., "params": {...}}')
     spec_id = data["id"]
     params = data.get("params", {})
-    if spec_id in _FAMILIES and not _FAMILIES[spec_id].json_safe:
-        raise ValidationError(f"{spec_id!r} cannot be built from JSON")
     if not isinstance(params, dict):
         raise ValidationError('"params" must be an object')
+    _reject_callables(spec_id, params)
     return EntropySpec(spec_id, params)
+
+
+def _reject_callables(spec_id: str, params: Mapping[str, Any]) -> None:
+    if any(callable(value) for value in params.values()):
+        raise ValidationError(f"{spec_id!r} holds callables and has no JSON form")
 
 
 # ---------------------------------------------------------------------------

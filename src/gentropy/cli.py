@@ -38,7 +38,7 @@ from .catalog import (
 )
 from .classify import check_concavity, check_outer_map_pairing, check_slope_condition
 from .distributions import FiniteDistribution, coarse_grain
-from .errors import GentropyError, NonFinite
+from .errors import GentropyError, NonFinite, ValidationError
 from .partitions import Partition, bell_number, enumerate_partitions
 
 _HE_CURVE_SAMPLES = 401
@@ -56,35 +56,37 @@ def _read_source(value: str) -> str:
         raise GentropyError(f"cannot read {value!r}: {exc}") from exc
 
 
-def _parse_entropy(value: str) -> EntropySpec:
-    text = _read_source(value)
+def _load_json(text: str, what: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise GentropyError(f"bad entropy JSON: {exc}") from exc
-    return spec_from_json(data)
+        raise ValidationError(f"bad {what} JSON: {exc}") from exc
+
+
+def _parse_entropy(value: str) -> EntropySpec:
+    return spec_from_json(_load_json(_read_source(value), "entropy"))
 
 
 def _parse_dist(value: str) -> FiniteDistribution:
     text = _read_source(value)
     stripped = text.strip()
     if stripped.startswith("["):
-        return FiniteDistribution(json.loads(stripped))
+        return FiniteDistribution(_load_json(stripped, "distribution"))
     if stripped.startswith("{"):
         return FiniteDistribution.from_json(stripped)
     return FiniteDistribution.from_csv(text)
 
 
-def _parse_partition(value: str, ground_size: int | None = None) -> Partition:
-    text = _read_source(value)
-    return Partition.from_json(text, ground_size)
-
-
-def _parse_n_range(value: str) -> list[int]:
-    if ".." in value:
-        lo, hi = value.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in value.split(",")]
+def _n_range(value: str) -> list[int]:
+    """The dimensions of ``lo..hi`` or ``a,b,c``; a malformed or empty range is refused."""
+    lo, dots, hi = value.partition("..")
+    try:
+        n_values = list(range(int(lo), int(hi) + 1) if dots else map(int, value.split(",")))
+    except ValueError:
+        n_values = []
+    if not n_values:
+        raise argparse.ArgumentTypeError(f"must name dimensions as lo..hi or a,b,c: {value!r}")
+    return n_values
 
 
 def _print_json(payload) -> None:
@@ -109,7 +111,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_coarsen(args: argparse.Namespace) -> int:
     dist = _parse_dist(args.dist)
-    partition = _parse_partition(args.partition, dist.n)
+    partition = Partition.from_json(_read_source(args.partition), dist.n)
     print(coarse_grain(dist, partition).to_json())
     return 0
 
@@ -125,7 +127,7 @@ def _campaign_specs(args: argparse.Namespace) -> list[EntropySpec]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_mod.run_monotonicity_campaign(
         _campaign_specs(args),
-        _parse_n_range(args.n),
+        args.n,
         args.cases,
         args.seed,
         tolerance=args.tolerance,
@@ -289,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a monotonicity campaign")
     _add_campaign_arguments(p_verify)
-    p_verify.add_argument("--n", default="3..8", help="dimension range, e.g. 3..8 or 3,5,7")
+    p_verify.add_argument(
+        "--n", type=_n_range, default="3..8", help="dimension range, e.g. 3..8 or 3,5,7"
+    )
     p_verify.add_argument(
         "--cases", type=_positive_int, default=200, help="cases per (spec, n)"
     )

@@ -43,7 +43,10 @@ class FiniteDistribution:
     __slots__ = ("_probs",)
 
     def __init__(self, probs: Sequence[float] | np.ndarray):
-        arr = np.asarray(probs, dtype=float).copy()
+        try:
+            arr = np.asarray(probs, dtype=float).copy()
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"probs must be numbers: {exc}") from exc
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("probs must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(arr)):
@@ -91,7 +94,10 @@ class FiniteDistribution:
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteDistribution":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"bad distribution JSON: {exc}") from exc
         if not isinstance(data, dict) or "probs" not in data:
             raise ValidationError('distribution JSON must be {"probs": [...]}')
         return cls(data["probs"])

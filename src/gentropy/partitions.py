@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 import json
+import operator
 
 import numpy as np
 
@@ -38,7 +39,10 @@ class Partition:
     __slots__ = ("_blocks", "_ground_size")
 
     def __init__(self, blocks: Iterable[Iterable[int]], ground_size: int):
-        cleaned = [tuple(sorted(int(x) for x in block)) for block in blocks]
+        try:
+            cleaned = [tuple(sorted(map(operator.index, block))) for block in blocks]
+        except TypeError as exc:
+            raise ValidationError(f"blocks must hold integer indices: {exc}") from exc
         if any(len(block) == 0 for block in cleaned):
             raise ValidationError("blocks must be nonempty")
         cleaned.sort(key=lambda block: block[0])
@@ -120,10 +124,13 @@ class Partition:
 
     @classmethod
     def from_json(cls, text: str, ground_size: int | None = None) -> "Partition":
-        data = json.loads(text)
-        if not isinstance(data, dict) or "blocks" not in data:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"bad partition JSON: {exc}") from exc
+        blocks = data.get("blocks") if isinstance(data, dict) else None
+        if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
             raise ValidationError('partition JSON must be {"blocks": [[..], ..]}')
-        blocks = data["blocks"]
         if ground_size is None:
             ground_size = sum(len(b) for b in blocks)
         return cls(blocks, ground_size)

@@ -35,13 +35,16 @@ vector's components.  Its results equal, bit for bit, those of
   aggregating by singletons gives;
 * the outer map ``h`` is applied to each total by the same scalar callable
   (``math.log``, ``math.expm1``), never by a vectorised numpy twin;
-* the checks of ``FiniteDistribution``, ``Partition`` and ``evaluate`` run
-  vectorised, and a failing vector gets the error the per-case path gives.
+* its inputs are ones the per-case path accepts: every draw a vector
+  ``FiniteDistribution`` accepts (a validated ``probs``, a sampler draw or
+  a pinned vector) and every ``blocks`` the canonical blocks of a partition
+  of its indices.  The kernel trusts this and repeats neither constructor's
+  checks; the checks of ``evaluate`` run vectorised, and a vector they
+  reject gets the reason ``evaluate`` gives.
 
-Functionals whose ``phi`` is not elementwise (``h_phi_custom``), and any
-functional whose batched ``phi`` raises, fall back to ``coarse_grain`` and
-``evaluate`` one vector at a time, so ``evaluate`` stays the definition of
-a value.  Report bytes therefore depend on numpy's summation order: a
+Any functional whose batched ``phi`` raises falls back to ``coarse_grain``
+and ``evaluate`` one vector at a time, so ``evaluate`` stays the definition
+of a value.  Report bytes therefore depend on numpy's summation order: a
 change to the kernel must keep the reference tests in
 ``tests/test_verify.py`` passing.
 
@@ -61,7 +64,7 @@ looked up in this module, where the benchmark's tracer times them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple, Sequence
@@ -72,13 +75,7 @@ import math
 import numpy as np
 
 from .catalog import EntropySpec, _admit, _outer_value, evaluate, phi_prime
-from .distributions import (
-    SUM_TOLERANCE,
-    FiniteDistribution,
-    _dirichlet_interior,
-    _flat_dirichlet,
-    coarse_grain,
-)
+from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet, coarse_grain
 from .errors import GentropyError, NonFinite, TooLarge, UnsupportedFormat, ValidationError
 from .partitions import Partition, _Blocks, enumerate_partitions, pair_draw_width
 # The pair sampler, looked up per case under the name perfbench's tracer
@@ -90,6 +87,7 @@ REPORT_SCHEMA = 2
 SAMPLER = 2  # the draw layout of campaigns and max_entropy_check (see module doc)
 
 _INTERIOR_FLOOR = 1e-6  # resampling floor for functionals that reject zeros
+_WORST_KEYS = ("spec_index", "n", "index")  # SpecSummary.worst in JSON
 
 
 @dataclass(frozen=True)
@@ -116,30 +114,8 @@ class CaseRecord:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        data = {
-            "kind": self.kind,
-            "spec": self.spec,
-            "n": self.n,
-            "index": self.index,
-            "passed": self.passed,
-        }
-        if self.probs is not None:
-            data["probs"] = list(self.probs)
-        if self.blocks_finer is not None:
-            data["blocks_finer"] = [list(b) for b in self.blocks_finer]
-        if self.blocks_coarser is not None:
-            data["blocks_coarser"] = [list(b) for b in self.blocks_coarser]
-        if self.value_finer is not None:
-            data["value_finer"] = self.value_finer
-        if self.value_coarser is not None:
-            data["value_coarser"] = self.value_coarser
-        if self.margin is not None:
-            data["margin"] = self.margin
-        if self.skipped is not None:
-            data["skipped"] = self.skipped
-        if self.note is not None:
-            data["note"] = self.note
-        return data
+        """The fields a JSON report writes (see ``_ENTRY_FIELDS``), tuples as lists."""
+        return {name: _listed(value) for name, _, value in _written_fields(self)}
 
 
 @dataclass(frozen=True)
@@ -160,16 +136,9 @@ class SpecSummary:
     skip_reasons: tuple[tuple[str, int], ...] = ()
 
     def to_dict(self) -> dict:
-        worst = None
-        if self.worst is not None:
-            worst = dict(zip(("spec_index", "n", "index"), self.worst))
         return {
-            "spec": self.spec,
-            "cases": self.cases,
-            "violations": self.violations,
-            "skipped": self.skipped,
-            "min_margin": self.min_margin,
-            "worst": worst,
+            **asdict(self),
+            "worst": None if self.worst is None else dict(zip(_WORST_KEYS, self.worst)),
             "skip_reasons": dict(self.skip_reasons),
         }
 
@@ -211,17 +180,19 @@ class VerificationReport:
 def _summarize(
     entries: Sequence[CaseRecord], spec_indices: Sequence[int] | None = None
 ) -> tuple[SpecSummary, ...]:
-    """One summary per spec label, in order of first appearance.
+    """One summary per spec, in order of first appearance.
 
     ``spec_indices`` gives each entry's spec index (all 0 when omitted, as
-    for a single-spec report); the worst case is the first entry holding
-    the minimum margin.
+    for a single-spec report).  Entries are grouped by spec index and label,
+    so two specs that share a label keep their own summaries; the worst
+    case is the first entry holding the minimum margin.
     """
-    buckets: dict[str, list[int]] = {}
+    buckets: dict[tuple[int, str], list[int]] = {}
     for i, entry in enumerate(entries):
-        buckets.setdefault(entry.spec, []).append(i)
+        s_index = 0 if spec_indices is None else spec_indices[i]
+        buckets.setdefault((s_index, entry.spec), []).append(i)
     out = []
-    for label, group in buckets.items():
+    for (s_index, label), group in buckets.items():
         violations, min_margin, worst, reasons = 0, None, None, {}
         for i in group:
             e = entries[i]
@@ -231,7 +202,7 @@ def _summarize(
             violations += not e.passed
             if e.margin is not None and (min_margin is None or e.margin < min_margin):
                 min_margin = e.margin
-                worst = (0 if spec_indices is None else spec_indices[i], e.n, e.index)
+                worst = (s_index, e.n, e.index)
         out.append(
             SpecSummary(
                 spec=label,
@@ -304,6 +275,7 @@ def run_monotonicity_campaign(
     at 1e-6 for functionals rejecting zeros), a strict refinement pair
     (finer A, coarser B), and the assertion H(P^B) <= H(P^A) + tolerance.
     """
+    _require_non_negative(cases_per_cell=cases_per_cell, rng_seed=rng_seed)
     n_list = _campaign_dimensions(n_values)
     cells = [(s_index, n, 0, cases_per_cell) for s_index in range(len(specs)) for n in n_list]
     entries, spec_indices = _campaign_entries(specs, cells, rng_seed, tolerance)
@@ -339,10 +311,16 @@ def replay_case(
     """
     if not 0 <= spec_index < len(specs):
         raise ValidationError(f"spec index {spec_index} is out of range for {len(specs)} specs")
-    if case < 0:
-        raise ValidationError(f"case must be >= 0, got {case}")
+    _require_non_negative(case=case, rng_seed=rng_seed)
     cells = [(spec_index, _campaign_dimensions([n])[0], case, 1)]
     return _campaign_entries(specs, cells, rng_seed, tolerance)[0][0]
+
+
+def _require_non_negative(**counts: int) -> None:
+    """Reject a negative seed or count here, not where numpy meets it."""
+    for name, value in counts.items():
+        if value < 0:
+            raise ValidationError(f"{name} must be >= 0, got {value}")
 
 
 def _campaign_dimensions(n_values: Iterable[int]) -> list[int]:
@@ -471,25 +449,16 @@ def _segment_sums(values: np.ndarray, starts: np.ndarray, widths: np.ndarray) ->
     return out
 
 
-def _segments_with(mask: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray:
-    """Which of ``count`` segments hold an element where ``mask`` is set."""
-    return np.bincount(owner[mask], minlength=count) > 0
-
-
-def _rejected(values: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Segments that ``FiniteDistribution`` would reject.
-
-    A segment is rejected for an entry that is negative or not finite, or
-    for a total further than ``SUM_TOLERANCE`` from 1.
-    """
-    owner = np.repeat(np.arange(len(starts)), widths)
-    bad_entry = ~np.isfinite(values) | (values < 0.0)
-    off = np.abs(_segment_sums(values, starts, widths) - 1.0) > SUM_TOLERANCE
-    return _segments_with(bad_entry, owner, len(starts)) | off
-
-
 def _skip_reason(exc: GentropyError) -> str:
     return f"{type(exc).__name__}: {exc}"
+
+
+def _evaluated(spec: EntropySpec, dist: FiniteDistribution) -> float | str:
+    """``evaluate(spec, dist)``, or the reason it fails."""
+    try:
+        return evaluate(spec, dist)
+    except GentropyError as exc:
+        return _skip_reason(exc)
 
 
 class _VectorValues:
@@ -498,31 +467,32 @@ class _VectorValues:
     Vector ``v`` is ``vectors[v].probs`` aggregated by ``vectors[v].blocks``
     and evaluated under ``specs[vectors[v].spec_index]``; the vectors must
     be grouped by ascending spec index.  :meth:`value` gives a vector's
-    entropy as a float, or as a str the reason ``coarse_grain`` or
-    ``evaluate`` would fail on it.  A draw that ``FiniteDistribution``
-    rejects, or blocks that ``Partition`` rejects, raise what they raise.
+    entropy as a float, or as a str the reason ``evaluate`` would fail on
+    it.
+
+    Input contract: each ``probs`` is a vector ``FiniteDistribution``
+    accepts, and each ``blocks`` the canonical blocks of a partition of
+    ``range(len(probs))``.  The kernel does not check either; its callers
+    are the private draw phases of this module and of ``axioms``, which
+    hand it validated ``FiniteDistribution.probs``, sampler draws and
+    canonical blocks.
     """
 
     def __init__(self, specs: Sequence[EntropySpec], vectors: list[_Vector]):
         self._specs = specs
         self._vectors = vectors
         self._reasons: dict[int, str] = {}
-        self._fallback = {s for s, spec in enumerate(specs) if not spec.functional.elementwise}
+        self._fallback: set[int] = set()
         if vectors:
             sizes = np.array([len(vector.probs) for vector in vectors], dtype=np.intp)
             probs = np.concatenate([vector.probs for vector in vectors])
-            for v in np.flatnonzero(_rejected(probs, _starts(sizes), sizes))[:1]:
-                FiniteDistribution(vectors[v].probs)  # raises as the per-case path did
             self._totals = self._phi_totals(*self._coarse_grain_all(probs, sizes))
 
     def value(self, v: int) -> float | str:
         vector = self._vectors[v]
         spec = self._specs[vector.spec_index]
         if vector.spec_index in self._fallback:
-            try:
-                return evaluate(spec, self._coarse(vector))
-            except GentropyError as exc:
-                return _skip_reason(exc)
+            return _evaluated(spec, self._coarse(vector))
         if v in self._reasons:
             return self._reasons[v]
         try:
@@ -553,9 +523,8 @@ class _VectorValues:
 
         ``probs`` holds the vectors' draws end to end, ``sizes`` their
         lengths.  Returns the coarse-grained vectors laid end to end, with
-        each one's start and width, and records the reason for each vector
-        ``FiniteDistribution`` would reject.  A vector without blocks is
-        copied as it is; only the others are gathered and summed.
+        each one's start and width.  A vector without blocks is copied as it
+        is; only the others are gathered and summed.
         """
         blocks = [vector.blocks for vector in self._vectors]
         grouped = [v for v, b in enumerate(blocks) if b is not None]
@@ -573,9 +542,6 @@ class _VectorValues:
             )
             block_owner = np.repeat(np.arange(grouped.size), widths[grouped])
             element_owner = np.repeat(block_owner, block_widths)
-            self._check_partitions(
-                grouped, elements, element_owner, block_widths, block_owner, sizes[grouped]
-            )
             gathered = probs[elements + _starts(sizes)[grouped][element_owner]]
             flat = _segment_sums(gathered, _starts(block_widths), block_widths)
         if grouped.size < len(blocks):  # the vectors without blocks are their draws
@@ -585,42 +551,7 @@ class _VectorValues:
             merged[np.repeat(direct, widths)] = probs[np.repeat(direct, sizes)]
             merged[np.repeat(~direct, widths)] = flat
             flat = merged
-        starts = _starts(widths)
-        for v in np.flatnonzero(_rejected(flat, starts, widths)):
-            try:
-                FiniteDistribution(flat[starts[v] : starts[v] + widths[v]])
-            except GentropyError as exc:
-                self._reasons[int(v)] = _skip_reason(exc)
-        return flat, starts, widths
-
-    def _check_partitions(
-        self,
-        grouped: np.ndarray,
-        elements: np.ndarray,
-        owner: np.ndarray,
-        block_widths: np.ndarray,
-        block_owner: np.ndarray,
-        n: np.ndarray,
-    ) -> None:
-        """Raise what ``Partition`` raises on the first block tuple that is none.
-
-        The blocks of a vector must be nonempty and hold each element of
-        0..n-1 exactly once: n elements, all in range, none repeated.
-        ``owner``, ``block_owner`` and ``n`` index the vectors ``grouped``.
-        """
-        vectors = len(n)
-        in_range = (elements >= 0) & (elements < n[owner])
-        seen = np.bincount(
-            owner * n.max() + np.where(in_range, elements, 0), minlength=vectors * n.max()
-        )
-        bad = (
-            (np.bincount(owner, minlength=vectors) != n)
-            | _segments_with(~in_range, owner, vectors)
-            | (seen.reshape(vectors, -1) > 1).any(axis=1)
-            | _segments_with(block_widths == 0, block_owner, vectors)
-        )
-        for v in np.flatnonzero(bad)[:1]:
-            Partition(self._vectors[grouped[v]].blocks, int(n[v]))
+        return flat, _starts(widths), widths
 
     def _phi_totals(
         self, flat: np.ndarray, starts: np.ndarray, widths: np.ndarray
@@ -632,9 +563,9 @@ class _VectorValues:
         the per-vector path.
         """
         vectors = len(widths)
-        has_zero = _segments_with(flat == 0.0, np.repeat(np.arange(vectors), widths), vectors)
+        owner = np.repeat(np.arange(vectors), widths)
+        has_zero = np.bincount(owner[flat == 0.0], minlength=vectors) > 0
         rejected = np.zeros(vectors, dtype=bool)
-        rejected[list(self._reasons)] = True
         phis = np.zeros_like(flat)
         spec_of_vector = np.array([vector.spec_index for vector in self._vectors])
         bounds = np.searchsorted(spec_of_vector, np.arange(len(self._specs) + 1))
@@ -647,9 +578,9 @@ class _VectorValues:
                     _admit(spec, width, zero)
                 except GentropyError as exc:
                     hit = (widths[lo:hi] == width) & (has_zero[lo:hi] == zero)
-                    for v in lo + np.flatnonzero(hit & ~rejected[lo:hi]):
+                    rejected[lo:hi] |= hit
+                    for v in lo + np.flatnonzero(hit):
                         self._reasons[int(v)] = _skip_reason(exc)
-                        rejected[v] = True
             ok = np.repeat(~rejected[lo:hi], widths[lo:hi])
             segment = slice(starts[lo], starts[hi - 1] + widths[hi - 1])
             try:
@@ -671,7 +602,7 @@ def _partition_values(
     The partitions come in enumeration order as canonical blocks.  The
     identity comes last in that order and gets no value here: the callers
     evaluate ``dist`` itself.  A value is a float, or a str the reason
-    ``coarse_grain`` or ``evaluate`` would fail.
+    ``evaluate`` would fail.
     """
     partitions = [part.blocks for part in enumerate_partitions(dist.n)]
     values = _VectorValues(
@@ -732,10 +663,7 @@ def exhaustive_lattice_check(
         raise TooLarge(f"exhaustive check is limited to n <= 8, got {n}")
     label = spec.label()
     partitions, values = _partition_values(spec, dist)
-    try:
-        values.append(evaluate(spec, dist))
-    except GentropyError as exc:
-        values.append(_skip_reason(exc))
+    values.append(_evaluated(spec, dist))
     identity = len(partitions) - 1
     targets = iter(_covering_targets(partitions, n))
     entries: list[CaseRecord] = []
@@ -793,21 +721,20 @@ def corollary1_check(
     base = evaluate(spec, dist)
     partitions, values = _partition_values(spec, dist)
     identity = partitions[-1]
-    entries: list[CaseRecord] = []
-    for blocks, value in zip(partitions, values):
-        entries.append(
-            _checked(
-                tolerance,
-                base,
-                value,
-                kind="total_merge" if len(blocks) == 1 else "vs_identity",
-                spec=label,
-                n=n,
-                index=len(entries),
-                blocks_finer=identity,
-                blocks_coarser=blocks,
-            )
+    entries = [
+        _checked(
+            tolerance,
+            base,
+            value,
+            kind="total_merge" if len(blocks) == 1 else "vs_identity",
+            spec=label,
+            n=n,
+            index=index,
+            blocks_finer=identity,
+            blocks_coarser=blocks,
         )
+        for index, (blocks, value) in enumerate(zip(partitions, values))
+    ]
     return _finish(
         f"corollary-n{n}",
         None,
@@ -830,89 +757,68 @@ def counterexample_suite(tolerance: float = 1e-12) -> VerificationReport:
     across the first kink of the piecewise component.
     """
     spec = EntropySpec("counterexample_HE")
-    label = spec.label()
-    entries: list[CaseRecord] = []
-    index = 0
-
-    pinned = (
-        ((0.2, 0.3, 0.5), 1.3),
-        ((0.5, 0.5), 1.5),
-        ((0.25, 0.25, 0.25, 0.25), 1.0),
-        ((0.2, 0.25, 0.25, 0.3), 1.05),
-    )
-    values = {}
-    for probs, expected in pinned:
-        got = evaluate(spec, FiniteDistribution(probs))
-        values[probs] = got
-        entries.append(
-            CaseRecord(
-                kind="pinned_value",
-                spec=label,
-                n=len(probs),
-                index=index,
-                passed=abs(got - expected) <= tolerance,
-                probs=probs,
-                value_finer=got,
-                margin=got - expected,
-                note=f"expected {expected!r}",
-            )
-        )
-        index += 1
-
+    pinned = {
+        (0.2, 0.3, 0.5): 1.3,
+        (0.5, 0.5): 1.5,
+        (0.25, 0.25, 0.25, 0.25): 1.0,
+        (0.2, 0.25, 0.25, 0.3): 1.05,
+    }
+    values = {probs: evaluate(spec, FiniteDistribution(probs)) for probs in pinned}
     fine = values[(0.2, 0.3, 0.5)]
     coarse = values[(0.5, 0.5)]
-    entries.append(
-        CaseRecord(
+    uniform = values[(0.25, 0.25, 0.25, 0.25)]
+    tilted = values[(0.2, 0.25, 0.25, 0.3)]
+    kink_slopes = {0.1: 1.0, 0.3: 2.0}  # either side of the first kink
+    slopes = {x: phi_prime(spec, x) for x in kink_slopes}
+    rows = [
+        *(
+            dict(
+                kind="pinned_value",
+                n=len(probs),
+                passed=abs(values[probs] - expected) <= tolerance,
+                probs=probs,
+                value_finer=values[probs],
+                margin=values[probs] - expected,
+                note=f"expected {expected!r}",
+            )
+            for probs, expected in pinned.items()
+        ),
+        dict(
             kind="monotonicity_violation",
-            spec=label,
             n=3,
-            index=index,
             passed=fine < coarse,  # the violation must be present
             probs=(0.2, 0.3, 0.5),
             blocks_finer=Partition.identity(3).blocks,
-            blocks_coarser=(((0, 1), (2,))),
+            blocks_coarser=((0, 1), (2,)),
             value_finer=fine,
             value_coarser=coarse,
             margin=fine - coarse,
             note="aggregating {0,1} increases the value: 1.3 -> 1.5",
-        )
-    )
-    index += 1
-
-    uniform = values[(0.25, 0.25, 0.25, 0.25)]
-    tilted = values[(0.2, 0.25, 0.25, 0.3)]
-    entries.append(
-        CaseRecord(
+        ),
+        dict(
             kind="uniform_maximality_violation",
-            spec=label,
             n=4,
-            index=index,
             passed=uniform < tilted,
             probs=(0.2, 0.25, 0.25, 0.3),
             value_finer=uniform,
             value_coarser=tilted,
             margin=uniform - tilted,
             note="the uniform distribution is not the maximizer: 1.0 < 1.05",
-        )
-    )
-    index += 1
-
-    for x, expected in ((0.1, 1.0), (0.3, 2.0)):
-        slope = phi_prime(spec, x)
-        entries.append(
-            CaseRecord(
+        ),
+        *(
+            dict(
                 kind="slope_witness",
-                spec=label,
                 n=1,
-                index=index,
-                passed=abs(slope - expected) <= tolerance,
-                value_finer=slope,
-                margin=slope - expected,
+                passed=abs(slopes[x] - expected) <= tolerance,
+                value_finer=slopes[x],
+                margin=slopes[x] - expected,
                 note=f"component slope at x={x!r} expected {expected!r}",
             )
-        )
-        index += 1
-
+            for x, expected in kink_slopes.items()
+        ),
+    ]
+    label = spec.label()
+    entries = [CaseRecord(spec=label, index=index, **row) for index, row in enumerate(rows)]
     return _finish(
         "counterexample",
         None,
@@ -936,22 +842,22 @@ def max_entropy_check(
     offending distribution at n = 4 takes the place of sample 0, so the
     report demonstrably contains at least one violation there.
     """
+    _require_non_negative(samples=samples, rng_seed=rng_seed)
+    n_list = sorted(set(int(n) for n in n_values))
+    if n_list and n_list[0] < 1:
+        raise ValidationError(f"max_entropy_check needs n >= 1, got {n_list}")
     label = spec.label()
     floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
-    n_list = sorted(set(int(n) for n in n_values))
     tops: list[tuple[int, float | str]] = []
     vectors: list[_Vector] = []
     for n in n_list:
-        uniform = FiniteDistribution(np.full(n, 1.0 / n))
-        try:
-            tops.append((n, evaluate(spec, uniform)))
-        except GentropyError as exc:
-            tops.append((n, _skip_reason(exc)))
-            continue
-        probs, _ = _cell_draws([rng_seed, n], n, 0, samples, floor)
-        if spec.id == "counterexample_HE" and n == 4 and samples:
-            probs[0] = [0.2, 0.25, 0.25, 0.3]
-        vectors += [_Vector(0, p, None) for p in probs]
+        top = _evaluated(spec, FiniteDistribution(np.full(n, 1.0 / n)))
+        tops.append((n, top))
+        if type(top) is float:
+            probs, _ = _cell_draws([rng_seed, n], n, 0, samples, floor)
+            if spec.id == "counterexample_HE" and n == 4 and samples:
+                probs[0] = [0.2, 0.25, 0.25, 0.3]
+            vectors += [_Vector(0, p, None) for p in probs]
     values = _VectorValues([spec], vectors)
 
     entries: list[CaseRecord] = []
@@ -1057,50 +963,63 @@ def _json_blocks(blocks, level: int = 3) -> str:
     return _json_array((_json_block(block, level + 1) for block in blocks), level)
 
 
-# CaseRecord fields in sorted-key order: (name, encoder, written even if None)
+def _as_is(value):
+    return value
+
+
+def _tuples(blocks) -> tuple[tuple, ...]:
+    return tuple(map(tuple, blocks))
+
+
+def _listed(value):
+    """``value`` with every tuple in it, nested ones too, made a list."""
+    return [_listed(item) for item in value] if isinstance(value, tuple) else value
+
+
+# The entry schema: every CaseRecord field in sorted-key order, as
+# (name, JSON encoder, written even if None, decoder of its JSON value).
 _ENTRY_FIELDS = (
-    ("blocks_coarser", _json_blocks, False),
-    ("blocks_finer", _json_blocks, False),
-    ("index", _json_scalar, True),
-    ("kind", _json_scalar, True),
-    ("margin", _json_scalar, False),
-    ("n", _json_scalar, True),
-    ("note", _json_scalar, False),
-    ("passed", _json_scalar, True),
-    ("probs", _json_numbers, False),
-    ("skipped", _json_scalar, False),
-    ("spec", _json_scalar, True),
-    ("value_coarser", _json_scalar, False),
-    ("value_finer", _json_scalar, False),
+    ("blocks_coarser", _json_blocks, False, _tuples),
+    ("blocks_finer", _json_blocks, False, _tuples),
+    ("index", _json_scalar, True, _as_is),
+    ("kind", _json_scalar, True, _as_is),
+    ("margin", _json_scalar, False, _as_is),
+    ("n", _json_scalar, True, _as_is),
+    ("note", _json_scalar, False, _as_is),
+    ("passed", _json_scalar, True, _as_is),
+    ("probs", _json_numbers, False, tuple),
+    ("skipped", _json_scalar, False, _as_is),
+    ("spec", _json_scalar, True, _as_is),
+    ("value_coarser", _json_scalar, False, _as_is),
+    ("value_finer", _json_scalar, False, _as_is),
 )
 
 
-def _json_entry(entry: CaseRecord) -> str:
-    fields = []
-    for name, encode, always in _ENTRY_FIELDS:
+def _written_fields(entry: CaseRecord) -> Iterable[tuple[str, object, object]]:
+    """(name, encoder, value) of each field a report writes for ``entry``."""
+    for name, encode, always, _ in _ENTRY_FIELDS:
         value = getattr(entry, name)
         if always or value is not None:
-            fields.append(f'"{name}": {encode(value)}')
+            yield name, encode, value
+
+
+def _entry_text(fields: Iterable[str]) -> str:
     return "    {\n      " + ",\n      ".join(fields) + "\n    }"
 
 
+def _json_entry(entry: CaseRecord) -> str:
+    return _entry_text(
+        f'"{name}": {encode(value)}' for name, encode, value in _written_fields(entry)
+    )
+
+
 # A campaign case that was evaluated: every field but ``note`` and
-# ``skipped``, with a nonempty ``probs``.
-_FULL_ENTRY = """    {
-      "blocks_coarser": %s,
-      "blocks_finer": %s,
-      "index": %s,
-      "kind": %s,
-      "margin": %s,
-      "n": %s,
-      "passed": %s,
-      "probs": [
-        %s
-      ],
-      "spec": %s,
-      "value_coarser": %s,
-      "value_finer": %s
-    }"""
+# ``skipped``, with a nonempty ``probs`` (an array of one number a line).
+_FULL_ENTRY = _entry_text(
+    f'"{name}": ' + ("[" + _PAD[4] + "%s" + _PAD[3] + "]" if name == "probs" else "%s")
+    for name, *_ in _ENTRY_FIELDS
+    if name not in ("note", "skipped")
+)
 
 
 def _json_entries(entries: Sequence[CaseRecord]) -> Iterable[str]:
@@ -1229,40 +1148,25 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
 def report_from_json(data: bytes | str) -> VerificationReport:
     """Rebuild a report from its JSON emission (lossless round-trip)."""
     obj = json.loads(data)
-    entries = []
-    for raw in obj["entries"]:
-        entries.append(
-            CaseRecord(
-                kind=raw["kind"],
-                spec=raw["spec"],
-                n=raw["n"],
-                index=raw["index"],
-                passed=raw["passed"],
-                probs=tuple(raw["probs"]) if "probs" in raw else None,
-                blocks_finer=tuple(tuple(b) for b in raw["blocks_finer"])
-                if "blocks_finer" in raw
-                else None,
-                blocks_coarser=tuple(tuple(b) for b in raw["blocks_coarser"])
-                if "blocks_coarser" in raw
-                else None,
-                value_finer=raw.get("value_finer"),
-                value_coarser=raw.get("value_coarser"),
-                margin=raw.get("margin"),
-                skipped=raw.get("skipped"),
-                note=raw.get("note"),
-            )
+    entries = [
+        CaseRecord(
+            **{
+                name: decode(raw[name])
+                for name, _, always, decode in _ENTRY_FIELDS
+                if always or name in raw
+            }
         )
+        for raw in obj["entries"]
+    ]
     summary = tuple(
         SpecSummary(
-            spec=raw["spec"],
-            cases=raw["cases"],
-            violations=raw["violations"],
-            skipped=raw["skipped"],
-            min_margin=raw["min_margin"],
-            worst=None
-            if raw.get("worst") is None
-            else (raw["worst"]["spec_index"], raw["worst"]["n"], raw["worst"]["index"]),
-            skip_reasons=tuple(sorted(raw.get("skip_reasons", {}).items())),
+            **{
+                **raw,
+                "worst": None
+                if raw.get("worst") is None
+                else tuple(raw["worst"][key] for key in _WORST_KEYS),
+                "skip_reasons": tuple(sorted(raw.get("skip_reasons", {}).items())),
+            }
         )
         for raw in obj["summary"]
     )

@@ -224,6 +224,15 @@ def test_h_phi_custom_callable_params():
         spec_to_json(custom)
 
 
+def test_spec_to_json_rejects_any_callable_parameter():
+    """A callable coefficient sequence has no JSON form: a typed error, not a TypeError."""
+    series = spec("universal_group", coeffs=lambda k: 1.0 / k**2)
+    with pytest.raises(ValidationError, match="callables"):
+        spec_to_json(series)
+    with pytest.raises(ValidationError, match="callables"):
+        spec_from_json({"id": "universal_group", "params": {"coeffs": lambda k: 1.0}})
+
+
 # ---------------------------------------------------------------------------
 # Zero handling
 # ---------------------------------------------------------------------------

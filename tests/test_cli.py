@@ -168,6 +168,33 @@ def test_non_positive_counts_are_usage_errors_before_running(capsys, monkeypatch
                           f"--samples={count}"], "--samples: " + message)
 
 
+@pytest.mark.parametrize("n_range", ["3..", "a", "5..3"])
+def test_malformed_or_empty_n_is_usage_error_before_running(capsys, monkeypatch, n_range):
+    """A traceback would exit 1, the code for violations; 5..3 is no vacuous pass."""
+    from gentropy import verify
+
+    monkeypatch.setattr(verify, "run_monotonicity_campaign", _refuse)
+    _usage_error(capsys, ["verify", "--entropy", '{"id":"shannon"}', f"--n={n_range}"],
+                 "argument --n: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("compute", "--dist", "[0.5, 0.5"), "bad distribution JSON"),
+    (("compute", "--dist", '{"probs": [0.5, 0.5}'), "bad distribution JSON"),
+    (("compute", "--dist", '["a", 0.5]'), "probs must be numbers"),
+    (("coarsen", "--dist", "[0.5, 0.5]", "--partition", '{"blocks": [[0], [1]]'),
+     "bad partition JSON"),
+    (("coarsen", "--dist", "[0.2, 0.3, 0.5]", "--partition", '{"blocks": [[0, 1.5], [2]]}'),
+     "integer indices"),
+])
+def test_malformed_inputs_are_usage_errors(capsys, argv, message):
+    if argv[0] == "compute":
+        argv += ("--entropy", '{"id":"shannon"}')
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_replay_prints_the_campaign_entry_and_its_verdict(capsys):
     """The counterexample's worst case replays to its entry, a violation (exit 1)."""
     selection = ("--entropy", '{"id":"shannon"}', "--entropy", '{"id":"counterexample_HE"}',

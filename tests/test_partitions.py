@@ -45,6 +45,14 @@ def test_partition_validation():
         Partition([[0], []], 1)  # empty block
 
 
+@pytest.mark.parametrize("blocks", [[[0, 1.5], [2]], [[0, "1"], [2]], [0, 1, 2]])
+def test_partition_rejects_what_is_not_an_integer_index(blocks):
+    """1.5 is not read as 1, nor "1" as 1, and a bare index is not a block."""
+    with pytest.raises(ValidationError):
+        Partition(blocks, 3)
+    assert Partition([[np.int64(1), 0], [2]], 3).blocks == ((0, 1), (2,))
+
+
 def test_partition_immutable_and_hashable():
     part = Partition([[0, 1], [2]], 3)
     with pytest.raises(AttributeError):

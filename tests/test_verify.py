@@ -14,6 +14,8 @@ from gentropy import (
     FiniteDistribution,
     Partition,
     bell_number,
+    check_basic_axioms,
+    check_product_composability,
     coarse_grain,
     corollary1_check,
     counterexample_suite,
@@ -22,6 +24,7 @@ from gentropy import (
     evaluate,
     exhaustive_lattice_check,
     max_entropy_check,
+    replay_case,
     report_from_json,
     run_monotonicity_campaign,
 )
@@ -33,6 +36,7 @@ from gentropy.errors import (
     TooLarge,
     UnsupportedFormat,
     UserCallableError,
+    ValidationError,
 )
 from gentropy.partitions import pair_draw_width
 from gentropy.verify import (
@@ -483,6 +487,51 @@ def test_campaign_kernel_falls_back_when_batched_phi_raises():
     _assert_matches_reference([SHANNON, spec], [3, 4, 5], 4, 11)
 
 
+def test_raising_user_phi_falls_back_one_vector_at_a_time():
+    """A user phi that raises on entries above 0.6 skips only the vectors holding one."""
+    spec = EntropySpec("h_phi_custom", phi=lambda x: 1 / 0 if x > 0.6 else x * (1.0 - x))
+    _assert_matches_reference([SHANNON, spec, HE], [3, 4, 5], 6, 2)
+    assert max_entropy_check(spec, [3, 4], 8, 1) == _reference_max_entropy(spec, [3, 4], 8, 1)
+    lattice, corollary = _assert_oracles_match_reference(
+        spec, FiniteDistribution([0.4, 0.3, 0.2, 0.1])
+    )
+    assert 0 < lattice.summary[0].skipped < len(lattice.entries)
+    assert 0 < corollary.summary[0].skipped < len(corollary.entries)
+
+
+def test_summary_keeps_specs_that_share_a_label_apart():
+    """Two h_phi_custom specs share a label; each gets its own summary."""
+    specs = [
+        EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x)),
+        EntropySpec("h_phi_custom", phi=lambda x: math.nan),
+    ]
+    assert specs[0].label() == specs[1].label()
+    report = run_monotonicity_campaign(specs, [3, 4], 4, rng_seed=0)
+    assert len(report.summary) == 2
+    kept, nan = report.summary
+    assert (kept.cases, kept.skipped, nan.cases, nan.skipped) == (8, 0, 8, 8)
+    assert kept.min_margin == min(e.margin for e in report.entries[:8])
+    assert kept.worst[0] == 0
+    assert nan.worst is None and nan.min_margin is None
+    assert report_from_json(emit_report(report)).summary == report.summary
+
+
+@pytest.mark.parametrize("call, args", [
+    (run_monotonicity_campaign, ([SHANNON], [3], -1, 0)),
+    (run_monotonicity_campaign, ([SHANNON], [3], 2, -1)),
+    (replay_case, ([SHANNON], 0, 3, 0, -1)),
+    (max_entropy_check, (SHANNON, [3], -1, 0)),
+    (max_entropy_check, (SHANNON, [0, 3], 2, 0)),
+    (check_basic_axioms, (SHANNON, -1, 0)),
+    (check_basic_axioms, (SHANNON, 10, -1)),
+    (check_product_composability, (SHANNON, 10, -1)),
+])
+def test_entry_points_reject_negative_seeds_and_counts(call, args):
+    """The typed error, not numpy's bare ValueError, at the kernel's boundary."""
+    with pytest.raises(ValidationError):
+        call(*args)
+
+
 # ---------------------------------------------------------------------------
 # The indent-2 emitter against json.dumps
 # ---------------------------------------------------------------------------
@@ -541,6 +590,14 @@ def test_emit_json_equals_json_dumps():
     for report in reports:
         expected = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
         assert emit_report(report, "json") == (expected + "\n").encode("utf-8")
+
+
+def test_entry_schema_is_one_table_for_dict_writer_and_reader():
+    """to_dict, the JSON writer and report_from_json agree field by field."""
+    for report in (_mixed_report(), counterexample_suite()):
+        written = json.loads(emit_report(report))
+        assert written["entries"] == [entry.to_dict() for entry in report.entries]
+        assert report_from_json(emit_report(report)) == report
 
 
 def test_emit_json_rejects_non_finite_entry():
