@@ -44,7 +44,10 @@ class FiniteDistribution:
 
     def __init__(self, probs: Sequence[float] | np.ndarray):
         try:
-            arr = np.asarray(probs, dtype=float).copy()
+            raw = np.asarray(probs)
+            if raw.dtype.kind in "OSU" and any(isinstance(x, (str, bytes)) for x in raw.flat):
+                raise TypeError("got a str or bytes entry")
+            arr = raw.astype(float)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"probs must be numbers: {exc}") from exc
         if arr.ndim != 1 or arr.size == 0:

@@ -196,20 +196,18 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             f"exhaustive enumeration is limited to n <= {ENUMERATION_LIMIT} "
             f"(Bell({n}) = {bell_number(n)})"
         )
-    labels = [0] * n
-
-    def rec(i: int, used: int) -> Iterator[Partition]:
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(used)]
-            for x, lab in enumerate(labels):
-                blocks[lab].append(x)
-            yield Partition._raw(tuple(tuple(b) for b in blocks), n)
-            return
-        for label in range(used + 1):
-            labels[i] = label
-            yield from rec(i + 1, used + (1 if label == used else 0))
-
-    yield from rec(1, 1)
+    # Depth first over RGS prefixes, one label at a time: element x joins
+    # each block of its prefix in turn, then opens a new one.
+    stack: list[tuple[int, _Blocks]] = [(0, ())]
+    while stack:
+        x, prefix = stack.pop()
+        grown = [prefix[:b] + (prefix[b] + (x,),) + prefix[b + 1 :] for b in range(len(prefix))]
+        grown.append(prefix + ((x,),))
+        if x == n - 1:
+            for blocks in grown:
+                yield Partition._raw(blocks, n)
+        else:
+            stack += [(x + 1, blocks) for blocks in reversed(grown)]
 
 
 def pair_draw_width(n: int) -> int:

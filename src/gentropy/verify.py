@@ -40,7 +40,11 @@ vector's components.  Its results equal, bit for bit, those of
   a pinned vector) and every ``blocks`` the canonical blocks of a partition
   of its indices.  The kernel trusts this and repeats neither constructor's
   checks; the checks of ``evaluate`` run vectorised, and a vector they
-  reject gets the reason ``evaluate`` gives.
+  reject gets the reason ``evaluate`` gives;
+* entries are built a column per ``CaseRecord`` field and made records in
+  one bulk step (:func:`_records`); margins and verdicts come from numpy
+  over whole columns, whose float64 subtraction and ``>=`` give the bits
+  Python's floats do.
 
 Any functional whose batched ``phi`` raises falls back to ``coarse_grain``
 and ``evaluate`` one vector at a time, so ``evaluate`` stays the definition
@@ -64,9 +68,11 @@ looked up in this module, where the benchmark's tracer times them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from itertools import chain, islice
+from collections import deque
+from dataclasses import asdict, dataclass, field, fields
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import json
@@ -90,7 +96,7 @@ _INTERIOR_FLOOR = 1e-6  # resampling floor for functionals that reject zeros
 _WORST_KEYS = ("spec_index", "n", "index")  # SpecSummary.worst in JSON
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseRecord:
     """One checked case: inputs, both entropy values, and the margin.
 
@@ -116,6 +122,27 @@ class CaseRecord:
     def to_dict(self) -> dict:
         """The fields a JSON report writes (see ``_ENTRY_FIELDS``), tuples as lists."""
         return {name: _listed(value) for name, _, value in _written_fields(self)}
+
+
+# The class and its slot setters, bound here so that a wrapper installed
+# over the module name ``CaseRecord`` does not reach :func:`_records`.
+_RECORD = CaseRecord
+_RECORD_SETTERS = tuple((f.name, getattr(CaseRecord, f.name).__set__) for f in fields(CaseRecord))
+
+
+def _records(count: int, **columns) -> list[CaseRecord]:
+    """``count`` records, filled a field at a time from columns.
+
+    A column is a list or an iterator with a value for each record; a value
+    they all share is passed as ``itertools.repeat(value)``, and a field not
+    named is None.  Each field is set by one ``map`` of its slot's setter,
+    with none of ``__init__``'s per-record work: the columns must hold what
+    ``CaseRecord(...)`` would be given.
+    """
+    records = list(map(object.__new__, repeat(_RECORD, count)))
+    for name, setter in _RECORD_SETTERS:
+        deque(map(setter, records, columns.get(name, repeat(None))), 0)
+    return records
 
 
 @dataclass(frozen=True)
@@ -235,26 +262,30 @@ def _finish(
     )
 
 
-def _checked(
-    tolerance: float, value_finer: float | str, value_coarser: float | str | None, **fields
-) -> CaseRecord:
-    """The record of one check of H(finer) >= H(coarser).
+def _checked(tolerance: float, finer: Iterable, coarser: Iterable, **columns) -> list[CaseRecord]:
+    """The records of checks of H(finer) >= H(coarser), one per row.
 
-    A value is a float, or a str the reason it could not be computed; the
-    first such reason makes the case skipped.  ``fields`` are the record's
-    identifying fields and inputs.
+    A value is a float, or a str the reason it could not be computed; a
+    row's first reason, finer before coarser, makes it skipped, with no
+    values and no margin (a row skipped on its finer value may have None
+    for its coarser one).  Margins and verdicts are taken in numpy, whose
+    float64 subtraction and ``>= -tolerance`` give the bits the Python
+    floats do.  ``columns`` are the records' other fields, as
+    :func:`_records` takes them.
     """
-    for value in (value_finer, value_coarser):
-        if type(value) is str:
-            return CaseRecord(passed=True, skipped=value, **fields)
-    margin = value_finer - value_coarser
-    return CaseRecord(
-        passed=margin >= -tolerance,
-        value_finer=value_finer,
-        value_coarser=value_coarser,
-        margin=margin,
-        **fields,
-    )
+    finer, coarser = list(finer), list(coarser)
+    reasons = [f if type(f) is str else c if type(c) is str else None for f, c in zip(finer, coarser)]
+    skipped = [row for row, reason in enumerate(reasons) if reason is not None]
+    for row in skipped:  # zeros stand in for a skipped row's values, then go
+        finer[row] = coarser[row] = 0.0
+    margin = np.subtract(finer, coarser)
+    passed = (margin >= -tolerance).tolist()
+    margin = margin.tolist()
+    for row in skipped:
+        finer[row] = coarser[row] = margin[row] = None
+        passed[row] = True
+    columns.update(value_finer=finer, value_coarser=coarser, margin=margin, skipped=reasons)
+    return _records(len(finer), passed=passed, **columns)
 
 
 # ---------------------------------------------------------------------------
@@ -350,26 +381,23 @@ def _campaign_entries(
             for blocks in (None if len(case.finer) == case.n else case.finer, case.coarser)
         ],
     )
+    finer = [values.value(2 * c) for c in range(len(cases))]
+    coarser = [values.value(2 * c + 1) if type(f) is float else None for c, f in enumerate(finer)]
     labels = [spec.label() for spec in specs]
-    entries: list[CaseRecord] = []
-    for c, case in enumerate(cases):
-        value_finer = values.value(2 * c)
-        value_coarser = values.value(2 * c + 1) if type(value_finer) is float else None
-        entries.append(
-            _checked(
-                tolerance,
-                value_finer,
-                value_coarser,
-                kind="monotonicity",
-                spec=labels[case.spec_index],
-                n=case.n,
-                index=case.index,
-                probs=tuple(case.probs.tolist()),
-                blocks_finer=case.finer,
-                blocks_coarser=case.coarser,
-            )
-        )
-    return entries, [case.spec_index for case in cases]
+    spec_indices = [case.spec_index for case in cases]
+    entries = _checked(
+        tolerance,
+        finer,
+        coarser,
+        kind=repeat("monotonicity"),
+        spec=map(labels.__getitem__, spec_indices),
+        n=map(attrgetter("n"), cases),
+        index=map(attrgetter("index"), cases),
+        probs=(tuple(case.probs.tolist()) for case in cases),
+        blocks_finer=map(attrgetter("finer"), cases),
+        blocks_coarser=map(attrgetter("coarser"), cases),
+    )
+    return entries, spec_indices
 
 
 class _Case(NamedTuple):
@@ -611,18 +639,30 @@ def _partition_values(
     return partitions, [values.value(v) for v in range(len(partitions) - 1)]
 
 
-def _covering_targets(partitions: list[_Blocks], n: int) -> list[int]:
-    """The coarser end of every covering edge, as an index into ``partitions``.
+_LATTICE_KINDS = ("covering_edge", "total_merge", "vs_identity")
 
-    Edges are listed partition by partition, and within one as the merges
-    of its blocks i < j in lexicographic order.  In the restricted growth
-    string (RGS) of a partition, element x carries the index of its block.
-    Merging blocks i < j relabels j as i and lowers every label above j by
-    one, which gives the RGS of the merged partition in canonical form.
-    Read as base-n numbers, the RGSs of the enumeration ascend, so a merged
-    partition's index is a ``np.searchsorted`` of its code.
+
+def _lattice_rows(partitions: list[_Blocks], n: int) -> tuple[np.ndarray, ...]:
+    """Each lattice entry's finer and coarser partition index, and its kind.
+
+    The kind indexes ``_LATTICE_KINDS``.  Entries come partition by
+    partition: the covering edges that merge its blocks i < j, in
+    lexicographic order, then (but for the identity, last) the partition
+    against the identity.  In the restricted growth string (RGS) of a
+    partition, element x carries the index of its block.  Merging blocks
+    i < j relabels j as i and lowers every label above j by one, which gives
+    the RGS of the merged partition in canonical form.  Read as base-n
+    numbers, the RGSs of the enumeration ascend, so a merged partition's
+    index is a ``np.searchsorted`` of its code.
     """
-    k = np.array([len(blocks) for blocks in partitions], dtype=np.intp)
+    k = np.fromiter(map(len, partitions), dtype=np.intp, count=len(partitions))
+    identity = k.size - 1
+    edges = k * (k - 1) // 2
+    rows = edges + (np.arange(k.size) < identity)
+    first = _starts(rows)
+    finer = np.repeat(np.arange(k.size), rows)
+    coarser = np.empty_like(finer)
+    kind = np.zeros_like(finer)
     block_widths = np.fromiter(map(len, chain.from_iterable(partitions)), dtype=np.intp)
     elements = np.fromiter(
         chain.from_iterable(chain.from_iterable(partitions)), dtype=np.intp, count=k.size * n
@@ -632,18 +672,17 @@ def _covering_targets(partitions: list[_Blocks], n: int) -> list[int]:
     rgs[np.repeat(np.arange(k.size), n), elements] = np.repeat(labels, block_widths)
     weights = n ** np.arange(n - 1, -1, -1)
     codes = rgs @ weights
-    edges = k * (k - 1) // 2
-    first_edge = _starts(edges)
-    targets = np.zeros(edges.sum(), dtype=np.intp)
     for size in range(2, n + 1):
-        rows = np.flatnonzero(k == size)
+        parts = np.flatnonzero(k == size)
         i, j = np.triu_indices(size, 1)
-        rgs_k = rgs[rows][:, None, :]  # (partition, merge, element)
+        rgs_k = rgs[parts][:, None, :]  # (partition, merge, element)
         merged = np.where(rgs_k == j[:, None], i[:, None], rgs_k) - (rgs_k > j[:, None])
-        targets[first_edge[rows, None] + np.arange(i.size)] = np.searchsorted(
-            codes, merged @ weights
-        )
-    return targets.tolist()
+        coarser[first[parts, None] + np.arange(i.size)] = np.searchsorted(codes, merged @ weights)
+    vs_identity = (first + edges)[:identity]
+    finer[vs_identity] = identity
+    coarser[vs_identity] = np.arange(identity)
+    kind[vs_identity] = np.where(k[:identity] == 1, 1, 2)
+    return finer, coarser, kind
 
 
 def exhaustive_lattice_check(
@@ -661,33 +700,20 @@ def exhaustive_lattice_check(
     n = dist.n
     if n > 8:
         raise TooLarge(f"exhaustive check is limited to n <= 8, got {n}")
-    label = spec.label()
     partitions, values = _partition_values(spec, dist)
     values.append(_evaluated(spec, dist))
-    identity = len(partitions) - 1
-    targets = iter(_covering_targets(partitions, n))
-    entries: list[CaseRecord] = []
-
-    def record(kind: str, finer: int, coarser: int) -> None:
-        entries.append(
-            _checked(
-                tolerance,
-                values[finer],
-                values[coarser],
-                kind=kind,
-                spec=label,
-                n=n,
-                index=len(entries),
-                blocks_finer=partitions[finer],
-                blocks_coarser=partitions[coarser],
-            )
-        )
-
-    for part, blocks in enumerate(partitions):
-        for _ in range(len(blocks) * (len(blocks) - 1) // 2):
-            record("covering_edge", part, next(targets))
-        if part != identity:
-            record("total_merge" if len(blocks) == 1 else "vs_identity", identity, part)
+    finer, coarser, kind = (column.tolist() for column in _lattice_rows(partitions, n))
+    entries = _checked(
+        tolerance,
+        map(values.__getitem__, finer),
+        map(values.__getitem__, coarser),
+        kind=map(_LATTICE_KINDS.__getitem__, kind),
+        spec=repeat(spec.label()),
+        n=repeat(n),
+        index=range(len(kind)),
+        blocks_finer=map(partitions.__getitem__, finer),
+        blocks_coarser=map(partitions.__getitem__, coarser),
+    )
     min_margin = min((e.margin for e in entries if e.margin is not None), default=math.inf)
     return _finish(
         f"lattice-n{n}",
@@ -717,24 +743,19 @@ def corollary1_check(
     n = dist.n
     if n > 8:
         raise TooLarge(f"exhaustive check is limited to n <= 8, got {n}")
-    label = spec.label()
     base = evaluate(spec, dist)
     partitions, values = _partition_values(spec, dist)
-    identity = partitions[-1]
-    entries = [
-        _checked(
-            tolerance,
-            base,
-            value,
-            kind="total_merge" if len(blocks) == 1 else "vs_identity",
-            spec=label,
-            n=n,
-            index=index,
-            blocks_finer=identity,
-            blocks_coarser=blocks,
-        )
-        for index, (blocks, value) in enumerate(zip(partitions, values))
-    ]
+    entries = _checked(
+        tolerance,
+        repeat(base, len(values)),
+        values,
+        kind=("total_merge" if len(blocks) == 1 else "vs_identity" for blocks in partitions),
+        spec=repeat(spec.label()),
+        n=repeat(n),
+        index=range(len(values)),
+        blocks_finer=repeat(partitions[-1]),
+        blocks_coarser=partitions,
+    )
     return _finish(
         f"corollary-n{n}",
         None,
@@ -846,42 +867,35 @@ def max_entropy_check(
     n_list = sorted(set(int(n) for n in n_values))
     if n_list and n_list[0] < 1:
         raise ValidationError(f"max_entropy_check needs n >= 1, got {n_list}")
-    label = spec.label()
     floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
-    tops: list[tuple[int, float | str]] = []
+    finer: list[float | str] = []
+    n_column: list[int] = []
+    index: list[int] = []
     vectors: list[_Vector] = []
     for n in n_list:
         top = _evaluated(spec, FiniteDistribution(np.full(n, 1.0 / n)))
-        tops.append((n, top))
+        count = samples if type(top) is float else 1
+        finer += [top] * count
+        n_column += [n] * count
+        index += range(count)
         if type(top) is float:
             probs, _ = _cell_draws([rng_seed, n], n, 0, samples, floor)
             if spec.id == "counterexample_HE" and n == 4 and samples:
                 probs[0] = [0.2, 0.25, 0.25, 0.3]
             vectors += [_Vector(0, p, None) for p in probs]
-    values = _VectorValues([spec], vectors)
-
-    entries: list[CaseRecord] = []
-    v = 0
-    for n, top in tops:
-        if type(top) is str:
-            entries.append(
-                _checked(tolerance, top, None, kind="max_entropy", spec=label, n=n, index=0)
-            )
-            continue
-        for case in range(samples):
-            entries.append(
-                _checked(
-                    tolerance,
-                    top,
-                    values.value(v),
-                    kind="max_entropy",
-                    spec=label,
-                    n=n,
-                    index=case,
-                    probs=tuple(vectors[v].probs.tolist()),
-                )
-            )
-            v += 1
+    # The rows whose uniform value is a float take the drawn vectors in order.
+    values = map(_VectorValues([spec], vectors).value, range(len(vectors)))
+    drawn = iter(vectors)
+    entries = _checked(
+        tolerance,
+        finer,
+        [next(values) if type(top) is float else None for top in finer],
+        kind=repeat("max_entropy"),
+        spec=repeat(spec.label()),
+        n=n_column,
+        index=index,
+        probs=[tuple(next(drawn).probs.tolist()) if type(top) is float else None for top in finer],
+    )
     return _finish(
         "max-entropy",
         rng_seed,

@@ -516,7 +516,9 @@ def _with_phi_refusing_a_large_first_entry(spec):
     return spec
 
 
-# These take the kernel's per-vector path; the last two raise mid-run.
+# Rare and frequent rejected bases and raises mid-run (the last two).  The
+# h_phi_custom specs run batched; only the two whose phi refuses a batch,
+# tsallis and shannon, take the kernel's per-vector path.
 _PER_VECTOR_SPECS = (
     EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x), zero_safe=True,
                 phi_prime=lambda x: 1.0 - 2.0 * x, h=math.sqrt, h_prime=lambda y: 0.5 / y),

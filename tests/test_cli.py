@@ -186,6 +186,7 @@ def test_malformed_or_empty_n_is_usage_error_before_running(capsys, monkeypatch,
      "bad partition JSON"),
     (("coarsen", "--dist", "[0.2, 0.3, 0.5]", "--partition", '{"blocks": [[0, 1.5], [2]]}'),
      "integer indices"),
+    (("compute", "--dist", '["0.5", "0.5"]'), "probs must be numbers"),
 ])
 def test_malformed_inputs_are_usage_errors(capsys, argv, message):
     if argv[0] == "compute":

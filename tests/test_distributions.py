@@ -1,5 +1,7 @@
 """Distribution construction, aggregation, escort, joint, and sampling."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
@@ -38,6 +40,18 @@ def test_from_weights_keeps_zero():
 def test_from_weights_rejects(weights):
     with pytest.raises(ValidationError):
         from_weights(weights)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [["0.5", "0.5"], [b"0.5", b"0.5"], [0.5, "0.5"], np.array(["0.5", "0.5"]),
+     [Fraction(1, 2), "0.5"]],
+)
+def test_distribution_rejects_text_entries(probs):
+    """JSON strings of numbers are not numbers, nor are bytes."""
+    with pytest.raises(ValidationError, match="probs must be numbers"):
+        FiniteDistribution(probs)
+    assert FiniteDistribution([Fraction(1, 2), 0.5]).probs.tolist() == [0.5, 0.5]
 
 
 def test_distribution_validates_sum():

@@ -117,6 +117,34 @@ def test_enumeration_matches_bell_11_12():
 def test_enumeration_guard():
     with pytest.raises(TooLarge):
         next(enumerate_partitions(13))
+    with pytest.raises(ValidationError):
+        next(enumerate_partitions(0))
+
+
+def _recursive_enumeration(n):
+    """Canonical blocks of every partition of {0..n-1}, by recursion over RGSs."""
+    labels = [0] * n
+
+    def rec(i, used):
+        if i == n:
+            blocks = [[] for _ in range(used)]
+            for x, lab in enumerate(labels):
+                blocks[lab].append(x)
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for label in range(used + 1):
+            labels[i] = label
+            yield from rec(i + 1, used + (1 if label == used else 0))
+
+    yield from rec(1, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_enumeration_order_equals_a_recursive_reference(n):
+    parts = list(enumerate_partitions(n))
+    assert [part.blocks for part in parts] == list(_recursive_enumeration(n))
+    assert {type(part) for part in parts} == {Partition}
+    assert {part.ground_size for part in parts} == {n}
 
 
 def test_enumeration_canonical_order_deterministic():

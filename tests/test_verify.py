@@ -1,8 +1,11 @@
 """Campaign engine: sampling, exhaustive oracle, determinism, emission."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
+from itertools import repeat
+import copy
 import json
 import math
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,10 +42,12 @@ from gentropy.errors import (
     ValidationError,
 )
 from gentropy.partitions import pair_draw_width
+from gentropy import verify
 from gentropy.verify import (
     _INTERIOR_FLOOR,
     CaseRecord,
     VerificationReport,
+    _checked,
     _random_refinement_pair,
     _summarize,
 )
@@ -375,7 +380,7 @@ def test_campaign_kernel_equals_per_case_loop_exactly():
     """Every catalog family, n = 3..12 (pairwise sums past 8 entries), exact ==.
 
     The two h_phi_custom specs (a NaN component and a raising outer map)
-    take the per-vector fallback between batched specs.
+    sit between catalog specs; both run batched, and all their cases skip.
     """
     specs = default_campaign_specs(include_unstable=True) + [HE]
     specs[5:5] = [
@@ -479,6 +484,93 @@ def test_summary_counts_skips_per_reason_and_locates_the_worst_case():
     assert report_from_json(emit_report(report)).summary == report.summary
     tied = [CaseRecord("hand", "x", 3, index, True, margin=0.0) for index in range(3)]
     assert _summarize(tied, [4, 5, 6])[0].worst == (4, 3, 0)  # the first of equal margins
+
+
+def test_case_record_is_a_frozen_value():
+    """Slotted, yet frozen: replace, ==, hash, repr, pickle and deepcopy hold."""
+    record = CaseRecord(
+        "hand", "x", 3, 0, True, probs=(0.5, 0.25, 0.25), blocks_finer=((0,), (1, 2)), margin=0.1
+    )
+    with pytest.raises(FrozenInstanceError):
+        record.margin = 0.2
+    assert not hasattr(record, "__dict__")
+    moved = replace(record, index=1)
+    assert (moved.index, moved.probs, moved.margin) == (1, record.probs, 0.1) and moved != record
+    twin = CaseRecord(**{f.name: getattr(record, f.name) for f in fields(CaseRecord)})
+    assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert copied == record and copied is not record and hash(copied) == hash(record)
+
+
+def test_checked_rows_equal_records_built_one_at_a_time():
+    """Evaluated rows, a skipped finer value (with a None or a str coarser
+    one) and a skipped coarser value give what ``CaseRecord(...)`` gives."""
+    tolerance = 1e-9
+    rows = [
+        (0.7, 0.5),
+        (0.5, 0.5 + 1e-10),  # within tolerance
+        (0.5, 0.6),  # a violation
+        ("NonFinite: nan", None),  # the campaign's shape
+        ("ZeroUnsupported: finer", "TooLarge: coarser"),  # the finer reason wins
+        (0.3, "TooLarge: coarser"),
+        (0.1 + 0.2, 0.3),  # a margin of one ulp
+    ]
+    finer, coarser = zip(*rows)
+    probs = [(float(index), 1.0 - index) for index in range(len(rows))]
+    records = _checked(
+        tolerance, finer, coarser, kind=repeat("hand"), spec=repeat("x"), n=repeat(2),
+        index=range(len(rows)), probs=iter(probs),
+    )
+    expected = []
+    for index, (f, c) in enumerate(rows):
+        common = dict(kind="hand", spec="x", n=2, index=index, probs=probs[index])
+        reason = next((value for value in (f, c) if type(value) is str), None)
+        if reason is not None:
+            expected.append(CaseRecord(passed=True, skipped=reason, **common))
+            continue
+        margin = f - c
+        expected.append(CaseRecord(
+            passed=margin >= -tolerance, value_finer=f, value_coarser=c, margin=margin, **common
+        ))
+    assert records == expected
+    assert [r.passed for r in records] == [True, True, False, True, True, True, True]
+    assert records[-1].margin == 0.1 + 0.2 - 0.3 != 0.0
+    for record in records:
+        assert type(record.passed) is bool
+        assert record.margin is None or type(record.margin) is float
+    assert records[0].value_finer is finer[0]  # the caller's float objects, kept
+
+
+class _ForwardingProxy:
+    """A callable stand-in for a class that forwards its attributes, as a
+    timing wrapper installed over the class's name in a module does."""
+
+    def __init__(self, cls):
+        self._cls = cls
+
+    def __call__(self, *args, **kwargs):
+        return self._cls(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return getattr(self._cls, attr)
+
+
+def test_reports_stay_equal_with_case_record_behind_a_proxy(monkeypatch):
+    """Records are built from the class itself, not from the module name."""
+    dist = FiniteDistribution(np.random.default_rng(5).dirichlet(np.ones(5)))
+
+    def reports():
+        return (
+            run_monotonicity_campaign([SHANNON, EntropySpec("s_delta", delta=2.0), HE], [3, 5], 4, 2),
+            exhaustive_lattice_check(SHANNON, dist),
+            corollary1_check(HE, dist),
+            max_entropy_check(HE, [3, 4], 5, 1),
+            counterexample_suite(),
+        )
+
+    expected = reports()
+    monkeypatch.setattr(verify, "CaseRecord", _ForwardingProxy(verify.CaseRecord))
+    assert reports() == expected
 
 
 def test_campaign_kernel_falls_back_when_batched_phi_raises():
@@ -785,7 +877,7 @@ def _assert_oracles_match_reference(spec, dist):
 
 
 def _custom_specs():
-    """Specs that take the per-vector fallback: a user phi and a refused batch."""
+    """Two user phis, which run batched, and a refused batch, which falls back."""
     return [
         EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x), zero_safe=True),
         EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x), h=lambda y: 1 / 0),
