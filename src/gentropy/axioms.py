@@ -39,7 +39,7 @@ never moves another's draws.  The product probe keeps its single stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import math
@@ -79,14 +79,7 @@ class AxiomResidual:
     expected_conforming: bool | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "axiom_id": self.axiom_id,
-            "max_abs_residual": self.max_abs_residual,
-            "cases_run": self.cases_run,
-            "worst_case": self.worst_case,
-            "budget": self.budget,
-            "expected_conforming": self.expected_conforming,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

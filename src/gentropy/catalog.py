@@ -54,12 +54,7 @@ from .errors import (
     ValidationError,
     ZeroUnsupported,
 )
-from .special import (
-    check_series_coefficients,
-    universal_group_G,
-    universal_group_G_prime,
-    upper_incomplete_gamma,
-)
+from .special import _group_series, upper_incomplete_gamma
 
 _LN2 = math.log(2.0)
 
@@ -226,13 +221,6 @@ def _no_checks(params: dict) -> None:
     pass
 
 
-def _validate_universal_group(params: dict) -> None:
-    coeffs = params["coeffs"]
-    if callable(coeffs):
-        return
-    check_series_coefficients(coeffs)
-
-
 def _validate_group_entropy(params: dict) -> None:
     l = int(_require_number(params, "l", integer=True))
     m = int(_require_number(params, "m", integer=True))
@@ -321,20 +309,7 @@ def _hypoentropy(params: dict) -> _Functional:
 
 
 def _universal_group(params: dict) -> _Functional:
-    coeffs = params["coeffs"]
-    if callable(coeffs):
-        g = np.vectorize(lambda t: universal_group_G(coeffs, t), otypes=[float])
-        g_prime = np.vectorize(lambda t: universal_group_G_prime(coeffs, t), otypes=[float])
-    else:
-        a = np.asarray(check_series_coefficients(coeffs))
-        g_coeffs = a / np.arange(1.0, a.size + 1.0)  # G(t) = t * sum c_k t^k
-
-        def g(t: np.ndarray) -> np.ndarray:
-            return t * np.polynomial.polynomial.polyval(t, g_coeffs)
-
-        def g_prime(t: np.ndarray) -> np.ndarray:
-            return np.polynomial.polynomial.polyval(t, a)
-
+    g, g_prime = (_group_series(params["coeffs"], integral) for integral in (True, False))
     return _x_g_neglog(g, g_prime)
 
 
@@ -514,7 +489,7 @@ _FAMILIES: dict[str, _Family] = {
                "r > 0, r != 1, s != 1"),),
         samples=({"r": 0.5, "s": 2.0}, {"r": 0.5, "s": 0.3}, {"r": 2.0, "s": 0.5})),
     "universal_group": _Family(
-        ("coeffs",), _universal_group, validate=_validate_universal_group,
+        ("coeffs",), _universal_group,
         samples=_each("coeffs", (1.0,), (1.0, 0.4), (1.0, 0.4, 0.1)),
     ),
     "s_cd": _Family(("c", "d"), _s_cd, rules=(

@@ -117,6 +117,14 @@ def _mask_breakpoints(values: np.ndarray, breakpoints: Sequence[float]) -> np.nd
     return keep
 
 
+def _grid_density(grid_density: int) -> int:
+    """The density every certificate samples at: an integer of at least 10."""
+    g = int(grid_density)
+    if g < 10:
+        raise ValidationError(f"grid_density must be >= 10, got {grid_density!r}")
+    return g
+
+
 def check_slope_condition(spec: EntropySpec, grid_density: int = 200) -> GridCertificate:
     """Certify phi'(x) >= phi'(x+p) over the merge triangle, plus phi(0) = 0.
 
@@ -125,19 +133,10 @@ def check_slope_condition(spec: EntropySpec, grid_density: int = 200) -> GridCer
     the witnessing point and both slopes.
     """
     f = spec.functional
-    g = int(grid_density)
-    if g < 10:
-        raise ValidationError(f"grid_density must be >= 10, got {grid_density!r}")
-
-    xs = 0.5 * np.arange(1, g + 1) / g
-    base = []
-    shifted = []
-    for x in xs:
-        ps = (1.0 - x) * np.arange(0, g + 1) / g
-        base.append(np.full(ps.size, x))
-        shifted.append(x + ps)
-    base_arr = np.concatenate(base)
-    shift_arr = np.concatenate(shifted)
+    g = _grid_density(grid_density)
+    # each x in (0, 0.5] meets p = (1 - x) k / g for k = 0..g
+    base_arr = np.repeat(0.5 * np.arange(1, g + 1) / g, g + 1)
+    shift_arr = base_arr + (1.0 - base_arr) * np.tile(np.arange(0, g + 1), g) / g
     keep = _mask_breakpoints(base_arr, f.breakpoints) & _mask_breakpoints(
         shift_arr, f.breakpoints
     )
@@ -192,10 +191,7 @@ def check_concavity(spec: EntropySpec, grid_density: int = 200) -> GridCertifica
     detects.
     """
     f = spec.functional
-    g = int(grid_density)
-    if g < 10:
-        raise ValidationError(f"grid_density must be >= 10, got {grid_density!r}")
-
+    g = _grid_density(grid_density)
     h = 1.0 / (g + 1)
     ts = h * np.arange(0, g + 2)
     values = np.empty(ts.size)
@@ -261,7 +257,7 @@ def check_outer_map_pairing(spec: EntropySpec, grid_density: int = 200) -> GridC
     """
     f = spec.functional
     h_prime = f.h_prime if f.h_prime is not None else (lambda y: 1.0)
-    g = int(grid_density)
+    g = _grid_density(grid_density)
     lo, hi = _component_sum_bracket(spec)
     ys = np.linspace(lo, hi, g)
     h_slopes = np.array([h_prime(float(y)) for y in ys])

@@ -30,6 +30,30 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _checked_array(values, name: str, ndim: int, unit_sum: bool) -> np.ndarray:
+    """``values`` as a new nonempty ``ndim``-d float array, finite and >= 0.
+
+    Str and bytes entries are refused, not parsed as numbers.  With
+    ``unit_sum`` the entries must also sum to 1 within ``SUM_TOLERANCE``.
+    """
+    try:
+        raw = np.asarray(values)
+        if raw.dtype.kind in "OSU" and any(isinstance(x, (str, bytes)) for x in raw.flat):
+            raise TypeError("got a str or bytes entry")
+        arr = raw.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be numbers: {exc}") from exc
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValidationError(f"{name} must be a nonempty {ndim}-d array")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} must be finite")
+    if np.any(arr < 0.0):
+        raise ValidationError(f"{name} must be >= 0: min entry {arr.min()}")
+    if unit_sum and abs(float(arr.sum()) - 1.0) > SUM_TOLERANCE:
+        raise ValidationError(f"{name} sum to {float(arr.sum())!r}, not 1")
+    return arr
+
+
 class FiniteDistribution:
     """A probability vector on the finite state space {0..n-1}.
 
@@ -43,23 +67,7 @@ class FiniteDistribution:
     __slots__ = ("_probs",)
 
     def __init__(self, probs: Sequence[float] | np.ndarray):
-        try:
-            raw = np.asarray(probs)
-            if raw.dtype.kind in "OSU" and any(isinstance(x, (str, bytes)) for x in raw.flat):
-                raise TypeError("got a str or bytes entry")
-            arr = raw.astype(float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"probs must be numbers: {exc}") from exc
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValidationError("probs must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("probs must be finite")
-        if np.any(arr < 0.0):
-            raise ValidationError(f"negative probability: min entry {arr.min()}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
-        self._probs = _freeze(arr)
+        self._probs = _freeze(_checked_array(probs, "probs", 1, unit_sum=True))
 
     @property
     def probs(self) -> np.ndarray:
@@ -130,17 +138,7 @@ class JointDistribution:
     __slots__ = ("_cells",)
 
     def __init__(self, cells: Sequence[Sequence[float]] | np.ndarray):
-        arr = np.asarray(cells, dtype=float).copy()
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValidationError("cells must be a nonempty 2-d matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("cells must be finite")
-        if np.any(arr < 0.0):
-            raise ValidationError(f"negative cell: min entry {arr.min()}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ValidationError(f"cells sum to {total!r}, not 1")
-        self._cells = _freeze(arr)
+        self._cells = _freeze(_checked_array(cells, "cells", 2, unit_sum=True))
 
     @property
     def cells(self) -> np.ndarray:
@@ -177,13 +175,7 @@ def from_weights(weights: Iterable[float]) -> FiniteDistribution:
     This is the only place normalization happens implicitly; constructors
     elsewhere validate the unit sum and reject.
     """
-    arr = np.asarray(list(weights), dtype=float)
-    if arr.size == 0:
-        raise ValidationError("weights must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("weights must be finite")
-    if np.any(arr < 0.0):
-        raise ValidationError(f"negative weight: min entry {arr.min()}")
+    arr = _checked_array(list(weights), "weights", 1, unit_sum=False)
     total = float(arr.sum())
     if total <= 0.0:
         raise ValidationError("weights sum to zero")

@@ -256,6 +256,12 @@ def _random_refinement_pair(
     return Partition(finer, n), Partition(coarser, n)
 
 
+def _require_pair_size(n: int) -> None:
+    """Refuse a ground set too small to hold a strict refinement pair."""
+    if n < 3:
+        raise TooSmall(f"refinement pairs with 2 <= k_B < k_A need n >= 3, got {n}")
+
+
 def random_refinement_pair(n: int, rng_seed: int) -> tuple[Partition, Partition]:
     """Sample a strict refinement pair (A, B): B coarser, 2 <= k_B < k_A <= n.
 
@@ -266,7 +272,6 @@ def random_refinement_pair(n: int, rng_seed: int) -> tuple[Partition, Partition]
     This covers the whole order but is *not* uniform over it; exhaustive
     enumeration exists for certainty at small n.
     """
-    if n < 3:
-        raise TooSmall(f"refinement pairs with 2 <= k_B < k_A need n >= 3, got {n}")
+    _require_pair_size(n)
     rng = np.random.default_rng(rng_seed)
     return _random_refinement_pair(n, rng)

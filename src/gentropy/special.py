@@ -12,6 +12,8 @@ from typing import Callable, Sequence
 
 import math
 
+import numpy as np
+
 from .errors import ParamOutOfDomain, TruncationCapHit, ValidationError
 
 _GAMMA_RTOL = 1e-12
@@ -19,6 +21,8 @@ _GAMMA_MAX_ITER = 500
 
 _SERIES_RTOL = 1e-14
 _SERIES_CAP = 200
+
+_Coeffs = Sequence[float] | Callable[[int], float]  # finite a_0..a_m, or k -> a_k
 
 
 def _lower_regularized_series(a: float, x: float) -> float:
@@ -110,60 +114,59 @@ def check_series_coefficients(coeffs: Sequence[float]) -> tuple[float, ...]:
     return cleaned
 
 
-def universal_group_G(
-    coeffs: Sequence[float] | Callable[[int], float], t: float
-) -> float:
+def _group_series(coeffs: _Coeffs, integral: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """Elementwise array map of G(t) (``integral``) or of G'(t) = sum_k a_k t**k.
+
+    G(t) = sum_k a_k t**(k+1) / (k+1).  A finite coefficient sequence is
+    validated here and summed exactly (a polynomial, by Horner's rule).  A
+    callable ``k -> a_k`` is an infinite sequence of nonnegative terms: each
+    point stops once ``|term| <= 1e-14 * |partial sum|`` after its first
+    term, with a hard cap of 200 terms (exceeding the cap raises).
+    """
+    if not callable(coeffs):
+        a = np.asarray(check_series_coefficients(coeffs))
+        if not integral:
+            return lambda t: np.polynomial.polynomial.polyval(t, a)
+        g_coeffs = a / np.arange(1.0, a.size + 1.0)  # G(t) = t * sum c_k t^k
+        return lambda t: t * np.polynomial.polynomial.polyval(t, g_coeffs)
+
+    def series(t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        total = np.zeros_like(t)
+        power = t.copy() if integral else np.ones_like(t)  # t**(k+1) or t**k
+        running = np.ones(t.shape, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(_SERIES_CAP):
+                a_k = float(coeffs(k))
+                if a_k < 0.0:
+                    raise ParamOutOfDomain(f"coefficient a_{k} is negative")
+                term = a_k * power / (k + 1 if integral else 1)
+                total = np.where(running, total + term, total)
+                if k > 0:
+                    running &= ~(np.abs(term) <= _SERIES_RTOL * np.abs(total))
+                if not running.any():
+                    return total
+                power *= t
+        name = "G" if integral else "G'"
+        raise TruncationCapHit(
+            f"series for {name}({float(t[running][0])!r}) did not converge within "
+            f"{_SERIES_CAP} terms"
+        )
+
+    return series
+
+
+def universal_group_G(coeffs: _Coeffs, t: float) -> float:
     """Evaluate G(t) = sum_k a_k * t**(k+1) / (k+1).
 
     A finite coefficient sequence is summed exactly (it is a polynomial).
     A callable ``k -> a_k`` is treated as an infinite sequence: summation
-    stops once ``|term| < 1e-14 * |partial sum|``, with a hard cap of 200
+    stops once ``|term| <= 1e-14 * |partial sum|``, with a hard cap of 200
     terms (exceeding the cap raises).
     """
-    if callable(coeffs):
-        total = 0.0
-        power = t  # t**(k+1)
-        for k in range(_SERIES_CAP):
-            a_k = float(coeffs(k))
-            if a_k < 0.0:
-                raise ParamOutOfDomain(f"coefficient a_{k} is negative")
-            term = a_k * power / (k + 1)
-            total += term
-            if abs(term) <= _SERIES_RTOL * abs(total) and k > 0:
-                return total
-            power *= t
-        raise TruncationCapHit(
-            f"series for G({t!r}) did not converge within {_SERIES_CAP} terms"
-        )
-    cleaned = check_series_coefficients(coeffs)
-    total = 0.0
-    power = t
-    for k, a_k in enumerate(cleaned):
-        total += a_k * power / (k + 1)
-        power *= t
-    return total
+    return float(_group_series(coeffs, integral=True)(np.array([t], dtype=float))[0])
 
 
-def universal_group_G_prime(
-    coeffs: Sequence[float] | Callable[[int], float], t: float
-) -> float:
+def universal_group_G_prime(coeffs: _Coeffs, t: float) -> float:
     """Evaluate G'(t) = sum_k a_k * t**k (same truncation rules as G)."""
-    if callable(coeffs):
-        total = 0.0
-        power = 1.0
-        for k in range(_SERIES_CAP):
-            term = float(coeffs(k)) * power
-            total += term
-            if abs(term) <= _SERIES_RTOL * abs(total) and k > 0:
-                return total
-            power *= t
-        raise TruncationCapHit(
-            f"series for G'({t!r}) did not converge within {_SERIES_CAP} terms"
-        )
-    cleaned = check_series_coefficients(coeffs)
-    total = 0.0
-    power = 1.0
-    for k, a_k in enumerate(cleaned):
-        total += a_k * power
-        power *= t
-    return total
+    return float(_group_series(coeffs, integral=False)(np.array([t], dtype=float))[0])

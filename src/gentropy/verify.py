@@ -84,6 +84,7 @@ from .catalog import EntropySpec, _admit, _outer_value, evaluate, phi_prime
 from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet, coarse_grain
 from .errors import GentropyError, NonFinite, TooLarge, UnsupportedFormat, ValidationError
 from .partitions import Partition, _Blocks, enumerate_partitions, pair_draw_width
+from .partitions import _require_pair_size
 # The pair sampler, looked up per case under the name perfbench's tracer
 # times as the sampler layer.
 from .partitions import _refinement_pair_blocks as _random_refinement_pair
@@ -356,8 +357,8 @@ def _require_non_negative(**counts: int) -> None:
 
 def _campaign_dimensions(n_values: Iterable[int]) -> list[int]:
     n_list = sorted(set(int(n) for n in n_values))
-    if any(n < 3 for n in n_list):
-        raise TooLarge(f"refinement pairs need n >= 3, got {n_list}")
+    for n in n_list:
+        _require_pair_size(n)
     return n_list
 
 
@@ -630,8 +631,10 @@ def _partition_values(
     The partitions come in enumeration order as canonical blocks.  The
     identity comes last in that order and gets no value here: the callers
     evaluate ``dist`` itself.  A value is a float, or a str the reason
-    ``evaluate`` would fail.
+    ``evaluate`` would fail.  Only n <= 8 is enumerated.
     """
+    if dist.n > 8:
+        raise TooLarge(f"exhaustive check is limited to n <= 8, got {dist.n}")
     partitions = [part.blocks for part in enumerate_partitions(dist.n)]
     values = _VectorValues(
         [spec], [_Vector(0, dist.probs, blocks) for blocks in partitions[:-1]]
@@ -698,8 +701,6 @@ def exhaustive_lattice_check(
     margin over all edges is reported in the metadata.
     """
     n = dist.n
-    if n > 8:
-        raise TooLarge(f"exhaustive check is limited to n <= 8, got {n}")
     partitions, values = _partition_values(spec, dist)
     values.append(_evaluated(spec, dist))
     finer, coarser, kind = (column.tolist() for column in _lattice_rows(partitions, n))
@@ -714,18 +715,15 @@ def exhaustive_lattice_check(
         blocks_finer=map(partitions.__getitem__, finer),
         blocks_coarser=map(partitions.__getitem__, coarser),
     )
-    min_margin = min((e.margin for e in entries if e.margin is not None), default=math.inf)
-    return _finish(
+    report = _finish(
         f"lattice-n{n}",
         None,
         tolerance,
         entries,
-        {
-            "partitions": len(partitions),
-            "probs": dist.probs.tolist(),
-            "min_margin": None if math.isinf(min_margin) else min_margin,
-        },
+        {"partitions": len(partitions), "probs": dist.probs.tolist()},
     )
+    report.metadata["min_margin"] = report.summary[0].min_margin if report.summary else None
+    return report
 
 
 def corollary1_check(
@@ -741,10 +739,8 @@ def corollary1_check(
     kind rather than silently folded in.
     """
     n = dist.n
-    if n > 8:
-        raise TooLarge(f"exhaustive check is limited to n <= 8, got {n}")
-    base = evaluate(spec, dist)
     partitions, values = _partition_values(spec, dist)
+    base = evaluate(spec, dist)
     entries = _checked(
         tolerance,
         repeat(base, len(values)),

@@ -57,8 +57,12 @@ def test_slope_condition_counterexample_fails_with_slopes_one_two():
 
 
 def test_slope_condition_grid_guard():
-    with pytest.raises(ValidationError):
-        check_slope_condition(EntropySpec("shannon"), grid_density=5)
+    """Every certificate refuses a grid density below 10."""
+    cases = [("shannon", 5)] + [("counterexample_HE", density) for density in (0, 3, 9)]
+    for check in (check_slope_condition, check_concavity, check_outer_map_pairing):
+        for spec_id, density in cases:
+            with pytest.raises(ValidationError, match="grid_density"):
+                check(EntropySpec(spec_id), grid_density=density)
 
 
 def test_concavity_passes_for_smooth_members():

@@ -9,6 +9,7 @@ import pytest
 
 from gentropy import (
     FiniteDistribution,
+    JointDistribution,
     Partition,
     coarse_grain,
     escort,
@@ -48,9 +49,13 @@ def test_from_weights_rejects(weights):
      [Fraction(1, 2), "0.5"]],
 )
 def test_distribution_rejects_text_entries(probs):
-    """JSON strings of numbers are not numbers, nor are bytes."""
+    """JSON strings of numbers are not numbers, nor are bytes, for any input."""
     with pytest.raises(ValidationError, match="probs must be numbers"):
         FiniteDistribution(probs)
+    with pytest.raises(ValidationError, match="cells must be numbers"):
+        JointDistribution([probs])
+    with pytest.raises(ValidationError, match="weights must be numbers"):
+        from_weights(probs)
     assert FiniteDistribution([Fraction(1, 2), 0.5]).probs.tolist() == [0.5, 0.5]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from gentropy import universal_group_G, universal_group_G_prime, upper_incomplete_gamma
+from gentropy import catalog, universal_group_G, universal_group_G_prime, upper_incomplete_gamma
 from gentropy.errors import ParamOutOfDomain, TruncationCapHit, ValidationError
 
 
@@ -94,6 +94,10 @@ def test_series_coefficient_condition():
         universal_group_G([-1.0], 1.0)
     with pytest.raises(ParamOutOfDomain):
         universal_group_G([], 1.0)
+    negative = lambda k: -0.1 if k == 2 else 0.5**k  # noqa: E731
+    for series in (universal_group_G, universal_group_G_prime):
+        with pytest.raises(ParamOutOfDomain, match="a_2 is negative"):
+            series(negative, 1.0)
 
 
 def test_series_callable_converges():
@@ -107,3 +111,44 @@ def test_series_callable_converges():
 def test_series_callable_cap():
     with pytest.raises(TruncationCapHit):
         universal_group_G(lambda k: 1.0, 1.0)  # constant terms never converge
+
+
+def _functional_series(coeffs, monkeypatch):
+    """The g and g' that the universal_group functional is built on."""
+    monkeypatch.setattr(catalog, "_x_g_neglog", lambda g, g_prime: (g, g_prime))
+    return catalog._universal_group({"coeffs": coeffs})
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(1.0, 0.4, 0.1), lambda k: 0.5**k / math.factorial(k)], ids=["finite", "callable"]
+)
+def test_public_series_equal_the_catalog_functional_bit_for_bit(coeffs, monkeypatch):
+    """G and G' agree with the g and g' that the universal_group functional is built on."""
+    g, g_prime = _functional_series(coeffs, monkeypatch)
+    t = np.linspace(0.01, 8.0, 2000)
+    public_g = np.array([universal_group_G(coeffs, v) for v in t.tolist()])
+    public_g_prime = np.array([universal_group_G_prime(coeffs, v) for v in t.tolist()])
+    assert g(t).tobytes() == public_g.tobytes()
+    assert g_prime(t).tobytes() == public_g_prime.tobytes()
+
+
+def _series_by_loop(coeffs, t, integral):
+    """G(t) or G'(t) for a callable, one Python float at a time (the reference)."""
+    total, power = 0.0, (t if integral else 1.0)
+    for k in range(200):
+        term = coeffs(k) * power / (k + 1) if integral else coeffs(k) * power
+        total += term
+        if abs(term) <= 1e-14 * abs(total) and k > 0:
+            return total
+        power *= t
+    raise AssertionError(f"no convergence at t={t!r}")
+
+
+def test_callable_series_equal_a_per_point_loop(monkeypatch):
+    """Over an array, each point stops at the term its own scalar loop stops at."""
+    coeffs = lambda k: 1.0 / math.factorial(k)  # noqa: E731
+    g, g_prime = _functional_series(coeffs, monkeypatch)
+    t = np.concatenate([[0.0], np.linspace(0.01, 30.0, 1000)])
+    for series, integral in ((g, True), (g_prime, False)):
+        expected = np.array([_series_by_loop(coeffs, v, integral) for v in t.tolist()])
+        assert series(t).tobytes() == expected.tobytes()

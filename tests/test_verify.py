@@ -37,6 +37,7 @@ from gentropy.errors import (
     GentropyError,
     NonFinite,
     TooLarge,
+    TooSmall,
     UnsupportedFormat,
     UserCallableError,
     ValidationError,
@@ -120,7 +121,7 @@ def test_campaign_skip_accounting():
 
 
 def test_campaign_rejects_tiny_n():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooSmall):
         run_monotonicity_campaign([SHANNON], [2, 3], 5, rng_seed=0)
 
 
