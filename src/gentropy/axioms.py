@@ -27,9 +27,9 @@ Axiom identifiers used throughout:
 The sampled probes (:func:`check_basic_axioms` and
 :func:`check_product_composability`) run on the evaluation kernel of the
 campaign engine, ``verify._VectorValues``.  A draw phase draws every
-sample's randomness in batches and builds every vector the probe needs;
-one kernel call evaluates them all, and a reduction walks the samples in
-order.  The results, and any exception raised, are those of calling
+sample's randomness in batches and lays every vector the probe needs end
+to end; one kernel call evaluates them all, and numpy reduces the values
+column by column.  The results, and any exception raised, are those of calling
 ``FiniteDistribution`` and ``evaluate`` sample by sample on the same
 draws; the reference loops in ``tests/test_axioms.py`` pin this.  The
 basic-axiom draws come from three child streams of the seed (bases,
@@ -57,12 +57,11 @@ from .distributions import (
 from .errors import (
     BadInverse,
     DimensionMismatch,
-    NoDerivative,
     TooSmall,
     ValidationError,
     ZeroUnsupported,
 )
-from .verify import _INTERIOR_FLOOR, _Vector, _VectorValues, _require_non_negative
+from .verify import _INTERIOR_FLOOR, _VectorValues, _require_non_negative, _starts
 
 _CONTINUITY_EPS = 1e-8
 
@@ -131,61 +130,41 @@ def pseudo_additivity_gamma(spec: EntropySpec) -> float | None:
 # Basic axioms (positivity, expandability, symmetry, continuity)
 # ---------------------------------------------------------------------------
 
-def _slope_budget(
-    spec: EntropySpec, a: float, b: float, inner_sum: float, slope: float | None = None
-) -> float:
-    """A per-case Lipschitz allowance for the continuity probe.
+def _budgets(spec: EntropySpec, extremes: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """A per-case Lipschitz allowance for the continuity probe, for every case.
 
-    Mass is transferred between entries valued ``a`` and ``b``; the response
-    is first-order bounded by the component slopes there times the outer-map
-    slope, with a x50 allowance for curvature and rounding.  ``slope``, when
-    given, is ``|phi'(a)| + |phi'(b)|``, already computed.
-    """
-    if slope is None:
-        try:
-            slope = abs(phi_prime(spec, a)) + abs(phi_prime(spec, b))
-        except NoDerivative:
-            slope = 0.0
-    outer = abs(outer_map_prime(spec, inner_sum)) if spec.functional.h else 1.0
-    return 50.0 * (1.0 + slope * max(outer, 1.0))
-
-
-def _slopes(spec: EntropySpec, points: list[tuple[float, float]]) -> list[float | None]:
-    """``|phi'(a)| + |phi'(b)|`` for every point pair, from one ``phi'`` call.
-
-    None marks a pair where :func:`phi_prime` would raise (a point outside
-    (0, 1) or at a breakpoint), or every pair when the batched call fails;
-    the caller then asks :func:`phi_prime` itself.
+    Mass moves between a case's entries ``extremes[c]``; the response is
+    first-order bounded by the component slopes there (one ``phi'`` call)
+    times the outer-map slope at the component sum ``inner[c]``, with a x50
+    allowance for curvature and rounding.  :func:`phi_prime` itself takes
+    the slopes it would refuse, or all when the batched call fails; the
+    first case in order that it or ``outer_map_prime`` refuses raises.
     """
     f = spec.functional
-    if f.phi_prime is None:  # phi_prime raises NoDerivative: no slope term
-        return [0.0] * len(points)
-    x = np.array(points, dtype=float).reshape(-1, 2)
-    ok = (x > 0.0) & (x < 1.0)
-    for b in f.breakpoints:
-        ok &= ~(np.abs(x - b) < 1e-12)
-    try:
-        d = np.abs(f.phi_prime(x.ravel())).reshape(-1, 2)
-    except Exception:
-        return [None] * len(points)
-    slope = (d[:, 0] + d[:, 1]).tolist()
-    return [s if good else None for s, good in zip(slope, ok.all(axis=1).tolist())]
-
-
-class _Draw(NamedTuple):
-    """The draws of one basic-axiom sample.
-
-    Kernel vector ``first`` is the base; the permuted, (for zero-safe
-    functionals) zero-padded and continuity-shifted vectors follow it in
-    that order.
-    """
-
-    probs: np.ndarray
-    first: int
-    permutation: np.ndarray
-    position: int
-    hi: int
-    lo: int
+    slope, scalar = np.zeros(len(extremes)), []
+    if f.phi_prime is not None:  # else phi_prime raises NoDerivative: no slope term
+        ok = (extremes > 0.0) & (extremes < 1.0)
+        for b in f.breakpoints:
+            ok &= ~(np.abs(extremes - b) < 1e-12)
+        try:
+            d = np.abs(f.phi_prime(extremes.ravel())).reshape(-1, 2)
+            slope, scalar = d[:, 0] + d[:, 1], np.flatnonzero(~ok.all(axis=1)).tolist()
+        except Exception:
+            scalar = range(len(extremes))
+    stop, error = len(slope), None
+    for c in scalar:
+        a, b = extremes[c].tolist()
+        try:
+            slope[c] = abs(phi_prime(spec, a)) + abs(phi_prime(spec, b))
+        except Exception as exc:  # raised below, unless an earlier case's h' raises
+            stop, error = c, exc
+            break
+    outer = 1.0
+    if f.h:
+        outer = np.array([abs(outer_map_prime(spec, y)) for y in inner[:stop].tolist()])
+    if error is not None:
+        raise error
+    return 50.0 * (1.0 + slope * np.maximum(outer, 1.0))
 
 
 _MAX_N = 6  # sample i has n = 2 + i % 5
@@ -198,9 +177,28 @@ def _padded(p: np.ndarray, at: np.ndarray) -> np.ndarray:
     return np.where(column == at[:, None], 0.0, np.take_along_axis(p, source, axis=1))
 
 
-def _draw_basic(
-    spec: EntropySpec, samples: int, rng_seed: int
-) -> tuple[list[_Draw], list[_Vector]]:
+class _BasicDraws(NamedTuple):
+    """The draws of every basic-axiom sample, as columns.
+
+    Sample i's vectors lie end to end in ``probs`` from ``starts[i]``, their
+    lengths in row i of ``widths``: the base, the permuted, (for zero-safe
+    functionals) the zero-padded and the continuity-shifted vector.
+    """
+
+    probs: np.ndarray
+    widths: np.ndarray
+    starts: np.ndarray
+    permutations: np.ndarray  # sample i's is the first n of row i
+    positions: np.ndarray  # of the padding zero
+    extremes: np.ndarray  # each base's largest and second-largest entry
+
+    def vector(self, i: int, k: int) -> np.ndarray:
+        """Sample i's base (k = 0) or permuted (k = 1) vector."""
+        n = self.widths[i, 0]
+        return self.probs[self.starts[i] + k * n : self.starts[i] + (k + 1) * n]
+
+
+def _draw_basic(spec: EntropySpec, samples: int, rng_seed: int) -> _BasicDraws:
     """Draw phase of :func:`check_basic_axioms`: every sample's draws and vectors.
 
     Three child streams of ``SeedSequence(rng_seed)`` each draw one batch
@@ -209,7 +207,8 @@ def _draw_basic(
     of ``_MAX_N`` uniforms) and the padding positions (uniform on 0..n).
     A base whose minimum is not above the floor is redrawn, in sample
     order, from the base stream after its batch.  So no draw depends on
-    any value, and every sample gets all of its vectors.
+    any value, and every sample gets all of its vectors.  The vectors of
+    one n are built as matrices and laid into ``probs`` in one scatter.
     """
     f = spec.functional
     floor = 0.0 if f.zero_safe else _INTERIOR_FLOOR
@@ -227,42 +226,42 @@ def _draw_basic(
     for _, n, j in sorted(low):  # in sample order
         probs[n][j] = _dirichlet_interior(n, bases, floor)
 
-    stride = 4 if f.zero_safe else 3
-    draws: list[_Draw] = [None] * samples
-    vectors: list[_Vector] = [None] * (stride * samples)
+    widths = dims[:, None] + np.array([0, 0, 1, 0] if f.zero_safe else [0, 0, 0])
+    starts = _starts(widths.sum(axis=1))
+    flat = np.empty(int(widths.sum()))
+    permutations, extremes = np.zeros((samples, _MAX_N), dtype=np.intp), np.empty((samples, 2))
     for n, rows in groups.items():
         p, every = probs[n], np.arange(rows.size)
-        perm = np.argsort(w[rows, :n], axis=1)
+        permutations[rows, :n] = perm = np.argsort(w[rows, :n], axis=1)
         order = np.argsort(p, axis=1)
         hi, lo = order[:, -1], order[:, -2]
+        extremes[rows, 0], extremes[rows, 1] = p[every, hi], p[every, lo]
         shifted = p.copy()
         shifted[every, hi] -= _CONTINUITY_EPS
         shifted[every, lo] += _CONTINUITY_EPS
         kinds = [p, np.take_along_axis(p, perm, axis=1)]
         kinds += [_padded(p, positions[rows])] if f.zero_safe else []
         kinds.append(shifted)
-        for j, i in enumerate(rows.tolist()):
-            first = stride * i
-            vectors[first : first + stride] = [_Vector(0, kind[j], None) for kind in kinds]
-            draws[i] = _Draw(p[j], first, perm[j], int(positions[i]), int(hi[j]), int(lo[j]))
-    return draws, vectors
+        laid = np.hstack(kinds)
+        flat[starts[rows, None] + np.arange(laid.shape[1])] = laid
+    return _BasicDraws(flat, widths, starts, permutations, positions, extremes)
 
 
-def _accepted(values: _VectorValues, v: int) -> float | None:
-    """Vector ``v``'s value, or None where ``evaluate`` would raise on it."""
-    try:
-        value = values.value(v)
-    except Exception:  # a raising phi on the per-vector path
+def _raise_rejected(spec: EntropySpec, values: _VectorValues, v: int, probs: np.ndarray):
+    """Raise what ``evaluate`` raises on ``probs``, vector ``v``, which the kernel refused."""
+    outcome = values.values[v]
+    if isinstance(outcome, Exception):
+        raise outcome
+    evaluate(spec, FiniteDistribution(probs))
+
+
+def _worst(score: np.ndarray) -> int | None:
+    """Where a strict running maximum from 0 stops: the first maximum above 0,
+    or None.  NaN never wins, as ``nan > m`` is false."""
+    if not score.size:
         return None
-    return value if type(value) is float else None
-
-
-def _exact(spec: EntropySpec, values: _VectorValues, vectors: list[_Vector], v: int) -> float:
-    """Vector ``v``'s value; where the kernel holds a reason, ``evaluate`` raises it."""
-    value = values.value(v)
-    if type(value) is float:
-        return value
-    return evaluate(spec, FiniteDistribution(vectors[v].probs))
+    i = int(np.argmax(np.where(score > 0.0, score, 0.0)))
+    return i if score[i] > 0.0 else None
 
 
 def check_basic_axioms(
@@ -273,72 +272,57 @@ def check_basic_axioms(
     Never raises for in-domain specs: per-case evaluation errors (e.g. the
     dimension bound of ``s_delta``) simply reduce the case count.  A
     rejected permuted vector, or a slope budget that ``phi_prime`` refuses,
-    raises what ``evaluate`` or ``phi_prime`` raise.  Every sample draws
-    all of its vectors (see ``_draw_basic``), and those of a sample whose
-    base is rejected go unused.
+    raises what ``evaluate`` or ``phi_prime`` raise, whichever a walk over
+    the samples in order meets first.  Every sample draws all of its
+    vectors (see ``_draw_basic``), and those of a sample whose base is
+    rejected go unused.
     """
     _require_non_negative(samples=samples, rng_seed=rng_seed)
-    f = spec.functional
-    draws, vectors = _draw_basic(spec, samples, rng_seed)
-    values = _VectorValues([spec], vectors)
-    accepted = []
-    for d in draws:
-        value = _accepted(values, d.first)
-        if value is not None:
-            accepted.append((d, value))
-    slopes = _slopes(spec, [(d.probs[d.hi], d.probs[d.lo]) for d, _ in accepted])
-    neg: list[tuple[float, dict]] = [(0.0, {})]
-    sym: list[tuple[float, dict]] = [(0.0, {})]
-    exp_: list[tuple[float, dict]] = [(0.0, {})]
-    cont: list[tuple[float, float, dict]] = [(0.0, 1.0, {})]
-    counts = {"positivity": 0, "symmetry": 0, "expandability": 0, "continuity": 0}
+    draws = _draw_basic(spec, samples, rng_seed)
+    values = _VectorValues([spec], draws.probs, draws.widths.ravel())
+    stride = draws.widths.shape[1]
+    numbers = values.numbers.reshape(samples, stride)  # NaN: rejected; a float is finite
+    accepted = np.flatnonzero(~np.isnan(numbers[:, 0]))
+    refused = np.flatnonzero(np.isnan(numbers[accepted, 1]))
+    raising = None
+    if refused.size:  # the samples before it run; then its permuted vector raises
+        raising, accepted = int(accepted[refused[0]]), accepted[: refused[0]]
+    base = numbers[accepted, 0]
+    moved = accepted[~np.isnan(numbers[accepted, -1])]
+    rate = np.abs(numbers[moved, -1] - numbers[moved, 0]) / _CONTINUITY_EPS
+    budget = _budgets(spec, draws.extremes[moved], values.totals[stride * moved])
+    if raising is not None:
+        _raise_rejected(spec, values, stride * raising + 1, draws.vector(raising, 1))
 
-    for (d, value), slope in zip(accepted, slopes):
-        p, v = d.probs, d.first + 1
-        counts["positivity"] += 1
-        if -value > neg[-1][0]:
-            neg.append((-value, {"probs": p.tolist(), "value": value}))
-
-        permuted = _exact(spec, values, vectors, v)
-        counts["symmetry"] += 1
-        gap = abs(value - permuted)
-        if gap > sym[-1][0]:
-            sym.append((gap, {"probs": p.tolist(), "permutation": d.permutation.tolist()}))
-
-        if f.zero_safe:
-            v += 1
-            expanded = _accepted(values, v)
-            if expanded is not None:
-                counts["expandability"] += 1
-                gap = abs(value - expanded)
-                if gap > exp_[-1][0]:
-                    exp_.append((gap, {"probs": p.tolist(), "position": d.position}))
-
-        moved = _accepted(values, v + 1)
-        if moved is None:
-            continue
-        counts["continuity"] += 1
-        rate = abs(moved - value) / _CONTINUITY_EPS
-        inner = values.total(d.first)
-        budget = _slope_budget(spec, float(p[d.hi]), float(p[d.lo]), inner, slope)
-        if rate / budget > cont[-1][0] / cont[-1][1]:
-            cont.append((rate, budget, {"probs": p.tolist(), "rate": rate}))
-
-    def residual(axiom: str, stack, budget=None) -> AxiomResidual:
-        value, case = stack[-1][0], stack[-1][-1]
+    def residual(axiom, cases, score, case, size=None, budgets=None) -> AxiomResidual:
+        w = _worst(score)
         return AxiomResidual(
             axiom_id=axiom,
-            max_abs_residual=value,
-            cases_run=counts[axiom],
-            worst_case=case or None,
-            budget=budget,
+            max_abs_residual=0.0 if w is None else float((score if size is None else size)[w]),
+            cases_run=int(cases.size),
+            worst_case=None if w is None else {
+                "probs": draws.vector(cases[w], 0).tolist(), **case(int(cases[w]), w)
+            },
+            budget=None if budgets is None else 1.0 if w is None else float(budgets[w]),
             expected_conforming=expected_conforming(spec, axiom),
         )
 
-    results = [residual("positivity", neg)]
-    if f.zero_safe:
-        results.append(residual("expandability", exp_))
-    results.extend([residual("symmetry", sym), residual("continuity", cont, cont[-1][1])])
+    results = [residual("positivity", accepted, -base, lambda i, w: {"value": float(base[w])})]
+    if spec.functional.zero_safe:
+        expanded = numbers[accepted, 2]
+        padded = ~np.isnan(expanded)
+        results.append(residual(
+            "expandability", accepted[padded], np.abs(base[padded] - expanded[padded]),
+            lambda i, w: {"position": int(draws.positions[i])},
+        ))
+    results.append(residual(
+        "symmetry", accepted, np.abs(base - numbers[accepted, 1]),
+        lambda i, w: {"permutation": draws.permutations[i, : draws.widths[i, 0]].tolist()},
+    ))
+    results.append(residual(
+        "continuity", moved, rate / budget, lambda i, w: {"rate": float(rate[w])},
+        size=rate, budgets=budget,
+    ))
     return results
 
 
@@ -358,22 +342,22 @@ def check_product_composability(
         return None
     rng = np.random.default_rng(rng_seed)
     cases = max(samples // 10, 1)
-    vectors: list[_Vector] = []
+    vectors = []
     for _ in range(cases):
         left = _dirichlet_interior(3, rng, _INTERIOR_FLOOR)
         right = _dirichlet_interior(4, rng, _INTERIOR_FLOOR)
-        product = np.outer(left, right).ravel()
-        vectors += [_Vector(0, left, None), _Vector(0, right, None), _Vector(0, product, None)]
-    values = _VectorValues([spec], vectors)
-    worst = 0.0
-    for v in range(0, len(vectors), 3):
-        hl, hr, joint = (_exact(spec, values, vectors, v + k) for k in range(3))
-        worst = max(worst, abs(joint - (hl + hr + gamma * hl * hr)))
+        vectors += [left, right, np.outer(left, right).ravel()]
+    values = _VectorValues([spec], np.concatenate(vectors), np.tile([3, 4, 12], cases))
+    for v in np.flatnonzero(np.isnan(values.numbers))[:1].tolist():
+        _raise_rejected(spec, values, v, vectors[v])
+    hl, hr, joint = values.numbers.reshape(cases, 3).T
+    gap = np.abs(joint - (hl + hr + gamma * hl * hr))
+    w = _worst(gap)
     axiom = "product_additivity" if gamma == 0.0 else "product_pseudo_additivity"
     return {
         "axiom_id": axiom,
         "gamma": gamma,
-        "max_abs_residual": worst,
+        "max_abs_residual": 0.0 if w is None else float(gap[w]),
         "cases_run": cases,
         "expected_conforming": expected_conforming(spec, axiom),
     }

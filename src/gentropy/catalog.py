@@ -321,8 +321,8 @@ def _s_cd(params: dict) -> _Functional:
 
     def phi(x: np.ndarray) -> np.ndarray:
         flat = np.asarray(x, dtype=float).ravel()
-        vals = [upper_incomplete_gamma(1.0 + d, 1.0 - c * math.log(v)) for v in flat]
-        return scale * np.array(vals).reshape(np.shape(x))
+        limits = np.array([1.0 - c * math.log(v) for v in flat.tolist()])  # math, not np.log
+        return scale * upper_incomplete_gamma(1.0 + d, limits).reshape(np.shape(x))
 
     def phi_prime(x: np.ndarray) -> np.ndarray:
         # d/dx Gamma(1+d, 1 - c ln x) = (c/x) (1 - c ln x)^d exp(-(1 - c ln x))

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -347,9 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main parses with one parser per process
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GentropyError as exc:

@@ -176,6 +176,8 @@ def from_weights(weights: Iterable[float]) -> FiniteDistribution:
     elsewhere validate the unit sum and reject.
     """
     arr = _checked_array(list(weights), "weights", 1, unit_sum=False)
+    with np.errstate(over="ignore"):  # finite weights whose sum overflows are scaled
+        arr = arr if np.isfinite(arr.sum()) else arr / arr.max()
     total = float(arr.sum())
     if total <= 0.0:
         raise ValidationError("weights sum to zero")
@@ -222,6 +224,8 @@ def escort(dist: FiniteDistribution, alpha: float) -> FiniteDistribution:
     if alpha == 0.0 and np.any(p == 0.0):
         raise ZeroUnsupported("escort with alpha=0 requires all entries > 0")
     powered = np.power(p, alpha)
+    if not powered.sum() > 0.0:  # every power underflows
+        powered = np.power(p / p.max(), alpha)
     return FiniteDistribution(powered / powered.sum())
 
 

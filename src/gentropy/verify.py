@@ -34,7 +34,8 @@ vector's components.  Its results equal, bit for bit, those of
 * a vector with no blocks (the identity) is its draw, which is what
   aggregating by singletons gives;
 * the outer map ``h`` is applied to each total by the same scalar callable
-  (``math.log``, ``math.expm1``), never by a vectorised numpy twin;
+  (``math.log``, ``math.expm1``) in one comprehension, never by a
+  vectorised numpy twin;
 * its inputs are ones the per-case path accepts: every draw a vector
   ``FiniteDistribution`` accepts (a validated ``probs``, a sampler draw or
   a pinned vector) and every ``blocks`` the canonical blocks of a partition
@@ -72,8 +73,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import json
 import math
@@ -371,45 +371,45 @@ def _campaign_entries(
     """The records of the cases of ``cells``, and each one's spec index.
 
     A cell is (spec index, n, first case, case count); cells must come in
-    ascending spec index.
+    ascending spec index.  The draw phase draws one block of uniforms per
+    cell and one pair per case; each case's two vectors go to the kernel.
     """
-    cases = _draw_cases(specs, cells, rng_seed)
+    spec_indices, dims, index, draws, pairs = [], [], [], [], []
+    for s_index, n, first, count in cells:
+        floor = 0.0 if specs[s_index].functional.zero_safe else _INTERIOR_FLOOR
+        probs, pair_uniforms = _cell_draws([rng_seed, s_index, n], n, first, count, floor)
+        pairs += [_random_refinement_pair(n, row) for row in pair_uniforms.tolist()]
+        spec_indices += [s_index] * count
+        dims += [n] * count
+        index += range(first, first + count)
+        draws.append(probs)
     values = _VectorValues(
         specs,
-        [
-            _Vector(case.spec_index, case.probs, blocks)
-            for case in cases
-            for blocks in (None if len(case.finer) == case.n else case.finer, case.coarser)
-        ],
+        np.concatenate([np.repeat(p, 2, axis=0).ravel() for p in draws] or [np.empty(0)]),
+        np.repeat(np.array(dims, dtype=np.intp), 2),
+        np.repeat(spec_indices, 2),
+        [b for (f, c), n in zip(pairs, dims) for b in (None if len(f) == n else f, c)],
     )
-    finer = [values.value(2 * c) for c in range(len(cases))]
-    coarser = [values.value(2 * c + 1) if type(f) is float else None for c, f in enumerate(finer)]
+    finer = values.values[0::2]
+    coarser = [c if type(f) is float else None for f, c in zip(finer, values.values[1::2])]
+    # what reading finer, then coarser, value by value would raise first
+    for v in sorted(values.raised, key=lambda v: v % 2):
+        if v % 2 == 0 or type(finer[v // 2]) is float:
+            raise values.values[v]
     labels = [spec.label() for spec in specs]
-    spec_indices = [case.spec_index for case in cases]
     entries = _checked(
         tolerance,
         finer,
         coarser,
         kind=repeat("monotonicity"),
         spec=map(labels.__getitem__, spec_indices),
-        n=map(attrgetter("n"), cases),
-        index=map(attrgetter("index"), cases),
-        probs=(tuple(case.probs.tolist()) for case in cases),
-        blocks_finer=map(attrgetter("finer"), cases),
-        blocks_coarser=map(attrgetter("coarser"), cases),
+        n=dims,
+        index=index,
+        probs=(tuple(row) for p in draws for row in p.tolist()),
+        blocks_finer=[f for f, _ in pairs],
+        blocks_coarser=[c for _, c in pairs],
     )
     return entries, spec_indices
-
-
-class _Case(NamedTuple):
-    """The draws of one campaign case."""
-
-    spec_index: int
-    n: int
-    index: int
-    probs: np.ndarray
-    finer: _Blocks
-    coarser: _Blocks
 
 
 def _cell_draws(
@@ -433,34 +433,9 @@ def _cell_draws(
     return probs, u[:, n:]
 
 
-def _draw_cases(
-    specs: Sequence[EntropySpec], cells: list[tuple[int, int, int, int]], rng_seed: int
-) -> list[_Case]:
-    """Draw phase: one block of uniforms per cell and one pair per case."""
-    cases = []
-    for s_index, n, first, count in cells:
-        floor = 0.0 if specs[s_index].functional.zero_safe else _INTERIOR_FLOOR
-        probs, pair_uniforms = _cell_draws([rng_seed, s_index, n], n, first, count, floor)
-        for c, (p, row) in enumerate(zip(probs, pair_uniforms)):
-            finer, coarser = _random_refinement_pair(n, row.tolist())
-            cases.append(_Case(s_index, n, first + c, p, finer, coarser))
-    return cases
-
-
-class _Vector(NamedTuple):
-    """A distribution to aggregate by canonical blocks, and the spec to evaluate.
-
-    ``blocks`` None is the identity: the distribution is evaluated as it is.
-    """
-
-    spec_index: int
-    probs: np.ndarray
-    blocks: _Blocks | None
-
-
 def _starts(widths: np.ndarray) -> np.ndarray:
     """Start of each segment when segments of these widths lie end to end."""
-    return np.concatenate(([0], np.cumsum(widths)[:-1])).astype(np.intp)
+    return (np.cumsum(widths) - widths).astype(np.intp)
 
 
 def _segment_sums(values: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -493,60 +468,60 @@ def _evaluated(spec: EntropySpec, dist: FiniteDistribution) -> float | str:
 class _VectorValues:
     """Evaluate phase: the entropy of every coarse-grained vector of a batch.
 
-    Vector ``v`` is ``vectors[v].probs`` aggregated by ``vectors[v].blocks``
-    and evaluated under ``specs[vectors[v].spec_index]``; the vectors must
-    be grouped by ascending spec index.  :meth:`value` gives a vector's
-    entropy as a float, or as a str the reason ``evaluate`` would fail on
-    it.
+    The batch comes as columns.  Vector ``v`` is the next ``widths[v]``
+    entries of ``probs``, aggregated by ``blocks[v]`` (None, or no
+    ``blocks``: as it is) and evaluated under ``specs[spec_index[v]]``
+    (``specs[0]`` without ``spec_index``); the vectors must be grouped by
+    ascending spec index.  ``values[v]`` is its entropy as a float, or
+    as a str the reason ``evaluate`` would fail on it, or the exception
+    that escapes ``evaluate`` (from h, or from phi on the per-vector path);
+    ``raised`` lists the last kind, and ``numbers`` holds the floats as an
+    array, NaN elsewhere.  ``totals[v]`` is its component sum.
 
-    Input contract: each ``probs`` is a vector ``FiniteDistribution``
-    accepts, and each ``blocks`` the canonical blocks of a partition of
-    ``range(len(probs))``.  The kernel does not check either; its callers
-    are the private draw phases of this module and of ``axioms``, which
-    hand it validated ``FiniteDistribution.probs``, sampler draws and
-    canonical blocks.
+    Input contract: each draw is a vector ``FiniteDistribution`` accepts,
+    and each ``blocks`` the canonical blocks of a partition of its indices.
+    The kernel does not check either; its callers are the private draw
+    phases of this module and of ``axioms``, which hand it validated
+    ``FiniteDistribution.probs``, sampler draws and canonical blocks.
     """
 
-    def __init__(self, specs: Sequence[EntropySpec], vectors: list[_Vector]):
-        self._specs = specs
-        self._vectors = vectors
-        self._reasons: dict[int, str] = {}
-        self._fallback: set[int] = set()
-        if vectors:
-            sizes = np.array([len(vector.probs) for vector in vectors], dtype=np.intp)
-            probs = np.concatenate([vector.probs for vector in vectors])
-            self._totals = self._phi_totals(*self._coarse_grain_all(probs, sizes))
-
-    def value(self, v: int) -> float | str:
-        vector = self._vectors[v]
-        spec = self._specs[vector.spec_index]
-        if vector.spec_index in self._fallback:
-            return _evaluated(spec, self._coarse(vector))
-        if v in self._reasons:
-            return self._reasons[v]
-        try:
-            return _outer_value(spec, float(self._totals[v]))
-        except GentropyError as exc:
-            return _skip_reason(exc)
-
-    def total(self, v: int) -> float:
-        """The component sum that gives vector ``v`` its value (the argument of h)."""
-        vector = self._vectors[v]
-        if vector.spec_index not in self._fallback:
-            return float(self._totals[v])
-        coarse = self._coarse(vector)
-        return float(np.sum(self._specs[vector.spec_index].functional.phi(coarse.probs)))
+    def __init__(
+        self,
+        specs: Sequence[EntropySpec],
+        probs: np.ndarray,
+        widths: np.ndarray,
+        spec_index: np.ndarray | None = None,
+        blocks: Sequence[_Blocks | None] | None = None,
+    ):
+        values = np.empty(len(widths), dtype=object)
+        spec_index = np.zeros(len(widths), np.intp) if spec_index is None else spec_index
+        blocks = [None] * len(widths) if blocks is None else blocks
+        bounds = np.searchsorted(spec_index, np.arange(len(specs) + 1))
+        rejected, self.totals, fallback = self._phi_totals(
+            specs, bounds, values, *self._coarse_grain_all(probs, widths, blocks)
+        )
+        numbers, starts = np.full(len(widths), math.nan), _starts(widths)
+        for s, spec in enumerate(specs):
+            lo, hi = bounds[s], bounds[s + 1]
+            if s in fallback:  # coarse_grain and evaluate, one vector at a time
+                for v in range(lo, hi):
+                    dist = FiniteDistribution(probs[starts[v] : starts[v] + widths[v]])
+                    if blocks[v] is not None:
+                        dist = coarse_grain(dist, Partition._raw(blocks[v], dist.n))
+                    values[v] = _outcome(evaluate, spec, dist)
+                    if type(values[v]) is float:
+                        numbers[v] = values[v]
+                        self.totals[v] = float(np.sum(spec.functional.phi(dist.probs)))
+            elif lo < hi:
+                kept = lo + np.flatnonzero(~rejected[lo:hi])
+                values[kept], numbers[kept] = _outer_values(spec, self.totals[kept].tolist())
+        self.values, self.numbers = values.tolist(), numbers
+        unset = np.flatnonzero(np.isnan(numbers)).tolist()  # a float value is finite
+        self.raised = [v for v in unset if isinstance(self.values[v], Exception)]
 
     @staticmethod
-    def _coarse(vector: _Vector) -> FiniteDistribution:
-        """``coarse_grain`` of the vector's draw by its blocks, one vector alone."""
-        dist = FiniteDistribution(vector.probs)
-        if vector.blocks is None:
-            return dist
-        return coarse_grain(dist, Partition._raw(vector.blocks, dist.n))
-
     def _coarse_grain_all(
-        self, probs: np.ndarray, sizes: np.ndarray
+        probs: np.ndarray, sizes: np.ndarray, blocks: Sequence[_Blocks | None]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every coarse-grained vector from one gather of block elements.
 
@@ -555,24 +530,23 @@ class _VectorValues:
         each one's start and width.  A vector without blocks is copied as it
         is; only the others are gathered and summed.
         """
-        blocks = [vector.blocks for vector in self._vectors]
         grouped = [v for v, b in enumerate(blocks) if b is not None]
+        if not grouped:
+            return probs, _starts(sizes), sizes
         chosen = [blocks[v] for v in grouped]
         grouped = np.array(grouped, dtype=np.intp)
         widths = sizes.copy()
         widths[grouped] = list(map(len, chosen))
-        flat = np.empty(0)
-        if chosen:
-            block_widths = np.fromiter(map(len, chain.from_iterable(chosen)), dtype=np.intp)
-            elements = np.fromiter(
-                chain.from_iterable(chain.from_iterable(chosen)),
-                dtype=np.intp,
-                count=block_widths.sum(),
-            )
-            block_owner = np.repeat(np.arange(grouped.size), widths[grouped])
-            element_owner = np.repeat(block_owner, block_widths)
-            gathered = probs[elements + _starts(sizes)[grouped][element_owner]]
-            flat = _segment_sums(gathered, _starts(block_widths), block_widths)
+        block_widths = np.fromiter(map(len, chain.from_iterable(chosen)), dtype=np.intp)
+        elements = np.fromiter(
+            chain.from_iterable(chain.from_iterable(chosen)),
+            dtype=np.intp,
+            count=block_widths.sum(),
+        )
+        block_owner = np.repeat(np.arange(grouped.size), widths[grouped])
+        element_owner = np.repeat(block_owner, block_widths)
+        gathered = probs[elements + _starts(sizes)[grouped][element_owner]]
+        flat = _segment_sums(gathered, _starts(block_widths), block_widths)
         if grouped.size < len(blocks):  # the vectors without blocks are their draws
             direct = np.ones(len(blocks), dtype=bool)
             direct[grouped] = False
@@ -582,41 +556,72 @@ class _VectorValues:
             flat = merged
         return flat, _starts(widths), widths
 
+    @staticmethod
     def _phi_totals(
-        self, flat: np.ndarray, starts: np.ndarray, widths: np.ndarray
-    ) -> np.ndarray:
+        specs: Sequence[EntropySpec],
+        bounds: np.ndarray,
+        values: np.ndarray,
+        flat: np.ndarray,
+        starts: np.ndarray,
+        widths: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, set[int]]:
         """Each vector's component sum, one ``phi`` call per functional.
 
-        A vector that ``evaluate`` would reject before calling phi gets its
-        reason instead; a functional whose batched phi raises falls back to
-        the per-vector path.
+        A vector that ``evaluate`` would reject before calling phi is marked
+        rejected and gets its reason in ``values``.  Also returns the
+        functionals whose batched phi raises: they take the per-vector path.
         """
         vectors = len(widths)
         owner = np.repeat(np.arange(vectors), widths)
         has_zero = np.bincount(owner[flat == 0.0], minlength=vectors) > 0
         rejected = np.zeros(vectors, dtype=bool)
         phis = np.zeros_like(flat)
-        spec_of_vector = np.array([vector.spec_index for vector in self._vectors])
-        bounds = np.searchsorted(spec_of_vector, np.arange(len(self._specs) + 1))
-        for s, spec in enumerate(self._specs):
+        fallback = set()
+        for s, spec in enumerate(specs):
             lo, hi = bounds[s], bounds[s + 1]
-            if lo == hi or s in self._fallback:
+            if lo == hi:
                 continue
             for width, zero in set(zip(widths[lo:hi].tolist(), has_zero[lo:hi].tolist())):
                 try:
                     _admit(spec, width, zero)
                 except GentropyError as exc:
-                    hit = (widths[lo:hi] == width) & (has_zero[lo:hi] == zero)
-                    rejected[lo:hi] |= hit
-                    for v in lo + np.flatnonzero(hit):
-                        self._reasons[int(v)] = _skip_reason(exc)
+                    hit = lo + np.flatnonzero((widths[lo:hi] == width) & (has_zero[lo:hi] == zero))
+                    rejected[hit] = True
+                    values[hit] = _skip_reason(exc)
             ok = np.repeat(~rejected[lo:hi], widths[lo:hi])
             segment = slice(starts[lo], starts[hi - 1] + widths[hi - 1])
             try:
                 phis[segment][ok] = spec.functional.phi(flat[segment][ok])
             except Exception:  # the per-vector path reproduces it exactly
-                self._fallback.add(s)
-        return _segment_sums(phis, starts, widths)
+                fallback.add(s)
+        return rejected, _segment_sums(phis, starts, widths), fallback
+
+
+def _outer_values(spec: EntropySpec, totals: list[float]) -> tuple[list, list[float]]:
+    """``_outer_value`` of every total, and the floats among them (NaN elsewhere).
+
+    h is applied by one comprehension; if it raises or gives a non-finite
+    value, each total keeps its own outcome.
+    """
+    h = spec.functional.h
+    try:
+        mapped = totals if h is None else [float(h(total)) for total in totals]
+    except Exception:  # each total's own outcome is taken below
+        mapped = [math.nan]
+    if np.isfinite(mapped).all():
+        return mapped, mapped
+    outcomes = [_outcome(_outer_value, spec, total) for total in totals]
+    return outcomes, [v if type(v) is float else math.nan for v in outcomes]
+
+
+def _outcome(fn, *args) -> object:
+    """``fn(*args)``, or the reason it fails with a ``GentropyError``, or what it raises."""
+    try:
+        return fn(*args)
+    except GentropyError as exc:
+        return _skip_reason(exc)
+    except Exception as exc:
+        return exc
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +641,13 @@ def _partition_values(
     if dist.n > 8:
         raise TooLarge(f"exhaustive check is limited to n <= 8, got {dist.n}")
     partitions = [part.blocks for part in enumerate_partitions(dist.n)]
+    count = len(partitions) - 1
     values = _VectorValues(
-        [spec], [_Vector(0, dist.probs, blocks) for blocks in partitions[:-1]]
+        [spec], np.tile(dist.probs, count), np.full(count, dist.n), blocks=partitions[:-1]
     )
-    return partitions, [values.value(v) for v in range(len(partitions) - 1)]
+    for v in values.raised[:1]:
+        raise values.values[v]
+    return partitions, values.values
 
 
 _LATTICE_KINDS = ("covering_edge", "total_merge", "vs_identity")
@@ -867,7 +875,7 @@ def max_entropy_check(
     finer: list[float | str] = []
     n_column: list[int] = []
     index: list[int] = []
-    vectors: list[_Vector] = []
+    drawn: list[np.ndarray] = []
     for n in n_list:
         top = _evaluated(spec, FiniteDistribution(np.full(n, 1.0 / n)))
         count = samples if type(top) is float else 1
@@ -878,10 +886,16 @@ def max_entropy_check(
             probs, _ = _cell_draws([rng_seed, n], n, 0, samples, floor)
             if spec.id == "counterexample_HE" and n == 4 and samples:
                 probs[0] = [0.2, 0.25, 0.25, 0.3]
-            vectors += [_Vector(0, p, None) for p in probs]
+            drawn.append(probs)
     # The rows whose uniform value is a float take the drawn vectors in order.
-    values = map(_VectorValues([spec], vectors).value, range(len(vectors)))
-    drawn = iter(vectors)
+    values = _VectorValues(
+        [spec],
+        np.concatenate([p.ravel() for p in drawn] or [np.empty(0)]),
+        np.concatenate([np.full(len(p), p.shape[1]) for p in drawn] or [np.empty(0, np.intp)]),
+    )
+    for v in values.raised[:1]:
+        raise values.values[v]
+    values, drawn = iter(values.values), chain.from_iterable(drawn)
     entries = _checked(
         tolerance,
         finer,
@@ -890,7 +904,7 @@ def max_entropy_check(
         spec=repeat(spec.label()),
         n=n_column,
         index=index,
-        probs=[tuple(next(drawn).probs.tolist()) if type(top) is float else None for top in finer],
+        probs=[tuple(next(drawn).tolist()) if type(top) is float else None for top in finer],
     )
     return _finish(
         "max-entropy",

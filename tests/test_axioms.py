@@ -1,6 +1,7 @@
 """Axiom residuals: basic axioms, recursivity family, and composability."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 import math
 
 import numpy as np
@@ -533,11 +534,23 @@ _PER_VECTOR_SPECS = (
 
 
 def test_basic_axioms_equal_per_sample_loop_exactly():
-    """Every default spec and counterexample_HE, seeds 0 and 1729, exact ==."""
+    """Every default spec and counterexample_HE, seeds 0 and 1729, exact ==.
+
+    At full size, s_cd covers an outer map, renyi expandability with one,
+    and s_delta(2) the samples that _admit rejects.
+    """
+    full_size = (
+        SHANNON,
+        EntropySpec("tsallis", q=0.7),
+        EntropySpec("counterexample_HE"),
+        EntropySpec("s_cd", c=0.8, d=0.5),
+        EntropySpec("renyi", q=2.0),
+        EntropySpec("s_delta", delta=2.0),
+    )
     for seed in (0, 1729):
         for spec in default_campaign_specs() + [EntropySpec("counterexample_HE")]:
             _assert_probes_match(spec, 100, seed)
-        for spec in (SHANNON, EntropySpec("tsallis", q=0.7), EntropySpec("counterexample_HE")):
+        for spec in full_size:
             _assert_probes_match(spec, 1000, seed)
 
 
@@ -559,9 +572,13 @@ def _probe_vectors(monkeypatch, spec, samples, seed):
     seen = []
     kernel = verify._VectorValues
 
-    def capture(specs, vectors):
-        seen.extend(vectors)
-        return kernel(specs, vectors)
+    def capture(specs, probs, widths, spec_index=None, blocks=None):
+        starts = np.cumsum(widths) - widths
+        seen.extend(
+            SimpleNamespace(probs=probs[s : s + w], blocks=None if blocks is None else blocks[v])
+            for v, (s, w) in enumerate(zip(starts, widths))
+        )
+        return kernel(specs, probs, widths, spec_index, blocks)
 
     monkeypatch.setattr(axioms, "_VectorValues", capture)
     check_basic_axioms(spec, samples, seed)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from gentropy.cli import main
+from gentropy.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +136,23 @@ def _usage_error(capsys, argv, message):
     assert exit_info.value.code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_main_reuses_one_parser_like_a_fresh_process(capsys):
+    """A usage error, then a valid call, print what a fresh process prints.
+
+    The refused call has appended an --entropy already; none of it may
+    reach the next call through the parser that ``main`` keeps.
+    """
+    _usage_error(capsys, ["verify", "--entropy", '{"id":"shannon"}', "--cases", "0"],
+                 "--cases: must be a positive integer")
+    argv = ["verify", "--entropy", '{"id":"tsallis","params":{"q":2.0}}', "--n", "3",
+            "--cases", "2"]
+    code, out, _ = run_cli(capsys, *argv)
+    fresh = subprocess.run([sys.executable, "-m", "gentropy", *argv], capture_output=True,
+                           text=True)
+    assert (code, out) == (fresh.returncode, fresh.stdout) == (0, out)
+    assert build_parser() is not build_parser()
 
 
 @pytest.mark.parametrize("seed", ["-1", "-1729"])

@@ -35,6 +35,12 @@ def test_from_weights_keeps_zero():
     assert from_weights([0, 4]).probs.tolist() == [0.0, 1.0]
 
 
+def test_from_weights_scales_finite_weights_whose_sum_overflows():
+    assert from_weights([1e308, 1e308]).probs.tolist() == [0.5, 0.5]
+    thirds = from_weights([1e308, 0.0, 1e308, 1e308]).probs
+    assert thirds == pytest.approx([1 / 3, 0.0, 1 / 3, 1 / 3])
+
+
 @pytest.mark.parametrize(
     "weights", [[], [-1.0, 2.0], [0.0, 0.0], [float("nan"), 1.0]]
 )
@@ -179,6 +185,14 @@ def test_escort_uniform_fixed_point():
     uniform = FiniteDistribution([0.25] * 4)
     for alpha in (0.0, 0.5, 1.0, 3.0):
         assert escort(uniform, alpha).probs == pytest.approx([0.25] * 4, abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [2000.0, 1e5])
+def test_escort_survives_powers_that_underflow(alpha):
+    """Every power of the uniform underflows at these exponents, and 0.9**1e5 too."""
+    uniform = FiniteDistribution([0.5, 0.5])
+    assert escort(uniform, alpha) == uniform
+    assert escort(FiniteDistribution([0.9, 0.1]), alpha).probs.tolist() == [1.0, 0.0]
 
 
 def test_escort_zero_alpha_rejects_zeros():

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from gentropy import catalog, universal_group_G, universal_group_G_prime, upper_incomplete_gamma
+from gentropy import (
+    EntropySpec,
+    catalog,
+    universal_group_G,
+    universal_group_G_prime,
+    upper_incomplete_gamma,
+)
 from gentropy.errors import ParamOutOfDomain, TruncationCapHit, ValidationError
 
 
@@ -75,6 +81,84 @@ def test_gamma_domain_errors():
         upper_incomplete_gamma(-1.5, 1.0)
     with pytest.raises(ValidationError):
         upper_incomplete_gamma(1.0, -0.1)
+
+
+def _series_by_point(a, x):
+    """P(a, x) by power series, one float at a time (the reference loop)."""
+    if x == 0.0:
+        return 0.0
+    term = 1.0 / a
+    total = term
+    denom = a
+    for _ in range(500):
+        denom += 1.0
+        term *= x / denom
+        total += term
+        if abs(term) < abs(total) * 1e-12:
+            break
+    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+def _continued_fraction_by_point(a, x):
+    """Q(a, x) by modified Lentz continued fraction, one float at a time."""
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b if b != 0.0 else 1.0 / tiny
+    h = d
+    for i in range(1, 501):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-12:
+            break
+    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+
+
+def _gamma_by_point(a, x):
+    gamma_a = math.gamma(a) if a < 170.0 else math.exp(math.lgamma(a))
+    if x == 0.0:
+        return gamma_a
+    if x < a + 1.0:
+        return gamma_a * (1.0 - _series_by_point(a, x))
+    return gamma_a * _continued_fraction_by_point(a, x)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5, 2.0, 3.0, 7.0])
+def test_gamma_over_an_array_equals_a_per_point_loop_bit_for_bit(a):
+    """x = 0, tiny x, both sides of the x = a + 1 switch, and x up to 700."""
+    rng = np.random.default_rng(int(10 * a))
+    edge = a + 1.0
+    x = np.concatenate([
+        [0.0, 5e-324, 1e-300, 1e-12, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1e3)],
+        edge + rng.uniform(-1.0, 1.0, 200),
+        rng.uniform(0.0, 2.0 * edge, 300),
+        rng.uniform(0.0, 700.0, 300),
+        10.0 ** rng.uniform(-30.0, np.log10(700.0), 200),
+    ])
+    expected = np.array([_gamma_by_point(a, v) for v in x.tolist()])
+    assert upper_incomplete_gamma(a, x).tobytes() == expected.tobytes()
+    grid = upper_incomplete_gamma(a, x[:1000].reshape(-1, 4))
+    assert grid.tobytes() == expected[:1000].tobytes() and grid.shape == (250, 4)
+    scalars = [upper_incomplete_gamma(a, v) for v in x[:40].tolist()]
+    assert all(type(v) is float for v in scalars) and scalars == expected[:40].tolist()
+
+
+@pytest.mark.parametrize("c, d", [(0.5, 1.0), (0.8, 0.5), (1.0, 2.0)])
+def test_s_cd_phi_equals_a_per_element_gamma_loop(c, d):
+    """One batched gamma call gives the bits of one call per element."""
+    x = np.concatenate([[1.0, 1e-300, 0.5], np.random.default_rng(1).dirichlet(np.ones(400))])
+    scale = math.e / (1.0 - c + c * d)
+    expected = [scale * upper_incomplete_gamma(1.0 + d, 1.0 - c * math.log(v)) for v in x.tolist()]
+    assert EntropySpec("s_cd", c=c, d=d).functional.phi(x).tolist() == expected
 
 
 def test_series_single_term_is_linear():
