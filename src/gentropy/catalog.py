@@ -80,7 +80,6 @@ class FunctionalDescriptor:
     """What a catalog entry exposes besides plain evaluation."""
 
     zero_safe: bool
-    phi_available: bool
     h_available: bool
     phi_prime_available: bool
 
@@ -646,7 +645,6 @@ class EntropySpec:
         f = self._functional
         return FunctionalDescriptor(
             zero_safe=f.zero_safe,
-            phi_available=f.phi is not None,
             h_available=f.h is not None,
             phi_prime_available=f.phi_prime is not None,
         )

@@ -52,10 +52,6 @@ class UserCallableError(GentropyError):
     """A user-supplied callable (of ``h_phi_custom``) raised."""
 
 
-class NoPhiDecomposition(GentropyError):
-    """The functional exposes no per-term (sum-form) component."""
-
-
 class NoDerivative(GentropyError):
     """No closed-form derivative of the per-term component is available."""
 

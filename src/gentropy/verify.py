@@ -31,8 +31,9 @@ vector's components.  Its results equal, bit for bit, those of
   of one width, as the rows of a C-contiguous matrix reduced with
   ``sum(axis=1)``: numpy's pairwise summation then runs on each row as it
   does on a 1-d array, which ``np.add.reduceat`` and ``np.bincount`` do not;
-* a vector with no blocks (the identity) is its draw, which is what
-  aggregating by singletons gives;
+* a batch either aggregates every vector by its blocks, the identity by
+  its singletons (a one-element sum is that element), or hands over the
+  draws as they are;
 * the outer map ``h`` is applied to each total by the same scalar callable
   (``math.log``, ``math.expm1``) in one comprehension, never by a
   vectorised numpy twin;
@@ -47,11 +48,12 @@ vector's components.  Its results equal, bit for bit, those of
   over whole columns, whose float64 subtraction and ``>=`` give the bits
   Python's floats do.
 
-Any functional whose batched ``phi`` raises falls back to ``coarse_grain``
-and ``evaluate`` one vector at a time, so ``evaluate`` stays the definition
-of a value.  Report bytes therefore depend on numpy's summation order: a
-change to the kernel must keep the reference tests in
-``tests/test_verify.py`` passing.
+When a functional's batched ``phi`` raises, ``phi`` runs once on each of
+its vectors alone; a vector it fails on keeps that outcome, and the rest
+go on as in the batch.  The per-case reference loops of the tests
+(``coarse_grain`` and ``evaluate`` case by case) define every value, and
+report bytes depend on numpy's summation order: a change to the kernel
+must keep those reference tests passing.
 
 The oracles share the evaluate phase.  The lattice and corollary checks
 hand it one vector per non-identity partition of the single enumeration
@@ -81,7 +83,7 @@ import math
 import numpy as np
 
 from .catalog import EntropySpec, _admit, _outer_value, evaluate, phi_prime
-from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet, coarse_grain
+from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet
 from .errors import GentropyError, NonFinite, TooLarge, UnsupportedFormat, ValidationError
 from .partitions import Partition, _Blocks, enumerate_partitions, pair_draw_width
 from .partitions import _require_pair_size
@@ -388,12 +390,12 @@ def _campaign_entries(
         np.concatenate([np.repeat(p, 2, axis=0).ravel() for p in draws] or [np.empty(0)]),
         np.repeat(np.array(dims, dtype=np.intp), 2),
         np.repeat(spec_indices, 2),
-        [b for (f, c), n in zip(pairs, dims) for b in (None if len(f) == n else f, c)],
+        list(chain.from_iterable(pairs)),
     )
     finer = values.values[0::2]
     coarser = [c if type(f) is float else None for f, c in zip(finer, values.values[1::2])]
-    # what reading finer, then coarser, value by value would raise first
-    for v in sorted(values.raised, key=lambda v: v % 2):
+    # what evaluating case by case, finer before coarser, would raise first
+    for v in values.raised:
         if v % 2 == 0 or type(finer[v // 2]) is float:
             raise values.values[v]
     labels = [spec.label() for spec in specs]
@@ -453,6 +455,16 @@ def _segment_sums(values: np.ndarray, starts: np.ndarray, widths: np.ndarray) ->
     return out
 
 
+def _flat_blocks(blocks: Sequence[_Blocks]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each partition's block count, each block's width and every element, end to end."""
+    counts = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+    block_widths = np.fromiter(map(len, chain.from_iterable(blocks)), dtype=np.intp)
+    elements = np.fromiter(
+        chain.from_iterable(chain.from_iterable(blocks)), dtype=np.intp, count=block_widths.sum()
+    )
+    return counts, block_widths, elements
+
+
 def _skip_reason(exc: GentropyError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -469,17 +481,19 @@ class _VectorValues:
     """Evaluate phase: the entropy of every coarse-grained vector of a batch.
 
     The batch comes as columns.  Vector ``v`` is the next ``widths[v]``
-    entries of ``probs``, aggregated by ``blocks[v]`` (None, or no
-    ``blocks``: as it is) and evaluated under ``specs[spec_index[v]]``
-    (``specs[0]`` without ``spec_index``); the vectors must be grouped by
-    ascending spec index.  ``values[v]`` is its entropy as a float, or
-    as a str the reason ``evaluate`` would fail on it, or the exception
-    that escapes ``evaluate`` (from h, or from phi on the per-vector path);
+    entries of ``probs``, aggregated by ``blocks[v]`` and evaluated under
+    ``specs[spec_index[v]]`` (``specs[0]`` without ``spec_index``); the
+    vectors must be grouped by ascending spec index.  ``blocks`` is all or
+    nothing: every vector has its blocks (the identity its singletons), or
+    without ``blocks`` every vector is taken as it is.  ``values[v]`` is its
+    entropy as a float, or as a str the reason ``evaluate`` would fail on
+    it, or the exception that escapes ``evaluate`` (from h, or from phi when
+    a batched phi raises and phi is retried on each vector alone);
     ``raised`` lists the last kind, and ``numbers`` holds the floats as an
     array, NaN elsewhere.  ``totals[v]`` is its component sum.
 
     Input contract: each draw is a vector ``FiniteDistribution`` accepts,
-    and each ``blocks`` the canonical blocks of a partition of its indices.
+    and each ``blocks[v]`` the canonical blocks of a partition of its indices.
     The kernel does not check either; its callers are the private draw
     phases of this module and of ``axioms``, which hand it validated
     ``FiniteDistribution.probs``, sampler draws and canonical blocks.
@@ -491,29 +505,18 @@ class _VectorValues:
         probs: np.ndarray,
         widths: np.ndarray,
         spec_index: np.ndarray | None = None,
-        blocks: Sequence[_Blocks | None] | None = None,
+        blocks: Sequence[_Blocks] | None = None,
     ):
         values = np.empty(len(widths), dtype=object)
         spec_index = np.zeros(len(widths), np.intp) if spec_index is None else spec_index
-        blocks = [None] * len(widths) if blocks is None else blocks
         bounds = np.searchsorted(spec_index, np.arange(len(specs) + 1))
-        rejected, self.totals, fallback = self._phi_totals(
+        rejected, self.totals = self._phi_totals(
             specs, bounds, values, *self._coarse_grain_all(probs, widths, blocks)
         )
-        numbers, starts = np.full(len(widths), math.nan), _starts(widths)
+        numbers = np.full(len(widths), math.nan)
         for s, spec in enumerate(specs):
-            lo, hi = bounds[s], bounds[s + 1]
-            if s in fallback:  # coarse_grain and evaluate, one vector at a time
-                for v in range(lo, hi):
-                    dist = FiniteDistribution(probs[starts[v] : starts[v] + widths[v]])
-                    if blocks[v] is not None:
-                        dist = coarse_grain(dist, Partition._raw(blocks[v], dist.n))
-                    values[v] = _outcome(evaluate, spec, dist)
-                    if type(values[v]) is float:
-                        numbers[v] = values[v]
-                        self.totals[v] = float(np.sum(spec.functional.phi(dist.probs)))
-            elif lo < hi:
-                kept = lo + np.flatnonzero(~rejected[lo:hi])
+            kept = bounds[s] + np.flatnonzero(~rejected[bounds[s] : bounds[s + 1]])
+            if kept.size:
                 values[kept], numbers[kept] = _outer_values(spec, self.totals[kept].tolist())
         self.values, self.numbers = values.tolist(), numbers
         unset = np.flatnonzero(np.isnan(numbers)).tolist()  # a float value is finite
@@ -521,39 +524,20 @@ class _VectorValues:
 
     @staticmethod
     def _coarse_grain_all(
-        probs: np.ndarray, sizes: np.ndarray, blocks: Sequence[_Blocks | None]
+        probs: np.ndarray, sizes: np.ndarray, blocks: Sequence[_Blocks] | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every coarse-grained vector from one gather of block elements.
 
         ``probs`` holds the vectors' draws end to end, ``sizes`` their
         lengths.  Returns the coarse-grained vectors laid end to end, with
-        each one's start and width.  A vector without blocks is copied as it
-        is; only the others are gathered and summed.
+        each one's start and width: the draws as they are without
+        ``blocks``, else the block sums of every vector.
         """
-        grouped = [v for v, b in enumerate(blocks) if b is not None]
-        if not grouped:
+        if blocks is None:
             return probs, _starts(sizes), sizes
-        chosen = [blocks[v] for v in grouped]
-        grouped = np.array(grouped, dtype=np.intp)
-        widths = sizes.copy()
-        widths[grouped] = list(map(len, chosen))
-        block_widths = np.fromiter(map(len, chain.from_iterable(chosen)), dtype=np.intp)
-        elements = np.fromiter(
-            chain.from_iterable(chain.from_iterable(chosen)),
-            dtype=np.intp,
-            count=block_widths.sum(),
-        )
-        block_owner = np.repeat(np.arange(grouped.size), widths[grouped])
-        element_owner = np.repeat(block_owner, block_widths)
-        gathered = probs[elements + _starts(sizes)[grouped][element_owner]]
+        widths, block_widths, elements = _flat_blocks(blocks)
+        gathered = probs[elements + np.repeat(_starts(sizes), sizes)]
         flat = _segment_sums(gathered, _starts(block_widths), block_widths)
-        if grouped.size < len(blocks):  # the vectors without blocks are their draws
-            direct = np.ones(len(blocks), dtype=bool)
-            direct[grouped] = False
-            merged = np.empty(int(widths.sum()))
-            merged[np.repeat(direct, widths)] = probs[np.repeat(direct, sizes)]
-            merged[np.repeat(~direct, widths)] = flat
-            flat = merged
         return flat, _starts(widths), widths
 
     @staticmethod
@@ -564,19 +548,20 @@ class _VectorValues:
         flat: np.ndarray,
         starts: np.ndarray,
         widths: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, set[int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Each vector's component sum, one ``phi`` call per functional.
 
         A vector that ``evaluate`` would reject before calling phi is marked
-        rejected and gets its reason in ``values``.  Also returns the
-        functionals whose batched phi raises: they take the per-vector path.
+        rejected and gets its reason in ``values``.  When a functional's
+        batched phi raises, phi runs once on each of its vectors alone, and
+        a vector on which it fails is rejected with its outcome (see
+        :func:`_outcome`) in ``values``.
         """
         vectors = len(widths)
         owner = np.repeat(np.arange(vectors), widths)
         has_zero = np.bincount(owner[flat == 0.0], minlength=vectors) > 0
         rejected = np.zeros(vectors, dtype=bool)
         phis = np.zeros_like(flat)
-        fallback = set()
         for s, spec in enumerate(specs):
             lo, hi = bounds[s], bounds[s + 1]
             if lo == hi:
@@ -592,9 +577,15 @@ class _VectorValues:
             segment = slice(starts[lo], starts[hi - 1] + widths[hi - 1])
             try:
                 phis[segment][ok] = spec.functional.phi(flat[segment][ok])
-            except Exception:  # the per-vector path reproduces it exactly
-                fallback.add(s)
-        return rejected, _segment_sums(phis, starts, widths), fallback
+            except Exception:  # each vector's own outcome, as evaluate meets it
+                for v in (lo + np.flatnonzero(~rejected[lo:hi])).tolist():
+                    vector = slice(starts[v], starts[v] + widths[v])
+                    outcome = _outcome(spec.functional.phi, flat[vector])
+                    if isinstance(outcome, (str, Exception)):
+                        rejected[v], values[v] = True, outcome
+                    else:
+                        phis[vector] = outcome
+        return rejected, _segment_sums(phis, starts, widths)
 
 
 def _outer_values(spec: EntropySpec, totals: list[float]) -> tuple[list, list[float]]:
@@ -666,7 +657,7 @@ def _lattice_rows(partitions: list[_Blocks], n: int) -> tuple[np.ndarray, ...]:
     numbers, the RGSs of the enumeration ascend, so a merged partition's
     index is a ``np.searchsorted`` of its code.
     """
-    k = np.fromiter(map(len, partitions), dtype=np.intp, count=len(partitions))
+    k, block_widths, elements = _flat_blocks(partitions)
     identity = k.size - 1
     edges = k * (k - 1) // 2
     rows = edges + (np.arange(k.size) < identity)
@@ -674,10 +665,6 @@ def _lattice_rows(partitions: list[_Blocks], n: int) -> tuple[np.ndarray, ...]:
     finer = np.repeat(np.arange(k.size), rows)
     coarser = np.empty_like(finer)
     kind = np.zeros_like(finer)
-    block_widths = np.fromiter(map(len, chain.from_iterable(partitions)), dtype=np.intp)
-    elements = np.fromiter(
-        chain.from_iterable(chain.from_iterable(partitions)), dtype=np.intp, count=k.size * n
-    )
     labels = np.arange(block_widths.size) - np.repeat(_starts(k), k)
     rgs = np.zeros((k.size, n), dtype=np.intp)
     rgs[np.repeat(np.arange(k.size), n), elements] = np.repeat(labels, block_widths)

@@ -31,12 +31,13 @@ from gentropy.distributions import _dirichlet_interior
 from gentropy.errors import (
     BadInverse,
     NoDerivative,
+    NonFinite,
     TooSmall,
     UserCallableError,
     ValidationError,
     ZeroUnsupported,
 )
-from test_verify import _with_batch_refusing_phi
+from test_verify import _with_batch_refusing_phi, _with_h_refusing_a_band
 
 SHANNON = EntropySpec("shannon")
 
@@ -565,6 +566,18 @@ def test_basic_axioms_raise_as_the_per_sample_loop_does():
     slope, permuted = _PER_VECTOR_SPECS[-2:]
     assert _outcome(check_basic_axioms, slope, 300, 7)[0] is UserCallableError
     assert _outcome(check_basic_axioms, permuted, 300, 7) == (FloatingPointError, "refused")
+
+
+@pytest.mark.parametrize("refusal", [ValueError, None], ids=["raising_h", "nan_h"])
+@pytest.mark.parametrize(
+    "path", [lambda spec: spec, _with_batch_refusing_phi], ids=["batched", "per_vector"]
+)
+def test_product_probe_raises_what_the_reference_loop_raises_first(path, refusal):
+    """An h that raises, or gives NaN (``NonFinite``), on some vectors."""
+    spec = path(_with_h_refusing_a_band(EntropySpec("shannon"), refusal))
+    expected = _outcome(_reference_product, spec, 300, 7)
+    assert expected[0] is (NonFinite if refusal is None else ValueError)
+    assert _outcome(check_product_composability, spec, 300, 7) == expected
 
 
 def _probe_vectors(monkeypatch, spec, samples, seed):

@@ -373,11 +373,9 @@ def test_borges_low_b_corner_keeps_monotonicity_not_maximality():
 
 
 def test_decomposition_consistency():
-    """h(sum of components) reproduces evaluate wherever a component exists."""
+    """h(sum of components) reproduces evaluate: every catalog row has a component."""
     rng = np.random.default_rng(37)
     for sp in default_campaign_specs() + [spec("counterexample_HE")]:
-        if not sp.descriptor().phi_available:
-            continue
         n = 4
         p = _dirichlet_interior(n, rng, 1e-6)
         total = sum(phi_component(sp, float(v), n) for v in p)
@@ -388,10 +386,7 @@ def test_decomposition_consistency():
 
 def test_component_vanishes_at_zero():
     for sp in default_campaign_specs():
-        descriptor = sp.descriptor()
-        if not descriptor.phi_available:
-            continue
-        if sp.id == "borges_roditi" and not descriptor.zero_safe:
+        if sp.id == "borges_roditi" and not sp.descriptor().zero_safe:
             assert phi_component(sp, 0.0) != 0.0  # the documented breakage
             continue
         assert phi_component(sp, 0.0) == 0.0, sp.label()

@@ -144,3 +144,30 @@ def test_certificate_json_is_deterministic():
     a = check_slope_condition(EntropySpec("counterexample_HE")).to_json()
     b = check_slope_condition(EntropySpec("counterexample_HE")).to_json()
     assert a == b
+
+
+@pytest.mark.parametrize("phi, slope", [
+    (lambda x: x * (1.0 - x), lambda x: 1.0 - 2.0 * x),  # passes
+    (lambda x: x * x, lambda x: 2.0 * x),  # a rising slope fails
+], ids=["concave", "convex"])
+def test_slope_condition_by_central_differences_agrees_with_the_closed_form(phi, slope):
+    """An h_phi_custom spec without phi_prime is judged on central differences
+    of phi, as the same phi with its closed-form slope is."""
+    by_differences = check_slope_condition(EntropySpec("h_phi_custom", phi=phi, zero_safe=True))
+    closed = check_slope_condition(
+        EntropySpec("h_phi_custom", phi=phi, phi_prime=slope, zero_safe=True)
+    )
+    assert by_differences.passed == closed.passed
+    assert by_differences.grid_points == closed.grid_points
+    assert by_differences.detail == closed.detail
+    assert by_differences.max_violation == pytest.approx(closed.max_violation, rel=1e-6)
+    if closed.witness is None:
+        assert by_differences.witness is None
+        return
+    assert (by_differences.witness.x, by_differences.witness.p) == (
+        closed.witness.x, closed.witness.p
+    )
+    assert by_differences.witness.slope_at_x == pytest.approx(closed.witness.slope_at_x)
+    assert by_differences.witness.slope_at_x_plus_p == pytest.approx(
+        closed.witness.slope_at_x_plus_p
+    )

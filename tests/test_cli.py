@@ -2,6 +2,7 @@
 
 import json
 import math
+import runpy
 import subprocess
 import sys
 
@@ -362,6 +363,19 @@ def test_partitions_csv(capsys):
     assert len(out.strip().splitlines()) == 6  # header + Bell(3)
 
 
+def test_partitions_markdown(capsys):
+    code, out, _ = run_cli(capsys, "partitions", "--n", "3", "--format", "markdown")
+    assert code == 0
+    assert out.splitlines() == [
+        "# Partitions of {0..2} (count 5)",
+        "- 0: Partition[{0, 1, 2}]",
+        "- 1: Partition[{0, 1}, {2}]",
+        "- 2: Partition[{0, 2}, {1}]",
+        "- 3: Partition[{0}, {1, 2}]",
+        "- 4: Partition[{0}, {1}, {2}]",
+    ]
+
+
 def test_bad_entropy_json_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "compute", "--entropy", "{not json", "--dist", "[1.0]")
     assert code == 2
@@ -402,3 +416,20 @@ def test_module_entry_point_matches_api():
     )
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == pytest.approx(math.log(2), abs=1e-14)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--entropy", '{"id":"shannon"}'],
+    ["classify", "--entropy", '{"id":"counterexample_HE"}'],
+])
+def test_module_entry_point_exits_with_the_code_main_returns(capsys, monkeypatch, argv):
+    """``python -m gentropy`` in a subprocess, and its ``__main__`` run in
+    process, print what ``main`` prints and exit with what it returns."""
+    code, out, _ = run_cli(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-m", "gentropy", *argv], capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    monkeypatch.setattr(sys, "argv", ["gentropy", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("gentropy", run_name="__main__")
+    assert (exit_info.value.code, capsys.readouterr().out) == (code, out)

@@ -580,6 +580,21 @@ def test_campaign_kernel_falls_back_when_batched_phi_raises():
     _assert_matches_reference([SHANNON, spec], [3, 4, 5], 4, 11)
 
 
+def test_refused_batch_calls_phi_once_per_vector():
+    """After the batch is refused, phi runs once on each vector alone."""
+    spec = _with_batch_refusing_phi(EntropySpec("tsallis", q=2.0))
+    phi, sizes = spec.functional.phi, []
+
+    def counting(x):
+        sizes.append(x.size)
+        return phi(x)
+
+    object.__setattr__(spec, "_functional", replace(spec.functional, phi=counting))
+    report = run_monotonicity_campaign([spec], [3, 4, 5], 4, 11)
+    assert sizes[0] > 12  # the refused batch
+    assert len(sizes) == 1 + 2 * len(report.entries)
+
+
 def test_raising_user_phi_falls_back_one_vector_at_a_time():
     """A user phi that raises on entries above 0.6 skips only the vectors holding one."""
     spec = EntropySpec("h_phi_custom", phi=lambda x: 1 / 0 if x > 0.6 else x * (1.0 - x))
@@ -590,6 +605,61 @@ def test_raising_user_phi_falls_back_one_vector_at_a_time():
     )
     assert 0 < lattice.summary[0].skipped < len(lattice.entries)
     assert 0 < corollary.summary[0].skipped < len(corollary.entries)
+
+
+def _with_h_refusing_a_band(spec, refusal=ValueError):
+    """``spec`` (one with no outer map) whose h raises ``refusal`` on a total
+    in (0.6, 0.7), or gives NaN when ``refusal`` is None.
+
+    For shannon that is some drawn vectors, but no uniform distribution at
+    n >= 3 (ln 3 = 1.10) and not ``_BAND_SAFE`` itself.
+    """
+    assert spec.functional.h is None
+
+    def picky(y):
+        if 0.6 < y < 0.7:
+            if refusal is None:
+                return math.nan
+            raise refusal(f"h refused {y!r}")
+        return y
+
+    object.__setattr__(spec, "_functional", replace(spec.functional, h=picky))
+    return spec
+
+
+_BAND_SAFE = FiniteDistribution([0.4, 0.3, 0.2, 0.1])  # H = 1.28; its (0.7, 0.3) is in the band
+
+
+def _first_raise(fn, *args):
+    """The type and message of what ``fn(*args)`` raises; it must raise."""
+    with pytest.raises(Exception) as raised:
+        fn(*args)
+    return type(raised.value), str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "path", [lambda spec: spec, _with_batch_refusing_phi], ids=["batched", "per_vector"]
+)
+def test_oracles_raise_what_the_reference_loops_raise_first(path):
+    """An exception from h escapes each oracle as it escapes its per-case loop:
+    the same type and message, from the same vector."""
+    spec = path(_with_h_refusing_a_band(EntropySpec("shannon")))
+    assert evaluate(spec, _BAND_SAFE) == evaluate(SHANNON, _BAND_SAFE)
+    # a coarser value is refused in a case before the first refused finer one
+    campaign = ([SHANNON, spec, HE], [3, 4, 5, 6], 2, 8)
+    expected = _first_raise(_reference_campaign, *campaign)
+    assert expected[0] is ValueError
+    assert _first_raise(run_monotonicity_campaign, *campaign) == expected
+    for oracle, reference in (
+        (exhaustive_lattice_check, _reference_lattice),
+        (corollary1_check, _reference_corollary),
+    ):
+        expected = _first_raise(reference, spec, _BAND_SAFE)
+        assert expected[0] is ValueError
+        assert _first_raise(oracle, spec, _BAND_SAFE) == expected
+    expected = _first_raise(_reference_max_entropy, spec, [3, 4, 5], 8, 1)
+    assert expected[0] is ValueError
+    assert _first_raise(max_entropy_check, spec, [3, 4, 5], 8, 1) == expected
 
 
 def test_summary_keeps_specs_that_share_a_label_apart():
