@@ -271,28 +271,30 @@ def check_basic_axioms(
 
     Never raises for in-domain specs: per-case evaluation errors (e.g. the
     dimension bound of ``s_delta``) simply reduce the case count.  A
-    rejected permuted vector, or a slope budget that ``phi_prime`` refuses,
-    raises what ``evaluate`` or ``phi_prime`` raise, whichever a walk over
-    the samples in order meets first.  Every sample draws all of its
-    vectors (see ``_draw_basic``), and those of a sample whose base is
-    rejected go unused.
+    rejected permuted vector, an error that is not a ``GentropyError``, or
+    a slope budget that ``phi_prime`` refuses, raises what ``evaluate`` or
+    ``phi_prime`` raise, whichever a walk over the samples in order meets
+    first.  Every sample draws all of its vectors (see ``_draw_basic``),
+    and those of a sample whose base is rejected go unused.
     """
     _require_non_negative(samples=samples, rng_seed=rng_seed)
     draws = _draw_basic(spec, samples, rng_seed)
     values = _VectorValues([spec], draws.probs, draws.widths.ravel())
     stride = draws.widths.shape[1]
     numbers = values.numbers.reshape(samples, stride)  # NaN: rejected; a float is finite
-    accepted = np.flatnonzero(~np.isnan(numbers[:, 0]))
-    refused = np.flatnonzero(np.isnan(numbers[accepted, 1]))
-    raising = None
-    if refused.size:  # the samples before it run; then its permuted vector raises
-        raising, accepted = int(accepted[refused[0]]), accepted[: refused[0]]
+    halts = np.zeros((samples, stride), dtype=bool)  # the vectors whose evaluation raises
+    halts.flat[values.raised] = True
+    halts[:, 1] |= np.isnan(numbers[:, 1])  # a rejected permuted vector raises too
+    stops = np.flatnonzero(halts[:, 0] | ~np.isnan(numbers[:, 0]) & halts[:, 1:].any(axis=1))
+    raising = int(stops[0]) if stops.size else None  # the samples before it run
+    accepted = np.flatnonzero(~np.isnan(numbers[:raising, 0]))
     base = numbers[accepted, 0]
     moved = accepted[~np.isnan(numbers[accepted, -1])]
     rate = np.abs(numbers[moved, -1] - numbers[moved, 0]) / _CONTINUITY_EPS
     budget = _budgets(spec, draws.extremes[moved], values.totals[stride * moved])
     if raising is not None:
-        _raise_rejected(spec, values, stride * raising + 1, draws.vector(raising, 1))
+        first = stride * raising + halts[raising].argmax()  # its first vector that raises
+        _raise_rejected(spec, values, first, draws.vector(raising, 1))
 
     def residual(axiom, cases, score, case, size=None, budgets=None) -> AxiomResidual:
         w = _worst(score)

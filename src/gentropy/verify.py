@@ -43,10 +43,10 @@ vector's components.  Its results equal, bit for bit, those of
   of its indices.  The kernel trusts this and repeats neither constructor's
   checks; the checks of ``evaluate`` run vectorised, and a vector they
   reject gets the reason ``evaluate`` gives;
-* entries are built a column per ``CaseRecord`` field and made records in
-  one bulk step (:func:`_records`); margins and verdicts come from numpy
-  over whole columns, whose float64 subtraction and ``>=`` give the bits
-  Python's floats do.
+* entries are kept a column per ``CaseRecord`` field (``_Entries``), read
+  by summaries, verdicts and emission, and made records only when read
+  themselves; margins and verdicts come from numpy over whole columns, whose
+  float64 subtraction and ``>=`` give the bits Python's floats do.
 
 When a functional's batched ``phi`` raises, ``phi`` runs once on each of
 its vectors alone; a vector it fails on keeps that outcome, and the rest
@@ -71,11 +71,12 @@ looked up in this module, where the benchmark's tracer times them.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import asdict, dataclass, field, fields
+from collections import Counter, deque
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from operator import attrgetter
 
 import json
 import math
@@ -124,7 +125,7 @@ class CaseRecord:
 
     def to_dict(self) -> dict:
         """The fields a JSON report writes (see ``_ENTRY_FIELDS``), tuples as lists."""
-        return {name: _listed(value) for name, _, value in _written_fields(self)}
+        return _entry_dict(_entry_row(self))
 
 
 # The class and its slot setters, bound here so that a wrapper installed
@@ -133,19 +134,88 @@ _RECORD = CaseRecord
 _RECORD_SETTERS = tuple((f.name, getattr(CaseRecord, f.name).__set__) for f in fields(CaseRecord))
 
 
-def _records(count: int, **columns) -> list[CaseRecord]:
+def _records(count: int, shared: dict, **columns) -> list[CaseRecord]:
     """``count`` records, filled a field at a time from columns.
 
-    A column is a list or an iterator with a value for each record; a value
-    they all share is passed as ``itertools.repeat(value)``, and a field not
-    named is None.  Each field is set by one ``map`` of its slot's setter,
-    with none of ``__init__``'s per-record work: the columns must hold what
-    ``CaseRecord(...)`` would be given.
+    A column is an iterable with a value for each record, ``shared`` maps a
+    field to the value all share, and a field in neither is None.  Each field
+    is set by one ``map`` of its slot's setter, with none of ``__init__``'s
+    per-record work: the values must be what ``CaseRecord(...)`` would take.
     """
     records = list(map(object.__new__, repeat(_RECORD, count)))
     for name, setter in _RECORD_SETTERS:
-        deque(map(setter, records, columns.get(name, repeat(None))), 0)
+        deque(map(setter, records, columns.get(name, repeat(shared.get(name)))), 0)
     return records
+
+
+class _Entries(Sequence):
+    """A report's entries: a read-only sequence of ``CaseRecord`` kept as columns.
+
+    ``columns`` and ``shared`` are as :func:`_records` takes them; reports read
+    them and the arrays ``skipped``, ``violation`` (not passed, not skipped) and
+    ``margin``, a float where ``measured`` (not skipped, with a margin).  An int
+    index builds one record; iterating or slicing builds all, once.
+    """
+
+    __slots__ = ("_columns", "_shared", "_built", "skipped", "violation", "margin", "measured")
+
+    def __init__(self, columns, shared, skipped, violation, margin, measured, built=None):
+        self._columns, self._shared, self._built = columns, shared, built
+        self.skipped, self.violation = skipped, violation
+        self.margin, self.measured = margin, measured
+
+    @classmethod
+    def of(cls, records: Iterable[CaseRecord]) -> _Entries:
+        """``records`` as entries; entries are returned as they are."""
+        if isinstance(records, _Entries):
+            return records
+        records = tuple(records)
+        columns = {name: list(map(attrgetter(name), records)) for name, _ in _RECORD_SETTERS}
+        skipped = np.array([reason is not None for reason in columns["skipped"]], dtype=bool)
+        margins = columns["margin"]
+        measured = ~skipped & np.array([m is not None for m in margins], dtype=bool)
+        margin = np.array([float(m) if ok else math.nan for m, ok in zip(margins, measured)])
+        violation = ~skipped & ~np.array(columns["passed"], dtype=bool)
+        return cls(columns, {}, skipped, violation, margin, measured, records)
+
+    def __len__(self) -> int:
+        return len(self.skipped)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._all()[key]
+        return self._take([range(len(self))[key]])[0]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _Entries)):
+            return self._all() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._all())
+
+    def __repr__(self) -> str:
+        return repr(self._all())
+
+    def column(self, name: str) -> Sequence:
+        """Every entry's value of the field ``name``, in entry order."""
+        column = self._columns.get(name)
+        return [self._shared.get(name)] * len(self) if column is None else column
+
+    def _take(self, rows: Sequence[int]) -> tuple[CaseRecord, ...]:
+        """The records of ``rows``."""
+        if self._built is not None:
+            return tuple(map(self._built.__getitem__, rows))
+        picked = {name: map(column.__getitem__, rows) for name, column in self._columns.items()}
+        return tuple(_records(len(rows), self._shared, **picked))
+
+    def _all(self) -> tuple[CaseRecord, ...]:
+        if self._built is None:
+            self._built = tuple(_records(len(self), self._shared, **self._columns))
+        return self._built
 
 
 @dataclass(frozen=True)
@@ -167,7 +237,11 @@ class SpecSummary:
 
     def to_dict(self) -> dict:
         return {
-            **asdict(self),
+            "spec": self.spec,
+            "cases": self.cases,
+            "violations": self.violations,
+            "skipped": self.skipped,
+            "min_margin": self.min_margin,
             "worst": None if self.worst is None else dict(zip(_WORST_KEYS, self.worst)),
             "skip_reasons": dict(self.skip_reasons),
         }
@@ -175,25 +249,29 @@ class SpecSummary:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """A finished campaign: per-case records plus per-spec tallies."""
+    """A finished campaign: per-case records (held as ``_Entries``) plus per-spec tallies."""
 
     campaign_id: str
     seed: int | None
     tolerance: float
-    entries: tuple[CaseRecord, ...]
+    entries: Sequence[CaseRecord]
     summary: tuple[SpecSummary, ...]
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "entries", _Entries.of(self.entries))
+
     @property
     def violations(self) -> tuple[CaseRecord, ...]:
-        return tuple(e for e in self.entries if not e.passed and e.skipped is None)
+        return self.entries._take(np.flatnonzero(self.entries.violation).tolist())
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.entries.violation.any()
 
     def to_dict(self) -> dict:
-        return {**self._header(), "entries": [e.to_dict() for e in self.entries]}
+        rows = zip(*map(self.entries.column, _ENTRY_NAMES))
+        return {**self._header(), "entries": list(map(_entry_dict, rows))}
 
     def _header(self) -> dict:
         """Everything in :meth:`to_dict` but the entries."""
@@ -215,35 +293,30 @@ def _summarize(
     ``spec_indices`` gives each entry's spec index (all 0 when omitted, as
     for a single-spec report).  Entries are grouped by spec index and label,
     so two specs that share a label keep their own summaries; the worst
-    case is the first entry holding the minimum margin.
+    case is the first entry holding the minimum margin (a NaN first margin
+    stays the minimum, as no margin is below it).
     """
-    buckets: dict[tuple[int, str], list[int]] = {}
-    for i, entry in enumerate(entries):
-        s_index = 0 if spec_indices is None else spec_indices[i]
-        buckets.setdefault((s_index, entry.spec), []).append(i)
+    entries = _Entries.of(entries)
+    s_index = np.zeros(len(entries), np.intp) if spec_indices is None else np.asarray(spec_indices)
+    labels = np.array(entries.column("spec"), dtype=object)
+    # runs of one (spec index, label) start at 0 and wherever either changes
+    change = (labels[1:] != labels[:-1]) | (s_index[1:] != s_index[:-1])
+    starts, groups = np.flatnonzero(np.r_[len(labels) > 0, change]), {}
+    runs = [groups.setdefault(k, len(groups)) for k in zip(s_index[starts].tolist(), labels[starts])]
+    group = np.repeat(np.array(runs, dtype=np.intp), np.diff(np.append(starts, len(labels))))
+    margins, reasons = entries.column("margin"), entries.column("skipped")
     out = []
-    for (s_index, label), group in buckets.items():
-        violations, min_margin, worst, reasons = 0, None, None, {}
-        for i in group:
-            e = entries[i]
-            if e.skipped is not None:
-                reasons[e.skipped] = reasons.get(e.skipped, 0) + 1
-                continue
-            violations += not e.passed
-            if e.margin is not None and (min_margin is None or e.margin < min_margin):
-                min_margin = e.margin
-                worst = (s_index, e.n, e.index)
-        out.append(
-            SpecSummary(
-                spec=label,
-                cases=len(group),
-                violations=violations,
-                skipped=sum(reasons.values()),
-                min_margin=min_margin,
-                worst=worst,
-                skip_reasons=tuple(sorted(reasons.items())),
-            )
-        )
+    for (s, label), g in groups.items():
+        rows = np.flatnonzero(group == g)
+        skipped, measured = rows[entries.skipped[rows]].tolist(), rows[entries.measured[rows]]
+        min_margin = worst = None
+        if measured.size:
+            margin = entries.margin[measured]
+            w = int(measured[0 if math.isnan(margin[0]) else np.nanargmin(margin)])
+            min_margin, worst = margins[w], (s, entries.column("n")[w], entries.column("index")[w])
+        counted = tuple(sorted(Counter(map(reasons.__getitem__, skipped)).items()))
+        tally = (rows.size, int(entries.violation[rows].sum()), len(skipped))
+        out.append(SpecSummary(label, *tally, min_margin, worst, counted))
     return tuple(out)
 
 
@@ -251,7 +324,7 @@ def _finish(
     campaign_id: str,
     seed: int | None,
     tolerance: float,
-    entries: list[CaseRecord],
+    entries: Sequence[CaseRecord],
     metadata: dict,
     spec_indices: Sequence[int] | None = None,
 ) -> VerificationReport:
@@ -259,36 +332,39 @@ def _finish(
         campaign_id=campaign_id,
         seed=seed,
         tolerance=tolerance,
-        entries=tuple(entries),
+        entries=entries,
         summary=_summarize(entries, spec_indices),
         metadata=metadata,
     )
 
 
-def _checked(tolerance: float, finer: Iterable, coarser: Iterable, **columns) -> list[CaseRecord]:
-    """The records of checks of H(finer) >= H(coarser), one per row.
+def _checked(
+    tolerance: float, finer: Iterable, coarser: Iterable, shared: dict, **columns: Sequence
+) -> _Entries:
+    """The entries of checks of H(finer) >= H(coarser), one per row.
 
     A value is a float, or a str the reason it could not be computed; a
     row's first reason, finer before coarser, makes it skipped, with no
     values and no margin (a row skipped on its finer value may have None
     for its coarser one).  Margins and verdicts are taken in numpy, whose
     float64 subtraction and ``>= -tolerance`` give the bits the Python
-    floats do.  ``columns`` are the records' other fields, as
-    :func:`_records` takes them.
+    floats do.  ``columns`` are the entries' other fields, a sequence each,
+    and ``shared`` the fields whose value every entry has.
     """
     finer, coarser = list(finer), list(coarser)
     reasons = [f if type(f) is str else c if type(c) is str else None for f, c in zip(finer, coarser)]
-    skipped = [row for row, reason in enumerate(reasons) if reason is not None]
+    is_skipped = np.fromiter(map(bool, reasons), dtype=bool, count=len(reasons))
+    skipped = np.flatnonzero(is_skipped).tolist()  # a reason is never empty
     for row in skipped:  # zeros stand in for a skipped row's values, then go
         finer[row] = coarser[row] = 0.0
     margin = np.subtract(finer, coarser)
-    passed = (margin >= -tolerance).tolist()
-    margin = margin.tolist()
+    passed = (margin >= -tolerance) | is_skipped
+    margins = margin.tolist()
     for row in skipped:
-        finer[row] = coarser[row] = margin[row] = None
-        passed[row] = True
-    columns.update(value_finer=finer, value_coarser=coarser, margin=margin, skipped=reasons)
-    return _records(len(finer), passed=passed, **columns)
+        finer[row] = coarser[row] = margins[row] = None
+    columns.update(value_finer=finer, value_coarser=coarser, margin=margins, skipped=reasons)
+    columns["passed"] = passed.tolist()
+    return _Entries(columns, shared, is_skipped, ~passed, margin, ~is_skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +445,8 @@ def _campaign_entries(
     cells: list[tuple[int, int, int, int]],
     rng_seed: int,
     tolerance: float,
-) -> tuple[list[CaseRecord], list[int]]:
-    """The records of the cases of ``cells``, and each one's spec index.
+) -> tuple[_Entries, list[int]]:
+    """The entries of the cases of ``cells``, and each one's spec index.
 
     A cell is (spec index, n, first case, case count); cells must come in
     ascending spec index.  The draw phase draws one block of uniforms per
@@ -403,11 +479,11 @@ def _campaign_entries(
         tolerance,
         finer,
         coarser,
-        kind=repeat("monotonicity"),
-        spec=map(labels.__getitem__, spec_indices),
+        {"kind": "monotonicity"},
+        spec=list(map(labels.__getitem__, spec_indices)),
         n=dims,
         index=index,
-        probs=(tuple(row) for p in draws for row in p.tolist()),
+        probs=[tuple(row) for p in draws for row in p.tolist()],
         blocks_finer=[f for f, _ in pairs],
         blocks_coarser=[c for _, c in pairs],
     )
@@ -703,12 +779,11 @@ def exhaustive_lattice_check(
         tolerance,
         map(values.__getitem__, finer),
         map(values.__getitem__, coarser),
-        kind=map(_LATTICE_KINDS.__getitem__, kind),
-        spec=repeat(spec.label()),
-        n=repeat(n),
+        {"spec": spec.label(), "n": n},
+        kind=list(map(_LATTICE_KINDS.__getitem__, kind)),
         index=range(len(kind)),
-        blocks_finer=map(partitions.__getitem__, finer),
-        blocks_coarser=map(partitions.__getitem__, coarser),
+        blocks_finer=list(map(partitions.__getitem__, finer)),
+        blocks_coarser=list(map(partitions.__getitem__, coarser)),
     )
     report = _finish(
         f"lattice-n{n}",
@@ -740,12 +815,10 @@ def corollary1_check(
         tolerance,
         repeat(base, len(values)),
         values,
-        kind=("total_merge" if len(blocks) == 1 else "vs_identity" for blocks in partitions),
-        spec=repeat(spec.label()),
-        n=repeat(n),
+        {"spec": spec.label(), "n": n, "blocks_finer": partitions[-1]},
+        kind=["total_merge" if len(blocks) == 1 else "vs_identity" for blocks in partitions[:-1]],
         index=range(len(values)),
-        blocks_finer=repeat(partitions[-1]),
-        blocks_coarser=partitions,
+        blocks_coarser=partitions[:-1],
     )
     return _finish(
         f"corollary-n{n}",
@@ -887,8 +960,7 @@ def max_entropy_check(
         tolerance,
         finer,
         [next(values) if type(top) is float else None for top in finer],
-        kind=repeat("max_entropy"),
-        spec=repeat(spec.label()),
+        {"kind": "max_entropy", "spec": spec.label()},
         n=n_column,
         index=index,
         probs=[tuple(next(drawn).tolist()) if type(top) is float else None for top in finer],
@@ -1006,21 +1078,28 @@ _ENTRY_FIELDS = (
 )
 
 
-def _written_fields(entry: CaseRecord) -> Iterable[tuple[str, object, object]]:
-    """(name, encoder, value) of each field a report writes for ``entry``."""
-    for name, encode, always, _ in _ENTRY_FIELDS:
-        value = getattr(entry, name)
+_ENTRY_NAMES = tuple(name for name, *_ in _ENTRY_FIELDS)
+_entry_row = attrgetter(*_ENTRY_NAMES)  # a record's fields in that order
+
+
+def _written_fields(row: tuple) -> Iterable[tuple[str, object, object]]:
+    """(name, encoder, value) of each field a report writes for an entry's ``row``."""
+    for (name, encode, always, _), value in zip(_ENTRY_FIELDS, row):
         if always or value is not None:
             yield name, encode, value
+
+
+def _entry_dict(row: tuple) -> dict:
+    return {name: _listed(value) for name, _, value in _written_fields(row)}
 
 
 def _entry_text(fields: Iterable[str]) -> str:
     return "    {\n      " + ",\n      ".join(fields) + "\n    }"
 
 
-def _json_entry(entry: CaseRecord) -> str:
+def _json_entry(row: tuple) -> str:
     return _entry_text(
-        f'"{name}": {encode(value)}' for name, encode, value in _written_fields(entry)
+        f'"{name}": {encode(value)}' for name, encode, value in _written_fields(row)
     )
 
 
@@ -1033,8 +1112,8 @@ _FULL_ENTRY = _entry_text(
 )
 
 
-def _json_entries(entries: Sequence[CaseRecord]) -> Iterable[str]:
-    """Each entry as :func:`_json_entry` writes it.
+def _json_entries(entries: _Entries) -> Iterable[str]:
+    """Each entry as :func:`_json_entry` writes it, from the columns.
 
     A full-shape entry is written from one template, its floats encoded in
     bulk, and the encoding of each distinct blocks tuple, block, kind and
@@ -1055,26 +1134,24 @@ def _json_entries(entries: Sequence[CaseRecord]) -> Iterable[str]:
             text = memo[value] = _json_array([once(block, _json_block) for block in value], 3)
         return text
 
-    for e in entries:
+    for row in zip(*map(entries.column, _ENTRY_NAMES)):
+        coarser, finer, index, kind, margin, n, note, passed, probs, skipped, spec, *values = row
         floats = None
-        if (
-            e.note is None and e.skipped is None and e.probs
-            and e.blocks_coarser is not None and e.blocks_finer is not None
-        ):
-            floats = _finite_reprs((*e.probs, e.margin, e.value_coarser, e.value_finer))
+        if note is None and skipped is None and probs and coarser is not None and finer is not None:
+            floats = _finite_reprs((*probs, margin, *values))
         if floats is None:
-            yield _json_entry(e)
+            yield _json_entry(row)
             continue
         yield _FULL_ENTRY % (
-            blocks(e.blocks_coarser),
-            blocks(e.blocks_finer),
-            _json_scalar(e.index),
-            once(e.kind, _json_scalar),
+            blocks(coarser),
+            blocks(finer),
+            _json_scalar(index),
+            once(kind, _json_scalar),
             floats[-3],
-            _json_scalar(e.n),
-            _json_scalar(e.passed),
+            _json_scalar(n),
+            _json_scalar(passed),
             _SEPARATOR[4].join(floats[:-3]),
-            once(e.spec, _json_scalar),
+            once(spec, _json_scalar),
             floats[-2],
             floats[-1],
         )
@@ -1108,13 +1185,12 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
     """
     if format == "json":
         return _json_report(report).encode("utf-8")
+    entries = report.entries
     if format == "csv":
         lines = ["spec,n,case,margin"]
-        for entry in report.entries:
-            if entry.margin is not None:
-                lines.append(
-                    f"{entry.spec},{entry.n},{entry.index},{entry.margin!r}"
-                )
+        for spec, n, index, margin in zip(*map(entries.column, ("spec", "n", "index", "margin"))):
+            if margin is not None:
+                lines.append(f"{spec},{n},{index},{margin!r}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "markdown":
         lines = [
@@ -1122,8 +1198,8 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
             "",
             f"- seed: {report.seed!r}",
             f"- tolerance: {report.tolerance!r}",
-            f"- entries: {len(report.entries)}",
-            f"- violations: {len(report.violations)}",
+            f"- entries: {len(entries)}",
+            f"- violations: {int(entries.violation.sum())}",
             "",
             "| spec | cases | violations | skipped | min margin |",
             "| --- | --- | --- | --- | --- |",
@@ -1133,10 +1209,12 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
                 f"| {s.spec} | {s.cases} | {s.violations} | {s.skipped} "
                 f"| {'' if s.min_margin is None else repr(s.min_margin)} |"
             )
+        names = ("passed", "kind", "spec", "n", "index")
+        names += ("value_finer", "value_coarser", "margin", "note")
         flagged = [
-            e
-            for e in report.entries
-            if not e.passed or e.kind in ("pinned_value", "slope_witness")
+            row
+            for row in zip(*map(entries.column, names))
+            if not row[0] or row[1] in ("pinned_value", "slope_witness")
         ]
         if flagged:
             lines += [
@@ -1144,13 +1222,13 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
                 "| kind | spec | n | case | value (finer) | value (coarser) | margin | note |",
                 "| --- | --- | --- | --- | --- | --- | --- | --- |",
             ]
-            for e in flagged[:200]:
+            for _, kind, spec, n, index, finer, coarser, margin, note in flagged[:200]:
                 lines.append(
-                    f"| {e.kind} | {e.spec} | {e.n} | {e.index} "
-                    f"| {'' if e.value_finer is None else repr(e.value_finer)} "
-                    f"| {'' if e.value_coarser is None else repr(e.value_coarser)} "
-                    f"| {'' if e.margin is None else repr(e.margin)} "
-                    f"| {e.note or ''} |"
+                    f"| {kind} | {spec} | {n} | {index} "
+                    f"| {'' if finer is None else repr(finer)} "
+                    f"| {'' if coarser is None else repr(coarser)} "
+                    f"| {'' if margin is None else repr(margin)} "
+                    f"| {note or ''} |"
                 )
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise UnsupportedFormat(f"unknown report format {format!r}")

@@ -8,6 +8,7 @@ later calibration.
 import math
 
 import numpy as np
+import pytest
 from scipy import integrate
 
 from gentropy import (
@@ -33,6 +34,8 @@ from gentropy import (
 )
 from gentropy.cli import main
 from gentropy.distributions import _dirichlet_interior
+
+pytestmark = pytest.mark.acceptance
 
 
 def _verdict(number: int, description: str, passed: bool) -> None:

@@ -30,6 +30,7 @@ from gentropy.catalog import outer_map_prime, phi_prime
 from gentropy.distributions import _dirichlet_interior
 from gentropy.errors import (
     BadInverse,
+    GentropyError,
     NoDerivative,
     NonFinite,
     TooSmall,
@@ -400,7 +401,7 @@ def _reference_basic_axioms(spec, samples, rng_seed):
         dist = FiniteDistribution(p)
         try:
             value = evaluate(spec, dist)
-        except Exception:
+        except GentropyError:
             continue
 
         counts["positivity"] += 1
@@ -417,7 +418,7 @@ def _reference_basic_axioms(spec, samples, rng_seed):
             padded = np.insert(p, position, 0.0)
             try:
                 expanded = evaluate(spec, FiniteDistribution(padded))
-            except Exception:
+            except GentropyError:
                 expanded = None
             if expanded is not None:
                 counts["expandability"] += 1
@@ -432,7 +433,7 @@ def _reference_basic_axioms(spec, samples, rng_seed):
         shifted[lo] += 1e-8
         try:
             moved = evaluate(spec, FiniteDistribution(shifted))
-        except Exception:
+        except GentropyError:
             continue
         counts["continuity"] += 1
         rate = abs(moved - value) / 1e-8
@@ -504,8 +505,8 @@ def _rare_nonfinite_h(y):
 def _with_phi_refusing_a_large_first_entry(spec):
     """``spec`` whose phi raises on a batch, or on a vector led by an entry > 0.9.
 
-    Such a base is rejected, and a permutation that moves such an entry to
-    the front of an accepted base raises out of the probe.
+    A base led by such an entry, or a permutation that moves one to the
+    front of an accepted base, raises out of the probe.
     """
     phi = spec.functional.phi
 
@@ -566,6 +567,37 @@ def test_basic_axioms_raise_as_the_per_sample_loop_does():
     slope, permuted = _PER_VECTOR_SPECS[-2:]
     assert _outcome(check_basic_axioms, slope, 300, 7)[0] is UserCallableError
     assert _outcome(check_basic_axioms, permuted, 300, 7) == (FloatingPointError, "refused")
+
+
+def _shifted_only_band(samples, seed):
+    """A band of totals holding the first continuity-shifted total of the
+    shannon probe that lies above its base's and permuted vector's totals
+    (its padded vector's total is its base's), and that total."""
+    for p, perm, _ in _sampler2_basic(samples, seed, 0.0):
+        order = np.argsort(p)
+        shifted = p.copy()
+        shifted[order[-1]] -= 1e-8
+        shifted[order[-2]] += 1e-8
+        low = max(evaluate(SHANNON, FiniteDistribution(q)) for q in (p, p[perm]))
+        total = evaluate(SHANNON, FiniteDistribution(shifted))
+        if total > low:
+            return (low, np.nextafter(total, math.inf)), total
+    raise AssertionError("no shifted total lies above its base's")
+
+
+@pytest.mark.parametrize("vector", ["base", "shifted"])
+@pytest.mark.parametrize(
+    "path", [lambda spec: spec, _with_batch_refusing_phi], ids=["batched", "per_vector"]
+)
+def test_basic_axioms_raise_what_the_reference_loop_raises_first(path, vector):
+    """An h that raises a ``ValueError`` on some totals raises out of the
+    probe at the first sample meeting one, on its base or shifted vector."""
+    band, total = ((0.6, 0.7), None) if vector == "base" else _shifted_only_band(300, 7)
+    spec = path(_with_h_refusing_a_band(EntropySpec("shannon"), band=band))
+    expected = _outcome(_reference_basic_axioms, spec, 300, 7)
+    assert expected[0] is ValueError
+    assert total is None or expected[1] == f"h refused {total!r}"
+    assert _outcome(check_basic_axioms, spec, 300, 7) == expected
 
 
 @pytest.mark.parametrize("refusal", [ValueError, None], ids=["raising_h", "nan_h"])

@@ -1,7 +1,8 @@
 """Campaign engine: sampling, exhaustive oracle, determinism, emission."""
 
+from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, fields, replace
-from itertools import repeat
+from itertools import islice
 import copy
 import json
 import math
@@ -32,6 +33,7 @@ from gentropy import (
     run_monotonicity_campaign,
 )
 from gentropy.catalog import default_campaign_specs
+from gentropy.cli import main as cli_main
 from gentropy.distributions import _dirichlet_interior
 from gentropy.errors import (
     GentropyError,
@@ -519,8 +521,8 @@ def test_checked_rows_equal_records_built_one_at_a_time():
     finer, coarser = zip(*rows)
     probs = [(float(index), 1.0 - index) for index in range(len(rows))]
     records = _checked(
-        tolerance, finer, coarser, kind=repeat("hand"), spec=repeat("x"), n=repeat(2),
-        index=range(len(rows)), probs=iter(probs),
+        tolerance, finer, coarser, {"kind": "hand", "spec": "x", "n": 2},
+        index=range(len(rows)), probs=probs,
     )
     expected = []
     for index, (f, c) in enumerate(rows):
@@ -533,7 +535,7 @@ def test_checked_rows_equal_records_built_one_at_a_time():
         expected.append(CaseRecord(
             passed=margin >= -tolerance, value_finer=f, value_coarser=c, margin=margin, **common
         ))
-    assert records == expected
+    assert tuple(records) == tuple(expected)
     assert [r.passed for r in records] == [True, True, False, True, True, True, True]
     assert records[-1].margin == 0.1 + 0.2 - 0.3 != 0.0
     for record in records:
@@ -574,6 +576,94 @@ def test_reports_stay_equal_with_case_record_behind_a_proxy(monkeypatch):
     assert reports() == expected
 
 
+def _count_records(monkeypatch):
+    """A list that gets the count of every bulk record build from now on."""
+    built, records = [], verify._records
+
+    def counting(count, shared, **columns):
+        built.append(count)
+        return records(count, shared, **columns)
+
+    monkeypatch.setattr(verify, "_records", counting)
+    return built
+
+
+def test_summaries_verdicts_and_emission_build_no_record(monkeypatch, capsys):
+    """Reports read their columns; ``violations`` builds one record per violation."""
+    dist = FiniteDistribution(np.random.default_rng(6).dirichlet(np.ones(6)))
+    built = _count_records(monkeypatch)
+    assert cli_main(["verify", "--all", "--n", "3..5", "--cases", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"]
+    reports = [
+        exhaustive_lattice_check(SHANNON, dist),
+        corollary1_check(SHANNON, dist),
+        run_monotonicity_campaign(default_campaign_specs(), range(3, 6), 3, rng_seed=0),
+        exhaustive_lattice_check(HE, dist),
+        corollary1_check(HE, dist),
+        run_monotonicity_campaign([SHANNON, HE], range(3, 6), 3, rng_seed=0),
+    ]
+    for report in reports:
+        assert len(report.entries) and report.summary
+        assert report.metadata.get("min_margin", 0) is not None
+        for fmt in ("json", "markdown", "csv"):
+            emit_report(report, fmt)
+    assert [report.passed for report in reports] == [True] * 3 + [False] * 3
+    assert built == []
+    for report in reports:
+        violations = report.violations
+        assert built[-1:] == [len(violations)] and all(not e.passed for e in violations)
+    assert built[:3] == [0, 0, 0] and min(built[3:]) > 0
+
+
+def test_entries_are_a_read_only_sequence_of_records(monkeypatch):
+    dist = FiniteDistribution([0.1, 0.2, 0.3, 0.4])
+    expected = tuple(_reference_lattice(HE, dist).entries)
+    assert all(type(e) is CaseRecord for e in expected)
+    entries = exhaustive_lattice_check(HE, dist).entries
+    assert isinstance(entries, Sequence) and not isinstance(entries, tuple)
+    built = _count_records(monkeypatch)
+    count = len(expected)
+    assert len(entries) == count
+    for i in (0, 5, count - 1, -1, -count):
+        assert entries[i] == expected[i]
+        assert entries[np.int64(i)] == expected[i]
+    for i in (count, -count - 1):
+        with pytest.raises(IndexError):
+            entries[i]
+    assert built == [1] * 10  # one record per int index
+    with pytest.raises(TypeError):
+        entries[0] = expected[0]
+    assert type(entries[2:5]) is tuple and entries[2:5] == expected[2:5]
+    assert entries[::-3] == expected[::-3] and entries[count:] == ()
+    assert built[10:] == [count]  # the first slice builds them all, once
+    assert list(entries) == list(expected) and tuple(entries) == expected
+    assert entries[3] is entries[3] is next(islice(entries, 3, None))
+    assert built[11:] == []
+    assert entries == expected and expected == entries
+    assert entries != expected[:-1] and expected[:-1] != entries
+    assert entries != list(expected)
+    assert entries == exhaustive_lattice_check(HE, dist).entries
+    assert hash(entries) == hash(expected) and repr(entries) == repr(expected)
+    assert expected[0] in entries and entries.index(expected[7]) == 7
+
+
+def test_reports_survive_pickle_copy_and_json():
+    dist = FiniteDistribution(np.random.default_rng(4).dirichlet(np.ones(5)))
+    reports = [
+        run_monotonicity_campaign([SHANNON, EntropySpec("s_delta", delta=2.0), HE], [3, 5], 4, 2),
+        exhaustive_lattice_check(HE, dist),
+        corollary1_check(SHANNON, dist),
+        max_entropy_check(HE, [3, 4], 5, 1),
+        counterexample_suite(),
+    ]
+    for report in reports:
+        for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert copied == report and emit_report(copied) == emit_report(report)
+        assert report_from_json(emit_report(report)) == report
+        tuple(report.entries)  # once built, the copies still compare equal
+        assert pickle.loads(pickle.dumps(report)) == report == copy.deepcopy(report)
+
+
 def test_campaign_kernel_falls_back_when_batched_phi_raises():
     """A phi that fails on the batch is evaluated one vector at a time."""
     spec = _with_batch_refusing_phi(EntropySpec("tsallis", q=2.0))
@@ -607,17 +697,18 @@ def test_raising_user_phi_falls_back_one_vector_at_a_time():
     assert 0 < corollary.summary[0].skipped < len(corollary.entries)
 
 
-def _with_h_refusing_a_band(spec, refusal=ValueError):
+def _with_h_refusing_a_band(spec, refusal=ValueError, band=(0.6, 0.7)):
     """``spec`` (one with no outer map) whose h raises ``refusal`` on a total
-    in (0.6, 0.7), or gives NaN when ``refusal`` is None.
+    in ``band``, (0.6, 0.7) by default, or gives NaN when ``refusal`` is None.
 
-    For shannon that is some drawn vectors, but no uniform distribution at
-    n >= 3 (ln 3 = 1.10) and not ``_BAND_SAFE`` itself.
+    For shannon that default is some drawn vectors, but no uniform
+    distribution at n >= 3 (ln 3 = 1.10) and not ``_BAND_SAFE`` itself.
     """
     assert spec.functional.h is None
+    low, high = band
 
     def picky(y):
-        if 0.6 < y < 0.7:
+        if low < y < high:
             if refusal is None:
                 return math.nan
             raise refusal(f"h refused {y!r}")
