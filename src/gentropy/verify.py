@@ -78,6 +78,8 @@ from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
+import csv
+import io
 import json
 import math
 
@@ -345,8 +347,7 @@ def _checked(
 
     A value is a float, or a str the reason it could not be computed; a
     row's first reason, finer before coarser, makes it skipped, with no
-    values and no margin (a row skipped on its finer value may have None
-    for its coarser one).  Margins and verdicts are taken in numpy, whose
+    values and no margin.  Margins and verdicts are taken in numpy, whose
     float64 subtraction and ``>= -tolerance`` give the bits the Python
     floats do.  ``columns`` are the entries' other fields, a sequence each,
     and ``shared`` the fields whose value every entry has.
@@ -469,7 +470,6 @@ def _campaign_entries(
         list(chain.from_iterable(pairs)),
     )
     finer = values.values[0::2]
-    coarser = [c if type(f) is float else None for f, c in zip(finer, values.values[1::2])]
     # what evaluating case by case, finer before coarser, would raise first
     for v in values.raised:
         if v % 2 == 0 or type(finer[v // 2]) is float:
@@ -478,7 +478,7 @@ def _campaign_entries(
     entries = _checked(
         tolerance,
         finer,
-        coarser,
+        values.values[1::2],
         {"kind": "monotonicity"},
         spec=list(map(labels.__getitem__, spec_indices)),
         n=dims,
@@ -980,10 +980,13 @@ def max_entropy_check(
 
 # The JSON layout is that of ``json.dumps(report.to_dict(), sort_keys=True,
 # indent=2, allow_nan=False)``.  ``json.dumps`` still writes the small header;
-# the entries, nearly all of the bytes, are written here from their fields,
-# because ``indent`` sends ``json.dumps`` to its pure-Python encoder.
+# the entries, nearly all of the bytes, are written by :func:`_json_entries`
+# (``indent`` sends ``json.dumps`` to its pure-Python encoder): a chunk of
+# entries at a time, each field's column encoded at once, each row joined.
 
 _ENTRIES_KEY = '\n  "entries": []'
+_CHUNK = 1024  # entries encoded together; only one chunk's field texts are alive
+_MARKDOWN_ROWS = 200  # flagged entries a markdown report lists
 
 
 def _json_scalar(value) -> str:
@@ -992,10 +995,8 @@ def _json_scalar(value) -> str:
         return encode_basestring_ascii(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
@@ -1036,14 +1037,34 @@ def _json_numbers(values, level: int = 3) -> str:
     return _json_array(map(_json_scalar, values) if texts is None else texts, level)
 
 
-def _json_block(block, level: int = 4) -> str:
-    if set(map(type, block)) == {int}:
-        return _json_array(map(int.__repr__, block), level)
-    return _json_numbers(block, level)
+def _scalar_texts(column: list, memo: dict) -> list[str]:
+    """Each value as :func:`_json_scalar` writes it, the finite floats in bulk."""
+    floats = [value for value in column if type(value) is float]
+    texts = _finite_reprs(floats)
+    if not texts:  # no floats, a non-finite one, or floats summing past the range
+        return list(map(_json_scalar, column))
+    if len(texts) == len(column):
+        return texts
+    texts = iter(texts)
+    return [next(texts) if type(value) is float else _json_scalar(value) for value in column]
 
 
-def _json_blocks(blocks, level: int = 3) -> str:
-    return _json_array((_json_block(block, level + 1) for block in blocks), level)
+def _blocks_texts(column: list, memo: dict) -> list[str]:
+    """Each blocks tuple's array, each distinct tuple and block encoded once a report."""
+    for blocks in dict.fromkeys(column):  # in row order, as the first of equals wins
+        if blocks not in memo:
+            inner = [memo.get(b) or memo.setdefault(b, _json_numbers(b, 4)) for b in blocks]
+            memo[blocks] = _json_array(inner, 3)
+    return list(map(memo.__getitem__, column))
+
+
+def _probs_texts(column: list, memo: dict) -> list[str]:
+    """Each probs array; the column's floats in bulk when all are finite floats."""
+    texts = _finite_reprs(list(chain.from_iterable(filter(None, column))))
+    if texts is None:
+        return ["null" if probs is None else _json_numbers(probs) for probs in column]
+    texts = iter(texts)
+    return ["null" if p is None else _json_array(islice(texts, len(p)), 3) for p in column]
 
 
 def _as_is(value):
@@ -1059,102 +1080,57 @@ def _listed(value):
     return [_listed(item) for item in value] if isinstance(value, tuple) else value
 
 
-# The entry schema: every CaseRecord field in sorted-key order, as
-# (name, JSON encoder, written even if None, decoder of its JSON value).
+# The entry schema: every CaseRecord field in sorted-key order, as (name,
+# column encoder, written even if None, decoder of its JSON value).  A column
+# encoder takes a chunk of the field's column and the report's memo, and gives
+# each row's text; a None row's text is never written.
 _ENTRY_FIELDS = (
-    ("blocks_coarser", _json_blocks, False, _tuples),
-    ("blocks_finer", _json_blocks, False, _tuples),
-    ("index", _json_scalar, True, _as_is),
-    ("kind", _json_scalar, True, _as_is),
-    ("margin", _json_scalar, False, _as_is),
-    ("n", _json_scalar, True, _as_is),
-    ("note", _json_scalar, False, _as_is),
-    ("passed", _json_scalar, True, _as_is),
-    ("probs", _json_numbers, False, tuple),
-    ("skipped", _json_scalar, False, _as_is),
-    ("spec", _json_scalar, True, _as_is),
-    ("value_coarser", _json_scalar, False, _as_is),
-    ("value_finer", _json_scalar, False, _as_is),
+    ("blocks_coarser", _blocks_texts, False, _tuples),
+    ("blocks_finer", _blocks_texts, False, _tuples),
+    ("index", _scalar_texts, True, _as_is),
+    ("kind", _scalar_texts, True, _as_is),
+    ("margin", _scalar_texts, False, _as_is),
+    ("n", _scalar_texts, True, _as_is),
+    ("note", _scalar_texts, False, _as_is),
+    ("passed", _scalar_texts, True, _as_is),
+    ("probs", _probs_texts, False, tuple),
+    ("skipped", _scalar_texts, False, _as_is),
+    ("spec", _scalar_texts, True, _as_is),
+    ("value_coarser", _scalar_texts, False, _as_is),
+    ("value_finer", _scalar_texts, False, _as_is),
 )
 
 
 _ENTRY_NAMES = tuple(name for name, *_ in _ENTRY_FIELDS)
 _entry_row = attrgetter(*_ENTRY_NAMES)  # a record's fields in that order
-
-
-def _written_fields(row: tuple) -> Iterable[tuple[str, object, object]]:
-    """(name, encoder, value) of each field a report writes for an entry's ``row``."""
-    for (name, encode, always, _), value in zip(_ENTRY_FIELDS, row):
-        if always or value is not None:
-            yield name, encode, value
+_ENTRY_KEYS = tuple(f'"{name}": ' for name in _ENTRY_NAMES)
 
 
 def _entry_dict(row: tuple) -> dict:
-    return {name: _listed(value) for name, _, value in _written_fields(row)}
-
-
-def _entry_text(fields: Iterable[str]) -> str:
-    return "    {\n      " + ",\n      ".join(fields) + "\n    }"
-
-
-def _json_entry(row: tuple) -> str:
-    return _entry_text(
-        f'"{name}": {encode(value)}' for name, encode, value in _written_fields(row)
-    )
-
-
-# A campaign case that was evaluated: every field but ``note`` and
-# ``skipped``, with a nonempty ``probs`` (an array of one number a line).
-_FULL_ENTRY = _entry_text(
-    f'"{name}": ' + ("[" + _PAD[4] + "%s" + _PAD[3] + "]" if name == "probs" else "%s")
-    for name, *_ in _ENTRY_FIELDS
-    if name not in ("note", "skipped")
-)
+    fields = zip(_ENTRY_FIELDS, row)
+    return {name: _listed(v) for (name, _, always, _), v in fields if always or v is not None}
 
 
 def _json_entries(entries: _Entries) -> Iterable[str]:
-    """Each entry as :func:`_json_entry` writes it, from the columns.
+    """The text of each chunk of entries, as ``json.dumps`` writes them at indent 2.
 
-    A full-shape entry is written from one template, its floats encoded in
-    bulk, and the encoding of each distinct blocks tuple, block, kind and
-    spec label is made once per call (values that compare equal share it,
-    as the records compare them).
+    A row's text joins its written fields (a field not written has the text
+    ""); the memo of block texts lasts the whole report.
     """
-    memo: dict = {}
-
-    def once(value, encode) -> str:
-        text = memo.get(value)
-        if text is None:
-            text = memo[value] = encode(value)
-        return text
-
-    def blocks(value) -> str:  # as _json_blocks, each block encoded once too
-        text = memo.get(value)
-        if text is None:
-            text = memo[value] = _json_array([once(block, _json_block) for block in value], 3)
-        return text
-
-    for row in zip(*map(entries.column, _ENTRY_NAMES)):
-        coarser, finer, index, kind, margin, n, note, passed, probs, skipped, spec, *values = row
-        floats = None
-        if note is None and skipped is None and probs and coarser is not None and finer is not None:
-            floats = _finite_reprs((*probs, margin, *values))
-        if floats is None:
-            yield _json_entry(row)
-            continue
-        yield _FULL_ENTRY % (
-            blocks(coarser),
-            blocks(finer),
-            _json_scalar(index),
-            once(kind, _json_scalar),
-            floats[-3],
-            _json_scalar(n),
-            _json_scalar(passed),
-            _SEPARATOR[4].join(floats[:-3]),
-            once(spec, _json_scalar),
-            floats[-2],
-            floats[-1],
-        )
+    columns = list(map(entries.column, _ENTRY_NAMES))
+    memo = {None: "null"}  # blocks texts; a None row's is never written
+    for start in range(0, len(entries), _CHUNK):
+        fields = []
+        for (_, encode, always, _), key, column in zip(_ENTRY_FIELDS, _ENTRY_KEYS, columns):
+            column = column[start : start + _CHUNK]
+            absent = 0 if always else column.count(None)
+            if absent < len(column):
+                texts = map(key.__add__, encode(column, memo))
+                if absent:
+                    texts = ["" if v is None else t for v, t in zip(column, texts)]
+                fields.append(texts)
+        rows = map(_SEPARATOR[3].join, map(filter, repeat(None), zip(*fields)))  # drop ""
+        yield "    {\n      " + "\n    },\n    {\n      ".join(rows) + "\n    }"
 
 
 def _json_report(report: VerificationReport) -> str:
@@ -1167,12 +1143,7 @@ def _json_report(report: VerificationReport) -> str:
     if not report.entries:
         return head + "\n"
     before, after = head.split(_ENTRIES_KEY, 1)
-    # Joined a chunk at a time, so that only one chunk's entry strings, not
-    # the whole report's, are alive beside the text joined so far (an entry
-    # string is never empty, so "" marks the end).
-    entries = _json_entries(report.entries)
-    chunks = iter(lambda: ",\n".join(islice(entries, 1024)), "")
-    body = ",\n".join(chunks)
+    body = ",\n".join(_json_entries(report.entries))
     return "".join((before, '\n  "entries": [\n', body, "\n  ]", after, "\n"))
 
 
@@ -1180,18 +1151,20 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
     """Serialize a report deterministically (identical reports, identical bytes).
 
     Formats: ``json`` (lossless, schema-versioned, strict: a non-finite
-    number raises :class:`NonFinite`), ``markdown`` (human review), ``csv``
-    (spec, n, case, margin rows for plotting).
+    number raises :class:`NonFinite`), ``markdown`` (human review; it lists
+    at most 200 flagged entries and says how many it leaves out), ``csv``
+    (spec, n, case, margin rows for plotting, quoted as ``csv.writer`` does).
     """
     if format == "json":
         return _json_report(report).encode("utf-8")
     entries = report.entries
     if format == "csv":
-        lines = ["spec,n,case,margin"]
-        for spec, n, index, margin in zip(*map(entries.column, ("spec", "n", "index", "margin"))):
-            if margin is not None:
-                lines.append(f"{spec},{n},{index},{margin!r}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(("spec", "n", "case", "margin"))
+        rows = zip(*map(entries.column, ("spec", "n", "index", "margin")))
+        writer.writerows((s, n, i, repr(m)) for s, n, i, m in rows if m is not None)
+        return text.getvalue().encode("utf-8")
     if format == "markdown":
         lines = [
             f"# Campaign `{report.campaign_id}`",
@@ -1222,7 +1195,7 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
                 "| kind | spec | n | case | value (finer) | value (coarser) | margin | note |",
                 "| --- | --- | --- | --- | --- | --- | --- | --- |",
             ]
-            for _, kind, spec, n, index, finer, coarser, margin, note in flagged[:200]:
+            for _, kind, spec, n, index, finer, coarser, margin, note in flagged[:_MARKDOWN_ROWS]:
                 lines.append(
                     f"| {kind} | {spec} | {n} | {index} "
                     f"| {'' if finer is None else repr(finer)} "
@@ -1230,6 +1203,9 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
                     f"| {'' if margin is None else repr(margin)} "
                     f"| {note or ''} |"
                 )
+            if len(flagged) > _MARKDOWN_ROWS:
+                hidden = len(flagged) - _MARKDOWN_ROWS
+                lines += ["", f"{hidden} of {len(flagged)} flagged entries not shown."]
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise UnsupportedFormat(f"unknown report format {format!r}")
 

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: output, exit codes, determinism."""
 
+import hashlib
+import io
 import json
 import math
 import runpy
@@ -278,6 +280,44 @@ def test_verify_byte_identical_runs(capsys):
     code_b, out_b, _ = run_cli(capsys, *args)
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+class _HashingStdout(io.TextIOBase):
+    """A stdout that keeps only the sha256 of the UTF-8 bytes written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        self.sha.update(text.encode("utf-8"))
+        return len(text)
+
+
+# The stdout of the north-star command and of the counterexample suite, pinned.
+# A change that alters these report bytes on purpose updates the digest here
+# and says so in CHANGES.md.
+_PINNED_STDOUT = (
+    (("verify", "--all", "--seed", "0"), 0,
+     "0ace087e68e72d35c7c7e257ccbb9f492601e648b62dc0c67a722efcedb5d441"),
+    (("counterexample", "--format", "json"), 1,
+     "a638873d39a01a5f065e8aed37aba1cc7c0ef183f7238d639922926f253c3b0d"),
+    (("counterexample", "--format", "markdown"), 1,
+     "48d55167cdb7fce514c46a64b22dcc7d2cdb8d8ce6136d0dcbdcb60897ea2add"),
+    (("counterexample", "--format", "csv"), 1,
+     "0371300c211977807c15a5e9607a1398ec3a9af938cd3913b788efa1cb73ec2d"),
+)
+
+
+def test_report_bytes_are_pinned(monkeypatch):
+    for argv, expected_code, digest in _PINNED_STDOUT:
+        sink = _HashingStdout()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", sink)
+            code = main(list(argv))
+        assert (code, sink.sha.hexdigest()) == (expected_code, digest), argv
 
 
 def test_classify_shannon_passes(capsys):

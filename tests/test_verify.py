@@ -4,6 +4,8 @@ from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, fields, replace
 from itertools import islice
 import copy
+import csv
+import io
 import json
 import math
 import pickle
@@ -34,7 +36,7 @@ from gentropy import (
 )
 from gentropy.catalog import default_campaign_specs
 from gentropy.cli import main as cli_main
-from gentropy.distributions import _dirichlet_interior
+from gentropy.distributions import _dirichlet_interior, sample_dirichlet_uniform
 from gentropy.errors import (
     GentropyError,
     NonFinite,
@@ -259,6 +261,21 @@ def test_emit_csv_shape():
     spec, n, case, margin = lines[1].split(",")
     assert spec == "shannon" and n == "3" and case == "0"
     assert float(margin) >= 0.0
+    # a label with a comma or a quote is quoted, so every row keeps 4 fields
+    specs = [
+        EntropySpec("sharma_mittal_rs", r=0.5, s=2.0),
+        SHANNON,
+        EntropySpec("universal_group", coeffs=[1.0, 0.4]),
+    ]
+    campaign = run_monotonicity_campaign(specs, [3], 2, rng_seed=10)
+    text = emit_report(campaign, "csv").decode()
+    assert '\n"sharma_mittal_rs(r=0.5, s=2.0)",3,0,' in text
+    assert "\nshannon,3,0," in text  # a label that needs no quotes has none
+    for report in (campaign, _hand_built_report()):
+        rows = list(csv.reader(io.StringIO(emit_report(report, "csv").decode())))
+        assert rows[0] == ["spec", "n", "case", "margin"]
+        assert {len(row) for row in rows} == {4}
+        assert [row[0] for row in rows[1:]] == [e.spec for e in report.entries]
 
 
 def test_emit_markdown_counterexample_full_precision():
@@ -267,6 +284,17 @@ def test_emit_markdown_counterexample_full_precision():
     assert "| 1.5 |" in text
     assert "| 1.0 |" in text
     assert "| 1.0499999999999998 |" in text  # full-precision shortest repr
+
+
+def test_emit_markdown_says_how_many_flagged_entries_it_leaves_out():
+    report = exhaustive_lattice_check(HE, sample_dirichlet_uniform(6, 12))
+    flagged = int(report.entries.violation.sum())
+    assert flagged > 200
+    lines = emit_report(report, "markdown").decode().splitlines()
+    assert lines[-2:] == ["", f"{flagged - 200} of {flagged} flagged entries not shown."]
+    assert sum(" | counterexample_HE | 6 | " in line for line in lines) == 200
+    small = emit_report(counterexample_suite(), "markdown").decode()
+    assert "not shown" not in small and small.endswith("|\n")
 
 
 def test_emit_empty_campaign():
@@ -828,8 +856,13 @@ def _mixed_report():
 
 def test_emit_json_equals_json_dumps():
     uniform4 = FiniteDistribution([0.1, 0.2, 0.3, 0.4])
+    mixed = _mixed_report()
+    # every shape of the mixed report lies on both sides of rows 1024 and 2048
+    repeated = list(mixed.entries) * (2100 // len(mixed.entries))
     reports = [
-        _mixed_report(),
+        mixed,
+        VerificationReport("repeated", 5, 1e-9, tuple(repeated), _summarize(repeated)),
+        exhaustive_lattice_check(HE, sample_dirichlet_uniform(7, 12)),
         run_monotonicity_campaign(
             [EntropySpec("s_delta", delta=2.0), SHANNON, HE], [3, 4], 4, rng_seed=5
         ),
@@ -859,6 +892,19 @@ def test_emit_json_rejects_non_finite_entry():
     report = VerificationReport("nan", 0, 1e-9, (record,), summary=())
     with pytest.raises(NonFinite):
         emit_report(report, "json")
+    # in a row of a later chunk, of a field written in bulk when all are finite
+    campaign = run_monotonicity_campaign([SHANNON], [3, 4], 600, rng_seed=5)
+    full = campaign.entries[1100]
+    for bad in (math.nan, math.inf, -math.inf):
+        for change in (
+            {"value_finer": bad},
+            {"margin": bad},
+            {"probs": full.probs[:-1] + (bad,)},
+        ):
+            entries = list(campaign.entries)
+            entries[1100] = replace(full, **change)
+            with pytest.raises(NonFinite):
+                emit_report(VerificationReport("bad", 0, 1e-9, tuple(entries), ()), "json")
 
 
 # ---------------------------------------------------------------------------
