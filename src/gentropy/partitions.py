@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DimensionMismatch, TooSmall, TooLarge, ValidationError
 
 ENUMERATION_LIMIT = 12  # Bell(12) = 4_213_597; beyond this exhaustive work explodes
+LATTICE_LIMIT = 8  # the exhaustive oracles' limit; the partitions up to it are kept once walked
 
 _Blocks = tuple[tuple[int, ...], ...]
 
@@ -169,8 +170,17 @@ def quotient_partition(finer: Partition, coarser: Partition) -> Partition:
     return Partition(groups.values(), finer.k)
 
 
+def _ground_size(n) -> int:
+    """``n`` as an int, or a ``ValidationError`` when it is not an integer."""
+    try:
+        return operator.index(n)
+    except TypeError as exc:
+        raise ValidationError(f"n must be an integer, got {n!r}") from exc
+
+
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-set (Bell triangle recurrence)."""
+    n = _ground_size(n)
     if n < 0:
         raise ValidationError("n must be >= 0")
     row = [1]
@@ -187,8 +197,11 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
     The order is lexicographic in the restricted-growth encoding (element i
     gets the label of its block, labels appear in first-use order), which
-    coincides with canonical block form.  Guarded at n <= 12.
+    coincides with canonical block form.  Guarded at n <= 12.  For n <= 8
+    (``LATTICE_LIMIT``) the partitions are walked once per process and kept,
+    so every call yields the same immutable ``Partition`` objects.
     """
+    n = _ground_size(n)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if n > ENUMERATION_LIMIT:
@@ -196,6 +209,16 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             f"exhaustive enumeration is limited to n <= {ENUMERATION_LIMIT} "
             f"(Bell({n}) = {bell_number(n)})"
         )
+    yield from _kept_partitions(n) if n <= LATTICE_LIMIT else _walk(n)
+
+
+@lru_cache(maxsize=LATTICE_LIMIT)
+def _kept_partitions(n: int) -> tuple[Partition, ...]:
+    return tuple(_walk(n))
+
+
+def _walk(n: int) -> Iterator[Partition]:
+    """The partitions of {0..n-1} in enumeration order, built as they are reached."""
     # Depth first over RGS prefixes, one label at a time: element x joins
     # each block of its prefix in turn, then opens a new one.
     stack: list[tuple[int, _Blocks]] = [(0, ())]

@@ -58,15 +58,20 @@ must keep those reference tests passing.
 The oracles share the evaluate phase.  The lattice and corollary checks
 hand it one vector per non-identity partition of the single enumeration
 they make, and evaluate the identity (the distribution itself) with
-``evaluate``; the lattice finds the coarser end of each covering edge by
-arithmetic on restricted growth strings, so it builds no ``Partition`` and
-calls no ``coarse_grain``.  ``max_entropy_check`` draws one cell per n
-with the campaign's row layout, seeded with ``SeedSequence([seed, n])``,
-hands the draws to the kernel as they are, and evaluates the uniform
-distribution with ``evaluate``.  Each lattice or corollary call thus makes
-exactly one ``enumerate_partitions`` call, consumed in full, and at least
-one but far fewer ``evaluate`` calls than it has edges; both names are
-looked up in this module, where the benchmark's tracer times them.
+``evaluate``.  What depends on n alone, the kernel's flat blocks and each
+lattice entry's partition indices and kind (the coarser end of a covering
+edge found by arithmetic on restricted growth strings), is built once per n
+from the first call's partitions and kept; the corollary's entries are the
+lattice's rows against the identity.  Neither builds a ``Partition`` or
+calls ``coarse_grain``.  ``max_entropy_check`` draws one cell per n with
+the campaign's row layout, seeded with ``SeedSequence([seed, n])``, hands
+the draws to the kernel as they are, and evaluates the uniform distribution
+with ``evaluate``.  Every caller hands ``_checked`` a value table, its float
+array and each row's two indices into it.  Each lattice or corollary call
+makes exactly one ``enumerate_partitions`` call, consumed in full (its
+blocks fill the entries), and at least one but far fewer ``evaluate`` calls
+than it has edges; both names are looked up in this module, where the
+benchmark's tracer times them.
 """
 
 from __future__ import annotations
@@ -88,8 +93,8 @@ import numpy as np
 from .catalog import EntropySpec, _admit, _outer_value, evaluate, phi_prime
 from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet
 from .errors import GentropyError, NonFinite, TooLarge, UnsupportedFormat, ValidationError
-from .partitions import Partition, _Blocks, enumerate_partitions, pair_draw_width
-from .partitions import _require_pair_size
+from .partitions import LATTICE_LIMIT, Partition, _Blocks, enumerate_partitions
+from .partitions import _require_pair_size, pair_draw_width
 # The pair sampler, looked up per case under the name perfbench's tracer
 # times as the sampler layer.
 from .partitions import _refinement_pair_blocks as _random_refinement_pair
@@ -341,30 +346,31 @@ def _finish(
 
 
 def _checked(
-    tolerance: float, finer: Iterable, coarser: Iterable, shared: dict, **columns: Sequence
+    tolerance: float, values: Sequence, numbers: np.ndarray, finer_rows: np.ndarray,
+    coarser_rows: np.ndarray, shared: dict, **columns: Sequence
 ) -> _Entries:
     """The entries of checks of H(finer) >= H(coarser), one per row.
 
-    A value is a float, or a str the reason it could not be computed; a
-    row's first reason, finer before coarser, makes it skipped, with no
-    values and no margin.  Margins and verdicts are taken in numpy, whose
-    float64 subtraction and ``>= -tolerance`` give the bits the Python
-    floats do.  ``columns`` are the entries' other fields, a sequence each,
-    and ``shared`` the fields whose value every entry has.
+    ``values`` is a table of floats and of strs, the reasons a value could not
+    be computed, and ``numbers`` its floats as an array, NaN at a reason.  Row
+    r compares the values at ``finer_rows[r]`` and ``coarser_rows[r]``; its
+    first reason, finer before coarser, makes it skipped, with no values and
+    no margin.  Margins and verdicts are taken in numpy, whose float64
+    subtraction and ``>= -tolerance`` give the bits the Python floats do; the
+    value columns hold the table's own floats.  ``columns`` are the entries'
+    other fields, a sequence each, and ``shared`` the fields all entries share.
     """
-    finer, coarser = list(finer), list(coarser)
-    reasons = [f if type(f) is str else c if type(c) is str else None for f, c in zip(finer, coarser)]
-    is_skipped = np.fromiter(map(bool, reasons), dtype=bool, count=len(reasons))
-    skipped = np.flatnonzero(is_skipped).tolist()  # a reason is never empty
-    for row in skipped:  # zeros stand in for a skipped row's values, then go
-        finer[row] = coarser[row] = 0.0
-    margin = np.subtract(finer, coarser)
+    table = np.fromiter(values, dtype=object, count=len(values))
+    finer, coarser = numbers[finer_rows], numbers[coarser_rows]
+    is_skipped = np.isnan(finer) | np.isnan(coarser)
+    margin = finer - coarser
     passed = (margin >= -tolerance) | is_skipped
-    margins = margin.tolist()
-    for row in skipped:
-        finer[row] = coarser[row] = margins[row] = None
-    columns.update(value_finer=finer, value_coarser=coarser, margin=margins, skipped=reasons)
-    columns["passed"] = passed.tolist()
+    reasons = np.full(len(margin), None, dtype=object)
+    reasons[is_skipped] = table[np.where(np.isnan(finer), finer_rows, coarser_rows)[is_skipped]]
+    measured = np.stack([table[finer_rows], table[coarser_rows], margin.astype(object)])
+    measured[:, is_skipped] = None
+    columns.update(zip(("value_finer", "value_coarser", "margin"), measured.tolist()))
+    columns.update(skipped=reasons.tolist(), passed=passed.tolist())
     return _Entries(columns, shared, is_skipped, ~passed, margin, ~is_skipped)
 
 
@@ -467,19 +473,16 @@ def _campaign_entries(
         np.concatenate([np.repeat(p, 2, axis=0).ravel() for p in draws] or [np.empty(0)]),
         np.repeat(np.array(dims, dtype=np.intp), 2),
         np.repeat(spec_indices, 2),
-        list(chain.from_iterable(pairs)),
+        _flat_blocks(list(chain.from_iterable(pairs))),
     )
-    finer = values.values[0::2]
     # what evaluating case by case, finer before coarser, would raise first
     for v in values.raised:
-        if v % 2 == 0 or type(finer[v // 2]) is float:
+        if v % 2 == 0 or type(values.values[v - 1]) is float:
             raise values.values[v]
     labels = [spec.label() for spec in specs]
+    rows = np.arange(len(values.values))
     entries = _checked(
-        tolerance,
-        finer,
-        values.values[1::2],
-        {"kind": "monotonicity"},
+        tolerance, values.values, values.numbers, rows[0::2], rows[1::2], {"kind": "monotonicity"},
         spec=list(map(labels.__getitem__, spec_indices)),
         n=dims,
         index=index,
@@ -557,19 +560,19 @@ class _VectorValues:
     """Evaluate phase: the entropy of every coarse-grained vector of a batch.
 
     The batch comes as columns.  Vector ``v`` is the next ``widths[v]``
-    entries of ``probs``, aggregated by ``blocks[v]`` and evaluated under
+    entries of ``probs``, aggregated by its blocks and evaluated under
     ``specs[spec_index[v]]`` (``specs[0]`` without ``spec_index``); the
     vectors must be grouped by ascending spec index.  ``blocks`` is all or
-    nothing: every vector has its blocks (the identity its singletons), or
-    without ``blocks`` every vector is taken as it is.  ``values[v]`` is its
-    entropy as a float, or as a str the reason ``evaluate`` would fail on
-    it, or the exception that escapes ``evaluate`` (from h, or from phi when
-    a batched phi raises and phi is retried on each vector alone);
-    ``raised`` lists the last kind, and ``numbers`` holds the floats as an
-    array, NaN elsewhere.  ``totals[v]`` is its component sum.
+    nothing: :func:`_flat_blocks` of every vector's blocks (the identity's
+    are its singletons), or without ``blocks`` every vector is taken as it
+    is.  ``values[v]`` is its entropy as a float, or as a str the reason
+    ``evaluate`` would fail on it, or the exception that escapes ``evaluate``
+    (from h, or from phi when a batched phi raises and phi is retried on each
+    vector alone); ``raised`` lists the last kind, and ``numbers`` holds the
+    floats as an array, NaN elsewhere.  ``totals[v]`` is its component sum.
 
     Input contract: each draw is a vector ``FiniteDistribution`` accepts,
-    and each ``blocks[v]`` the canonical blocks of a partition of its indices.
+    and each vector's blocks the canonical blocks of a partition of its indices.
     The kernel does not check either; its callers are the private draw
     phases of this module and of ``axioms``, which hand it validated
     ``FiniteDistribution.probs``, sampler draws and canonical blocks.
@@ -581,7 +584,7 @@ class _VectorValues:
         probs: np.ndarray,
         widths: np.ndarray,
         spec_index: np.ndarray | None = None,
-        blocks: Sequence[_Blocks] | None = None,
+        blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         values = np.empty(len(widths), dtype=object)
         spec_index = np.zeros(len(widths), np.intp) if spec_index is None else spec_index
@@ -600,7 +603,7 @@ class _VectorValues:
 
     @staticmethod
     def _coarse_grain_all(
-        probs: np.ndarray, sizes: np.ndarray, blocks: Sequence[_Blocks] | None
+        probs: np.ndarray, sizes: np.ndarray, blocks: tuple[np.ndarray, ...] | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every coarse-grained vector from one gather of block elements.
 
@@ -611,7 +614,7 @@ class _VectorValues:
         """
         if blocks is None:
             return probs, _starts(sizes), sizes
-        widths, block_widths, elements = _flat_blocks(blocks)
+        widths, block_widths, elements = blocks
         gathered = probs[elements + np.repeat(_starts(sizes), sizes)]
         flat = _segment_sums(gathered, _starts(block_widths), block_widths)
         return flat, _starts(widths), widths
@@ -697,33 +700,43 @@ def _outcome(fn, *args) -> object:
 
 def _partition_values(
     spec: EntropySpec, dist: FiniteDistribution
-) -> tuple[list[_Blocks], list[float | str]]:
-    """Every partition of ``dist.n``, and ``dist`` aggregated by each and evaluated.
+) -> tuple[list[_Blocks], tuple, list, np.ndarray]:
+    """Every partition of ``dist.n``, the lattice's rows at n and a value table.
 
-    The partitions come in enumeration order as canonical blocks.  The
-    identity comes last in that order and gets no value here: the callers
-    evaluate ``dist`` itself.  A value is a float, or a str the reason
-    ``evaluate`` would fail.  Only n <= 8 is enumerated.
+    The partitions come from one full walk, as canonical blocks.  The rows
+    are each entry's finer and coarser partition index and kind, and the
+    entries against the identity, kept per n with the kernel's flat blocks.
+    The table, as ``_checked`` takes it, holds ``dist`` aggregated by each
+    partition but the identity, the last, and evaluated: the callers
+    evaluate ``dist`` itself and append it.  Only n <= ``LATTICE_LIMIT``.
     """
-    if dist.n > 8:
-        raise TooLarge(f"exhaustive check is limited to n <= 8, got {dist.n}")
-    partitions = [part.blocks for part in enumerate_partitions(dist.n)]
+    n = dist.n
+    if n > LATTICE_LIMIT:
+        raise TooLarge(f"exhaustive check is limited to n <= {LATTICE_LIMIT}, got {n}")
+    partitions = [part.blocks for part in enumerate_partitions(n)]
+    if n not in _LATTICE_SHAPES:
+        k, block_widths, elements = flat = _flat_blocks(partitions)
+        finer, coarser, kind = _lattice_rows(flat, n)
+        kinds = tuple(map(_LATTICE_KINDS.__getitem__, kind.tolist()))  # shared by all reports at n
+        blocks = k[:-1], block_widths[:-n], elements[:-n]  # the identity is last
+        _LATTICE_SHAPES[n] = blocks, (finer, coarser, kinds, np.flatnonzero(kind))
+    blocks, rows = _LATTICE_SHAPES[n]
     count = len(partitions) - 1
-    values = _VectorValues(
-        [spec], np.tile(dist.probs, count), np.full(count, dist.n), blocks=partitions[:-1]
-    )
+    values = _VectorValues([spec], np.tile(dist.probs, count), np.full(count, n), blocks=blocks)
     for v in values.raised[:1]:
         raise values.values[v]
-    return partitions, values.values
+    return partitions, rows, values.values, values.numbers
 
 
+_LATTICE_SHAPES: dict[int, tuple] = {}  # n -> (kernel blocks, lattice rows), once per n
 _LATTICE_KINDS = ("covering_edge", "total_merge", "vs_identity")
 
 
-def _lattice_rows(partitions: list[_Blocks], n: int) -> tuple[np.ndarray, ...]:
+def _lattice_rows(flat: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, ...]:
     """Each lattice entry's finer and coarser partition index, and its kind.
 
-    The kind indexes ``_LATTICE_KINDS``.  Entries come partition by
+    The partitions are given by their :func:`_flat_blocks`, in enumeration
+    order, and the kind indexes ``_LATTICE_KINDS``.  Entries come partition by
     partition: the covering edges that merge its blocks i < j, in
     lexicographic order, then (but for the identity, last) the partition
     against the identity.  In the restricted growth string (RGS) of a
@@ -733,12 +746,12 @@ def _lattice_rows(partitions: list[_Blocks], n: int) -> tuple[np.ndarray, ...]:
     numbers, the RGSs of the enumeration ascend, so a merged partition's
     index is a ``np.searchsorted`` of its code.
     """
-    k, block_widths, elements = _flat_blocks(partitions)
+    k, block_widths, elements = flat
     identity = k.size - 1
     edges = k * (k - 1) // 2
     rows = edges + (np.arange(k.size) < identity)
     first = _starts(rows)
-    finer = np.repeat(np.arange(k.size), rows)
+    finer = np.repeat(np.arange(k.size, dtype=np.int32), rows)  # half the memory kept per n
     coarser = np.empty_like(finer)
     kind = np.zeros_like(finer)
     labels = np.arange(block_widths.size) - np.repeat(_starts(k), k)
@@ -772,18 +785,17 @@ def exhaustive_lattice_check(
     margin over all edges is reported in the metadata.
     """
     n = dist.n
-    partitions, values = _partition_values(spec, dist)
-    values.append(_evaluated(spec, dist))
-    finer, coarser, kind = (column.tolist() for column in _lattice_rows(partitions, n))
+    partitions, (finer, coarser, kinds, _), values, numbers = _partition_values(spec, dist)
+    identity = _evaluated(spec, dist)
+    values.append(identity)
+    numbers = np.append(numbers, identity if type(identity) is float else math.nan)
+    blocks = np.fromiter(partitions, dtype=object, count=len(partitions))
     entries = _checked(
-        tolerance,
-        map(values.__getitem__, finer),
-        map(values.__getitem__, coarser),
-        {"spec": spec.label(), "n": n},
-        kind=list(map(_LATTICE_KINDS.__getitem__, kind)),
-        index=range(len(kind)),
-        blocks_finer=list(map(partitions.__getitem__, finer)),
-        blocks_coarser=list(map(partitions.__getitem__, coarser)),
+        tolerance, values, numbers, finer, coarser, {"spec": spec.label(), "n": n},
+        kind=kinds,
+        index=range(len(kinds)),
+        blocks_finer=blocks[finer].tolist(),
+        blocks_coarser=blocks[coarser].tolist(),
     )
     report = _finish(
         f"lattice-n{n}",
@@ -806,18 +818,18 @@ def corollary1_check(
     The all-states merge (a single block) is tagged separately: the main
     refinement-pair statement requires at least two blocks, but the total
     merge is still a meaningful positivity check and is reported as its own
-    kind rather than silently folded in.
+    kind rather than silently folded in.  The entries are the lattice's
+    rows against the identity, in the same order and with the same kinds.
     """
     n = dist.n
-    partitions, values = _partition_values(spec, dist)
+    partitions, (finer, coarser, kinds, rows), values, numbers = _partition_values(spec, dist)
     base = evaluate(spec, dist)
+    values.append(base)
     entries = _checked(
-        tolerance,
-        repeat(base, len(values)),
-        values,
+        tolerance, values, np.append(numbers, base), finer[rows], coarser[rows],
         {"spec": spec.label(), "n": n, "blocks_finer": partitions[-1]},
-        kind=["total_merge" if len(blocks) == 1 else "vs_identity" for blocks in partitions[:-1]],
-        index=range(len(values)),
+        kind=list(map(kinds.__getitem__, rows.tolist())),
+        index=range(rows.size),
         blocks_coarser=partitions[:-1],
     )
     return _finish(
@@ -932,14 +944,16 @@ def max_entropy_check(
     if n_list and n_list[0] < 1:
         raise ValidationError(f"max_entropy_check needs n >= 1, got {n_list}")
     floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
-    finer: list[float | str] = []
+    tops: list[float | str] = []  # each n's uniform value
+    finer: list[int] = []  # each row's, as its index in tops
     n_column: list[int] = []
     index: list[int] = []
     drawn: list[np.ndarray] = []
     for n in n_list:
         top = _evaluated(spec, FiniteDistribution(np.full(n, 1.0 / n)))
         count = samples if type(top) is float else 1
-        finer += [top] * count
+        finer += [len(tops)] * count
+        tops.append(top)
         n_column += [n] * count
         index += range(count)
         if type(top) is float:
@@ -955,15 +969,17 @@ def max_entropy_check(
     )
     for v in values.raised[:1]:
         raise values.values[v]
-    values, drawn = iter(values.values), chain.from_iterable(drawn)
+    numbers = np.append([t if type(t) is float else math.nan for t in tops], values.numbers)
+    finer_rows = np.array(finer, dtype=np.intp)
+    sampled = ~np.isnan(numbers[finer_rows])
+    coarser_rows = np.where(sampled, len(tops) + np.cumsum(sampled) - 1, finer_rows)
+    drawn = chain.from_iterable(drawn)
     entries = _checked(
-        tolerance,
-        finer,
-        [next(values) if type(top) is float else None for top in finer],
+        tolerance, tops + values.values, numbers, finer_rows, coarser_rows,
         {"kind": "max_entropy", "spec": spec.label()},
         n=n_column,
         index=index,
-        probs=[tuple(next(drawn).tolist()) if type(top) is float else None for top in finer],
+        probs=[tuple(next(drawn).tolist()) if s else None for s in sampled.tolist()],
     )
     return _finish(
         "max-entropy",

@@ -10,7 +10,10 @@ import sys
 
 import pytest
 
+from gentropy.catalog import spec_from_json
 from gentropy.cli import build_parser, main
+from gentropy.distributions import sample_dirichlet_uniform
+from gentropy.verify import corollary1_check, emit_report, exhaustive_lattice_check
 
 
 def run_cli(capsys, *argv):
@@ -318,6 +321,30 @@ def test_report_bytes_are_pinned(monkeypatch):
             patch.setattr(sys, "stdout", sink)
             code = main(list(argv))
         assert (code, sink.sha.hexdigest()) == (expected_code, digest), argv
+
+
+# The JSON of both exhaustive oracles at n = 8 on sample_dirichlet_uniform(8, 0),
+# pinned: a passing spec, the counterexample, and a spec that skips every row.
+_PINNED_ORACLES = (
+    ({"id": "shannon"},
+     "f095097331dbabc17b918f7f1a3857dd9f84a5e06e3c166ef23866ea0eda8c96",
+     "f443779e25dd3cbd360720d6f0e808b4821daa2ea1453a0e970c02d92ec4fba7"),
+    ({"id": "counterexample_HE"},
+     "93ad18f7a5a62ce7b21270f0643aa60f110aaff59e11e7bb1c9c4861e0075dcb",
+     "5ba15bb92b38218746526e9287ec6c472fcfa44d6d02a4274241c310fcc733a2"),
+    ({"id": "s_delta", "params": {"delta": 3.0}},
+     "7022816a601efec489d111dd19a7c25be4c933ee9abdd62b6fe9342c9270395f",
+     "7cbd46868647abcbe9b1d9589eb5a81cb627302565e226ced66b9e4a5d07015d"),
+)
+
+
+def test_oracle_report_bytes_are_pinned():
+    dist = sample_dirichlet_uniform(8, 0)
+    for spec_json, lattice, corollary in _PINNED_ORACLES:
+        spec = spec_from_json(json.dumps(spec_json))
+        for check, digest in ((exhaustive_lattice_check, lattice), (corollary1_check, corollary)):
+            report = emit_report(check(spec, dist))
+            assert hashlib.sha256(report).hexdigest() == digest, (spec.label(), check.__name__)
 
 
 def test_classify_shannon_passes(capsys):

@@ -121,6 +121,41 @@ def test_enumeration_guard():
         next(enumerate_partitions(0))
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+def test_enumeration_and_bell_number_take_only_integers(n):
+    """A non-integer n is refused before any walk (2.5 would never end)."""
+    with pytest.raises(ValidationError, match="integer"):
+        next(enumerate_partitions(n))
+    with pytest.raises(ValidationError, match="integer"):
+        bell_number(n)
+
+
+def test_numpy_integer_n_gives_int_ground_sizes():
+    parts = list(enumerate_partitions(np.int64(4)))
+    assert len(parts) == bell_number(np.int64(4)) == 15
+    assert {type(part.ground_size) for part in parts} == {int}
+    assert parts == list(enumerate_partitions(4))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_enumeration_repeats_itself(n):
+    """n = 8 is kept after its first walk and n = 9 is walked each time;
+    either way a second enumeration equals the first."""
+    first, second = list(enumerate_partitions(n)), list(enumerate_partitions(n))
+    assert first == second and len(first) == bell_number(n)
+    assert [p.blocks for p in first] == [p.blocks for p in second]
+    assert all(a is b for a, b in zip(first, second)) == (n <= 8)
+
+
+def test_kept_partitions_are_immutable():
+    part = list(enumerate_partitions(8))[100]
+    blocks = part.blocks
+    for name in ("_blocks", "_ground_size", "blocks", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(part, name, ((0, 1, 2, 3, 4, 5, 6, 7),))
+    assert list(enumerate_partitions(8))[100].blocks is blocks
+
+
 def _recursive_enumeration(n):
     """Canonical blocks of every partition of {0..n-1}, by recursion over RGSs."""
     labels = [0] * n

@@ -46,7 +46,7 @@ from gentropy.errors import (
     UserCallableError,
     ValidationError,
 )
-from gentropy.partitions import pair_draw_width
+from gentropy.partitions import _kept_partitions, pair_draw_width
 from gentropy import verify
 from gentropy.verify import (
     _INTERIOR_FLOOR,
@@ -535,7 +535,8 @@ def test_case_record_is_a_frozen_value():
 
 def test_checked_rows_equal_records_built_one_at_a_time():
     """Evaluated rows, a skipped finer value (with a None or a str coarser
-    one) and a skipped coarser value give what ``CaseRecord(...)`` gives."""
+    one) and a skipped coarser value give what ``CaseRecord(...)`` gives.
+    The value table holds every finer value, then every coarser one."""
     tolerance = 1e-9
     rows = [
         (0.7, 0.5),
@@ -548,9 +549,11 @@ def test_checked_rows_equal_records_built_one_at_a_time():
     ]
     finer, coarser = zip(*rows)
     probs = [(float(index), 1.0 - index) for index in range(len(rows))]
+    values = finer + coarser
+    numbers = np.array([v if type(v) is float else math.nan for v in values])
     records = _checked(
-        tolerance, finer, coarser, {"kind": "hand", "spec": "x", "n": 2},
-        index=range(len(rows)), probs=probs,
+        tolerance, values, numbers, np.arange(len(rows)), len(rows) + np.arange(len(rows)),
+        {"kind": "hand", "spec": "x", "n": 2}, index=range(len(rows)), probs=probs,
     )
     expected = []
     for index, (f, c) in enumerate(rows):
@@ -1125,6 +1128,19 @@ def test_lattice_and_corollary_equal_per_partition_loops_at_n8():
     lattice, corollary = _assert_oracles_match_reference(s_delta, dist)
     assert lattice.summary[0].skipped == len(lattice.entries)
     assert corollary.summary[0].skipped == len(corollary.entries) == bell_number(8) - 1
+
+
+def test_oracles_equal_reference_loops_with_cold_and_warm_shapes(monkeypatch):
+    """Each n is checked first with nothing kept for it, then again once its
+    partitions and lattice shape are kept: the reports do not change."""
+    monkeypatch.setattr(verify, "_LATTICE_SHAPES", {})
+    _kept_partitions.cache_clear()
+    specs = [SHANNON, HE, _custom_specs()[1]]  # the last one's h always raises
+    for n in (8, 3, 8, 5, 3):
+        dist = FiniteDistribution(np.random.default_rng(n).dirichlet(np.ones(n)))
+        for spec in specs:
+            _assert_oracles_match_reference(spec, dist)
+    assert sorted(verify._LATTICE_SHAPES) == [3, 5, 8]
 
 
 def test_max_entropy_check_equals_per_sample_loop_exactly():
