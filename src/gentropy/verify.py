@@ -43,10 +43,10 @@ vector's components.  Its results equal, bit for bit, those of
   of its indices.  The kernel trusts this and repeats neither constructor's
   checks; the checks of ``evaluate`` run vectorised, and a vector they
   reject gets the reason ``evaluate`` gives;
-* entries are kept a column per ``CaseRecord`` field (``_Entries``), read
-  by summaries, verdicts and emission, and made records only when read
-  themselves; margins and verdicts come from numpy over whole columns, whose
-  float64 subtraction and ``>=`` give the bits Python's floats do.
+* entries are kept a column per ``CaseRecord`` field (``_Entries``), made
+  records only when read themselves; the columns ``_checked`` makes stay
+  arrays (``_Lazy``) until read whole, and margins and verdicts come from
+  numpy, whose float64 ``-`` and ``>=`` give the bits Python's floats do.
 
 When a functional's batched ``phi`` raises, ``phi`` runs once on each of
 its vectors alone; a vector it fails on keeps that outcome, and the rest
@@ -55,23 +55,18 @@ go on as in the batch.  The per-case reference loops of the tests
 report bytes depend on numpy's summation order: a change to the kernel
 must keep those reference tests passing.
 
-The oracles share the evaluate phase.  The lattice and corollary checks
-hand it one vector per non-identity partition of the single enumeration
-they make, and evaluate the identity (the distribution itself) with
-``evaluate``.  What depends on n alone, the kernel's flat blocks and each
-lattice entry's partition indices and kind (the coarser end of a covering
-edge found by arithmetic on restricted growth strings), is built once per n
-from the first call's partitions and kept; the corollary's entries are the
-lattice's rows against the identity.  Neither builds a ``Partition`` or
-calls ``coarse_grain``.  ``max_entropy_check`` draws one cell per n with
-the campaign's row layout, seeded with ``SeedSequence([seed, n])``, hands
-the draws to the kernel as they are, and evaluates the uniform distribution
-with ``evaluate``.  Every caller hands ``_checked`` a value table, its float
-array and each row's two indices into it.  Each lattice or corollary call
-makes exactly one ``enumerate_partitions`` call, consumed in full (its
-blocks fill the entries), and at least one but far fewer ``evaluate`` calls
-than it has edges; both names are looked up in this module, where the
-benchmark's tracer times them.
+The oracles share the evaluate phase: one vector per non-identity
+partition, the identity (the distribution itself) given to ``evaluate``.
+What depends on n alone, the kernel's plan and each lattice entry's
+partition indices and kind (found by arithmetic on restricted growth
+strings), is built once per n and kept; the corollary's entries are the
+lattice's rows against the identity.  ``max_entropy_check`` draws one cell
+per n with the campaign's row layout, seeded with ``SeedSequence([seed,
+n])``.  Every caller hands ``_checked`` a value table, its float array and
+each row's two indices into it.  Each lattice or corollary call makes one
+``enumerate_partitions`` call, consumed in full (its blocks fill the
+entries), and far fewer ``evaluate`` calls than it has edges; both names are
+looked up in this module, where the benchmark's tracer times them.
 """
 
 from __future__ import annotations
@@ -155,13 +150,29 @@ def _records(count: int, shared: dict, **columns) -> list[CaseRecord]:
     return records
 
 
+class _Lazy:
+    """A column kept as arrays: row r is ``source[rows[r]]`` (``source[r]``
+    without ``rows``), or None where ``none[r]``.  ``_Entries`` makes it a
+    list, and keeps that, when it is first read whole."""
+
+    __slots__ = ("source", "rows", "none")
+
+    def __init__(self, source: np.ndarray, rows: np.ndarray | None = None, none=None):
+        self.source, self.rows, self.none = source, rows, none
+
+    def take(self, at) -> list:
+        """The values of the rows ``at``, an index sequence or a slice."""
+        values = self.source[at if self.rows is None else self.rows[at]]
+        return (values if self.none is None else np.where(self.none[at], None, values)).tolist()
+
+
 class _Entries(Sequence):
     """A report's entries: a read-only sequence of ``CaseRecord`` kept as columns.
 
-    ``columns`` and ``shared`` are as :func:`_records` takes them; reports read
-    them and the arrays ``skipped``, ``violation`` (not passed, not skipped) and
-    ``margin``, a float where ``measured`` (not skipped, with a margin).  An int
-    index builds one record; iterating or slicing builds all, once.
+    ``columns`` (lists or ``_Lazy``) and ``shared`` are as :func:`_records` takes
+    them; reports read them and the arrays ``skipped``, ``violation`` (not passed,
+    not skipped) and ``margin``, a float where ``measured`` (not skipped, with a
+    margin).  An int index builds one record; iterating or slicing builds all, once.
     """
 
     __slots__ = ("_columns", "_shared", "_built", "skipped", "violation", "margin", "measured")
@@ -210,18 +221,28 @@ class _Entries(Sequence):
     def column(self, name: str) -> Sequence:
         """Every entry's value of the field ``name``, in entry order."""
         column = self._columns.get(name)
+        if type(column) is _Lazy:  # read whole: made a list, kept
+            column = self._columns[name] = column.take(slice(None))
         return [self._shared.get(name)] * len(self) if column is None else column
+
+    def _at(self, name: str, rows: Sequence[int]) -> list:
+        """The values of the field ``name`` at ``rows``."""
+        column = self._columns.get(name)
+        if column is None or not len(rows):
+            return [self._shared.get(name)] * len(rows)
+        return column.take(rows) if type(column) is _Lazy else list(map(column.__getitem__, rows))
 
     def _take(self, rows: Sequence[int]) -> tuple[CaseRecord, ...]:
         """The records of ``rows``."""
         if self._built is not None:
             return tuple(map(self._built.__getitem__, rows))
-        picked = {name: map(column.__getitem__, rows) for name, column in self._columns.items()}
+        picked = {name: self._at(name, rows) for name in self._columns}
         return tuple(_records(len(rows), self._shared, **picked))
 
     def _all(self) -> tuple[CaseRecord, ...]:
         if self._built is None:
-            self._built = tuple(_records(len(self), self._shared, **self._columns))
+            columns = {name: self.column(name) for name in self._columns}
+            self._built = tuple(_records(len(self), self._shared, **columns))
         return self._built
 
 
@@ -305,24 +326,27 @@ def _summarize(
     """
     entries = _Entries.of(entries)
     s_index = np.zeros(len(entries), np.intp) if spec_indices is None else np.asarray(spec_indices)
-    labels = np.array(entries.column("spec"), dtype=object)
     # runs of one (spec index, label) start at 0 and wherever either changes
-    change = (labels[1:] != labels[:-1]) | (s_index[1:] != s_index[:-1])
-    starts, groups = np.flatnonzero(np.r_[len(labels) > 0, change]), {}
-    runs = [groups.setdefault(k, len(groups)) for k in zip(s_index[starts].tolist(), labels[starts])]
-    group = np.repeat(np.array(runs, dtype=np.intp), np.diff(np.append(starts, len(labels))))
-    margins, reasons = entries.column("margin"), entries.column("skipped")
+    change = s_index[1:] != s_index[:-1]
+    if "spec" in entries._columns:  # else one label is shared by all
+        labels = np.array(entries.column("spec"), dtype=object)
+        change |= labels[1:] != labels[:-1]
+    starts, groups = np.flatnonzero(np.r_[len(entries) > 0, change]), {}
+    keys = zip(s_index[starts].tolist(), entries._at("spec", starts))
+    runs = [groups.setdefault(k, len(groups)) for k in keys]
+    group = np.repeat(np.array(runs, dtype=np.intp), np.diff(np.append(starts, len(entries))))
     out = []
     for (s, label), g in groups.items():
         rows = np.flatnonzero(group == g)
-        skipped, measured = rows[entries.skipped[rows]].tolist(), rows[entries.measured[rows]]
+        skipped, measured = rows[entries.skipped[rows]], rows[entries.measured[rows]]
         min_margin = worst = None
         if measured.size:
             margin = entries.margin[measured]
-            w = int(measured[0 if math.isnan(margin[0]) else np.nanargmin(margin)])
-            min_margin, worst = margins[w], (s, entries.column("n")[w], entries.column("index")[w])
-        counted = tuple(sorted(Counter(map(reasons.__getitem__, skipped)).items()))
-        tally = (rows.size, int(entries.violation[rows].sum()), len(skipped))
+            w = [measured[0 if math.isnan(margin[0]) else np.nanargmin(margin)]]
+            min_margin, n, index = (entries._at(name, w)[0] for name in ("margin", "n", "index"))
+            worst = (s, n, index)
+        counted = tuple(sorted(Counter(entries._at("skipped", skipped)).items()))
+        tally = (rows.size, int(entries.violation[rows].sum()), skipped.size)
         out.append(SpecSummary(label, *tally, min_margin, worst, counted))
     return tuple(out)
 
@@ -357,20 +381,21 @@ def _checked(
     first reason, finer before coarser, makes it skipped, with no values and
     no margin.  Margins and verdicts are taken in numpy, whose float64
     subtraction and ``>= -tolerance`` give the bits the Python floats do; the
-    value columns hold the table's own floats.  ``columns`` are the entries'
-    other fields, a sequence each, and ``shared`` the fields all entries share.
+    ``_Lazy`` value columns hold the table's own floats.  ``columns`` are the
+    entries' other fields, a sequence each, and ``shared`` those all share.
     """
     table = np.fromiter(values, dtype=object, count=len(values))
     finer, coarser = numbers[finer_rows], numbers[coarser_rows]
     is_skipped = np.isnan(finer) | np.isnan(coarser)
     margin = finer - coarser
     passed = (margin >= -tolerance) | is_skipped
-    reasons = np.full(len(margin), None, dtype=object)
-    reasons[is_skipped] = table[np.where(np.isnan(finer), finer_rows, coarser_rows)[is_skipped]]
-    measured = np.stack([table[finer_rows], table[coarser_rows], margin.astype(object)])
-    measured[:, is_skipped] = None
-    columns.update(zip(("value_finer", "value_coarser", "margin"), measured.tolist()))
-    columns.update(skipped=reasons.tolist(), passed=passed.tolist())
+    columns.update(
+        value_finer=_Lazy(table, finer_rows, is_skipped),
+        value_coarser=_Lazy(table, coarser_rows, is_skipped),
+        margin=_Lazy(margin, None, is_skipped),
+        skipped=_Lazy(table, np.where(np.isnan(finer), finer_rows, coarser_rows), ~is_skipped),
+        passed=_Lazy(passed),
+    )
     return _Entries(columns, shared, is_skipped, ~passed, margin, ~is_skipped)
 
 
@@ -519,19 +544,40 @@ def _starts(widths: np.ndarray) -> np.ndarray:
     return (np.cumsum(widths) - widths).astype(np.intp)
 
 
-def _segment_sums(values: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """``np.sum(values[s : s + w])`` for every segment, bit for bit.
-
-    The segments of one width are the rows of a C-contiguous matrix, and
-    ``sum(axis=1)`` runs numpy's pairwise summation on each row exactly as
-    ``np.sum`` does on a 1-d array.  The widths are found with
-    ``np.bincount``: ``np.unique`` would import ``numpy.ma`` on first use.
-    """
-    out = np.zeros(len(starts))
-    for w in np.flatnonzero(np.bincount(widths)):
+def _sum_plan(starts: np.ndarray, widths: np.ndarray, into: np.ndarray | None = None) -> tuple:
+    """The segment count and, per width (by ``np.bincount``: ``np.unique`` imports
+    ``numpy.ma``), its rows and their index matrix, each index taken through ``into``."""
+    groups = []
+    for w in np.flatnonzero(np.bincount(widths)).tolist():
         rows = np.flatnonzero(widths == w)
-        out[rows] = values[starts[rows, None] + np.arange(w)].sum(axis=1)
+        index = starts[rows, None] + np.arange(w)
+        groups.append((rows, index if into is None else into[index]))
+    return len(widths), groups
+
+
+def _segment_sums(values: np.ndarray, plan: tuple) -> np.ndarray:
+    """``np.sum(values[s : s + w])`` for every segment of a :func:`_sum_plan`, bit for bit:
+    a width's segments are the rows of a C-contiguous matrix, and ``sum(axis=1)``
+    runs numpy's pairwise summation on each row as ``np.sum`` does on a 1-d array."""
+    count, groups = plan
+    out = np.zeros(count)
+    for rows, index in groups:
+        out[rows] = values[index].sum(axis=1)
     return out
+
+
+def _kernel_plan(widths, blocks=None, gather: np.ndarray | None = None) -> tuple:
+    """The block sums' plan (None without ``blocks``), each coarse-grained vector's
+    start and width, and the totals' plan of a :class:`_VectorValues` batch.  ``gather``
+    places every block element in ``probs``; by default each vector has its own draw."""
+    coarse = None
+    if blocks is not None:
+        if gather is None:
+            gather = blocks[2] + np.repeat(_starts(widths), widths)
+        widths, block_widths, _ = blocks
+        coarse = _sum_plan(_starts(block_widths), block_widths, gather)
+    starts = _starts(widths)
+    return coarse, starts, widths, _sum_plan(starts, widths)
 
 
 def _flat_blocks(blocks: Sequence[_Blocks]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -570,6 +616,7 @@ class _VectorValues:
     (from h, or from phi when a batched phi raises and phi is retried on each
     vector alone); ``raised`` lists the last kind, and ``numbers`` holds the
     floats as an array, NaN elsewhere.  ``totals[v]`` is its component sum.
+    A kept :func:`_kernel_plan` may stand for ``widths`` and ``blocks``.
 
     Input contract: each draw is a vector ``FiniteDistribution`` accepts,
     and each vector's blocks the canonical blocks of a partition of its indices.
@@ -582,16 +629,17 @@ class _VectorValues:
         self,
         specs: Sequence[EntropySpec],
         probs: np.ndarray,
-        widths: np.ndarray,
+        widths: np.ndarray | None,
         spec_index: np.ndarray | None = None,
         blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        plan: tuple | None = None,
     ):
+        coarse, starts, widths, sums = _kernel_plan(widths, blocks) if plan is None else plan
+        flat = probs if coarse is None else _segment_sums(probs, coarse)
         values = np.empty(len(widths), dtype=object)
         spec_index = np.zeros(len(widths), np.intp) if spec_index is None else spec_index
         bounds = np.searchsorted(spec_index, np.arange(len(specs) + 1))
-        rejected, self.totals = self._phi_totals(
-            specs, bounds, values, *self._coarse_grain_all(probs, widths, blocks)
-        )
+        rejected, self.totals = self._phi_totals(specs, bounds, values, flat, starts, widths, sums)
         numbers = np.full(len(widths), math.nan)
         for s, spec in enumerate(specs):
             kept = bounds[s] + np.flatnonzero(~rejected[bounds[s] : bounds[s + 1]])
@@ -602,24 +650,6 @@ class _VectorValues:
         self.raised = [v for v in unset if isinstance(self.values[v], Exception)]
 
     @staticmethod
-    def _coarse_grain_all(
-        probs: np.ndarray, sizes: np.ndarray, blocks: tuple[np.ndarray, ...] | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every coarse-grained vector from one gather of block elements.
-
-        ``probs`` holds the vectors' draws end to end, ``sizes`` their
-        lengths.  Returns the coarse-grained vectors laid end to end, with
-        each one's start and width: the draws as they are without
-        ``blocks``, else the block sums of every vector.
-        """
-        if blocks is None:
-            return probs, _starts(sizes), sizes
-        widths, block_widths, elements = blocks
-        gathered = probs[elements + np.repeat(_starts(sizes), sizes)]
-        flat = _segment_sums(gathered, _starts(block_widths), block_widths)
-        return flat, _starts(widths), widths
-
-    @staticmethod
     def _phi_totals(
         specs: Sequence[EntropySpec],
         bounds: np.ndarray,
@@ -627,6 +657,7 @@ class _VectorValues:
         flat: np.ndarray,
         starts: np.ndarray,
         widths: np.ndarray,
+        sums: tuple,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Each vector's component sum, one ``phi`` call per functional.
 
@@ -645,11 +676,12 @@ class _VectorValues:
             lo, hi = bounds[s], bounds[s + 1]
             if lo == hi:
                 continue
-            for width, zero in set(zip(widths[lo:hi].tolist(), has_zero[lo:hi].tolist())):
+            admission = 2 * widths[lo:hi] + has_zero[lo:hi]  # each (width, has_zero) once
+            for code in np.flatnonzero(np.bincount(admission)).tolist():
                 try:
-                    _admit(spec, width, zero)
+                    _admit(spec, code // 2, code % 2 == 1)
                 except GentropyError as exc:
-                    hit = lo + np.flatnonzero((widths[lo:hi] == width) & (has_zero[lo:hi] == zero))
+                    hit = lo + np.flatnonzero(admission == code)
                     rejected[hit] = True
                     values[hit] = _skip_reason(exc)
             ok = np.repeat(~rejected[lo:hi], widths[lo:hi])
@@ -664,7 +696,7 @@ class _VectorValues:
                         rejected[v], values[v] = True, outcome
                     else:
                         phis[vector] = outcome
-        return rejected, _segment_sums(phis, starts, widths)
+        return rejected, _segment_sums(phis, sums)
 
 
 def _outer_values(spec: EntropySpec, totals: list[float]) -> tuple[list, list[float]]:
@@ -700,36 +732,34 @@ def _outcome(fn, *args) -> object:
 
 def _partition_values(
     spec: EntropySpec, dist: FiniteDistribution
-) -> tuple[list[_Blocks], tuple, list, np.ndarray]:
+) -> tuple[np.ndarray, tuple, list, np.ndarray]:
     """Every partition of ``dist.n``, the lattice's rows at n and a value table.
 
-    The partitions come from one full walk, as canonical blocks.  The rows
-    are each entry's finer and coarser partition index and kind, and the
-    entries against the identity, kept per n with the kernel's flat blocks.
-    The table, as ``_checked`` takes it, holds ``dist`` aggregated by each
-    partition but the identity, the last, and evaluated: the callers
-    evaluate ``dist`` itself and append it.  Only n <= ``LATTICE_LIMIT``.
+    The partitions come from one full walk, an object array of blocks.  The rows
+    (each entry's finer and coarser partition index and kind, and the entries
+    against the identity) are kept per n with the kernel's plan, which reads
+    ``dist.probs``.  The table, as ``_checked`` takes it, holds ``dist`` aggregated
+    by each partition but the identity, the last: the callers evaluate and append it.
     """
     n = dist.n
     if n > LATTICE_LIMIT:
         raise TooLarge(f"exhaustive check is limited to n <= {LATTICE_LIMIT}, got {n}")
-    partitions = [part.blocks for part in enumerate_partitions(n)]
+    partitions = np.fromiter(map(attrgetter("blocks"), enumerate_partitions(n)), dtype=object)
     if n not in _LATTICE_SHAPES:
         k, block_widths, elements = flat = _flat_blocks(partitions)
         finer, coarser, kind = _lattice_rows(flat, n)
-        kinds = tuple(map(_LATTICE_KINDS.__getitem__, kind.tolist()))  # shared by all reports at n
         blocks = k[:-1], block_widths[:-n], elements[:-n]  # the identity is last
-        _LATTICE_SHAPES[n] = blocks, (finer, coarser, kinds, np.flatnonzero(kind))
-    blocks, rows = _LATTICE_SHAPES[n]
-    count = len(partitions) - 1
-    values = _VectorValues([spec], np.tile(dist.probs, count), np.full(count, n), blocks=blocks)
+        plan = _kernel_plan(None, blocks, gather=elements[:-n])
+        _LATTICE_SHAPES[n] = plan, (finer, coarser, kind, np.flatnonzero(kind))
+    plan, rows = _LATTICE_SHAPES[n]
+    values = _VectorValues([spec], dist.probs, None, plan=plan)
     for v in values.raised[:1]:
         raise values.values[v]
     return partitions, rows, values.values, values.numbers
 
 
-_LATTICE_SHAPES: dict[int, tuple] = {}  # n -> (kernel blocks, lattice rows), once per n
-_LATTICE_KINDS = ("covering_edge", "total_merge", "vs_identity")
+_LATTICE_SHAPES: dict[int, tuple] = {}  # n -> (kernel plan, lattice rows), once per n
+_LATTICE_KINDS = np.array(["covering_edge", "total_merge", "vs_identity"], dtype=object)
 
 
 def _lattice_rows(flat: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, ...]:
@@ -785,17 +815,16 @@ def exhaustive_lattice_check(
     margin over all edges is reported in the metadata.
     """
     n = dist.n
-    partitions, (finer, coarser, kinds, _), values, numbers = _partition_values(spec, dist)
+    partitions, (finer, coarser, kind, _), values, numbers = _partition_values(spec, dist)
     identity = _evaluated(spec, dist)
     values.append(identity)
     numbers = np.append(numbers, identity if type(identity) is float else math.nan)
-    blocks = np.fromiter(partitions, dtype=object, count=len(partitions))
     entries = _checked(
         tolerance, values, numbers, finer, coarser, {"spec": spec.label(), "n": n},
-        kind=kinds,
-        index=range(len(kinds)),
-        blocks_finer=blocks[finer].tolist(),
-        blocks_coarser=blocks[coarser].tolist(),
+        kind=_Lazy(_LATTICE_KINDS, kind),
+        index=range(kind.size),
+        blocks_finer=_Lazy(partitions, finer),
+        blocks_coarser=_Lazy(partitions, coarser),
     )
     report = _finish(
         f"lattice-n{n}",
@@ -822,15 +851,15 @@ def corollary1_check(
     rows against the identity, in the same order and with the same kinds.
     """
     n = dist.n
-    partitions, (finer, coarser, kinds, rows), values, numbers = _partition_values(spec, dist)
+    partitions, (finer, coarser, kind, rows), values, numbers = _partition_values(spec, dist)
     base = evaluate(spec, dist)
     values.append(base)
     entries = _checked(
         tolerance, values, np.append(numbers, base), finer[rows], coarser[rows],
         {"spec": spec.label(), "n": n, "blocks_finer": partitions[-1]},
-        kind=list(map(kinds.__getitem__, rows.tolist())),
+        kind=_Lazy(_LATTICE_KINDS, kind[rows]),
         index=range(rows.size),
-        blocks_coarser=partitions[:-1],
+        blocks_coarser=_Lazy(partitions[:-1]),
     )
     return _finish(
         f"corollary-n{n}",
@@ -1066,8 +1095,17 @@ def _scalar_texts(column: list, memo: dict) -> list[str]:
 
 
 def _blocks_texts(column: list, memo: dict) -> list[str]:
-    """Each blocks tuple's array, each distinct tuple and block encoded once a report."""
-    for blocks in dict.fromkeys(column):  # in row order, as the first of equals wins
+    """Each blocks tuple's array, each distinct tuple and block encoded once a report.
+
+    Equal values share a text only while every element is an int: ``(0, 1)``
+    and ``(0.0, 1.0)`` are equal, not written alike, so other chunks skip the memo.
+    """
+    if not set(map(type, chain.from_iterable(chain.from_iterable(filter(None, column))))) <= {int}:
+        return [
+            "null" if b is None else _json_array(map(_json_numbers, b, repeat(4)), 3)
+            for b in column
+        ]
+    for blocks in dict.fromkeys(column):
         if blocks not in memo:
             inner = [memo.get(b) or memo.setdefault(b, _json_numbers(b, 4)) for b in blocks]
             memo[blocks] = _json_array(inner, 3)

@@ -646,6 +646,43 @@ def test_summaries_verdicts_and_emission_build_no_record(monkeypatch, capsys):
     assert built[:3] == [0, 0, 0] and min(built[3:]) > 0
 
 
+def _spy_column_reads(monkeypatch):
+    """A list that gets the rows of every read of a deferred column from now
+    on; reading a column whole reads a slice."""
+    reads, take = [], verify._Lazy.take
+
+    def spy(column, at):
+        reads.append(at if isinstance(at, slice) else list(at))
+        return take(column, at)
+
+    monkeypatch.setattr(verify._Lazy, "take", spy)
+    return reads
+
+
+def test_oracle_verdicts_and_summaries_materialise_no_column(monkeypatch):
+    """At n = 8, the checks, ``len``, ``passed``, the summaries and an empty
+    ``violations`` read single rows at most; pickling keeps the columns
+    deferred; HE's ``violations`` reads the violating rows alone."""
+    dist = sample_dirichlet_uniform(8, 0)
+    reads = _spy_column_reads(monkeypatch)
+    for check in (exhaustive_lattice_check, corollary1_check):
+        report = check(SHANNON, dist)
+        assert len(report.entries) > 4000 and report.passed and report.summary[0].cases
+        assert report.violations == () and report.summary[0].min_margin is not None
+        copied = pickle.loads(pickle.dumps(report))
+        lazy = [name for name, c in copied.entries._columns.items() if type(c) is verify._Lazy]
+        assert len(lazy) >= 6 and copied.summary == report.summary
+    assert reads and all(not isinstance(at, slice) and len(at) <= 1 for at in reads)
+    report = exhaustive_lattice_check(HE, dist)
+    del reads[:]
+    violations = report.violations
+    rows = np.flatnonzero(report.entries.violation).tolist()
+    assert len(violations) == len(rows) > 0 and all(not v.passed for v in violations)
+    assert len(reads) >= 6 and all(at == rows for at in reads)
+    assert tuple(report.entries)[rows[0]] == violations[0]
+    assert slice(None) in reads  # building every record reads the columns whole
+
+
 def test_entries_are_a_read_only_sequence_of_records(monkeypatch):
     dist = FiniteDistribution([0.1, 0.2, 0.3, 0.4])
     expected = tuple(_reference_lattice(HE, dist).entries)
@@ -880,6 +917,22 @@ def test_emit_json_equals_json_dumps():
     for report in reports:
         expected = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
         assert emit_report(report, "json") == (expected + "\n").encode("utf-8")
+
+
+def test_emit_json_writes_equal_blocks_of_other_types_apart():
+    """Blocks ``(0, 1)`` and ``(0.0, 1.0)`` compare equal; in either row order
+    each is written as ``json.dumps`` writes it."""
+    blocks = [((0, 1),), ((0.0, 1.0),)]
+    for order in ([0, 1], [1, 0]):
+        records = [
+            CaseRecord(kind="hand", spec="x", n=2, index=i, passed=True, blocks_coarser=blocks[b])
+            for i, b in enumerate(order)
+        ]
+        report = VerificationReport("hand", None, 1e-9, tuple(records), _summarize(records))
+        expected = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+        assert emit_report(report) == (expected + "\n").encode("utf-8")
+        written = [e["blocks_coarser"][0][0] for e in json.loads(emit_report(report))["entries"]]
+        assert list(map(type, written)) == [(int, float)[b] for b in order]
 
 
 def test_entry_schema_is_one_table_for_dict_writer_and_reader():
@@ -1162,6 +1215,52 @@ def _stirling2(n, k):
     for _ in range(n):
         row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
     return row[k]
+
+
+def _plan_specs():
+    """Shannon, Renyi, a dimension bound, HE and a user phi refusing batches."""
+    def refusing(x):
+        if np.size(x) > 12:
+            raise FloatingPointError("batch refused")
+        return x * (1.0 - x)
+
+    return [
+        SHANNON,
+        EntropySpec("renyi", q=2.0),
+        EntropySpec("s_delta", delta=3.0),
+        HE,
+        EntropySpec("h_phi_custom", phi=refusing, zero_safe=True),
+    ]
+
+
+def _same_outcomes(a, b):
+    kinds = [(type(x), x.args if isinstance(x, Exception) else x) for x in a]
+    return kinds == [(type(x), x.args if isinstance(x, Exception) else x) for x in b]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.integers(0, 2),
+    spec_index=st.integers(0, len(_plan_specs()) - 1),
+)
+def test_kernel_plan_kept_per_n_gives_the_bits_of_one_built_per_call(n, seed, zeros, spec_index):
+    """The lattice's kept plan reads the distribution once; a plan built for
+    the call reads it tiled.  Values, numbers (NaN included) and totals agree."""
+    spec = _plan_specs()[spec_index]
+    probs = np.random.default_rng(seed).dirichlet(np.ones(n))
+    probs[:zeros] = 0.0
+    probs = FiniteDistribution(probs / probs.sum()).probs
+    exhaustive_lattice_check(SHANNON, FiniteDistribution(np.full(n, 1.0 / n)))  # keeps the plan
+    kept = verify._VectorValues([spec], probs, None, plan=verify._LATTICE_SHAPES[n][0])
+    blocks = verify._flat_blocks([p.blocks for p in enumerate_partitions(n)][:-1])
+    count = bell_number(n) - 1
+    built = verify._VectorValues([spec], np.tile(probs, count), np.full(count, n), blocks=blocks)
+    assert _same_outcomes(kept.values, built.values)
+    assert kept.numbers.tobytes() == built.numbers.tobytes()
+    assert kept.totals.tobytes() == built.totals.tobytes()
+    assert kept.raised == built.raised
 
 
 @settings(max_examples=40, deadline=None)
