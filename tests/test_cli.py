@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from gentropy.catalog import spec_from_json
+from gentropy.catalog import EntropySpec, default_campaign_specs, spec_from_json, spec_to_json
 from gentropy.cli import build_parser, main
 from gentropy.distributions import sample_dirichlet_uniform
 from gentropy.verify import corollary1_check, emit_report, exhaustive_lattice_check
@@ -345,6 +345,29 @@ def test_oracle_report_bytes_are_pinned():
         for check, digest in ((exhaustive_lattice_check, lattice), (corollary1_check, corollary)):
             report = emit_report(check(spec, dist))
             assert hashlib.sha256(report).hexdigest() == digest, (spec.label(), check.__name__)
+
+
+# The stdout of `classify` and `axioms` with default options, concatenated over
+# the 61 default specs and the counterexample, pinned with each nonzero exit.
+_PINNED_CERTIFY = (
+    ("classify", {"s_delta(delta=2.0)": 1, "counterexample_HE": 1},
+     "559e4b70a18403cb53b3282795c8d817d7ce49c935f18bb3f9ae70400ae633b6"),
+    ("axioms", {},
+     "de16d95858954bd6218109e89452bf1ca729e54cc11f9d8afb409846a166a967"),
+)
+
+
+def test_classify_and_axioms_bytes_are_pinned(monkeypatch):
+    specs = default_campaign_specs() + [EntropySpec("counterexample_HE")]
+    for command, expected_codes, digest in _PINNED_CERTIFY:
+        sink, codes = _HashingStdout(), {}
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", sink)
+            for spec in specs:
+                code = main([command, "--entropy", spec_to_json(spec)])
+                if code:
+                    codes[spec.label()] = code
+        assert (codes, sink.sha.hexdigest()) == (expected_codes, digest), command
 
 
 def test_classify_shannon_passes(capsys):
