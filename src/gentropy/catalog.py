@@ -15,14 +15,15 @@ shipped as a built-in fixture for the verification engine.
 
 A family is declared by one row of ``_FAMILIES``: its parameter names,
 checks (one-line rules plus a validator), default campaign samples and a
-*form* binding the parameters to a functional.  Most forms are power sums
-``phi(x) = sum_i w_i x**e_i / divisor`` (:func:`_power_sum`) given by their
-``(w, e)`` terms; ``phi'`` (and ``phi''``) are derived from the terms.
-``s_delta`` and ``universal_group`` share the form ``phi(x) = x g(-ln x)``
-(:func:`_x_g_neglog`) with ``phi' = g - g'``.  An outer map is one of the
-``_OUTER`` kinds (identity, log, expm1 of a scaled log, shift), each with
-its derivative.  The few remaining families give ``phi`` and ``phi'`` as
-explicit callables in their row.
+*form* binding the parameters to a functional.  Each form is a *kind* that
+builds ``phi`` and ``phi'`` once from the row's constants: a power sum
+``sum_i w_i x**e_i / divisor`` (:func:`_power_sum`, ``phi'`` and ``phi''``
+derived from its ``(w, e)`` terms), ``x g(-ln x)`` (:func:`_x_g_neglog`),
+``scale * x ln x / divisor`` (:func:`_x_log_x`), piecewise linear
+(:func:`_piecewise_linear`), log1p (``hypoentropy``) or incomplete gamma
+(``s_cd``).  ``genetic`` writes its polynomial ``phi`` and ``phi'`` literally;
+``h_phi_custom`` takes user callables.  An outer map is one of the ``_OUTER``
+kinds (identity, log, expm1 of a scaled log, shift), each with its derivative.
 
 Parameter domains are validated at construction; zero-probability support is
 declared per functional (``zero_safe``).  Natural logarithms throughout,
@@ -104,7 +105,7 @@ class _Functional:
 
 
 # ---------------------------------------------------------------------------
-# Forms: power sums, x g(-ln x), and the outer-map kinds
+# Form kinds and the outer-map kinds
 # ---------------------------------------------------------------------------
 
 def _sum_of_powers(terms: _Terms, divisor: float) -> ArrayFn:
@@ -192,6 +193,35 @@ def _x_g_neglog(g: ArrayFn, g_prime: ArrayFn, check_n=None) -> _Functional:
     return _Functional(phi=phi, phi_prime=phi_prime, check_n=check_n)
 
 
+def _x_log_x(scale: float, divisor: float = 1.0, mirrored: bool = False) -> _Functional:
+    """phi(x) = scale * x ln x / divisor, extended by 0 at x = 0; ``mirrored``
+    adds the same term at 1 - x.  (x ln x)' = ln x + 1 gives phi'."""
+
+    def scaled(v: np.ndarray) -> np.ndarray:
+        v = scale * v
+        return v if divisor == 1.0 else v / divisor
+
+    return _Functional(
+        phi=lambda x: scaled(_xlogx(x) + _xlogx(1.0 - x) if mirrored else _xlogx(x)),
+        phi_prime=lambda x: scaled(np.log(x) - np.log(1.0 - x) if mirrored else np.log(x) + 1.0),
+    )
+
+
+def _piecewise_linear(knots: tuple[float, ...], slopes, offsets) -> _Functional:
+    """phi(x) = s_i x + b_i on the first piece i with x < knot_i (else the last);
+    phi' = s_i, undefined at the knots."""
+
+    def phi(x: np.ndarray) -> np.ndarray:
+        *lines, last = (s * x + b for s, b in zip(slopes, offsets))
+        return np.select([x < knot for knot in knots], lines, default=last)
+
+    return _Functional(
+        phi=phi,
+        phi_prime=lambda x: np.select([x < k for k in knots], slopes[:-1], default=slopes[-1]),
+        breakpoints=knots,
+    )
+
+
 def _four_power(eps: float, weights) -> tuple[_Terms, float]:
     """Terms and divisor of (w0 x^(1-2e) + w1 x^(1-e) + w2 x^(1+e) + w3 x^(1+2e)) / e."""
     exps = (1.0 - 2.0 * eps, 1.0 - eps, 1.0 + eps, 1.0 + 2.0 * eps)
@@ -216,20 +246,31 @@ def _require_number(params: dict, name: str, integer: bool = False) -> float:
     return float(value)
 
 
+def _require_numbers(params: dict, name: str) -> tuple[float, ...]:
+    values = params[name]
+    if not isinstance(values, (list, tuple)):
+        raise ParamOutOfDomain(f"parameter {name!r} must be a list of numbers, got {values!r}")
+    return tuple(_require_number({name: value}, name) for value in values)
+
+
 def _no_checks(params: dict) -> None:
     pass
+
+
+def _validate_universal_group(params: dict) -> None:
+    if not callable(params["coeffs"]):  # a callable k -> a_k is checked per term
+        _require_numbers(params, "coeffs")
 
 
 def _validate_group_entropy(params: dict) -> None:
     l = int(_require_number(params, "l", integer=True))
     m = int(_require_number(params, "m", integer=True))
     sigma = _require_number(params, "sigma")
-    coeffs = params["coeffs"]
+    k = _require_numbers(params, "coeffs")
     if m - l <= 0:
         raise ParamOutOfDomain(f"group_entropy needs l < m, got l={l}, m={m}")
     if not (sigma > 0.0):
         raise ParamOutOfDomain(f"group_entropy needs sigma > 0, got {sigma!r}")
-    k = [float(v) for v in coeffs]
     if len(k) != m - l + 1:
         raise ParamOutOfDomain(
             f"group_entropy needs {m - l + 1} coefficients k_l..k_m, got {len(k)}"
@@ -334,7 +375,7 @@ def _s_cd(params: dict) -> _Functional:
 
 
 def _s_delta(params: dict) -> _Functional:
-    delta = float(params["delta"])
+    g = ((1.0, float(params["delta"])),)  # g(t) = t**delta
 
     def check_n(n: int) -> None:
         bound = 1.0 + math.log(n)
@@ -343,47 +384,13 @@ def _s_delta(params: dict) -> _Functional:
                 f"s_delta with delta={params['delta']!r} exceeds 1 + ln({n}) = {bound!r}"
             )
 
-    return _x_g_neglog(
-        lambda t: np.power(t, delta),
-        lambda t: delta * np.power(t, delta - 1.0),
-        check_n=check_n,
-    )
-
-
-def _nath(params: dict) -> _Functional:
-    lam = float(params["lambda"])
-    if lam == 1.0:
-        tau = float(params["tau"])
-        return _Functional(
-            phi=lambda x: tau * _xlogx(x) / _LN2,
-            phi_prime=lambda x: tau * (np.log(x) + 1.0) / _LN2,
-        )
-    return _power_sum(((1.0, params["alpha"]),), outer=("log", lam * _LN2))
+    return _x_g_neglog(_sum_of_powers(g, 1.0), _sum_of_powers(_derive(g), 1.0), check_n)
 
 
 def _abe(k: float) -> _Functional:
     q = math.sqrt(1.0 + k * k) + k
     # q - 1/q = 2k
     return _power_sum(((1, 1.0 / q), (-1, q)), q - 1.0 / q, zero_safe=False)
-
-
-_HE_BREAKPOINTS = (0.25, 0.5, 0.75)
-
-
-def _he_phi(x: np.ndarray) -> np.ndarray:
-    return np.select(
-        [x <= 0.25, x < 0.5, x < 0.75],
-        [x, 2.0 * x - 0.25, 1.75 - 2.0 * x],
-        default=1.0 - x,
-    )
-
-
-def _he_phi_prime(x: np.ndarray) -> np.ndarray:
-    return np.select(
-        [x < 0.25, x < 0.5, x < 0.75],
-        [1.0, 2.0, -2.0],
-        default=-1.0,
-    )
 
 
 def _guarded(fn: Callable, name: str) -> Callable[[float], float]:
@@ -454,9 +461,7 @@ _ORDER_RULE: _Rule = ("q", lambda q: q > 0.0 and q != 1.0, "q > 0, q != 1")
 _MATHAI_RULE: _Rule = ("q", lambda q: q < 2.0 and q != 1.0, "q < 2, q != 1")
 
 _FAMILIES: dict[str, _Family] = {
-    "shannon": _Family((), lambda p: _Functional(
-        phi=lambda x: -_xlogx(x), phi_prime=lambda x: -np.log(x) - 1.0,
-    ), samples=({},)),
+    "shannon": _Family((), lambda p: _x_log_x(-1.0), samples=({},)),
     "renyi": _Family(("q",), lambda p: _power_sum(
         ((1, p["q"]),), outer=("log", 1.0 - p["q"]),
     ), rules=(_ORDER_RULE,), samples=_each("q", 0.5, 2.0, 3.0)),
@@ -473,10 +478,7 @@ _FAMILIES: dict[str, _Family] = {
         phi=lambda x: x - x**2 - x**2 * (1.0 - x) ** 2,
         phi_prime=lambda x: 1.0 - 2.0 * x - 2.0 * x * (1.0 - x) * (1.0 - 2.0 * x),
     ), samples=({},)),
-    "paired": _Family((), lambda p: _Functional(
-        phi=lambda x: -_xlogx(x) - _xlogx(1.0 - x),
-        phi_prime=lambda x: np.log((1.0 - x) / x),
-    ), samples=({},)),
+    "paired": _Family((), lambda p: _x_log_x(-1.0, mirrored=True), samples=({},)),
     "hypoentropy": _Family(
         ("lambda",), _hypoentropy, rules=(("lambda", lambda lam: lam > 0.0, "lambda > 0"),),
         samples=_each("lambda", 0.5, 1.0, 5.0),
@@ -488,7 +490,7 @@ _FAMILIES: dict[str, _Family] = {
                "r > 0, r != 1, s != 1"),),
         samples=({"r": 0.5, "s": 2.0}, {"r": 0.5, "s": 0.3}, {"r": 2.0, "s": 0.5})),
     "universal_group": _Family(
-        ("coeffs",), _universal_group,
+        ("coeffs",), _universal_group, validate=_validate_universal_group,
         samples=_each("coeffs", (1.0,), (1.0, 0.4), (1.0, 0.4, 0.1)),
     ),
     "s_cd": _Family(("c", "d"), _s_cd, rules=(
@@ -566,8 +568,10 @@ _FAMILIES: dict[str, _Family] = {
         ("gamma", lambda g: _two_param_region_ok(0.5 * g, 1.5 * g),
          "(r, k) = (gamma/2, 3*gamma/2) inside the admissible region"),
     ), samples=_each("gamma", 0.2, 0.4, -0.3)),
-    "nath": _Family(
-        ("lambda",), _nath, validate=_validate_nath, optional=("tau", "alpha"),
+    "nath": _Family(("lambda",), lambda p: (
+        _x_log_x(float(p["tau"]), _LN2) if p["lambda"] == 1.0  # shannon in bits, times -tau
+        else _power_sum(((1.0, p["alpha"]),), outer=("log", float(p["lambda"]) * _LN2))
+    ), validate=_validate_nath, optional=("tau", "alpha"),
         samples=(
             {"tau": -1.0, "lambda": 1.0},
             {"alpha": 0.5, "lambda": 2.0},
@@ -583,8 +587,8 @@ _FAMILIES: dict[str, _Family] = {
     "mathai_Mq_star": _Family(("q",), lambda p: _power_sum(
         ((1, 2.0 - p["q"]),), outer=("log", p["q"] - 1.0),
     ), rules=(_MATHAI_RULE,), samples=_each("q", 0.5, 1.5, 1.9)),
-    "counterexample_HE": _Family((), lambda p: _Functional(
-        _he_phi, _he_phi_prime, breakpoints=_HE_BREAKPOINTS,
+    "counterexample_HE": _Family((), lambda p: _piecewise_linear(
+        (0.25, 0.5, 0.75), (1.0, 2.0, -2.0, -1.0), (0.0, -0.25, 1.75, 1.0),
     )),
 }
 

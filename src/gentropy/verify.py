@@ -964,9 +964,8 @@ def max_entropy_check(
     """Check H(uniform) >= H(P) for sampled P at each dimension.
 
     Each n is one cell of the campaign's row layout, seeded with
-    ``SeedSequence([rng_seed, n])``.  For ``counterexample_HE`` the known
-    offending distribution at n = 4 takes the place of sample 0, so the
-    report demonstrably contains at least one violation there.
+    ``SeedSequence([rng_seed, n])``.  Every sample is drawn: a violation,
+    such as ``counterexample_HE``'s at n = 4, is one the draws meet.
     """
     _require_non_negative(samples=samples, rng_seed=rng_seed)
     n_list = sorted(set(int(n) for n in n_values))
@@ -986,10 +985,7 @@ def max_entropy_check(
         n_column += [n] * count
         index += range(count)
         if type(top) is float:
-            probs, _ = _cell_draws([rng_seed, n], n, 0, samples, floor)
-            if spec.id == "counterexample_HE" and n == 4 and samples:
-                probs[0] = [0.2, 0.25, 0.25, 0.3]
-            drawn.append(probs)
+            drawn.append(_cell_draws([rng_seed, n], n, 0, samples, floor)[0])
     # The rows whose uniform value is a float take the drawn vectors in order.
     values = _VectorValues(
         [spec],

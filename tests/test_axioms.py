@@ -535,6 +535,7 @@ _PER_VECTOR_SPECS = (
 )
 
 
+@pytest.mark.slow
 def test_basic_axioms_equal_per_sample_loop_exactly():
     """Every default spec and counterexample_HE, seeds 0 and 1729, exact ==.
 

@@ -501,3 +501,97 @@ def test_evaluate_is_permutation_symmetric(n, seed, spec):
     value = evaluate(spec, FiniteDistribution(p))
     permuted = evaluate(spec, FiniteDistribution(p[rng.permutation(n)]))
     assert permuted == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Form kinds against the closures they replaced
+# ---------------------------------------------------------------------------
+
+_LN2 = math.log(2.0)
+
+
+def _xlogx(x):
+    out = np.zeros_like(x)
+    mask = x > 0.0
+    out[mask] = x[mask] * np.log(x[mask])
+    return out
+
+
+def _he_phi(x):
+    return np.select(
+        [x <= 0.25, x < 0.5, x < 0.75], [x, 2.0 * x - 0.25, 1.75 - 2.0 * x], default=1.0 - x
+    )
+
+
+def _he_phi_prime(x):
+    return np.select([x < 0.25, x < 0.5, x < 0.75], [1.0, 2.0, -2.0], default=-1.0)
+
+
+def _s_delta_closures(delta):
+    """phi and phi' of x g(-ln x) with g(t) = t**delta and the hand-written g'."""
+    g = lambda t: np.power(t, delta)  # noqa: E731
+    g_prime = lambda t: delta * np.power(t, delta - 1.0)  # noqa: E731
+
+    def phi(x):
+        out = np.zeros_like(x)
+        mask = x > 0.0
+        out[mask] = x[mask] * g(np.maximum(-np.log(x[mask]), 0.0))
+        return out
+
+    def phi_prime(x):
+        t = np.maximum(-np.log(x), 0.0)
+        return g(t) - g_prime(t)
+
+    return phi, phi_prime
+
+
+def _nath_closures(tau):
+    return (lambda x: tau * _xlogx(x) / _LN2,
+            lambda x: tau * (np.log(x) + 1.0) / _LN2)
+
+
+# The phi and phi' each row wrote by hand before it was routed through a kind.
+_REFERENCE_CLOSURES = [
+    (spec("shannon"), lambda x: -_xlogx(x), lambda x: -np.log(x) - 1.0),
+    (spec("paired"), lambda x: -_xlogx(x) - _xlogx(1.0 - x), lambda x: np.log((1.0 - x) / x)),
+    (spec("counterexample_HE"), _he_phi, _he_phi_prime),
+    *((spec("nath", tau=tau, **{"lambda": 1.0}), *_nath_closures(tau))
+      for tau in (-1.0, -0.3, -2.5)),
+    *((spec("s_delta", delta=delta), *_s_delta_closures(delta))
+      for delta in (0.5, 1.0, 2.0, 3.7)),
+]
+
+# A dense grid on [0, 1], its ends, a step past 1, HE's knots and the
+# smallest subnormal.
+_KIND_GRID = np.concatenate([
+    np.linspace(0.0, 1.0, 100_001), [0.0, 1.0, 1.0 + 2.0**-52, 0.25, 0.5, 0.75, 5e-324]
+])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "sp, old_phi, old_phi_prime", _REFERENCE_CLOSURES,
+    ids=[sp.label() for sp, _, _ in _REFERENCE_CLOSURES],
+)
+def test_form_kinds_equal_the_replaced_closures_bit_for_bit(sp, old_phi, old_phi_prime):
+    """Sign bits and NaN bits included; paired's phi' is compared below."""
+    f = sp.functional
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_bits(f.phi(_KIND_GRID)), _bits(old_phi(_KIND_GRID)))
+        if sp.id != "paired":
+            assert np.array_equal(
+                _bits(f.phi_prime(_KIND_GRID)), _bits(old_phi_prime(_KIND_GRID))
+            )
+
+
+def test_paired_phi_prime_agrees_with_its_replaced_closure():
+    """ln((1 - x)/x) overflows at the smallest subnormal; the kind stays finite."""
+    x = np.linspace(1e-9, 1.0 - 1e-9, 100_001)
+    kind = spec("paired").functional.phi_prime
+    assert np.max(np.abs(kind(x) - np.log((1.0 - x) / x))) <= 4e-15
+    with np.errstate(over="ignore"):
+        assert np.log((1.0 - 5e-324) / 5e-324) == math.inf
+    assert math.isfinite(kind(np.array([5e-324]))[0])

@@ -219,6 +219,17 @@ def test_malformed_inputs_are_usage_errors(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("family", ["universal_group", "group_entropy"])
+@pytest.mark.parametrize("coeffs", ['"abc"', '"ab"', "5", '[1, "x"]', "[true]", "[1e400]"])
+def test_malformed_coeffs_are_usage_errors(capsys, family, coeffs):
+    """Each entry is a finite number, not a bool; exit 1 would mean a violation."""
+    params = '"l": -1, "m": 0, "sigma": 0.5, ' if family == "group_entropy" else ""
+    entropy = f'{{"id": "{family}", "params": {{{params}"coeffs": {coeffs}}}}}'
+    code, out, err = run_cli(capsys, "compute", "--entropy", entropy, "--dist", "[0.5, 0.5]")
+    assert code == 2 and out == ""
+    assert "'coeffs'" in err
+
+
 def test_replay_prints_the_campaign_entry_and_its_verdict(capsys):
     """The counterexample's worst case replays to its entry, a violation (exit 1)."""
     selection = ("--entropy", '{"id":"shannon"}', "--entropy", '{"id":"counterexample_HE"}',
