@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .catalog import EntropySpec, evaluate, outer_map_prime, phi_prime
+from .catalog import EntropySpec, _map_at, evaluate, phi_prime
 from .distributions import (
     FiniteDistribution,
     JointDistribution,
@@ -60,8 +60,9 @@ from .errors import (
     TooSmall,
     ValidationError,
     ZeroUnsupported,
+    _integer,
 )
-from .verify import _INTERIOR_FLOOR, _VectorValues, _require_non_negative, _starts
+from .verify import _INTERIOR_FLOOR, _VectorValues, _starts
 
 _CONTINUITY_EPS = 1e-8
 
@@ -160,8 +161,8 @@ def _budgets(spec: EntropySpec, extremes: np.ndarray, inner: np.ndarray) -> np.n
             stop, error = c, exc
             break
     outer = 1.0
-    if f.h:
-        outer = np.array([abs(outer_map_prime(spec, y)) for y in inner[:stop].tolist()])
+    if f.h and f.h_prime:  # outer_map_prime's values; each y is a float sum, not checked again
+        outer = np.array([abs(_map_at(spec, f.h_prime, y)) for y in inner[:stop].tolist()])
     if error is not None:
         raise error
     return 50.0 * (1.0 + slope * np.maximum(outer, 1.0))
@@ -277,8 +278,8 @@ def check_basic_axioms(
     first.  Every sample draws all of its vectors (see ``_draw_basic``),
     and those of a sample whose base is rejected go unused.
     """
-    _require_non_negative(samples=samples, rng_seed=rng_seed)
-    draws = _draw_basic(spec, samples, rng_seed)
+    samples = _integer("samples", samples)
+    draws = _draw_basic(spec, samples, _integer("rng_seed", rng_seed))
     values = _VectorValues([spec], draws.probs, draws.widths.ravel())
     stride = draws.widths.shape[1]
     numbers = values.numbers.reshape(samples, stride)  # NaN: rejected; a float is finite
@@ -338,7 +339,7 @@ def check_product_composability(
     entry of the ``axioms`` command, or None for a functional with no known
     composition constant gamma.  An evaluation error raises.
     """
-    _require_non_negative(samples=samples, rng_seed=rng_seed)
+    samples, rng_seed = _integer("samples", samples), _integer("rng_seed", rng_seed)
     gamma = pseudo_additivity_gamma(spec)
     if gamma is None:
         return None

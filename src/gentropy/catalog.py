@@ -54,6 +54,8 @@ from .errors import (
     UserCallableError,
     ValidationError,
     ZeroUnsupported,
+    _number,
+    _numbers,
 )
 from .special import _group_series, upper_incomplete_gamma
 
@@ -235,40 +237,17 @@ _S_IV_WEIGHTS = (1.0, -1.5, 1.5, -1.0)
 # Parameter checks that a one-line rule of the family table cannot express
 # ---------------------------------------------------------------------------
 
-def _require_number(params: dict, name: str, integer: bool = False) -> float:
-    value = params[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParamOutOfDomain(f"parameter {name!r} must be a number, got {value!r}")
-    if integer and int(value) != value:
-        raise ParamOutOfDomain(f"parameter {name!r} must be an integer, got {value!r}")
-    if not math.isfinite(value):
-        raise ParamOutOfDomain(f"parameter {name!r} must be finite")
-    return float(value)
-
-
-def _require_numbers(params: dict, name: str) -> tuple[float, ...]:
-    values = params[name]
-    if not isinstance(values, (list, tuple)):
-        raise ParamOutOfDomain(f"parameter {name!r} must be a list of numbers, got {values!r}")
-    return tuple(_require_number({name: value}, name) for value in values)
-
-
 def _no_checks(params: dict) -> None:
     pass
 
 
-def _validate_universal_group(params: dict) -> None:
-    if not callable(params["coeffs"]):  # a callable k -> a_k is checked per term
-        _require_numbers(params, "coeffs")
-
-
 def _validate_group_entropy(params: dict) -> None:
-    l = int(_require_number(params, "l", integer=True))
-    m = int(_require_number(params, "m", integer=True))
-    sigma = _require_number(params, "sigma")
-    k = _require_numbers(params, "coeffs")
+    l, m, sigma = (_number(name, params[name]) for name in ("l", "m", "sigma"))
+    k = _numbers("coeffs", params["coeffs"])
+    if not (l.is_integer() and m.is_integer()):
+        raise ParamOutOfDomain(f"group_entropy needs integers l and m, got l={l!r}, m={m!r}")
     if m - l <= 0:
-        raise ParamOutOfDomain(f"group_entropy needs l < m, got l={l}, m={m}")
+        raise ParamOutOfDomain(f"group_entropy needs l < m, got l={l:g}, m={m:g}")
     if not (sigma > 0.0):
         raise ParamOutOfDomain(f"group_entropy needs sigma > 0, got {sigma!r}")
     if len(k) != m - l + 1:
@@ -277,7 +256,7 @@ def _validate_group_entropy(params: dict) -> None:
         )
     if abs(sum(k)) > 1e-12:
         raise ParamOutOfDomain(f"group_entropy needs sum k_j = 0, got {sum(k)!r}")
-    weighted = sum(j * kj for j, kj in zip(range(l, m + 1), k))
+    weighted = sum(j * kj for j, kj in zip(range(int(l), int(m) + 1), k))
     if abs(weighted - 1.0) > 1e-12:
         raise ParamOutOfDomain(
             f"group_entropy needs sum j*k_j = 1, got {weighted!r}"
@@ -308,17 +287,17 @@ def _two_param_region_ok(r: float, k: float) -> bool:
 
 
 def _validate_nath(params: dict) -> None:
-    lam = _require_number(params, "lambda")
+    lam = _number("lambda", params["lambda"])
     if lam == 1.0:
         if "alpha" in params:
             raise ParamOutOfDomain("nath with lambda = 1 takes tau, not alpha")
-        tau = _require_number(params, "tau")
+        tau = _number("tau", params["tau"])
         if not (tau < 0.0):
             raise ParamOutOfDomain(f"nath with lambda = 1 needs tau < 0, got {tau!r}")
     else:
         if "tau" in params:
             raise ParamOutOfDomain("nath with lambda != 1 takes alpha, not tau")
-        alpha = _require_number(params, "alpha")
+        alpha = _number("alpha", params["alpha"])
         if not (alpha > 0.0) or not (lam * (1.0 - alpha) > 0.0):
             raise ParamOutOfDomain(
                 f"nath needs alpha > 0 and lambda*(1-alpha) > 0, got "
@@ -490,12 +469,13 @@ _FAMILIES: dict[str, _Family] = {
                "r > 0, r != 1, s != 1"),),
         samples=({"r": 0.5, "s": 2.0}, {"r": 0.5, "s": 0.3}, {"r": 2.0, "s": 0.5})),
     "universal_group": _Family(
-        ("coeffs",), _universal_group, validate=_validate_universal_group,
+        ("coeffs",), _universal_group,
         samples=_each("coeffs", (1.0,), (1.0, 0.4), (1.0, 0.4, 0.1)),
     ),
     "s_cd": _Family(("c", "d"), _s_cd, rules=(
         ("c", lambda c: 0.0 < c <= 1.0, "c in (0, 1]"),
         ("c d", lambda c, d: 1.0 - c + c * d != 0.0, "a nonzero normalizer 1 - c + c*d"),
+        ("d", lambda d: d > -1.0, "d > -1"),  # the incomplete gamma's shape 1 + d is > 0
     ), samples=({"c": 0.5, "d": 1.0}, {"c": 0.8, "d": 0.5}, {"c": 1.0, "d": 2.0})),
     "s_delta": _Family(
         ("delta",), _s_delta, rules=(("delta", lambda delta: delta > 0.0, "delta > 0"),),
@@ -621,7 +601,7 @@ class EntropySpec:
         if isinstance(merged.get("coeffs"), list):
             merged["coeffs"] = tuple(merged["coeffs"])
         for names, ok, requirement in family.rules:
-            values = [_require_number(merged, name) for name in names.split()]
+            values = [_number(name, merged[name]) for name in names.split()]
             if not ok(*values):
                 got = ", ".join(f"{n}={v!r}" for n, v in zip(names.split(), values))
                 raise ParamOutOfDomain(f"{id} needs {requirement}, got {got}")
@@ -769,7 +749,7 @@ def phi_component(spec: EntropySpec, x: float, n: int | None = None) -> float:
     dimension: ``n`` is accepted for compatibility and ignored.
     """
     f = spec.functional
-    if not (0.0 <= x <= 1.0):
+    if not (0.0 <= _number("x", x) <= 1.0):
         raise ValidationError(f"x must lie in [0, 1], got {x!r}")
     if x == 0.0:
         if f.phi_at_zero is None:
@@ -786,7 +766,7 @@ def phi_prime(spec: EntropySpec, x: float) -> float:
     f = spec.functional
     if f.phi_prime is None:
         raise NoDerivative(f"{spec.id} has no closed-form component derivative")
-    if not (0.0 < x < 1.0):
+    if not (0.0 < _number("x", x) < 1.0):
         raise ValidationError(f"x must lie in (0, 1), got {x!r}")
     for b in f.breakpoints:
         if abs(x - b) < 1e-12:
@@ -796,14 +776,22 @@ def phi_prime(spec: EntropySpec, x: float) -> float:
 
 def outer_map(spec: EntropySpec, y: float) -> float:
     """The outer wrapping map h (identity when the functional has none)."""
-    f = spec.functional
-    return float(f.h(y)) if f.h is not None else float(y)
+    y, h = _number("y", y), spec.functional.h
+    return y if h is None else _map_at(spec, h, y)
 
 
 def outer_map_prime(spec: EntropySpec, y: float) -> float:
     """Derivative of the outer map (1 for plain sum forms)."""
-    f = spec.functional
-    return float(f.h_prime(y)) if f.h_prime is not None else 1.0
+    y, h_prime = _number("y", y), spec.functional.h_prime
+    return 1.0 if h_prime is None else _map_at(spec, h_prime, y)
+
+
+def _map_at(spec: EntropySpec, fn: Callable[[float], float], y: float) -> float:
+    """An outer-map kind at y; the math error of a y outside its domain is typed."""
+    try:
+        return float(fn(y))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainViolation(f"{spec.id} outer map is not defined at y={y!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .catalog import (
     transform_between,
 )
 from .distributions import FiniteDistribution, _dirichlet_interior
-from .errors import UnsupportedPair, ValidationError
+from .errors import UnsupportedPair, _integer
 
 SLOPE_TOLERANCE = 1e-9
 ZERO_TOLERANCE = 1e-12
@@ -117,14 +117,6 @@ def _mask_breakpoints(values: np.ndarray, breakpoints: Sequence[float]) -> np.nd
     return keep
 
 
-def _grid_density(grid_density: int) -> int:
-    """The density every certificate samples at: an integer of at least 10."""
-    g = int(grid_density)
-    if g < 10:
-        raise ValidationError(f"grid_density must be >= 10, got {grid_density!r}")
-    return g
-
-
 def check_slope_condition(spec: EntropySpec, grid_density: int = 200) -> GridCertificate:
     """Certify phi'(x) >= phi'(x+p) over the merge triangle, plus phi(0) = 0.
 
@@ -133,7 +125,7 @@ def check_slope_condition(spec: EntropySpec, grid_density: int = 200) -> GridCer
     the witnessing point and both slopes.
     """
     f = spec.functional
-    g = _grid_density(grid_density)
+    g = _integer("grid_density", grid_density, minimum=10)
     # each x in (0, 0.5] meets p = (1 - x) k / g for k = 0..g
     base_arr = np.repeat(0.5 * np.arange(1, g + 1) / g, g + 1)
     shift_arr = base_arr + (1.0 - base_arr) * np.tile(np.arange(0, g + 1), g) / g
@@ -191,7 +183,7 @@ def check_concavity(spec: EntropySpec, grid_density: int = 200) -> GridCertifica
     detects.
     """
     f = spec.functional
-    g = _grid_density(grid_density)
+    g = _integer("grid_density", grid_density, minimum=10)
     h = 1.0 / (g + 1)
     ts = h * np.arange(0, g + 2)
     values = np.empty(ts.size)
@@ -257,7 +249,7 @@ def check_outer_map_pairing(spec: EntropySpec, grid_density: int = 200) -> GridC
     """
     f = spec.functional
     h_prime = f.h_prime if f.h_prime is not None else (lambda y: 1.0)
-    g = _grid_density(grid_density)
+    g = _integer("grid_density", grid_density, minimum=10)
     lo, hi = _component_sum_bracket(spec)
     ys = np.linspace(lo, hi, g)
     h_slopes = np.array([h_prime(float(y)) for y in ys])
@@ -349,7 +341,8 @@ def check_transform_consistency(
             f"target parameters {target.label()} do not match the transform of "
             f"{source.label()} (expected {expected_target.label()})"
         )
-    rng = np.random.default_rng(rng_seed)
+    samples = _integer("samples", samples)
+    rng = np.random.default_rng(_integer("rng_seed", rng_seed))
     values = []
     max_residual = 0.0
     ordering_ok = True

@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, ZeroUnsupported
+from .errors import DimensionMismatch, ValidationError, ZeroUnsupported, _integer, _number
 
 SUM_TOLERANCE = 1e-9
 
@@ -202,8 +202,8 @@ def coarse_grain(dist: FiniteDistribution, partition) -> FiniteDistribution:
 
 def merge_pair(dist: FiniteDistribution, i: int, j: int) -> FiniteDistribution:
     """Merge states i and j: drop both entries and append their sum."""
-    n = dist.n
-    if not (0 <= i < n and 0 <= j < n):
+    n, i, j = dist.n, _integer("i", i), _integer("j", j)
+    if not (i < n and j < n):
         raise ValidationError(f"indices ({i}, {j}) out of range for size {n}")
     if i == j:
         raise ValidationError(f"cannot merge state {i} with itself")
@@ -218,7 +218,7 @@ def escort(dist: FiniteDistribution, alpha: float) -> FiniteDistribution:
     ``alpha = 0`` requires a strictly positive distribution (the 0**0
     convention is deliberately avoided); ``alpha = 1`` is the identity.
     """
-    if not (alpha >= 0.0):
+    if not (_number("alpha", alpha) >= 0.0):
         raise ValidationError(f"escort exponent must be >= 0, got {alpha!r}")
     p = dist.probs
     if alpha == 0.0 and np.any(p == 0.0):
@@ -272,9 +272,5 @@ def sample_dirichlet_uniform(n: int, rng_seed: int) -> FiniteDistribution:
 
     Deterministic for a given seed; all entries strictly positive.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return FiniteDistribution([1.0])
-    rng = np.random.default_rng(rng_seed)
-    return FiniteDistribution(_dirichlet_interior(n, rng))
+    n, rng = _integer("n", n, minimum=1), np.random.default_rng(_integer("rng_seed", rng_seed))
+    return FiniteDistribution(_dirichlet_interior(n, rng) if n > 1 else [1.0])

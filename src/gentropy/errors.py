@@ -1,11 +1,25 @@
-"""Semantic exception hierarchy.
+"""Semantic exception hierarchy and the argument policy.
 
 Public functions never raise bare ``ValueError``; every contract violation
 maps to one of the classes below so callers (and the CLI) can distinguish
 bad inputs from genuine numerical findings.
+
+Every public entry point takes its outside arguments through two rules, and
+neither truncates nor parses:
+
+* :func:`_integer`, for a count, seed, dimension, index or grid density, takes
+  an ``int`` by ``operator.index`` (numpy integers too) of at least a minimum.
+  It refuses a float (``2.5``, ``3.0``), a str (``"3"``), a bool and a value
+  below the minimum with ``ValidationError``.
+* :func:`_number` (:func:`_numbers` for a list or tuple), for a real argument
+  or parameter, takes a finite ``int`` or ``float``.  It refuses a str, a bool,
+  ``nan`` and an infinity with ``ParamOutOfDomain``.
 """
 
 from __future__ import annotations
+
+import operator
+import sys
 
 
 class GentropyError(Exception):
@@ -65,7 +79,7 @@ class UnsupportedPair(GentropyError):
 
 
 class DomainViolation(GentropyError):
-    """A transform was applied outside the domain where it is defined."""
+    """A map was applied outside the domain where it is defined."""
 
 
 class TruncationCapHit(GentropyError):
@@ -78,3 +92,31 @@ class BadInverse(GentropyError):
 
 class UnsupportedFormat(ValidationError):
     """Unknown serialization format requested."""
+
+
+def _integer(name: str, value, minimum: int = 0) -> int:
+    """``value`` as an int of at least ``minimum``, or a ``ValidationError``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        out = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name!r} must be an integer, got {value!r}") from None
+    if out < minimum:
+        raise ValidationError(f"{name!r} must be >= {minimum}, got {out}")
+    return out
+
+
+def _number(name: str, value) -> float:
+    """``value`` as a float when it is a finite int or float, not a bool."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):  # an int past it has no float
+        raise ParamOutOfDomain(f"{name!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(name: str, values) -> tuple[float, ...]:
+    """A list or tuple of :func:`_number` values, as a tuple of floats."""
+    if not isinstance(values, (list, tuple)):
+        raise ParamOutOfDomain(f"{name!r} must be a list of numbers, got {values!r}")
+    return tuple(_number(name, value) for value in values)

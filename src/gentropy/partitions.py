@@ -16,11 +16,10 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 import json
-import operator
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooSmall, TooLarge, ValidationError
+from .errors import DimensionMismatch, TooSmall, TooLarge, ValidationError, _integer
 
 ENUMERATION_LIMIT = 12  # Bell(12) = 4_213_597; beyond this exhaustive work explodes
 LATTICE_LIMIT = 8  # the exhaustive oracles' limit; the partitions up to it are kept once walked
@@ -40,9 +39,10 @@ class Partition:
     __slots__ = ("_blocks", "_ground_size")
 
     def __init__(self, blocks: Iterable[Iterable[int]], ground_size: int):
+        ground_size = _integer("ground_size", ground_size)
         try:
-            cleaned = [tuple(sorted(map(operator.index, block))) for block in blocks]
-        except TypeError as exc:
+            cleaned = [tuple(sorted(_integer("index", x) for x in block)) for block in blocks]
+        except (TypeError, ValidationError) as exc:
             raise ValidationError(f"blocks must hold integer indices: {exc}") from exc
         if any(len(block) == 0 for block in cleaned):
             raise ValidationError("blocks must be nonempty")
@@ -170,19 +170,9 @@ def quotient_partition(finer: Partition, coarser: Partition) -> Partition:
     return Partition(groups.values(), finer.k)
 
 
-def _ground_size(n) -> int:
-    """``n`` as an int, or a ``ValidationError`` when it is not an integer."""
-    try:
-        return operator.index(n)
-    except TypeError as exc:
-        raise ValidationError(f"n must be an integer, got {n!r}") from exc
-
-
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-set (Bell triangle recurrence)."""
-    n = _ground_size(n)
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    n = _integer("n", n)
     row = [1]
     for _ in range(n):
         nxt = [row[-1]]
@@ -201,9 +191,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     (``LATTICE_LIMIT``) the partitions are walked once per process and kept,
     so every call yields the same immutable ``Partition`` objects.
     """
-    n = _ground_size(n)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = _integer("n", n, minimum=1)
     if n > ENUMERATION_LIMIT:
         raise TooLarge(
             f"exhaustive enumeration is limited to n <= {ENUMERATION_LIMIT} "
@@ -279,10 +267,12 @@ def _random_refinement_pair(
     return Partition(finer, n), Partition(coarser, n)
 
 
-def _require_pair_size(n: int) -> None:
-    """Refuse a ground set too small to hold a strict refinement pair."""
+def _pair_size(n) -> int:
+    """``n`` as an int, refused when too small to hold a strict refinement pair."""
+    n = _integer("n", n)
     if n < 3:
         raise TooSmall(f"refinement pairs with 2 <= k_B < k_A need n >= 3, got {n}")
+    return n
 
 
 def random_refinement_pair(n: int, rng_seed: int) -> tuple[Partition, Partition]:
@@ -295,6 +285,5 @@ def random_refinement_pair(n: int, rng_seed: int) -> tuple[Partition, Partition]
     This covers the whole order but is *not* uniform over it; exhaustive
     enumeration exists for certainty at small n.
     """
-    _require_pair_size(n)
-    rng = np.random.default_rng(rng_seed)
-    return _random_refinement_pair(n, rng)
+    n = _pair_size(n)
+    return _random_refinement_pair(n, np.random.default_rng(_integer("rng_seed", rng_seed)))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ParamOutOfDomain, TruncationCapHit, ValidationError
+from .errors import ParamOutOfDomain, TruncationCapHit, ValidationError, _number, _numbers
 
 _GAMMA_RTOL = 1e-12
 _GAMMA_MAX_ITER = 500
@@ -85,7 +85,7 @@ def upper_incomplete_gamma(a: float, x: float | np.ndarray) -> float | np.ndarra
     quadrature oracle pins this down in the test suite.  Every point of an
     array gets the bits it gets alone.
     """
-    if not (a > 0.0) or not math.isfinite(a):
+    if not _number("shape", a) > 0.0:
         raise ParamOutOfDomain(f"shape must be > 0, got {a!r}")
     points = np.asarray(x, dtype=float)
     flat = points.ravel()
@@ -108,10 +108,11 @@ def upper_incomplete_gamma(a: float, x: float | np.ndarray) -> float | np.ndarra
 def check_series_coefficients(coeffs: Sequence[float]) -> tuple[float, ...]:
     """Validate the dominance condition a_k > (k+1) * a_{k+1}, a_0 > 0, a_k >= 0.
 
-    A finite list is treated as zero-extended, so the last coefficient only
-    needs to be nonnegative.
+    ``coeffs`` is a list or tuple of finite numbers.  A finite list is
+    treated as zero-extended, so the last coefficient only needs to be
+    nonnegative.
     """
-    cleaned = tuple(float(c) for c in coeffs)
+    cleaned = _numbers("coeffs", coeffs)
     if len(cleaned) == 0:
         raise ParamOutOfDomain("coefficient list must be nonempty")
     if not cleaned[0] > 0.0:
@@ -177,9 +178,9 @@ def universal_group_G(coeffs: _Coeffs, t: float) -> float:
     stops once ``|term| <= 1e-14 * |partial sum|``, with a hard cap of 200
     terms (exceeding the cap raises).
     """
-    return float(_group_series(coeffs, integral=True)(np.array([t], dtype=float))[0])
+    return float(_group_series(coeffs, integral=True)(np.array([_number("t", t)]))[0])
 
 
 def universal_group_G_prime(coeffs: _Coeffs, t: float) -> float:
     """Evaluate G'(t) = sum_k a_k * t**k (same truncation rules as G)."""
-    return float(_group_series(coeffs, integral=False)(np.array([t], dtype=float))[0])
+    return float(_group_series(coeffs, integral=False)(np.array([_number("t", t)]))[0])

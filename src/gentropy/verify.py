@@ -88,8 +88,9 @@ import numpy as np
 from .catalog import EntropySpec, _admit, _outer_value, evaluate, phi_prime
 from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet
 from .errors import GentropyError, NonFinite, TooLarge, UnsupportedFormat, ValidationError
+from .errors import _integer, _number
 from .partitions import LATTICE_LIMIT, Partition, _Blocks, enumerate_partitions
-from .partitions import _require_pair_size, pair_draw_width
+from .partitions import _pair_size, pair_draw_width
 # The pair sampler, looked up per case under the name perfbench's tracer
 # times as the sampler layer.
 from .partitions import _refinement_pair_blocks as _random_refinement_pair
@@ -384,6 +385,7 @@ def _checked(
     ``_Lazy`` value columns hold the table's own floats.  ``columns`` are the
     entries' other fields, a sequence each, and ``shared`` those all share.
     """
+    _number("tolerance", tolerance)  # the one check of every oracle's tolerance
     table = np.fromiter(values, dtype=object, count=len(values))
     finer, coarser = numbers[finer_rows], numbers[coarser_rows]
     is_skipped = np.isnan(finer) | np.isnan(coarser)
@@ -417,8 +419,9 @@ def run_monotonicity_campaign(
     at 1e-6 for functionals rejecting zeros), a strict refinement pair
     (finer A, coarser B), and the assertion H(P^B) <= H(P^A) + tolerance.
     """
-    _require_non_negative(cases_per_cell=cases_per_cell, rng_seed=rng_seed)
-    n_list = _campaign_dimensions(n_values)
+    cases_per_cell = _integer("cases_per_cell", cases_per_cell)
+    rng_seed = _integer("rng_seed", rng_seed)
+    n_list = sorted({_pair_size(n) for n in n_values})
     cells = [(s_index, n, 0, cases_per_cell) for s_index in range(len(specs)) for n in n_list]
     entries, spec_indices = _campaign_entries(specs, cells, rng_seed, tolerance)
     return _finish(
@@ -451,25 +454,11 @@ def replay_case(
     ``specs`` and ``rng_seed`` at (spec index, n, case), whatever
     ``cases_per_cell`` and ``n_values`` that campaign ran with.
     """
-    if not 0 <= spec_index < len(specs):
+    spec_index = _integer("spec_index", spec_index)
+    if spec_index >= len(specs):
         raise ValidationError(f"spec index {spec_index} is out of range for {len(specs)} specs")
-    _require_non_negative(case=case, rng_seed=rng_seed)
-    cells = [(spec_index, _campaign_dimensions([n])[0], case, 1)]
-    return _campaign_entries(specs, cells, rng_seed, tolerance)[0][0]
-
-
-def _require_non_negative(**counts: int) -> None:
-    """Reject a negative seed or count here, not where numpy meets it."""
-    for name, value in counts.items():
-        if value < 0:
-            raise ValidationError(f"{name} must be >= 0, got {value}")
-
-
-def _campaign_dimensions(n_values: Iterable[int]) -> list[int]:
-    n_list = sorted(set(int(n) for n in n_values))
-    for n in n_list:
-        _require_pair_size(n)
-    return n_list
+    cells = [(spec_index, _pair_size(n), _integer("case", case), 1)]
+    return _campaign_entries(specs, cells, _integer("rng_seed", rng_seed), tolerance)[0][0]
 
 
 def _campaign_entries(
@@ -882,6 +871,7 @@ def counterexample_suite(tolerance: float = 1e-12) -> VerificationReport:
     violation H(uniform 4) = 1.0 < 1.05, and the slope jump (1 then 2)
     across the first kink of the piecewise component.
     """
+    _number("tolerance", tolerance)
     spec = EntropySpec("counterexample_HE")
     pinned = {
         (0.2, 0.3, 0.5): 1.3,
@@ -967,10 +957,8 @@ def max_entropy_check(
     ``SeedSequence([rng_seed, n])``.  Every sample is drawn: a violation,
     such as ``counterexample_HE``'s at n = 4, is one the draws meet.
     """
-    _require_non_negative(samples=samples, rng_seed=rng_seed)
-    n_list = sorted(set(int(n) for n in n_values))
-    if n_list and n_list[0] < 1:
-        raise ValidationError(f"max_entropy_check needs n >= 1, got {n_list}")
+    samples, rng_seed = _integer("samples", samples), _integer("rng_seed", rng_seed)
+    n_list = sorted({_integer("n", n, minimum=1) for n in n_values})
     floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
     tops: list[float | str] = []  # each n's uniform value
     finer: list[int] = []  # each row's, as its index in tops

@@ -1,0 +1,198 @@
+"""The argument policy at every public entry point: one table, one rule per kind.
+
+A count, seed, dimension, index or grid density goes through
+``errors._integer``: an int (numpy integers too), not a bool, at least a
+minimum.  A real argument goes through ``errors._number``: an int or float,
+not a bool, finite.  Each row names one argument of one public function, a
+value it accepts, and the values it refuses; a refusal is always a typed
+``GentropyError``, never numpy's or Python's own error, a truncation or a
+parse.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from gentropy.axioms import check_basic_axioms, check_product_composability
+from gentropy.catalog import EntropySpec, outer_map, outer_map_prime, phi_component, phi_prime
+from gentropy.classify import (
+    check_concavity,
+    check_outer_map_pairing,
+    check_slope_condition,
+    check_transform_consistency,
+)
+from gentropy.distributions import FiniteDistribution, escort, merge_pair, sample_dirichlet_uniform
+from gentropy.errors import DomainViolation, GentropyError, ParamOutOfDomain, ValidationError
+from gentropy.partitions import bell_number, enumerate_partitions, random_refinement_pair
+from gentropy.special import (
+    check_series_coefficients,
+    universal_group_G,
+    universal_group_G_prime,
+    upper_incomplete_gamma,
+)
+from gentropy.verify import (
+    counterexample_suite,
+    exhaustive_lattice_check,
+    max_entropy_check,
+    replay_case,
+    run_monotonicity_campaign,
+)
+
+SHANNON = EntropySpec("shannon")
+RENYI = EntropySpec("renyi", q=2.0)
+TSALLIS = EntropySpec("tsallis", q=2.0)
+DIST = FiniteDistribution([0.2, 0.3, 0.5])
+
+BAD = (2.5, True, "3", -1, math.nan, math.inf)
+BAD_REAL = (True, "3", math.nan, math.inf)  # 2.5 and -1 are reals; a row adds them if refused
+
+# (function, argument, call with that argument set to v, a value it accepts, values it refuses)
+INTEGER_ROWS = [
+    ("sample_dirichlet_uniform", "n", lambda v: sample_dirichlet_uniform(v, 0), 3, BAD),
+    ("sample_dirichlet_uniform", "rng_seed", lambda v: sample_dirichlet_uniform(3, v), 0, BAD),
+    ("random_refinement_pair", "n", lambda v: random_refinement_pair(v, 0), 4, BAD),
+    ("random_refinement_pair", "rng_seed", lambda v: random_refinement_pair(4, v), 0, BAD),
+    ("bell_number", "n", bell_number, 3, BAD),
+    ("enumerate_partitions", "n", lambda v: next(enumerate_partitions(v)), 3, BAD),
+    ("merge_pair", "i", lambda v: merge_pair(DIST, v, 1), 0, BAD),
+    ("merge_pair", "j", lambda v: merge_pair(DIST, 0, v), 1, BAD),
+    ("check_transform_consistency", "samples",
+     lambda v: check_transform_consistency(TSALLIS, RENYI, samples=v), 3, BAD),
+    ("check_transform_consistency", "rng_seed",
+     lambda v: check_transform_consistency(TSALLIS, RENYI, samples=3, rng_seed=v), 0, BAD),
+    ("check_basic_axioms", "samples", lambda v: check_basic_axioms(SHANNON, v, 0), 5, BAD),
+    ("check_basic_axioms", "rng_seed", lambda v: check_basic_axioms(SHANNON, 5, v), 0, BAD),
+    ("check_product_composability", "samples",
+     lambda v: check_product_composability(TSALLIS, v, 0), 20, BAD),
+    ("check_product_composability", "rng_seed",
+     lambda v: check_product_composability(TSALLIS, 20, v), 0, BAD),
+    ("check_slope_condition", "grid_density",
+     lambda v: check_slope_condition(SHANNON, v), 10, BAD),
+    ("check_concavity", "grid_density", lambda v: check_concavity(SHANNON, v), 10, BAD),
+    ("check_outer_map_pairing", "grid_density",
+     lambda v: check_outer_map_pairing(SHANNON, v), 10, BAD),
+    ("run_monotonicity_campaign", "n",
+     lambda v: run_monotonicity_campaign([SHANNON], [v], 1, 0), 3, BAD),
+    ("run_monotonicity_campaign", "cases_per_cell",
+     lambda v: run_monotonicity_campaign([SHANNON], [3], v, 0), 1, BAD),
+    ("run_monotonicity_campaign", "rng_seed",
+     lambda v: run_monotonicity_campaign([SHANNON], [3], 1, v), 0, BAD),
+    ("replay_case", "spec_index", lambda v: replay_case([SHANNON], v, 3, 0, 0), 0, BAD),
+    ("replay_case", "n", lambda v: replay_case([SHANNON], 0, v, 0, 0), 3, BAD),
+    ("replay_case", "case", lambda v: replay_case([SHANNON], 0, 3, v, 0), 0, BAD),
+    ("replay_case", "rng_seed", lambda v: replay_case([SHANNON], 0, 3, 0, v), 0, BAD),
+    ("max_entropy_check", "n", lambda v: max_entropy_check(SHANNON, [v], 2, 0), 2, BAD),
+    ("max_entropy_check", "samples", lambda v: max_entropy_check(SHANNON, [2], v, 0), 2, BAD),
+    ("max_entropy_check", "rng_seed", lambda v: max_entropy_check(SHANNON, [2], 2, v), 0, BAD),
+]
+
+REAL_ROWS = [
+    ("escort", "alpha", lambda v: escort(DIST, v), 2.5, BAD_REAL + (-1,)),
+    ("phi_component", "x", lambda v: phi_component(SHANNON, v), 0.5, BAD),
+    ("phi_prime", "x", lambda v: phi_prime(SHANNON, v), 0.5, BAD),
+    ("upper_incomplete_gamma", "a", lambda v: upper_incomplete_gamma(v, 1.0), 2.5,
+     BAD_REAL + (-1,)),
+    ("outer_map", "y", lambda v: outer_map(RENYI, v), 2.5, BAD_REAL + (-1,)),
+    ("outer_map_prime", "y", lambda v: outer_map_prime(RENYI, v), 2.5, BAD_REAL + (0,)),
+    ("universal_group_G", "t", lambda v: universal_group_G((1.0, 0.4), v), 0.5, BAD_REAL),
+    ("run_monotonicity_campaign", "tolerance",
+     lambda v: run_monotonicity_campaign([SHANNON], [3], 1, 0, tolerance=v), 1e-9, BAD_REAL),
+    ("exhaustive_lattice_check", "tolerance",
+     lambda v: exhaustive_lattice_check(SHANNON, DIST, tolerance=v), 1e-9, BAD_REAL),
+    ("counterexample_suite", "tolerance", counterexample_suite, 1e-12, BAD_REAL),
+]
+
+ROWS = INTEGER_ROWS + REAL_ROWS
+
+
+def _row_id(row):
+    return f"{row[0]}-{row[1]}"
+
+
+@pytest.mark.parametrize("row", ROWS, ids=map(_row_id, ROWS))
+def test_each_argument_takes_its_valid_value(row):
+    """The row's call is well formed: only the argument under test can make it fail."""
+    _, _, call, valid, _ = row
+    call(valid)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=map(_row_id, ROWS))
+def test_each_argument_refuses_what_its_rule_refuses(row):
+    _, _, call, _, refused = row
+    for value in refused:
+        with pytest.raises(GentropyError):
+            call(value)
+
+
+@pytest.mark.parametrize("row", INTEGER_ROWS, ids=map(_row_id, INTEGER_ROWS))
+def test_integer_arguments_refuse_non_integers_with_validation_error(row):
+    """2.5 is not truncated to 2, nor "3" parsed to 3; numpy integers are integers."""
+    _, _, call, valid, _ = row
+    for value in (2.5, float(valid), str(valid), True):
+        with pytest.raises(ValidationError, match="integer"):
+            call(value)
+    call(np.int64(valid))
+
+
+@pytest.mark.parametrize("row", REAL_ROWS, ids=map(_row_id, REAL_ROWS))
+def test_real_arguments_refuse_non_numbers_with_param_out_of_domain(row):
+    _, _, call, _, _ = row
+    for value in BAD_REAL:
+        with pytest.raises(ParamOutOfDomain, match="finite number"):
+            call(value)
+
+
+# Calls that each returned, or raised an error of Python or numpy, before the
+# policy was applied at every entry point.
+PINNED = {
+    "sample_dirichlet_uniform(2.5, 0)": lambda: sample_dirichlet_uniform(2.5, 0),
+    "sample_dirichlet_uniform(3, -1)": lambda: sample_dirichlet_uniform(3, -1),
+    "random_refinement_pair(3.5, 0)": lambda: random_refinement_pair(3.5, 0),
+    "random_refinement_pair(4, -1)": lambda: random_refinement_pair(4, -1),
+    "run_monotonicity_campaign n=3.5": lambda: run_monotonicity_campaign([SHANNON], [3.5], 1, 0),
+    "replay_case n=3.5": lambda: replay_case([SHANNON], 0, 3.5, 0, 0),
+    "max_entropy_check n=2.5": lambda: max_entropy_check(SHANNON, [2.5], 2, 0),
+    "check_basic_axioms samples=2.5": lambda: check_basic_axioms(SHANNON, 2.5, 0),
+    "check_transform_consistency rng_seed=-1":
+        lambda: check_transform_consistency(TSALLIS, RENYI, rng_seed=-1),
+    "check_slope_condition 200.9": lambda: check_slope_condition(SHANNON, 200.9),
+    "check_slope_condition '200'": lambda: check_slope_condition(SHANNON, "200"),
+    "merge_pair i=0.0": lambda: merge_pair(DIST, 0.0, 1),
+    "escort alpha='a'": lambda: escort(DIST, "a"),
+    "phi_prime x='0.5'": lambda: phi_prime(SHANNON, "0.5"),
+    "upper_incomplete_gamma('2', 1.0)": lambda: upper_incomplete_gamma("2", 1.0),
+    "upper_incomplete_gamma(True, 1.0)": lambda: upper_incomplete_gamma(True, 1.0),
+    "universal_group_G(5, 0.5)": lambda: universal_group_G(5, 0.5),
+    "universal_group_G(['1.5', True], 0.5)": lambda: universal_group_G(["1.5", True], 0.5),
+    "check_series_coefficients([1e400])": lambda: check_series_coefficients([1e400]),
+    "outer_map(renyi, -1.0)": lambda: outer_map(RENYI, -1.0),
+    "outer_map_prime(renyi, 0.0)": lambda: outer_map_prime(RENYI, 0.0),
+    "EntropySpec s_cd d=-2": lambda: EntropySpec("s_cd", c=0.5, d=-2),
+}
+
+
+@pytest.mark.parametrize("call", PINNED.values(), ids=PINNED.keys())
+def test_pinned_calls_raise_a_typed_error(call):
+    with pytest.raises(GentropyError):
+        call()
+
+
+def test_outer_maps_raise_domain_violation_outside_their_domain():
+    with pytest.raises(DomainViolation):
+        outer_map(RENYI, -1.0)
+    with pytest.raises(DomainViolation):
+        outer_map_prime(RENYI, 0.0)
+
+
+def test_callable_coefficients_stay_allowed():
+    coeffs = lambda k: 0.5**k / math.factorial(k)  # noqa: E731
+    assert universal_group_G(coeffs, 1.0) > 0.0 and universal_group_G_prime(coeffs, 1.0) > 0.0
+
+
+@pytest.mark.parametrize("l, m", [(-1.0, 0.0), (-1, 0)])
+def test_group_entropy_keeps_integral_float_bounds(l, m):
+    params = {"l": l, "m": m, "coeffs": (-1.0, 1.0), "sigma": 0.5}
+    assert EntropySpec("group_entropy", params).params["l"] == -1
+    with pytest.raises(ParamOutOfDomain):
+        EntropySpec("group_entropy", {**params, "l": -0.5})

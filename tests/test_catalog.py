@@ -174,6 +174,8 @@ def test_hypoentropy_dimension_consistency():
         ("havrda_charvat", {"q": 1.0}),
         ("mathai_Mq", {"q": 2.0}),
         ("mathai_Mq_star", {"q": 2.5}),
+        ("s_cd", {"c": 0.5, "d": -2.0}),  # the incomplete gamma needs a shape 1 + d > 0
+        ("s_cd", {"c": 1.0, "d": -1.0}),
     ],
 )
 def test_rejected_parameters(spec_id, params):

@@ -230,6 +230,14 @@ def test_malformed_coeffs_are_usage_errors(capsys, family, coeffs):
     assert "'coeffs'" in err
 
 
+def test_s_cd_outside_its_gamma_domain_is_a_usage_error_not_a_vacuous_pass(capsys):
+    """With d <= -1 every evaluation would be skipped and verify would exit 0."""
+    entropy = '{"id":"s_cd","params":{"c":0.5,"d":-2}}'
+    code, out, err = run_cli(capsys, "verify", "--entropy", entropy, "--n", "3..4", "--cases", "2")
+    assert code == 2 and out == ""
+    assert "d > -1" in err
+
+
 def test_replay_prints_the_campaign_entry_and_its_verdict(capsys):
     """The counterexample's worst case replays to its entry, a violation (exit 1)."""
     selection = ("--entropy", '{"id":"shannon"}', "--entropy", '{"id":"counterexample_HE"}',

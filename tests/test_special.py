@@ -14,6 +14,7 @@ from gentropy import (
     upper_incomplete_gamma,
 )
 from gentropy.errors import ParamOutOfDomain, TruncationCapHit, ValidationError
+from gentropy.special import check_series_coefficients
 
 
 def quadrature_tail(a, x):
@@ -182,6 +183,15 @@ def test_series_coefficient_condition():
     for series in (universal_group_G, universal_group_G_prime):
         with pytest.raises(ParamOutOfDomain, match="a_2 is negative"):
             series(negative, 1.0)
+
+
+@pytest.mark.parametrize("coeffs", [["1.5", True], 5, (1.0, True), [1.0, math.nan], [1e400]])
+def test_series_coefficients_are_finite_numbers_not_coerced(coeffs):
+    """No entry is parsed by float(): a str, a bool, a non-list or a non-finite entry is refused."""
+    for call in (check_series_coefficients, lambda c: universal_group_G(c, 0.5),
+                 lambda c: universal_group_G_prime(c, 0.5)):
+        with pytest.raises(ParamOutOfDomain, match="'coeffs'"):
+            call(coeffs)
 
 
 def test_series_callable_converges():
