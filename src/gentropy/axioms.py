@@ -32,6 +32,9 @@ to end; one kernel call evaluates them all, and numpy reduces the values
 column by column.  The results, and any exception raised, are those of calling
 ``FiniteDistribution`` and ``evaluate`` sample by sample on the same
 draws; the reference loops in ``tests/test_axioms.py`` pin this.  The
+kernel's failure rule (``first_failure``) picks what escapes: in the basic
+probe each base gates the rest of its sample and the permuted vector is
+strict (its reason raises too); in the product probe every vector is.  The
 basic-axiom draws come from three child streams of the seed (bases,
 permutations, padding positions), so what the kernel makes of one sample
 never moves another's draws.  The product probe keeps its single stream.
@@ -57,6 +60,7 @@ from .distributions import (
 from .errors import (
     BadInverse,
     DimensionMismatch,
+    NoDerivative,
     TooSmall,
     ValidationError,
     ZeroUnsupported,
@@ -138,8 +142,10 @@ def _budgets(spec: EntropySpec, extremes: np.ndarray, inner: np.ndarray) -> np.n
     first-order bounded by the component slopes there (one ``phi'`` call)
     times the outer-map slope at the component sum ``inner[c]``, with a x50
     allowance for curvature and rounding.  :func:`phi_prime` itself takes
-    the slopes it would refuse, or all when the batched call fails; the
-    first case in order that it or ``outer_map_prime`` refuses raises.
+    the slopes it would refuse, or all when the batched call fails.  Where
+    it raises ``NoDerivative`` (at a breakpoint) the slope term is 0, as for
+    a functional with no phi'; the first case in order that it or
+    ``outer_map_prime`` refuses otherwise raises.
     """
     f = spec.functional
     slope, scalar = np.zeros(len(extremes)), []
@@ -157,6 +163,8 @@ def _budgets(spec: EntropySpec, extremes: np.ndarray, inner: np.ndarray) -> np.n
         a, b = extremes[c].tolist()
         try:
             slope[c] = abs(phi_prime(spec, a)) + abs(phi_prime(spec, b))
+        except NoDerivative:
+            slope[c] = 0.0
         except Exception as exc:  # raised below, unless an earlier case's h' raises
             stop, error = c, exc
             break
@@ -193,10 +201,9 @@ class _BasicDraws(NamedTuple):
     positions: np.ndarray  # of the padding zero
     extremes: np.ndarray  # each base's largest and second-largest entry
 
-    def vector(self, i: int, k: int) -> np.ndarray:
-        """Sample i's base (k = 0) or permuted (k = 1) vector."""
-        n = self.widths[i, 0]
-        return self.probs[self.starts[i] + k * n : self.starts[i] + (k + 1) * n]
+    def base(self, i: int) -> np.ndarray:
+        """Sample i's base vector."""
+        return self.probs[self.starts[i] : self.starts[i] + self.widths[i, 0]]
 
 
 def _draw_basic(spec: EntropySpec, samples: int, rng_seed: int) -> _BasicDraws:
@@ -248,14 +255,6 @@ def _draw_basic(spec: EntropySpec, samples: int, rng_seed: int) -> _BasicDraws:
     return _BasicDraws(flat, widths, starts, permutations, positions, extremes)
 
 
-def _raise_rejected(spec: EntropySpec, values: _VectorValues, v: int, probs: np.ndarray):
-    """Raise what ``evaluate`` raises on ``probs``, vector ``v``, which the kernel refused."""
-    outcome = values.values[v]
-    if isinstance(outcome, Exception):
-        raise outcome
-    evaluate(spec, FiniteDistribution(probs))
-
-
 def _worst(score: np.ndarray) -> int | None:
     """Where a strict running maximum from 0 stops: the first maximum above 0,
     or None.  NaN never wins, as ``nan > m`` is false."""
@@ -283,19 +282,15 @@ def check_basic_axioms(
     values = _VectorValues([spec], draws.probs, draws.widths.ravel())
     stride = draws.widths.shape[1]
     numbers = values.numbers.reshape(samples, stride)  # NaN: rejected; a float is finite
-    halts = np.zeros((samples, stride), dtype=bool)  # the vectors whose evaluation raises
-    halts.flat[values.raised] = True
-    halts[:, 1] |= np.isnan(numbers[:, 1])  # a rejected permuted vector raises too
-    stops = np.flatnonzero(halts[:, 0] | ~np.isnan(numbers[:, 0]) & halts[:, 1:].any(axis=1))
-    raising = int(stops[0]) if stops.size else None  # the samples before it run
+    # each base gates its sample's other vectors; a rejected permuted vector raises
+    failure = values.first_failure(stride, strict=np.tile(np.arange(stride) == 1, samples))
+    raising = None if failure is None else failure // stride  # the samples before it run
     accepted = np.flatnonzero(~np.isnan(numbers[:raising, 0]))
     base = numbers[accepted, 0]
     moved = accepted[~np.isnan(numbers[accepted, -1])]
     rate = np.abs(numbers[moved, -1] - numbers[moved, 0]) / _CONTINUITY_EPS
     budget = _budgets(spec, draws.extremes[moved], values.totals[stride * moved])
-    if raising is not None:
-        first = stride * raising + halts[raising].argmax()  # its first vector that raises
-        _raise_rejected(spec, values, first, draws.vector(raising, 1))
+    values.raise_failure(failure)
 
     def residual(axiom, cases, score, case, size=None, budgets=None) -> AxiomResidual:
         w = _worst(score)
@@ -304,7 +299,7 @@ def check_basic_axioms(
             max_abs_residual=0.0 if w is None else float((score if size is None else size)[w]),
             cases_run=int(cases.size),
             worst_case=None if w is None else {
-                "probs": draws.vector(cases[w], 0).tolist(), **case(int(cases[w]), w)
+                "probs": draws.base(cases[w]).tolist(), **case(int(cases[w]), w)
             },
             budget=None if budgets is None else 1.0 if w is None else float(budgets[w]),
             expected_conforming=expected_conforming(spec, axiom),
@@ -351,8 +346,7 @@ def check_product_composability(
         right = _dirichlet_interior(4, rng, _INTERIOR_FLOOR)
         vectors += [left, right, np.outer(left, right).ravel()]
     values = _VectorValues([spec], np.concatenate(vectors), np.tile([3, 4, 12], cases))
-    for v in np.flatnonzero(np.isnan(values.numbers))[:1].tolist():
-        _raise_rejected(spec, values, v, vectors[v])
+    values.raise_failure(values.first_failure(strict=True))
     hl, hr, joint = values.numbers.reshape(cases, 3).T
     gap = np.abs(joint - (hl + hr + gamma * hl * hr))
     w = _worst(gap)

@@ -838,6 +838,7 @@ def transform_between(source: EntropySpec, target_id: str, value: float) -> floa
     increasing on its domain and fixes 0.
     """
     kind, c, _, forward = _transform(source, target_id)
+    value = _number("value", value)
     if kind == "scale":
         return value * c if forward else value / c
     if not forward:

@@ -75,7 +75,8 @@ def upper_incomplete_gamma(a: float, x: float | np.ndarray) -> float | np.ndarra
     a : float
         Shape, strictly positive.
     x : float or array of float
-        Lower limit, nonnegative (``x = 0`` gives the complete gamma).  An
+        Lower limit, nonnegative (``x = 0`` gives the complete gamma), of an
+        int or float dtype: a str, bytes or bool is refused, not parsed.  An
         array is evaluated elementwise in one pass and gives an array of its
         shape; a float gives a float.
 
@@ -87,8 +88,10 @@ def upper_incomplete_gamma(a: float, x: float | np.ndarray) -> float | np.ndarra
     """
     if not _number("shape", a) > 0.0:
         raise ParamOutOfDomain(f"shape must be > 0, got {a!r}")
-    points = np.asarray(x, dtype=float)
-    flat = points.ravel()
+    points = np.asarray(x)
+    if points.dtype.kind not in "iuf":  # a str, bytes or bool is not parsed as a limit
+        raise ValidationError(f"lower limit must be a real number, got {x!r}")
+    flat = points.astype(float, copy=False).ravel()
     bad = flat[~((flat >= 0.0) & np.isfinite(flat))]
     if bad.size:
         raise ValidationError(f"lower limit must be finite and >= 0, got {bad[0].item()!r}")

@@ -55,8 +55,16 @@ go on as in the batch.  The per-case reference loops of the tests
 report bytes depend on numpy's summation order: a change to the kernel
 must keep those reference tests passing.
 
-The oracles share the evaluate phase: one vector per non-identity
-partition, the identity (the distribution itself) given to ``evaluate``.
+A reason skips an entry; an exception from h or phi escapes, and every
+batched check lets escape what its per-case loop meets first by one rule,
+``_VectorValues.first_failure``: the first vector, in vector order, whose
+value is an exception (or a reason, where the caller marks it strict),
+counted only when its gate, the first vector of its group, is a float.  A
+campaign case's finer vector gates its coarser one; each n's uniform
+distribution gates that n's samples.  The oracles share the evaluate phase:
+one vector per non-identity partition.  The lattice evaluates the identity
+with ``evaluate`` after the kernel, last as in the walk (so a lattice call
+keeps one ``evaluate`` call); the corollary evaluates its base before it.
 What depends on n alone, the kernel's plan and each lattice entry's
 partition indices and kind (found by arithmetic on restricted growth
 strings), is built once per n and kept; the corollary's entries are the
@@ -489,10 +497,7 @@ def _campaign_entries(
         np.repeat(spec_indices, 2),
         _flat_blocks(list(chain.from_iterable(pairs))),
     )
-    # what evaluating case by case, finer before coarser, would raise first
-    for v in values.raised:
-        if v % 2 == 0 or type(values.values[v - 1]) is float:
-            raise values.values[v]
+    values.raise_failure(values.first_failure(2))  # a case's finer vector gates its coarser
     labels = [spec.label() for spec in specs]
     rows = np.arange(len(values.values))
     entries = _checked(
@@ -583,14 +588,6 @@ def _skip_reason(exc: GentropyError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _evaluated(spec: EntropySpec, dist: FiniteDistribution) -> float | str:
-    """``evaluate(spec, dist)``, or the reason it fails."""
-    try:
-        return evaluate(spec, dist)
-    except GentropyError as exc:
-        return _skip_reason(exc)
-
-
 class _VectorValues:
     """Evaluate phase: the entropy of every coarse-grained vector of a batch.
 
@@ -637,16 +634,33 @@ class _VectorValues:
         self.values, self.numbers = values.tolist(), numbers
         unset = np.flatnonzero(np.isnan(numbers)).tolist()  # a float value is finite
         self.raised = [v for v in unset if isinstance(self.values[v], Exception)]
+        self._vectors = specs, spec_index, flat, starts, widths  # for raise_failure
+
+    def first_failure(self, group: int = 1, strict: bool | np.ndarray = False) -> int | None:
+        """The first vector, in vector order, whose failure a per-case loop lets escape,
+        or None.  A vector fails when its value is an exception, or a reason where
+        ``strict`` (a bool, or one per vector) is true.  Vectors come in groups of
+        ``group``; the first of each gates the rest, which fail only if it is a float."""
+        failing = {*self.raised, *np.flatnonzero(strict & np.isnan(self.numbers)).tolist()}
+        for v in sorted(failing):
+            if v % group == 0 or type(self.values[v - v % group]) is float:
+                return v
+        return None
+
+    def raise_failure(self, v: int | None) -> None:
+        """Raise vector ``v``'s failure (none for None): its exception as it is,
+        and for a reason what ``evaluate`` raises on the vector."""
+        if v is not None and isinstance(self.values[v], Exception):
+            raise self.values[v]
+        if v is not None:  # a reason: evaluate raises it
+            specs, spec_index, flat, starts, widths = self._vectors
+            vector = FiniteDistribution(flat[starts[v] : starts[v] + widths[v]])
+            evaluate(specs[spec_index[v]], vector)
 
     @staticmethod
     def _phi_totals(
-        specs: Sequence[EntropySpec],
-        bounds: np.ndarray,
-        values: np.ndarray,
-        flat: np.ndarray,
-        starts: np.ndarray,
-        widths: np.ndarray,
-        sums: tuple,
+        specs: Sequence[EntropySpec], bounds: np.ndarray, values: np.ndarray, flat: np.ndarray,
+        starts: np.ndarray, widths: np.ndarray, sums: tuple,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Each vector's component sum, one ``phi`` call per functional.
 
@@ -742,8 +756,7 @@ def _partition_values(
         _LATTICE_SHAPES[n] = plan, (finer, coarser, kind, np.flatnonzero(kind))
     plan, rows = _LATTICE_SHAPES[n]
     values = _VectorValues([spec], dist.probs, None, plan=plan)
-    for v in values.raised[:1]:
-        raise values.values[v]
+    values.raise_failure(values.first_failure())
     return partitions, rows, values.values, values.numbers
 
 
@@ -805,7 +818,9 @@ def exhaustive_lattice_check(
     """
     n = dist.n
     partitions, (finer, coarser, kind, _), values, numbers = _partition_values(spec, dist)
-    identity = _evaluated(spec, dist)
+    identity = _outcome(evaluate, spec, dist)  # last, as in the walk
+    if isinstance(identity, Exception):
+        raise identity
     values.append(identity)
     numbers = np.append(numbers, identity if type(identity) is float else math.nan)
     entries = _checked(
@@ -840,8 +855,8 @@ def corollary1_check(
     rows against the identity, in the same order and with the same kinds.
     """
     n = dist.n
+    base = evaluate(spec, dist)  # before the partitions, as partition by partition
     partitions, (finer, coarser, kind, rows), values, numbers = _partition_values(spec, dist)
-    base = evaluate(spec, dist)
     values.append(base)
     entries = _checked(
         tolerance, values, np.append(numbers, base), finer[rows], coarser[rows],
@@ -954,45 +969,32 @@ def max_entropy_check(
     """Check H(uniform) >= H(P) for sampled P at each dimension.
 
     Each n is one cell of the campaign's row layout, seeded with
-    ``SeedSequence([rng_seed, n])``.  Every sample is drawn: a violation,
+    ``SeedSequence([rng_seed, n])``.  Every n draws its samples: a violation,
     such as ``counterexample_HE``'s at n = 4, is one the draws meet.
     """
     samples, rng_seed = _integer("samples", samples), _integer("rng_seed", rng_seed)
     n_list = sorted({_integer("n", n, minimum=1) for n in n_values})
     floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
-    tops: list[float | str] = []  # each n's uniform value
-    finer: list[int] = []  # each row's, as its index in tops
-    n_column: list[int] = []
-    index: list[int] = []
-    drawn: list[np.ndarray] = []
-    for n in n_list:
-        top = _evaluated(spec, FiniteDistribution(np.full(n, 1.0 / n)))
-        count = samples if type(top) is float else 1
-        finer += [len(tops)] * count
-        tops.append(top)
-        n_column += [n] * count
-        index += range(count)
-        if type(top) is float:
-            drawn.append(_cell_draws([rng_seed, n], n, 0, samples, floor)[0])
-    # The rows whose uniform value is a float take the drawn vectors in order.
-    values = _VectorValues(
-        [spec],
-        np.concatenate([p.ravel() for p in drawn] or [np.empty(0)]),
-        np.concatenate([np.full(len(p), p.shape[1]) for p in drawn] or [np.empty(0, np.intp)]),
-    )
-    for v in values.raised[:1]:
-        raise values.values[v]
-    numbers = np.append([t if type(t) is float else math.nan for t in tops], values.numbers)
-    finer_rows = np.array(finer, dtype=np.intp)
-    sampled = ~np.isnan(numbers[finer_rows])
-    coarser_rows = np.where(sampled, len(tops) + np.cumsum(sampled) - 1, finer_rows)
-    drawn = chain.from_iterable(drawn)
+    drawn = [_cell_draws([rng_seed, n], n, 0, samples, floor)[0] for n in n_list]
+    # each n's uniform distribution, then its samples, which it gates
+    laid = [x for n, p in zip(n_list, drawn) for x in (np.full(n, 1.0 / n), p.ravel())]
+    widths = np.repeat(np.array(n_list, dtype=np.intp), samples + 1)
+    values = _VectorValues([spec], np.concatenate(laid or [np.empty(0)]), widths)
+    values.raise_failure(values.first_failure(samples + 1))
+    tops = (samples + 1) * np.arange(len(n_list))
+    sampled = ~np.isnan(values.numbers[tops])
+    counts = np.where(sampled, samples, 1)
+    finer_rows = np.repeat(tops, counts)
+    index = np.arange(finer_rows.size) - np.repeat(_starts(counts), counts)
+    coarser_rows = finer_rows + np.where(np.repeat(sampled, counts), index + 1, 0)
     entries = _checked(
-        tolerance, tops + values.values, numbers, finer_rows, coarser_rows,
+        tolerance, values.values, values.numbers, finer_rows, coarser_rows,
         {"kind": "max_entropy", "spec": spec.label()},
-        n=n_column,
-        index=index,
-        probs=[tuple(next(drawn).tolist()) if s else None for s in sampled.tolist()],
+        n=np.repeat(n_list, counts).tolist(),
+        index=index.tolist(),
+        probs=list(chain.from_iterable(
+            map(tuple, p.tolist()) if s else [None] for p, s in zip(drawn, sampled.tolist())
+        )),
     )
     return _finish(
         "max-entropy",

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from gentropy.axioms import check_basic_axioms, check_product_composability
-from gentropy.catalog import EntropySpec, outer_map, outer_map_prime, phi_component, phi_prime
+from gentropy.catalog import (
+    EntropySpec,
+    outer_map,
+    outer_map_prime,
+    phi_component,
+    phi_prime,
+    transform_between,
+)
 from gentropy.classify import (
     check_concavity,
     check_outer_map_pairing,
@@ -93,6 +100,8 @@ REAL_ROWS = [
     ("phi_prime", "x", lambda v: phi_prime(SHANNON, v), 0.5, BAD),
     ("upper_incomplete_gamma", "a", lambda v: upper_incomplete_gamma(v, 1.0), 2.5,
      BAD_REAL + (-1,)),
+    ("transform_between", "value", lambda v: transform_between(TSALLIS, "renyi", v), 0.5,
+     BAD_REAL),
     ("outer_map", "y", lambda v: outer_map(RENYI, v), 2.5, BAD_REAL + (-1,)),
     ("outer_map_prime", "y", lambda v: outer_map_prime(RENYI, v), 2.5, BAD_REAL + (0,)),
     ("universal_group_G", "t", lambda v: universal_group_G((1.0, 0.4), v), 0.5, BAD_REAL),
@@ -163,6 +172,12 @@ PINNED = {
     "phi_prime x='0.5'": lambda: phi_prime(SHANNON, "0.5"),
     "upper_incomplete_gamma('2', 1.0)": lambda: upper_incomplete_gamma("2", 1.0),
     "upper_incomplete_gamma(True, 1.0)": lambda: upper_incomplete_gamma(True, 1.0),
+    "upper_incomplete_gamma(2.0, '1')": lambda: upper_incomplete_gamma(2.0, "1"),
+    "upper_incomplete_gamma(2.0, True)": lambda: upper_incomplete_gamma(2.0, True),
+    "transform_between(tsallis, 'renyi', '0.5')":
+        lambda: transform_between(TSALLIS, "renyi", "0.5"),
+    "transform_between(tsallis, 'havrda_charvat', True)":
+        lambda: transform_between(TSALLIS, "havrda_charvat", True),
     "universal_group_G(5, 0.5)": lambda: universal_group_G(5, 0.5),
     "universal_group_G(['1.5', True], 0.5)": lambda: universal_group_G(["1.5", True], 0.5),
     "check_series_coefficients([1e400])": lambda: check_series_coefficients([1e400]),
@@ -183,6 +198,17 @@ def test_outer_maps_raise_domain_violation_outside_their_domain():
         outer_map(RENYI, -1.0)
     with pytest.raises(DomainViolation):
         outer_map_prime(RENYI, 0.0)
+
+
+def test_incomplete_gamma_lower_limit_is_a_real_number_not_parsed():
+    """A str, bytes or bool lower limit, alone or in an array, is refused;
+    ints and floats, alone or in arrays, are taken."""
+    for x in ("1", b"1", True, np.array([0.5, 1.0]) > 0.7, np.array(["1.0"]), [1.0, "2"]):
+        with pytest.raises(ValidationError, match="lower limit"):
+            upper_incomplete_gamma(2.0, x)
+    one = upper_incomplete_gamma(2.0, 1.0)
+    assert upper_incomplete_gamma(2.0, 1) == one == upper_incomplete_gamma(2.0, np.int64(1))
+    assert upper_incomplete_gamma(2.0, np.array([1, 2])).tolist()[0] == one
 
 
 def test_callable_coefficients_stay_allowed():

@@ -358,6 +358,16 @@ def _reference_slope_budget(spec, a, b, inner_sum):
     return 50.0 * (1.0 + slope * max(outer, 1.0))
 
 
+def test_slope_budget_at_breakpoints_matches_the_per_sample_loop():
+    """At HE's knots phi' raises ``BreakpointHit``, a ``NoDerivative``: the
+    slope term is 0 there, as in the per-sample loop, and the budget does not raise."""
+    he = EntropySpec("counterexample_HE")
+    extremes = np.array([[0.5, 0.3], [0.6, 0.25], [0.75, 0.2], [0.4, 0.35]])
+    inner = np.array([1.0, 1.1, 1.2, 1.3])
+    expected = [_reference_slope_budget(he, a, b, y) for (a, b), y in zip(extremes, inner)]
+    assert axioms._budgets(he, extremes, inner).tolist() == expected
+
+
 def _sampler2_basic(samples, rng_seed, floor):
     """Sampler 2 of the basic-axiom probe, one sample at a time.
 

@@ -768,15 +768,16 @@ def test_raising_user_phi_falls_back_one_vector_at_a_time():
 def _with_h_refusing_a_band(spec, refusal=ValueError, band=(0.6, 0.7)):
     """``spec`` (one with no outer map) whose h raises ``refusal`` on a total
     in ``band``, (0.6, 0.7) by default, or gives NaN when ``refusal`` is None.
+    ``band`` is one (low, high) pair or a list of them.
 
     For shannon that default is some drawn vectors, but no uniform
     distribution at n >= 3 (ln 3 = 1.10) and not ``_BAND_SAFE`` itself.
     """
     assert spec.functional.h is None
-    low, high = band
+    bands = band if isinstance(band, list) else [band]
 
     def picky(y):
-        if low < y < high:
+        if any(low < y < high for low, high in bands):
             if refusal is None:
                 return math.nan
             raise refusal(f"h refused {y!r}")
@@ -819,6 +820,16 @@ def test_oracles_raise_what_the_reference_loops_raise_first(path):
     expected = _first_raise(_reference_max_entropy, spec, [3, 4, 5], 8, 1)
     assert expected[0] is ValueError
     assert _first_raise(max_entropy_check, spec, [3, 4, 5], 8, 1) == expected
+    # the base and some partitions are refused: the base is evaluated first
+    spec = path(_with_h_refusing_a_band(EntropySpec("shannon"), band=(1.0, 1.3)))
+    expected = _first_raise(_reference_corollary, spec, _BAND_SAFE)
+    assert expected == (ValueError, f"h refused {evaluate(SHANNON, _BAND_SAFE)!r}")
+    assert _first_raise(corollary1_check, spec, _BAND_SAFE) == expected
+    # an n = 3 sample is refused, and n = 4's uniform (ln 4): the sample comes first
+    spec = path(_with_h_refusing_a_band(EntropySpec("shannon"), band=[(0.5, 1.0), (1.38, 1.39)]))
+    expected = _first_raise(_reference_max_entropy, spec, [3, 4], 8, 1)
+    assert expected == (ValueError, "h refused 0.5752368685240639")
+    assert _first_raise(max_entropy_check, spec, [3, 4], 8, 1) == expected
 
 
 def test_summary_keeps_specs_that_share_a_label_apart():
