@@ -330,6 +330,9 @@ _PINNED_STDOUT = (
      "48d55167cdb7fce514c46a64b22dcc7d2cdb8d8ce6136d0dcbdcb60897ea2add"),
     (("counterexample", "--format", "csv"), 1,
      "0371300c211977807c15a5e9607a1398ec3a9af938cd3913b788efa1cb73ec2d"),
+    # the campaign benchmark's unit shape at its held-out seed, with n = 9..12 added
+    (("verify", "--all", "--n", "3..12", "--cases", "5", "--seed", "1729000"), 0,
+     "4a7c92b78c890af29cb4bded57d8f2492cdadb73c73e276b42d8e81f6d8b9b4a"),
 )
 
 
