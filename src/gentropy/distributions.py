@@ -20,7 +20,8 @@ import json
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, ZeroUnsupported, _integer, _number
+from .errors import DimensionMismatch, ValidationError, ZeroUnsupported
+from .errors import _holds_bool, _integer, _number
 
 SUM_TOLERANCE = 1e-9
 
@@ -33,13 +34,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def _checked_array(values, name: str, ndim: int, unit_sum: bool) -> np.ndarray:
     """``values`` as a new nonempty ``ndim``-d float array, finite and >= 0.
 
-    Str and bytes entries are refused, not parsed as numbers.  With
-    ``unit_sum`` the entries must also sum to 1 within ``SUM_TOLERANCE``.
+    Bool, str and bytes entries are refused, not taken as numbers: an array by
+    its dtype, a list or tuple by its elements.  With ``unit_sum`` the entries
+    must also sum to 1 within ``SUM_TOLERANCE``.
     """
     try:
         raw = np.asarray(values)
-        if raw.dtype.kind in "OSU" and any(isinstance(x, (str, bytes)) for x in raw.flat):
-            raise TypeError("got a str or bytes entry")
+        if raw.dtype.kind == "b" or _holds_bool(values) or raw.dtype.kind in "OSU" and any(
+            isinstance(x, (str, bytes, bool, np.bool_)) for x in raw.flat
+        ):
+            raise TypeError("got a bool, str or bytes entry")
         arr = raw.astype(float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be numbers: {exc}") from exc

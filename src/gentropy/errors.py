@@ -21,6 +21,8 @@ from __future__ import annotations
 import operator
 import sys
 
+import numpy as np
+
 
 class GentropyError(Exception):
     """Base class for every error raised by this package."""
@@ -120,3 +122,10 @@ def _numbers(name: str, values) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)):
         raise ParamOutOfDomain(f"{name!r} must be a list of numbers, got {values!r}")
     return tuple(_number(name, value) for value in values)
+
+
+def _holds_bool(values) -> bool:
+    """Whether a list or tuple, or one nested in it, holds a bool or ``np.bool_``."""
+    return isinstance(values, (list, tuple)) and any(
+        isinstance(x, (bool, np.bool_)) or _holds_bool(x) for x in values
+    )

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import ParamOutOfDomain, TruncationCapHit, ValidationError, _number, _numbers
+from .errors import ParamOutOfDomain, TruncationCapHit, ValidationError
+from .errors import _holds_bool, _number, _numbers
 
 _GAMMA_RTOL = 1e-12
 _GAMMA_MAX_ITER = 500
@@ -89,7 +90,7 @@ def upper_incomplete_gamma(a: float, x: float | np.ndarray) -> float | np.ndarra
     if not _number("shape", a) > 0.0:
         raise ParamOutOfDomain(f"shape must be > 0, got {a!r}")
     points = np.asarray(x)
-    if points.dtype.kind not in "iuf":  # a str, bytes or bool is not parsed as a limit
+    if points.dtype.kind not in "iuf" or _holds_bool(x):  # no str, bytes or bool limit
         raise ValidationError(f"lower limit must be a real number, got {x!r}")
     flat = points.astype(float, copy=False).ravel()
     bad = flat[~((flat >= 0.0) & np.isfinite(flat))]

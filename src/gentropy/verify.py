@@ -19,13 +19,15 @@ n, c): not on ``cases_per_cell``, other cells or execution order, and
 error never aborts a campaign; the case is recorded as skipped with its
 reason so coverage accounting stays honest.
 
-A campaign runs in two phases.  The *draw phase* draws each cell's block
-and calls the pair sampler once per case, a pure function of the case's
-row.  The *evaluate phase* aggregates every distribution of the campaign
-by both of its partitions in one gather, calls each functional's ``phi``
-once on all of its coarse-grained vectors laid end to end, and sums each
-vector's components.  Its results equal, bit for bit, those of
-``coarse_grain`` and ``evaluate`` called case by case, because:
+A campaign runs in two phases.  The *draw phase* seeds each cell's
+generator and draws its block, then works one pass per n: the draws of all
+that n's cells are normalised and floor-tested at once, and the pair sampler
+runs once per case, a pure function of the case's row.  The *evaluate phase*
+aggregates every distribution of the campaign by both of its partitions in
+one gather, calls each functional's ``phi`` once on all of its coarse-grained
+vectors laid end to end, and sums each vector's components.  Its results
+equal, bit for bit, those of ``coarse_grain`` and ``evaluate`` called case
+by case, because:
 
 * every sum (block sums, vector totals) is taken over a group of segments
   of one width, as the rows of a C-contiguous matrix reduced with
@@ -74,17 +76,20 @@ n])``.  Every caller hands ``_checked`` a value table, its float array and
 each row's two indices into it.  Each lattice or corollary call makes one
 ``enumerate_partitions`` call, consumed in full (its blocks fill the
 entries), and far fewer ``evaluate`` calls than it has edges; both names are
-looked up in this module, where the benchmark's tracer times them.
+looked up in this module, where the benchmark's tracer times them.  One JSON
+writer serves every report: it formats rows by shape, one ``%`` template for
+the rows of a chunk that write the same fields.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
-from itertools import chain, islice, repeat
+from functools import lru_cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, is_not
 
 import csv
 import io
@@ -331,7 +336,8 @@ def _summarize(
     for a single-spec report).  Entries are grouped by spec index and label,
     so two specs that share a label keep their own summaries; the worst
     case is the first entry holding the minimum margin (a NaN first margin
-    stays the minimum, as no margin is below it).
+    stays the minimum, as no margin is below it).  Each run of entries of one
+    group is reduced at once, and runs add up by ``np.bincount`` over their groups.
     """
     entries = _Entries.of(entries)
     s_index = np.zeros(len(entries), np.intp) if spec_indices is None else np.asarray(spec_indices)
@@ -342,22 +348,34 @@ def _summarize(
         change |= labels[1:] != labels[:-1]
     starts, groups = np.flatnonzero(np.r_[len(entries) > 0, change]), {}
     keys = zip(s_index[starts].tolist(), entries._at("spec", starts))
-    runs = [groups.setdefault(k, len(groups)) for k in keys]
-    group = np.repeat(np.array(runs, dtype=np.intp), np.diff(np.append(starts, len(entries))))
-    out = []
-    for (s, label), g in groups.items():
-        rows = np.flatnonzero(group == g)
-        skipped, measured = rows[entries.skipped[rows]], rows[entries.measured[rows]]
-        min_margin = worst = None
-        if measured.size:
-            margin = entries.margin[measured]
-            w = [measured[0 if math.isnan(margin[0]) else np.nanargmin(margin)]]
-            min_margin, n, index = (entries._at(name, w)[0] for name in ("margin", "n", "index"))
-            worst = (s, n, index)
-        counted = tuple(sorted(Counter(entries._at("skipped", skipped)).items()))
-        tally = (rows.size, int(entries.violation[rows].sum()), skipped.size)
-        out.append(SpecSummary(label, *tally, min_margin, worst, counted))
-    return tuple(out)
+    runs = np.array([groups.setdefault(k, len(groups)) for k in keys], dtype=np.intp)
+    sizes, margin = np.diff(np.append(starts, len(entries))), entries.margin
+    tallies = [np.add.reduceat(a, starts, dtype=int) for a in (entries.violation, entries.skipped)]
+    tallies = [np.bincount(runs, t, len(groups)).astype(int).tolist() for t in (sizes, *tallies)]
+    # each run's first measured entry and first entry of least margin, or -1
+    low = np.fmin.reduceat(margin, starts)  # NaN where no margin of the run is a number
+    firsts = []
+    for rows in map(np.flatnonzero, (entries.measured, margin == np.repeat(low, sizes))):
+        row = np.append(rows, -1)[np.searchsorted(rows, starts)]
+        firsts.append(np.where(row < starts + sizes, row, -1).tolist())
+    worst = {}  # group -> (entry, its margin; None where a NaN first margin decides)
+    for g, first, least, lo in zip(runs.tolist(), *firsts, low.tolist()):
+        if first < 0 or g in worst and (worst[g][1] is None or not lo < worst[g][1]):
+            continue
+        worst[g] = (first, None) if g not in worst and math.isnan(margin[first]) else (least, lo)
+    rows = [w for w, _ in worst.values()]
+    found = zip(*(entries._at(name, rows) for name in ("margin", "n", "index")))
+    spec_index = [s for s, _ in groups]
+    located = {g: (m, (spec_index[g], n, i)) for g, (m, n, i) in zip(worst, found)}
+    skipped = np.flatnonzero(entries.skipped)
+    owners = runs[np.searchsorted(starts, skipped, side="right") - 1].tolist()
+    reasons = [[] for _ in groups]
+    for (g, reason), k in sorted(Counter(zip(owners, entries._at("skipped", skipped))).items()):
+        reasons[g].append((reason, k))
+    return tuple(
+        SpecSummary(label, *(t[g] for t in tallies), *located.get(g, (None, None)), (*reasons[g],))
+        for (_, label), g in groups.items()
+    )
 
 
 def _finish(
@@ -478,59 +496,75 @@ def _campaign_entries(
     """The entries of the cases of ``cells``, and each one's spec index.
 
     A cell is (spec index, n, first case, case count); cells must come in
-    ascending spec index.  The draw phase draws one block of uniforms per
-    cell and one pair per case; each case's two vectors go to the kernel.
+    ascending spec index.  The draw phase is :func:`_draws` and one pair per
+    case; the kernel gathers each case's two vectors from where its draw lies.
     """
-    spec_indices, dims, index, draws, pairs = [], [], [], [], []
-    for s_index, n, first, count in cells:
-        floor = 0.0 if specs[s_index].functional.zero_safe else _INTERIOR_FLOOR
-        probs, pair_uniforms = _cell_draws([rng_seed, s_index, n], n, first, count, floor)
-        pairs += [_random_refinement_pair(n, row) for row in pair_uniforms.tolist()]
-        spec_indices += [s_index] * count
-        dims += [n] * count
-        index += range(first, first + count)
-        draws.append(probs)
+    floors = {s: 0.0 if specs[s].functional.zero_safe else _INTERIOR_FLOOR for s, *_ in cells}
+    draws, pairs = [], []
+    for n, p, u in _draws([([rng_seed, s, n], n, first, k, floors[s]) for s, n, first, k in cells]):
+        draws.append(p)
+        pairs += [_random_refinement_pair(n, row) for row in u.tolist()]
+    columns = np.array(cells, dtype=np.intp).reshape(-1, 4)
+    spec_indices, dims = np.repeat(columns[:, :2], columns[:, 3], axis=0).T
+    order = np.argsort(np.argsort(dims, kind="stable")).tolist()  # each case's row in the batches
+    pairs = list(map(pairs.__getitem__, order))
+    blocks = _flat_blocks(list(chain.from_iterable(pairs)))
+    widths, starts = np.repeat(dims, 2), np.repeat(_starts(np.sort(dims))[order], 2)
     values = _VectorValues(
         specs,
-        np.concatenate([np.repeat(p, 2, axis=0).ravel() for p in draws] or [np.empty(0)]),
-        np.repeat(np.array(dims, dtype=np.intp), 2),
+        np.concatenate([p.ravel() for p in draws] or [np.empty(0)]),
+        None,
         np.repeat(spec_indices, 2),
-        _flat_blocks(list(chain.from_iterable(pairs))),
+        plan=_kernel_plan(widths, blocks, blocks[2] + np.repeat(starts, widths)),
     )
     values.raise_failure(values.first_failure(2))  # a case's finer vector gates its coarser
     labels = [spec.label() for spec in specs]
     rows = np.arange(len(values.values))
+    spec_indices = spec_indices.tolist()
     entries = _checked(
         tolerance, values.values, values.numbers, rows[0::2], rows[1::2], {"kind": "monotonicity"},
         spec=list(map(labels.__getitem__, spec_indices)),
-        n=dims,
-        index=index,
-        probs=[tuple(row) for p in draws for row in p.tolist()],
+        n=dims.tolist(),
+        index=list(chain.from_iterable(range(first, first + count) for *_, first, count in cells)),
+        probs=list(map([tuple(row) for p in draws for row in p.tolist()].__getitem__, order)),
         blocks_finer=[f for f, _ in pairs],
         blocks_coarser=[c for _, c in pairs],
     )
     return entries, spec_indices
 
 
-def _cell_draws(
-    entropy: list[int], n: int, first: int, count: int, floor: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cases ``first..first+count-1`` of one cell: their draws and pair uniforms.
+def _draws(
+    cells: list[tuple[list[int], int, int, int, float]],
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per n in ascending order: n, and the draws and pair uniforms of cases
+    ``first..first+count-1`` of each cell (entropy, n, first, count, floor)
+    of that n, stacked in cell order.
 
-    The cell's generator is seeded with ``SeedSequence(entropy)`` and skips
-    the rows of the cases before ``first``.  A draw whose minimum is not
-    above ``floor`` is redrawn from the case's child stream, so that no
-    other case moves.
+    A cell's generator is seeded with ``SeedSequence(entropy)``, skips the
+    rows of the cases before ``first`` and fills the cell's rows of its n's
+    block; the rest is one pass per n.  A draw whose minimum is not above its
+    cell's floor is redrawn from the case's child stream, so that no other
+    case moves.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    width = n + pair_draw_width(n)
-    rng.bit_generator.advance(first * width)  # one 64-bit output per double
-    u = rng.random((count, width))
-    probs = _flat_dirichlet(u[:, :n])
-    for c in np.flatnonzero(probs.min(axis=1) <= floor).tolist():
-        child = np.random.SeedSequence(entropy, spawn_key=(first + c,))
-        probs[c] = _dirichlet_interior(n, np.random.default_rng(child), floor)
-    return probs, u[:, n:]
+    dims = np.array([n for _, n, *_ in cells], dtype=np.intp)
+    for n in sorted(set(dims.tolist())):
+        of_n = np.flatnonzero(dims == n).tolist()
+        counts = [cells[c][3] for c in of_n]
+        starts, u = _starts(counts), np.empty((sum(counts), n + pair_draw_width(n)))
+        for c, start in zip(of_n, starts.tolist()):
+            entropy, _, first, count, _ = cells[c]
+            rng = np.random.default_rng(np.random.SeedSequence(entropy))
+            if first:
+                rng.bit_generator.advance(first * u.shape[1])  # one 64-bit output per double
+            rng.random(out=u[start : start + count])
+        probs = _flat_dirichlet(u[:, :n])  # row for row, the bits of each row alone
+        floors = np.repeat([cells[c][4] for c in of_n], counts)
+        for r in np.flatnonzero(probs.min(axis=1) <= floors).tolist():
+            k = np.searchsorted(starts, r, side="right") - 1
+            entropy, _, first, _, floor = cells[of_n[k]]
+            child = np.random.SeedSequence(entropy, spawn_key=(first + r - int(starts[k]),))
+            probs[r] = _dirichlet_interior(n, np.random.default_rng(child), floor)
+        yield n, probs, u[:, n:]
 
 
 def _starts(widths: np.ndarray) -> np.ndarray:
@@ -975,7 +1009,7 @@ def max_entropy_check(
     samples, rng_seed = _integer("samples", samples), _integer("rng_seed", rng_seed)
     n_list = sorted({_integer("n", n, minimum=1) for n in n_values})
     floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
-    drawn = [_cell_draws([rng_seed, n], n, 0, samples, floor)[0] for n in n_list]
+    drawn = [p for _, p, _ in _draws([([rng_seed, n], n, 0, samples, floor) for n in n_list])]
     # each n's uniform distribution, then its samples, which it gates
     laid = [x for n, p in zip(n_list, drawn) for x in (np.full(n, 1.0 / n), p.ravel())]
     widths = np.repeat(np.array(n_list, dtype=np.intp), samples + 1)
@@ -1013,7 +1047,7 @@ def max_entropy_check(
 # indent=2, allow_nan=False)``.  ``json.dumps`` still writes the small header;
 # the entries, nearly all of the bytes, are written by :func:`_json_entries`
 # (``indent`` sends ``json.dumps`` to its pure-Python encoder): a chunk of
-# entries at a time, each field's column encoded at once, each row joined.
+# entries at a time, a row shape at a time, each field's values encoded at once.
 
 _ENTRIES_KEY = '\n  "entries": []'
 _CHUNK = 1024  # entries encoded together; only one chunk's field texts are alive
@@ -1049,62 +1083,53 @@ def _json_array(items: Iterable[str], level: int) -> str:
     return "[" + _PAD[level + 1] + _SEPARATOR[level + 1].join(items) + _PAD[level] + "]"
 
 
-def _finite_reprs(values) -> list[str] | None:
-    """``float.__repr__`` of every value, or None unless all are finite floats.
-
-    None also where finite values sum past the float range; callers then
-    encode value by value.
-    """
-    try:
-        texts = list(map(float.__repr__, values))
-    except TypeError:  # a value that is not a float
-        return None
-    return texts if math.isfinite(sum(values)) else None
+@lru_cache(maxsize=4096)
+def _template(shape: int | tuple[int, ...], level: int = 3) -> str:
+    """An array at ``level`` with a ``%s`` per element: of ``shape`` elements,
+    or of blocks of the sizes in ``shape``."""
+    if isinstance(shape, int):
+        return _json_array(["%s"] * shape, level)
+    return _json_array([_template(k, level + 1) for k in shape], level)
 
 
-def _json_numbers(values, level: int = 3) -> str:
-    """An array of scalars; an all-float array of finite values is encoded in bulk."""
-    texts = _finite_reprs(values)
-    return _json_array(map(_json_scalar, values) if texts is None else texts, level)
+def _scalar_texts(column: Sequence, memo: dict) -> Sequence:
+    """The values as ``%s`` formats them to read as :func:`_json_scalar` writes
+    them: ints and finite floats as they are, and a column of one other type
+    (not a float subclass: ``0.0 == -0.0``) encoded once per distinct value."""
+    kinds = set(map(type, column))
+    if kinds == {int} or kinds == {float} and math.isfinite(sum(column)):
+        return column
+    if len(kinds) == 1 and not isinstance(column[0], float):
+        texts = {value: _json_scalar(value) for value in dict.fromkeys(column)}
+        return list(map(texts.__getitem__, column))
+    return list(map(_json_scalar, column))
 
 
-def _scalar_texts(column: list, memo: dict) -> list[str]:
-    """Each value as :func:`_json_scalar` writes it, the finite floats in bulk."""
-    floats = [value for value in column if type(value) is float]
-    texts = _finite_reprs(floats)
-    if not texts:  # no floats, a non-finite one, or floats summing past the range
-        return list(map(_json_scalar, column))
-    if len(texts) == len(column):
-        return texts
-    texts = iter(texts)
-    return [next(texts) if type(value) is float else _json_scalar(value) for value in column]
-
-
-def _blocks_texts(column: list, memo: dict) -> list[str]:
-    """Each blocks tuple's array, each distinct tuple and block encoded once a report.
+def _blocks_texts(column: Sequence, memo: dict) -> list[str]:
+    """Each blocks tuple's array, from the template of its block sizes; each
+    distinct tuple is written once a report.
 
     Equal values share a text only while every element is an int: ``(0, 1)``
     and ``(0.0, 1.0)`` are equal, not written alike, so other chunks skip the memo.
     """
-    if not set(map(type, chain.from_iterable(chain.from_iterable(filter(None, column))))) <= {int}:
-        return [
-            "null" if b is None else _json_array(map(_json_numbers, b, repeat(4)), 3)
-            for b in column
-        ]
-    for blocks in dict.fromkeys(column):
-        if blocks not in memo:
-            inner = [memo.get(b) or memo.setdefault(b, _json_numbers(b, 4)) for b in blocks]
-            memo[blocks] = _json_array(inner, 3)
+    ints = set(map(type, chain.from_iterable(chain.from_iterable(column)))) <= {int}
+    fresh = [blocks for blocks in dict.fromkeys(column) if blocks not in memo] if ints else column
+    templates = map(_template, map(tuple, map(map, repeat(len), fresh)))
+    elements = map(tuple, map(chain.from_iterable, fresh))
+    if not ints:
+        return list(map(str.__mod__, templates, (tuple(map(_json_scalar, e)) for e in elements)))
+    memo.update(zip(fresh, map(str.__mod__, templates, elements)))
     return list(map(memo.__getitem__, column))
 
 
-def _probs_texts(column: list, memo: dict) -> list[str]:
-    """Each probs array; the column's floats in bulk when all are finite floats."""
-    texts = _finite_reprs(list(chain.from_iterable(filter(None, column))))
-    if texts is None:
-        return ["null" if probs is None else _json_numbers(probs) for probs in column]
-    texts = iter(texts)
-    return ["null" if p is None else _json_array(islice(texts, len(p)), 3) for p in column]
+def _probs_texts(column: Sequence, memo: dict) -> list[str]:
+    """Each probs array, from the template of its length; tuples of finite
+    floats are formatted as they are."""
+    templates = map(_template, map(len, column))
+    floats = set(map(type, chain.from_iterable(column))) <= {float}
+    if floats and set(map(type, column)) == {tuple} and math.isfinite(sum(chain(*column))):
+        return list(map(str.__mod__, templates, column))
+    return list(map(str.__mod__, templates, (tuple(map(_json_scalar, p)) for p in column)))
 
 
 def _as_is(value):
@@ -1151,26 +1176,44 @@ def _entry_dict(row: tuple) -> dict:
     return {name: _listed(v) for (name, _, always, _), v in fields if always or v is not None}
 
 
+@lru_cache(maxsize=None)  # one per set of written fields
+def _row_shape(written: int) -> tuple[str, tuple[int, ...]]:
+    """The fields whose bits are set in ``written``, and the text of an entry
+    writing them with a ``%s`` per field value."""
+    fields = tuple(f for f in range(len(_ENTRY_KEYS)) if written >> f & 1)
+    keys = (_ENTRY_KEYS[f] + "%s" for f in fields)
+    return "    {\n      " + _SEPARATOR[3].join(keys) + "\n    }", fields
+
+
 def _json_entries(entries: _Entries) -> Iterable[str]:
     """The text of each chunk of entries, as ``json.dumps`` writes them at indent 2.
 
-    A row's text joins its written fields (a field not written has the text
-    ""); the memo of block texts lasts the whole report.
+    A chunk's rows are grouped by the set of fields each writes, and a group
+    is formatted by one ``%`` template, each field's values encoded at once;
+    the memo of block texts lasts the whole report.
     """
     columns = list(map(entries.column, _ENTRY_NAMES))
-    memo = {None: "null"}  # blocks texts; a None row's is never written
+    memo = {}  # blocks texts
     for start in range(0, len(entries), _CHUNK):
-        fields = []
-        for (_, encode, always, _), key, column in zip(_ENTRY_FIELDS, _ENTRY_KEYS, columns):
-            column = column[start : start + _CHUNK]
+        chunk = [column[start : start + _CHUNK] for column in columns]
+        count = len(chunk[0])
+        written = np.zeros(count, np.intp)  # bit f is set where field f is written
+        for f, ((_, _, always, _), column) in enumerate(zip(_ENTRY_FIELDS, chunk)):
             absent = 0 if always else column.count(None)
-            if absent < len(column):
-                texts = map(key.__add__, encode(column, memo))
-                if absent:
-                    texts = ["" if v is None else t for v, t in zip(column, texts)]
-                fields.append(texts)
-        rows = map(_SEPARATOR[3].join, map(filter, repeat(None), zip(*fields)))  # drop ""
-        yield "    {\n      " + "\n    },\n    {\n      ".join(rows) + "\n    }"
+            if not absent:
+                written |= 1 << f
+            elif absent < count:
+                written |= np.fromiter(map(is_not, column, repeat(None)), bool, count) << f
+        rows = np.empty(count, dtype=object)
+        for code in np.flatnonzero(np.bincount(written)).tolist():
+            template, fields = _row_shape(code)
+            at = np.flatnonzero(written == code)
+            picked = [chunk[f] for f in fields]
+            if at.size < count:
+                picked = [list(map(column.__getitem__, at.tolist())) for column in picked]
+            texts = [_ENTRY_FIELDS[f][1](values, memo) for f, values in zip(fields, picked)]
+            rows[at] = list(map(template.__mod__, zip(*texts)))
+        yield ",\n".join(rows.tolist())
 
 
 def _json_report(report: VerificationReport) -> str:

@@ -29,7 +29,14 @@ from gentropy.classify import (
     check_slope_condition,
     check_transform_consistency,
 )
-from gentropy.distributions import FiniteDistribution, escort, merge_pair, sample_dirichlet_uniform
+from gentropy.distributions import (
+    FiniteDistribution,
+    JointDistribution,
+    escort,
+    from_weights,
+    merge_pair,
+    sample_dirichlet_uniform,
+)
 from gentropy.errors import DomainViolation, GentropyError, ParamOutOfDomain, ValidationError
 from gentropy.partitions import bell_number, enumerate_partitions, random_refinement_pair
 from gentropy.special import (
@@ -209,6 +216,27 @@ def test_incomplete_gamma_lower_limit_is_a_real_number_not_parsed():
     one = upper_incomplete_gamma(2.0, 1.0)
     assert upper_incomplete_gamma(2.0, 1) == one == upper_incomplete_gamma(2.0, np.int64(1))
     assert upper_incomplete_gamma(2.0, np.array([1, 2])).tolist()[0] == one
+
+
+# Bool entries that were taken as the numbers 1.0 and 0.0: a bool list or
+# array, and a bool or np.bool_ mixed into a float list (coerced by np.asarray).
+BOOL_ENTRIES = {
+    "FiniteDistribution([True, False])": lambda: FiniteDistribution([True, False]),
+    "FiniteDistribution(bool array)": lambda: FiniteDistribution(np.array([True, False])),
+    "FiniteDistribution([0.0, True])": lambda: FiniteDistribution([0.0, True]),
+    "FiniteDistribution((np.True_, 0.0))": lambda: FiniteDistribution((np.True_, 0.0)),
+    "JointDistribution([[0.0, True]])": lambda: JointDistribution([[0.0, True]]),
+    "from_weights([True, 1.0])": lambda: from_weights([True, 1.0]),
+    "upper_incomplete_gamma(2.0, [1.0, True])": lambda: upper_incomplete_gamma(2.0, [1.0, True]),
+    "upper_incomplete_gamma(2.0, (np.False_, 2))":
+        lambda: upper_incomplete_gamma(2.0, (np.False_, 2)),
+}
+
+
+@pytest.mark.parametrize("call", BOOL_ENTRIES.values(), ids=BOOL_ENTRIES.keys())
+def test_bool_entries_are_refused_not_taken_as_numbers(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_callable_coefficients_stay_allowed():

@@ -464,6 +464,24 @@ def test_floor_redraw_moves_no_other_case():
     assert floored.entries[581].probs == tuple(redraw.tolist())
 
 
+def test_batched_draws_keep_every_case_independent():
+    """Each n's draws are post-processed in one batch: here cells of two specs
+    whose floors differ (1e-6 for s_cd, 0 for shannon) are stacked at n = 11
+    and 12.  Every entry is still what ``replay_case`` rebuilds alone, the
+    floored case (spec 0, n = 12, case 581) included."""
+    specs = [EntropySpec("s_cd", c=0.5, d=1.0), SHANNON]
+    report = run_monotonicity_campaign(specs, [11, 12], 600, 0)
+    spec_indices = [0] * 1200 + [1] * 1200
+    assert [e.spec for e in report.entries] == [specs[s].label() for s in spec_indices]
+    for entry, s_index in zip(report.entries, spec_indices):
+        assert replay_case(specs, s_index, entry.n, entry.index, 0) == entry
+    floored = report.entries[600 + 581]
+    assert (floored.n, floored.index) == (12, 581) and min(floored.probs) > _INTERIOR_FLOOR
+    child = np.random.SeedSequence([0, 0, 12], spawn_key=(581,))
+    redraw = _dirichlet_interior(12, np.random.default_rng(child), _INTERIOR_FLOOR)
+    assert floored.probs == tuple(redraw.tolist())
+
+
 def _cli_json(capsys, *argv):
     from gentropy.cli import main
 
@@ -905,6 +923,32 @@ def _mixed_report():
     return VerificationReport("mixed", 5, 1e-9, tuple(entries), _summarize(entries))
 
 
+def _typed_and_shaped_reports():
+    """Hazards of a writer that memoises texts per column and formats rows by
+    shape: an ``index`` column mixing ``1`` and ``True`` and an ``n`` column
+    mixing ``3`` and ``3.0`` (equal keys, different texts), and rows that omit
+    different sets of optional fields, within one chunk and across rows 1024
+    and 2048."""
+    full = CaseRecord(
+        "hand", "x", 3, 1, True, probs=(0.5, 0.25, 0.25), blocks_finer=((0,), (1,), (2,)),
+        blocks_coarser=((0, 1), (2,)), value_finer=1.0, value_coarser=0.5, margin=0.5,
+        skipped="reason", note="noted",
+    )
+    typed = [replace(full, index=index, n=n) for index in (1, True) for n in (3, 3.0)]
+    typed += [replace(full, index=True, n=3.0)] * 3 + [replace(full, index=1, n=3)] * 3
+    optional = ("blocks_coarser", "blocks_finer", "margin", "note", "probs", "skipped")
+    optional += ("value_coarser", "value_finer")
+    shaped = [
+        replace(full, index=r, **{name: None for k, name in enumerate(optional) if r % (k + 2) == 0})
+        for r in range(2100)
+    ]
+    assert len({tuple(e.to_dict()) for e in shaped[1000:1048]}) > 8  # shapes around row 1024
+    return [
+        VerificationReport(campaign_id, 0, 1e-9, tuple(entries), _summarize(entries))
+        for campaign_id, entries in (("typed", typed), ("shaped", shaped))
+    ]
+
+
 def test_emit_json_equals_json_dumps():
     uniform4 = FiniteDistribution([0.1, 0.2, 0.3, 0.4])
     mixed = _mixed_report()
@@ -923,6 +967,7 @@ def test_emit_json_equals_json_dumps():
         counterexample_suite(),
         max_entropy_check(HE, [3, 4], 6, rng_seed=2),
         _hand_built_report(),
+        *_typed_and_shaped_reports(),
     ]
     assert any(e.skipped for e in reports[1].entries)
     for report in reports:
