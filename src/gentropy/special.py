@@ -27,45 +27,51 @@ _Coeffs = Sequence[float] | Callable[[int], float]  # finite a_0..a_m, or k -> a
 
 
 def _lower_regularized_series(a: float, x: np.ndarray) -> np.ndarray:
-    """P(a, x) over the prefactor, by power series for every point in lockstep;
-    accurate for 0 < x < a + 1.
-
-    A point stops updating at the step where its own loop would break.
-    """
-    term = np.full(x.shape, 1.0 / a)
-    total, running, denom = term.copy(), np.ones(x.shape, dtype=bool), a
+    """P(a, x) over the prefactor, by power series; accurate for 0 < x < a + 1.
+    Each step updates only the points still running: a point stops, keeping its
+    sum, at the step where its own loop would break."""
+    total, live, denom = np.empty(x.shape), np.arange(x.size), a
+    term = partial = np.full(x.shape, 1.0 / a)
     for _ in range(_GAMMA_MAX_ITER):
-        denom += 1.0
-        term = np.where(running, term * (x / denom), term)
-        total = np.where(running, total + term, total)
-        running &= ~(np.abs(term) < np.abs(total) * _GAMMA_RTOL)
-        if not running.any():
+        if not live.size:
             break
+        denom += 1.0
+        term = term * (x / denom)
+        partial = partial + term
+        done = np.abs(term) < np.abs(partial) * _GAMMA_RTOL
+        if done.any():
+            total[live[done]] = partial[done]
+            live, x, term, partial = live[~done], x[~done], term[~done], partial[~done]
+    total[live] = partial
     return total
 
 
 def _upper_regularized_continued_fraction(a: float, x: np.ndarray) -> np.ndarray:
     """Q(a, x) over the prefactor, by modified Lentz continued fraction for
-    every point in lockstep; accurate for x >= a + 1."""
+    every point at once, each step updating only the points still running;
+    accurate for x >= a + 1."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = np.full(x.shape, 1.0 / tiny)
     d = h = 1.0 / np.where(b != 0.0, b, tiny)
-    running = np.ones(x.shape, dtype=bool)
+    out, live = np.empty(x.shape), np.arange(x.size)
     for i in range(1, _GAMMA_MAX_ITER + 1):
+        if not live.size:
+            break
         an = -i * (i - a)
         b = b + 2.0
-        d_next = an * d + b
-        d_next = 1.0 / np.where(np.abs(d_next) < tiny, tiny, d_next)
-        c_next = b + an / c
-        c_next = np.where(np.abs(c_next) < tiny, tiny, c_next)
-        delta = d_next * c_next
-        d, c = np.where(running, d_next, d), np.where(running, c_next, c)
-        h = np.where(running, h * delta, h)
-        running &= ~(np.abs(delta - 1.0) < _GAMMA_RTOL)
-        if not running.any():
-            break
-    return h
+        d = an * d + b
+        d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
+        c = b + an / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < _GAMMA_RTOL
+        if done.any():
+            out[live[done]] = h[done]
+            live, b, c, d, h = live[~done], b[~done], c[~done], d[~done], h[~done]
+    out[live] = h
+    return out
 
 
 def upper_incomplete_gamma(a: float, x: float | np.ndarray) -> float | np.ndarray:

@@ -67,12 +67,13 @@ distribution gates that n's samples.  The oracles share the evaluate phase:
 one vector per non-identity partition.  The lattice evaluates the identity
 with ``evaluate`` after the kernel, last as in the walk (so a lattice call
 keeps one ``evaluate`` call); the corollary evaluates its base before it.
-What depends on n alone, the kernel's plan and each lattice entry's
+What depends on n alone is built once per n and kept: each lattice entry's
 partition indices and kind (found by arithmetic on restricted growth
-strings), is built once per n and kept; the corollary's entries are the
-lattice's rows against the identity.  ``max_entropy_check`` draws one cell
-per n with the campaign's row layout, seeded with ``SeedSequence([seed,
-n])``.  Every caller hands ``_checked`` a value table, its float array and
+strings), and the kernel's plan, a table of the 2**n - 1 subsets of the
+states whose masses every block reads, so that phi runs once per subset, not
+once per block.  The corollary's entries are the lattice's rows against the
+identity.  ``max_entropy_check`` draws one cell per n with the campaign's
+row layout, seeded with ``SeedSequence([seed, n])``.  Every caller hands ``_checked`` a value table, its float array and
 each row's two indices into it.  Each lattice or corollary call makes one
 ``enumerate_partitions`` call, consumed in full (its blocks fill the
 entries), and far fewer ``evaluate`` calls than it has edges; both names are
@@ -595,8 +596,9 @@ def _segment_sums(values: np.ndarray, plan: tuple) -> np.ndarray:
 
 
 def _kernel_plan(widths, blocks=None, gather: np.ndarray | None = None) -> tuple:
-    """The block sums' plan (None without ``blocks``), each coarse-grained vector's
-    start and width, and the totals' plan of a :class:`_VectorValues` batch.  ``gather``
+    """The mass rows' plan (None without ``blocks``), each block's mass row (None:
+    row b is block b), each coarse-grained vector's start and width, and the totals'
+    plan of a :class:`_VectorValues` batch.  Here the rows are the block sums: ``gather``
     places every block element in ``probs``; by default each vector has its own draw."""
     coarse = None
     if blocks is not None:
@@ -605,7 +607,7 @@ def _kernel_plan(widths, blocks=None, gather: np.ndarray | None = None) -> tuple
         widths, block_widths, _ = blocks
         coarse = _sum_plan(_starts(block_widths), block_widths, gather)
     starts = _starts(widths)
-    return coarse, starts, widths, _sum_plan(starts, widths)
+    return coarse, None, starts, widths, _sum_plan(starts, widths)
 
 
 def _flat_blocks(blocks: Sequence[_Blocks]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -636,7 +638,9 @@ class _VectorValues:
     (from h, or from phi when a batched phi raises and phi is retried on each
     vector alone); ``raised`` lists the last kind, and ``numbers`` holds the
     floats as an array, NaN elsewhere.  ``totals[v]`` is its component sum.
-    A kept :func:`_kernel_plan` may stand for ``widths`` and ``blocks``.
+    A kept :func:`_kernel_plan` may stand for ``widths`` and ``blocks``; one
+    whose blocks share mass rows (the lattice's subsets) has phi run once per
+    row that a vector not rejected uses, not once per block.
 
     Input contract: each draw is a vector ``FiniteDistribution`` accepts,
     and each vector's blocks the canonical blocks of a partition of its indices.
@@ -654,12 +658,15 @@ class _VectorValues:
         blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         plan: tuple | None = None,
     ):
-        coarse, starts, widths, sums = _kernel_plan(widths, blocks) if plan is None else plan
-        flat = probs if coarse is None else _segment_sums(probs, coarse)
+        coarse, rows, starts, widths, sums = _kernel_plan(widths, blocks) if plan is None else plan
+        masses = probs if coarse is None else _segment_sums(probs, coarse)
+        flat = masses if rows is None else masses[rows]  # the block masses
         values = np.empty(len(widths), dtype=object)
         spec_index = np.zeros(len(widths), np.intp) if spec_index is None else spec_index
         bounds = np.searchsorted(spec_index, np.arange(len(specs) + 1))
-        rejected, self.totals = self._phi_totals(specs, bounds, values, flat, starts, widths, sums)
+        rejected, self.totals = self._phi_totals(
+            specs, bounds, values, flat, starts, widths, sums, masses, rows
+        )
         numbers = np.full(len(widths), math.nan)
         for s, spec in enumerate(specs):
             kept = bounds[s] + np.flatnonzero(~rejected[bounds[s] : bounds[s + 1]])
@@ -694,9 +701,11 @@ class _VectorValues:
     @staticmethod
     def _phi_totals(
         specs: Sequence[EntropySpec], bounds: np.ndarray, values: np.ndarray, flat: np.ndarray,
-        starts: np.ndarray, widths: np.ndarray, sums: tuple,
+        starts: np.ndarray, widths: np.ndarray, sums: tuple, masses: np.ndarray, rows,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Each vector's component sum, one ``phi`` call per functional.
+        """Each vector's component sum, one ``phi`` call per functional: on its
+        kept vectors' blocks, or with block ``b`` on mass row ``rows[b]``, on the
+        rows they use, gathered back into block order.
 
         A vector that ``evaluate`` would reject before calling phi is marked
         rejected and gets its reason in ``values``.  When a functional's
@@ -724,7 +733,14 @@ class _VectorValues:
             ok = np.repeat(~rejected[lo:hi], widths[lo:hi])
             segment = slice(starts[lo], starts[hi - 1] + widths[hi - 1])
             try:
-                phis[segment][ok] = spec.functional.phi(flat[segment][ok])
+                if rows is None:
+                    phis[segment][ok] = spec.functional.phi(flat[segment][ok])
+                else:
+                    at = rows[segment][ok]
+                    used = np.flatnonzero(np.bincount(at, minlength=masses.size))
+                    row_phis = np.zeros_like(masses)
+                    row_phis[used] = spec.functional.phi(masses[used])
+                    phis[segment][ok] = row_phis[at]
             except Exception:  # each vector's own outcome, as evaluate meets it
                 for v in (lo + np.flatnonzero(~rejected[lo:hi])).tolist():
                     vector = slice(starts[v], starts[v] + widths[v])
@@ -774,9 +790,12 @@ def _partition_values(
 
     The partitions come from one full walk, an object array of blocks.  The rows
     (each entry's finer and coarser partition index and kind, and the entries
-    against the identity) are kept per n with the kernel's plan, which reads
-    ``dist.probs``.  The table, as ``_checked`` takes it, holds ``dist`` aggregated
-    by each partition but the identity, the last: the callers evaluate and append it.
+    against the identity) are kept per n with the kernel's plan.  Its mass rows
+    are the 2**n - 1 nonempty subsets of the states, subset s the one with bit
+    mask s + 1, elements ascending as in a canonical block (so each sum has the
+    bits of the blocks'); every block reads its subset's row.  The table, as
+    ``_checked`` takes it, holds ``dist`` aggregated by each partition but the
+    identity, the last: the callers evaluate and append it.
     """
     n = dist.n
     if n > LATTICE_LIMIT:
@@ -785,16 +804,18 @@ def _partition_values(
     if n not in _LATTICE_SHAPES:
         k, block_widths, elements = flat = _flat_blocks(partitions)
         finer, coarser, kind = _lattice_rows(flat, n)
-        blocks = k[:-1], block_widths[:-n], elements[:-n]  # the identity is last
-        plan = _kernel_plan(None, blocks, gather=elements[:-n])
-        _LATTICE_SHAPES[n] = plan, (finer, coarser, kind, np.flatnonzero(kind))
+        bits = np.arange(1, 2**n)[:, None] >> np.arange(n) & 1  # row s: the bits of subset s
+        sizes, masks = bits.sum(axis=1), np.add.reduceat(1 << elements, _starts(block_widths))
+        plan = _sum_plan(_starts(sizes), sizes, np.nonzero(bits)[1]), masks[:-n] - 1
+        rows = finer, coarser, kind, np.flatnonzero(kind)  # the identity is last
+        _LATTICE_SHAPES[n] = plan + _kernel_plan(k[:-1])[2:], rows
     plan, rows = _LATTICE_SHAPES[n]
     values = _VectorValues([spec], dist.probs, None, plan=plan)
     values.raise_failure(values.first_failure())
     return partitions, rows, values.values, values.numbers
 
 
-_LATTICE_SHAPES: dict[int, tuple] = {}  # n -> (kernel plan, lattice rows), once per n
+_LATTICE_SHAPES: dict[int, tuple] = {}  # n -> (subset kernel plan, lattice rows), once per n
 _LATTICE_KINDS = np.array(["covering_edge", "total_merge", "vs_identity"], dtype=object)
 
 

@@ -1252,6 +1252,80 @@ def test_oracles_equal_reference_loops_with_cold_and_warm_shapes(monkeypatch):
     assert sorted(verify._LATTICE_SHAPES) == [3, 5, 8]
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lattice_subset_table_decodes_blocks_and_sums_as_coarse_grain(n):
+    """Each non-identity block reads the subset whose bit mask, less one, is its
+    id; that subset holds the block's elements and its mass has coarse_grain's bits."""
+    dist = FiniteDistribution(np.random.default_rng(n).dirichlet(np.ones(n)))
+    exhaustive_lattice_check(SHANNON, dist)  # keeps the shape of n
+    (subsets, block_rows, *_), _ = verify._LATTICE_SHAPES[n]
+    masses = verify._segment_sums(dist.probs, subsets)
+    assert masses.size == 2**n - 1
+    partitions = list(enumerate_partitions(n))[:-1]  # the identity is last
+    blocks = [block for partition in partitions for block in partition.blocks]
+    decoded = [tuple(e for e in range(n) if (s + 1) >> e & 1) for s in block_rows.tolist()]
+    assert decoded == blocks
+    expected = [coarse_grain(dist, partition).probs for partition in partitions]
+    assert masses[block_rows].tobytes() == np.concatenate([np.empty(0), *expected]).tobytes()
+
+
+def test_lattice_and_corollary_run_phi_once_per_subset_at_n8():
+    """phi gets each of the 255 subset masses once per check, not the 16,999 block
+    masses of the non-identity partitions: a batched phi in one call, the user
+    callable of h_phi_custom in 255 calls; the identity's evaluate adds 8 entries."""
+    sizes, calls = [], []
+    tsallis = EntropySpec("tsallis", q=2.0)
+    phi = tsallis.functional.phi
+
+    def recording(x):
+        sizes.append(np.size(x))
+        return phi(x)
+
+    def counting(x):
+        calls.append(x)
+        return x * (1.0 - x)
+
+    object.__setattr__(tsallis, "_functional", replace(tsallis.functional, phi=recording))
+    user = EntropySpec("h_phi_custom", phi=counting, zero_safe=True)
+    dist = FiniteDistribution(np.random.default_rng(8).dirichlet(np.ones(8)))
+    for check in (exhaustive_lattice_check, corollary1_check):
+        sizes.clear(), calls.clear()
+        check(tsallis, dist), check(user, dist)
+        assert sorted(sizes) == [8, 2**8 - 1], check.__name__
+        assert len(calls) == 2**8 - 1 + 8, check.__name__
+
+
+def _value_or_reason(spec, dist):
+    try:
+        return evaluate(spec, dist)
+    except GentropyError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.slow
+def test_partition_values_equal_per_partition_evaluate_for_every_family_at_n8():
+    """One spec per family, HE and the user specs at n = 8: the kernel's table of
+    non-identity partitions holds each per-partition ``evaluate`` value, equal
+    by == and by sign bit, or its reason; an escaping exception is the same."""
+    per_family = {}
+    for spec in default_campaign_specs(include_unstable=True) + [HE]:
+        per_family.setdefault(spec.id, spec)
+    dist = FiniteDistribution(np.random.default_rng(88).dirichlet(np.ones(8)))
+    partitions = list(enumerate_partitions(8))[:-1]  # the identity is last
+    for spec in [*per_family.values(), *_custom_specs()]:
+        try:
+            expected = [_value_or_reason(spec, coarse_grain(dist, p)) for p in partitions]
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                verify._partition_values(spec, dist)
+            continue
+        values = verify._partition_values(spec, dist)[2]
+        assert [type(v) for v in values] == [type(v) for v in expected], spec.label()
+        assert values == expected, spec.label()
+        signs = [math.copysign(1.0, v) for v in values if type(v) is float]
+        assert signs == [math.copysign(1.0, v) for v in expected if type(v) is float]
+
+
 def test_max_entropy_check_equals_per_sample_loop_exactly():
     specs = [SHANNON, EntropySpec("tsallis", q=2.0), HE, EntropySpec("s_delta", delta=2.5)]
     specs += _custom_specs()
