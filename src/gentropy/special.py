@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ParamOutOfDomain, TruncationCapHit, ValidationError
+from .errors import NonFinite, ParamOutOfDomain, TruncationCapHit, ValidationError
 from .errors import _holds_bool, _number, _numbers
 
 _GAMMA_RTOL = 1e-12
@@ -80,7 +80,8 @@ def upper_incomplete_gamma(a: float, x: float | np.ndarray) -> float | np.ndarra
     Parameters
     ----------
     a : float
-        Shape, strictly positive.
+        Shape, strictly positive.  Above about 171.6, where the complete
+        gamma passes the float range, :class:`NonFinite` is raised.
     x : float or array of float
         Lower limit, nonnegative (``x = 0`` gives the complete gamma), of an
         int or float dtype: a str, bytes or bool is refused, not parsed.  An
@@ -102,7 +103,10 @@ def upper_incomplete_gamma(a: float, x: float | np.ndarray) -> float | np.ndarra
     bad = flat[~((flat >= 0.0) & np.isfinite(flat))]
     if bad.size:
         raise ValidationError(f"lower limit must be finite and >= 0, got {bad[0].item()!r}")
-    gamma_a = math.gamma(a) if a < 170.0 else math.exp(math.lgamma(a))
+    try:
+        gamma_a = math.gamma(a) if a < 170.0 else math.exp(math.lgamma(a))
+    except OverflowError:  # the complete gamma passes the float range
+        raise NonFinite(f"the gamma function at shape {a!r} overflows the float range") from None
     # The prefactor exp(-x + a log x - lgamma(a)) is taken on math: numpy's exp
     # and log differ from it in the last bit at some points.
     lg = math.lgamma(a)

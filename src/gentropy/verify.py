@@ -69,12 +69,14 @@ with ``evaluate`` after the kernel, last as in the walk (so a lattice call
 keeps one ``evaluate`` call); the corollary evaluates its base before it.
 What depends on n alone is built once per n and kept: each lattice entry's
 partition indices and kind (found by arithmetic on restricted growth
-strings), and the kernel's plan, a table of the 2**n - 1 subsets of the
-states whose masses every block reads, so that phi runs once per subset, not
-once per block.  The corollary's entries are the lattice's rows against the
-identity.  ``max_entropy_check`` draws one cell per n with the campaign's
-row layout, seeded with ``SeedSequence([seed, n])``.  Every caller hands ``_checked`` a value table, its float array and
-each row's two indices into it.  Each lattice or corollary call makes one
+strings), and the kernel's plan: the 2**n - 1 subsets of the states, which
+every block reads, and per partition width a matrix of subset ids, so phi
+runs once per subset and a width's totals are one gather.  The corollary's
+entries are the lattice's rows against the identity.  ``max_entropy_check``
+draws one cell per n with the campaign's row layout, seeded with
+``SeedSequence([seed, n])``.  Every caller hands ``_checked`` the kernel's
+float64 values (NaN where one failed), a table of the failures by vector and
+each row's two indices.  Each lattice or corollary call makes one
 ``enumerate_partitions`` call, consumed in full (its blocks fill the
 entries), and far fewer ``evaluate`` calls than it has edges; both names are
 looked up in this module, where the benchmark's tracer times them.  One JSON
@@ -177,7 +179,10 @@ class _Lazy:
 
     def take(self, at) -> list:
         """The values of the rows ``at``, an index sequence or a slice."""
-        values = self.source[at if self.rows is None else self.rows[at]]
+        source, rows = self.source, self.rows
+        if source.dtype.kind == "f" and rows is not None and rows.size > source.size:
+            self.source = source = source.astype(object)  # rows share values: each made once
+        values = source[at if rows is None else rows[at]]
         return (values if self.none is None else np.where(self.none[at], None, values)).tolist()
 
 
@@ -398,31 +403,33 @@ def _finish(
 
 
 def _checked(
-    tolerance: float, values: Sequence, numbers: np.ndarray, finer_rows: np.ndarray,
+    tolerance: float, numbers: np.ndarray, failures: dict, finer_rows: np.ndarray,
     coarser_rows: np.ndarray, shared: dict, **columns: Sequence
 ) -> _Entries:
     """The entries of checks of H(finer) >= H(coarser), one per row.
 
-    ``values`` is a table of floats and of strs, the reasons a value could not
-    be computed, and ``numbers`` its floats as an array, NaN at a reason.  Row
-    r compares the values at ``finer_rows[r]`` and ``coarser_rows[r]``; its
+    ``numbers`` is a float64 table of values, NaN where a value could not be
+    computed, and ``failures`` maps such an index to its reason, a str.  Row r
+    compares the values at ``finer_rows[r]`` and ``coarser_rows[r]``; its
     first reason, finer before coarser, makes it skipped, with no values and
     no margin.  Margins and verdicts are taken in numpy, whose float64
     subtraction and ``>= -tolerance`` give the bits the Python floats do; the
-    ``_Lazy`` value columns hold the table's own floats.  ``columns`` are the
+    ``_Lazy`` value columns read the table's floats.  ``columns`` are the
     entries' other fields, a sequence each, and ``shared`` those all share.
     """
     _number("tolerance", tolerance)  # the one check of every oracle's tolerance
-    table = np.fromiter(values, dtype=object, count=len(values))
+    reasons = np.empty(len(numbers), dtype=object)
+    reasons[list(failures)] = np.fromiter(failures.values(), dtype=object, count=len(failures))
     finer, coarser = numbers[finer_rows], numbers[coarser_rows]
     is_skipped = np.isnan(finer) | np.isnan(coarser)
     margin = finer - coarser
     passed = (margin >= -tolerance) | is_skipped
+    at = np.where(np.isnan(finer), finer_rows, coarser_rows) if failures else finer_rows
     columns.update(
-        value_finer=_Lazy(table, finer_rows, is_skipped),
-        value_coarser=_Lazy(table, coarser_rows, is_skipped),
+        value_finer=_Lazy(numbers, finer_rows, is_skipped),
+        value_coarser=_Lazy(numbers, coarser_rows, is_skipped),
         margin=_Lazy(margin, None, is_skipped),
-        skipped=_Lazy(table, np.where(np.isnan(finer), finer_rows, coarser_rows), ~is_skipped),
+        skipped=_Lazy(reasons, at, ~is_skipped),
         passed=_Lazy(passed),
     )
     return _Entries(columns, shared, is_skipped, ~passed, margin, ~is_skipped)
@@ -520,10 +527,11 @@ def _campaign_entries(
     )
     values.raise_failure(values.first_failure(2))  # a case's finer vector gates its coarser
     labels = [spec.label() for spec in specs]
-    rows = np.arange(len(values.values))
+    rows = np.arange(len(values.numbers))
     spec_indices = spec_indices.tolist()
     entries = _checked(
-        tolerance, values.values, values.numbers, rows[0::2], rows[1::2], {"kind": "monotonicity"},
+        tolerance, values.numbers, values.failures, rows[0::2], rows[1::2],
+        {"kind": "monotonicity"},
         spec=list(map(labels.__getitem__, spec_indices)),
         n=dims.tolist(),
         index=list(chain.from_iterable(range(first, first + count) for *_, first, count in cells)),
@@ -596,10 +604,10 @@ def _segment_sums(values: np.ndarray, plan: tuple) -> np.ndarray:
 
 
 def _kernel_plan(widths, blocks=None, gather: np.ndarray | None = None) -> tuple:
-    """The mass rows' plan (None without ``blocks``), each block's mass row (None:
-    row b is block b), each coarse-grained vector's start and width, and the totals'
-    plan of a :class:`_VectorValues` batch.  Here the rows are the block sums: ``gather``
-    places every block element in ``probs``; by default each vector has its own draw."""
+    """A :class:`_VectorValues` plan: the masses' plan over ``probs`` (None without
+    ``blocks``: the draws are the masses), each vector's width and first mass, and the
+    totals' plan, a matrix of mass ids per width.  The masses are the block sums:
+    ``gather`` places every block element in ``probs`` (by default, each vector its own draw)."""
     coarse = None
     if blocks is not None:
         if gather is None:
@@ -607,7 +615,7 @@ def _kernel_plan(widths, blocks=None, gather: np.ndarray | None = None) -> tuple
         widths, block_widths, _ = blocks
         coarse = _sum_plan(_starts(block_widths), block_widths, gather)
     starts = _starts(widths)
-    return coarse, None, starts, widths, _sum_plan(starts, widths)
+    return coarse, widths, starts, _sum_plan(starts, widths)
 
 
 def _flat_blocks(blocks: Sequence[_Blocks]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -633,14 +641,14 @@ class _VectorValues:
     vectors must be grouped by ascending spec index.  ``blocks`` is all or
     nothing: :func:`_flat_blocks` of every vector's blocks (the identity's
     are its singletons), or without ``blocks`` every vector is taken as it
-    is.  ``values[v]`` is its entropy as a float, or as a str the reason
-    ``evaluate`` would fail on it, or the exception that escapes ``evaluate``
-    (from h, or from phi when a batched phi raises and phi is retried on each
-    vector alone); ``raised`` lists the last kind, and ``numbers`` holds the
-    floats as an array, NaN elsewhere.  ``totals[v]`` is its component sum.
-    A kept :func:`_kernel_plan` may stand for ``widths`` and ``blocks``; one
-    whose blocks share mass rows (the lattice's subsets) has phi run once per
-    row that a vector not rejected uses, not once per block.
+    is.  ``numbers[v]`` is its entropy as a float64, or NaN where
+    ``failures[v]`` holds the reason (a str) ``evaluate`` would fail on it, or
+    the exception that escapes ``evaluate`` (from h, or from phi when a
+    batched phi raises and phi is retried on each vector alone).
+    ``totals[v]`` is its component sum, 0.0 where phi was not reached.  A
+    kept :func:`_kernel_plan` may stand for ``widths`` and ``blocks``; in the
+    lattice's, with no first masses, the vectors of its one functional share
+    the 2**n - 1 subset masses, so phi runs once per subset, not per block.
 
     Input contract: each draw is a vector ``FiniteDistribution`` accepts,
     and each vector's blocks the canonical blocks of a partition of its indices.
@@ -658,66 +666,63 @@ class _VectorValues:
         blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         plan: tuple | None = None,
     ):
-        coarse, rows, starts, widths, sums = _kernel_plan(widths, blocks) if plan is None else plan
+        coarse, widths, starts, sums = _kernel_plan(widths, blocks) if plan is None else plan
         masses = probs if coarse is None else _segment_sums(probs, coarse)
-        flat = masses if rows is None else masses[rows]  # the block masses
-        values = np.empty(len(widths), dtype=object)
         spec_index = np.zeros(len(widths), np.intp) if spec_index is None else spec_index
+        self._vectors, self.failures = (specs, spec_index, masses, widths, sums), {}
         bounds = np.searchsorted(spec_index, np.arange(len(specs) + 1))
-        rejected, self.totals = self._phi_totals(
-            specs, bounds, values, flat, starts, widths, sums, masses, rows
-        )
-        numbers = np.full(len(widths), math.nan)
+        rejected, self.totals = self._phi_totals(bounds, starts)
+        self.numbers = np.full(len(widths), math.nan)
         for s, spec in enumerate(specs):
             kept = bounds[s] + np.flatnonzero(~rejected[bounds[s] : bounds[s + 1]])
             if kept.size:
-                values[kept], numbers[kept] = _outer_values(spec, self.totals[kept].tolist())
-        self.values, self.numbers = values.tolist(), numbers
-        unset = np.flatnonzero(np.isnan(numbers)).tolist()  # a float value is finite
-        self.raised = [v for v in unset if isinstance(self.values[v], Exception)]
-        self._vectors = specs, spec_index, flat, starts, widths  # for raise_failure
+                self.numbers[kept], failed = _outer_values(spec, self.totals[kept])
+                self.failures.update((int(kept[i]), failure) for i, failure in failed.items())
 
     def first_failure(self, group: int = 1, strict: bool | np.ndarray = False) -> int | None:
         """The first vector, in vector order, whose failure a per-case loop lets escape,
         or None.  A vector fails when its value is an exception, or a reason where
         ``strict`` (a bool, or one per vector) is true.  Vectors come in groups of
         ``group``; the first of each gates the rest, which fail only if it is a float."""
-        failing = {*self.raised, *np.flatnonzero(strict & np.isnan(self.numbers)).tolist()}
+        failing = {v for v, failure in self.failures.items() if isinstance(failure, Exception)}
+        failing.update(np.flatnonzero(strict & np.isnan(self.numbers)).tolist())
         for v in sorted(failing):
-            if v % group == 0 or type(self.values[v - v % group]) is float:
+            if v % group == 0 or v - v % group not in self.failures:
                 return v
         return None
 
     def raise_failure(self, v: int | None) -> None:
         """Raise vector ``v``'s failure (none for None): its exception as it is,
         and for a reason what ``evaluate`` raises on the vector."""
-        if v is not None and isinstance(self.values[v], Exception):
-            raise self.values[v]
+        if v is not None and isinstance(self.failures[v], Exception):
+            raise self.failures[v]
         if v is not None:  # a reason: evaluate raises it
-            specs, spec_index, flat, starts, widths = self._vectors
-            vector = FiniteDistribution(flat[starts[v] : starts[v] + widths[v]])
-            evaluate(specs[spec_index[v]], vector)
+            specs, spec_index, *_ = self._vectors
+            evaluate(specs[spec_index[v]], FiniteDistribution(self._masses(v)))
 
-    @staticmethod
-    def _phi_totals(
-        specs: Sequence[EntropySpec], bounds: np.ndarray, values: np.ndarray, flat: np.ndarray,
-        starts: np.ndarray, widths: np.ndarray, sums: tuple, masses: np.ndarray, rows,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Each vector's component sum, one ``phi`` call per functional: on its
-        kept vectors' blocks, or with block ``b`` on mass row ``rows[b]``, on the
-        rows they use, gathered back into block order.
+    def _masses(self, v: int) -> np.ndarray:
+        """Vector ``v``'s masses in block order: its row of its width's matrix."""
+        _, _, masses, widths, (_, groups) = self._vectors
+        rows, ids = next(group for group in groups if group[1].shape[1] == widths[v])
+        return masses[ids[np.searchsorted(rows, v)]]
 
-        A vector that ``evaluate`` would reject before calling phi is marked
-        rejected and gets its reason in ``values``.  When a functional's
-        batched phi raises, phi runs once on each of its vectors alone, and
-        a vector on which it fails is rejected with its outcome (see
-        :func:`_outcome`) in ``values``.
+    def _phi_totals(self, bounds: np.ndarray, starts: np.ndarray | None) -> tuple:
+        """Which vectors phi did not reach, and each vector's component sum: phi
+        runs once per functional on the masses its kept vectors read (from
+        ``starts``, its vectors' segment; without, every mass), and a width's
+        totals are one gather of those values and a ``sum(axis=1)``.
+
+        A vector that ``evaluate`` would reject before calling phi is rejected
+        with its reason in ``failures``.  When a functional's batched phi
+        raises, phi runs once on each of its vectors alone, and a vector on
+        which it fails is rejected with its outcome (see :func:`_outcome`).
         """
-        vectors = len(widths)
-        owner = np.repeat(np.arange(vectors), widths)
-        has_zero = np.bincount(owner[flat == 0.0], minlength=vectors) > 0
-        rejected = np.zeros(vectors, dtype=bool)
-        phis = np.zeros_like(flat)
+        specs, _, masses, widths, (count, groups) = self._vectors
+        zero, has_zero = masses == 0.0, np.zeros(count, dtype=bool)
+        for rows, ids in groups if zero.any() else ():
+            has_zero[rows] = zero[ids].any(axis=1)
+        rejected = np.zeros(count, dtype=bool)
+        phis, alone = np.zeros_like(masses), {}  # alone: phi's outcome on a vector alone
         for s, spec in enumerate(specs):
             lo, hi = bounds[s], bounds[s + 1]
             if lo == hi:
@@ -729,44 +734,45 @@ class _VectorValues:
                 except GentropyError as exc:
                     hit = lo + np.flatnonzero(admission == code)
                     rejected[hit] = True
-                    values[hit] = _skip_reason(exc)
-            ok = np.repeat(~rejected[lo:hi], widths[lo:hi])
-            segment = slice(starts[lo], starts[hi - 1] + widths[hi - 1])
+                    self.failures.update(dict.fromkeys(hit.tolist(), _skip_reason(exc)))
+            if starts is None:  # the lattice's one functional: the subsets its kept vectors read
+                used = np.zeros(masses.size, dtype=bool) if rejected.any() else slice(None)
+                for rows, ids in groups if rejected.any() else ():
+                    used[ids[~rejected[rows]]] = True
+            elif rejected[lo:hi].any():  # its kept vectors' own masses
+                used = starts[lo] + np.flatnonzero(np.repeat(~rejected[lo:hi], widths[lo:hi]))
+            else:  # its vectors' own masses, laid end to end
+                used = slice(starts[lo], starts[hi - 1] + widths[hi - 1])
             try:
-                if rows is None:
-                    phis[segment][ok] = spec.functional.phi(flat[segment][ok])
-                else:
-                    at = rows[segment][ok]
-                    used = np.flatnonzero(np.bincount(at, minlength=masses.size))
-                    row_phis = np.zeros_like(masses)
-                    row_phis[used] = spec.functional.phi(masses[used])
-                    phis[segment][ok] = row_phis[at]
+                phis[used] = spec.functional.phi(masses[used])
             except Exception:  # each vector's own outcome, as evaluate meets it
                 for v in (lo + np.flatnonzero(~rejected[lo:hi])).tolist():
-                    vector = slice(starts[v], starts[v] + widths[v])
-                    outcome = _outcome(spec.functional.phi, flat[vector])
+                    outcome = _outcome(spec.functional.phi, self._masses(v))
                     if isinstance(outcome, (str, Exception)):
-                        rejected[v], values[v] = True, outcome
+                        rejected[v], self.failures[v] = True, outcome
                     else:
-                        phis[vector] = outcome
-        return rejected, _segment_sums(phis, sums)
+                        alone[v] = outcome
+        totals = _segment_sums(phis, (count, groups))
+        for v, outcome in alone.items():  # as a batch holds it, summed
+            totals[v] = np.broadcast_to(np.asarray(outcome, dtype=float), widths[v]).sum()
+        totals[rejected] = 0.0
+        return rejected, totals
 
 
-def _outer_values(spec: EntropySpec, totals: list[float]) -> tuple[list, list[float]]:
-    """``_outer_value`` of every total, and the floats among them (NaN elsewhere).
-
-    h is applied by one comprehension; if it raises or gives a non-finite
-    value, each total keeps its own outcome.
-    """
+def _outer_values(spec: EntropySpec, totals: np.ndarray) -> tuple[Sequence[float], dict]:
+    """``_outer_value`` of every total: the floats, NaN where it fails, and by position
+    each failure's reason or exception.  h is applied by one comprehension; if it
+    raises or gives a non-finite value, each total keeps its own outcome."""
     h = spec.functional.h
     try:
-        mapped = totals if h is None else [float(h(total)) for total in totals]
+        mapped = totals if h is None else np.array([float(h(total)) for total in totals.tolist()])
     except Exception:  # each total's own outcome is taken below
         mapped = [math.nan]
     if np.isfinite(mapped).all():
-        return mapped, mapped
-    outcomes = [_outcome(_outer_value, spec, total) for total in totals]
-    return outcomes, [v if type(v) is float else math.nan for v in outcomes]
+        return mapped, {}
+    outcomes = [_outcome(_outer_value, spec, total) for total in totals.tolist()]
+    failed = {i: outcome for i, outcome in enumerate(outcomes) if type(outcome) is not float}
+    return [math.nan if i in failed else outcome for i, outcome in enumerate(outcomes)], failed
 
 
 def _outcome(fn, *args) -> object:
@@ -785,34 +791,35 @@ def _outcome(fn, *args) -> object:
 
 def _partition_values(
     spec: EntropySpec, dist: FiniteDistribution
-) -> tuple[np.ndarray, tuple, list, np.ndarray]:
+) -> tuple[np.ndarray, tuple, np.ndarray, dict]:
     """Every partition of ``dist.n``, the lattice's rows at n and a value table.
 
     The partitions come from one full walk, an object array of blocks.  The rows
     (each entry's finer and coarser partition index and kind, and the entries
-    against the identity) are kept per n with the kernel's plan.  Its mass rows
-    are the 2**n - 1 nonempty subsets of the states, subset s the one with bit
-    mask s + 1, elements ascending as in a canonical block (so each sum has the
-    bits of the blocks'); every block reads its subset's row.  The table, as
-    ``_checked`` takes it, holds ``dist`` aggregated by each partition but the
-    identity, the last: the callers evaluate and append it.
+    against the identity) are kept per n with the kernel's plan.  Its masses are
+    the 2**n - 1 nonempty subsets of the states, subset s the one with bit mask
+    s + 1, elements ascending as in a canonical block (so each sum has the bits
+    of the blocks'); a width's totals matrix holds its partitions' subset ids.
+    The table, as ``_checked`` takes it, holds ``dist`` aggregated by each
+    partition but the identity, the last: the callers evaluate and append it.
     """
     n = dist.n
     if n > LATTICE_LIMIT:
         raise TooLarge(f"exhaustive check is limited to n <= {LATTICE_LIMIT}, got {n}")
-    partitions = np.fromiter(map(attrgetter("blocks"), enumerate_partitions(n)), dtype=object)
+    partitions = np.fromiter(map(attrgetter("_blocks"), enumerate_partitions(n)), dtype=object)
     if n not in _LATTICE_SHAPES:
         k, block_widths, elements = flat = _flat_blocks(partitions)
         finer, coarser, kind = _lattice_rows(flat, n)
         bits = np.arange(1, 2**n)[:, None] >> np.arange(n) & 1  # row s: the bits of subset s
         sizes, masks = bits.sum(axis=1), np.add.reduceat(1 << elements, _starts(block_widths))
-        plan = _sum_plan(_starts(sizes), sizes, np.nonzero(bits)[1]), masks[:-n] - 1
-        rows = finer, coarser, kind, np.flatnonzero(kind)  # the identity is last
-        _LATTICE_SHAPES[n] = plan + _kernel_plan(k[:-1])[2:], rows
+        widths = k[:-1]  # the identity is last
+        sums = _sum_plan(_starts(widths), widths, masks[:-n] - 1)  # each block's subset id
+        plan = _sum_plan(_starts(sizes), sizes, np.nonzero(bits)[1]), widths, None, sums
+        _LATTICE_SHAPES[n] = plan, (finer, coarser, kind, np.flatnonzero(kind))
     plan, rows = _LATTICE_SHAPES[n]
     values = _VectorValues([spec], dist.probs, None, plan=plan)
     values.raise_failure(values.first_failure())
-    return partitions, rows, values.values, values.numbers
+    return partitions, rows, values.numbers, values.failures
 
 
 _LATTICE_SHAPES: dict[int, tuple] = {}  # n -> (subset kernel plan, lattice rows), once per n
@@ -823,22 +830,22 @@ def _lattice_rows(flat: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, ...
     """Each lattice entry's finer and coarser partition index, and its kind.
 
     The partitions are given by their :func:`_flat_blocks`, in enumeration
-    order, and the kind indexes ``_LATTICE_KINDS``.  Entries come partition by
-    partition: the covering edges that merge its blocks i < j, in
-    lexicographic order, then (but for the identity, last) the partition
-    against the identity.  In the restricted growth string (RGS) of a
-    partition, element x carries the index of its block.  Merging blocks
-    i < j relabels j as i and lowers every label above j by one, which gives
-    the RGS of the merged partition in canonical form.  Read as base-n
-    numbers, the RGSs of the enumeration ascend, so a merged partition's
-    index is a ``np.searchsorted`` of its code.
+    order; the kind indexes ``_LATTICE_KINDS``, and all three are intp, which
+    ``_checked`` gathers by with no cast.  Entries come partition by partition:
+    the covering edges that merge its blocks i < j, in lexicographic order,
+    then (but for the identity, last) the partition against the identity.  In
+    the restricted growth string (RGS) of a partition, element x carries the
+    index of its block.  Merging blocks i < j relabels j as i and lowers every
+    label above j by one, which gives the RGS of the merged partition in
+    canonical form.  Read as base-n numbers, the RGSs of the enumeration
+    ascend, so a merged partition's index is a ``np.searchsorted`` of its code.
     """
     k, block_widths, elements = flat
     identity = k.size - 1
     edges = k * (k - 1) // 2
     rows = edges + (np.arange(k.size) < identity)
     first = _starts(rows)
-    finer = np.repeat(np.arange(k.size, dtype=np.int32), rows)  # half the memory kept per n
+    finer = np.repeat(np.arange(k.size), rows)
     coarser = np.empty_like(finer)
     kind = np.zeros_like(finer)
     labels = np.arange(block_widths.size) - np.repeat(_starts(k), k)
@@ -872,14 +879,15 @@ def exhaustive_lattice_check(
     margin over all edges is reported in the metadata.
     """
     n = dist.n
-    partitions, (finer, coarser, kind, _), values, numbers = _partition_values(spec, dist)
+    partitions, (finer, coarser, kind, _), numbers, failures = _partition_values(spec, dist)
     identity = _outcome(evaluate, spec, dist)  # last, as in the walk
     if isinstance(identity, Exception):
         raise identity
-    values.append(identity)
-    numbers = np.append(numbers, identity if type(identity) is float else math.nan)
+    if isinstance(identity, str):
+        failures[numbers.size], identity = identity, math.nan
     entries = _checked(
-        tolerance, values, numbers, finer, coarser, {"spec": spec.label(), "n": n},
+        tolerance, np.append(numbers, identity), failures, finer, coarser,
+        {"spec": spec.label(), "n": n},
         kind=_Lazy(_LATTICE_KINDS, kind),
         index=range(kind.size),
         blocks_finer=_Lazy(partitions, finer),
@@ -911,10 +919,9 @@ def corollary1_check(
     """
     n = dist.n
     base = evaluate(spec, dist)  # before the partitions, as partition by partition
-    partitions, (finer, coarser, kind, rows), values, numbers = _partition_values(spec, dist)
-    values.append(base)
+    partitions, (finer, coarser, kind, rows), numbers, failures = _partition_values(spec, dist)
     entries = _checked(
-        tolerance, values, np.append(numbers, base), finer[rows], coarser[rows],
+        tolerance, np.append(numbers, base), failures, finer[rows], coarser[rows],
         {"spec": spec.label(), "n": n, "blocks_finer": partitions[-1]},
         kind=_Lazy(_LATTICE_KINDS, kind[rows]),
         index=range(rows.size),
@@ -1043,7 +1050,7 @@ def max_entropy_check(
     index = np.arange(finer_rows.size) - np.repeat(_starts(counts), counts)
     coarser_rows = finer_rows + np.where(np.repeat(sampled, counts), index + 1, 0)
     entries = _checked(
-        tolerance, values.values, values.numbers, finer_rows, coarser_rows,
+        tolerance, values.numbers, values.failures, finer_rows, coarser_rows,
         {"kind": "max_entropy", "spec": spec.label()},
         n=np.repeat(n_list, counts).tolist(),
         index=index.tolist(),

@@ -4,16 +4,28 @@ import hashlib
 import io
 import json
 import math
+import os
 import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gentropy
 from gentropy.catalog import EntropySpec, default_campaign_specs, spec_from_json, spec_to_json
 from gentropy.cli import build_parser, main
 from gentropy.distributions import sample_dirichlet_uniform
 from gentropy.verify import corollary1_check, emit_report, exhaustive_lattice_check
+
+
+# A child ``python -m gentropy`` imports the package this process imported:
+# PYTHONPATH starts with the directory that holds it.
+_PACKAGE_ROOT = str(Path(gentropy.__file__).resolve().parent.parent)
+_CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (_PACKAGE_ROOT, os.environ.get("PYTHONPATH")))),
+}
 
 
 def run_cli(capsys, *argv):
@@ -156,7 +168,7 @@ def test_main_reuses_one_parser_like_a_fresh_process(capsys):
             "--cases", "2"]
     code, out, _ = run_cli(capsys, *argv)
     fresh = subprocess.run([sys.executable, "-m", "gentropy", *argv], capture_output=True,
-                           text=True)
+                           text=True, env=_CHILD_ENV)
     assert (code, out) == (fresh.returncode, fresh.stdout) == (0, out)
     assert build_parser() is not build_parser()
 
@@ -494,6 +506,17 @@ def test_bad_entropy_json_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_s_cd_past_the_gamma_range_is_an_error_not_a_traceback(capsys):
+    """Gamma(1 + d) passes the float range above d of about 170.6: an error
+    line and exit 2, not an OverflowError."""
+    code, out, err = run_cli(
+        capsys, "compute", "--entropy", '{"id":"s_cd","params":{"c":0.5,"d":200}}',
+        "--dist", "[0.5,0.5]",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "overflows the float range" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "compute", "--entropy", "/nonexistent/spec.json", "--dist", "[1.0]"
@@ -507,6 +530,7 @@ def test_unknown_subcommand_exit_two():
         [sys.executable, "-m", "gentropy", "frobnicate"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert proc.returncode == 2
 
@@ -525,6 +549,7 @@ def test_module_entry_point_matches_api():
         ],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == pytest.approx(math.log(2), abs=1e-14)
@@ -539,7 +564,7 @@ def test_module_entry_point_exits_with_the_code_main_returns(capsys, monkeypatch
     process, print what ``main`` prints and exit with what it returns."""
     code, out, _ = run_cli(capsys, *argv)
     proc = subprocess.run([sys.executable, "-m", "gentropy", *argv], capture_output=True,
-                          text=True)
+                          text=True, env=_CHILD_ENV)
     assert (proc.returncode, proc.stdout) == (code, out)
     monkeypatch.setattr(sys, "argv", ["gentropy", *argv])
     with pytest.raises(SystemExit) as exit_info:

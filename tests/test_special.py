@@ -13,7 +13,7 @@ from gentropy import (
     universal_group_G_prime,
     upper_incomplete_gamma,
 )
-from gentropy.errors import ParamOutOfDomain, TruncationCapHit, ValidationError
+from gentropy.errors import NonFinite, ParamOutOfDomain, TruncationCapHit, ValidationError
 from gentropy.special import check_series_coefficients
 
 
@@ -82,6 +82,21 @@ def test_gamma_domain_errors():
         upper_incomplete_gamma(-1.5, 1.0)
     with pytest.raises(ValidationError):
         upper_incomplete_gamma(1.0, -0.1)
+
+
+def test_gamma_past_the_float_range_is_non_finite_not_an_overflow():
+    """Above a shape of about 171.6 the complete gamma passes the float range:
+    that is a ``NonFinite``, for s_cd's phi too.  Below it the bits are kept."""
+    for a, x in [(171.7, 1.0), (201.0, np.array([0.5, 250.0])), (1e6, 2.0)]:
+        with pytest.raises(NonFinite, match="overflows the float range"):
+            upper_incomplete_gamma(a, x)
+    with pytest.raises(NonFinite):
+        EntropySpec("s_cd", c=0.5, d=200).functional.phi(np.array([0.5, 0.5]))
+    kept = upper_incomplete_gamma(171.5, np.array([0.0, 1.0, 171.5, 400.0]))
+    assert [v.hex() for v in kept.tolist()] == [
+        "0x1.0e1863dcad769p+1023", "0x1.0e1863dcad769p+1023",
+        "0x1.089c18fab3d27p+1022", "0x1.69215fcb55756p+897",
+    ]
 
 
 def _series_by_point(a, x):

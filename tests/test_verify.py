@@ -569,8 +569,9 @@ def test_checked_rows_equal_records_built_one_at_a_time():
     probs = [(float(index), 1.0 - index) for index in range(len(rows))]
     values = finer + coarser
     numbers = np.array([v if type(v) is float else math.nan for v in values])
+    failures = {i: v for i, v in enumerate(values) if type(v) is str}
     records = _checked(
-        tolerance, values, numbers, np.arange(len(rows)), len(rows) + np.arange(len(rows)),
+        tolerance, numbers, failures, np.arange(len(rows)), len(rows) + np.arange(len(rows)),
         {"kind": "hand", "spec": "x", "n": 2}, index=range(len(rows)), probs=probs,
     )
     expected = []
@@ -590,7 +591,7 @@ def test_checked_rows_equal_records_built_one_at_a_time():
     for record in records:
         assert type(record.passed) is bool
         assert record.margin is None or type(record.margin) is float
-    assert records[0].value_finer is finer[0]  # the caller's float objects, kept
+    assert records[0].value_finer.hex() == finer[0].hex()  # the table's float bits, kept
 
 
 class _ForwardingProxy:
@@ -1238,6 +1239,43 @@ def test_lattice_and_corollary_equal_per_partition_loops_at_n8():
     assert corollary.summary[0].skipped == len(corollary.entries) == bell_number(8) - 1
 
 
+def test_lattice_and_corollary_cold_paths_equal_per_partition_loops_at_n8():
+    """At n = 8 on a distribution holding a zero, the kernel's cold paths: which
+    vectors hold the zero is gathered, a functional rejecting zeros runs phi on
+    the subsets its kept vectors read, and the refused batch of the user specs
+    falls back to phi per vector.  The corollary's entries hold the value of
+    every non-identity partition, so it alone checks the fallback's values."""
+    rng = np.random.default_rng(80)
+    with_zero = FiniteDistribution(np.r_[0.0, rng.dirichlet(np.ones(7))])
+    rejecting, refused = EntropySpec("abe", k=0.3), _custom_specs()[-1]
+    lattice, corollary = _assert_oracles_match_reference(rejecting, with_zero)
+    assert corollary is None and 0 < lattice.summary[0].skipped < len(lattice.entries)
+    corollary = corollary1_check(refused, with_zero)
+    assert corollary == _reference_corollary(refused, with_zero)
+    assert corollary.summary[0].skipped == 0
+
+
+def test_lattice_entries_reading_one_value_share_its_float():
+    """In each value column, a partition's value is one float object, whichever
+    entries read it: a report read whole holds a float per partition, not per entry."""
+    report = exhaustive_lattice_check(SHANNON, FiniteDistribution([0.1, 0.2, 0.3, 0.4]))
+    for side in ("finer", "coarser"):
+        first = {}
+        for entry in report.entries:
+            blocks, value = getattr(entry, f"blocks_{side}"), getattr(entry, f"value_{side}")
+            assert first.setdefault(blocks, value) is value
+
+
+def test_lattice_past_the_gamma_range_skips_every_entry():
+    """s_cd's batched phi raises NonFinite at d = 200; phi alone on each vector
+    raises it too, so every entry, the identity's included, is skipped."""
+    spec = EntropySpec("s_cd", c=0.5, d=200)
+    report = exhaustive_lattice_check(spec, FiniteDistribution([0.1, 0.2, 0.3, 0.4]))
+    reasons = {entry.skipped for entry in report.entries}
+    assert len(report.entries) == report.summary[0].skipped > 0
+    assert reasons == {"NonFinite: the gamma function at shape 201.0 overflows the float range"}
+
+
 @pytest.mark.slow
 def test_oracles_equal_reference_loops_with_cold_and_warm_shapes(monkeypatch):
     """Each n is checked first with nothing kept for it, then again once its
@@ -1258,8 +1296,13 @@ def test_lattice_subset_table_decodes_blocks_and_sums_as_coarse_grain(n):
     id; that subset holds the block's elements and its mass has coarse_grain's bits."""
     dist = FiniteDistribution(np.random.default_rng(n).dirichlet(np.ones(n)))
     exhaustive_lattice_check(SHANNON, dist)  # keeps the shape of n
-    (subsets, block_rows, *_), _ = verify._LATTICE_SHAPES[n]
+    (subsets, _, _, (count, groups)), _ = verify._LATTICE_SHAPES[n]
     masses = verify._segment_sums(dist.probs, subsets)
+    block_rows = [None] * count  # each partition's row of subset ids, in partition order
+    for rows, ids in groups:
+        for row, subset_ids in zip(rows.tolist(), ids):
+            block_rows[row] = subset_ids
+    block_rows = np.concatenate([np.empty(0, np.intp), *block_rows])
     assert masses.size == 2**n - 1
     partitions = list(enumerate_partitions(n))[:-1]  # the identity is last
     blocks = [block for partition in partitions for block in partition.blocks]
@@ -1319,7 +1362,8 @@ def test_partition_values_equal_per_partition_evaluate_for_every_family_at_n8():
             with pytest.raises(type(exc)):
                 verify._partition_values(spec, dist)
             continue
-        values = verify._partition_values(spec, dist)[2]
+        _, _, numbers, failures = verify._partition_values(spec, dist)
+        values = [failures.get(v, x) for v, x in enumerate(numbers.tolist())]
         assert [type(v) for v in values] == [type(v) for v in expected], spec.label()
         assert values == expected, spec.label()
         signs = [math.copysign(1.0, v) for v in values if type(v) is float]
@@ -1387,10 +1431,14 @@ def test_kernel_plan_kept_per_n_gives_the_bits_of_one_built_per_call(n, seed, ze
     blocks = verify._flat_blocks([p.blocks for p in enumerate_partitions(n)][:-1])
     count = bell_number(n) - 1
     built = verify._VectorValues([spec], np.tile(probs, count), np.full(count, n), blocks=blocks)
-    assert _same_outcomes(kept.values, built.values)
+    assert _same_outcomes(*([failures.get(v) for v in range(count)] for failures in (
+        kept.failures, built.failures
+    )))
     assert kept.numbers.tobytes() == built.numbers.tobytes()
     assert kept.totals.tobytes() == built.totals.tobytes()
-    assert kept.raised == built.raised
+    assert [v for v in sorted(kept.failures) if isinstance(kept.failures[v], Exception)] == [
+        v for v in sorted(built.failures) if isinstance(built.failures[v], Exception)
+    ]
 
 
 @settings(max_examples=40, deadline=None)
