@@ -23,7 +23,7 @@ derived from its ``(w, e)`` terms), ``x g(-ln x)`` (:func:`_x_g_neglog`),
 (:func:`_piecewise_linear`), log1p (``hypoentropy``) or incomplete gamma
 (``s_cd``).  ``genetic`` writes its polynomial ``phi`` and ``phi'`` literally;
 ``h_phi_custom`` takes user callables.  An outer map is one of the ``_OUTER``
-kinds (identity, log, expm1 of a scaled log, shift), each with its derivative.
+kinds (identity, log, expm1 of a scaled log, shift), each with h' and ``h.array``.
 
 Parameter domains are validated at construction; zero-probability support is
 declared per functional (``zero_safe``).  Natural logarithms throughout,
@@ -35,6 +35,7 @@ Conventions: 0*ln(0) := 0 and 0**a := 0 for a > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Mapping
 
 import json
@@ -57,7 +58,7 @@ from .errors import (
     _number,
     _numbers,
 )
-from .special import _group_series, upper_incomplete_gamma
+from .special import _group_series, _libm, upper_incomplete_gamma
 
 _LN2 = math.log(2.0)
 
@@ -139,16 +140,29 @@ def _derive(terms: _Terms) -> _Terms:
     return tuple((w * e, e - 1.0) for w, e in terms if w * e != 0.0)
 
 
+def _log_of_sum(y: float) -> float:
+    """ln y for a component sum y; a sum that underflowed to 0.0 is a typed error."""
+    if y == 0.0:
+        raise NonFinite(f"the component sum is {y!r} (an underflow), and its log is not finite")
+    return math.log(y)
+
+
+def _outer(form: Callable, h_prime: Callable) -> tuple[Callable, Callable]:
+    """(h, h') from ``form(y, log, expm1)``; ``h.array`` is h at each element, by ``_libm``."""
+    h = lambda y: form(y, _log_of_sum, math.expm1)
+    h.array = lambda t: form(t, partial(_libm, math.log), partial(_libm, math.expm1))
+    return h, h_prime
+
+
 # Outer maps h by kind, each built from its constants as the pair (h, h').
 _OUTER: dict[str, Callable[..., tuple[Callable | None, Callable | None]]] = {
     "identity": lambda: (None, None),
-    "log": lambda c: (lambda y: math.log(y) / c, lambda y: 1.0 / (c * y)),
+    "log": lambda c: _outer(lambda y, log, _: log(y) / c, lambda y: 1.0 / (c * y)),
     # expm1/log keep the s -> 1 neighborhood (the log-family limit) stable
-    "expm1_log": lambda m, c: (
-        lambda y: math.expm1(m * math.log(y)) / c,
-        lambda y: m / c * math.pow(y, m - 1.0),
+    "expm1_log": lambda m, c: _outer(
+        lambda y, log, expm1: expm1(m * log(y)) / c, lambda y: m / c * math.pow(y, m - 1.0)
     ),
-    "shift": lambda s: (lambda y: y - s, lambda y: 1.0),
+    "shift": lambda s: _outer(lambda y, *_: y - s, lambda y: 1.0),
 }
 
 
@@ -333,14 +347,14 @@ def _universal_group(params: dict) -> _Functional:
 
 
 def _s_cd(params: dict) -> _Functional:
+    """phi(x) = e Gamma(1 + d, 1 - c ln x) / norm, the logs by ``_libm``; h = y - c / norm."""
     c = float(params["c"])
     d = float(params["d"])
     norm = 1.0 - c + c * d
     scale = math.e / norm
 
     def phi(x: np.ndarray) -> np.ndarray:
-        flat = np.asarray(x, dtype=float).ravel()
-        limits = np.array([1.0 - c * math.log(v) for v in flat.tolist()])  # math, not np.log
+        limits = 1.0 - c * _libm(math.log, np.asarray(x, dtype=float).ravel())
         return scale * upper_incomplete_gamma(1.0 + d, limits).reshape(np.shape(x))
 
     def phi_prime(x: np.ndarray) -> np.ndarray:

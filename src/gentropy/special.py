@@ -26,6 +26,12 @@ _SERIES_CAP = 200
 _Coeffs = Sequence[float] | Callable[[int], float]  # finite a_0..a_m, or k -> a_k
 
 
+def _libm(fn: Callable[[float], float], t: np.ndarray) -> np.ndarray:
+    """``fn``, a ``math`` function, at each element of the 1-d ``t``, by ``map``: numpy's own
+    ``log`` and ``expm1`` differ from libm's in the last bit at some points."""
+    return np.fromiter(map(fn, t.tolist()), float, t.size)
+
+
 def _lower_regularized_series(a: float, x: np.ndarray) -> np.ndarray:
     """P(a, x) over the prefactor, by power series; accurate for 0 < x < a + 1.
     Each step updates only the points still running: a point stops, keeping its
@@ -107,10 +113,9 @@ def upper_incomplete_gamma(a: float, x: float | np.ndarray) -> float | np.ndarra
         gamma_a = math.gamma(a) if a < 170.0 else math.exp(math.lgamma(a))
     except OverflowError:  # the complete gamma passes the float range
         raise NonFinite(f"the gamma function at shape {a!r} overflows the float range") from None
-    # The prefactor exp(-x + a log x - lgamma(a)) is taken on math: numpy's exp
-    # and log differ from it in the last bit at some points.
-    lg = math.lgamma(a)
-    pre = np.array([math.exp(-t + a * math.log(t) - lg) if t else 0.0 for t in flat.tolist()])
+    # The prefactor exp(-x + a log x - lgamma(a)), by _libm; 0.0 at x = 0, with no log call.
+    pre, t = np.zeros(flat.shape), flat[flat > 0.0]
+    pre[flat > 0.0] = _libm(math.exp, -t + a * _libm(math.log, t) - math.lgamma(a))
     out = np.full(flat.shape, gamma_a)
     series, fraction = (flat > 0.0) & (flat < a + 1.0), flat >= a + 1.0
     out[series] = gamma_a * (1.0 - _lower_regularized_series(a, flat[series]) * pre[series])

@@ -30,15 +30,16 @@ equal, bit for bit, those of ``coarse_grain`` and ``evaluate`` called case
 by case, because:
 
 * every sum (block sums, vector totals) is taken over a group of segments
-  of one width, as the rows of a C-contiguous matrix reduced with
-  ``sum(axis=1)``: numpy's pairwise summation then runs on each row as it
-  does on a 1-d array, which ``np.add.reduceat`` and ``np.bincount`` do not;
+  of one width: below 8 column by column from 0.0, the order numpy's pairwise
+  summation keeps there, and from 8 on as the rows of a C-contiguous matrix
+  reduced with ``sum(axis=1)``, which sums each row as ``np.sum`` does;
 * a batch either aggregates every vector by its blocks, the identity by
   its singletons (a one-element sum is that element), or hands over the
   draws as they are;
-* the outer map ``h`` is applied to each total by the same scalar callable
-  (``math.log``, ``math.expm1``) in one comprehension, never by a
-  vectorised numpy twin;
+* an outer-map kind's ``h`` calls ``math.log`` and ``math.expm1`` on the
+  totals by ``map``, never numpy's twins, which differ in the last bit at some
+  points, and runs the ``+ - * /`` around them in numpy, IEEE as Python's;
+  any other ``h`` (a user's) is called on each total in one comprehension;
 * its inputs are ones the per-case path accepts: every draw a vector
   ``FiniteDistribution`` accepts (a validated ``probs``, a sampler draw or
   a pinned vector) and every ``blocks`` the canonical blocks of a partition
@@ -343,44 +344,40 @@ def _summarize(
     so two specs that share a label keep their own summaries; the worst
     case is the first entry holding the minimum margin (a NaN first margin
     stays the minimum, as no margin is below it).  Each run of entries of one
-    group is reduced at once, and runs add up by ``np.bincount`` over their groups.
+    group (a lattice report is one run, a campaign one per spec) is reduced by
+    slice reductions; a report of one spec index and one shared label is one run.
     """
     entries = _Entries.of(entries)
-    s_index = np.zeros(len(entries), np.intp) if spec_indices is None else np.asarray(spec_indices)
+    s_index = None if spec_indices is None else np.asarray(spec_indices)
     # runs of one (spec index, label) start at 0 and wherever either changes
-    change = s_index[1:] != s_index[:-1]
+    change = False if s_index is None else s_index[1:] != s_index[:-1]
     if "spec" in entries._columns:  # else one label is shared by all
         labels = np.array(entries.column("spec"), dtype=object)
-        change |= labels[1:] != labels[:-1]
-    starts, groups = np.flatnonzero(np.r_[len(entries) > 0, change]), {}
-    keys = zip(s_index[starts].tolist(), entries._at("spec", starts))
-    runs = np.array([groups.setdefault(k, len(groups)) for k in keys], dtype=np.intp)
-    sizes, margin = np.diff(np.append(starts, len(entries))), entries.margin
-    tallies = [np.add.reduceat(a, starts, dtype=int) for a in (entries.violation, entries.skipped)]
-    tallies = [np.bincount(runs, t, len(groups)).astype(int).tolist() for t in (sizes, *tallies)]
-    # each run's first measured entry and first entry of least margin, or -1
-    low = np.fmin.reduceat(margin, starts)  # NaN where no margin of the run is a number
-    firsts = []
-    for rows in map(np.flatnonzero, (entries.measured, margin == np.repeat(low, sizes))):
-        row = np.append(rows, -1)[np.searchsorted(rows, starts)]
-        firsts.append(np.where(row < starts + sizes, row, -1).tolist())
-    worst = {}  # group -> (entry, its margin; None where a NaN first margin decides)
-    for g, first, least, lo in zip(runs.tolist(), *firsts, low.tolist()):
-        if first < 0 or g in worst and (worst[g][1] is None or not lo < worst[g][1]):
-            continue
-        worst[g] = (first, None) if g not in worst and math.isnan(margin[first]) else (least, lo)
-    rows = [w for w, _ in worst.values()]
-    found = zip(*(entries._at(name, rows) for name in ("margin", "n", "index")))
-    spec_index = [s for s, _ in groups]
-    located = {g: (m, (spec_index[g], n, i)) for g, (m, n, i) in zip(worst, found)}
-    skipped = np.flatnonzero(entries.skipped)
-    owners = runs[np.searchsorted(starts, skipped, side="right") - 1].tolist()
-    reasons = [[] for _ in groups]
-    for (g, reason), k in sorted(Counter(zip(owners, entries._at("skipped", skipped))).items()):
-        reasons[g].append((reason, k))
+        change = change | (labels[1:] != labels[:-1])
+    starts = [0, *(np.flatnonzero(change) + 1).tolist()][: len(entries)]
+    firsts = [0] * len(starts) if s_index is None else s_index[starts].tolist()
+    keys = zip(firsts, entries._at("spec", starts))
+    groups = {}  # (spec index, label) -> [cases, violations, skip reasons, worst, least]
+    for key, start, stop in zip(keys, starts, starts[1:] + [len(entries)]):
+        tally = groups.setdefault(key, [0, 0, Counter(), None, math.nan])
+        run, margin = slice(start, stop), entries.margin[start:stop]
+        tally[0] += stop - start
+        tally[1] += int(np.count_nonzero(entries.violation[run]))
+        if entries.skipped[run].any():
+            tally[2].update(entries._at("skipped", np.flatnonzero(entries.skipped[run]) + start))
+        first = start + int(entries.measured[run].argmax())  # its first measured entry, if any
+        least = np.fmin.reduce(margin)  # NaN where no measured margin is a number
+        if tally[3] is None and entries.measured[first] and math.isnan(entries.margin[first]):
+            tally[3] = first  # a NaN first margin stays the worst: none is below it
+        elif least < tally[4] or tally[3] is None and entries.measured[first]:
+            tally[3:] = start + int((margin == least).argmax()), least
+    worst = {key: tally[3] for key, tally in groups.items() if tally[3] is not None}
+    found = zip(*(entries._at(name, list(worst.values())) for name in ("margin", "n", "index")))
+    located = {key: (m, (key[0], n, i)) for key, (m, n, i) in zip(worst, found)}
     return tuple(
-        SpecSummary(label, *(t[g] for t in tallies), *located.get(g, (None, None)), (*reasons[g],))
-        for (_, label), g in groups.items()
+        SpecSummary(label, cases, violations, sum(reasons.values()),
+                    *located.get((s, label), (None, None)), (*sorted(reasons.items()),))
+        for (s, label), (cases, violations, reasons, *_) in groups.items()
     )
 
 
@@ -408,31 +405,29 @@ def _checked(
 ) -> _Entries:
     """The entries of checks of H(finer) >= H(coarser), one per row.
 
-    ``numbers`` is a float64 table of values, NaN where a value could not be
-    computed, and ``failures`` maps such an index to its reason, a str.  Row r
+    ``numbers`` is a float64 table of finite values, NaN where a value could not
+    be computed, and ``failures`` maps such an index to its reason, a str.  Row r
     compares the values at ``finer_rows[r]`` and ``coarser_rows[r]``; its
-    first reason, finer before coarser, makes it skipped, with no values and
-    no margin.  Margins and verdicts are taken in numpy, whose float64
-    subtraction and ``>= -tolerance`` give the bits the Python floats do; the
-    ``_Lazy`` value columns read the table's floats.  ``columns`` are the
+    first reason, finer before coarser, makes it skipped (its margin is NaN),
+    with no values and no margin.  Margins and verdicts are taken in numpy, whose
+    float64 subtraction and ``< -tolerance`` give the bits the Python floats do;
+    the ``_Lazy`` value columns read the table's floats.  ``columns`` are the
     entries' other fields, a sequence each, and ``shared`` those all share.
     """
     _number("tolerance", tolerance)  # the one check of every oracle's tolerance
     reasons = np.empty(len(numbers), dtype=object)
     reasons[list(failures)] = np.fromiter(failures.values(), dtype=object, count=len(failures))
-    finer, coarser = numbers[finer_rows], numbers[coarser_rows]
-    is_skipped = np.isnan(finer) | np.isnan(coarser)
-    margin = finer - coarser
-    passed = (margin >= -tolerance) | is_skipped
-    at = np.where(np.isnan(finer), finer_rows, coarser_rows) if failures else finer_rows
+    margin, nan = numbers[finer_rows] - numbers[coarser_rows], np.isnan(numbers)
+    is_skipped, violation = np.isnan(margin), margin < -tolerance  # NaN: not a violation
+    at = np.where(nan[finer_rows], finer_rows, coarser_rows) if failures else finer_rows
     columns.update(
         value_finer=_Lazy(numbers, finer_rows, is_skipped),
         value_coarser=_Lazy(numbers, coarser_rows, is_skipped),
         margin=_Lazy(margin, None, is_skipped),
         skipped=_Lazy(reasons, at, ~is_skipped),
-        passed=_Lazy(passed),
+        passed=_Lazy(~violation),
     )
-    return _Entries(columns, shared, is_skipped, ~passed, margin, ~is_skipped)
+    return _Entries(columns, shared, is_skipped, violation, margin, ~is_skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +588,19 @@ def _sum_plan(starts: np.ndarray, widths: np.ndarray, into: np.ndarray | None = 
 
 
 def _segment_sums(values: np.ndarray, plan: tuple) -> np.ndarray:
-    """``np.sum(values[s : s + w])`` for every segment of a :func:`_sum_plan`, bit for bit:
-    a width's segments are the rows of a C-contiguous matrix, and ``sum(axis=1)``
-    runs numpy's pairwise summation on each row as ``np.sum`` does on a 1-d array."""
+    """``np.sum(values[s : s + w])`` for every segment of a :func:`_sum_plan`, bit for bit.
+    Below 8 elements numpy's pairwise sum adds in order from 0.0, as a width's columns are
+    added here; from 8 on, ``sum(axis=1)`` sums each row of a width as ``np.sum`` does."""
     count, groups = plan
     out = np.zeros(count)
     for rows, index in groups:
-        out[rows] = values[index].sum(axis=1)
+        if index.shape[1] < 8:
+            acc = np.zeros(rows.size)
+            for column in index.T:
+                acc += values[column]
+            out[rows] = acc
+        else:
+            out[rows] = values[index].sum(axis=1)
     return out
 
 
@@ -761,11 +762,16 @@ class _VectorValues:
 
 def _outer_values(spec: EntropySpec, totals: np.ndarray) -> tuple[Sequence[float], dict]:
     """``_outer_value`` of every total: the floats, NaN where it fails, and by position
-    each failure's reason or exception.  h is applied by one comprehension; if it
-    raises or gives a non-finite value, each total keeps its own outcome."""
+    each failure's reason or exception.  h is applied by its array form where it has one
+    (``catalog._outer``; numpy's float warnings off, as Python's floats give none), else
+    by one comprehension.  If it raises or is not finite, each total keeps its outcome."""
     h = spec.functional.h
     try:
-        mapped = totals if h is None else np.array([float(h(total)) for total in totals.tolist()])
+        if h is None or hasattr(h, "array"):
+            with np.errstate(all="ignore"):
+                mapped = totals if h is None else h.array(totals)
+        else:
+            mapped = np.array([float(h(total)) for total in totals.tolist()])
     except Exception:  # each total's own outcome is taken below
         mapped = [math.nan]
     if np.isfinite(mapped).all():

@@ -1,6 +1,7 @@
 """Per-functional values, parameter domains, and catalog-wide invariants."""
 
 import math
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from gentropy.distributions import _dirichlet_interior
 from gentropy.errors import (
     BreakpointHit,
     DeltaExceedsBound,
+    NonFinite,
     ParamOutOfDomain,
     ValidationError,
     ZeroUnsupported,
@@ -597,3 +599,79 @@ def test_paired_phi_prime_agrees_with_its_replaced_closure():
     with np.errstate(over="ignore"):
         assert np.log((1.0 - 5e-324) / 5e-324) == math.inf
     assert math.isfinite(kind(np.array([5e-324]))[0])
+
+
+# ---------------------------------------------------------------------------
+# Outer maps: the array form of each kind and the typed underflow
+# ---------------------------------------------------------------------------
+
+_OUTER_SPECS = [
+    spec("renyi", q=0.5), spec("renyi", q=3.0), spec("renyi", q=944.0),
+    spec("mathai_Mq_star", q=1.9), spec("nath", alpha=0.5, **{"lambda": 2.0}),
+    spec("nath", alpha=2.0, **{"lambda": -1e-310}),  # log / c overflows
+    spec("sharma_mittal_rs", r=0.5, s=2.0), spec("sharma_mittal_rs", r=2.0, s=0.5),
+    spec("sharma_mittal_rs", r=1.0 + 2.0**-40, s=1e290),  # m * log overflows
+    spec("sharma_mittal_rs", r=1.0 + 2.0**-40, s=1e300),  # m is inf
+    spec("s_cd", c=0.8, d=0.5),
+]
+_ONE = 1.0 + np.arange(-4, 5) * 2.0**-52
+_TOTALS = np.concatenate([
+    _ONE, [0.5, 0.999, 1.001, 2.0, 3.7, 5e-324, 1e-310, 1e-300, 1e-200, 1e200, 1e300, 1.7e308],
+    np.random.default_rng(0).uniform(0.0, 10.0, 50),
+])
+
+
+def _each(fn, values):
+    """``fn`` at each value alone: the hex of its float, or the type it raises."""
+    out = []
+    for v in values:
+        try:
+            out.append(float(fn(v)).hex())
+        except Exception as exc:
+            out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize("sp", _OUTER_SPECS, ids=[sp.label() for sp in _OUTER_SPECS])
+def test_outer_array_forms_equal_their_scalar_forms_bit_for_bit(sp):
+    """Totals near 1, tiny and huge: each kind's array form gives the bits and
+    the errors h gives each total alone; without an error, at once too."""
+    h = sp.functional.h
+    expected = _each(h, _TOTALS.tolist())
+    with np.errstate(all="ignore"):
+        assert _each(lambda t: h.array(np.array([t]))[0], _TOTALS.tolist()) == expected
+        if all(isinstance(e, str) for e in expected):
+            assert [v.hex() for v in h.array(_TOTALS).tolist()] == expected
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["nonzero", "zeros"])
+@pytest.mark.parametrize("sp", _OUTER_SPECS, ids=[sp.label() for sp in _OUTER_SPECS])
+def test_outer_values_keep_each_totals_outcome_and_warn_nowhere(sp, zeros):
+    """The kernel's outer map of totals: every total gets h's value or outcome
+    alone, and numpy warns nowhere Python's floats do not.  A total of 0.0
+    takes the per-total fallback and, under a log kind, its typed reason."""
+    from gentropy.catalog import _outer_value
+    from gentropy.verify import _outcome, _outer_values
+
+    totals = np.concatenate([[0.0], _TOTALS, [0.0]]) if zeros else _TOTALS
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        numbers, failures = _outer_values(sp, totals)
+        expected = [_outcome(_outer_value, sp, t) for t in totals.tolist()]
+    assert caught == []
+    assert [type(v) is float for v in expected] == [i not in failures for i in range(totals.size)]
+    assert [str(f) for f in failures.values()] == [str(e) for e in expected if type(e) is not float]
+    assert np.asarray(numbers).tobytes() == np.array(
+        [v if type(v) is float else math.nan for v in expected]).tobytes()
+    if zeros and sp.id != "s_cd":
+        assert failures[0] == failures[totals.size - 1] == (
+            "NonFinite: the component sum is 0.0 (an underflow), and its log is not finite"
+        )
+
+
+def test_an_underflowed_power_sum_under_a_log_is_non_finite():
+    """renyi(q=944) on the uniform n = 4 distribution: the power sum underflows
+    to 0.0, and evaluate raises NonFinite, not a math domain error."""
+    for sp in (spec("renyi", q=944.0), spec("sharma_mittal_rs", r=1000.0, s=2.0)):
+        with pytest.raises(NonFinite, match="component sum is 0.0"):
+            evaluate(sp, UNIFORM4)

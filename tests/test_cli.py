@@ -124,6 +124,26 @@ def test_verify_needs_specs(capsys):
     assert "error" in err
 
 
+_UNDERFLOW = "the component sum is 0.0 (an underflow), and its log is not finite"
+_UNDERFLOWING = ['{"id":"renyi","params":{"q":944}}', '{"id":"sharma_mittal_rs","params":{"r":1000,"s":2}}']
+
+
+@pytest.mark.parametrize("entropy", _UNDERFLOWING, ids=["renyi", "sharma_mittal_rs"])
+def test_compute_on_an_underflowed_power_sum_is_a_usage_error(capsys, entropy):
+    """A power sum that underflows to 0.0 under a log outer map is a typed
+    error (exit 2), not a math domain error's traceback."""
+    code, out, err = run_cli(capsys, "compute", "--entropy", entropy, "--dist", "[0.25,0.25,0.25,0.25]")
+    assert (code, out, err) == (2, "", f"error: {_UNDERFLOW}\n")
+
+
+def test_verify_skips_and_counts_underflowed_cases(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--entropy", _UNDERFLOWING[0], "--n", "4")
+    (summary,) = json.loads(out)["summary"]
+    assert code == 0 and summary["violations"] == 0
+    assert 0 < summary["skipped"] < summary["cases"]
+    assert summary["skip_reasons"] == {f"NonFinite: {_UNDERFLOW}": summary["skipped"]}
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan"])
 def test_verify_rejects_non_finite_tolerance_before_running(capsys, monkeypatch, tolerance):
     """A non-finite tolerance is an argument error, not a failed emission."""

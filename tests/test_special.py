@@ -1,6 +1,7 @@
 """Incomplete gamma against an independent quadrature oracle; series kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,13 +149,15 @@ def _gamma_by_point(a, x):
     return gamma_a * _continued_fraction_by_point(a, x)
 
 
-@pytest.mark.parametrize("a", [0.5, 1.5, 2.0, 3.0, 7.0])
+@pytest.mark.parametrize("a", [1e-9, 0.5, 1.5, 2.0, 3.0, 7.0, 150.0])
 def test_gamma_over_an_array_equals_a_per_point_loop_bit_for_bit(a):
-    """x = 0, tiny x, both sides of the x = a + 1 switch, and x up to 700."""
+    """x = 0, tiny x, both sides of the x = a + 1 switch, x up to 700, and huge
+    and subnormal x, where the prefactor exp(-x + a log x - lgamma(a)) underflows."""
     rng = np.random.default_rng(int(10 * a))
     edge = a + 1.0
     x = np.concatenate([
         [0.0, 5e-324, 1e-300, 1e-12, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1e3)],
+        [1e-310, 745.0, 800.0, 1e5, 1e300, 1.7e308],
         edge + rng.uniform(-1.0, 1.0, 200),
         rng.uniform(0.0, 2.0 * edge, 300),
         rng.uniform(0.0, 700.0, 300),
@@ -175,6 +178,23 @@ def test_s_cd_phi_equals_a_per_element_gamma_loop(c, d):
     scale = math.e / (1.0 - c + c * d)
     expected = [scale * upper_incomplete_gamma(1.0 + d, 1.0 - c * math.log(v)) for v in x.tolist()]
     assert EntropySpec("s_cd", c=c, d=d).functional.phi(x).tolist() == expected
+
+
+@pytest.mark.parametrize("c, d", [(0.5, 1.0), (1.0, 2.0), (1.0, -1.0 + 1e-9), (0.3, 150.0)])
+def test_s_cd_phi_equals_its_per_point_math_form_bit_for_bit(c, d):
+    """phi against the scalar form, one ``math.log`` limit and one per-point
+    gamma each, on masses whose prefactor underflows (subnormal masses, a
+    shape near 0) or is largest (a shape of 151); numpy warns nowhere."""
+    x = np.concatenate([
+        [1.0, 5e-324, 1e-320, 1e-308, 1e-300, 0.5, np.nextafter(1.0, 0.0)],
+        np.random.default_rng(2).uniform(0.0, 1.0, 4000),
+    ])
+    scale = math.e / (1.0 - c + c * d)
+    expected = [scale * _gamma_by_point(1.0 + d, 1.0 - c * math.log(v)) for v in x.tolist()]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = EntropySpec("s_cd", c=c, d=d).functional.phi(x)
+    assert caught == [] and got.tobytes() == np.array(expected).tobytes()
 
 
 def test_series_single_term_is_linear():

@@ -51,6 +51,7 @@ from gentropy import verify
 from gentropy.verify import (
     _INTERIOR_FLOOR,
     CaseRecord,
+    SpecSummary,
     VerificationReport,
     _checked,
     _random_refinement_pair,
@@ -400,11 +401,37 @@ def _reference_campaign(specs, n_values, cases_per_cell, rng_seed, tolerance=1e-
     return tuple(entries), spec_indices
 
 
+def _reference_summary(records, spec_indices=None):
+    """The per-spec summaries by a plain loop over the records: one per (spec
+    index, label) in order of first appearance; the worst case is the first
+    measured entry whose margin no later measured margin is below."""
+    groups = {}
+    for s, record in zip([0] * len(records) if spec_indices is None else spec_indices, records):
+        group = groups.setdefault((s, record.spec), [0, 0, 0, {}, None])
+        group[0] += 1
+        if record.skipped is not None:
+            group[2] += 1
+            group[3][record.skipped] = group[3].get(record.skipped, 0) + 1
+            continue
+        group[1] += not record.passed
+        if record.margin is not None and (group[4] is None or record.margin < group[4].margin):
+            group[4] = record
+    return tuple(
+        SpecSummary(
+            label, cases, violations, skipped,
+            None if worst is None else worst.margin,
+            None if worst is None else (s, worst.n, worst.index),
+            tuple(sorted(reasons.items())),
+        )
+        for (s, label), (cases, violations, skipped, reasons, worst) in groups.items()
+    )
+
+
 def _assert_matches_reference(specs, n_values, cases, seed):
     report = run_monotonicity_campaign(specs, n_values, cases, seed)
     expected, spec_indices = _reference_campaign(specs, n_values, cases, seed)
     assert report.entries == expected
-    assert report.summary == _summarize(expected, spec_indices)
+    assert report.summary == _reference_summary(expected, spec_indices)
 
 
 def test_campaign_kernel_equals_per_case_loop_exactly():
@@ -533,6 +560,53 @@ def test_summary_counts_skips_per_reason_and_locates_the_worst_case():
     assert report_from_json(emit_report(report)).summary == report.summary
     tied = [CaseRecord("hand", "x", 3, index, True, margin=0.0) for index in range(3)]
     assert _summarize(tied, [4, 5, 6])[0].worst == (4, 3, 0)  # the first of equal margins
+
+
+def _hand(spec, index, margin=None, skipped=None, passed=True):
+    return CaseRecord("hand", spec, 3, index, passed, margin=margin, skipped=skipped)
+
+
+_SUMMARY_CASES = {
+    # one group split into runs by an interleaved spec index
+    "interleaved": ([_hand("a", i, margin=m) for i, m in enumerate((0.5, -1.0, 0.2, -2.0, -2.0))],
+                    [0, 1, 0, 1, 0]),
+    "shared_label": ([_hand("a", i, margin=-float(i)) for i in range(4)], [0, 0, 1, 1]),
+    "all_skipped": ([_hand("a", 0, margin=1.0), *(_hand("b", i, skipped=r) for i, r in
+                     enumerate("yxy"))], [0, 1, 1, 1]),
+    "nan_first": ([_hand("a", 0, skipped="x"), _hand("a", 1, margin=math.nan), _hand("a", 2),
+                   _hand("a", 3, margin=-5.0, passed=False)], [0, 0, 1, 0]),
+    "tied": ([_hand("a", i, margin=m) for i, m in enumerate((1.0, -3.0, -3.0, 2.0, -3.0))],
+             [2, 2, 2, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("records, spec_indices", _SUMMARY_CASES.values(), ids=list(_SUMMARY_CASES))
+def test_summarize_equals_a_per_entry_loop_on_hand_cases(records, spec_indices):
+    assert _summarize(records, spec_indices) == _reference_summary(records, spec_indices)
+
+
+_RECORDS = st.lists(
+    st.tuples(
+        st.integers(0, 2),  # spec index
+        st.sampled_from("ab"),  # label
+        st.sampled_from([None, None, "x", "y"]),  # skip reason
+        st.booleans(),  # passed
+        st.sampled_from([None, math.nan, -2.0, -1.0, -1.0, 0.0, 0.5, 3]),  # margin
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORDS)
+def test_summarize_equals_a_per_entry_loop(rows):
+    """Runs of one group split by other groups, shared labels, skipped-only
+    groups, NaN margins and ties: ``_summarize`` gives what the loop gives."""
+    records = [_hand(label, i, margin, skipped, passed)
+               for i, (_, label, skipped, passed, margin) in enumerate(rows)]
+    spec_indices = [s for s, *_ in rows]
+    assert _summarize(records, spec_indices) == _reference_summary(records, spec_indices)
+    assert _summarize(records) == _reference_summary(records)
 
 
 def test_case_record_is_a_frozen_value():
@@ -1085,7 +1159,7 @@ def _reference_lattice(spec, dist, tolerance=1e-9):
         "min_margin": None if math.isinf(min_margin) else min_margin,
     }
     return VerificationReport(
-        f"lattice-n{n}", None, tolerance, tuple(entries), _summarize(entries), metadata
+        f"lattice-n{n}", None, tolerance, tuple(entries), _reference_summary(entries), metadata
     )
 
 
@@ -1126,7 +1200,7 @@ def _reference_corollary(spec, dist, tolerance=1e-9):
         )
     metadata = {"probs": dist.probs.tolist(), "base_value": base}
     return VerificationReport(
-        f"corollary-n{n}", None, tolerance, tuple(entries), _summarize(entries), metadata
+        f"corollary-n{n}", None, tolerance, tuple(entries), _reference_summary(entries), metadata
     )
 
 
@@ -1171,7 +1245,7 @@ def _reference_max_entropy(spec, n_values, samples, rng_seed, tolerance=1e-9):
             )
     metadata = {"n_values": n_list, "samples": samples, "sampler": 2}
     return VerificationReport(
-        "max-entropy", rng_seed, tolerance, tuple(entries), _summarize(entries), metadata
+        "max-entropy", rng_seed, tolerance, tuple(entries), _reference_summary(entries), metadata
     )
 
 
@@ -1310,6 +1384,28 @@ def test_lattice_subset_table_decodes_blocks_and_sums_as_coarse_grain(n):
     assert decoded == blocks
     expected = [coarse_grain(dist, partition).probs for partition in partitions]
     assert masses[block_rows].tobytes() == np.concatenate([np.empty(0), *expected]).tobytes()
+
+
+_HARD_TERMS = {
+    "signed_zeros": [-0.0, 0.0, -0.0],
+    "cancellation": [1e16, -1e16, 1.0, -1.0, 3.0, 0.5, 1e-3, 2.0**-60],
+    "subnormals": [5e-324, -5e-324, 2.5e-308, -1e-310, 2.2250738585072014e-308],
+    "mixed": [1.0, -0.1, 0.7, -3.3, 1e-17, 2.0**53, -(2.0**53)],
+}
+
+
+@pytest.mark.parametrize("terms", _HARD_TERMS.values(), ids=list(_HARD_TERMS))
+def test_segment_sums_equal_np_sum_per_row_bit_for_bit(terms):
+    """Every width 1..12, rows drawn from terms where the order of addition
+    shows in the bits: each sum is ``np.sum`` of its row alone.  Below 8 the
+    rows are summed by column; this fails if numpy changes that order."""
+    rng = np.random.default_rng(len(terms))
+    widths = np.repeat(np.arange(1, 13), 40)
+    values = rng.choice(np.array(terms + [-t for t in terms]), widths.sum())
+    starts = verify._starts(widths)
+    sums = verify._segment_sums(values, verify._sum_plan(starts, widths))
+    expected = [np.sum(values[s : s + w]) for s, w in zip(starts.tolist(), widths.tolist())]
+    assert sums.tobytes() == np.array(expected).tobytes()
 
 
 def test_lattice_and_corollary_run_phi_once_per_subset_at_n8():
