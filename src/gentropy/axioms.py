@@ -26,18 +26,19 @@ Axiom identifiers used throughout:
 
 The sampled probes (:func:`check_basic_axioms` and
 :func:`check_product_composability`) run on the evaluation kernel of the
-campaign engine, ``verify._VectorValues``.  A draw phase draws every
-sample's randomness in batches and lays every vector the probe needs end
-to end; one kernel call evaluates them all, and numpy reduces the values
-column by column.  The results, and any exception raised, are those of calling
-``FiniteDistribution`` and ``evaluate`` sample by sample on the same
-draws; the reference loops in ``tests/test_axioms.py`` pin this.  The
-kernel's failure rule (``first_failure``) picks what escapes: in the basic
-probe each base gates the rest of its sample and the permuted vector is
-strict (its reason raises too); in the product probe every vector is.  The
-basic-axiom draws come from three child streams of the seed (bases,
-permutations, padding positions), so what the kernel makes of one sample
-never moves another's draws.  The product probe keeps its single stream.
+campaign engine, ``verify._VectorValues``, with the draws taken as they are.
+A draw phase draws every sample's randomness in batches and lays every
+vector the probe needs end to end; one kernel call evaluates them all, and
+numpy reduces the values column by column.  The results, and any exception
+raised, are those of calling ``FiniteDistribution`` and ``evaluate`` sample
+by sample on the same draws; the reference loops in ``tests/test_axioms.py``
+pin this.  The kernel's failure rule (``first_failure``) picks which of its
+recorded errors escapes: in the basic probe each base gates the rest of its
+sample and the permuted vector is strict (a ``GentropyError`` raises too);
+in the product probe every vector is.  The basic-axiom draws come from three
+child streams of the seed (bases, permutations, padding positions), so what
+the kernel makes of one sample never moves another's draws.  The product
+probe keeps its single stream.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .errors import (
     ZeroUnsupported,
     _integer,
 )
-from .verify import _INTERIOR_FLOOR, _VectorValues, _starts
+from .verify import _INTERIOR_FLOOR, _VectorValues, _kernel_plan, _starts
 
 _CONTINUITY_EPS = 1e-8
 
@@ -279,7 +280,7 @@ def check_basic_axioms(
     """
     samples = _integer("samples", samples)
     draws = _draw_basic(spec, samples, _integer("rng_seed", rng_seed))
-    values = _VectorValues([spec], draws.probs, draws.widths.ravel())
+    values = _VectorValues([spec], draws.probs, _kernel_plan(draws.widths.ravel()))
     stride = draws.widths.shape[1]
     numbers = values.numbers.reshape(samples, stride)  # NaN: rejected; a float is finite
     # each base gates its sample's other vectors; a rejected permuted vector raises
@@ -345,7 +346,8 @@ def check_product_composability(
         left = _dirichlet_interior(3, rng, _INTERIOR_FLOOR)
         right = _dirichlet_interior(4, rng, _INTERIOR_FLOOR)
         vectors += [left, right, np.outer(left, right).ravel()]
-    values = _VectorValues([spec], np.concatenate(vectors), np.tile([3, 4, 12], cases))
+    plan = _kernel_plan(np.tile([3, 4, 12], cases))
+    values = _VectorValues([spec], np.concatenate(vectors), plan)
     values.raise_failure(values.first_failure(strict=True))
     hl, hr, joint = values.numbers.reshape(cases, 3).T
     gap = np.abs(joint - (hl + hr + gamma * hl * hr))

@@ -83,6 +83,8 @@ class GridCertificate:
 
 
 def _finite_or_none(value):
+    if isinstance(value, list):  # a detail's range
+        return list(map(_finite_or_none, value))
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
@@ -117,6 +119,7 @@ def _mask_breakpoints(values: np.ndarray, breakpoints: Sequence[float]) -> np.nd
     return keep
 
 
+@np.errstate(all="ignore")  # a grid point out of the float range is judged, not warned about
 def check_slope_condition(spec: EntropySpec, grid_density: int = 200) -> GridCertificate:
     """Certify phi'(x) >= phi'(x+p) over the merge triangle, plus phi(0) = 0.
 
@@ -136,8 +139,7 @@ def check_slope_condition(spec: EntropySpec, grid_density: int = 200) -> GridCer
     shift_arr = np.minimum(shift_arr[keep], 1.0)
 
     slope = _slope_function(spec)
-    with np.errstate(divide="ignore", over="ignore"):
-        gaps = slope(shift_arr) - slope(base_arr)
+    gaps = slope(shift_arr) - slope(base_arr)
     gaps = np.where(np.isnan(gaps), -np.inf, gaps)
     worst = int(np.argmax(gaps))
     max_gap = float(gaps[worst])
@@ -173,6 +175,7 @@ def check_slope_condition(spec: EntropySpec, grid_density: int = 200) -> GridCer
     )
 
 
+@np.errstate(all="ignore")
 def check_concavity(spec: EntropySpec, grid_density: int = 200) -> GridCertificate:
     """Certify phi'' <= 0 by second differences on a uniform grid of (0, 1).
 
@@ -238,6 +241,7 @@ def _component_sum_bracket(spec: EntropySpec) -> tuple[float, float]:
     return min(sums), max(sums)
 
 
+@np.errstate(all="ignore")
 def check_outer_map_pairing(spec: EntropySpec, grid_density: int = 200) -> GridCertificate:
     """Certify a consistent (h', phi'') sign pattern for wrapped sum forms.
 
@@ -341,7 +345,7 @@ def check_transform_consistency(
             f"target parameters {target.label()} do not match the transform of "
             f"{source.label()} (expected {expected_target.label()})"
         )
-    samples = _integer("samples", samples)
+    samples = _integer("samples", samples, minimum=1)
     rng = np.random.default_rng(_integer("rng_seed", rng_seed))
     values = []
     max_residual = 0.0

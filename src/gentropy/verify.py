@@ -33,19 +33,19 @@ by case, because:
   of one width: below 8 column by column from 0.0, the order numpy's pairwise
   summation keeps there, and from 8 on as the rows of a C-contiguous matrix
   reduced with ``sum(axis=1)``, which sums each row as ``np.sum`` does;
-* a batch either aggregates every vector by its blocks, the identity by
-  its singletons (a one-element sum is that element), or hands over the
-  draws as they are;
+* a batch has one plan (``_kernel_plan``): the draws as they are, their
+  block sums (the identity's blocks are its singletons, and a one-element
+  sum is that element), or the subset sums the lattice's vectors share;
 * an outer-map kind's ``h`` calls ``math.log`` and ``math.expm1`` on the
   totals by ``map``, never numpy's twins, which differ in the last bit at some
   points, and runs the ``+ - * /`` around them in numpy, IEEE as Python's;
   any other ``h`` (a user's) is called on each total in one comprehension;
 * its inputs are ones the per-case path accepts: every draw a vector
   ``FiniteDistribution`` accepts (a validated ``probs``, a sampler draw or
-  a pinned vector) and every ``blocks`` the canonical blocks of a partition
-  of its indices.  The kernel trusts this and repeats neither constructor's
-  checks; the checks of ``evaluate`` run vectorised, and a vector they
-  reject gets the reason ``evaluate`` gives;
+  a pinned vector) and every vector's blocks the canonical blocks of a
+  partition of its indices.  The kernel trusts this and repeats neither
+  constructor's checks; the checks of ``evaluate`` run vectorised, and a
+  vector they reject records the error ``evaluate`` raises;
 * entries are kept a column per ``CaseRecord`` field (``_Entries``), made
   records only when read themselves; the columns ``_checked`` makes stay
   arrays (``_Lazy``) until read whole, and margins and verdicts come from
@@ -58,16 +58,19 @@ go on as in the batch.  The per-case reference loops of the tests
 report bytes depend on numpy's summation order: a change to the kernel
 must keep those reference tests passing.
 
-A reason skips an entry; an exception from h or phi escapes, and every
-batched check lets escape what its per-case loop meets first by one rule,
-``_VectorValues.first_failure``: the first vector, in vector order, whose
-value is an exception (or a reason, where the caller marks it strict),
-counted only when its gate, the first vector of its group, is a float.  A
-campaign case's finer vector gates its coarser one; each n's uniform
-distribution gates that n's samples.  The oracles share the evaluate phase:
-one vector per non-identity partition.  The lattice evaluates the identity
-with ``evaluate`` after the kernel, last as in the walk (so a lattice call
-keeps one ``evaluate`` call); the corollary evaluates its base before it.
+The kernel records each vector's error as raised.  A ``GentropyError``
+skips an entry, with the reason ``"Type: message"``; any other exception
+escapes, and every batched check lets escape what its per-case loop meets
+first by one rule, ``_VectorValues.first_failure``: the first vector, in
+vector order, whose error is not a ``GentropyError`` (or is any error, where
+the caller marks it strict), counted only when its gate, the first vector of
+its group, is a float.  ``raise_failure`` raises that recorded error; no
+value is derived twice.  A campaign case's finer vector gates its coarser
+one; each n's uniform distribution gates that n's samples.  The oracles
+share the evaluate phase: one vector per non-identity partition.  The
+lattice evaluates the identity with ``evaluate`` after the kernel, last as
+in the walk (so a lattice call keeps one ``evaluate`` call); the corollary
+evaluates its base before it.
 What depends on n alone is built once per n and kept: each lattice entry's
 partition indices and kind (found by arithmetic on restricted growth
 strings), and the kernel's plan: the 2**n - 1 subsets of the states, which
@@ -76,8 +79,8 @@ runs once per subset and a width's totals are one gather.  The corollary's
 entries are the lattice's rows against the identity.  ``max_entropy_check``
 draws one cell per n with the campaign's row layout, seeded with
 ``SeedSequence([seed, n])``.  Every caller hands ``_checked`` the kernel's
-float64 values (NaN where one failed), a table of the failures by vector and
-each row's two indices.  Each lattice or corollary call makes one
+float64 values (NaN where one failed), its errors by vector and each row's
+two indices.  Each lattice or corollary call makes one
 ``enumerate_partitions`` call, consumed in full (its blocks fill the
 entries), and far fewer ``evaluate`` calls than it has edges; both names are
 looked up in this module, where the benchmark's tracer times them.  One JSON
@@ -406,7 +409,8 @@ def _checked(
     """The entries of checks of H(finer) >= H(coarser), one per row.
 
     ``numbers`` is a float64 table of finite values, NaN where a value could not
-    be computed, and ``failures`` maps such an index to its reason, a str.  Row r
+    be computed, and ``failures`` maps such an index to its error, whose text
+    ``"Type: message"`` is the reason, written once per distinct error.  Row r
     compares the values at ``finer_rows[r]`` and ``coarser_rows[r]``; its
     first reason, finer before coarser, makes it skipped (its margin is NaN),
     with no values and no margin.  Margins and verdicts are taken in numpy, whose
@@ -415,8 +419,9 @@ def _checked(
     entries' other fields, a sequence each, and ``shared`` those all share.
     """
     _number("tolerance", tolerance)  # the one check of every oracle's tolerance
+    texts = {id(error): f"{type(error).__name__}: {error}" for error in failures.values()}
     reasons = np.empty(len(numbers), dtype=object)
-    reasons[list(failures)] = np.fromiter(failures.values(), dtype=object, count=len(failures))
+    reasons[list(failures)] = [texts[id(error)] for error in failures.values()]
     margin, nan = numbers[finer_rows] - numbers[coarser_rows], np.isnan(numbers)
     is_skipped, violation = np.isnan(margin), margin < -tolerance  # NaN: not a violation
     at = np.where(nan[finer_rows], finer_rows, coarser_rows) if failures else finer_rows
@@ -447,10 +452,13 @@ def run_monotonicity_campaign(
     For each (spec, n, case): a flat-Dirichlet distribution (interior-floored
     at 1e-6 for functionals rejecting zeros), a strict refinement pair
     (finer A, coarser B), and the assertion H(P^B) <= H(P^A) + tolerance.
+    No case, or no n, is a ``ValidationError``: a report would pass unchecked.
     """
-    cases_per_cell = _integer("cases_per_cell", cases_per_cell)
+    cases_per_cell = _integer("cases_per_cell", cases_per_cell, minimum=1)
     rng_seed = _integer("rng_seed", rng_seed)
     n_list = sorted({_pair_size(n) for n in n_values})
+    if not n_list:
+        raise ValidationError("'n_values' names no dimension")
     cells = [(s_index, n, 0, cases_per_cell) for s_index in range(len(specs)) for n in n_list]
     entries, spec_indices = _campaign_entries(specs, cells, rng_seed, tolerance)
     return _finish(
@@ -511,14 +519,14 @@ def _campaign_entries(
     spec_indices, dims = np.repeat(columns[:, :2], columns[:, 3], axis=0).T
     order = np.argsort(np.argsort(dims, kind="stable")).tolist()  # each case's row in the batches
     pairs = list(map(pairs.__getitem__, order))
-    blocks = _flat_blocks(list(chain.from_iterable(pairs)))
+    counts, block_widths, elements = _flat_blocks(list(chain.from_iterable(pairs)))
     widths, starts = np.repeat(dims, 2), np.repeat(_starts(np.sort(dims))[order], 2)
     values = _VectorValues(
         specs,
         np.concatenate([p.ravel() for p in draws] or [np.empty(0)]),
-        None,
+        _kernel_plan(counts, _sum_plan(  # each block element, placed in the draws
+            _starts(block_widths), block_widths, elements + np.repeat(starts, widths))),
         np.repeat(spec_indices, 2),
-        plan=_kernel_plan(widths, blocks, blocks[2] + np.repeat(starts, widths)),
     )
     values.raise_failure(values.first_failure(2))  # a case's finer vector gates its coarser
     labels = [spec.label() for spec in specs]
@@ -604,19 +612,14 @@ def _segment_sums(values: np.ndarray, plan: tuple) -> np.ndarray:
     return out
 
 
-def _kernel_plan(widths, blocks=None, gather: np.ndarray | None = None) -> tuple:
-    """A :class:`_VectorValues` plan: the masses' plan over ``probs`` (None without
-    ``blocks``: the draws are the masses), each vector's width and first mass, and the
-    totals' plan, a matrix of mass ids per width.  The masses are the block sums:
-    ``gather`` places every block element in ``probs`` (by default, each vector its own draw)."""
-    coarse = None
-    if blocks is not None:
-        if gather is None:
-            gather = blocks[2] + np.repeat(_starts(widths), widths)
-        widths, block_widths, _ = blocks
-        coarse = _sum_plan(_starts(block_widths), block_widths, gather)
+def _kernel_plan(widths: np.ndarray, masses: tuple | None = None, ids=None) -> tuple:
+    """A :class:`_VectorValues` plan, built here only: the :func:`_sum_plan` that sums the
+    masses from ``probs`` (None: the draws are the masses), ``widths``, each vector's first
+    mass and the totals' plan, a matrix of mass ids per width.  Vector v reads the next
+    ``widths[v]`` masses, or with ``ids`` (every vector's mass ids, end to end) those ids,
+    which vectors may share; it then has no first mass."""
     starts = _starts(widths)
-    return coarse, widths, starts, _sum_plan(starts, widths)
+    return masses, widths, None if ids is not None else starts, _sum_plan(starts, widths, ids)
 
 
 def _flat_blocks(blocks: Sequence[_Blocks]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -629,27 +632,19 @@ def _flat_blocks(blocks: Sequence[_Blocks]) -> tuple[np.ndarray, np.ndarray, np.
     return counts, block_widths, elements
 
 
-def _skip_reason(exc: GentropyError) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 class _VectorValues:
     """Evaluate phase: the entropy of every coarse-grained vector of a batch.
 
-    The batch comes as columns.  Vector ``v`` is the next ``widths[v]``
-    entries of ``probs``, aggregated by its blocks and evaluated under
-    ``specs[spec_index[v]]`` (``specs[0]`` without ``spec_index``); the
-    vectors must be grouped by ascending spec index.  ``blocks`` is all or
-    nothing: :func:`_flat_blocks` of every vector's blocks (the identity's
-    are its singletons), or without ``blocks`` every vector is taken as it
-    is.  ``numbers[v]`` is its entropy as a float64, or NaN where
-    ``failures[v]`` holds the reason (a str) ``evaluate`` would fail on it, or
-    the exception that escapes ``evaluate`` (from h, or from phi when a
-    batched phi raises and phi is retried on each vector alone).
-    ``totals[v]`` is its component sum, 0.0 where phi was not reached.  A
-    kept :func:`_kernel_plan` may stand for ``widths`` and ``blocks``; in the
-    lattice's, with no first masses, the vectors of its one functional share
-    the 2**n - 1 subset masses, so phi runs once per subset, not per block.
+    ``plan`` is a :func:`_kernel_plan`: vector ``v`` is ``widths[v]`` masses,
+    the draws ``probs`` themselves or their sums by the plan (each vector's
+    blocks, or the 2**n - 1 subsets the lattice's vectors share, so phi runs
+    once per subset, not per block), evaluated under ``specs[spec_index[v]]``
+    (``specs[0]`` without ``spec_index``); the vectors must be grouped by
+    ascending spec index.  ``numbers[v]`` is its entropy as a float64, or NaN
+    where ``failures[v]`` holds the exception: the ``GentropyError`` that
+    ``evaluate`` would raise on it, or what escapes ``evaluate`` (from h, or
+    from phi when a batched phi raises and phi is retried on each vector
+    alone).  ``totals[v]`` is its component sum, 0.0 where phi was not reached.
 
     Input contract: each draw is a vector ``FiniteDistribution`` accepts,
     and each vector's blocks the canonical blocks of a partition of its indices.
@@ -662,12 +657,10 @@ class _VectorValues:
         self,
         specs: Sequence[EntropySpec],
         probs: np.ndarray,
-        widths: np.ndarray | None,
+        plan: tuple,
         spec_index: np.ndarray | None = None,
-        blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-        plan: tuple | None = None,
     ):
-        coarse, widths, starts, sums = _kernel_plan(widths, blocks) if plan is None else plan
+        coarse, widths, starts, sums = plan
         masses = probs if coarse is None else _segment_sums(probs, coarse)
         spec_index = np.zeros(len(widths), np.intp) if spec_index is None else spec_index
         self._vectors, self.failures = (specs, spec_index, masses, widths, sums), {}
@@ -682,10 +675,10 @@ class _VectorValues:
 
     def first_failure(self, group: int = 1, strict: bool | np.ndarray = False) -> int | None:
         """The first vector, in vector order, whose failure a per-case loop lets escape,
-        or None.  A vector fails when its value is an exception, or a reason where
-        ``strict`` (a bool, or one per vector) is true.  Vectors come in groups of
-        ``group``; the first of each gates the rest, which fail only if it is a float."""
-        failing = {v for v, failure in self.failures.items() if isinstance(failure, Exception)}
+        or None.  A vector fails when its error is not a ``GentropyError``, or on any
+        error where ``strict`` (a bool, or one per vector) is true.  Vectors come in groups
+        of ``group``; the first of each gates the rest, which fail only if it is a float."""
+        failing = {v for v, error in self.failures.items() if not isinstance(error, GentropyError)}
         failing.update(np.flatnonzero(strict & np.isnan(self.numbers)).tolist())
         for v in sorted(failing):
             if v % group == 0 or v - v % group not in self.failures:
@@ -693,13 +686,9 @@ class _VectorValues:
         return None
 
     def raise_failure(self, v: int | None) -> None:
-        """Raise vector ``v``'s failure (none for None): its exception as it is,
-        and for a reason what ``evaluate`` raises on the vector."""
-        if v is not None and isinstance(self.failures[v], Exception):
+        """Raise the error recorded for vector ``v`` (none for None)."""
+        if v is not None:
             raise self.failures[v]
-        if v is not None:  # a reason: evaluate raises it
-            specs, spec_index, *_ = self._vectors
-            evaluate(specs[spec_index[v]], FiniteDistribution(self._masses(v)))
 
     def _masses(self, v: int) -> np.ndarray:
         """Vector ``v``'s masses in block order: its row of its width's matrix."""
@@ -714,7 +703,7 @@ class _VectorValues:
         totals are one gather of those values and a ``sum(axis=1)``.
 
         A vector that ``evaluate`` would reject before calling phi is rejected
-        with its reason in ``failures``.  When a functional's batched phi
+        with its error in ``failures``.  When a functional's batched phi
         raises, phi runs once on each of its vectors alone, and a vector on
         which it fails is rejected with its outcome (see :func:`_outcome`).
         """
@@ -730,12 +719,11 @@ class _VectorValues:
                 continue
             admission = 2 * widths[lo:hi] + has_zero[lo:hi]  # each (width, has_zero) once
             for code in np.flatnonzero(np.bincount(admission)).tolist():
-                try:
-                    _admit(spec, code // 2, code % 2 == 1)
-                except GentropyError as exc:
+                error = _outcome(_admit, spec, code // 2, code % 2 == 1)
+                if error is not None:
                     hit = lo + np.flatnonzero(admission == code)
                     rejected[hit] = True
-                    self.failures.update(dict.fromkeys(hit.tolist(), _skip_reason(exc)))
+                    self.failures.update(dict.fromkeys(hit.tolist(), error))
             if starts is None:  # the lattice's one functional: the subsets its kept vectors read
                 used = np.zeros(masses.size, dtype=bool) if rejected.any() else slice(None)
                 for rows, ids in groups if rejected.any() else ():
@@ -749,7 +737,7 @@ class _VectorValues:
             except Exception:  # each vector's own outcome, as evaluate meets it
                 for v in (lo + np.flatnonzero(~rejected[lo:hi])).tolist():
                     outcome = _outcome(spec.functional.phi, self._masses(v))
-                    if isinstance(outcome, (str, Exception)):
+                    if isinstance(outcome, Exception):
                         rejected[v], self.failures[v] = True, outcome
                     else:
                         alone[v] = outcome
@@ -762,7 +750,7 @@ class _VectorValues:
 
 def _outer_values(spec: EntropySpec, totals: np.ndarray) -> tuple[Sequence[float], dict]:
     """``_outer_value`` of every total: the floats, NaN where it fails, and by position
-    each failure's reason or exception.  h is applied by its array form where it has one
+    each failure's exception.  h is applied by its array form where it has one
     (``catalog._outer``; numpy's float warnings off, as Python's floats give none), else
     by one comprehension.  If it raises or is not finite, each total keeps its outcome."""
     h = spec.functional.h
@@ -782,12 +770,14 @@ def _outer_values(spec: EntropySpec, totals: np.ndarray) -> tuple[Sequence[float
 
 
 def _outcome(fn, *args) -> object:
-    """``fn(*args)``, or the reason it fails with a ``GentropyError``, or what it raises."""
+    """``fn(*args)``, or the exception it raises, kept with no traceback along its
+    chain: the frames of one would keep the batch's arrays alive."""
     try:
         return fn(*args)
-    except GentropyError as exc:
-        return _skip_reason(exc)
     except Exception as exc:
+        error = exc
+        while error is not None:
+            error = error.with_traceback(None).__context__
         return exc
 
 
@@ -818,12 +808,11 @@ def _partition_values(
         finer, coarser, kind = _lattice_rows(flat, n)
         bits = np.arange(1, 2**n)[:, None] >> np.arange(n) & 1  # row s: the bits of subset s
         sizes, masks = bits.sum(axis=1), np.add.reduceat(1 << elements, _starts(block_widths))
-        widths = k[:-1]  # the identity is last
-        sums = _sum_plan(_starts(widths), widths, masks[:-n] - 1)  # each block's subset id
-        plan = _sum_plan(_starts(sizes), sizes, np.nonzero(bits)[1]), widths, None, sums
+        subsets = _sum_plan(_starts(sizes), sizes, np.nonzero(bits)[1])
+        plan = _kernel_plan(k[:-1], subsets, masks[:-n] - 1)  # the identity is last
         _LATTICE_SHAPES[n] = plan, (finer, coarser, kind, np.flatnonzero(kind))
     plan, rows = _LATTICE_SHAPES[n]
-    values = _VectorValues([spec], dist.probs, None, plan=plan)
+    values = _VectorValues([spec], dist.probs, plan)
     values.raise_failure(values.first_failure())
     return partitions, rows, values.numbers, values.failures
 
@@ -887,10 +876,10 @@ def exhaustive_lattice_check(
     n = dist.n
     partitions, (finer, coarser, kind, _), numbers, failures = _partition_values(spec, dist)
     identity = _outcome(evaluate, spec, dist)  # last, as in the walk
-    if isinstance(identity, Exception):
-        raise identity
-    if isinstance(identity, str):
+    if isinstance(identity, GentropyError):
         failures[numbers.size], identity = identity, math.nan
+    elif isinstance(identity, Exception):
+        raise identity
     entries = _checked(
         tolerance, np.append(numbers, identity), failures, finer, coarser,
         {"spec": spec.label(), "n": n},
@@ -1038,16 +1027,19 @@ def max_entropy_check(
 
     Each n is one cell of the campaign's row layout, seeded with
     ``SeedSequence([rng_seed, n])``.  Every n draws its samples: a violation,
-    such as ``counterexample_HE``'s at n = 4, is one the draws meet.
+    such as ``counterexample_HE``'s at n = 4, is one the draws meet.  No
+    sample, or no n, is a ``ValidationError``: a report would pass unchecked.
     """
-    samples, rng_seed = _integer("samples", samples), _integer("rng_seed", rng_seed)
+    samples, rng_seed = _integer("samples", samples, minimum=1), _integer("rng_seed", rng_seed)
     n_list = sorted({_integer("n", n, minimum=1) for n in n_values})
+    if not n_list:
+        raise ValidationError("'n_values' names no dimension")
     floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
     drawn = [p for _, p, _ in _draws([([rng_seed, n], n, 0, samples, floor) for n in n_list])]
     # each n's uniform distribution, then its samples, which it gates
     laid = [x for n, p in zip(n_list, drawn) for x in (np.full(n, 1.0 / n), p.ravel())]
     widths = np.repeat(np.array(n_list, dtype=np.intp), samples + 1)
-    values = _VectorValues([spec], np.concatenate(laid or [np.empty(0)]), widths)
+    values = _VectorValues([spec], np.concatenate(laid or [np.empty(0)]), _kernel_plan(widths))
     values.raise_failure(values.first_failure(samples + 1))
     tops = (samples + 1) * np.arange(len(n_list))
     sampled = ~np.isnan(values.numbers[tops])

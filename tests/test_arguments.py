@@ -72,7 +72,7 @@ INTEGER_ROWS = [
     ("merge_pair", "i", lambda v: merge_pair(DIST, v, 1), 0, BAD),
     ("merge_pair", "j", lambda v: merge_pair(DIST, 0, v), 1, BAD),
     ("check_transform_consistency", "samples",
-     lambda v: check_transform_consistency(TSALLIS, RENYI, samples=v), 3, BAD),
+     lambda v: check_transform_consistency(TSALLIS, RENYI, samples=v), 3, BAD + (0,)),
     ("check_transform_consistency", "rng_seed",
      lambda v: check_transform_consistency(TSALLIS, RENYI, samples=3, rng_seed=v), 0, BAD),
     ("check_basic_axioms", "samples", lambda v: check_basic_axioms(SHANNON, v, 0), 5, BAD),
@@ -89,7 +89,7 @@ INTEGER_ROWS = [
     ("run_monotonicity_campaign", "n",
      lambda v: run_monotonicity_campaign([SHANNON], [v], 1, 0), 3, BAD),
     ("run_monotonicity_campaign", "cases_per_cell",
-     lambda v: run_monotonicity_campaign([SHANNON], [3], v, 0), 1, BAD),
+     lambda v: run_monotonicity_campaign([SHANNON], [3], v, 0), 1, BAD + (0,)),
     ("run_monotonicity_campaign", "rng_seed",
      lambda v: run_monotonicity_campaign([SHANNON], [3], 1, v), 0, BAD),
     ("replay_case", "spec_index", lambda v: replay_case([SHANNON], v, 3, 0, 0), 0, BAD),
@@ -97,7 +97,8 @@ INTEGER_ROWS = [
     ("replay_case", "case", lambda v: replay_case([SHANNON], 0, 3, v, 0), 0, BAD),
     ("replay_case", "rng_seed", lambda v: replay_case([SHANNON], 0, 3, 0, v), 0, BAD),
     ("max_entropy_check", "n", lambda v: max_entropy_check(SHANNON, [v], 2, 0), 2, BAD),
-    ("max_entropy_check", "samples", lambda v: max_entropy_check(SHANNON, [2], v, 0), 2, BAD),
+    ("max_entropy_check", "samples",
+     lambda v: max_entropy_check(SHANNON, [2], v, 0), 2, BAD + (0,)),
     ("max_entropy_check", "rng_seed", lambda v: max_entropy_check(SHANNON, [2], 2, v), 0, BAD),
 ]
 
@@ -157,6 +158,14 @@ def test_real_arguments_refuse_non_numbers_with_param_out_of_domain(row):
     for value in BAD_REAL:
         with pytest.raises(ParamOutOfDomain, match="finite number"):
             call(value)
+
+
+def test_sampled_checks_refuse_an_empty_list_of_dimensions():
+    """With no n nothing is checked, and a passing report would say otherwise."""
+    for call in (lambda: run_monotonicity_campaign([SHANNON], [], 3, 0),
+                 lambda: max_entropy_check(SHANNON, [], 5, 0)):
+        with pytest.raises(ValidationError, match="no dimension"):
+            call()
 
 
 # Calls that each returned, or raised an error of Python or numpy, before the

@@ -623,18 +623,28 @@ def test_product_probe_raises_what_the_reference_loop_raises_first(path, refusal
     assert _outcome(check_product_composability, spec, 300, 7) == expected
 
 
+def test_product_probe_raises_the_error_the_kernel_recorded(monkeypatch):
+    """renyi(q=944): the 12-state product's power sum underflows, and the probe
+    raises the ``NonFinite`` the kernel recorded, with no second ``evaluate``."""
+    calls = []
+    monkeypatch.setattr(verify, "evaluate", lambda *args: calls.append(args))
+    with pytest.raises(NonFinite, match="component sum is 0.0"):
+        check_product_composability(EntropySpec("renyi", q=944.0), 20, 0)
+    assert calls == []
+
+
 def _probe_vectors(monkeypatch, spec, samples, seed):
     """The vectors ``check_basic_axioms`` hands the kernel."""
     seen = []
     kernel = verify._VectorValues
 
-    def capture(specs, probs, widths, spec_index=None, blocks=None):
-        starts = np.cumsum(widths) - widths
+    def capture(specs, probs, plan, spec_index=None):
+        masses, widths, starts, _ = plan  # masses: the plan of the draws' sums, if any
         seen.extend(
-            SimpleNamespace(probs=probs[s : s + w], blocks=None if blocks is None else blocks[v])
-            for v, (s, w) in enumerate(zip(starts, widths))
+            SimpleNamespace(probs=probs[s : s + w], blocks=masses)
+            for s, w in zip(starts, widths)
         )
-        return kernel(specs, probs, widths, spec_index, blocks)
+        return kernel(specs, probs, plan, spec_index)
 
     monkeypatch.setattr(axioms, "_VectorValues", capture)
     check_basic_axioms(spec, samples, seed)

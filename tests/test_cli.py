@@ -8,6 +8,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -456,6 +457,24 @@ def test_classify_output_is_strict_json_when_phi_undefined_at_zero(capsys):
     assert slope["max_violation"] is None
     assert slope["detail"]["component_zero_deviation"] is None
     assert slope["detail"]["component_zero_ok"] is False
+
+
+def test_classify_past_the_float_range_is_strict_json_and_not_certified(capsys):
+    """s_delta(delta=1000): phi overflows on the grid.  The outer-map pairing's sum
+    range holds an inf, written null inside its list; numpy warns nowhere, and the
+    command exits 1 (not certified), not 2."""
+    spec = '{"id":"s_delta","params":{"delta":1000}}'
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "classify", "--entropy", spec)
+    assert (code, err, caught) == (1, "", [])
+
+    def reject(token):
+        raise AssertionError(f"bare {token} in classify output")
+
+    checks = {entry["check"]: entry for entry in json.loads(out, parse_constant=reject)}
+    assert checks["outer_map_pairing"]["detail"]["sum_range"][1] is None
+    assert not any(check["passed"] for check in checks.values())
 
 
 def test_axioms_shannon(capsys):

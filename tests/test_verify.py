@@ -47,7 +47,7 @@ from gentropy.errors import (
     ValidationError,
 )
 from gentropy.partitions import _kept_partitions, pair_draw_width
-from gentropy import verify
+from gentropy import errors, verify
 from gentropy.verify import (
     _INTERIOR_FLOOR,
     CaseRecord,
@@ -628,7 +628,8 @@ def test_case_record_is_a_frozen_value():
 def test_checked_rows_equal_records_built_one_at_a_time():
     """Evaluated rows, a skipped finer value (with a None or a str coarser
     one) and a skipped coarser value give what ``CaseRecord(...)`` gives.
-    The value table holds every finer value, then every coarser one."""
+    The value table holds every finer value, then every coarser one; a str
+    stands for the error whose ``"Type: message"`` it is, one shared by equal strs."""
     tolerance = 1e-9
     rows = [
         (0.7, 0.5),
@@ -643,7 +644,9 @@ def test_checked_rows_equal_records_built_one_at_a_time():
     probs = [(float(index), 1.0 - index) for index in range(len(rows))]
     values = finer + coarser
     numbers = np.array([v if type(v) is float else math.nan for v in values])
-    failures = {i: v for i, v in enumerate(values) if type(v) is str}
+    made = {v: getattr(errors, v.split(": ")[0])(v.split(": ")[1]) for v in set(values)
+            if type(v) is str}
+    failures = {i: made[v] for i, v in enumerate(values) if type(v) is str}
     records = _checked(
         tolerance, numbers, failures, np.arange(len(rows)), len(rows) + np.arange(len(rows)),
         {"kind": "hand", "spec": "x", "n": 2}, index=range(len(rows)), probs=probs,
@@ -1434,11 +1437,15 @@ def test_lattice_and_corollary_run_phi_once_per_subset_at_n8():
         assert len(calls) == 2**8 - 1 + 8, check.__name__
 
 
+def _reason(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _value_or_reason(spec, dist):
     try:
         return evaluate(spec, dist)
     except GentropyError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return _reason(exc)
 
 
 @pytest.mark.slow
@@ -1459,7 +1466,8 @@ def test_partition_values_equal_per_partition_evaluate_for_every_family_at_n8():
                 verify._partition_values(spec, dist)
             continue
         _, _, numbers, failures = verify._partition_values(spec, dist)
-        values = [failures.get(v, x) for v, x in enumerate(numbers.tolist())]
+        values = [_reason(failures[v]) if v in failures else x
+                  for v, x in enumerate(numbers.tolist())]
         assert [type(v) for v in values] == [type(v) for v in expected], spec.label()
         assert values == expected, spec.label()
         signs = [math.copysign(1.0, v) for v in values if type(v) is float]
@@ -1523,17 +1531,20 @@ def test_kernel_plan_kept_per_n_gives_the_bits_of_one_built_per_call(n, seed, ze
     probs[:zeros] = 0.0
     probs = FiniteDistribution(probs / probs.sum()).probs
     exhaustive_lattice_check(SHANNON, FiniteDistribution(np.full(n, 1.0 / n)))  # keeps the plan
-    kept = verify._VectorValues([spec], probs, None, plan=verify._LATTICE_SHAPES[n][0])
-    blocks = verify._flat_blocks([p.blocks for p in enumerate_partitions(n)][:-1])
+    kept = verify._VectorValues([spec], probs, verify._LATTICE_SHAPES[n][0])
+    blocks = [p.blocks for p in enumerate_partitions(n)][:-1]
+    counts, widths, elements = verify._flat_blocks(blocks)
     count = bell_number(n) - 1
-    built = verify._VectorValues([spec], np.tile(probs, count), np.full(count, n), blocks=blocks)
+    gather = elements + np.repeat(n * np.arange(count), n)  # vector v reads the v-th tile
+    sums = verify._sum_plan(verify._starts(widths), widths, gather)
+    built = verify._VectorValues([spec], np.tile(probs, count), verify._kernel_plan(counts, sums))
     assert _same_outcomes(*([failures.get(v) for v in range(count)] for failures in (
         kept.failures, built.failures
     )))
     assert kept.numbers.tobytes() == built.numbers.tobytes()
     assert kept.totals.tobytes() == built.totals.tobytes()
-    assert [v for v in sorted(kept.failures) if isinstance(kept.failures[v], Exception)] == [
-        v for v in sorted(built.failures) if isinstance(built.failures[v], Exception)
+    assert [v for v, e in sorted(kept.failures.items()) if not isinstance(e, GentropyError)] == [
+        v for v, e in sorted(built.failures.items()) if not isinstance(e, GentropyError)
     ]
 
 
