@@ -278,7 +278,7 @@ def check_basic_axioms(
     first.  Every sample draws all of its vectors (see ``_draw_basic``),
     and those of a sample whose base is rejected go unused.
     """
-    samples = _integer("samples", samples)
+    samples = _integer("samples", samples, minimum=1)
     draws = _draw_basic(spec, samples, _integer("rng_seed", rng_seed))
     values = _VectorValues([spec], draws.probs, _kernel_plan(draws.widths.ravel()))
     stride = draws.widths.shape[1]
@@ -335,7 +335,7 @@ def check_product_composability(
     entry of the ``axioms`` command, or None for a functional with no known
     composition constant gamma.  An evaluation error raises.
     """
-    samples, rng_seed = _integer("samples", samples), _integer("rng_seed", rng_seed)
+    samples, rng_seed = _integer("samples", samples, minimum=1), _integer("rng_seed", rng_seed)
     gamma = pseudo_additivity_gamma(spec)
     if gamma is None:
         return None

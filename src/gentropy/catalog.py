@@ -266,7 +266,7 @@ def _validate_group_entropy(params: dict) -> None:
         raise ParamOutOfDomain(f"group_entropy needs sigma > 0, got {sigma!r}")
     if len(k) != m - l + 1:
         raise ParamOutOfDomain(
-            f"group_entropy needs {m - l + 1} coefficients k_l..k_m, got {len(k)}"
+            f"group_entropy needs {m - l + 1:g} coefficients k_l..k_m, got {len(k)}"
         )
     if abs(sum(k)) > 1e-12:
         raise ParamOutOfDomain(f"group_entropy needs sum k_j = 0, got {sum(k)!r}")

@@ -13,6 +13,12 @@ component has the shape that makes state aggregation entropy-decreasing:
 A grid certificate can in principle miss a violation between grid points;
 densities are configurable and every certificate records its grid so a run
 can be replayed byte-for-byte.
+
+:func:`check_transform_consistency` samples instead: it checks that a
+registered value transform maps one functional's values onto another's
+and preserves their order.  It runs on the evaluation kernel of the campaign
+engine, ``verify._VectorValues``, one kernel per functional over the same
+draws, and raises what a walk over the samples in order meets first.
 """
 
 from __future__ import annotations
@@ -25,15 +31,10 @@ import math
 
 import numpy as np
 
-from .catalog import (
-    EntropySpec,
-    evaluate,
-    matched_transform_target,
-    phi_component,
-    transform_between,
-)
-from .distributions import FiniteDistribution, _dirichlet_interior
+from .catalog import EntropySpec, matched_transform_target, phi_component, transform_between
+from .distributions import _dirichlet_interior
 from .errors import UnsupportedPair, _integer
+from .verify import _VectorValues, _kernel_plan
 
 SLOPE_TOLERANCE = 1e-9
 ZERO_TOLERANCE = 1e-12
@@ -347,38 +348,26 @@ def check_transform_consistency(
         )
     samples = _integer("samples", samples, minimum=1)
     rng = np.random.default_rng(_integer("rng_seed", rng_seed))
-    values = []
-    max_residual = 0.0
-    ordering_ok = True
-    compared = 0
-    for index in range(samples):
-        n = 3 + index % 6
-        p = FiniteDistribution(_dirichlet_interior(n, rng, 1e-9))
-        q = FiniteDistribution(_dirichlet_interior(n, rng, 1e-9))
-        sp, sq = evaluate(source, p), evaluate(source, q)
-        tp, tq = evaluate(target, p), evaluate(target, q)
-        max_residual = max(
-            max_residual,
-            abs(transform_between(source, target.id, sp) - tp),
-            abs(transform_between(source, target.id, sq) - tq),
-        )
-        if abs(sp - sq) > 1e-8:
-            compared += 1
-            if (sp - sq) * (tp - tq) <= 0.0:
-                ordering_ok = False
-        values.extend((sp, sq))
+    widths = np.repeat(3 + np.arange(samples) % 6, 2)  # sample i: p then q, on 3 + i % 6 states
+    draws = np.concatenate([_dirichlet_interior(n, rng, 1e-9) for n in widths.tolist()])
+    kernels = [_VectorValues([spec], draws, _kernel_plan(widths)) for spec in (source, target)]
+    failures = [kernel.first_failure(strict=True) for kernel in kernels]
+    # the walk stops at the first failing sample, its source before its target
+    stop, failing = min(((v // 2, k) for k, v in enumerate(failures) if v is not None),
+                        default=(samples, None))
+    values, targets = (kernel.numbers[: 2 * stop] for kernel in kernels)
+    mapped = np.array([transform_between(source, target.id, v) for v in values.tolist()])
+    if failing is not None:  # every earlier sample's transforms ran
+        kernels[failing].raise_failure(failures[failing])
 
-    ordered = sorted(values)
-    increasing_ok = True
-    previous = None
-    for value in ordered:
-        if previous is not None and value - previous > 1e-12:
-            if not (
-                transform_between(source, target.id, value)
-                > transform_between(source, target.id, previous)
-            ):
-                increasing_ok = False
-        previous = value
+    (sp, sq), (tp, tq) = values.reshape(-1, 2).T, targets.reshape(-1, 2).T
+    order = np.argsort(values, kind="stable")
+    with np.errstate(all="ignore"):  # float64 arithmetic as Python's floats: no warnings
+        max_residual = float(np.fmax.reduce(np.abs(mapped - targets), initial=0.0))
+        compared = np.abs(sp - sq) > 1e-8
+        ordering_ok = not np.any(compared & ((sp - sq) * (tp - tq) <= 0.0))
+        rising = np.diff(values[order]) > 1e-12
+        increasing_ok = not np.any(rising & ~(np.diff(mapped[order]) > 0.0))
 
     passed = increasing_ok and ordering_ok and max_residual <= 1e-10
     return TransformConsistencyReport(
@@ -387,7 +376,7 @@ def check_transform_consistency(
         samples=samples,
         increasing_ok=increasing_ok,
         ordering_ok=ordering_ok,
-        compared_pairs=compared,
+        compared_pairs=int(np.count_nonzero(compared)),
         max_transform_residual=max_residual,
         passed=passed,
     )

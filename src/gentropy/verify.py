@@ -107,8 +107,8 @@ import numpy as np
 
 from .catalog import EntropySpec, _admit, _outer_value, evaluate, phi_prime
 from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet
-from .errors import GentropyError, NonFinite, TooLarge, UnsupportedFormat, ValidationError
-from .errors import _integer, _number
+from .errors import GentropyError, NonFinite, ParamOutOfDomain, TooLarge, UnsupportedFormat
+from .errors import ValidationError, _integer, _number
 from .partitions import LATTICE_LIMIT, Partition, _Blocks, enumerate_partitions
 from .partitions import _pair_size, pair_draw_width
 # The pair sampler, looked up per case under the name perfbench's tracer
@@ -402,6 +402,12 @@ def _finish(
     )
 
 
+def _tolerance(tolerance) -> None:
+    """The one check of every oracle's tolerance: a finite number, at least 0."""
+    if _number("tolerance", tolerance) < 0.0:
+        raise ParamOutOfDomain(f"'tolerance' must be >= 0, got {tolerance!r}")
+
+
 def _checked(
     tolerance: float, numbers: np.ndarray, failures: dict, finer_rows: np.ndarray,
     coarser_rows: np.ndarray, shared: dict, **columns: Sequence
@@ -418,7 +424,7 @@ def _checked(
     the ``_Lazy`` value columns read the table's floats.  ``columns`` are the
     entries' other fields, a sequence each, and ``shared`` those all share.
     """
-    _number("tolerance", tolerance)  # the one check of every oracle's tolerance
+    _tolerance(tolerance)
     texts = {id(error): f"{type(error).__name__}: {error}" for error in failures.values()}
     reasons = np.empty(len(numbers), dtype=object)
     reasons[list(failures)] = [texts[id(error)] for error in failures.values()]
@@ -943,7 +949,7 @@ def counterexample_suite(tolerance: float = 1e-12) -> VerificationReport:
     violation H(uniform 4) = 1.0 < 1.05, and the slope jump (1 then 2)
     across the first kink of the piecewise component.
     """
-    _number("tolerance", tolerance)
+    _tolerance(tolerance)
     spec = EntropySpec("counterexample_HE")
     pinned = {
         (0.2, 0.3, 0.5): 1.3,

@@ -14,7 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from gentropy.axioms import check_basic_axioms, check_product_composability
+from gentropy.axioms import (
+    check_basic_axioms,
+    check_product_composability,
+    residual_escort_composability,
+    residual_recursivity,
+    residual_split_recursivity,
+)
 from gentropy.catalog import (
     EntropySpec,
     outer_map,
@@ -37,8 +43,15 @@ from gentropy.distributions import (
     merge_pair,
     sample_dirichlet_uniform,
 )
-from gentropy.errors import DomainViolation, GentropyError, ParamOutOfDomain, ValidationError
-from gentropy.partitions import bell_number, enumerate_partitions, random_refinement_pair
+from gentropy.errors import (
+    DimensionMismatch,
+    DomainViolation,
+    GentropyError,
+    ParamOutOfDomain,
+    ValidationError,
+    ZeroUnsupported,
+)
+from gentropy.partitions import Partition, bell_number, enumerate_partitions, random_refinement_pair
 from gentropy.special import (
     check_series_coefficients,
     universal_group_G,
@@ -46,6 +59,7 @@ from gentropy.special import (
     upper_incomplete_gamma,
 )
 from gentropy.verify import (
+    corollary1_check,
     counterexample_suite,
     exhaustive_lattice_check,
     max_entropy_check,
@@ -75,10 +89,10 @@ INTEGER_ROWS = [
      lambda v: check_transform_consistency(TSALLIS, RENYI, samples=v), 3, BAD + (0,)),
     ("check_transform_consistency", "rng_seed",
      lambda v: check_transform_consistency(TSALLIS, RENYI, samples=3, rng_seed=v), 0, BAD),
-    ("check_basic_axioms", "samples", lambda v: check_basic_axioms(SHANNON, v, 0), 5, BAD),
+    ("check_basic_axioms", "samples", lambda v: check_basic_axioms(SHANNON, v, 0), 5, BAD + (0,)),
     ("check_basic_axioms", "rng_seed", lambda v: check_basic_axioms(SHANNON, 5, v), 0, BAD),
     ("check_product_composability", "samples",
-     lambda v: check_product_composability(TSALLIS, v, 0), 20, BAD),
+     lambda v: check_product_composability(TSALLIS, v, 0), 20, BAD + (0,)),
     ("check_product_composability", "rng_seed",
      lambda v: check_product_composability(TSALLIS, 20, v), 0, BAD),
     ("check_slope_condition", "grid_density",
@@ -114,10 +128,17 @@ REAL_ROWS = [
     ("outer_map_prime", "y", lambda v: outer_map_prime(RENYI, v), 2.5, BAD_REAL + (0,)),
     ("universal_group_G", "t", lambda v: universal_group_G((1.0, 0.4), v), 0.5, BAD_REAL),
     ("run_monotonicity_campaign", "tolerance",
-     lambda v: run_monotonicity_campaign([SHANNON], [3], 1, 0, tolerance=v), 1e-9, BAD_REAL),
+     lambda v: run_monotonicity_campaign([SHANNON], [3], 1, 0, tolerance=v), 1e-9,
+     BAD_REAL + (-1,)),
     ("exhaustive_lattice_check", "tolerance",
-     lambda v: exhaustive_lattice_check(SHANNON, DIST, tolerance=v), 1e-9, BAD_REAL),
-    ("counterexample_suite", "tolerance", counterexample_suite, 1e-12, BAD_REAL),
+     lambda v: exhaustive_lattice_check(SHANNON, DIST, tolerance=v), 1e-9, BAD_REAL + (-1,)),
+    ("corollary1_check", "tolerance",
+     lambda v: corollary1_check(SHANNON, DIST, tolerance=v), 1e-9, BAD_REAL + (-1,)),
+    ("max_entropy_check", "tolerance",
+     lambda v: max_entropy_check(SHANNON, [3], 2, 0, tolerance=v), 1e-9, BAD_REAL + (-1,)),
+    ("replay_case", "tolerance",
+     lambda v: replay_case([SHANNON], 0, 3, 0, 0, tolerance=v), 1e-9, BAD_REAL + (-1,)),
+    ("counterexample_suite", "tolerance", counterexample_suite, 1e-12, BAD_REAL + (-1,)),
 ]
 
 ROWS = INTEGER_ROWS + REAL_ROWS
@@ -158,6 +179,14 @@ def test_real_arguments_refuse_non_numbers_with_param_out_of_domain(row):
     for value in BAD_REAL:
         with pytest.raises(ParamOutOfDomain, match="finite number"):
             call(value)
+
+
+def test_a_zero_tolerance_is_allowed():
+    """A negative tolerance is refused; 0 asks for no slack and is taken."""
+    for _, argument, call, _, _ in REAL_ROWS:
+        if argument == "tolerance":
+            call(0)
+            call(0.0)
 
 
 def test_sampled_checks_refuse_an_empty_list_of_dimensions():
@@ -259,3 +288,58 @@ def test_group_entropy_keeps_integral_float_bounds(l, m):
     assert EntropySpec("group_entropy", params).params["l"] == -1
     with pytest.raises(ParamOutOfDomain):
         EntropySpec("group_entropy", {**params, "l": -0.5})
+
+
+GROUP = {"l": -1, "m": 1, "sigma": 0.5}
+# Domain refusals beyond the argument rules: (call, the typed error, its message)
+REFUSALS = {
+    "residual_recursivity zero head": (
+        lambda: residual_recursivity(SHANNON, FiniteDistribution([0.0, 0.0, 1.0])),
+        ZeroUnsupported, "zero total mass"),
+    "residual_split_recursivity m mismatch": (
+        lambda: residual_split_recursivity(SHANNON, DIST, FiniteDistribution([0.5, 0.5]), m=2),
+        DimensionMismatch, "m=2"),
+    "residual_split_recursivity zero tail": (
+        lambda: residual_split_recursivity(
+            SHANNON, FiniteDistribution([0.5, 0.5, 0.0]), FiniteDistribution([0.5, 0.5])),
+        ZeroUnsupported, "positive mass"),
+    "residual_escort_composability zero column": (
+        lambda: residual_escort_composability(
+            SHANNON, JointDistribution([[0.5, 0.0], [0.5, 0.0]]), 1.0, 0.0),
+        ZeroUnsupported, "column marginals"),
+    "group_entropy sigma": (
+        lambda: EntropySpec("group_entropy", {**GROUP, "coeffs": (-1.0, 1.0, 0.0), "sigma": 0.0}),
+        ParamOutOfDomain, "sigma > 0"),
+    "group_entropy coefficient count": (
+        lambda: EntropySpec("group_entropy", {**GROUP, "coeffs": (-1.0, 1.0)}),
+        ParamOutOfDomain, "coefficients k_l..k_m, got 2"),
+    "group_entropy zero end coefficient": (
+        lambda: EntropySpec("group_entropy", {**GROUP, "coeffs": (-1.0, 1.0, 0.0)}),
+        ParamOutOfDomain, "k_m != 0"),
+    "nath lambda = 1 with alpha": (
+        lambda: EntropySpec("nath", {"lambda": 1.0, "alpha": 0.5}),
+        ParamOutOfDomain, "takes tau, not alpha"),
+    "nath lambda != 1 with tau": (
+        lambda: EntropySpec("nath", {"lambda": 2.0, "tau": -1.0}),
+        ParamOutOfDomain, "takes alpha, not tau"),
+    "h_phi_custom phi not callable": (
+        lambda: EntropySpec("h_phi_custom", phi=0.5), ParamOutOfDomain, "callable 'phi'"),
+    "h_phi_custom h not callable": (
+        lambda: EntropySpec("h_phi_custom", phi=lambda x: x, h=0.5),
+        ParamOutOfDomain, "'h' must be callable"),
+    "Partition.from_json not an object": (
+        lambda: Partition.from_json("[[0], [1]]"), ValidationError, "partition JSON must be"),
+    "FiniteDistribution.from_json not an object": (
+        lambda: FiniteDistribution.from_json("[0.5, 0.5]"), ValidationError,
+        "distribution JSON must be"),
+    "FiniteDistribution.from_csv bad row": (
+        lambda: FiniteDistribution.from_csv("0.5\nhalf\n"), ValidationError, "bad CSV"),
+    "check_series_coefficients negative": (
+        lambda: check_series_coefficients([1.0, -0.1]), ParamOutOfDomain, "nonnegative"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_domain_refusals_raise_their_typed_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
