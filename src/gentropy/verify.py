@@ -70,17 +70,18 @@ one; each n's uniform distribution gates that n's samples.  The oracles
 share the evaluate phase: one vector per non-identity partition.  The
 lattice evaluates the identity with ``evaluate`` after the kernel, last as
 in the walk (so a lattice call keeps one ``evaluate`` call); the corollary
-evaluates its base before it.
+evaluates its base before it; a table reused (below) had raised nothing.
 What depends on n alone is built once per n and kept: each lattice entry's
-partition indices and kind (found by arithmetic on restricted growth
-strings), and the kernel's plan: the 2**n - 1 subsets of the states, which
-every block reads, and per partition width a matrix of subset ids, so phi
-runs once per subset and a width's totals are one gather.  The corollary's
-entries are the lattice's rows against the identity.  ``max_entropy_check``
-draws one cell per n with the campaign's row layout, seeded with
-``SeedSequence([seed, n])``.  Every caller hands ``_checked`` the kernel's
-float64 values (NaN where one failed), its errors by vector and each row's
-two indices.  Each lattice or corollary call makes one
+partition indices and kind (by arithmetic on its label rows, the restricted
+growth strings), and the kernel's plan: the 2**n - 1 subsets of the states,
+which every block reads, and per partition width a matrix of subset ids, so
+phi runs once per subset and a width's totals are one gather.  The last
+(spec, distribution)'s value table is kept too, and the corollary's entries
+are the lattice's rows against the identity.  ``max_entropy_check`` draws one
+cell per n with the campaign's row layout, seeded with ``SeedSequence([seed,
+n])``.  Every caller hands ``_checked`` the kernel's float64 values (NaN where
+one failed), its errors by vector and each row's two indices.  A lattice or
+corollary call that builds its table makes one
 ``enumerate_partitions`` call, consumed in full (its blocks fill the
 entries), and far fewer ``evaluate`` calls than it has edges; both names are
 looked up in this module, where the benchmark's tracer times them.  One JSON
@@ -403,9 +404,17 @@ def _finish(
 
 
 def _tolerance(tolerance) -> None:
-    """The one check of every oracle's tolerance: a finite number, at least 0."""
+    """The one check of every oracle's tolerance, made at entry: a finite number, at least 0."""
     if _number("tolerance", tolerance) < 0.0:
         raise ParamOutOfDomain(f"'tolerance' must be >= 0, got {tolerance!r}")
+
+
+def _lattice_n(dist: FiniteDistribution, tolerance) -> int:
+    """An exhaustive oracle's n, at most ``LATTICE_LIMIT``, once its tolerance is checked."""
+    if dist.n > LATTICE_LIMIT:
+        raise TooLarge(f"exhaustive check is limited to n <= {LATTICE_LIMIT}, got {dist.n}")
+    _tolerance(tolerance)
+    return dist.n
 
 
 def _checked(
@@ -424,7 +433,6 @@ def _checked(
     the ``_Lazy`` value columns read the table's floats.  ``columns`` are the
     entries' other fields, a sequence each, and ``shared`` those all share.
     """
-    _tolerance(tolerance)
     texts = {id(error): f"{type(error).__name__}: {error}" for error in failures.values()}
     reasons = np.empty(len(numbers), dtype=object)
     reasons[list(failures)] = [texts[id(error)] for error in failures.values()]
@@ -465,6 +473,7 @@ def run_monotonicity_campaign(
     n_list = sorted({_pair_size(n) for n in n_values})
     if not n_list:
         raise ValidationError("'n_values' names no dimension")
+    _tolerance(tolerance)
     cells = [(s_index, n, 0, cases_per_cell) for s_index in range(len(specs)) for n in n_list]
     entries, spec_indices = _campaign_entries(specs, cells, rng_seed, tolerance)
     return _finish(
@@ -501,7 +510,9 @@ def replay_case(
     if spec_index >= len(specs):
         raise ValidationError(f"spec index {spec_index} is out of range for {len(specs)} specs")
     cells = [(spec_index, _pair_size(n), _integer("case", case), 1)]
-    return _campaign_entries(specs, cells, _integer("rng_seed", rng_seed), tolerance)[0][0]
+    rng_seed = _integer("rng_seed", rng_seed)
+    _tolerance(tolerance)
+    return _campaign_entries(specs, cells, rng_seed, tolerance)[0][0]
 
 
 def _campaign_entries(
@@ -798,73 +809,85 @@ def _partition_values(
 
     The partitions come from one full walk, an object array of blocks.  The rows
     (each entry's finer and coarser partition index and kind, and the entries
-    against the identity) are kept per n with the kernel's plan.  Its masses are
-    the 2**n - 1 nonempty subsets of the states, subset s the one with bit mask
-    s + 1, elements ascending as in a canonical block (so each sum has the bits
-    of the blocks'); a width's totals matrix holds its partitions' subset ids.
-    The table, as ``_checked`` takes it, holds ``dist`` aggregated by each
-    partition but the identity, the last: the callers evaluate and append it.
+    against the identity) and the kernel's plan are built once per n from label
+    rows and kept.  Its masses are the 2**n - 1 nonempty subsets of the states,
+    subset s the one with bit mask s + 1, elements ascending as in a canonical
+    block (so each sum has the bits of the blocks'); a width's totals matrix
+    holds its partitions' subset ids.  The table, as ``_checked`` takes it, holds
+    ``dist`` aggregated by each partition but the identity, the last: the callers
+    evaluate and append it.  The last table whose kernel raised nothing is kept
+    read-only with its spec and functional (held, compared by ``is``) and the
+    bytes of ``dist.probs``; a call matching all three gets it with no walk or
+    kernel, and every call gets its own copy of the failure dict.
     """
+    global _KEPT_TABLE
     n = dist.n
-    if n > LATTICE_LIMIT:
-        raise TooLarge(f"exhaustive check is limited to n <= {LATTICE_LIMIT}, got {n}")
-    partitions = np.fromiter(map(attrgetter("_blocks"), enumerate_partitions(n)), dtype=object)
     if n not in _LATTICE_SHAPES:
-        k, block_widths, elements = flat = _flat_blocks(partitions)
-        finer, coarser, kind = _lattice_rows(flat, n)
+        k, masks, finer, coarser, kind = _lattice_rows(n)
         bits = np.arange(1, 2**n)[:, None] >> np.arange(n) & 1  # row s: the bits of subset s
-        sizes, masks = bits.sum(axis=1), np.add.reduceat(1 << elements, _starts(block_widths))
+        sizes, blocks = bits.sum(axis=1), masks[:-1][np.arange(n) < k[:-1, None]] - 1
         subsets = _sum_plan(_starts(sizes), sizes, np.nonzero(bits)[1])
-        plan = _kernel_plan(k[:-1], subsets, masks[:-n] - 1)  # the identity is last
+        plan = _kernel_plan(k[:-1], subsets, blocks)  # the identity is last
         _LATTICE_SHAPES[n] = plan, (finer, coarser, kind, np.flatnonzero(kind))
     plan, rows = _LATTICE_SHAPES[n]
-    values = _VectorValues([spec], dist.probs, plan)
-    values.raise_failure(values.first_failure())
-    return partitions, rows, values.numbers, values.failures
+    key, kept = (spec, spec.functional, dist.probs.tobytes()), _KEPT_TABLE
+    if any(map(is_not, key[:2], kept)) or key[2] != kept[2]:
+        partitions = np.fromiter(map(attrgetter("_blocks"), enumerate_partitions(n)), dtype=object)
+        values = _VectorValues([spec], dist.probs, plan)
+        values.raise_failure(values.first_failure())
+        partitions.flags.writeable = values.numbers.flags.writeable = False
+        kept = _KEPT_TABLE = *key, partitions, values.numbers, values.failures
+    *_, partitions, numbers, failures = kept
+    return partitions, rows, numbers, dict(failures)
 
 
 _LATTICE_SHAPES: dict[int, tuple] = {}  # n -> (subset kernel plan, lattice rows), once per n
 _LATTICE_KINDS = np.array(["covering_edge", "total_merge", "vs_identity"], dtype=object)
+_KEPT_TABLE: tuple = (None,) * 6  # spec, functional, probs bytes, partitions, numbers, failures
 
 
-def _lattice_rows(flat: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, ...]:
-    """Each lattice entry's finer and coarser partition index, and its kind.
+def _lattice_rows(n: int) -> tuple[np.ndarray, ...]:
+    """Each partition's block count k and block masks, and each lattice entry's
+    finer and coarser partition index and kind (an index of ``_LATTICE_KINDS``),
+    all intp, which ``_checked`` gathers by with no cast.
 
-    The partitions are given by their :func:`_flat_blocks`, in enumeration
-    order; the kind indexes ``_LATTICE_KINDS``, and all three are intp, which
-    ``_checked`` gathers by with no cast.  Entries come partition by partition:
-    the covering edges that merge its blocks i < j, in lexicographic order,
-    then (but for the identity, last) the partition against the identity.  In
-    the restricted growth string (RGS) of a partition, element x carries the
-    index of its block.  Merging blocks i < j relabels j as i and lowers every
-    label above j by one, which gives the RGS of the merged partition in
-    canonical form.  Read as base-n numbers, the RGSs of the enumeration
-    ascend, so a merged partition's index is a ``np.searchsorted`` of its code.
+    The partitions are rows of block labels, their restricted growth strings
+    (RGS), in ``enumerate_partitions`` order: each row of the first m states
+    gives way to state m in each of its blocks in turn, then in a new one.  One
+    ``np.bincount`` over the (partition, label) cells gives each block's bit mask
+    (0 past the last block), and one each label L's base-n weight W_L: a row's
+    code, its RGS read as a base-n number, is the sum of L * W_L, and the codes
+    ascend.  Entries come partition by partition: the merges of its blocks
+    i < j, in lexicographic order, then (but for the identity, last) the
+    partition against the identity.  A merge relabels j as i and lowers each
+    label above j by one, to the canonical RGS whose index ``np.searchsorted``
+    finds from its code, ``code - (j - i) * W_j - sum(W_L for L > j)``.
     """
-    k, block_widths, elements = flat
-    identity = k.size - 1
-    edges = k * (k - 1) // 2
-    rows = edges + (np.arange(k.size) < identity)
-    first = _starts(rows)
-    finer = np.repeat(np.arange(k.size), rows)
-    coarser = np.empty_like(finer)
-    kind = np.zeros_like(finer)
-    labels = np.arange(block_widths.size) - np.repeat(_starts(k), k)
-    rgs = np.zeros((k.size, n), dtype=np.intp)
-    rgs[np.repeat(np.arange(k.size), n), elements] = np.repeat(labels, block_widths)
-    weights = n ** np.arange(n - 1, -1, -1)
-    codes = rgs @ weights
-    for size in range(2, n + 1):
-        parts = np.flatnonzero(k == size)
-        i, j = np.triu_indices(size, 1)
-        rgs_k = rgs[parts][:, None, :]  # (partition, merge, element)
-        merged = np.where(rgs_k == j[:, None], i[:, None], rgs_k) - (rgs_k > j[:, None])
-        coarser[first[parts, None] + np.arange(i.size)] = np.searchsorted(codes, merged @ weights)
+    labels = np.zeros((1, 1), dtype=np.intp)
+    for _ in range(1, n):
+        choices = labels.max(axis=1) + 2
+        child = np.arange(choices.sum()) - np.repeat(_starts(choices), choices)
+        labels = np.column_stack([np.repeat(labels, choices, axis=0), child])
+    count, k = len(labels), labels.max(axis=1) + 1
+    cells = (labels + n * np.arange(count)[:, None]).ravel()
+    masks, weights = (
+        np.bincount(cells, np.tile(w, count), count * n).astype(np.intp).reshape(count, n)
+        for w in (1 << np.arange(n), n ** np.arange(n - 1, -1, -1))
+    )
+    codes = weights @ np.arange(n)
+    above = weights.sum(axis=1, keepdims=True) - np.cumsum(weights, axis=1)
+    identity, edges = count - 1, k * (k - 1) // 2
+    rows = edges + (np.arange(count) < identity)
+    first, finer = _starts(rows), np.repeat(np.arange(count), rows)
+    kind, coarser = np.zeros_like(finer), np.empty_like(finer)
+    for size in range(2, n + 1):  # the merges of the partitions of that many blocks
+        parts, (i, j) = np.flatnonzero(k == size), np.triu_indices(size, 1)
+        merged = codes[parts, None] - (j - i) * weights[parts][:, j] - above[parts][:, j]
+        coarser[first[parts, None] + np.arange(i.size)] = np.searchsorted(codes, merged)
     vs_identity = (first + edges)[:identity]
-    finer[vs_identity] = identity
-    coarser[vs_identity] = np.arange(identity)
+    finer[vs_identity], coarser[vs_identity] = identity, np.arange(identity)
     kind[vs_identity] = np.where(k[:identity] == 1, 1, 2)
-    return finer, coarser, kind
+    return k, masks, finer, coarser, kind
 
 
 def exhaustive_lattice_check(
@@ -879,7 +902,7 @@ def exhaustive_lattice_check(
     compared against the identity (no aggregation at all).  The minimum
     margin over all edges is reported in the metadata.
     """
-    n = dist.n
+    n = _lattice_n(dist, tolerance)
     partitions, (finer, coarser, kind, _), numbers, failures = _partition_values(spec, dist)
     identity = _outcome(evaluate, spec, dist)  # last, as in the walk
     if isinstance(identity, GentropyError):
@@ -918,7 +941,7 @@ def corollary1_check(
     kind rather than silently folded in.  The entries are the lattice's
     rows against the identity, in the same order and with the same kinds.
     """
-    n = dist.n
+    n = _lattice_n(dist, tolerance)
     base = evaluate(spec, dist)  # before the partitions, as partition by partition
     partitions, (finer, coarser, kind, rows), numbers, failures = _partition_values(spec, dist)
     entries = _checked(
@@ -1040,6 +1063,7 @@ def max_entropy_check(
     n_list = sorted({_integer("n", n, minimum=1) for n in n_values})
     if not n_list:
         raise ValidationError("'n_values' names no dimension")
+    _tolerance(tolerance)
     floor = 0.0 if spec.functional.zero_safe else _INTERIOR_FLOOR
     drawn = [p for _, p, _ in _draws([([rng_seed, n], n, 0, samples, floor) for n in n_list])]
     # each n's uniform distribution, then its samples, which it gates

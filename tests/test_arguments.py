@@ -48,6 +48,7 @@ from gentropy.errors import (
     DomainViolation,
     GentropyError,
     ParamOutOfDomain,
+    TooLarge,
     ValidationError,
     ZeroUnsupported,
 )
@@ -336,6 +337,15 @@ REFUSALS = {
         lambda: FiniteDistribution.from_csv("0.5\nhalf\n"), ValidationError, "bad CSV"),
     "check_series_coefficients negative": (
         lambda: check_series_coefficients([1.0, -0.1]), ParamOutOfDomain, "nonnegative"),
+    # an oracle's arguments are refused before it evaluates anything
+    "corollary1_check tolerance before a raising h": (
+        lambda: corollary1_check(
+            EntropySpec("h_phi_custom", phi=lambda x: x, h=lambda y: 1 / 0), DIST, tolerance=-1.0),
+        ParamOutOfDomain, "'tolerance' must be >= 0"),
+    "corollary1_check n = 9 before a refused zero": (
+        lambda: corollary1_check(
+            EntropySpec("abe", k=0.3), FiniteDistribution([0.0] + [0.125] * 8)),
+        TooLarge, "limited to n <= 8"),
 }
 
 

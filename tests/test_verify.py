@@ -1332,6 +1332,117 @@ def test_lattice_and_corollary_cold_paths_equal_per_partition_loops_at_n8():
     assert corollary.summary[0].skipped == 0
 
 
+def _kernel_runs(monkeypatch):
+    """A list that grows by one each time the oracles run the evaluation kernel."""
+    runs, kernel = [], verify._VectorValues
+
+    def counting(*args, **kwargs):
+        runs.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_VectorValues", counting)
+    return runs
+
+
+@pytest.mark.parametrize("first", ["lattice", "corollary"])
+def test_lattice_and_corollary_on_one_spec_and_distribution_share_one_table(first):
+    """The second check of a pair reuses the first one's table: phi runs on the
+    2**n - 1 subset masses in the first only, and on the n probabilities that
+    each check evaluates unaggregated itself.  Both equal their references."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return x * (1.0 - x)
+
+    spec = EntropySpec("h_phi_custom", phi=counting, zero_safe=True)
+    dist = FiniteDistribution(np.random.default_rng(61).dirichlet(np.ones(6)))
+    checks = [(exhaustive_lattice_check, _reference_lattice),
+              (corollary1_check, _reference_corollary)]
+    if first == "corollary":
+        checks.reverse()
+    reports, counts = [], []
+    for check, _ in checks:
+        calls.clear()
+        reports.append(check(spec, dist))
+        counts.append(len(calls))
+    assert counts == [2**6 - 1 + 6, 6]
+    for report, (_, reference) in zip(reports, checks):
+        assert report == reference(spec, dist)
+
+
+def test_value_table_is_not_reused_across_specs_distributions_or_functionals(monkeypatch):
+    """An equal but distinct spec, a distribution one ulp away and a spec whose
+    functional was swapped are each evaluated anew, and equal their references."""
+    runs = _kernel_runs(monkeypatch)
+    dist = FiniteDistribution(np.random.default_rng(62).dirichlet(np.ones(5)))
+    spec, twin = EntropySpec("tsallis", q=2.0), EntropySpec("tsallis", q=2.0)
+    assert spec == twin and spec is not twin
+    assert exhaustive_lattice_check(spec, dist) == _reference_lattice(spec, dist)
+    assert corollary1_check(twin, dist) == _reference_corollary(twin, dist)
+    assert len(runs) == 2
+    probs = dist.probs.copy()
+    probs[0] = np.nextafter(probs[0], 1.0)
+    near = FiniteDistribution(probs)
+    assert near.probs.tobytes() != dist.probs.tobytes()
+    assert corollary1_check(twin, near) == _reference_corollary(twin, near)
+    assert len(runs) == 3
+    shannon = EntropySpec("shannon")
+    assert exhaustive_lattice_check(shannon, _BAND_SAFE) == _reference_lattice(shannon, _BAND_SAFE)
+    _with_h_refusing_a_band(shannon)  # the same object, another functional
+    for oracle, reference in (
+        (exhaustive_lattice_check, _reference_lattice),
+        (corollary1_check, _reference_corollary),
+    ):
+        expected = _first_raise(reference, shannon, _BAND_SAFE)
+        assert expected[0] is ValueError
+        assert _first_raise(oracle, shannon, _BAND_SAFE) == expected
+    assert len(runs) == 6
+
+
+def test_kept_table_holds_no_identity_error_and_stays_read_only(monkeypatch):
+    """On a zero-holding distribution abe rejects the identity: the lattice
+    records that error, the corollary raises it on its base, and the lattice
+    again equals its reference from the kept table, which never holds it.  A
+    report built on a hit equals, to the byte, one built on a miss."""
+    runs = _kernel_runs(monkeypatch)
+    with_zero = FiniteDistribution(np.r_[0.0, np.random.default_rng(63).dirichlet(np.ones(5))])
+    spec = EntropySpec("abe", k=0.3)
+    lattice = exhaustive_lattice_check(spec, with_zero)
+    assert lattice == _reference_lattice(spec, with_zero)
+    expected = _first_raise(_reference_corollary, spec, with_zero)
+    assert expected[0] is errors.ZeroUnsupported
+    assert _first_raise(corollary1_check, spec, with_zero) == expected
+    again = exhaustive_lattice_check(spec, with_zero)
+    assert again == _reference_lattice(spec, with_zero) == lattice
+    assert emit_report(again) == emit_report(lattice)
+    assert len(runs) == 1
+    *_, partitions, numbers, failures = verify._KEPT_TABLE
+    assert numbers.size not in failures and len(failures) < numbers.size
+    assert not partitions.flags.writeable and not numbers.flags.writeable
+    with pytest.raises(ValueError):
+        numbers[0] = 0.0
+
+
+def test_a_refused_oracle_call_leaves_the_value_table_alone(monkeypatch):
+    """A negative tolerance or n > 8 is refused before the table is read or filled."""
+    spec, dist = EntropySpec("tsallis", q=2.0), FiniteDistribution([0.2, 0.3, 0.5])
+    exhaustive_lattice_check(spec, dist)
+    kept = verify._KEPT_TABLE
+
+    def unreachable(*args):
+        raise AssertionError("the value table was reached")
+
+    monkeypatch.setattr(verify, "_partition_values", unreachable)
+    nine = FiniteDistribution(np.full(9, 1 / 9))
+    for oracle in (exhaustive_lattice_check, corollary1_check):
+        with pytest.raises(errors.ParamOutOfDomain, match=">= 0"):
+            oracle(spec, dist, tolerance=-1.0)
+        with pytest.raises(errors.TooLarge):
+            oracle(spec, nine)
+    assert verify._KEPT_TABLE is kept
+
+
 def test_lattice_entries_reading_one_value_share_its_float():
     """In each value column, a partition's value is one float object, whichever
     entries read it: a report read whole holds a float per partition, not per entry."""
