@@ -47,6 +47,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import math
+import threading
 
 import numpy as np
 
@@ -55,7 +56,9 @@ from .distributions import (
     FiniteDistribution,
     JointDistribution,
     _dirichlet_interior,
+    _dirichlet_rows,
     _flat_dirichlet,
+    _freeze,
     escort,
 )
 from .errors import (
@@ -67,9 +70,32 @@ from .errors import (
     ZeroUnsupported,
     _integer,
 )
-from .verify import _INTERIOR_FLOOR, _VectorValues, _kernel_plan, _starts
+from .verify import _INTERIOR_FLOOR, _SAMPLE_LIMIT, _VectorValues, _kernel_plan, _starts
 
 _CONTINUITY_EPS = 1e-8
+_KEPT_INPUTS: dict = {}  # the store: (build, *key) -> (input, bytes of its arrays), by use
+_KEPT_LOCK = threading.Lock()  # held while one caller reads, builds or changes the store
+_KEPT_BYTES = 2_000_000
+_clear_kept = _KEPT_INPUTS.clear  # empties the store
+
+
+def _kept(build, *key) -> tuple:
+    """``build(*key)``, an input of ``classify`` or ``axioms`` that depends on no spec, its arrays
+    read-only.  Kept per (build, key) while the kept arrays hold at most ``_KEPT_BYTES``, the
+    least recently used dropped first; one above half of that is built per call."""
+    with _KEPT_LOCK:  # an input is a nonempty tuple, so a kept one is never rebuilt
+        value = _KEPT_INPUTS.pop((build, *key), (None,))[0] or build(*key)
+        if (size := sum(_freeze(array).nbytes for array in _arrays(value))) <= _KEPT_BYTES // 2:
+            _KEPT_INPUTS[build, *key] = value, size  # now the last used
+            while sum(held for _, held in _KEPT_INPUTS.values()) > _KEPT_BYTES:
+                del _KEPT_INPUTS[next(iter(_KEPT_INPUTS))]
+    return value
+
+
+def _arrays(value) -> list[np.ndarray]:  # every array in value and its nested tuples and lists
+    if isinstance(value, (tuple, list)):
+        return [array for item in value for array in _arrays(item)]
+    return [value] if isinstance(value, np.ndarray) else []
 
 
 @dataclass(frozen=True)
@@ -201,14 +227,16 @@ class _BasicDraws(NamedTuple):
     permutations: np.ndarray  # sample i's is the first n of row i
     positions: np.ndarray  # of the padding zero
     extremes: np.ndarray  # each base's largest and second-largest entry
+    plan: tuple  # the kernel plan of every vector
 
     def base(self, i: int) -> np.ndarray:
         """Sample i's base vector."""
         return self.probs[self.starts[i] : self.starts[i] + self.widths[i, 0]]
 
 
-def _draw_basic(spec: EntropySpec, samples: int, rng_seed: int) -> _BasicDraws:
-    """Draw phase of :func:`check_basic_axioms`: every sample's draws and vectors.
+def _draw_basic(zero_safe: bool, samples: int, rng_seed: int) -> _BasicDraws:
+    """Draw phase of :func:`check_basic_axioms`: every sample's draws and vectors,
+    kept per (``zero_safe``, ``samples``, ``rng_seed``) by ``_kept``.
 
     Three child streams of ``SeedSequence(rng_seed)`` each draw one batch
     with a row per sample: the bases (flat Dirichlet draws from the first
@@ -219,8 +247,7 @@ def _draw_basic(spec: EntropySpec, samples: int, rng_seed: int) -> _BasicDraws:
     any value, and every sample gets all of its vectors.  The vectors of
     one n are built as matrices and laid into ``probs`` in one scatter.
     """
-    f = spec.functional
-    floor = 0.0 if f.zero_safe else _INTERIOR_FLOOR
+    floor = 0.0 if zero_safe else _INTERIOR_FLOOR
     bases, perms, pads = map(np.random.default_rng, np.random.SeedSequence(rng_seed).spawn(3))
     dims = 2 + np.arange(samples) % 5
     u, w = bases.random((samples, _MAX_N)), perms.random((samples, _MAX_N))
@@ -235,7 +262,7 @@ def _draw_basic(spec: EntropySpec, samples: int, rng_seed: int) -> _BasicDraws:
     for _, n, j in sorted(low):  # in sample order
         probs[n][j] = _dirichlet_interior(n, bases, floor)
 
-    widths = dims[:, None] + np.array([0, 0, 1, 0] if f.zero_safe else [0, 0, 0])
+    widths = dims[:, None] + np.array([0, 0, 1, 0] if zero_safe else [0, 0, 0])
     starts = _starts(widths.sum(axis=1))
     flat = np.empty(int(widths.sum()))
     permutations, extremes = np.zeros((samples, _MAX_N), dtype=np.intp), np.empty((samples, 2))
@@ -249,11 +276,12 @@ def _draw_basic(spec: EntropySpec, samples: int, rng_seed: int) -> _BasicDraws:
         shifted[every, hi] -= _CONTINUITY_EPS
         shifted[every, lo] += _CONTINUITY_EPS
         kinds = [p, np.take_along_axis(p, perm, axis=1)]
-        kinds += [_padded(p, positions[rows])] if f.zero_safe else []
+        kinds += [_padded(p, positions[rows])] if zero_safe else []
         kinds.append(shifted)
         laid = np.hstack(kinds)
         flat[starts[rows, None] + np.arange(laid.shape[1])] = laid
-    return _BasicDraws(flat, widths, starts, permutations, positions, extremes)
+    plan = _kernel_plan(widths.ravel())
+    return _BasicDraws(flat, widths, starts, permutations, positions, extremes, plan)
 
 
 def _worst(score: np.ndarray) -> int | None:
@@ -278,9 +306,9 @@ def check_basic_axioms(
     first.  Every sample draws all of its vectors (see ``_draw_basic``),
     and those of a sample whose base is rejected go unused.
     """
-    samples = _integer("samples", samples, minimum=1)
-    draws = _draw_basic(spec, samples, _integer("rng_seed", rng_seed))
-    values = _VectorValues([spec], draws.probs, _kernel_plan(draws.widths.ravel()))
+    samples = _integer("samples", samples, minimum=1, maximum=_SAMPLE_LIMIT)
+    draws = _kept(_draw_basic, spec.functional.zero_safe, samples, _integer("rng_seed", rng_seed))
+    values = _VectorValues([spec], draws.probs, draws.plan)
     stride = draws.widths.shape[1]
     numbers = values.numbers.reshape(samples, stride)  # NaN: rejected; a float is finite
     # each base gates its sample's other vectors; a rejected permuted vector raises
@@ -325,29 +353,30 @@ def check_basic_axioms(
     return results
 
 
+def _product_pairs(cases: int, rng_seed: int) -> tuple[np.ndarray, tuple]:
+    """Each case's P, Q (P first, from one generator) and P x Q end to end; their plan."""
+    rng = np.random.default_rng(rng_seed)
+    pairs = _dirichlet_rows(rng, np.tile([3, 4], cases), _INTERIOR_FLOOR).reshape(cases, 7)
+    joint = (pairs[:, :3, None] * pairs[:, None, 3:]).reshape(cases, 12)  # np.outer's products
+    return np.hstack([pairs, joint]).ravel(), _kernel_plan(np.tile([3, 4, 12], cases))
+
+
 def check_product_composability(
     spec: EntropySpec, samples: int = 1000, rng_seed: int = 0
 ) -> dict | None:
     """Worst |H(P x Q) - [H(P) + H(Q) + gamma H(P) H(Q)]| over sampled pairs.
 
-    ``max(samples // 10, 1)`` pairs of interior draws, P on 3 states and Q
-    on 4, from one generator seeded with ``rng_seed``.  Returns the residual
-    entry of the ``axioms`` command, or None for a functional with no known
-    composition constant gamma.  An evaluation error raises.
+    ``max(samples // 10, 1)`` pairs of interior draws (``_product_pairs``, kept per
+    pair count and seed), P on 3 states and Q on 4.  Returns the residual entry of
+    the ``axioms`` command, or None for a functional with no known composition
+    constant gamma.  An evaluation error raises.
     """
-    samples, rng_seed = _integer("samples", samples, minimum=1), _integer("rng_seed", rng_seed)
-    gamma = pseudo_additivity_gamma(spec)
+    samples = _integer("samples", samples, minimum=1, maximum=_SAMPLE_LIMIT)
+    rng_seed, gamma = _integer("rng_seed", rng_seed), pseudo_additivity_gamma(spec)
     if gamma is None:
         return None
-    rng = np.random.default_rng(rng_seed)
     cases = max(samples // 10, 1)
-    vectors = []
-    for _ in range(cases):
-        left = _dirichlet_interior(3, rng, _INTERIOR_FLOOR)
-        right = _dirichlet_interior(4, rng, _INTERIOR_FLOOR)
-        vectors += [left, right, np.outer(left, right).ravel()]
-    plan = _kernel_plan(np.tile([3, 4, 12], cases))
-    values = _VectorValues([spec], np.concatenate(vectors), plan)
+    values = _VectorValues([spec], *_kept(_product_pairs, cases, rng_seed))
     values.raise_failure(values.first_failure(strict=True))
     hl, hr, joint = values.numbers.reshape(cases, 3).T
     gap = np.abs(joint - (hl + hr + gamma * hl * hr))

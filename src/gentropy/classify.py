@@ -24,7 +24,6 @@ draws, and raises what a walk over the samples in order meets first.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import json
 import math
@@ -32,15 +31,17 @@ import math
 import numpy as np
 
 from .catalog import EntropySpec, matched_transform_target, phi_component, transform_between
-from .distributions import _dirichlet_interior
+from .distributions import _dirichlet_rows, _freeze
 from .errors import UnsupportedPair, _integer
-from .verify import _VectorValues, _kernel_plan
+from .axioms import _kept
+from .verify import _SAMPLE_LIMIT, _VectorValues, _kernel_plan
 
 SLOPE_TOLERANCE = 1e-9
 ZERO_TOLERANCE = 1e-12
 CONCAVITY_RTOL = 1e-7
 _BREAKPOINT_HALO = 1e-4
 _FD_STEP = 1e-6
+_GRID_LIMIT = 2000  # the densest grid a certificate takes: 4 million slope grid points
 
 
 @dataclass(frozen=True)
@@ -113,11 +114,17 @@ def _component_zero_report(spec: EntropySpec) -> tuple[bool, float]:
     return abs(value) <= ZERO_TOLERANCE, abs(value)
 
 
-def _mask_breakpoints(values: np.ndarray, breakpoints: Sequence[float]) -> np.ndarray:
-    keep = np.ones(values.shape, dtype=bool)
+def _slope_grid(g: int, breakpoints: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """The base points x left, how many points each keeps, and every kept x + p, where each x
+    in (0, 0.5] meets p = (1 - x) k / g for k = 0..g, points near a breakpoint dropped."""
+    base_arr = np.repeat(0.5 * np.arange(1, g + 1) / g, g + 1)
+    shift_arr = base_arr + (1.0 - base_arr) * np.tile(np.arange(0, g + 1), g) / g
+    keep = np.ones(base_arr.size, dtype=bool)
     for b in breakpoints:
-        keep &= np.abs(values - b) > _BREAKPOINT_HALO
-    return keep
+        keep &= np.abs(base_arr - b) > _BREAKPOINT_HALO
+        keep &= np.abs(shift_arr - b) > _BREAKPOINT_HALO
+    counts = keep.reshape(g, g + 1).sum(axis=1)
+    return base_arr[:: g + 1][counts > 0], counts[counts > 0], np.minimum(shift_arr[keep], 1.0)
 
 
 @np.errstate(all="ignore")  # a grid point out of the float range is judged, not warned about
@@ -126,21 +133,14 @@ def check_slope_condition(spec: EntropySpec, grid_density: int = 200) -> GridCer
 
     The reported ``max_violation`` is the largest phi'(x+p) - phi'(x) seen on
     the grid (positive values are violations); a failed certificate carries
-    the witnessing point and both slopes.
+    the witnessing point and both slopes.  phi' runs once per base point x of
+    ``_slope_grid`` (kept per density and breakpoints), repeated over its points.
     """
-    f = spec.functional
-    g = _integer("grid_density", grid_density, minimum=10)
-    # each x in (0, 0.5] meets p = (1 - x) k / g for k = 0..g
-    base_arr = np.repeat(0.5 * np.arange(1, g + 1) / g, g + 1)
-    shift_arr = base_arr + (1.0 - base_arr) * np.tile(np.arange(0, g + 1), g) / g
-    keep = _mask_breakpoints(base_arr, f.breakpoints) & _mask_breakpoints(
-        shift_arr, f.breakpoints
-    )
-    base_arr = base_arr[keep]
-    shift_arr = np.minimum(shift_arr[keep], 1.0)
+    g = _integer("grid_density", grid_density, minimum=10, maximum=_GRID_LIMIT)
+    base, counts, shift_arr = _kept(_slope_grid, g, spec.functional.breakpoints)
 
     slope = _slope_function(spec)
-    gaps = slope(shift_arr) - slope(base_arr)
+    gaps = slope(shift_arr) - np.repeat(slope(base), counts)
     gaps = np.where(np.isnan(gaps), -np.inf, gaps)
     worst = int(np.argmax(gaps))
     max_gap = float(gaps[worst])
@@ -150,7 +150,7 @@ def check_slope_condition(spec: EntropySpec, grid_density: int = 200) -> GridCer
     witness = None
     if not passed:
         if max_gap > SLOPE_TOLERANCE:
-            x = float(base_arr[worst])
+            x = float(base[np.searchsorted(np.cumsum(counts), worst, side="right")])
             xp = float(shift_arr[worst])
             witness = Witness(
                 x=x,
@@ -163,7 +163,7 @@ def check_slope_condition(spec: EntropySpec, grid_density: int = 200) -> GridCer
     return GridCertificate(
         spec=spec,
         check="slope_condition",
-        grid_points=int(base_arr.size),
+        grid_points=int(shift_arr.size),
         max_violation=max(max_gap, 0.0 if zero_ok else zero_dev),
         witness=witness,
         passed=passed,
@@ -187,7 +187,7 @@ def check_concavity(spec: EntropySpec, grid_density: int = 200) -> GridCertifica
     detects.
     """
     f = spec.functional
-    g = _integer("grid_density", grid_density, minimum=10)
+    g = _integer("grid_density", grid_density, minimum=10, maximum=_GRID_LIMIT)
     h = 1.0 / (g + 1)
     ts = h * np.arange(0, g + 2)
     values = np.empty(ts.size)
@@ -223,22 +223,20 @@ def check_concavity(spec: EntropySpec, grid_density: int = 200) -> GridCertifica
     )
 
 
+_BRACKET = _freeze(np.concatenate([  # the uniform, then 1e-6 off state 0, on n = 2..12
+    p for n in range(2, 13) for p in (np.full(n, 1 / n), [1 - (n - 1) * 1e-6] + [1e-6] * (n - 1))
+]))
+_BRACKET_CUTS = np.cumsum(np.repeat(np.arange(2, 13), 2))[:-1]
+
+
 def _component_sum_bracket(spec: EntropySpec) -> tuple[float, float]:
     """Bracket the reachable range of sum_i phi(p_i) over n = 2..12.
 
     Uses the uniform and a near-degenerate distribution at each dimension;
     for the wrapped forms in the catalog the sum is monotone between those
-    extremes.
+    extremes.  phi runs once on all 22; ``np.sum`` adds each one's slice.
     """
-    f = spec.functional
-    eps = 1e-6
-    sums = []
-    for n in range(2, 13):
-        uniform = np.full(n, 1.0 / n)
-        spiked = np.full(n, eps)
-        spiked[0] = 1.0 - (n - 1) * eps
-        for arr in (uniform, spiked):
-            sums.append(float(np.sum(f.phi(arr))))
+    sums = [float(np.sum(part)) for part in np.split(spec.functional.phi(_BRACKET), _BRACKET_CUTS)]
     return min(sums), max(sums)
 
 
@@ -254,7 +252,7 @@ def check_outer_map_pairing(spec: EntropySpec, grid_density: int = 200) -> GridC
     """
     f = spec.functional
     h_prime = f.h_prime if f.h_prime is not None else (lambda y: 1.0)
-    g = _integer("grid_density", grid_density, minimum=10)
+    g = _integer("grid_density", grid_density, minimum=10, maximum=_GRID_LIMIT)
     lo, hi = _component_sum_bracket(spec)
     ys = np.linspace(lo, hi, g)
     h_slopes = np.array([h_prime(float(y)) for y in ys])
@@ -346,10 +344,10 @@ def check_transform_consistency(
             f"target parameters {target.label()} do not match the transform of "
             f"{source.label()} (expected {expected_target.label()})"
         )
-    samples = _integer("samples", samples, minimum=1)
+    samples = _integer("samples", samples, minimum=1, maximum=_SAMPLE_LIMIT)
     rng = np.random.default_rng(_integer("rng_seed", rng_seed))
     widths = np.repeat(3 + np.arange(samples) % 6, 2)  # sample i: p then q, on 3 + i % 6 states
-    draws = np.concatenate([_dirichlet_interior(n, rng, 1e-9) for n in widths.tolist()])
+    draws = _dirichlet_rows(rng, widths, 1e-9)
     kernels = [_VectorValues([spec], draws, _kernel_plan(widths)) for spec in (source, target)]
     failures = [kernel.first_failure(strict=True) for kernel in kernels]
     # the walk stops at the first failing sample, its source before its target

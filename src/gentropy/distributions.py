@@ -271,6 +271,26 @@ def _dirichlet_interior(n: int, rng: np.random.Generator, floor: float = 0.0) ->
             return p
 
 
+def _dirichlet_rows(rng: np.random.Generator, widths: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """``_dirichlet_interior(n, rng, floor)`` for each n of ``widths`` in turn, end to end, bit for
+    bit (``dirichlet`` scales n exponentials by 1 / their sum in order).  At the first row at or
+    below the floor, ``rng`` goes back, redraws the rows before it, then that row alone."""
+    widths, out = np.asarray(widths, dtype=np.intp), [np.empty(0)]
+    while widths.size:
+        state, starts = rng.bit_generator.state, np.cumsum(widths) - widths
+        e, acc = rng.standard_exponential(int(widths.sum())), np.zeros(widths.size)
+        for j in range(int(widths.max())):  # term by term: np.sum pairs its terms from 8 on
+            acc += np.where(j < widths, e[np.minimum(starts + j, e.size - 1)], 0.0)
+        e *= np.repeat(1.0 / acc, widths)
+        if not (low := np.flatnonzero(np.minimum.reduceat(e, starts) <= floor)).size:
+            return np.concatenate(out + [e])
+        rng.bit_generator.state = state
+        rng.standard_exponential(int(starts[low[0]]))
+        out += [e[: starts[low[0]]], _dirichlet_interior(int(widths[low[0]]), rng, floor)]
+        widths = widths[low[0] + 1 :]
+    return np.concatenate(out)
+
+
 def sample_dirichlet_uniform(n: int, rng_seed: int) -> FiniteDistribution:
     """Sample uniformly from the interior of the n-simplex (flat Dirichlet).
 

@@ -10,7 +10,7 @@ neither truncates nor parses:
 * :func:`_integer`, for a count, seed, dimension, index or grid density, takes
   an ``int`` by ``operator.index`` (numpy integers too) of at least a minimum.
   It refuses a float (``2.5``, ``3.0``), a str (``"3"``), a bool and a value
-  below the minimum with ``ValidationError``.
+  below the minimum with ``ValidationError``, one above its maximum with ``TooLarge``.
 * :func:`_number` (:func:`_numbers` for a list or tuple), for a real argument
   or parameter, takes a finite ``int`` or ``float``.  It refuses a str, a bool,
   ``nan`` and an infinity with ``ParamOutOfDomain``.
@@ -96,8 +96,8 @@ class UnsupportedFormat(ValidationError):
     """Unknown serialization format requested."""
 
 
-def _integer(name: str, value, minimum: int = 0) -> int:
-    """``value`` as an int of at least ``minimum``, or a ``ValidationError``."""
+def _integer(name: str, value, minimum: int = 0, maximum: float = float("inf")) -> int:
+    """``value`` as an int in [minimum, maximum], or a ``ValidationError`` (``TooLarge`` above)."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -106,6 +106,8 @@ def _integer(name: str, value, minimum: int = 0) -> int:
         raise ValidationError(f"{name!r} must be an integer, got {value!r}") from None
     if out < minimum:
         raise ValidationError(f"{name!r} must be >= {minimum}, got {out}")
+    if out > maximum:
+        raise TooLarge(f"{name!r} must be <= {maximum}, got {out}")
     return out
 
 

@@ -2,8 +2,9 @@
 
 A count, seed, dimension, index or grid density goes through
 ``errors._integer``: an int (numpy integers too), not a bool, at least a
-minimum.  A real argument goes through ``errors._number``: an int or float,
-not a bool, finite.  Each row names one argument of one public function, a
+minimum, and for a probe's size at most a stated maximum (``TooLarge``).
+A real argument goes through ``errors._number``: an int or float, not a
+bool, finite.  Each row names one argument of one public function, a
 value it accepts, and the values it refuses; a refusal is always a typed
 ``GentropyError``, never numpy's or Python's own error, a truncation or a
 parse.
@@ -346,6 +347,21 @@ REFUSALS = {
         lambda: corollary1_check(
             EntropySpec("abe", k=0.3), FiniteDistribution([0.0] + [0.125] * 8)),
         TooLarge, "limited to n <= 8"),
+    # a probe's size is refused before anything of that size is allocated
+    "check_slope_condition grid_density above 2000": (
+        lambda: check_slope_condition(SHANNON, 2001), TooLarge, "'grid_density' must be <= 2000"),
+    "check_concavity grid_density above 2000": (
+        lambda: check_concavity(SHANNON, 10**6), TooLarge, "'grid_density' must be <= 2000"),
+    "check_outer_map_pairing grid_density above 2000": (
+        lambda: check_outer_map_pairing(SHANNON, 2001), TooLarge, "'grid_density' must be <="),
+    "check_basic_axioms samples above 10**6": (
+        lambda: check_basic_axioms(SHANNON, 10**6 + 1, 0), TooLarge, "'samples' must be <="),
+    "check_product_composability samples above 10**6, no gamma": (
+        lambda: check_product_composability(EntropySpec("abe", k=0.3), 10**9, 0), TooLarge,
+        "'samples' must be <= 1000000"),
+    "check_transform_consistency samples above 10**6": (
+        lambda: check_transform_consistency(TSALLIS, RENYI, samples=10**6 + 1), TooLarge,
+        "'samples' must be <= 1000000"),
 }
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gentropy
+from gentropy import axioms
 from gentropy.catalog import EntropySpec, default_campaign_specs, spec_from_json, spec_to_json
 from gentropy.cli import build_parser, main
 from gentropy.distributions import sample_dirichlet_uniform
@@ -243,9 +244,12 @@ def test_malformed_or_empty_n_is_usage_error_before_running(capsys, monkeypatch,
     (("coarsen", "--dist", "[0.2, 0.3, 0.5]", "--partition", '{"blocks": [[0, 1.5], [2]]}'),
      "integer indices"),
     (("compute", "--dist", '["0.5", "0.5"]'), "probs must be numbers"),
+    # a probe too large to fit in memory is refused, not a numpy traceback (exit 1)
+    (("classify", "--grid-density", "1000000"), "'grid_density' must be <= 2000"),
+    (("axioms", "--samples", "1000000000"), "'samples' must be <= 1000000"),
 ])
 def test_malformed_inputs_are_usage_errors(capsys, argv, message):
-    if argv[0] == "compute":
+    if argv[0] != "coarsen":
         argv += ("--entropy", '{"id":"shannon"}')
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -423,6 +427,37 @@ def test_classify_and_axioms_bytes_are_pinned(monkeypatch):
                 if code:
                     codes[spec.label()] = code
         assert (codes, sink.sha.hexdigest()) == (expected_codes, digest), command
+
+
+def _certify_bytes(monkeypatch, specs, argv, cold):
+    """Each spec's exit code and stdout of ``argv``, the store of kept inputs
+    emptied before every call where ``cold``."""
+    sink, out = io.StringIO(), []
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", sink)
+        for spec in specs:
+            if cold:
+                axioms._clear_kept()
+            code = main([argv[0], "--entropy", spec_to_json(spec), *argv[1:]])
+            out.append((spec.label(), code, sink.getvalue()))
+            sink.seek(0)
+            sink.truncate()
+    return sorted(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify",),
+    ("axioms", "--samples", "1000", "--seed", "0"),
+    ("axioms", "--samples", "333", "--seed", "7"),
+])
+def test_kept_inputs_give_the_cold_bytes_in_either_order(monkeypatch, argv):
+    """A spec that reads an input kept for another (of the other ``zero_safe``
+    kind, or other breakpoints) prints other bytes than its cold call."""
+    specs = default_campaign_specs() + [EntropySpec("counterexample_HE")]
+    cold = _certify_bytes(monkeypatch, specs, argv, cold=True)
+    for order in (specs, specs[::-1]):
+        axioms._clear_kept()
+        assert _certify_bytes(monkeypatch, order, argv, cold=False) == cold
 
 
 def test_classify_shannon_passes(capsys):

@@ -7,17 +7,24 @@ not only in a benchmark note.  A gate keeps every sampled check on the
 one evaluation kernel: none of them calls ``evaluate``.  The last gates count
 the exhaustive oracles' work without timing it: a lattice and a corollary on
 one (spec, distribution) run the kernel once, and each n's lattice shape, built
-from label rows, equals the one the walked blocks give.
+from label rows, equals the one the walked blocks give.  The store of kept
+``classify`` and ``axioms`` inputs (``axioms._kept``) builds each input once
+per key in a pass over the specs, keeps it read-only and stays bounded.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
+import io
+import sys
 
 import numpy as np
 import pytest
 
 from gentropy import axioms, classify, verify
-from gentropy.catalog import EntropySpec, matched_transform_target
+from gentropy.catalog import EntropySpec, default_campaign_specs, matched_transform_target
+from gentropy.catalog import spec_to_json
+from gentropy.cli import main
 from gentropy.distributions import FiniteDistribution
 from gentropy.partitions import enumerate_partitions
 
@@ -131,3 +138,76 @@ def test_lattice_shape_from_label_rows_equals_the_one_from_walked_blocks(n, monk
     monkeypatch.setattr(verify, "_LATTICE_SHAPES", {})
     verify.exhaustive_lattice_check(EntropySpec("shannon"), FiniteDistribution(np.full(n, 1 / n)))
     assert _same(verify._LATTICE_SHAPES[n], _flat_blocks_shape(n))
+
+
+def _certify_pass(monkeypatch):
+    """``classify`` and ``axioms`` with default options for the 61 specs, stdout discarded."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", io.StringIO())
+        for spec in default_campaign_specs() + [EntropySpec("counterexample_HE")]:
+            main(["classify", "--entropy", spec_to_json(spec)])
+            main(["axioms", "--entropy", spec_to_json(spec)])
+
+
+def test_one_certify_pass_builds_each_kept_input_once_per_key(monkeypatch):
+    """Two slope grids (with and without the counterexample's breakpoints), two
+    basic-axiom draws (zero-safe or not) and one set of product pairs."""
+    built = {}
+    for module, name in ((classify, "_slope_grid"), (axioms, "_draw_basic"),
+                         (axioms, "_product_pairs")):
+        def counting(*key, build=getattr(module, name), name=name):
+            built[name] = built.get(name, 0) + 1
+            return build(*key)
+
+        monkeypatch.setattr(module, name, counting)
+    _certify_pass(monkeypatch)
+    assert built == {"_slope_grid": 2, "_draw_basic": 2, "_product_pairs": 1}
+
+
+def test_kept_inputs_are_read_only_and_bounded(monkeypatch):
+    _certify_pass(monkeypatch)
+    arrays = []
+    for value, size in axioms._KEPT_INPUTS.values():
+        arrays += axioms._arrays(value)
+        assert size == sum(a.nbytes for a in axioms._arrays(value))
+    assert len(axioms._KEPT_INPUTS) == 5 and len(arrays) > 20
+    assert not any(a.flags.writeable for a in arrays)
+    assert sum(size for _, size in axioms._KEPT_INPUTS.values()) < 2_000_000
+
+    # other seeds' inputs push the least recently used out, within the bound
+    for seed in range(1, 6):
+        axioms.check_basic_axioms(EntropySpec("shannon"), 1000, seed)
+        assert sum(size for _, size in axioms._KEPT_INPUTS.values()) <= axioms._KEPT_BYTES
+        assert (axioms._draw_basic, True, 1000, seed) in axioms._KEPT_INPUTS
+    assert (axioms._draw_basic, True, 1000, 0) not in axioms._KEPT_INPUTS
+
+
+def test_an_input_above_its_cap_is_built_per_call_and_not_kept(monkeypatch):
+    """A slope grid at density 1000 holds about 8 MB: each call builds its own."""
+    built, build = [], classify._slope_grid
+    monkeypatch.setattr(classify, "_slope_grid", lambda *key: built.append(key) or build(*key))
+    for _ in range(2):
+        classify.check_slope_condition(EntropySpec("shannon"), 1000)
+    assert built == [(1000, ())] * 2 and not axioms._KEPT_INPUTS
+
+
+def test_threads_share_the_store_safely():
+    """Four threads, switching every microsecond, ask in turn for 16 inputs of 400 kB,
+    so the store builds, keeps and drops inputs all the while: each call gets its own
+    key's input, and the store stays within its bound."""
+    def build(k):
+        return (np.full(50_000, float(k)),)
+
+    def ask(offset):
+        keys = [(offset + i) % 16 for i in range(2000)]
+        return all(axioms._kept(build, k)[0][0] == k for k in keys)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(ask, offset) for offset in range(4)]
+            assert all(future.result(timeout=120) for future in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(size for _, size in axioms._KEPT_INPUTS.values()) <= axioms._KEPT_BYTES

@@ -20,6 +20,7 @@ from gentropy import (
     random_refinement_pair,
     sample_dirichlet_uniform,
 )
+from gentropy.distributions import _dirichlet_interior, _dirichlet_rows
 from gentropy.errors import DimensionMismatch, ValidationError, ZeroUnsupported
 
 
@@ -267,6 +268,18 @@ def test_dirichlet_mean_matches_flat_simplex():
     for seed in range(draws):
         total += sample_dirichlet_uniform(3, seed).probs
     assert np.max(np.abs(total / draws - 1.0 / 3.0)) < 0.01
+
+
+@pytest.mark.parametrize("floor", [1e-9, 0.02])  # at 0.02 most rows of 8 or more redraw
+def test_batched_dirichlet_rows_equal_the_per_vector_draws(floor):
+    """Rows of 1..12 states (``np.sum`` pairs its terms from 8 on): the same
+    arrays, and the generator left where the per-vector loop leaves it."""
+    for seed in range(300):
+        widths = np.random.default_rng(seed + 1000).integers(1, 13, size=12)
+        loop, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = np.concatenate([_dirichlet_interior(n, loop, floor) for n in widths.tolist()])
+        assert np.array_equal(_dirichlet_rows(batch, widths, floor), expected)
+        assert batch.random() == loop.random()
 
 
 def test_distribution_json_round_trip():
