@@ -70,23 +70,32 @@ from .errors import (
     ZeroUnsupported,
     _integer,
 )
-from .verify import _INTERIOR_FLOOR, _SAMPLE_LIMIT, _VectorValues, _kernel_plan, _starts
+from .verify import _INTERIOR_FLOOR, _VectorValues, _kernel_plan, _starts
 
 _CONTINUITY_EPS = 1e-8
-_KEPT_INPUTS: dict = {}  # the store: (build, *key) -> (input, bytes of its arrays), by use
-_KEPT_LOCK = threading.Lock()  # held while one caller reads, builds or changes the store
+_SAMPLE_LIMIT = 10**6  # the most samples the axioms probes and the transform check take
+_KEPT_INPUTS: dict = {}  # (build, *key) -> (input, bytes of its arrays), by use
+_KEPT_LOCK = threading.Lock()  # held to read or change the store, not to build an input
 _KEPT_BYTES = 2_000_000
-_clear_kept = _KEPT_INPUTS.clear  # empties the store
+
+
+def _clear_kept() -> None:  # empties the store
+    with _KEPT_LOCK:
+        _KEPT_INPUTS.clear()
 
 
 def _kept(build, *key) -> tuple:
-    """``build(*key)``, an input of ``classify`` or ``axioms`` that depends on no spec, its arrays
-    read-only.  Kept per (build, key) while the kept arrays hold at most ``_KEPT_BYTES``, the
-    least recently used dropped first; one above half of that is built per call."""
-    with _KEPT_LOCK:  # an input is a nonempty tuple, so a kept one is never rebuilt
-        value = _KEPT_INPUTS.pop((build, *key), (None,))[0] or build(*key)
-        if (size := sum(_freeze(array).nbytes for array in _arrays(value))) <= _KEPT_BYTES // 2:
-            _KEPT_INPUTS[build, *key] = value, size  # now the last used
+    """``build(*key)``, read-only: a spec-free input of ``classify`` or ``axioms``, mostly this
+    module's probes' (hence the store's place).  Kept per (build, key) within ``_KEPT_BYTES`` of
+    arrays, least recently used dropped first; one above half of that is built per call."""
+    with _KEPT_LOCK:  # a hit becomes the last used
+        if (held := _KEPT_INPUTS.pop((build, *key), None)) is not None:
+            _KEPT_INPUTS[build, *key] = held
+            return held[0]
+    value = build(*key)  # two threads may both build one input: equal arrays, one kept
+    if (size := sum(_freeze(array).nbytes for array in _arrays(value))) <= _KEPT_BYTES // 2:
+        with _KEPT_LOCK:
+            _KEPT_INPUTS[build, *key] = value, size
             while sum(held for _, held in _KEPT_INPUTS.values()) > _KEPT_BYTES:
                 del _KEPT_INPUTS[next(iter(_KEPT_INPUTS))]
     return value

@@ -23,7 +23,7 @@ draws, and raises what a walk over the samples in order meets first.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import json
 import math
@@ -33,8 +33,8 @@ import numpy as np
 from .catalog import EntropySpec, matched_transform_target, phi_component, transform_between
 from .distributions import _dirichlet_rows, _freeze
 from .errors import UnsupportedPair, _integer
-from .axioms import _kept
-from .verify import _SAMPLE_LIMIT, _VectorValues, _kernel_plan
+from .axioms import _SAMPLE_LIMIT, _kept
+from .verify import _VectorValues, _kernel_plan
 
 SLOPE_TOLERANCE = 1e-9
 ZERO_TOLERANCE = 1e-12
@@ -312,16 +312,8 @@ class TransformConsistencyReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source.label(),
-            "target": self.target.label(),
-            "samples": self.samples,
-            "increasing_ok": self.increasing_ok,
-            "ordering_ok": self.ordering_ok,
-            "compared_pairs": self.compared_pairs,
-            "max_transform_residual": self.max_transform_residual,
-            "passed": self.passed,
-        }
+        labels = {"source": self.source.label(), "target": self.target.label()}
+        return {**{item.name: getattr(self, item.name) for item in fields(self)}, **labels}
 
 
 def check_transform_consistency(

@@ -121,7 +121,6 @@ REPORT_SCHEMA = 2
 SAMPLER = 2  # the draw layout of campaigns and max_entropy_check (see module doc)
 
 _INTERIOR_FLOOR = 1e-6  # resampling floor for functionals that reject zeros
-_SAMPLE_LIMIT = 10**6  # the most samples the axioms probes and the transform check take
 _WORST_KEYS = ("spec_index", "n", "index")  # SpecSummary.worst in JSON
 
 

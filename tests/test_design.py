@@ -17,6 +17,8 @@ from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 import io
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -193,8 +195,9 @@ def test_an_input_above_its_cap_is_built_per_call_and_not_kept(monkeypatch):
 
 def test_threads_share_the_store_safely():
     """Four threads, switching every microsecond, ask in turn for 16 inputs of 400 kB,
-    so the store builds, keeps and drops inputs all the while: each call gets its own
-    key's input, and the store stays within its bound."""
+    so the store builds, keeps and drops inputs all the while, and a fifth empties it
+    over and over: each call gets its own key's input, and the store stays within its
+    bound."""
     def build(k):
         return (np.full(50_000, float(k)),)
 
@@ -202,12 +205,41 @@ def test_threads_share_the_store_safely():
         keys = [(offset + i) % 16 for i in range(2000)]
         return all(axioms._kept(build, k)[0][0] == k for k in keys)
 
+    def clear():
+        for _ in range(500):
+            time.sleep(1e-4)  # the store fills up between two clears
+            axioms._clear_kept()
+        return True
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(ask, offset) for offset in range(4)]
+        with ThreadPoolExecutor(max_workers=5) as pool:
+            futures = [pool.submit(ask, offset) for offset in range(4)] + [pool.submit(clear)]
             assert all(future.result(timeout=120) for future in futures)
     finally:
         sys.setswitchinterval(interval)
     assert sum(size for _, size in axioms._KEPT_INPUTS.values()) <= axioms._KEPT_BYTES
+
+
+def test_a_build_holds_back_no_read_of_a_kept_input():
+    """The lock guards the store, not a build: while one thread builds an input,
+    another reads a kept one."""
+    building, release = threading.Event(), threading.Event()
+
+    def build(k):
+        if k:
+            building.set()
+            release.wait(timeout=60)
+        return (np.full(3, float(k)),)
+
+    axioms._kept(build, 0)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        slow = pool.submit(axioms._kept, build, 1)
+        try:
+            assert building.wait(timeout=60)
+            assert pool.submit(axioms._kept, build, 0).result(timeout=10)[0][0] == 0.0
+        finally:
+            release.set()
+        assert slow.result(timeout=60)[0][0] == 1.0
+    assert set(axioms._KEPT_INPUTS) == {(build, 0), (build, 1)}
