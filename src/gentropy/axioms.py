@@ -51,7 +51,7 @@ import threading
 
 import numpy as np
 
-from .catalog import EntropySpec, _map_at, evaluate, phi_prime
+from .catalog import EntropySpec, _map_points, evaluate
 from .distributions import (
     FiniteDistribution,
     JointDistribution,
@@ -172,43 +172,25 @@ def pseudo_additivity_gamma(spec: EntropySpec) -> float | None:
 # ---------------------------------------------------------------------------
 
 def _budgets(spec: EntropySpec, extremes: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """A per-case Lipschitz allowance for the continuity probe, for every case.
-
-    Mass moves between a case's entries ``extremes[c]``; the response is
-    first-order bounded by the component slopes there (one ``phi'`` call)
-    times the outer-map slope at the component sum ``inner[c]``, with a x50
-    allowance for curvature and rounding.  :func:`phi_prime` itself takes
-    the slopes it would refuse, or all when the batched call fails.  Where
-    it raises ``NoDerivative`` (at a breakpoint) the slope term is 0, as for
-    a functional with no phi'; the first case in order that it or
-    ``outer_map_prime`` refuses otherwise raises.
-    """
+    """A per-case Lipschitz allowance for the continuity probe, for every case: the component
+    slopes at the entries ``extremes[c]`` that mass moves between, times the outer-map slope at
+    the component sum ``inner[c]``, with a x50 allowance for curvature and rounding.  A case
+    whose first refused slope is a ``NoDerivative`` (a breakpoint) has no slope term, as for a
+    functional with no phi'; the first case with another refusal raises it, slopes first."""
     f = spec.functional
-    slope, scalar = np.zeros(len(extremes)), []
+    slope, refused = np.zeros(len(extremes)), {}
     if f.phi_prime is not None:  # else phi_prime raises NoDerivative: no slope term
-        ok = (extremes > 0.0) & (extremes < 1.0)
-        for b in f.breakpoints:
-            ok &= ~(np.abs(extremes - b) < 1e-12)
-        try:
-            d = np.abs(f.phi_prime(extremes.ravel())).reshape(-1, 2)
-            slope, scalar = d[:, 0] + d[:, 1], np.flatnonzero(~ok.all(axis=1)).tolist()
-        except Exception:
-            scalar = range(len(extremes))
-    stop, error = len(slope), None
-    for c in scalar:
-        a, b = extremes[c].tolist()
-        try:
-            slope[c] = abs(phi_prime(spec, a)) + abs(phi_prime(spec, b))
-        except NoDerivative:
-            slope[c] = 0.0
-        except Exception as exc:  # raised below, unless an earlier case's h' raises
-            stop, error = c, exc
-            break
+        d, failures = _map_points(spec, "phi_prime", extremes.ravel())
+        slope = np.abs(d[0::2]) + np.abs(d[1::2])
+        first = {i // 2: error for i, error in reversed(failures.items())}  # a's before b's
+        refused = {c: error for c, error in first.items() if not isinstance(error, NoDerivative)}
+        slope[[c for c in first if c not in refused]] = 0.0
     outer = 1.0
-    if f.h and f.h_prime:  # outer_map_prime's values; each y is a float sum, not checked again
-        outer = np.array([abs(_map_at(spec, f.h_prime, y)) for y in inner[:stop].tolist()])
-    if error is not None:
-        raise error
+    if f.h and f.h_prime:
+        outer, failures = _map_points(spec, "h_prime", inner)
+        outer, refused = np.abs(outer), {**failures, **refused}
+    if refused:
+        raise refused[min(refused)]
     return 50.0 * (1.0 + slope * np.maximum(outer, 1.0))
 
 

@@ -22,8 +22,12 @@ derived from its ``(w, e)`` terms), ``x g(-ln x)`` (:func:`_x_g_neglog`),
 ``scale * x ln x / divisor`` (:func:`_x_log_x`), piecewise linear
 (:func:`_piecewise_linear`), log1p (``hypoentropy``) or incomplete gamma
 (``s_cd``).  ``genetic`` writes its polynomial ``phi`` and ``phi'`` literally;
-``h_phi_custom`` takes user callables.  An outer map is one of the ``_OUTER``
-kinds (identity, log, expm1 of a scaled log, shift), each with h' and ``h.array``.
+``h_phi_custom`` takes user callables.
+
+An outer map is one of the ``_OUTER`` kinds (identity, log, expm1 of a scaled
+log, shift), its h and h' each one form (:func:`_map`) whose array form calls
+``math``'s functions by ``map``, never numpy's twins, which differ in the last
+bit at some points.  :func:`_map_points` applies phi', h or h' to many points.
 
 Parameter domains are validated at construction; zero-probability support is
 declared per functional (``zero_safe``).  Natural logarithms throughout,
@@ -34,8 +38,10 @@ Conventions: 0*ln(0) := 0 and 0**a := 0 for a > 0.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 from typing import Any, Callable, Mapping
 
 import json
@@ -147,23 +153,42 @@ def _log_of_sum(y: float) -> float:
     return math.log(y)
 
 
-def _outer(form: Callable, h_prime: Callable) -> tuple[Callable, Callable]:
-    """(h, h') from ``form(y, log, expm1)``; ``h.array`` is h at each element, by ``_libm``."""
-    h = lambda y: form(y, _log_of_sum, math.expm1)
-    h.array = lambda t: form(t, partial(_libm, math.log), partial(_libm, math.expm1))
-    return h, h_prime
+# The math functions of a map's form, on one float and (by ``_libm``) on an array
+_ON_FLOAT = SimpleNamespace(log=_log_of_sum, expm1=math.expm1, log1p=math.log1p, pow=math.pow)
+_ON_ARRAY = SimpleNamespace(**{k: partial(_libm, getattr(math, k)) for k in vars(_ON_FLOAT)})
+
+
+def _map(form: Callable, name: str) -> Callable[[float], float]:
+    """``form(y, lib)`` as a map of one float (``lib`` is ``_ON_FLOAT``), with ``.array``, the
+    map at each element of a 1-d array (``_ON_ARRAY``).  Outside its domain it raises
+    ``DomainViolation`` (a log of 0.0, ``NonFinite``)."""
+
+    def at(y, lib: SimpleNamespace = _ON_FLOAT):
+        try:
+            return form(y, lib)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise DomainViolation(f"{name} is not defined at {y!r}: {exc}") from exc
+
+    at.array = partial(at, lib=_ON_ARRAY)
+    return at
+
+
+def _outer(h: Callable, h_prime: Callable) -> tuple[Callable, Callable]:
+    """(h, h') of an outer-map kind, from their forms (see :func:`_map`)."""
+    return _map(h, "the outer map h"), _map(h_prime, "the outer map h'")
 
 
 # Outer maps h by kind, each built from its constants as the pair (h, h').
 _OUTER: dict[str, Callable[..., tuple[Callable | None, Callable | None]]] = {
     "identity": lambda: (None, None),
-    "log": lambda c: _outer(lambda y, log, _: log(y) / c, lambda y: 1.0 / (c * y)),
+    "log": lambda c: _outer(lambda y, lib: lib.log(y) / c, lambda y, _: 1.0 / (c * y)),
     # expm1/log keep the s -> 1 neighborhood (the log-family limit) stable
     "expm1_log": lambda m, c: _outer(
-        lambda y, log, expm1: expm1(m * log(y)) / c, lambda y: m / c * math.pow(y, m - 1.0)
+        lambda y, lib: lib.expm1(m * lib.log(y)) / c, lambda y, lib: m / c * lib.pow(y, m - 1.0)
     ),
-    "shift": lambda s: _outer(lambda y, *_: y - s, lambda y: 1.0),
+    "shift": lambda s: _outer(lambda y, _: y - s, lambda y, _: 1.0),
 }
+_IDENTITY = _outer(lambda y, _: y, lambda y, _: 1.0)  # (h, h') where a functional has no h
 
 
 def _power_sum(
@@ -724,6 +749,8 @@ def evaluate(spec: EntropySpec, dist: FiniteDistribution) -> float:
         with delta > 1 + ln(n)).
     NonFinite
         If the value is NaN or infinite.
+    DomainViolation
+        If the component sum lies outside the outer map's domain, or h overflows there.
     UserCallableError
         If a callable of an ``h_phi_custom`` spec raises.
     """
@@ -777,35 +804,84 @@ def phi_prime(spec: EntropySpec, x: float) -> float:
 
     Piecewise components reject their non-differentiable breakpoints.
     """
-    f = spec.functional
-    if f.phi_prime is None:
-        raise NoDerivative(f"{spec.id} has no closed-form component derivative")
-    if not (0.0 < _number("x", x) < 1.0):
-        raise ValidationError(f"x must lie in (0, 1), got {x!r}")
-    for b in f.breakpoints:
-        if abs(x - b) < 1e-12:
-            raise BreakpointHit(f"{spec.id} component is not differentiable at {b}")
-    return float(f.phi_prime(np.array([float(x)]))[0])
+    return _at(spec, "phi_prime", _number("x", x))
 
 
 def outer_map(spec: EntropySpec, y: float) -> float:
-    """The outer wrapping map h (identity when the functional has none)."""
-    y, h = _number("y", y), spec.functional.h
-    return y if h is None else _map_at(spec, h, y)
+    """The outer wrapping map h (identity when the functional has none); a value that is not
+    finite raises ``NonFinite``, as in :func:`evaluate`."""
+    return _at(spec, "h", _number("y", y))
 
 
 def outer_map_prime(spec: EntropySpec, y: float) -> float:
     """Derivative of the outer map (1 for plain sum forms)."""
-    y, h_prime = _number("y", y), spec.functional.h_prime
-    return 1.0 if h_prime is None else _map_at(spec, h_prime, y)
+    return _at(spec, "h_prime", _number("y", y))
 
 
-def _map_at(spec: EntropySpec, fn: Callable[[float], float], y: float) -> float:
-    """An outer-map kind at y; the math error of a y outside its domain is typed."""
+def _at(spec: EntropySpec, name: str, x: float) -> float:
+    """:func:`_map_points` at one point: its value, or its error raised."""
+    values, failures = _map_points(spec, name, np.array([x]))
+    if failures:
+        raise failures[0]
+    return float(values[0])
+
+
+def _phi_prime_at(spec: EntropySpec, x: float) -> float:
+    """phi' at one float, or the refusal of :func:`phi_prime` there."""
+    f = spec.functional
+    if f.phi_prime is None:
+        raise NoDerivative(f"{spec.id} has no closed-form component derivative")
+    if not (0.0 < x < 1.0):
+        raise ValidationError(f"x must lie in (0, 1), got {x!r}")
+    for b in f.breakpoints:
+        if abs(x - b) < 1e-12:
+            raise BreakpointHit(f"{spec.id} component is not differentiable at {b}")
+    return float(f.phi_prime(np.array([x]))[0])
+
+
+def _map_points(spec: EntropySpec, name: str, points: np.ndarray) -> tuple[np.ndarray, dict]:
+    """phi', H from a component sum, or h' (``name``: "phi_prime", "h" or "h_prime") at each
+    of the 1-d float ``points``, by :func:`_map_array`; a point fails as :func:`phi_prime`,
+    :func:`evaluate` or :func:`outer_map_prime` does there.  A missing h is the identity."""
+    f = spec.functional
+    if name == "h_prime":
+        return _map_array(f.h_prime or _IDENTITY[1], points)
+    at = partial(_outer_value if name == "h" else _phi_prime_at, spec)
+    if name == "h":
+        at.array = getattr(f.h or _IDENTITY[0], "array", None)
+    elif f.phi_prime is not None:  # NaN where phi' refuses the point
+        refused = ~((points > 0.0) & (points < 1.0))
+        for b in f.breakpoints:
+            refused |= np.abs(points - b) < 1e-12
+        at.array = lambda t: np.where(refused, math.nan, f.phi_prime(t))
+    return _map_array(at, points)
+
+
+def _map_array(at: Callable, points: np.ndarray) -> tuple[np.ndarray, dict]:
+    """``at``, a map of one float, at each of the 1-d float ``points``: the values, NaN where it
+    raises, and each error (by :func:`_outcome`) by position, ascending.  Its ``.array``, if
+    any, runs first, numpy's warnings off, and gives each point the bits ``at`` gives it; the
+    points it leaves not finite, or all of them when it raises or is missing, go alone."""
+    values = np.full(points.size, math.nan)
+    with suppress(Exception), np.errstate(all="ignore"):  # Python's floats give no warnings
+        values[:] = at.array(points)  # without one, or where it raises, every point goes alone
+    alone = np.flatnonzero(~np.isfinite(values))
+    outcomes = {i: _outcome(at, y) for i, y in zip(alone.tolist(), points[alone].tolist())}
+    failures = {i: error for i, error in outcomes.items() if isinstance(error, Exception)}
+    values[alone] = [math.nan if i in failures else value for i, value in outcomes.items()]
+    return values, failures
+
+
+def _outcome(fn, *args) -> object:
+    """``fn(*args)``, or the exception it raises, kept with no traceback along its
+    chain: the frames of one would keep the batch's arrays alive."""
     try:
-        return float(fn(y))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainViolation(f"{spec.id} outer map is not defined at y={y!r}: {exc}") from exc
+        return fn(*args)
+    except Exception as exc:
+        error = exc
+        while error is not None:
+            error = error.with_traceback(None).__context__
+        return exc
 
 
 # ---------------------------------------------------------------------------
@@ -817,9 +893,8 @@ def _same(q: float) -> float:
 
 
 # Forward pairs: (source id, target id) -> (kind, coefficient c from the
-# source's q, target q).  Kind "scale" maps v to c v and "log1p" maps it to
-# log1p(c v) / c; the reverse pair inverts that (v / c, expm1(c v) / c).
-# The q maps are involutions, so a reverse source's q maps back as well.
+# source's q, target q).  The q maps are involutions, so a reverse source's q
+# maps back as well.
 _TRANSFORMS: dict[tuple[str, str], tuple[str, Callable, Callable]] = {
     ("tsallis", "renyi"): ("log1p", lambda q: 1.0 - q, _same),
     ("tsallis", "havrda_charvat"): (
@@ -831,6 +906,11 @@ _TRANSFORMS: dict[tuple[str, str], tuple[str, Callable, Callable]] = {
 }
 
 TRANSFORM_PAIRS: tuple[tuple[str, str], ...] = tuple(_TRANSFORMS)
+
+_TRANSFORM_FORMS = {  # kind -> (forward, reverse): v to c v or log1p(c v) / c, and back
+    "scale": (lambda v, _, c: v * c, lambda v, _, c: v / c),
+    "log1p": (lambda v, lib, c: lib.log1p(c * v) / c, lambda v, lib, c: lib.expm1(c * v) / c),
+}
 
 
 def _transform(source: EntropySpec, target_id: str) -> tuple[str, float, float, bool]:
@@ -851,16 +931,13 @@ def transform_between(source: EntropySpec, target_id: str, value: float) -> floa
     2 - q), mathai_Mq <-> mathai_Mq_star.  Every transform is strictly
     increasing on its domain and fixes 0.
     """
+    return _transform_map(source, target_id)(_number("value", value))
+
+
+def _transform_map(source: EntropySpec, target_id: str) -> Callable[[float], float]:
+    """A registered pair's transform as a map (see :func:`_map`)."""
     kind, c, _, forward = _transform(source, target_id)
-    value = _number("value", value)
-    if kind == "scale":
-        return value * c if forward else value / c
-    if not forward:
-        return math.expm1(c * value) / c
-    argument = c * value
-    if argument <= -1.0:
-        raise DomainViolation(f"1 + {c!r}*value = {1.0 + argument!r} is not positive")
-    return math.log1p(argument) / c
+    return _map(partial(_TRANSFORM_FORMS[kind][not forward], c=c), f"the {kind} transform")
 
 
 def matched_transform_target(source: EntropySpec, target_id: str) -> EntropySpec:

@@ -30,7 +30,8 @@ import math
 
 import numpy as np
 
-from .catalog import EntropySpec, matched_transform_target, phi_component, transform_between
+from .catalog import EntropySpec, _map_array, _map_points, _transform_map
+from .catalog import matched_transform_target, phi_component
 from .distributions import _dirichlet_rows, _freeze
 from .errors import UnsupportedPair, _integer
 from .axioms import _SAMPLE_LIMIT, _kept
@@ -152,12 +153,8 @@ def check_slope_condition(spec: EntropySpec, grid_density: int = 200) -> GridCer
         if max_gap > SLOPE_TOLERANCE:
             x = float(base[np.searchsorted(np.cumsum(counts), worst, side="right")])
             xp = float(shift_arr[worst])
-            witness = Witness(
-                x=x,
-                p=xp - x,
-                slope_at_x=float(slope(np.array([x]))[0]),
-                slope_at_x_plus_p=float(slope(np.array([xp]))[0]),
-            )
+            at_x, at_xp = slope(np.array([x, xp])).tolist()
+            witness = Witness(x=x, p=xp - x, slope_at_x=at_x, slope_at_x_plus_p=at_xp)
         else:
             witness = Witness(x=0.0, p=0.0, slope_at_x=zero_dev, slope_at_x_plus_p=0.0)
     return GridCertificate(
@@ -251,11 +248,9 @@ def check_outer_map_pairing(spec: EntropySpec, grid_density: int = 200) -> GridC
     identity (h' = 1), so the check degenerates to a concavity test there.
     """
     f = spec.functional
-    h_prime = f.h_prime if f.h_prime is not None else (lambda y: 1.0)
     g = _integer("grid_density", grid_density, minimum=10, maximum=_GRID_LIMIT)
     lo, hi = _component_sum_bracket(spec)
-    ys = np.linspace(lo, hi, g)
-    h_slopes = np.array([h_prime(float(y)) for y in ys])
+    h_slopes, _ = _map_points(spec, "h_prime", np.linspace(lo, hi, g))  # NaN where h' refuses
 
     step = 1.0 / (g + 1)
     xs = step * np.arange(1, g + 1)
@@ -346,8 +341,10 @@ def check_transform_consistency(
     stop, failing = min(((v // 2, k) for k, v in enumerate(failures) if v is not None),
                         default=(samples, None))
     values, targets = (kernel.numbers[: 2 * stop] for kernel in kernels)
-    mapped = np.array([transform_between(source, target.id, v) for v in values.tolist()])
-    if failing is not None:  # every earlier sample's transforms ran
+    mapped, refused = _map_array(_transform_map(source, target.id), values)
+    if refused:  # the walk meets it before the kernels' first failure
+        raise next(iter(refused.values()))
+    if failing is not None:
         kernels[failing].raise_failure(failures[failing])
 
     (sp, sq), (tp, tq) = values.reshape(-1, 2).T, targets.reshape(-1, 2).T

@@ -192,11 +192,8 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     _emit(report, args.format)
     if args.curve:
         xs = np.linspace(0.0, 1.0, _HE_CURVE_SAMPLES)
-        spec = EntropySpec("counterexample_HE")
-        phi = spec.functional.phi
-        lines = ["x,phi"] + [
-            f"{float(x)!r},{float(phi(np.array([x]))[0])!r}" for x in xs
-        ]
+        phis = EntropySpec("counterexample_HE").functional.phi(xs)
+        lines = ["x,phi"] + [f"{x!r},{v!r}" for x, v in zip(xs.tolist(), phis.tolist())]
         with open(args.curve, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
         print(f"wrote component curve samples to {args.curve}", file=sys.stderr)

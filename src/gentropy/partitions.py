@@ -89,10 +89,12 @@ class Partition:
 
     @classmethod
     def identity(cls, n: int) -> "Partition":
+        n = _integer("n", n, minimum=1)
         return cls._raw(_identity_blocks(n), n)
 
     @classmethod
     def total(cls, n: int) -> "Partition":
+        n = _integer("n", n, minimum=1)
         return cls._raw((tuple(range(n)),), n)
 
     def block_of(self) -> list[int]:

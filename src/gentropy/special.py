@@ -8,6 +8,7 @@ otherwise (cf. Numerical Recipes ch. 6), both run to relative tolerance
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Sequence
 
 import math
@@ -26,10 +27,10 @@ _SERIES_CAP = 200
 _Coeffs = Sequence[float] | Callable[[int], float]  # finite a_0..a_m, or k -> a_k
 
 
-def _libm(fn: Callable[[float], float], t: np.ndarray) -> np.ndarray:
-    """``fn``, a ``math`` function, at each element of the 1-d ``t``, by ``map``: numpy's own
-    ``log`` and ``expm1`` differ from libm's in the last bit at some points."""
-    return np.fromiter(map(fn, t.tolist()), float, t.size)
+def _libm(fn: Callable[..., float], t: np.ndarray, *args: float) -> np.ndarray:
+    """``fn``, a ``math`` function, at each element of the 1-d ``t`` (then ``args``), by ``map``:
+    numpy's own ``log`` and ``expm1`` differ from libm's in the last bit at some points."""
+    return np.fromiter(map(fn, t.tolist(), *map(repeat, args)), float, t.size)
 
 
 def _lower_regularized_series(a: float, x: np.ndarray) -> np.ndarray:

@@ -36,10 +36,8 @@ by case, because:
 * a batch has one plan (``_kernel_plan``): the draws as they are, their
   block sums (the identity's blocks are its singletons, and a one-element
   sum is that element), or the subset sums the lattice's vectors share;
-* an outer-map kind's ``h`` calls ``math.log`` and ``math.expm1`` on the
-  totals by ``map``, never numpy's twins, which differ in the last bit at some
-  points, and runs the ``+ - * /`` around them in numpy, IEEE as Python's;
-  any other ``h`` (a user's) is called on each total in one comprehension;
+* h maps the totals by ``catalog._map_points``, whose array forms give each
+  total the bits h gives it alone;
 * its inputs are ones the per-case path accepts: every draw a vector
   ``FiniteDistribution`` accepts (a validated ``probs``, a sampler draw or
   a pinned vector) and every vector's blocks the canonical blocks of a
@@ -106,7 +104,7 @@ import math
 
 import numpy as np
 
-from .catalog import EntropySpec, _admit, _outer_value, evaluate, phi_prime
+from .catalog import EntropySpec, _admit, _map_points, _outcome, evaluate, phi_prime
 from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet
 from .errors import GentropyError, NonFinite, ParamOutOfDomain, TooLarge, UnsupportedFormat
 from .errors import ValidationError, _integer, _number
@@ -686,9 +684,8 @@ class _VectorValues:
         self.numbers = np.full(len(widths), math.nan)
         for s, spec in enumerate(specs):
             kept = bounds[s] + np.flatnonzero(~rejected[bounds[s] : bounds[s + 1]])
-            if kept.size:
-                self.numbers[kept], failed = _outer_values(spec, self.totals[kept])
-                self.failures.update((int(kept[i]), failure) for i, failure in failed.items())
+            self.numbers[kept], failed = _map_points(spec, "h", self.totals[kept])
+            self.failures.update((int(kept[i]), failure) for i, failure in failed.items())
 
     def first_failure(self, group: int = 1, strict: bool | np.ndarray = False) -> int | None:
         """The first vector, in vector order, whose failure a per-case loop lets escape,
@@ -763,39 +760,6 @@ class _VectorValues:
             totals[v] = np.broadcast_to(np.asarray(outcome, dtype=float), widths[v]).sum()
         totals[rejected] = 0.0
         return rejected, totals
-
-
-def _outer_values(spec: EntropySpec, totals: np.ndarray) -> tuple[Sequence[float], dict]:
-    """``_outer_value`` of every total: the floats, NaN where it fails, and by position
-    each failure's exception.  h is applied by its array form where it has one
-    (``catalog._outer``; numpy's float warnings off, as Python's floats give none), else
-    by one comprehension.  If it raises or is not finite, each total keeps its outcome."""
-    h = spec.functional.h
-    try:
-        if h is None or hasattr(h, "array"):
-            with np.errstate(all="ignore"):
-                mapped = totals if h is None else h.array(totals)
-        else:
-            mapped = np.array([float(h(total)) for total in totals.tolist()])
-    except Exception:  # each total's own outcome is taken below
-        mapped = [math.nan]
-    if np.isfinite(mapped).all():
-        return mapped, {}
-    outcomes = [_outcome(_outer_value, spec, total) for total in totals.tolist()]
-    failed = {i: outcome for i, outcome in enumerate(outcomes) if type(outcome) is not float}
-    return [math.nan if i in failed else outcome for i, outcome in enumerate(outcomes)], failed
-
-
-def _outcome(fn, *args) -> object:
-    """``fn(*args)``, or the exception it raises, kept with no traceback along its
-    chain: the frames of one would keep the batch's arrays alive."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        error = exc
-        while error is not None:
-            error = error.with_traceback(None).__context__
-        return exc
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,8 @@ INTEGER_ROWS = [
     ("random_refinement_pair", "n", lambda v: random_refinement_pair(v, 0), 4, BAD),
     ("random_refinement_pair", "rng_seed", lambda v: random_refinement_pair(4, v), 0, BAD),
     ("bell_number", "n", bell_number, 3, BAD),
+    ("Partition.identity", "n", Partition.identity, 3, BAD + (0,)),
+    ("Partition.total", "n", Partition.total, 3, BAD + (0,)),
     ("enumerate_partitions", "n", lambda v: next(enumerate_partitions(v)), 3, BAD),
     ("merge_pair", "i", lambda v: merge_pair(DIST, v, 1), 0, BAD),
     ("merge_pair", "j", lambda v: merge_pair(DIST, 0, v), 1, BAD),
@@ -230,6 +232,8 @@ PINNED = {
     "check_series_coefficients([1e400])": lambda: check_series_coefficients([1e400]),
     "outer_map(renyi, -1.0)": lambda: outer_map(RENYI, -1.0),
     "outer_map_prime(renyi, 0.0)": lambda: outer_map_prime(RENYI, 0.0),
+    "outer_map_prime(sharma_mittal_rs(r=1000, s=2), 1e-310)":
+        lambda: outer_map_prime(EntropySpec("sharma_mittal_rs", r=1000, s=2), 1e-310),
     "EntropySpec s_cd d=-2": lambda: EntropySpec("s_cd", c=0.5, d=-2),
 }
 

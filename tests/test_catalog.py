@@ -650,13 +650,12 @@ def test_outer_values_keep_each_totals_outcome_and_warn_nowhere(sp, zeros):
     """The kernel's outer map of totals: every total gets h's value or outcome
     alone, and numpy warns nowhere Python's floats do not.  A total of 0.0
     takes the per-total fallback and, under a log kind, its typed reason."""
-    from gentropy.catalog import _outer_value
-    from gentropy.verify import _outcome, _outer_values
+    from gentropy.catalog import _map_points, _outcome, _outer_value
 
     totals = np.concatenate([[0.0], _TOTALS, [0.0]]) if zeros else _TOTALS
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        numbers, failures = _outer_values(sp, totals)
+        numbers, failures = _map_points(sp, "h", totals)
         expected = [_outcome(_outer_value, sp, t) for t in totals.tolist()]
     assert caught == []
     assert [type(v) is float for v in expected] == [i not in failures for i in range(totals.size)]

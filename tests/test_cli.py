@@ -146,6 +146,45 @@ def test_verify_skips_and_counts_underflowed_cases(capsys):
     assert summary["skip_reasons"] == {f"NonFinite: {_UNDERFLOW}": summary["skipped"]}
 
 
+# Bracketed power sums that reach 0.0, where h' is undefined
+_UNMAPPED = [
+    '{"id":"renyi","params":{"q":300}}', _UNDERFLOWING[0],
+    '{"id":"mathai_Mq_star","params":{"q":-900}}',
+    '{"id":"nath","params":{"alpha":900,"lambda":-1}}', _UNDERFLOWING[1],
+]
+
+
+@pytest.mark.parametrize(
+    "entropy", _UNMAPPED, ids=[spec_from_json(entropy).label() for entropy in _UNMAPPED]
+)
+def test_classify_judges_grid_points_where_h_prime_fails(capsys, entropy):
+    """h' raised out of the outer-map pairing (a traceback, exit 1) at these
+    admitted specs.  The pairing judges such a point: not certified, written
+    null in strict JSON; the exit code is the slope-or-pairing rule's."""
+    code, out, err = run_cli(capsys, "classify", "--entropy", entropy)
+
+    def reject(token):
+        raise AssertionError(f"bare {token} in classify output")
+
+    slope, _, pairing = json.loads(out, parse_constant=reject)
+    assert (code, err) == (0 if slope["passed"] else 1, "")
+    assert not pairing["passed"] and pairing["witness"]["slope_at_x_plus_p"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    # h' overflows at a continuity case's tiny power sum
+    ("axioms", "--entropy", _UNDERFLOWING[1]),
+    # h's expm1 overflows: m = 4002 times the log of the power sum 1.71
+    ("compute", "--entropy", '{"id":"sharma_mittal_rs","params":{"r":0.5,"s":-2000}}',
+     "--dist", "[0.25,0.25,0.5]"),
+], ids=["axioms", "compute"])
+def test_an_outer_map_overflow_is_a_usage_error(capsys, argv):
+    """An error line and exit 2, not an OverflowError."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "math range error" in err
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan"])
 def test_verify_rejects_non_finite_tolerance_before_running(capsys, monkeypatch, tolerance):
     """A non-finite tolerance is an argument error, not a failed emission."""
@@ -545,6 +584,10 @@ def test_counterexample_curve_csv(tmp_path, capsys):
     assert phis[xs.index(0.25)] == pytest.approx(0.25, abs=1e-12)
     assert phis[xs.index(0.5)] == pytest.approx(0.75, abs=1e-12)
     assert max(phis) <= 0.75 and min(phis) >= 0.0
+    # the bytes phi wrote one point at a time
+    assert hashlib.sha256(curve.read_bytes()).hexdigest() == (
+        "aca636b8ab77fba87011ca6f4ffb8540ee586c5bc7411dec941a1e7a1e1b5e3e"
+    )
 
 
 def test_partitions_json(capsys):

@@ -4,10 +4,11 @@ The benchmark harness, ``perfbench/run.py``, reports the design counters of
 ROADMAP aim 2.  These tests load it as it is, change nothing in it, and keep
 the count of branches keyed on a spec id at zero: such a branch fails here,
 not only in a benchmark note.  A gate keeps every sampled check on the
-one evaluation kernel: none of them calls ``evaluate``.  The last gates count
-the exhaustive oracles' work without timing it: a lattice and a corollary on
-one (spec, distribution) run the kernel once, and each n's lattice shape, built
-from label rows, equals the one the walked blocks give.  The store of kept
+one evaluation kernel: none of them calls ``evaluate``.  Another keeps the
+catalog's maps on their array forms: where every point maps, none runs alone.
+The last gates count the exhaustive oracles' work without timing it: a lattice
+and a corollary on one (spec, distribution) run the kernel once, and each n's
+lattice shape, built from label rows, equals the one the walked blocks give.  The store of kept
 ``classify`` and ``axioms`` inputs (``axioms._kept``) builds each input once
 per key in a pass over the specs, keeps it read-only and stays bounded.
 """
@@ -23,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from gentropy import axioms, classify, verify
+from gentropy import axioms, catalog, classify, verify
 from gentropy.catalog import EntropySpec, default_campaign_specs, matched_transform_target
 from gentropy.catalog import spec_to_json
 from gentropy.cli import main
@@ -71,6 +72,26 @@ def test_every_sampled_check_runs_on_the_kernel(monkeypatch):
     )
     with pytest.raises(AssertionError, match="called evaluate"):  # its pinned reference calls
         verify.counterexample_suite()
+
+
+def test_where_every_point_maps_nothing_runs_point_by_point(monkeypatch):
+    """With the mapper's per-point fallback raising, the probes and a small
+    campaign over the 14 wrapped default specs, and a transform check, still
+    return: the array forms map every phi', h, h' and transform point there."""
+    def refuse(*args):
+        raise AssertionError("a map ran point by point")
+
+    monkeypatch.setattr(catalog, "_outcome", refuse)  # the mapper's call on one point
+    wrapped = [spec for spec in default_campaign_specs() if spec.functional.h is not None]
+    assert len(wrapped) == 14
+    for spec in wrapped:
+        axioms.check_basic_axioms(spec, 50, 0)
+        classify.check_outer_map_pairing(spec)
+    verify.run_monotonicity_campaign(wrapped, [3, 5], 4, 0)
+    tsallis = EntropySpec("tsallis", q=2.0)
+    classify.check_transform_consistency(
+        tsallis, matched_transform_target(tsallis, "renyi"), samples=20, rng_seed=0
+    )
 
 
 def test_one_lattice_pair_builds_one_value_table(monkeypatch):

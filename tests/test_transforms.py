@@ -180,7 +180,7 @@ REPORT_KEYS = {
 
 def test_consistency_flags_a_decreasing_transform(monkeypatch):
     """A planted order-reversing transform fails the increasing check and the residual."""
-    monkeypatch.setattr(classify, "transform_between", lambda s, t, v: -v)
+    monkeypatch.setattr(classify, "_transform_map", lambda s, t: lambda v: -v)
     source = EntropySpec("tsallis", q=2.0)
     report = check_transform_consistency(
         source, matched_transform_target(source, "renyi"), samples=50, rng_seed=0
@@ -198,7 +198,7 @@ def test_consistency_flags_an_order_reversing_target(monkeypatch):
     source = EntropySpec("tsallis", q=2.0)
     reversed_target = EntropySpec("h_phi_custom", phi=lambda x: x * x - x)  # -(x - x**2)
     monkeypatch.setattr(classify, "matched_transform_target", lambda s, t: reversed_target)
-    monkeypatch.setattr(classify, "transform_between", lambda s, t, v: v)
+    monkeypatch.setattr(classify, "_transform_map", lambda s, t: lambda v: v)
     report = check_transform_consistency(source, reversed_target, samples=50, rng_seed=0)
     assert report.increasing_ok and not report.ordering_ok and not report.passed
     assert report.compared_pairs > 0
