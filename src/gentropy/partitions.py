@@ -12,7 +12,9 @@ deterministic.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import json
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import DimensionMismatch, TooSmall, TooLarge, ValidationError, _integer
 
 ENUMERATION_LIMIT = 12  # Bell(12) = 4_213_597; beyond this exhaustive work explodes
-LATTICE_LIMIT = 8  # the exhaustive oracles' limit; the partitions up to it are kept once walked
+LATTICE_LIMIT = 8  # the exhaustive oracles' limit; the partitions up to it are kept
 
 _Blocks = tuple[tuple[int, ...], ...]
 
@@ -39,7 +41,7 @@ class Partition:
     __slots__ = ("_blocks", "_ground_size")
 
     def __init__(self, blocks: Iterable[Iterable[int]], ground_size: int):
-        ground_size = _integer("ground_size", ground_size)
+        ground_size = _integer("ground_size", ground_size, minimum=1)
         try:
             cleaned = [tuple(sorted(_integer("index", x) for x in block)) for block in blocks]
         except (TypeError, ValidationError) as exc:
@@ -190,8 +192,8 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     The order is lexicographic in the restricted-growth encoding (element i
     gets the label of its block, labels appear in first-use order), which
     coincides with canonical block form.  Guarded at n <= 12.  For n <= 8
-    (``LATTICE_LIMIT``) the partitions are walked once per process and kept,
-    so every call yields the same immutable ``Partition`` objects.
+    (``LATTICE_LIMIT``) they are built once per process from label rows and
+    kept, so every call yields the same immutable ``Partition`` objects.
     """
     n = _integer("n", n, minimum=1)
     if n > ENUMERATION_LIMIT:
@@ -203,8 +205,34 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 
 @lru_cache(maxsize=LATTICE_LIMIT)
+def _label_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every partition of {0..n-1} (n <= 8) in enumeration order, read-only: its label
+    row (restricted growth string), block bit masks (0 past the last), uint8, and block count."""
+    labels, masks, k = np.zeros((1, n), np.uint8), np.eye(1, n, dtype=np.uint8), np.ones(1, np.intp)
+    for m in range(1, n):  # state m joins each block of a row in turn, then a new one
+        parent = np.repeat(np.arange(k.size), k + 1)
+        label = np.arange(parent.size) - np.repeat(np.cumsum(k + 1) - k - 1, k + 1)
+        labels, masks, k = labels[parent], masks[parent], k[parent] + (label == k[parent])
+        labels[:, m] = label
+        masks[np.arange(label.size), label] += 1 << m
+    labels.flags.writeable = masks.flags.writeable = k.flags.writeable = False
+    return labels, masks, k
+
+
+@lru_cache(maxsize=LATTICE_LIMIT)
 def _kept_partitions(n: int) -> tuple[Partition, ...]:
-    return tuple(_walk(n))
+    """The partitions of :func:`_label_rows`, made in bulk as ``verify._records`` fills records."""
+    _, masks, k = _label_rows(n)
+    subsets, partitions = [()], list(map(object.__new__, repeat(Partition, k.size)))
+    for x in range(n):  # subset s + 2**x is subset s and x
+        subsets += [subset + (x,) for subset in subsets]
+    subsets = np.fromiter(subsets, object, 2**n)
+    deque(map(Partition._ground_size.__set__, partitions, repeat(n)), 0)
+    for width in range(1, n + 1):  # blocks zipped from mask columns, one tuple per subset
+        rows = np.flatnonzero(k == width)
+        blocks = zip(*subsets[masks[rows, :width].T].tolist())
+        deque(map(Partition._blocks.__set__, map(partitions.__getitem__, rows.tolist()), blocks), 0)
+    return tuple(partitions)
 
 
 def _walk(n: int) -> Iterator[Partition]:

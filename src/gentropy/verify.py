@@ -70,17 +70,17 @@ lattice evaluates the identity with ``evaluate`` after the kernel, last as
 in the walk (so a lattice call keeps one ``evaluate`` call); the corollary
 evaluates its base before it; a table reused (below) had raised nothing.
 What depends on n alone is built once per n and kept: each lattice entry's
-partition indices and kind (by arithmetic on its label rows, the restricted
-growth strings), and the kernel's plan: the 2**n - 1 subsets of the states,
-which every block reads, and per partition width a matrix of subset ids, so
-phi runs once per subset and a width's totals are one gather.  The last
-(spec, distribution)'s value table is kept too, and the corollary's entries
-are the lattice's rows against the identity.  ``max_entropy_check`` draws one
-cell per n with the campaign's row layout, seeded with ``SeedSequence([seed,
-n])``.  Every caller hands ``_checked`` the kernel's float64 values (NaN where
-one failed), its errors by vector and each row's two indices.  A lattice or
-corollary call that builds its table makes one
-``enumerate_partitions`` call, consumed in full (its blocks fill the
+partition indices and kind, by a dense table of mixed-radix codes of the label
+rows (restricted growth strings) the kept partitions are built from, and the
+kernel's plan: the 2**n - 1 subsets of the states, which every block reads, and
+per partition width a matrix of subset ids, so phi runs once per subset and a
+width's totals are one gather.  The last (spec, distribution)'s value table is
+kept too, and the corollary's entries are the lattice's rows against the
+identity.  ``max_entropy_check`` draws one cell per n with the campaign's row
+layout, seeded with ``SeedSequence([seed, n])``.  Every caller hands ``_checked``
+the kernel's float64 values (NaN where one failed), its errors by vector and
+each row's two indices.  A lattice or corollary call that builds its table makes
+one ``enumerate_partitions`` call, consumed in full (its blocks fill the
 entries), and far fewer ``evaluate`` calls than it has edges; both names are
 looked up in this module, where the benchmark's tracer times them.  One JSON
 writer serves every report: it formats rows by shape, one ``%`` template for
@@ -108,7 +108,7 @@ from .catalog import EntropySpec, _admit, _map_points, _outcome, evaluate, phi_p
 from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet
 from .errors import GentropyError, NonFinite, ParamOutOfDomain, TooLarge, UnsupportedFormat
 from .errors import ValidationError, _integer, _number
-from .partitions import LATTICE_LIMIT, Partition, _Blocks, enumerate_partitions
+from .partitions import LATTICE_LIMIT, Partition, _Blocks, _label_rows, enumerate_partitions
 from .partitions import _pair_size, pair_draw_width
 # The pair sampler, looked up per case under the name perfbench's tracer
 # times as the sampler layer.
@@ -771,25 +771,25 @@ def _partition_values(
 ) -> tuple[np.ndarray, tuple, np.ndarray, dict]:
     """Every partition of ``dist.n``, the lattice's rows at n and a value table.
 
-    The partitions come from one full walk, an object array of blocks.  The rows
+    The partitions' blocks are one ``enumerate_partitions`` call's.  The rows
     (each entry's finer and coarser partition index and kind, and the entries
-    against the identity) and the kernel's plan are built once per n from label
-    rows and kept.  Its masses are the 2**n - 1 nonempty subsets of the states,
-    subset s the one with bit mask s + 1, elements ascending as in a canonical
-    block (so each sum has the bits of the blocks'); a width's totals matrix
-    holds its partitions' subset ids.  The table, as ``_checked`` takes it, holds
-    ``dist`` aggregated by each partition but the identity, the last: the callers
-    evaluate and append it.  The last table whose kernel raised nothing is kept
-    read-only with its spec and functional (held, compared by ``is``) and the
-    bytes of ``dist.probs``; a call matching all three gets it with no walk or
-    kernel, and every call gets its own copy of the failure dict.
+    against the identity) and the kernel's plan are built once per n from
+    ``partitions._label_rows`` and kept.  Its masses are the 2**n - 1 nonempty
+    subsets of the states, subset s the one with bit mask s + 1, elements
+    ascending as in a canonical block (so each sum has the bits of the blocks');
+    a width's totals matrix holds its partitions' subset ids.  The table, as
+    ``_checked`` takes it, holds ``dist`` aggregated by each partition but the
+    identity, the last: the callers evaluate and append it.  The last table whose
+    kernel raised nothing is kept read-only with its spec and functional (held,
+    compared by ``is``) and the bytes of ``dist.probs``; a call matching all three
+    gets it with no enumeration or kernel, and every call its own failure dict.
     """
     global _KEPT_TABLE
     n = dist.n
     if n not in _LATTICE_SHAPES:
-        k, masks, finer, coarser, kind = _lattice_rows(n)
+        (_, masks, k), (finer, coarser, kind) = _label_rows(n), _lattice_rows(n)
         bits = np.arange(1, 2**n)[:, None] >> np.arange(n) & 1  # row s: the bits of subset s
-        sizes, blocks = bits.sum(axis=1), masks[:-1][np.arange(n) < k[:-1, None]] - 1
+        sizes, blocks = bits.sum(axis=1), masks[:-1][masks[:-1] > 0].astype(np.intp) - 1
         subsets = _sum_plan(_starts(sizes), sizes, np.nonzero(bits)[1])
         plan = _kernel_plan(k[:-1], subsets, blocks)  # the identity is last
         _LATTICE_SHAPES[n] = plan, (finer, coarser, kind, np.flatnonzero(kind))
@@ -811,47 +811,34 @@ _KEPT_TABLE: tuple = (None,) * 6  # spec, functional, probs bytes, partitions, n
 
 
 def _lattice_rows(n: int) -> tuple[np.ndarray, ...]:
-    """Each partition's block count k and block masks, and each lattice entry's
-    finer and coarser partition index and kind (an index of ``_LATTICE_KINDS``),
-    all intp, which ``_checked`` gathers by with no cast.
-
-    The partitions are rows of block labels, their restricted growth strings
-    (RGS), in ``enumerate_partitions`` order: each row of the first m states
-    gives way to state m in each of its blocks in turn, then in a new one.  One
-    ``np.bincount`` over the (partition, label) cells gives each block's bit mask
-    (0 past the last block), and one each label L's base-n weight W_L: a row's
-    code, its RGS read as a base-n number, is the sum of L * W_L, and the codes
-    ascend.  Entries come partition by partition: the merges of its blocks
-    i < j, in lexicographic order, then (but for the identity, last) the
-    partition against the identity.  A merge relabels j as i and lowers each
-    label above j by one, to the canonical RGS whose index ``np.searchsorted``
-    finds from its code, ``code - (j - i) * W_j - sum(W_L for L > j)``.
+    """Each lattice entry's finer and coarser partition index and kind (an index
+    of ``_LATTICE_KINDS``), all intp, which ``_checked`` gathers by with no cast.
+    A partition's code reads its label row (``partitions._label_rows``) as a
+    mixed-radix number, state x weighing n!/(x+1)! (its label is at most x), so
+    the codes are below n! and a dense table maps each to its partition.  Entries
+    come partition by partition: the merges of its blocks i < j, in lexicographic
+    order, then (but for the identity, last) the partition against the identity.
+    A merge relabels j as i and lowers each label above j by one, to the code
+    ``code - (j - i) * W_j - sum(W_L for L > j)``, W_L block L's states' weight.
     """
-    labels = np.zeros((1, 1), dtype=np.intp)
-    for _ in range(1, n):
-        choices = labels.max(axis=1) + 2
-        child = np.arange(choices.sum()) - np.repeat(_starts(choices), choices)
-        labels = np.column_stack([np.repeat(labels, choices, axis=0), child])
-    count, k = len(labels), labels.max(axis=1) + 1
-    cells = (labels + n * np.arange(count)[:, None]).ravel()
-    masks, weights = (
-        np.bincount(cells, np.tile(w, count), count * n).astype(np.intp).reshape(count, n)
-        for w in (1 << np.arange(n), n ** np.arange(n - 1, -1, -1))
-    )
-    codes = weights @ np.arange(n)
-    above = weights.sum(axis=1, keepdims=True) - np.cumsum(weights, axis=1)
+    labels, masks, k = _label_rows(n)
+    weight = math.factorial(n) // np.cumprod(np.arange(1, n + 1))
+    weights = ((np.arange(2**n)[:, None] >> np.arange(n) & 1) @ weight)[masks]  # W_L by mask
+    above = weight.sum() - np.cumsum(weights, axis=1)  # every state is in one block
+    count, codes, table = k.size, labels @ weight, np.empty(math.factorial(n), dtype=np.intp)
+    table[codes] = np.arange(count)
     identity, edges = count - 1, k * (k - 1) // 2
     rows = edges + (np.arange(count) < identity)
     first, finer = _starts(rows), np.repeat(np.arange(count), rows)
-    kind, coarser = np.zeros_like(finer), np.empty_like(finer)
-    for size in range(2, n + 1):  # the merges of the partitions of that many blocks
-        parts, (i, j) = np.flatnonzero(k == size), np.triu_indices(size, 1)
-        merged = codes[parts, None] - (j - i) * weights[parts][:, j] - above[parts][:, j]
-        coarser[first[parts, None] + np.arange(i.size)] = np.searchsorted(codes, merged)
+    kind, coarser, pairs = np.zeros_like(finer), np.empty_like(finer), np.triu_indices(n, 1)
+    for size in range(2, n + 1):  # the merges of that many blocks: the pairs with j < size
+        parts, (i, j) = np.flatnonzero(k == size)[:, None], (a[pairs[1] < size] for a in pairs)
+        merged = codes[parts] - (j - i) * weights[parts, j] - above[parts, j]
+        coarser[first[parts] + np.arange(i.size)] = table[merged]
     vs_identity = (first + edges)[:identity]
     finer[vs_identity], coarser[vs_identity] = identity, np.arange(identity)
     kind[vs_identity] = np.where(k[:identity] == 1, 1, 2)
-    return k, masks, finer, coarser, kind
+    return finer, coarser, kind
 
 
 def exhaustive_lattice_check(

@@ -7,8 +7,10 @@ not only in a benchmark note.  A gate keeps every sampled check on the
 one evaluation kernel: none of them calls ``evaluate``.  Another keeps the
 catalog's maps on their array forms: where every point maps, none runs alone.
 The last gates count the exhaustive oracles' work without timing it: a lattice
-and a corollary on one (spec, distribution) run the kernel once, and each n's
-lattice shape, built from label rows, equals the one the walked blocks give.  The store of kept
+and a corollary on one (spec, distribution) run the kernel once, each n's
+lattice shape, built from label rows, equals the one the walked blocks give, and
+n <= 8 needs no walk: with ``partitions._walk`` refusing, the partitions and
+both oracles at n = 8 keep their pinned bytes.  The store of kept
 ``classify`` and ``axioms`` inputs (``axioms._kept``) builds each input once
 per key in a pass over the specs, keeps it read-only and stays bounded.
 """
@@ -16,7 +18,9 @@ per key in a pass over the specs, keeps it read-only and stays bounded.
 from concurrent.futures import ThreadPoolExecutor
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
+import hashlib
 import io
+import json
 import sys
 import threading
 import time
@@ -24,12 +28,11 @@ import time
 import numpy as np
 import pytest
 
-from gentropy import axioms, catalog, classify, verify
+from gentropy import axioms, catalog, classify, partitions, verify
 from gentropy.catalog import EntropySpec, default_campaign_specs, matched_transform_target
-from gentropy.catalog import spec_to_json
+from gentropy.catalog import spec_from_json, spec_to_json
 from gentropy.cli import main
-from gentropy.distributions import FiniteDistribution
-from gentropy.partitions import enumerate_partitions
+from gentropy.distributions import FiniteDistribution, sample_dirichlet_uniform
 
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -115,9 +118,10 @@ def test_one_lattice_pair_builds_one_value_table(monkeypatch):
 
 def _flat_blocks_shape(n):
     """The lattice shape of n as it was derived from the walked blocks, before
-    label rows: ``_flat_blocks`` and the (partition, merge, element) tensor."""
-    partitions = [p.blocks for p in enumerate_partitions(n)]
-    k, block_widths, elements = verify._flat_blocks(partitions)
+    label rows: ``_flat_blocks`` of ``partitions._walk`` (not the kept partitions,
+    which are built from the label rows under test), the (partition, merge,
+    element) tensor and each merge found by ``np.searchsorted`` of base-n codes."""
+    k, block_widths, elements = verify._flat_blocks([p.blocks for p in partitions._walk(n)])
     identity = k.size - 1
     edges = k * (k - 1) // 2
     rows = edges + (np.arange(k.size) < identity)
@@ -159,8 +163,34 @@ def _same(a, b):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_lattice_shape_from_label_rows_equals_the_one_from_walked_blocks(n, monkeypatch):
     monkeypatch.setattr(verify, "_LATTICE_SHAPES", {})
+    partitions._label_rows.cache_clear()
     verify.exhaustive_lattice_check(EntropySpec("shannon"), FiniteDistribution(np.full(n, 1 / n)))
     assert _same(verify._LATTICE_SHAPES[n], _flat_blocks_shape(n))
+
+
+def test_n8_partitions_and_oracles_need_no_walk(monkeypatch):
+    """Every cache cleared and the walk refusing: ``gentropy partitions --n 8`` and
+    both oracles at n = 8 still write the bytes pinned when they came from the walk."""
+    from test_cli import _PINNED_ORACLES, _HashingStdout
+
+    def refuse(n):
+        raise AssertionError(f"walked n = {n}")
+
+    monkeypatch.setattr(partitions, "_walk", refuse)
+    monkeypatch.setattr(verify, "_LATTICE_SHAPES", {})
+    monkeypatch.setattr(verify, "_KEPT_TABLE", (None,) * 6)
+    partitions._label_rows.cache_clear()
+    partitions._kept_partitions.cache_clear()
+    sink = _HashingStdout()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", sink)
+        assert main(["partitions", "--n", "8"]) == 0
+    assert sink.sha.hexdigest() == "86f795f124907e4c12da7041ae5b0ac57be7cfbc1d51d8acffa37d178c77343d"
+    dist = sample_dirichlet_uniform(8, 0)
+    for spec_json, *digests in _PINNED_ORACLES:
+        spec = spec_from_json(json.dumps(spec_json))
+        for check, digest in zip((verify.exhaustive_lattice_check, verify.corollary1_check), digests):
+            assert hashlib.sha256(verify.emit_report(check(spec, dist))).hexdigest() == digest
 
 
 def _certify_pass(monkeypatch):

@@ -19,6 +19,7 @@ from gentropy.errors import DimensionMismatch, TooLarge, TooSmall, ValidationErr
 from gentropy.partitions import (
     _random_refinement_pair,
     _refinement_pair_blocks,
+    _walk,
     pair_draw_width,
 )
 
@@ -43,6 +44,18 @@ def test_partition_validation():
         Partition([[0], [2]], 3)  # hole
     with pytest.raises(ValidationError):
         Partition([[0], []], 1)  # empty block
+
+
+def test_a_partition_of_nothing_is_refused():
+    """As ``Partition.identity(0)`` and ``enumerate_partitions(0)`` are: no entry
+    point makes a partition of an empty ground set."""
+    with pytest.raises(ValidationError, match="ground_size"):
+        Partition([], 0)
+    with pytest.raises(ValidationError, match="ground_size"):
+        Partition.from_json('{"blocks": []}')
+    with pytest.raises(ValidationError, match="ground_size"):
+        Partition.from_json('{"blocks": []}', 0)
+    assert Partition.from_json('{"blocks": [[0]]}') == Partition.identity(1)
 
 
 @pytest.mark.parametrize("blocks", [[[0, 1.5], [2]], [[0, "1"], [2]], [0, 1, 2]])
@@ -139,8 +152,8 @@ def test_numpy_integer_n_gives_int_ground_sizes():
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_enumeration_repeats_itself(n):
-    """n = 8 is kept after its first walk and n = 9 is walked each time;
-    either way a second enumeration equals the first."""
+    """n = 8 is built once from label rows and kept, and n = 9 is walked each
+    time; either way a second enumeration equals the first."""
     first, second = list(enumerate_partitions(n)), list(enumerate_partitions(n))
     assert first == second and len(first) == bell_number(n)
     assert [p.blocks for p in first] == [p.blocks for p in second]
@@ -180,6 +193,20 @@ def test_enumeration_order_equals_a_recursive_reference(n):
     assert [part.blocks for part in parts] == list(_recursive_enumeration(n))
     assert {type(part) for part in parts} == {Partition}
     assert {part.ground_size for part in parts} == {n}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kept_partitions_are_the_walk_with_plain_int_blocks(n):
+    """Built from uint8 label rows, each kept partition equals the walk's, and its
+    blocks are tuples of exact ints: a numpy integer passes ``==`` but makes a
+    lattice report fail to emit (``_blocks_texts`` sends it to ``_json_scalar``)."""
+    kept, walked = list(enumerate_partitions(n)), list(_walk(n))
+    assert len(kept) == len(walked) == bell_number(n)
+    for part, reference in zip(kept, walked):
+        assert part == reference and type(part) is Partition
+        assert type(part.blocks) is tuple and type(part.ground_size) is int
+        assert all(type(block) is tuple for block in part.blocks)
+        assert {type(x) for block in part.blocks for x in block} == {int}
 
 
 def test_enumeration_canonical_order_deterministic():

@@ -46,7 +46,7 @@ from gentropy.errors import (
     UserCallableError,
     ValidationError,
 )
-from gentropy.partitions import _kept_partitions, pair_draw_width
+from gentropy.partitions import _kept_partitions, _label_rows, pair_draw_width
 from gentropy import errors, verify
 from gentropy.verify import (
     _INTERIOR_FLOOR,
@@ -1469,6 +1469,8 @@ def test_oracles_equal_reference_loops_with_cold_and_warm_shapes(monkeypatch):
     """Each n is checked first with nothing kept for it, then again once its
     partitions and lattice shape are kept: the reports do not change."""
     monkeypatch.setattr(verify, "_LATTICE_SHAPES", {})
+    monkeypatch.setattr(verify, "_KEPT_TABLE", (None,) * 6)
+    _label_rows.cache_clear()
     _kept_partitions.cache_clear()
     specs = [SHANNON, HE, _custom_specs()[1]]  # the last one's h always raises
     for n in (8, 3, 8, 5, 3):
