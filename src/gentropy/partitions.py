@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator
 
 import json
@@ -27,12 +27,6 @@ ENUMERATION_LIMIT = 12  # Bell(12) = 4_213_597; beyond this exhaustive work expl
 LATTICE_LIMIT = 8  # the exhaustive oracles' limit; the partitions up to it are kept
 
 _Blocks = tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=None)
-def _identity_blocks(n: int) -> _Blocks:
-    """The singleton blocks of {0..n-1}."""
-    return tuple((i,) for i in range(n))
 
 
 class Partition:
@@ -92,7 +86,7 @@ class Partition:
     @classmethod
     def identity(cls, n: int) -> "Partition":
         n = _integer("n", n, minimum=1)
-        return cls._raw(_identity_blocks(n), n)
+        return cls._raw(tuple((i,) for i in range(n)), n)
 
     @classmethod
     def total(cls, n: int) -> "Partition":
@@ -256,45 +250,48 @@ def pair_draw_width(n: int) -> int:
     return 2 * n + 1
 
 
-def _runs(order: list[int], cuts: list[int]) -> _Blocks:
-    """Canonical blocks of ``order`` cut before each position in ``cuts``."""
-    bounds = [0, *sorted(cuts), len(order)]
-    return tuple(sorted([tuple(sorted(order[a:b])) for a, b in zip(bounds, bounds[1:])]))
-
-
-def _refinement_pair_blocks(n: int, u: list[float]) -> tuple[_Blocks, _Blocks]:
-    """The pair sampler: canonical blocks of (finer, coarser), unvalidated.
-
-    ``u`` holds ``pair_draw_width(n)`` uniforms on [0, 1) at fixed offsets,
-    so a pair depends on nothing else.  k_A is uniform on [3, n] (u[0]) and
-    k_B uniform on [2, k_A - 1] (u[1]).  The states are put in a uniformly
-    random order, ranked by u[2 : n+2], and the n - 1 gaps of that order are
-    ranked by u[n+2 : 2n+1].  The finer partition cuts the order at the
-    k_A - 1 first-ranked gaps, the coarser at the k_B - 1 first-ranked.
-
-    This is the law of merging uniformly random pairs of blocks from the
-    singletons down to k_A blocks, and on down to k_B (Kingman's
-    coalescent).  A random order cut at k - 1 uniformly chosen gaps gives a
-    partition into k blocks of sizes lambda_1..lambda_k with probability
-    ``k! (k-1)! (n-k)! prod(lambda_i!) / (n! (n-1)!)``, the random-merge law.
-    Given the finer partition, its blocks appear in the order in a uniformly
-    random order, and the first k_B - 1 gaps are a uniform subset of its
-    k_A - 1 cuts; so the coarser is the same construction applied to the
-    k_A blocks, as continued merging is.
-    """
+def _random_refinement_pair(n: int, u: list[float]) -> tuple[int, ...]:
+    """What a pair's ``pair_draw_width(n)`` uniforms decide, as that many ints: k_A (by
+    u[0]), k_B (by u[1]), the states in order (ranked by u[2 : n+2]) and the n - 1 gaps
+    of that order by rank (by u[n+2 : 2n+1]; gap g follows the order's state g).  The
+    finer partition cuts the order at the k_A - 1 first gaps, the coarser at the k_B - 1
+    first (:func:`_pair_labels`); the law is :func:`random_refinement_pair`'s."""
     k_a = 3 + int(u[0] * (n - 2))
-    k_b = 2 + int(u[1] * (k_a - 2))
-    order = sorted(range(n), key=u[2 : n + 2].__getitem__)
-    gaps = sorted(range(1, n), key=u[n + 1 : 2 * n + 1].__getitem__)
-    finer = _identity_blocks(n) if k_a == n else _runs(order, gaps[: k_a - 1])
-    return finer, _runs(order, gaps[: k_b - 1])
+    return (k_a, 2 + int(u[1] * (k_a - 2)), *sorted(range(n), key=u[2 : n + 2].__getitem__),
+            *sorted(range(n - 1), key=u[n + 2 : 2 * n + 1].__getitem__))
 
 
-def _random_refinement_pair(
-    n: int, rng: np.random.Generator
-) -> tuple[Partition, Partition]:
-    finer, coarser = _refinement_pair_blocks(n, rng.random(pair_draw_width(n)).tolist())
-    return Partition(finer, n), Partition(coarser, n)
+def _pair_labels(n: int, draws: list[tuple[int, ...]]) -> np.ndarray:
+    """The label rows of ``draws`` (:func:`_random_refinement_pair` at n), least unsigned
+    dtype: row 2i is pair i's finer partition, 2i + 1 its coarser.  A row cuts the order at
+    each gap ranked below its k - 1, and labels each run in order of its least state."""
+    pairs = np.fromiter(chain.from_iterable(draws), np.intp, len(draws) * pair_draw_width(n))
+    pairs = np.repeat(pairs.reshape(len(draws), -1), 2, axis=0)  # each pair's row, twice
+    k, order, gaps = pairs[0::2, :2].reshape(-1, 1), pairs[:, 2 : n + 2], pairs[:, n + 2 :]
+    np.put_along_axis(rank := np.empty_like(gaps), gaps, np.arange(n - 1)[None], axis=1)
+    runs = np.hstack([np.ones((k.size, 1), bool), rank < k - 1]).ravel()  # where a run begins
+    least = np.minimum.reduceat(order.ravel(), np.flatnonzero(runs))[np.cumsum(runs) - 1]
+    np.put_along_axis(first := np.empty_like(order), order, least.reshape(order.shape), axis=1)
+    label = np.cumsum(first == np.arange(n), axis=1) - 1
+    return np.take_along_axis(label, first, axis=1).astype(np.min_scalar_type(n - 1))
+
+
+def _label_blocks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each label row's block count, each block's width and the rows' states block by
+    block, end to end.  Labels equal to the table's width pad a row of fewer states.  A
+    stable argsort puts blocks in order of least state, states ascending: canonical form."""
+    count, width = labels.shape
+    ids = labels + np.arange(0, count * (width + 1), width + 1)[:, None]  # pads: last bin
+    tally = np.bincount(ids.ravel(), minlength=ids.size + count).reshape(count, width + 1)[:, :-1]
+    states = np.argsort(labels, axis=1, kind="stable")[np.arange(width) < tally.sum(1)[:, None]]
+    return np.count_nonzero(tally, axis=1), tally[tally > 0], states
+
+
+def _canonical_blocks(labels: np.ndarray) -> list[_Blocks]:
+    """The canonical blocks of each label row (see :func:`_label_blocks`)."""
+    counts, widths, states = (iter(a.tolist()) for a in _label_blocks(labels))
+    blocks = iter([tuple(islice(states, w)) for w in widths])
+    return [tuple(islice(blocks, k)) for k in counts]
 
 
 def _pair_size(n) -> int:
@@ -310,10 +307,19 @@ def random_refinement_pair(n: int, rng_seed: int) -> tuple[Partition, Partition]
 
     k_A is uniform on [3, n] and k_B on [2, k_A - 1].  A is a uniformly
     random order of the states cut at k_A - 1 uniformly chosen gaps, and B
-    the same construction on the blocks of A: the law of merging uniformly
-    random block pairs from the singletons (see ``_refinement_pair_blocks``).
-    This covers the whole order but is *not* uniform over it; exhaustive
-    enumeration exists for certainty at small n.
+    the same construction on the blocks of A (see ``_random_refinement_pair``).
+
+    This is the law of merging uniformly random pairs of blocks from the
+    singletons down to k_A blocks, and on down to k_B (Kingman's
+    coalescent).  A random order cut at k - 1 uniformly chosen gaps gives a
+    partition into k blocks of sizes lambda_1..lambda_k with probability
+    ``k! (k-1)! (n-k)! prod(lambda_i!) / (n! (n-1)!)``, the random-merge law.
+    Given the finer partition, its blocks appear in the order in a uniformly
+    random order, and the first k_B - 1 gaps are a uniform subset of its
+    k_A - 1 cuts; so the coarser is the same construction applied to the
+    k_A blocks, as continued merging is.  This covers the whole order but is
+    *not* uniform over it; exhaustive enumeration exists for certainty at small n.
     """
-    n = _pair_size(n)
-    return _random_refinement_pair(n, np.random.default_rng(_integer("rng_seed", rng_seed)))
+    n, rng = _pair_size(n), np.random.default_rng(_integer("rng_seed", rng_seed))
+    pair = _random_refinement_pair(n, rng.random(pair_draw_width(n)).tolist())
+    return tuple(Partition._raw(blocks, n) for blocks in _canonical_blocks(_pair_labels(n, [pair])))

@@ -20,9 +20,9 @@ error never aborts a campaign; the case is recorded as skipped with its
 reason so coverage accounting stays honest.
 
 A campaign runs in two phases.  The *draw phase* seeds each cell's
-generator and draws its block, then works one pass per n: the draws of all
-that n's cells are normalised and floor-tested at once, and the pair sampler
-runs once per case, a pure function of the case's row.  The *evaluate phase*
+generator and draws its block, then works one pass per n: that n's draws are
+normalised and floor-tested at once, the pair draw runs per case (a pure function
+of its row), and one pass makes the pairs' label rows.  The *evaluate phase*
 aggregates every distribution of the campaign by both of its partitions in
 one gather, calls each functional's ``phi`` once on all of its coarse-grained
 vectors laid end to end, and sums each vector's components.  Its results
@@ -93,7 +93,7 @@ from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, is_not
 
@@ -108,11 +108,9 @@ from .catalog import EntropySpec, _admit, _map_points, _outcome, evaluate, phi_p
 from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet
 from .errors import GentropyError, NonFinite, ParamOutOfDomain, TooLarge, UnsupportedFormat
 from .errors import ValidationError, _integer, _number
-from .partitions import LATTICE_LIMIT, Partition, _Blocks, _label_rows, enumerate_partitions
-from .partitions import _pair_size, pair_draw_width
-# The pair sampler, looked up per case under the name perfbench's tracer
-# times as the sampler layer.
-from .partitions import _refinement_pair_blocks as _random_refinement_pair
+from .partitions import LATTICE_LIMIT, Partition, _label_rows, enumerate_partitions
+from .partitions import _canonical_blocks, _label_blocks, _pair_labels, _pair_size, pair_draw_width
+from .partitions import _random_refinement_pair  # the per-pair draw, looked up per case
 
 MARGIN_TOLERANCE = 1e-9
 REPORT_SCHEMA = 2
@@ -189,6 +187,27 @@ class _Lazy:
         return (values if self.none is None else np.where(self.none[at], None, values)).tolist()
 
 
+class _LabelRows(_Lazy):
+    """A blocks column kept as label rows (``partitions._label_blocks``), made tuples when read."""
+
+    __slots__ = ()
+
+    def take(self, at) -> list:
+        return _canonical_blocks(self.source[at])
+
+    def texts(self, memo: dict) -> list[str]:
+        """Each row's JSON array, made once per distinct row (``memo``: texts by row bytes)."""
+        rows = np.ascontiguousarray(self.source)
+        keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel().tolist()
+        fresh = [key for key in dict.fromkeys(keys) if key not in memo]
+        rows = np.frombuffer(b"".join(fresh), rows.dtype).reshape(-1, rows.shape[1])
+        counts, widths, states = (iter(a.tolist()) for a in _label_blocks(rows))
+        for key, k in zip(fresh, counts):
+            shape = tuple(islice(widths, k))
+            memo[key] = _template(shape) % tuple(islice(states, sum(shape)))
+        return list(map(memo.__getitem__, keys))
+
+
 class _Entries(Sequence):
     """A report's entries: a read-only sequence of ``CaseRecord`` kept as columns.
 
@@ -244,7 +263,7 @@ class _Entries(Sequence):
     def column(self, name: str) -> Sequence:
         """Every entry's value of the field ``name``, in entry order."""
         column = self._columns.get(name)
-        if type(column) is _Lazy:  # read whole: made a list, kept
+        if isinstance(column, _Lazy):  # read whole: made a list, kept
             column = self._columns[name] = column.take(slice(None))
         return [self._shared.get(name)] * len(self) if column is None else column
 
@@ -253,7 +272,7 @@ class _Entries(Sequence):
         column = self._columns.get(name)
         if column is None or not len(rows):
             return [self._shared.get(name)] * len(rows)
-        return column.take(rows) if type(column) is _Lazy else list(map(column.__getitem__, rows))
+        return column.take(rows) if isinstance(column, _Lazy) else [column[r] for r in rows]
 
     def _take(self, rows: Sequence[int]) -> tuple[CaseRecord, ...]:
         """The records of ``rows``."""
@@ -522,19 +541,20 @@ def _campaign_entries(
     """The entries of the cases of ``cells``, and each one's spec index.
 
     A cell is (spec index, n, first case, case count); cells must come in
-    ascending spec index.  The draw phase is :func:`_draws` and one pair per
-    case; the kernel gathers each case's two vectors from where its draw lies.
+    ascending spec index.  The draw phase is :func:`_draws`, one pair draw per case
+    and one pass per n for its pairs' label rows; the kernel reads them and the draws.
     """
     floors = {s: 0.0 if specs[s].functional.zero_safe else _INTERIOR_FLOOR for s, *_ in cells}
-    draws, pairs = [], []
-    for n, p, u in _draws([([rng_seed, s, n], n, first, k, floors[s]) for s, n, first, k in cells]):
-        draws.append(p)
-        pairs += [_random_refinement_pair(n, row) for row in u.tolist()]
     columns = np.array(cells, dtype=np.intp).reshape(-1, 4)
     spec_indices, dims = np.repeat(columns[:, :2], columns[:, 3], axis=0).T
+    width, draws = int(dims.max(initial=0)), []  # each case's two label rows, padded by width
+    table = np.full((dims.size, 2, width), width, np.min_scalar_type(width))
+    for n, p, u in _draws([([rng_seed, s, n], n, first, k, floors[s]) for s, n, first, k in cells]):
+        draws.append(p)
+        pairs = _pair_labels(n, [_random_refinement_pair(n, row) for row in u.tolist()])
+        table[dims == n, :, :n] = pairs.reshape(-1, 2, n)
     order = np.argsort(np.argsort(dims, kind="stable")).tolist()  # each case's row in the batches
-    pairs = list(map(pairs.__getitem__, order))
-    counts, block_widths, elements = _flat_blocks(list(chain.from_iterable(pairs)))
+    counts, block_widths, elements = _label_blocks(table.reshape(2 * dims.size, width))
     widths, starts = np.repeat(dims, 2), np.repeat(_starts(np.sort(dims))[order], 2)
     values = _VectorValues(
         specs,
@@ -554,8 +574,8 @@ def _campaign_entries(
         n=dims.tolist(),
         index=list(chain.from_iterable(range(first, first + count) for *_, first, count in cells)),
         probs=list(map([tuple(row) for p in draws for row in p.tolist()].__getitem__, order)),
-        blocks_finer=[f for f, _ in pairs],
-        blocks_coarser=[c for _, c in pairs],
+        blocks_finer=_LabelRows(table[:, 0]),
+        blocks_coarser=_LabelRows(table[:, 1]),
     )
     return entries, spec_indices
 
@@ -635,16 +655,6 @@ def _kernel_plan(widths: np.ndarray, masses: tuple | None = None, ids=None) -> t
     which vectors may share; it then has no first mass."""
     starts = _starts(widths)
     return masses, widths, None if ids is not None else starts, _sum_plan(starts, widths, ids)
-
-
-def _flat_blocks(blocks: Sequence[_Blocks]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each partition's block count, each block's width and every element, end to end."""
-    counts = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
-    block_widths = np.fromiter(map(len, chain.from_iterable(blocks)), dtype=np.intp)
-    elements = np.fromiter(
-        chain.from_iterable(chain.from_iterable(blocks)), dtype=np.intp, count=block_widths.sum()
-    )
-    return counts, block_widths, elements
 
 
 class _VectorValues:
@@ -1139,7 +1149,7 @@ def _probs_texts(column: Sequence, memo: dict) -> list[str]:
     return list(map(str.__mod__, templates, (tuple(map(_json_scalar, p)) for p in column)))
 
 
-def _as_is(value):
+def _as_is(value, memo=None):  # a decoder, and the encoder of texts made beforehand
     return value
 
 
@@ -1197,10 +1207,14 @@ def _json_entries(entries: _Entries) -> Iterable[str]:
 
     A chunk's rows are grouped by the set of fields each writes, and a group
     is formatted by one ``%`` template, each field's values encoded at once;
-    the memo of block texts lasts the whole report.
+    a label-row column is written whole first.  The memo of block texts lasts
+    the whole report.
     """
-    columns = list(map(entries.column, _ENTRY_NAMES))
-    memo = {}  # blocks texts
+    memo = {}  # blocks texts, by blocks tuple or by label row bytes
+    made = {name for name in _ENTRY_NAMES if type(entries._columns.get(name)) is _LabelRows}
+    columns = [entries._columns[name].texts(memo) if name in made else entries.column(name)
+               for name in _ENTRY_NAMES]
+    encoders = [_as_is if name in made else encode for name, encode, *_ in _ENTRY_FIELDS]
     for start in range(0, len(entries), _CHUNK):
         chunk = [column[start : start + _CHUNK] for column in columns]
         count = len(chunk[0])
@@ -1218,7 +1232,7 @@ def _json_entries(entries: _Entries) -> Iterable[str]:
             picked = [chunk[f] for f in fields]
             if at.size < count:
                 picked = [list(map(column.__getitem__, at.tolist())) for column in picked]
-            texts = [_ENTRY_FIELDS[f][1](values, memo) for f, values in zip(fields, picked)]
+            texts = [encoders[f](values, memo) for f, values in zip(fields, picked)]
             rows[at] = list(map(template.__mod__, zip(*texts)))
         yield ",\n".join(rows.tolist())
 

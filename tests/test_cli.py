@@ -409,6 +409,12 @@ _PINNED_STDOUT = (
     # the campaign benchmark's unit shape at its held-out seed, with n = 9..12 added
     (("verify", "--all", "--n", "3..12", "--cases", "5", "--seed", "1729000"), 0,
      "4a7c92b78c890af29cb4bded57d8f2492cdadb73c73e276b42d8e81f6d8b9b4a"),
+    # dimensions above 12, where label rows are padded to a width of 40, and
+    # across 256, where they leave uint8
+    (("verify", "--all", "--n", "13,20,40", "--cases", "3", "--seed", "5"), 0,
+     "2c7f09532809534e3faa98aaac1d795626f1aeb4ff9318b10e5eecdb21a3a208"),
+    (("verify", "--all", "--n", "255..257", "--cases", "1", "--seed", "5"), 0,
+     "43d61174d4a4dd3f3c28dc156af3413f3b4bec8a60f241516dd8aaba27937061"),
 )
 
 

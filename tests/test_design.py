@@ -16,11 +16,13 @@ per key in a pass over the specs, keeps it read-only and stays bounded.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import threading
 import time
@@ -116,12 +118,20 @@ def test_one_lattice_pair_builds_one_value_table(monkeypatch):
         assert len(built) == seed - 7
 
 
+def _flat_blocks(blocks):
+    """Each partition's block count, each block's width and every element, end to end."""
+    counts = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+    block_widths = np.fromiter(map(len, chain.from_iterable(blocks)), dtype=np.intp)
+    elements = np.fromiter(chain.from_iterable(chain.from_iterable(blocks)), dtype=np.intp)
+    return counts, block_widths, elements
+
+
 def _flat_blocks_shape(n):
     """The lattice shape of n as it was derived from the walked blocks, before
     label rows: ``_flat_blocks`` of ``partitions._walk`` (not the kept partitions,
     which are built from the label rows under test), the (partition, merge,
     element) tensor and each merge found by ``np.searchsorted`` of base-n codes."""
-    k, block_widths, elements = verify._flat_blocks([p.blocks for p in partitions._walk(n)])
+    k, block_widths, elements = _flat_blocks([p.blocks for p in partitions._walk(n)])
     identity = k.size - 1
     edges = k * (k - 1) // 2
     rows = edges + (np.arange(k.size) < identity)
@@ -294,3 +304,37 @@ def test_a_build_holds_back_no_read_of_a_kept_input():
             release.set()
         assert slow.result(timeout=60)[0][0] == 1.0
     assert set(axioms._KEPT_INPUTS) == {(build, 0), (build, 1)}
+
+
+# Runs in a fresh interpreter that must leave ``numpy.ma`` unimported: numpy
+# functions such as ``np.unique`` import it, which costs about 1 MB of peak RSS
+# and 15 ms of start-up on every CLI call.
+_TSALLIS = '{"id": "tsallis", "params": {"q": 2.0}}'
+_FRESH_RUNS = {
+    "verify --all": ["main(['verify', '--all', '--n', '3..5', '--cases', '2'])"],
+    "classify and axioms": [f"main(['classify', '--entropy', '{_TSALLIS}'])",
+                            f"main(['axioms', '--entropy', '{_TSALLIS}'])"],
+    "n = 8 lattice and corollary": [
+        "dist, spec = sample_dirichlet_uniform(8, 0), EntropySpec('shannon')",
+        "assert exhaustive_lattice_check(spec, dist).passed",
+        "assert corollary1_check(spec, dist).passed",
+    ],
+}
+
+
+@pytest.mark.parametrize("run", list(_FRESH_RUNS))
+def test_runs_leave_numpy_ma_unimported(run):
+    from test_cli import _CHILD_ENV
+
+    code = "\n".join((
+        "import sys",
+        "from gentropy import EntropySpec, corollary1_check, exhaustive_lattice_check",
+        "from gentropy import sample_dirichlet_uniform",
+        "from gentropy.cli import main",
+        *_FRESH_RUNS[run],
+        "print('numpy.ma' in sys.modules, file=sys.stderr)",
+    ))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_CHILD_ENV, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"

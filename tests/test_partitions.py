@@ -2,8 +2,11 @@
 
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import chain
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -17,8 +20,9 @@ from gentropy import (
 )
 from gentropy.errors import DimensionMismatch, TooLarge, TooSmall, ValidationError
 from gentropy.partitions import (
+    _canonical_blocks,
+    _pair_labels,
     _random_refinement_pair,
-    _refinement_pair_blocks,
     _walk,
     pair_draw_width,
 )
@@ -231,10 +235,54 @@ def test_random_refinement_pair_n3_shape():
 
 
 def test_random_refinement_pair_bounds_sweep():
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        finer, coarser = _random_refinement_pair(8, rng)
-        assert 2 <= coarser.k < finer.k <= 8
+    rows = np.random.default_rng(7).random((1000, pair_draw_width(8))).tolist()
+    for finer, coarser in _pairs(8, rows):
+        assert 2 <= len(coarser) < len(finer) <= 8
+
+
+def _runs(order, cuts):
+    """Canonical blocks of ``order`` cut before each position in ``cuts``."""
+    bounds = [0, *sorted(cuts), len(order)]
+    return tuple(sorted([tuple(sorted(order[a:b])) for a, b in zip(bounds, bounds[1:])]))
+
+
+def _refinement_pair_blocks(n, u):
+    """The reference pair sampler, one pair of tuples at a time: the canonical
+    blocks of (finer, coarser) from the ``pair_draw_width(n)`` uniforms ``u``.
+    The order of the states ranks u[2 : n+2] and the order of the gaps before
+    positions 1..n-1 ranks u[n+2 : 2n+1]; the finer cuts at the first k_A - 1
+    gaps, the coarser at the first k_B - 1."""
+    k_a = 3 + int(u[0] * (n - 2))
+    k_b = 2 + int(u[1] * (k_a - 2))
+    order = sorted(range(n), key=u[2 : n + 2].__getitem__)
+    gaps = sorted(range(1, n), key=u[n + 1 : 2 * n + 1].__getitem__)
+    return _runs(order, gaps[: k_a - 1]), _runs(order, gaps[: k_b - 1])
+
+
+def _pairs(n, rows):
+    """The production sampler's (finer, coarser) blocks for each row of uniforms:
+    the per-pair draw, the label rows of the batch and their canonical blocks."""
+    labels = _pair_labels(n, [_random_refinement_pair(n, row) for row in rows])
+    assert labels.dtype == (np.uint8 if n <= 256 else np.uint16)
+    blocks = _canonical_blocks(labels)
+    return list(zip(blocks[0::2], blocks[1::2]))
+
+
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))  # as u[0], draws k_A = n
+
+
+@pytest.mark.parametrize("n", [*range(3, 41), 255, 256, 257])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(3, 9))
+def test_label_rows_give_the_reference_blocks(n, seed, count):
+    """Pair for pair, the label rows give the reference sampler's canonical
+    blocks; rows 0 and 2 draw k_A = n, and rows 1 and 2 draw k_B = 2."""
+    rows = np.random.default_rng(seed).random((count, pair_draw_width(n)))
+    rows[[0, 2], 0], rows[[1, 2], 1] = _BELOW_ONE, 0.0
+    pairs = _pairs(n, rows.tolist())
+    assert pairs == [_refinement_pair_blocks(n, row) for row in rows.tolist()]
+    assert [len(pairs[r][0]) for r in (0, 2)] == [n, n]
+    assert [len(pairs[r][1]) for r in (1, 2)] == [2, 2]
 
 
 def _merges(blocks):
@@ -284,8 +332,10 @@ def _chi_square(counts, probabilities, draws):
 
 
 def _sampled_pairs(n, draws, seed):
+    """The production sampler's pairs of ``draws`` rows of uniforms, counted."""
     rows = np.random.default_rng(seed).random((draws, pair_draw_width(n))).tolist()
-    return Counter(_refinement_pair_blocks(n, row) for row in rows)
+    batches = range(0, draws, 10_000)
+    return Counter(chain.from_iterable(_pairs(n, rows[b : b + 10_000]) for b in batches))
 
 
 @pytest.mark.parametrize("n", [4, 5])

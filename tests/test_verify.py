@@ -3,8 +3,10 @@
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, fields, replace
 from itertools import islice
+from operator import attrgetter
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -46,7 +48,7 @@ from gentropy.errors import (
     UserCallableError,
     ValidationError,
 )
-from gentropy.partitions import _kept_partitions, _label_rows, pair_draw_width
+from gentropy.partitions import _kept_partitions, _label_blocks, _label_rows, pair_draw_width
 from gentropy import errors, verify
 from gentropy.verify import (
     _INTERIOR_FLOOR,
@@ -54,9 +56,9 @@ from gentropy.verify import (
     SpecSummary,
     VerificationReport,
     _checked,
-    _random_refinement_pair,
     _summarize,
 )
+from test_partitions import _refinement_pair_blocks
 
 SHANNON = EntropySpec("shannon")
 HE = EntropySpec("counterexample_HE")
@@ -370,7 +372,7 @@ def _reference_campaign(specs, n_values, cases_per_cell, rng_seed, tolerance=1e-
                 spec_indices.append(s_index)
                 dist = FiniteDistribution(p)
                 finer, coarser = (
-                    Partition(blocks, n) for blocks in _random_refinement_pair(n, pair_uniforms)
+                    Partition(blocks, n) for blocks in _refinement_pair_blocks(n, pair_uniforms)
                 )
                 common = dict(
                     kind="monotonicity",
@@ -811,15 +813,50 @@ def test_entries_are_a_read_only_sequence_of_records(monkeypatch):
     assert expected[0] in entries and entries.index(expected[7]) == 7
 
 
-def test_reports_survive_pickle_copy_and_json():
+_BLOCKS = ("blocks_finer", "blocks_coarser")
+# The json, markdown and csv bytes of an HE campaign, as written when its
+# blocks columns were tuples.
+_HE_CAMPAIGN_DIGESTS = (
+    "50521dcd2c94b96817c151b1f1cbf0d177766d002920cba7aeebeb8ad29387f4",
+    "48f5ba4fe133c8dc986d16d05576b3c82b8d4eef08f7645d806703ed1c6d1314",
+    "9affb8f4b84f1b1c2c3f3f97b6f10f71621a1f02e745a00ed02df0836f5b6c1b",
+)
+
+
+def test_reports_survive_pickle_copy_and_json(monkeypatch):
+    """Every kind of report survives pickle, deepcopy and a JSON round trip.  A
+    campaign's blocks columns stay label rows, unread, through pickle, deepcopy,
+    ``passed``, ``summary`` and the JSON writer; its records, violations,
+    ``to_dict()`` and decoded JSON give the reference sampler's tuples."""
     dist = FiniteDistribution(np.random.default_rng(4).dirichlet(np.ones(5)))
+    specs = [SHANNON, EntropySpec("s_delta", delta=2.0), HE]
     reports = [
-        run_monotonicity_campaign([SHANNON, EntropySpec("s_delta", delta=2.0), HE], [3, 5], 4, 2),
+        run_monotonicity_campaign(specs, [3, 5], 4, 2),
         exhaustive_lattice_check(HE, dist),
         corollary1_check(SHANNON, dist),
         max_entropy_check(HE, [3, 4], 5, 1),
         counterexample_suite(),
+        run_monotonicity_campaign([HE], [3, 4, 5, 6], 25, 2),
     ]
+    campaign, reads, take = reports[0], [], verify._LabelRows.take
+    monkeypatch.setattr(verify._LabelRows, "take", lambda c, at: reads.append(at) or take(c, at))
+    written = emit_report(campaign)
+    for copied in (pickle.loads(pickle.dumps(campaign)), copy.deepcopy(campaign), campaign):
+        assert not copied.passed and copied.summary == campaign.summary
+        assert emit_report(copied) == written
+        assert [type(copied.entries._columns[name]) for name in _BLOCKS] == [verify._LabelRows] * 2
+    assert reads == []
+    expected, blocks = _reference_campaign(specs, [3, 5], 4, 2)[0], attrgetter(*_BLOCKS)
+    for i in (0, 9, -1):
+        assert blocks(campaign.entries[i]) == blocks(expected[i])
+    assert list(map(blocks, campaign.violations)) == [blocks(e) for e in expected if not e.passed]
+    # each column read at the three records, then at the violations: never whole
+    assert len(reads) == 2 * 4 and not any(isinstance(at, slice) for at in reads)
+    assert list(map(blocks, report_from_json(written).entries)) == list(map(blocks, expected))
+    listed = [[[list(b) for b in part] for part in blocks(e)] for e in expected]
+    assert [[e[name] for name in _BLOCKS] for e in campaign.to_dict()["entries"]] == listed
+    written = [emit_report(reports[-1], f) for f in ("json", "markdown", "csv")]
+    assert tuple(hashlib.sha256(w).hexdigest() for w in written) == _HE_CAMPAIGN_DIGESTS
     for report in reports:
         for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
             assert copied == report and emit_report(copied) == emit_report(report)
@@ -1645,8 +1682,7 @@ def test_kernel_plan_kept_per_n_gives_the_bits_of_one_built_per_call(n, seed, ze
     probs = FiniteDistribution(probs / probs.sum()).probs
     exhaustive_lattice_check(SHANNON, FiniteDistribution(np.full(n, 1.0 / n)))  # keeps the plan
     kept = verify._VectorValues([spec], probs, verify._LATTICE_SHAPES[n][0])
-    blocks = [p.blocks for p in enumerate_partitions(n)][:-1]
-    counts, widths, elements = verify._flat_blocks(blocks)
+    counts, widths, elements = _label_blocks(_label_rows(n)[0][:-1])
     count = bell_number(n) - 1
     gather = elements + np.repeat(n * np.arange(count), n)  # vector v reads the v-th tile
     sums = verify._sum_plan(verify._starts(widths), widths, gather)
