@@ -93,7 +93,7 @@ from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, is_not
 
@@ -198,13 +198,11 @@ class _LabelRows(_Lazy):
     def texts(self, memo: dict) -> list[str]:
         """Each row's JSON array, made once per distinct row (``memo``: texts by row bytes)."""
         rows = np.ascontiguousarray(self.source)
-        keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel().tolist()
+        keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
         fresh = [key for key in dict.fromkeys(keys) if key not in memo]
         rows = np.frombuffer(b"".join(fresh), rows.dtype).reshape(-1, rows.shape[1])
-        counts, widths, states = (iter(a.tolist()) for a in _label_blocks(rows))
-        for key, k in zip(fresh, counts):
-            shape = tuple(islice(widths, k))
-            memo[key] = _template(shape) % tuple(islice(states, sum(shape)))
+        for key, blocks in zip(fresh, _canonical_blocks(rows)):
+            memo[key] = _template(tuple(map(len, blocks))) % tuple(chain.from_iterable(blocks))
         return list(map(memo.__getitem__, keys))
 
 

@@ -1090,6 +1090,16 @@ def test_emit_json_equals_json_dumps():
         assert emit_report(report, "json") == (expected + "\n").encode("utf-8")
 
 
+def test_emit_json_of_one_case_campaigns_equals_json_dumps():
+    """A campaign of one case per n keeps its blocks as label rows of one row each;
+    they are written before anything reads them whole, as ``json.dumps`` writes them."""
+    for specs, ns in (([SHANNON], [5]), ([SHANNON], [3]), ([HE], [3, 4, 257])):
+        report = run_monotonicity_campaign(specs, ns, 1, rng_seed=0)
+        written = emit_report(report, "json")
+        expected = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+        assert written == (expected + "\n").encode("utf-8")
+
+
 def test_emit_json_writes_equal_blocks_of_other_types_apart():
     """Blocks ``(0, 1)`` and ``(0.0, 1.0)`` compare equal; in either row order
     each is written as ``json.dumps`` writes it."""
