@@ -13,8 +13,9 @@ partitions      enumerate the partitions of {0..n-1}
 
 Conventions: all data goes to stdout, all diagnostics to stderr.  Exit 0 on
 success with every check passing, 1 on any verification violation, 2 on
-usage or I/O errors.  The seed defaults to 0 so identical invocations emit
-identical bytes.
+usage or I/O errors, 3 on an internal error (an unexpected exception: its
+traceback goes to stderr).  The seed defaults to 0 so identical invocations
+emit identical bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import functools
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
@@ -358,6 +360,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault, not a verdict: exit 1 means violations
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

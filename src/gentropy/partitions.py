@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator
 
+import gc
 import json
 
 import numpy as np
@@ -25,8 +26,6 @@ from .errors import DimensionMismatch, TooSmall, TooLarge, ValidationError, _int
 
 ENUMERATION_LIMIT = 12  # Bell(12) = 4_213_597; beyond this exhaustive work explodes
 LATTICE_LIMIT = 8  # the exhaustive oracles' limit; the partitions up to it are kept
-
-_Blocks = tuple[tuple[int, ...], ...]
 
 
 class Partition:
@@ -47,9 +46,7 @@ class Partition:
         if len(flat) != len(set(flat)):
             raise ValidationError("blocks must be pairwise disjoint")
         if sorted(flat) != list(range(ground_size)):
-            raise ValidationError(
-                f"blocks must cover exactly 0..{ground_size - 1}"
-            )
+            raise ValidationError(f"blocks must cover exactly 0..{ground_size - 1}")
         self._blocks = tuple(cleaned)
         self._ground_size = ground_size
 
@@ -104,10 +101,7 @@ class Partition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return (
-            self._ground_size == other._ground_size
-            and self._blocks == other._blocks
-        )
+        return self._ground_size == other._ground_size and self._blocks == other._blocks
 
     def __hash__(self) -> int:
         return hash((self._ground_size, self._blocks))
@@ -142,9 +136,8 @@ def is_refinement(finer: Partition, coarser: Partition) -> bool:
     ``coarser``.  The relation is reflexive and transitive.
     """
     if finer.ground_size != coarser.ground_size:
-        raise DimensionMismatch(
-            f"ground sizes differ: {finer.ground_size} vs {coarser.ground_size}"
-        )
+        raise DimensionMismatch(f"ground sizes differ: {finer.ground_size} vs "
+                                f"{coarser.ground_size}")
     owner = coarser.block_of()
     for block in finer.blocks:
         first = owner[block[0]]
@@ -172,11 +165,8 @@ def bell_number(n: int) -> int:
     """Number of set partitions of an n-set (Bell triangle recurrence)."""
     n = _integer("n", n)
     row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for value in row:
-            nxt.append(nxt[-1] + value)
-        row = nxt
+    for _ in range(n):  # a row opens with the last entry above, then adds each entry above
+        row = list(accumulate(row, initial=row[-1]))
     return row[0]
 
 
@@ -187,7 +177,8 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     gets the label of its block, labels appear in first-use order), which
     coincides with canonical block form.  Guarded at n <= 12.  For n <= 8
     (``LATTICE_LIMIT``) they are built once per process from label rows and
-    kept, so every call yields the same immutable ``Partition`` objects.
+    kept, so every call yields the same immutable ``Partition`` objects.  A larger n
+    grows each label row of n - 4 states by the last four and builds them anew, row by row.
     """
     n = _integer("n", n, minimum=1)
     if n > ENUMERATION_LIMIT:
@@ -195,54 +186,63 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             f"exhaustive enumeration is limited to n <= {ENUMERATION_LIMIT} "
             f"(Bell({n}) = {bell_number(n)})"
         )
-    yield from _kept_partitions(n) if n <= LATTICE_LIMIT else _walk(n)
+    if n <= LATTICE_LIMIT:
+        yield from _kept_partitions(n)
+        return
+    labels, masks, k = _label_rows(n - 4)
+    wide = (np.pad(a, ((0, 0), (0, 4)))[:, None] for a in (labels, masks.astype(np.uint16)))
+    grown = (_grow(*row, range(n - 4, n)) for row in zip(*wide, k[:, None]))
+    yield from chain.from_iterable(_built(n, grown))
+
+
+def _grow(labels, masks, k, states: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label rows, masks and block counts grown by each of ``states``, children in label order."""
+    for m in states:  # state m joins each block of a row in turn, then a new one
+        parent = np.repeat(np.arange(k.size), k + 1)
+        label = np.arange(parent.size) - np.repeat(np.cumsum(k + 1) - k - 1, k + 1)
+        labels, masks, k = labels[parent], masks[parent], k[parent] + (label == k[parent])
+        labels[:, m] = label
+        masks[np.arange(label.size), label] += 1 << m
+    return labels, masks, k
 
 
 @lru_cache(maxsize=LATTICE_LIMIT)
 def _label_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every partition of {0..n-1} (n <= 8) in enumeration order, read-only: its label
     row (restricted growth string), block bit masks (0 past the last), uint8, and block count."""
-    labels, masks, k = np.zeros((1, n), np.uint8), np.eye(1, n, dtype=np.uint8), np.ones(1, np.intp)
-    for m in range(1, n):  # state m joins each block of a row in turn, then a new one
-        parent = np.repeat(np.arange(k.size), k + 1)
-        label = np.arange(parent.size) - np.repeat(np.cumsum(k + 1) - k - 1, k + 1)
-        labels, masks, k = labels[parent], masks[parent], k[parent] + (label == k[parent])
-        labels[:, m] = label
-        masks[np.arange(label.size), label] += 1 << m
+    root = np.zeros((1, n), np.uint8), np.eye(1, n, dtype=np.uint8), np.ones(1, np.intp)
+    labels, masks, k = _grow(*root, range(1, n))
     labels.flags.writeable = masks.flags.writeable = k.flags.writeable = False
     return labels, masks, k
 
 
-@lru_cache(maxsize=LATTICE_LIMIT)
-def _kept_partitions(n: int) -> tuple[Partition, ...]:
-    """The partitions of :func:`_label_rows`, made in bulk as ``verify._records`` fills records."""
-    _, masks, k = _label_rows(n)
-    subsets, partitions = [()], list(map(object.__new__, repeat(Partition, k.size)))
+def _built(n: int, groups: Iterable[tuple[np.ndarray, ...]]) -> Iterator[list[Partition]]:
+    """The partitions of each group of label rows in turn, built in bulk from one subset table."""
+    subsets = [()]
     for x in range(n):  # subset s + 2**x is subset s and x
         subsets += [subset + (x,) for subset in subsets]
     subsets = np.fromiter(subsets, object, 2**n)
-    deque(map(Partition._ground_size.__set__, partitions, repeat(n)), 0)
-    for width in range(1, n + 1):  # blocks zipped from mask columns, one tuple per subset
-        rows = np.flatnonzero(k == width)
-        blocks = zip(*subsets[masks[rows, :width].T].tolist())
-        deque(map(Partition._blocks.__set__, map(partitions.__getitem__, rows.tolist()), blocks), 0)
+    for _, masks, k in groups:
+        enabled = gc.isenabled()
+        gc.disable()  # what a build makes stays in use: a collection in it would free nothing
+        try:
+            partitions = list(map(object.__new__, repeat(Partition, k.size)))
+            deque(map(Partition._ground_size.__set__, partitions, repeat(n)), 0)
+            for width in range(k[0], k[-1] + 1):  # the first row has fewest blocks, the last most
+                rows = np.flatnonzero(k == width)
+                owners, blocks = map(partitions.__getitem__, rows.tolist()), masks[rows, :width].T
+                deque(map(Partition._blocks.__set__, owners, zip(*subsets[blocks].tolist())), 0)
+        finally:
+            if enabled:
+                gc.enable()
+        yield partitions
+
+
+@lru_cache(maxsize=LATTICE_LIMIT)
+def _kept_partitions(n: int) -> tuple[Partition, ...]:
+    """The partitions of :func:`_label_rows`, made once and kept."""
+    (partitions,) = _built(n, [_label_rows(n)])
     return tuple(partitions)
-
-
-def _walk(n: int) -> Iterator[Partition]:
-    """The partitions of {0..n-1} in enumeration order, built as they are reached."""
-    # Depth first over RGS prefixes, one label at a time: element x joins
-    # each block of its prefix in turn, then opens a new one.
-    stack: list[tuple[int, _Blocks]] = [(0, ())]
-    while stack:
-        x, prefix = stack.pop()
-        grown = [prefix[:b] + (prefix[b] + (x,),) + prefix[b + 1 :] for b in range(len(prefix))]
-        grown.append(prefix + ((x,),))
-        if x == n - 1:
-            for blocks in grown:
-                yield Partition._raw(blocks, n)
-        else:
-            stack += [(x + 1, blocks) for blocks in reversed(grown)]
 
 
 def pair_draw_width(n: int) -> int:
@@ -287,7 +287,7 @@ def _label_blocks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return np.count_nonzero(tally, axis=1), tally[tally > 0], states
 
 
-def _canonical_blocks(labels: np.ndarray) -> list[_Blocks]:
+def _canonical_blocks(labels: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
     """The canonical blocks of each label row (see :func:`_label_blocks`)."""
     counts, widths, states = (iter(a.tolist()) for a in _label_blocks(labels))
     blocks = iter([tuple(islice(states, w)) for w in widths])

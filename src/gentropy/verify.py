@@ -1313,35 +1313,39 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
 
 
 def report_from_json(data: bytes | str) -> VerificationReport:
-    """Rebuild a report from its JSON emission (lossless round-trip)."""
-    obj = json.loads(data)
-    entries = [
-        CaseRecord(
-            **{
-                name: decode(raw[name])
-                for name, _, always, decode in _ENTRY_FIELDS
-                if always or name in raw
-            }
+    """Rebuild a report from its JSON emission (lossless round-trip).  Input that is
+    not such an emission is a ``ValidationError``, chained from what refused it."""
+    try:
+        obj = json.loads(data)
+        entries = [
+            CaseRecord(
+                **{
+                    name: decode(raw[name])
+                    for name, _, always, decode in _ENTRY_FIELDS
+                    if always or name in raw
+                }
+            )
+            for raw in obj["entries"]
+        ]
+        summary = tuple(
+            SpecSummary(
+                **{
+                    **raw,
+                    "worst": None
+                    if raw.get("worst") is None
+                    else tuple(raw["worst"][key] for key in _WORST_KEYS),
+                    "skip_reasons": tuple(sorted(raw.get("skip_reasons", {}).items())),
+                }
+            )
+            for raw in obj["summary"]
         )
-        for raw in obj["entries"]
-    ]
-    summary = tuple(
-        SpecSummary(
-            **{
-                **raw,
-                "worst": None
-                if raw.get("worst") is None
-                else tuple(raw["worst"][key] for key in _WORST_KEYS),
-                "skip_reasons": tuple(sorted(raw.get("skip_reasons", {}).items())),
-            }
+        return VerificationReport(
+            campaign_id=obj["campaign_id"],
+            seed=obj["seed"],
+            tolerance=obj["tolerance"],
+            entries=tuple(entries),
+            summary=summary,
+            metadata=obj["metadata"],
         )
-        for raw in obj["summary"]
-    )
-    return VerificationReport(
-        campaign_id=obj["campaign_id"],
-        seed=obj["seed"],
-        tolerance=obj["tolerance"],
-        entries=tuple(entries),
-        summary=summary,
-        metadata=obj["metadata"],
-    )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"not a report's JSON: {type(exc).__name__}: {exc}") from exc

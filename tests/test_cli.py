@@ -204,6 +204,21 @@ def test_verify_rejects_non_finite_tolerance_before_running(capsys, monkeypatch,
     assert "--tolerance: must be positive and finite" in captured.err
 
 
+def test_an_internal_error_exits_3_not_1(capsys, monkeypatch):
+    """An exception that is no ``GentropyError`` or ``OSError`` is a fault of the
+    program: exit 3 with its traceback, never 1, the code for violations found."""
+    from gentropy import verify
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "run_monotonicity_campaign", crash)
+    code, out, err = run_cli(capsys, "verify", "--entropy", '{"id":"shannon"}', "--n", "3")
+    assert (code, out) == (3, "")
+    assert "Traceback (most recent call last)" in err
+    assert err.rstrip().endswith("internal error: RuntimeError: boom")
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a campaign or axiom probe ran")
 
@@ -415,6 +430,13 @@ _PINNED_STDOUT = (
      "2c7f09532809534e3faa98aaac1d795626f1aeb4ff9318b10e5eecdb21a3a208"),
     (("verify", "--all", "--n", "255..257", "--cases", "1", "--seed", "5"), 0,
      "43d61174d4a4dd3f3c28dc156af3413f3b4bec8a60f241516dd8aaba27937061"),
+    # n = 9, past the kept tables: label rows of 5 states grown by the last four
+    (("partitions", "--n", "9", "--format", "csv"), 0,
+     "9a12fef2091ca6eebc05f4b8471986dff142b5a3cf89ee187374c1def53da69a"),
+    (("partitions", "--n", "9", "--format", "json"), 0,
+     "d198b316372f2e2e2c9d97f755c4aed7312b208ed515e5d66dec568f53eeeffe"),
+    (("partitions", "--n", "9", "--format", "markdown"), 0,
+     "c739a9df1f12e89808941cfb1e0eb25815deeaa01a5eeecd72108c76c438bcd4"),
 )
 
 

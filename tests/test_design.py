@@ -8,11 +8,12 @@ one evaluation kernel: none of them calls ``evaluate``.  Another keeps the
 catalog's maps on their array forms: where every point maps, none runs alone.
 The last gates count the exhaustive oracles' work without timing it: a lattice
 and a corollary on one (spec, distribution) run the kernel once, each n's
-lattice shape, built from label rows, equals the one the walked blocks give, and
-n <= 8 needs no walk: with ``partitions._walk`` refusing, the partitions and
-both oracles at n = 8 keep their pinned bytes.  The store of kept
-``classify`` and ``axioms`` inputs (``axioms._kept``) builds each input once
-per key in a pass over the specs, keeps it read-only and stays bounded.
+lattice shape, built from label rows, equals the one a recursive reference's
+blocks give, and n <= 8 grows nothing past the kept table: with any other
+growth refused, the partitions and both oracles at n = 8 keep their pinned
+bytes.  The store of kept ``classify`` and ``axioms`` inputs (``axioms._kept``)
+builds each input once per key in a pass over the specs, keeps it read-only
+and stays bounded.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +36,7 @@ from gentropy.catalog import EntropySpec, default_campaign_specs, matched_transf
 from gentropy.catalog import spec_from_json, spec_to_json
 from gentropy.cli import main
 from gentropy.distributions import FiniteDistribution, sample_dirichlet_uniform
+from test_partitions import _recursive_enumeration
 
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -127,11 +129,11 @@ def _flat_blocks(blocks):
 
 
 def _flat_blocks_shape(n):
-    """The lattice shape of n as it was derived from the walked blocks, before
-    label rows: ``_flat_blocks`` of ``partitions._walk`` (not the kept partitions,
-    which are built from the label rows under test), the (partition, merge,
-    element) tensor and each merge found by ``np.searchsorted`` of base-n codes."""
-    k, block_widths, elements = _flat_blocks([p.blocks for p in partitions._walk(n)])
+    """The lattice shape of n as it was derived from the partitions' blocks, before
+    label rows: ``_flat_blocks`` of the recursive reference's blocks (not the kept
+    partitions, which are built from the label rows under test), the (partition,
+    merge, element) tensor and each merge found by ``np.searchsorted`` of base-n codes."""
+    k, block_widths, elements = _flat_blocks(list(_recursive_enumeration(n)))
     identity = k.size - 1
     edges = k * (k - 1) // 2
     rows = edges + (np.arange(k.size) < identity)
@@ -171,22 +173,28 @@ def _same(a, b):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_lattice_shape_from_label_rows_equals_the_one_from_walked_blocks(n, monkeypatch):
+def test_lattice_shape_from_label_rows_equals_the_one_from_reference_blocks(n, monkeypatch):
     monkeypatch.setattr(verify, "_LATTICE_SHAPES", {})
     partitions._label_rows.cache_clear()
     verify.exhaustive_lattice_check(EntropySpec("shannon"), FiniteDistribution(np.full(n, 1 / n)))
     assert _same(verify._LATTICE_SHAPES[n], _flat_blocks_shape(n))
 
 
-def test_n8_partitions_and_oracles_need_no_walk(monkeypatch):
-    """Every cache cleared and the walk refusing: ``gentropy partitions --n 8`` and
-    both oracles at n = 8 still write the bytes pinned when they came from the walk."""
+def test_n8_partitions_and_oracles_grow_only_the_kept_tables(monkeypatch):
+    """Every cache cleared and any growth refused but the kept tables' own (from one
+    state up to at most n = 8): ``gentropy partitions --n 8`` and both oracles at
+    n = 8 still write their pinned bytes."""
     from test_cli import _PINNED_ORACLES, _HashingStdout
 
-    def refuse(n):
-        raise AssertionError(f"walked n = {n}")
+    grow, grown = partitions._grow, []
 
-    monkeypatch.setattr(partitions, "_walk", refuse)
+    def kept_only(labels, masks, k, states):
+        if k.size != 1 or states.start != 1 or states.stop > partitions.LATTICE_LIMIT:
+            raise AssertionError(f"grew {k.size} rows by states {states}")
+        grown.append(states.stop)
+        return grow(labels, masks, k, states)
+
+    monkeypatch.setattr(partitions, "_grow", kept_only)
     monkeypatch.setattr(verify, "_LATTICE_SHAPES", {})
     monkeypatch.setattr(verify, "_KEPT_TABLE", (None,) * 6)
     partitions._label_rows.cache_clear()
@@ -196,6 +204,7 @@ def test_n8_partitions_and_oracles_need_no_walk(monkeypatch):
         patch.setattr(sys, "stdout", sink)
         assert main(["partitions", "--n", "8"]) == 0
     assert sink.sha.hexdigest() == "86f795f124907e4c12da7041ae5b0ac57be7cfbc1d51d8acffa37d178c77343d"
+    assert grown == [8]  # the n = 8 table, rebuilt from its root
     dist = sample_dirichlet_uniform(8, 0)
     for spec_json, *digests in _PINNED_ORACLES:
         spec = spec_from_json(json.dumps(spec_json))

@@ -23,7 +23,6 @@ from gentropy.partitions import (
     _canonical_blocks,
     _pair_labels,
     _random_refinement_pair,
-    _walk,
     pair_draw_width,
 )
 
@@ -140,7 +139,7 @@ def test_enumeration_guard():
 
 @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
 def test_enumeration_and_bell_number_take_only_integers(n):
-    """A non-integer n is refused before any walk (2.5 would never end)."""
+    """A non-integer n is refused before any partition is built."""
     with pytest.raises(ValidationError, match="integer"):
         next(enumerate_partitions(n))
     with pytest.raises(ValidationError, match="integer"):
@@ -156,8 +155,8 @@ def test_numpy_integer_n_gives_int_ground_sizes():
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_enumeration_repeats_itself(n):
-    """n = 8 is built once from label rows and kept, and n = 9 is walked each
-    time; either way a second enumeration equals the first."""
+    """n = 8 is built once from label rows and kept, and n = 9 is grown from
+    them anew on each call; either way a second enumeration equals the first."""
     first, second = list(enumerate_partitions(n)), list(enumerate_partitions(n))
     assert first == second and len(first) == bell_number(n)
     assert [p.blocks for p in first] == [p.blocks for p in second]
@@ -191,7 +190,7 @@ def _recursive_enumeration(n):
     yield from rec(1, 1)
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_enumeration_order_equals_a_recursive_reference(n):
     parts = list(enumerate_partitions(n))
     assert [part.blocks for part in parts] == list(_recursive_enumeration(n))
@@ -199,15 +198,16 @@ def test_enumeration_order_equals_a_recursive_reference(n):
     assert {part.ground_size for part in parts} == {n}
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_kept_partitions_are_the_walk_with_plain_int_blocks(n):
-    """Built from uint8 label rows, each kept partition equals the walk's, and its
-    blocks are tuples of exact ints: a numpy integer passes ``==`` but makes a
-    lattice report fail to emit (``_blocks_texts`` sends it to ``_json_scalar``)."""
-    kept, walked = list(enumerate_partitions(n)), list(_walk(n))
-    assert len(kept) == len(walked) == bell_number(n)
-    for part, reference in zip(kept, walked):
-        assert part == reference and type(part) is Partition
+@pytest.mark.parametrize("n", range(1, 11))
+def test_partitions_are_the_reference_with_plain_int_blocks(n):
+    """Built from label rows (uint8 masks up to n = 8, grown uint16 ones past it),
+    each partition equals the recursive reference's, and its blocks are tuples of
+    exact ints: a numpy integer passes ``==`` but makes a lattice report fail to
+    emit (``_blocks_texts`` sends it to ``_json_scalar``)."""
+    built, reference = list(enumerate_partitions(n)), list(_recursive_enumeration(n))
+    assert len(built) == len(reference) == bell_number(n)
+    for part, blocks in zip(built, reference):
+        assert part.blocks == blocks and type(part) is Partition
         assert type(part.blocks) is tuple and type(part.ground_size) is int
         assert all(type(block) is tuple for block in part.blocks)
         assert {type(x) for block in part.blocks for x in block} == {int}

@@ -256,6 +256,19 @@ def test_emit_json_round_trip_lossless():
     assert parsed["seed"] == 9
 
 
+@pytest.mark.parametrize("data, cause", [
+    (b"{}", KeyError),
+    (b"[]", TypeError),
+    (b'{"entries": [{}], "summary": []}', KeyError),
+    (b"not json", json.JSONDecodeError),
+])
+def test_report_from_json_refuses_what_is_not_a_report(data, cause):
+    """Outside input that is no report's JSON is a typed error, chained from its cause."""
+    with pytest.raises(ValidationError, match="not a report's JSON") as refused:
+        report_from_json(data)
+    assert type(refused.value.__cause__) is cause
+
+
 def test_emit_csv_shape():
     report = run_monotonicity_campaign([SHANNON], [3], 5, rng_seed=10)
     lines = emit_report(report, "csv").decode().strip().splitlines()
