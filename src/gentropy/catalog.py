@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from types import SimpleNamespace
 from typing import Any, Callable, Mapping
 
@@ -961,8 +961,14 @@ def default_campaign_specs(include_unstable: bool = False) -> list[EntropySpec]:
     ``counterexample_HE`` is never part of it (it violates aggregation
     monotonicity by design and has its own dedicated suite), nor is
     ``h_phi_custom`` (no canonical parameters).  ``group_entropy`` joins
-    only on request.
+    only on request.  The specs are built once per process for each choice;
+    every call returns a new list of them.
     """
+    return list(_campaign_specs(bool(include_unstable)))
+
+
+@cache
+def _campaign_specs(include_unstable: bool) -> tuple[EntropySpec, ...]:
     samples = [(spec_id, p) for spec_id, row in _FAMILIES.items() for p in row.samples]
     samples += _UNSTABLE_SAMPLES if include_unstable else ()
-    return [EntropySpec(spec_id, params) for spec_id, params in samples]
+    return tuple(EntropySpec(spec_id, params) for spec_id, params in samples)

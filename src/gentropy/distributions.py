@@ -291,6 +291,51 @@ def _dirichlet_rows(rng: np.random.Generator, widths: np.ndarray, floor: float =
     return np.concatenate(out)
 
 
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, multiplier: int):
+    """O'Neill's ``hashmix`` on uint32 columns; each call advances the hash constant."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value, const = value ^ const, const * multiplier & 0xFFFFFFFF
+        value = value * const
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = 0xCA01F9DD * x - 0x4973F715 * y
+    return value ^ value >> 16
+
+
+def _pcg64_states(entropies: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` that ``PCG64(SeedSequence(entropy))`` sets, per entropy.
+
+    numpy's algorithm bit for bit: ``SeedSequence``'s pool hashing (four words, a missing
+    one hashed as 0) and ``generate_state(4, np.uint64)`` run as uint32 columns over all
+    entropies of one word count at once; PCG64's ``srandom`` then takes two 128-bit steps.
+    """
+    words = [[v >> k & 0xFFFFFFFF for v in e for k in range(0, max(v.bit_length(), 1), 32)]
+             for e in entropies]
+    sizes, out = np.array([max(len(w), 4) for w in words], dtype=np.intp), [(0, 0)] * len(words)
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        at = np.flatnonzero(sizes == size).tolist()
+        entropy = np.array([words[i] + [0] * (size - len(words[i])) for i in at], np.uint32).T
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = list(map(hashmix, entropy[:4]))
+        for s in range(4):  # each pool word into the others, then each word past four
+            pool = [p if d == s else _mix(p, hashmix(pool[s])) for d, p in enumerate(pool)]
+        for word in entropy[4:]:
+            pool = [_mix(p, hashmix(word)) for p in pool]
+        hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+        state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1).astype("<u4")
+        for i, (a, b, c, d) in zip(at, state.view("<u8").tolist()):
+            inc = ((c << 64 | d) << 1 | 1) % 2**128
+            out[i] = (((inc + (a << 64 | b)) * _PCG64_MULTIPLIER + inc) % 2**128, inc)
+    return out
+
+
 def sample_dirichlet_uniform(n: int, rng_seed: int) -> FiniteDistribution:
     """Sample uniformly from the interior of the n-simplex (flat Dirichlet).
 

@@ -20,7 +20,7 @@ from gentropy import (
     random_refinement_pair,
     sample_dirichlet_uniform,
 )
-from gentropy.distributions import _dirichlet_interior, _dirichlet_rows
+from gentropy.distributions import _dirichlet_interior, _dirichlet_rows, _pcg64_states
 from gentropy.errors import DimensionMismatch, ValidationError, ZeroUnsupported
 
 
@@ -280,6 +280,49 @@ def test_batched_dirichlet_rows_equal_the_per_vector_draws(floor):
         expected = np.concatenate([_dirichlet_interior(n, loop, floor) for n in widths.tolist()])
         assert np.array_equal(_dirichlet_rows(batch, widths, floor), expected)
         assert batch.random() == loop.random()
+
+
+_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1)  # 1 to 5 words each
+
+
+def _state(state_inc: tuple[int, int]) -> dict:
+    state, inc = state_inc
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def test_one_pass_seeding_equals_seed_sequence_for_every_campaign_cell():
+    """Every (seed, spec index 0..60, n 3..12) cell, all in one call: seeds of 1 to
+    5 words make entropies of 3 to 7 words."""
+    entropies = [[seed, s, n] for seed in _SEEDS for s in range(61) for n in range(3, 13)]
+    for entropy, state in zip(entropies, _pcg64_states(entropies), strict=True):
+        assert np.random.PCG64(np.random.SeedSequence(entropy)).state == _state(state)
+
+
+@settings(max_examples=60)
+@given(
+    entropies=st.lists(
+        st.tuples(
+            st.sampled_from(_SEEDS),
+            st.lists(st.integers(0, 60) | st.integers(3, 12), max_size=4),
+        ).map(lambda t: [t[0], *t[1]]),
+        min_size=1,
+        max_size=6,
+    ),
+    skip=st.integers(1, 10_000),
+)
+def test_one_pass_seeding_draws_what_default_rng_draws(entropies, skip):
+    """Mixed word counts in one call; ``random(64)`` from each set state, with and
+    without ``advance``, equals ``default_rng(SeedSequence(entropy))``'s."""
+    rng = np.random.default_rng(0)
+    for entropy, state in zip(entropies, _pcg64_states(entropies), strict=True):
+        for advance in (0, skip):
+            expected = np.random.default_rng(np.random.SeedSequence(entropy))
+            rng.bit_generator.state = _state(state)
+            if advance:
+                expected.bit_generator.advance(advance)
+                rng.bit_generator.advance(advance)
+            assert np.array_equal(rng.random(64), expected.random(64))
 
 
 def test_distribution_json_round_trip():
