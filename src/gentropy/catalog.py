@@ -961,8 +961,7 @@ def default_campaign_specs(include_unstable: bool = False) -> list[EntropySpec]:
     ``counterexample_HE`` is never part of it (it violates aggregation
     monotonicity by design and has its own dedicated suite), nor is
     ``h_phi_custom`` (no canonical parameters).  ``group_entropy`` joins
-    only on request.  The specs are built once per process for each choice;
-    every call returns a new list of them.
+    only on request.  Each call returns a new list of specs built once per process.
     """
     return list(_campaign_specs(bool(include_unstable)))
 

@@ -291,9 +291,6 @@ def _dirichlet_rows(rng: np.random.Generator, widths: np.ndarray, floor: float =
     return np.concatenate(out)
 
 
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
 def _hasher(const: int, multiplier: int):
     """O'Neill's ``hashmix`` on uint32 columns; each call advances the hash constant."""
     def hashmix(value: np.ndarray) -> np.ndarray:
@@ -304,35 +301,32 @@ def _hasher(const: int, multiplier: int):
     return hashmix
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = 0xCA01F9DD * x - 0x4973F715 * y
-    return value ^ value >> 16
-
-
-def _pcg64_states(entropies: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """The PCG64 ``(state, inc)`` that ``PCG64(SeedSequence(entropy))`` sets, per entropy.
-
-    numpy's algorithm bit for bit: ``SeedSequence``'s pool hashing (four words, a missing
-    one hashed as 0) and ``generate_state(4, np.uint64)`` run as uint32 columns over all
-    entropies of one word count at once; PCG64's ``srandom`` then takes two 128-bit steps.
-    """
+def _pcg64_states(entropies: Sequence[Sequence[int]]) -> list[dict]:
+    """The ``state`` of ``PCG64(SeedSequence(entropy))`` per entropy, numpy's algorithm bit for
+    bit: ``SeedSequence``'s pool hashing and ``generate_state(4, np.uint64)`` as uint32 columns
+    over all entropies (one word count past four, else numpy refuses the ragged array), then
+    PCG64's ``srandom`` step in 128-bit ints."""
+    if not entropies:
+        return []
     words = [[v >> k & 0xFFFFFFFF for v in e for k in range(0, max(v.bit_length(), 1), 32)]
              for e in entropies]
-    sizes, out = np.array([max(len(w), 4) for w in words], dtype=np.intp), [(0, 0)] * len(words)
-    for size in np.flatnonzero(np.bincount(sizes)).tolist():
-        at = np.flatnonzero(sizes == size).tolist()
-        entropy = np.array([words[i] + [0] * (size - len(words[i])) for i in at], np.uint32).T
-        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-        pool = list(map(hashmix, entropy[:4]))
-        for s in range(4):  # each pool word into the others, then each word past four
-            pool = [p if d == s else _mix(p, hashmix(pool[s])) for d, p in enumerate(pool)]
-        for word in entropy[4:]:
-            pool = [_mix(p, hashmix(word)) for p in pool]
-        hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
-        state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1).astype("<u4")
-        for i, (a, b, c, d) in zip(at, state.view("<u8").tolist()):
-            inc = ((c << 64 | d) << 1 | 1) % 2**128
-            out[i] = (((inc + (a << 64 | b)) * _PCG64_MULTIPLIER + inc) % 2**128, inc)
+    entropy = np.array([w + [0] * (4 - len(w)) for w in words], np.uint32).T
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    def mix(x: np.ndarray, word: np.ndarray) -> np.ndarray:  # O'Neill's mix of x and hashmix(word)
+        value = 0xCA01F9DD * x - 0x4973F715 * hashmix(word)
+        return value ^ value >> 16
+    pool = list(map(hashmix, entropy[:4]))
+    for s in range(4):  # each pool word into the others, then each word past four
+        pool = [p if d == s else mix(p, pool[s]) for d, p in enumerate(pool)]
+    for word in entropy[4:]:
+        pool = [mix(p, word) for p in pool]
+    generate, out = _hasher(0x8B51F9DD, 0x58F38DED), []
+    seeds = np.stack([generate(pool[i % 4]) for i in range(8)], axis=1).astype("<u4")
+    for a, b, c, d in seeds.view("<u8").tolist():
+        inc = ((c << 64 | d) << 1 | 1) % 2**128
+        state = ((inc + (a << 64 | b)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128
+        out.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0})
     return out
 
 

@@ -15,23 +15,19 @@ refinement pair.  A draw whose minimum is not above the interior floor is
 redrawn from the case's own child stream, ``SeedSequence([seed, spec
 index, n], spawn_key=(c,))``.  So a case depends only on (seed, spec index,
 n, c): not on ``cases_per_cell``, other cells or execution order, and
-:func:`replay_case` rebuilds any one case alone.  A call seeds all its
-cells in one numpy pass (``distributions._pcg64_states``): numpy's
-``SeedSequence`` and PCG64 seeding bit for bit, as a test pins, so the
-contract and ``SAMPLER`` stay 2.  A per-case evaluation error never
-aborts a campaign; the case is recorded as skipped with its reason so
-coverage accounting stays honest.
+:func:`replay_case` rebuilds any one case alone.  A per-case evaluation
+error never aborts a campaign; the case is recorded as skipped with its
+reason so coverage accounting stays honest.
 
-A campaign runs in two phases.  The *draw phase* sets one PCG64 to each
-cell's seeded state in turn and draws the cell's block, then works one pass
-per n: that n's draws are normalised and floor-tested at once, the pair
-draw runs per case (a pure function of its row), and one pass makes the
-pairs' label rows.  The *evaluate phase*
-aggregates every distribution of the campaign by both of its partitions in
-one gather, calls each functional's ``phi`` once on all of its coarse-grained
-vectors laid end to end, and sums each vector's components.  Its results
-equal, bit for bit, those of ``coarse_grain`` and ``evaluate`` called case
-by case, because:
+A campaign runs in two phases.  The *draw phase* seeds all cells in one numpy pass
+(``distributions._pcg64_states``: numpy's seeding bit for bit, so the contract and
+``SAMPLER`` stay 2) and draws each cell's block, then works one pass per n: that n's draws
+are normalised and floor-tested at once, the pair draw runs per case (a pure function of
+its row), and one pass makes the pairs' label rows.  The *evaluate phase* aggregates every
+distribution of the campaign by both of its partitions in one gather, calls each
+functional's ``phi`` once on all of its coarse-grained vectors laid end to end, and sums
+each vector's components.  Its results equal, bit for bit, those of ``coarse_grain`` and
+``evaluate`` called case by case, because:
 
 * every sum (block sums, vector totals) is taken over a group of segments
   of one width: below 8 column by column from 0.0, the order numpy's pairwise
@@ -88,8 +84,7 @@ one ``enumerate_partitions`` call, consumed in full (its blocks fill the
 entries), and far fewer ``evaluate`` calls than it has edges; both names are
 looked up in this module, where the benchmark's tracer times them.  One JSON
 writer serves every report: it formats rows by shape, one ``%`` template for
-the rows of a chunk that write the same fields.  Label-row texts are kept
-across reports, in a cache that starts over past about 4 MB of text.
+the rows of a chunk that write the same fields.
 """
 
 from __future__ import annotations
@@ -106,7 +101,6 @@ import csv
 import io
 import json
 import math
-import threading
 
 import numpy as np
 
@@ -193,13 +187,6 @@ class _Lazy:
         return (values if self.none is None else np.where(self.none[at], None, values)).tolist()
 
 
-# Label-row JSON texts kept across reports, by (dtype, width) and then row bytes, while
-# their total length stays within the limit (about 4 MB); past it the cache starts over.
-# Readers use ``get``; writers hold the lock, so the size counts every kept text once.
-_ROW_TEXTS: dict[tuple[str, int], dict[bytes, str]] = {}
-_ROW_TEXTS_LIMIT, _ROW_TEXTS_SIZE, _ROW_TEXTS_LOCK = 4_000_000, [0], threading.Lock()
-
-
 class _LabelRows(_Lazy):
     """A blocks column kept as label rows (``partitions._label_blocks``), made tuples when read."""
 
@@ -208,24 +195,15 @@ class _LabelRows(_Lazy):
     def take(self, at) -> list:
         return _canonical_blocks(self.source[at])
 
-    def texts(self) -> list[str]:
-        """Each row's JSON array, made once per distinct row and kept in ``_ROW_TEXTS``."""
+    def texts(self, memo: dict) -> list[str]:
+        """Each row's JSON array, made once per distinct row (``memo``: texts by row bytes)."""
         rows = np.ascontiguousarray(self.source)
         keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
-        kept = _ROW_TEXTS.get(tag := (rows.dtype.str, rows.shape[1]), {})
-        texts = {key: kept.get(key) for key in dict.fromkeys(keys)}
-        fresh = [key for key, text in texts.items() if text is None]
+        fresh = [key for key in dict.fromkeys(keys) if key not in memo]
         rows = np.frombuffer(b"".join(fresh), rows.dtype).reshape(-1, rows.shape[1])
         for key, blocks in zip(fresh, _canonical_blocks(rows)):
-            texts[key] = _template(tuple(map(len, blocks))) % tuple(chain.from_iterable(blocks))
-        with _ROW_TEXTS_LOCK:
-            _ROW_TEXTS_SIZE[0] += sum(len(texts[key]) for key in fresh)
-            if _ROW_TEXTS_SIZE[0] > _ROW_TEXTS_LIMIT:  # the cache starts over
-                _ROW_TEXTS.clear()
-                _ROW_TEXTS_SIZE[0] = 0
-            elif fresh:
-                _ROW_TEXTS.setdefault(tag, {}).update(zip(fresh, map(texts.get, fresh)))
-        return list(map(texts.__getitem__, keys))
+            memo[key] = _template(tuple(map(len, blocks))) % tuple(chain.from_iterable(blocks))
+        return list(map(memo.__getitem__, keys))
 
 
 class _Entries(Sequence):
@@ -607,12 +585,11 @@ def _draws(
     ``first..first+count-1`` of each cell (entropy, n, first, count, floor)
     of that n, stacked in cell order.
 
-    A cell's generator is seeded with ``SeedSequence(entropy)``, skips the
-    rows of the cases before ``first`` and fills the cell's rows of its n's
-    block (through one PCG64 per call, set to each cell's ``_pcg64_states``);
-    the rest is one pass per n.  A draw whose minimum is not above its
-    cell's floor is redrawn from the case's child stream, so that no other
-    case moves.
+    A cell's generator, one PCG64 per call set to each cell's state, is seeded
+    as by ``SeedSequence(entropy)``, skips the rows of the cases before ``first``
+    and fills the cell's rows of its n's block; the rest is one pass per n.  A
+    draw whose minimum is not above its cell's floor is redrawn from the case's
+    child stream, so that no other case moves.
     """
     dims = np.array([n for _, n, *_ in cells], dtype=np.intp)
     states, rng = _pcg64_states([entropy for entropy, *_ in cells]), np.random.default_rng(0)
@@ -621,9 +598,8 @@ def _draws(
         counts = [cells[c][3] for c in of_n]
         starts, u = _starts(counts), np.empty((sum(counts), n + pair_draw_width(n)))
         for c, start in zip(of_n, starts.tolist()):
-            entropy, _, first, count, _ = cells[c]
-            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                       "state": dict(zip(("state", "inc"), states[c]))}
+            _, _, first, count, _ = cells[c]
+            rng.bit_generator.state = states[c]
             if first:
                 rng.bit_generator.advance(first * u.shape[1])  # one 64-bit output per double
             rng.random(out=u[start : start + count])
@@ -1230,12 +1206,12 @@ def _json_entries(entries: _Entries) -> Iterable[str]:
 
     A chunk's rows are grouped by the set of fields each writes, and a group
     is formatted by one ``%`` template, each field's values encoded at once;
-    a label-row column is written whole first, its texts kept across reports
-    (``_ROW_TEXTS``).  The memo of blocks tuples' texts lasts the whole report.
+    a label-row column is written whole first.  The memo of block texts lasts
+    the whole report.
     """
-    memo = {}  # blocks texts, by blocks tuple
+    memo = {}  # blocks texts, by blocks tuple or by label row bytes
     made = {name for name in _ENTRY_NAMES if type(entries._columns.get(name)) is _LabelRows}
-    columns = [entries._columns[name].texts() if name in made else entries.column(name)
+    columns = [entries._columns[name].texts(memo) if name in made else entries.column(name)
                for name in _ENTRY_NAMES]
     encoders = [_as_is if name in made else encode for name, encode, *_ in _ENTRY_FIELDS]
     for start in range(0, len(entries), _CHUNK):

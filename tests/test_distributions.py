@@ -285,44 +285,43 @@ def test_batched_dirichlet_rows_equal_the_per_vector_draws(floor):
 _SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1)  # 1 to 5 words each
 
 
-def _state(state_inc: tuple[int, int]) -> dict:
-    state, inc = state_inc
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-
-
 def test_one_pass_seeding_equals_seed_sequence_for_every_campaign_cell():
-    """Every (seed, spec index 0..60, n 3..12) cell, all in one call: seeds of 1 to
-    5 words make entropies of 3 to 7 words."""
-    entropies = [[seed, s, n] for seed in _SEEDS for s in range(61) for n in range(3, 13)]
-    for entropy, state in zip(entropies, _pcg64_states(entropies), strict=True):
-        assert np.random.PCG64(np.random.SeedSequence(entropy)).state == _state(state)
+    """Every (spec index 0..60, n 3..12) cell of a seed in one call, as a campaign
+    seeds them: seeds of 1 to 5 words make entropies of 3 to 7 words."""
+    for seed in _SEEDS:
+        entropies = [[seed, s, n] for s in range(61) for n in range(3, 13)]
+        for entropy, state in zip(entropies, _pcg64_states(entropies), strict=True):
+            assert np.random.PCG64(np.random.SeedSequence(entropy)).state == state
 
 
 @settings(max_examples=60)
 @given(
-    entropies=st.lists(
-        st.tuples(
-            st.sampled_from(_SEEDS),
-            st.lists(st.integers(0, 60) | st.integers(3, 12), max_size=4),
-        ).map(lambda t: [t[0], *t[1]]),
-        min_size=1,
-        max_size=6,
-    ),
+    seed=st.sampled_from(_SEEDS),
+    cells=st.lists(st.tuples(st.integers(0, 60), st.integers(3, 12)), min_size=1, max_size=6),
     skip=st.integers(1, 10_000),
 )
-def test_one_pass_seeding_draws_what_default_rng_draws(entropies, skip):
-    """Mixed word counts in one call; ``random(64)`` from each set state, with and
-    without ``advance``, equals ``default_rng(SeedSequence(entropy))``'s."""
+def test_one_pass_seeding_draws_what_default_rng_draws(seed, cells, skip):
+    """One word count per call, as a campaign's cells have; ``random(64)`` from each
+    set state, with and without ``advance``, equals ``default_rng(SeedSequence(entropy))``'s."""
+    entropies = [[seed, s, n] for s, n in cells]
     rng = np.random.default_rng(0)
     for entropy, state in zip(entropies, _pcg64_states(entropies), strict=True):
         for advance in (0, skip):
             expected = np.random.default_rng(np.random.SeedSequence(entropy))
-            rng.bit_generator.state = _state(state)
+            rng.bit_generator.state = state
             if advance:
                 expected.bit_generator.advance(advance)
                 rng.bit_generator.advance(advance)
             assert np.array_equal(rng.random(64), expected.random(64))
+
+
+def test_one_pass_seeding_of_short_entropies_and_of_none():
+    """Entropies of up to four words share a call (numpy hashes a missing word as 0);
+    no entropy gives no state."""
+    entropies = [[0], [7, 3], [2**32 - 1, 5, 9], [1, 2, 3, 4], [2**32, 1]]
+    states = _pcg64_states(entropies)
+    assert states == [np.random.PCG64(np.random.SeedSequence(e)).state for e in entropies]
+    assert _pcg64_states([]) == []
 
 
 def test_distribution_json_round_trip():

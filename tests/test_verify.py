@@ -2,7 +2,7 @@
 
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, fields, replace
-from itertools import chain, islice
+from itertools import islice
 from operator import attrgetter
 import copy
 import csv
@@ -526,37 +526,9 @@ def test_batched_draws_keep_every_case_independent():
     assert floored.probs == tuple(redraw.tolist())
 
 
-def _kept_text_size() -> int:
-    return sum(map(len, chain.from_iterable(map(dict.values, verify._ROW_TEXTS.values()))))
-
-
-def test_label_row_texts_kept_across_reports_keep_the_bytes(monkeypatch):
-    """Campaigns of width 3, width 8 and n = 300 (uint16 label rows), each run and
-    emitted twice in one process, the second time from kept texts; and again with
-    the cache bound at a few rows, which the kept texts never pass."""
-    monkeypatch.setattr(verify, "_ROW_TEXTS", {})
-    monkeypatch.setattr(verify, "_ROW_TEXTS_SIZE", [0])
-    specs = [SHANNON, EntropySpec("tsallis", q=2.0)]
-    for limit in (verify._ROW_TEXTS_LIMIT, 300):
-        monkeypatch.setattr(verify, "_ROW_TEXTS_LIMIT", limit)
-        for n_values, cases in (([3], 4), (range(3, 9), 3), ([300], 2)):
-            sizes = []
-            for _ in range(2):
-                report = run_monotonicity_campaign(specs, n_values, cases, rng_seed=5)
-                assert type(report.entries._columns["blocks_finer"]) is verify._LabelRows
-                text = emit_report(report).decode()  # before to_dict reads the columns
-                assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-                assert _kept_text_size() <= limit
-                sizes.append(verify._ROW_TEXTS_SIZE[0])
-            assert limit == 300 or sizes[0] == sizes[1]  # the second emission made no text
-        if limit > 300:  # the default bound keeps all three widths
-            assert {"|u1", "<u2"} <= {dtype for dtype, _ in verify._ROW_TEXTS}
-            assert verify._ROW_TEXTS_SIZE[0] == _kept_text_size()
-
-
 def test_campaigns_in_two_threads_emit_the_bytes_of_sequential_runs(monkeypatch):
-    """Two threads run ``verify --all --n 3..5 --cases 3`` with different seeds while
-    the label-row cache is cleared often: no generator or cache entry is shared."""
+    """Two threads run ``verify --all --n 3..5 --cases 3`` with different seeds and
+    take turns often: no generator is shared between the calls."""
     from gentropy import cli
 
     outputs, seeds = {}, {"a": (3, 5, 3), "b": (4, 6, 4)}
@@ -565,9 +537,6 @@ def test_campaigns_in_two_threads_emit_the_bytes_of_sequential_runs(monkeypatch)
         outputs[threading.current_thread().name].append(emit_report(report, fmt))
 
     monkeypatch.setattr(cli, "_emit", emit)
-    monkeypatch.setattr(verify, "_ROW_TEXTS", {})
-    monkeypatch.setattr(verify, "_ROW_TEXTS_SIZE", [0])
-    monkeypatch.setattr(verify, "_ROW_TEXTS_LIMIT", 4000)  # cleared many times a run
 
     def run(name):
         outputs[name] = []
@@ -595,7 +564,6 @@ def test_campaigns_in_two_threads_emit_the_bytes_of_sequential_runs(monkeypatch)
         sys.setswitchinterval(switch)
     assert sequential["a"][1::2] == sequential["b"][1::2] == [0, 0, 0]
     assert sequential["a"][0] == sequential["a"][4] != sequential["b"][0]
-    assert verify._ROW_TEXTS_SIZE[0] == _kept_text_size() <= 4000  # no size update lost
 
 
 def _cli_json(capsys, *argv):
