@@ -142,7 +142,7 @@ def check_slope_condition(spec: EntropySpec, grid_density: int = 200) -> GridCer
 
     slope = _slope_function(spec)
     gaps = slope(shift_arr) - np.repeat(slope(base), counts)
-    gaps = np.where(np.isnan(gaps), -np.inf, gaps)
+    gaps = np.where(np.isnan(gaps), np.inf, gaps)  # not a number: no evidence, so worst
     worst = int(np.argmax(gaps))
     max_gap = float(gaps[worst])
 
@@ -199,10 +199,11 @@ def check_concavity(spec: EntropySpec, grid_density: int = 200) -> GridCertifica
     values[1:] = f.phi(ts[1:])
 
     second = values[start:-2] + values[start + 2 :] - 2.0 * values[start + 1 : -1]
+    second = np.where(np.isfinite(second), second, np.inf)  # not finite: no evidence, so worst
     scale = max(1.0, float(np.max(np.abs(values[start:]))))
     worst = int(np.argmax(second))
     max_second = float(second[worst])
-    passed = max_second <= CONCAVITY_RTOL * scale
+    passed = max_second < math.inf and max_second <= CONCAVITY_RTOL * scale
     witness = None
     if not passed:
         x = float(ts[start + 1 + worst])

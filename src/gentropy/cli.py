@@ -20,6 +20,7 @@ emit identical bytes.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import argparse
@@ -45,6 +46,8 @@ from .errors import GentropyError, NonFinite, ValidationError
 from .partitions import Partition, bell_number, enumerate_partitions
 
 _HE_CURVE_SAMPLES = 401
+# the csv field of a partition with blocks of these sizes, a %s per element
+_csv_blocks = functools.cache(lambda sizes: ";".join("|".join(["%s"] * k) for k in sizes))
 
 
 def _read_source(value: str) -> str:
@@ -213,48 +216,42 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _cmd_partitions(args: argparse.Namespace) -> int:
-    n = args.n_value
-    parts = list(enumerate_partitions(n))
-    if args.format == "csv":
-        lines = ["index,blocks"]
-        for i, part in enumerate(parts):
-            blocks = ";".join("|".join(map(str, b)) for b in part.blocks)
-            lines.append(f"{i},{blocks}")
-        print("\n".join(lines))
+    """Write each partition as it is enumerated and keep none; both counts are Bell(n)."""
+    n, parts = args.n_value, enumerate_partitions(args.n_value)
+    parts, count, out = chain([next(parts)], parts), bell_number(n), sys.stdout
+    # exact-size tuples: a tuple made from an iterator leaves CPython's tuple free lists full
+    shape = lambda part: tuple([len(b) for b in part.blocks])
+    if args.format == "csv":  # a template per tuple of block sizes, filled with the elements
+        out.write("index,blocks\n")
+        out.writelines("%d,%s\n" % (i, _csv_blocks(shape(part)) % sum(part.blocks, ()))
+                       for i, part in enumerate(parts))
     elif args.format == "markdown":
-        print(f"# Partitions of {{0..{n - 1}}} (count {len(parts)})")
-        for i, part in enumerate(parts):
-            print(f"- {i}: {part!r}")
-    else:
-        payload = {
-            "n": n,
-            "count": len(parts),
-            "bell": bell_number(n),
-            "partitions": [[list(b) for b in part.blocks] for part in parts],
-        }
-        _print_json(payload)
+        out.write(f"# Partitions of {{0..{n - 1}}} (count {count})\n")
+        out.writelines(map("- %d: %r\n".__mod__, enumerate(parts)))
+    else:  # json.dumps' own header, then each partition from the report writer's templates
+        payload = {"n": n, "count": count, "bell": count, "partitions": [0]}
+        opening, _, closing = json.dumps(payload, sort_keys=True, indent=2).rpartition("0")
+        texts = (verify_mod._template(shape(part), 2) % sum(part.blocks, ()) for part in parts)
+        out.write(opening + next(texts))
+        out.writelines(map(verify_mod._SEPARATOR[2].__add__, texts))
+        out.write(closing + "\n")
     return 0
 
 
-def _positive_int(value: str) -> int:
-    out = int(value)
-    if out < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value!r}")
-    return out
+def _bounded(kind: type, above, what: str):
+    """An argparse type: ``kind(value)``, refused unless above ``above`` and finite."""
+    def parse(value: str):
+        out = kind(value)
+        if not above < out < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value!r}")
+        return out
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: ..."
+    return parse
 
 
-def _non_negative_int(value: str) -> int:
-    out = int(value)
-    if out < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
-    return out
-
-
-def _positive_float(value: str) -> float:
-    out = float(value)
-    if not 0.0 < out < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value!r}")
-    return out
+_positive_int = _bounded(int, 0, "a positive integer")
+_non_negative_int = _bounded(int, -1, "a non-negative integer")
+_positive_float = _bounded(float, 0.0, "positive and finite")
 
 
 def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:

@@ -1,5 +1,7 @@
 """Grid certificates: slope condition, concavity, and outer-map pairing."""
 
+import math
+
 import pytest
 
 from gentropy import (
@@ -171,3 +173,29 @@ def test_slope_condition_by_central_differences_agrees_with_the_closed_form(phi,
     assert by_differences.witness.slope_at_x_plus_p == pytest.approx(
         closed.witness.slope_at_x_plus_p
     )
+
+
+@pytest.mark.parametrize("slope", [
+    lambda x: math.nan,
+    lambda x: 1.0 - 2.0 * x if x < 0.9 else math.nan,  # the closed form, NaN past 0.9
+], ids=["everywhere", "past_0.9"])
+def test_slope_condition_fails_where_the_slope_is_not_a_number(slope):
+    """A NaN slope is no evidence: the certificate fails there, with the point as
+    its witness, instead of passing on the rest of the grid."""
+    cert = check_slope_condition(
+        EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x), phi_prime=slope, zero_safe=True),
+        grid_density=10,
+    )
+    assert not cert.passed
+    assert cert.to_dict()["max_violation"] is None
+    witness = cert.witness
+    assert math.isnan(slope(witness.x)) or math.isnan(slope(witness.x + witness.p))
+
+
+def test_concavity_fails_where_a_second_difference_is_not_finite():
+    """phi of s_delta(delta=1000) overflows near 0 on a density-10 grid: the
+    certificate fails at the first such stencil instead of passing."""
+    cert = check_concavity(EntropySpec("s_delta", delta=1000), grid_density=10)
+    assert not cert.passed
+    assert cert.to_dict()["max_violation"] is None
+    assert cert.witness.x == pytest.approx(1 / 11)

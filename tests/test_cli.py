@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: output, exit codes, determinism."""
 
+import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -8,16 +10,18 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
 import gentropy
-from gentropy import axioms
+from gentropy import axioms, cli
 from gentropy.catalog import EntropySpec, default_campaign_specs, spec_from_json, spec_to_json
-from gentropy.cli import build_parser, main
+from gentropy.cli import _print_json, build_parser, main
 from gentropy.distributions import sample_dirichlet_uniform
+from gentropy.partitions import bell_number, enumerate_partitions
 from gentropy.verify import corollary1_check, emit_report, exhaustive_lattice_check
 
 
@@ -643,6 +647,80 @@ def test_partitions_markdown(capsys):
         "- 3: Partition[{0}, {1, 2}]",
         "- 4: Partition[{0}, {1}, {2}]",
     ]
+
+
+_FORMATS = ("json", "csv", "markdown")
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+@pytest.mark.parametrize("n", ["0", "13"])
+def test_partitions_refuses_n_before_writing(capsys, n, fmt):
+    """An n outside 1..12 is an error line and exit 2, with nothing on stdout."""
+    code, out, err = run_cli(capsys, "partitions", "--n", n, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def _materialising_partitions(n: int, fmt: str) -> None:
+    """``partitions`` as it was written before it streamed, the reference for its
+    bytes: the list of every partition, the csv join and ``_print_json`` of the payload."""
+    parts = list(enumerate_partitions(n))
+    if fmt == "csv":
+        lines = ["index,blocks"]
+        for i, part in enumerate(parts):
+            blocks = ";".join("|".join(map(str, b)) for b in part.blocks)
+            lines.append(f"{i},{blocks}")
+        print("\n".join(lines))
+    elif fmt == "markdown":
+        print(f"# Partitions of {{0..{n - 1}}} (count {len(parts)})")
+        for i, part in enumerate(parts):
+            print(f"- {i}: {part!r}")
+    else:
+        payload = {
+            "n": n,
+            "count": len(parts),
+            "bell": bell_number(n),
+            "partitions": [[list(b) for b in part.blocks] for part in parts],
+        }
+        _print_json(payload)
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+@pytest.mark.parametrize("n", range(1, 10))
+def test_partitions_streamed_bytes_match_the_materialising_writer(capsys, n, fmt):
+    _materialising_partitions(n, fmt)
+    expected = capsys.readouterr().out
+    assert run_cli(capsys, "partitions", "--n", str(n), "--format", fmt) == (0, expected, "")
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+def test_partitions_output_memory_is_flat_in_n(monkeypatch, fmt):
+    """What ``partitions`` holds to write does not grow with the count: its
+    tracemalloc peak at n = 9 (21,147 partitions) is within 2x of that at n = 6 (203).
+
+    The partitions come from lists made beforehand, so the peak is the writer's
+    alone: enumeration past n = 8 holds a group of partitions at a time.  A first
+    run at each n fills ``_template``'s bounded cache and CPython's free lists, and
+    the collector is off while measuring, since a full collection empties them."""
+    kept = {n: list(enumerate_partitions(n)) for n in (6, 9)}
+    monkeypatch.setattr(cli, "enumerate_partitions", lambda n: iter(kept[n]))
+
+    def peak(n: int) -> int:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["partitions", "--n", str(n), "--format", fmt]) == 0
+        return tracemalloc.get_traced_memory()[1] - before
+
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        gc.disable()
+        tracemalloc.start()
+        try:
+            peak(6), peak(9)
+            at_6, at_9 = peak(6), peak(9)
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+    assert at_9 <= 2 * at_6, (at_6, at_9)
 
 
 def test_bad_entropy_json_is_usage_error(capsys):
