@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 
-import json
 import math
 
 import numpy as np
@@ -35,7 +34,7 @@ from .catalog import matched_transform_target, phi_component
 from .distributions import _dirichlet_rows, _freeze
 from .errors import UnsupportedPair, _integer
 from .axioms import _SAMPLE_LIMIT, _kept
-from .verify import _VectorValues, _kernel_plan
+from .verify import _VectorValues, _json_text, _kernel_plan
 
 SLOPE_TOLERANCE = 1e-9
 ZERO_TOLERANCE = 1e-12
@@ -82,7 +81,7 @@ class GridCertificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return _json_text(self.to_dict(), 2)
 
 
 def _finite_or_none(value):

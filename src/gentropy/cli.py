@@ -42,7 +42,7 @@ from .catalog import (
 )
 from .classify import check_concavity, check_outer_map_pairing, check_slope_condition
 from .distributions import FiniteDistribution, coarse_grain
-from .errors import GentropyError, NonFinite, ValidationError
+from .errors import GentropyError, ValidationError
 from .partitions import Partition, bell_number, enumerate_partitions
 
 _HE_CURVE_SAMPLES = 401
@@ -97,11 +97,7 @@ def _n_range(value: str) -> list[int]:
 
 def _print_json(payload) -> None:
     """Print strict indent-2 JSON; a non-finite number is an error, not a token."""
-    try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise NonFinite(f"an output value is not finite: {exc}") from exc
-    print(text)
+    sys.stdout.writelines(verify_mod._json_document(payload))
 
 
 def _emit(report: verify_mod.VerificationReport, fmt: str) -> None:
@@ -228,13 +224,10 @@ def _cmd_partitions(args: argparse.Namespace) -> int:
     elif args.format == "markdown":
         out.write(f"# Partitions of {{0..{n - 1}}} (count {count})\n")
         out.writelines(map("- %d: %r\n".__mod__, enumerate(parts)))
-    else:  # json.dumps' own header, then each partition from the report writer's templates
-        payload = {"n": n, "count": count, "bell": count, "partitions": [0]}
-        opening, _, closing = json.dumps(payload, sort_keys=True, indent=2).rpartition("0")
+    else:  # json.dumps' own layout, each partition from the report writer's templates
         texts = (verify_mod._template(shape(part), 2) % sum(part.blocks, ()) for part in parts)
-        out.write(opening + next(texts))
-        out.writelines(map(verify_mod._SEPARATOR[2].__add__, texts))
-        out.write(closing + "\n")
+        payload = {"n": n, "count": count, "bell": count}
+        out.writelines(verify_mod._json_document(payload, "partitions", texts))
     return 0
 
 

@@ -94,7 +94,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter, is_not
 
 import csv
@@ -1059,66 +1058,73 @@ def max_entropy_check(
 # Report emission
 # ---------------------------------------------------------------------------
 
-# The JSON layout is that of ``json.dumps(report.to_dict(), sort_keys=True,
-# indent=2, allow_nan=False)``.  ``json.dumps`` still writes the small header;
-# the entries, nearly all of the bytes, are written by :func:`_json_entries`
-# (``indent`` sends ``json.dumps`` to its pure-Python encoder): a chunk of
-# entries at a time, a row shape at a time, each field's values encoded at once.
+# Every indent-2 JSON is :func:`_json_text`'s, ``json.dumps``' own layout.  A report's
+# entries, nearly all of its bytes, reach :func:`_json_document` from :func:`_json_entries`:
+# a chunk at a time, a row shape at a time, each field's values encoded at once into ``%``
+# templates cut from that layout of zeros (no key holds a digit).
 
-_ENTRIES_KEY = '\n  "entries": []'
 _CHUNK = 1024  # entries encoded together; only one chunk's field texts are alive
 _MARKDOWN_ROWS = 200  # flagged entries a markdown report lists
+_ENCODERS: dict = {}  # json.dumps' encoder by indent, made once
 
 
-def _json_scalar(value) -> str:
-    """One value as ``json.dumps`` writes it; non-finite floats are rejected."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise NonFinite(f"a report value is not finite: {value!r}")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _json_text(value, indent: int | None = None) -> str:
+    """``json.dumps(value, sort_keys=True, indent=indent, allow_nan=False)``, from one
+    reused encoder per indent; a non-finite number raises :class:`NonFinite`."""
+    if indent not in _ENCODERS:
+        _ENCODERS[indent] = json.JSONEncoder(sort_keys=True, indent=indent, allow_nan=False)
+    try:
+        return _ENCODERS[indent].encode(value)
+    except ValueError as exc:
+        raise NonFinite(f"a JSON value is not finite: {exc}") from exc
 
 
-_PAD = tuple("\n" + "  " * level for level in range(8))
-_SEPARATOR = tuple("," + pad for pad in _PAD)
+def _json_document(
+    payload: dict, key: str | None = None, items: Iterable[str] = ()
+) -> Iterator[str]:
+    """``payload``'s indent-2 text and a newline, with the array ``key`` streamed from
+    ``items``, texts laid out at level 2 (or runs of them joined by ``",\\n    "``), into
+    its placeholder's line: no string holds a raw newline, and no other key is ``key``."""
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        yield _json_text(payload if key is None else {**payload, key: []}, 2) + "\n"
+        return
+    line = f"\n  {_json_text(key)}: [\n    0\n  ]"
+    before, after = _json_text({**payload, key: [0]}, 2).split(line)
+    opening, _, closing = line.rpartition("0")
+    yield before + opening + first
+    yield from map(",\n    ".__add__, items)
+    yield closing + after + "\n"
 
 
-def _json_array(items: Iterable[str], level: int) -> str:
-    """Encoded items as an indent-2 array whose brackets sit at ``level``."""
-    items = list(items)
-    if not items:
-        return "[]"
-    return "[" + _PAD[level + 1] + _SEPARATOR[level + 1].join(items) + _PAD[level] + "]"
+def _scalar_text(value) -> str:
+    """One value as :func:`_json_text` writes it; a tuple, list or dict is refused
+    as ``json.dumps`` refuses a set, not written as an array or object."""
+    if isinstance(value, (tuple, list, dict)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return _json_text(value)
 
 
 @lru_cache(maxsize=4096)
 def _template(shape: int | tuple[int, ...], level: int = 3) -> str:
     """An array at ``level`` with a ``%s`` per element: of ``shape`` elements,
     or of blocks of the sizes in ``shape``."""
-    if isinstance(shape, int):
-        return _json_array(["%s"] * shape, level)
-    return _json_array([_template(k, level + 1) for k in shape], level)
+    zeros = [0] * shape if isinstance(shape, int) else [[0] * k for k in shape]
+    return _json_text(zeros, 2).replace("\n", "\n" + "  " * level).replace("0", "%s")
 
 
 def _scalar_texts(column: Sequence, memo: dict) -> Sequence:
-    """The values as ``%s`` formats them to read as :func:`_json_scalar` writes
+    """The values as ``%s`` formats them to read as :func:`_scalar_text` writes
     them: ints and finite floats as they are, and a column of one other type
     (not a float subclass: ``0.0 == -0.0``) encoded once per distinct value."""
     kinds = set(map(type, column))
     if kinds == {int} or kinds == {float} and math.isfinite(sum(column)):
         return column
     if len(kinds) == 1 and not isinstance(column[0], float):
-        texts = {value: _json_scalar(value) for value in dict.fromkeys(column)}
+        texts = {value: _scalar_text(value) for value in dict.fromkeys(column)}
         return list(map(texts.__getitem__, column))
-    return list(map(_json_scalar, column))
+    return list(map(_scalar_text, column))
 
 
 def _blocks_texts(column: Sequence, memo: dict) -> list[str]:
@@ -1133,7 +1139,7 @@ def _blocks_texts(column: Sequence, memo: dict) -> list[str]:
     templates = map(_template, map(tuple, map(map, repeat(len), fresh)))
     elements = map(tuple, map(chain.from_iterable, fresh))
     if not ints:
-        return list(map(str.__mod__, templates, (tuple(map(_json_scalar, e)) for e in elements)))
+        return list(map(str.__mod__, templates, (tuple(map(_scalar_text, e)) for e in elements)))
     memo.update(zip(fresh, map(str.__mod__, templates, elements)))
     return list(map(memo.__getitem__, column))
 
@@ -1145,7 +1151,7 @@ def _probs_texts(column: Sequence, memo: dict) -> list[str]:
     floats = set(map(type, chain.from_iterable(column))) <= {float}
     if floats and set(map(type, column)) == {tuple} and math.isfinite(sum(chain(*column))):
         return list(map(str.__mod__, templates, column))
-    return list(map(str.__mod__, templates, (tuple(map(_json_scalar, p)) for p in column)))
+    return list(map(str.__mod__, templates, (tuple(map(_scalar_text, p)) for p in column)))
 
 
 def _as_is(value, memo=None):  # a decoder, and the encoder of texts made beforehand
@@ -1184,7 +1190,6 @@ _ENTRY_FIELDS = (
 
 _ENTRY_NAMES = tuple(name for name, *_ in _ENTRY_FIELDS)
 _entry_row = attrgetter(*_ENTRY_NAMES)  # a record's fields in that order
-_ENTRY_KEYS = tuple(f'"{name}": ' for name in _ENTRY_NAMES)
 
 
 def _entry_dict(row: tuple) -> dict:
@@ -1195,14 +1200,14 @@ def _entry_dict(row: tuple) -> dict:
 @lru_cache(maxsize=None)  # one per set of written fields
 def _row_shape(written: int) -> tuple[str, tuple[int, ...]]:
     """The fields whose bits are set in ``written``, and the text of an entry
-    writing them with a ``%s`` per field value."""
-    fields = tuple(f for f in range(len(_ENTRY_KEYS)) if written >> f & 1)
-    keys = (_ENTRY_KEYS[f] + "%s" for f in fields)
-    return "    {\n      " + _SEPARATOR[3].join(keys) + "\n    }", fields
+    at level 2 writing them with a ``%s`` per field value."""
+    fields = tuple(f for f in range(len(_ENTRY_NAMES)) if written >> f & 1)
+    zeros = dict.fromkeys(map(_ENTRY_NAMES.__getitem__, fields), 0)
+    return _json_text(zeros, 2).replace("\n", "\n    ").replace("0", "%s"), fields
 
 
 def _json_entries(entries: _Entries) -> Iterable[str]:
-    """The text of each chunk of entries, as ``json.dumps`` writes them at indent 2.
+    """The text of each chunk of entries, as ``json.dumps`` writes them at level 2.
 
     A chunk's rows are grouped by the set of fields each writes, and a group
     is formatted by one ``%`` template, each field's values encoded at once;
@@ -1233,21 +1238,7 @@ def _json_entries(entries: _Entries) -> Iterable[str]:
                 picked = [list(map(column.__getitem__, at.tolist())) for column in picked]
             texts = [encoders[f](values, memo) for f, values in zip(fields, picked)]
             rows[at] = list(map(template.__mod__, zip(*texts)))
-        yield ",\n".join(rows.tolist())
-
-
-def _json_report(report: VerificationReport) -> str:
-    try:
-        head = json.dumps(
-            {**report._header(), "entries": []}, sort_keys=True, indent=2, allow_nan=False
-        )
-    except ValueError as exc:
-        raise NonFinite(f"a report value is not finite: {exc}") from exc
-    if not report.entries:
-        return head + "\n"
-    before, after = head.split(_ENTRIES_KEY, 1)
-    body = ",\n".join(_json_entries(report.entries))
-    return "".join((before, '\n  "entries": [\n', body, "\n  ]", after, "\n"))
+        yield ",\n    ".join(rows.tolist())
 
 
 def emit_report(report: VerificationReport, format: str = "json") -> bytes:
@@ -1255,11 +1246,13 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
 
     Formats: ``json`` (lossless, schema-versioned, strict: a non-finite
     number raises :class:`NonFinite`), ``markdown`` (human review; it lists
-    at most 200 flagged entries and says how many it leaves out), ``csv``
+    at most 200 flagged entries, failing or one-sided ones (a finer value and no
+    coarser one), and says how many it leaves out), ``csv``
     (spec, n, case, margin rows for plotting, quoted as ``csv.writer`` does).
     """
     if format == "json":
-        return _json_report(report).encode("utf-8")
+        chunks = _json_entries(report.entries) if report.entries else ()
+        return "".join(_json_document(report._header(), "entries", chunks)).encode("utf-8")
     entries = report.entries
     if format == "csv":
         text = io.StringIO()
@@ -1280,32 +1273,22 @@ def emit_report(report: VerificationReport, format: str = "json") -> bytes:
             "| spec | cases | violations | skipped | min margin |",
             "| --- | --- | --- | --- | --- |",
         ]
-        for s in report.summary:
-            lines.append(
-                f"| {s.spec} | {s.cases} | {s.violations} | {s.skipped} "
-                f"| {'' if s.min_margin is None else repr(s.min_margin)} |"
-            )
-        names = ("passed", "kind", "spec", "n", "index")
-        names += ("value_finer", "value_coarser", "margin", "note")
-        flagged = [
-            row
-            for row in zip(*map(entries.column, names))
-            if not row[0] or row[1] in ("pinned_value", "slope_witness")
-        ]
+        cell = lambda value: "" if value is None else repr(value)
+        lines += [f"| {s.spec} | {s.cases} | {s.violations} | {s.skipped} | {cell(s.min_margin)} |"
+                  for s in report.summary]
+        names = "passed kind spec n index value_finer value_coarser margin note".split()
+        # failing rows, and one-sided ones: a finer value and no coarser one
+        flagged = [row for row in zip(*map(entries.column, names))
+                   if not row[0] or row[5] is not None and row[6] is None]
         if flagged:
             lines += [
                 "",
                 "| kind | spec | n | case | value (finer) | value (coarser) | margin | note |",
                 "| --- | --- | --- | --- | --- | --- | --- | --- |",
             ]
-            for _, kind, spec, n, index, finer, coarser, margin, note in flagged[:_MARKDOWN_ROWS]:
-                lines.append(
-                    f"| {kind} | {spec} | {n} | {index} "
-                    f"| {'' if finer is None else repr(finer)} "
-                    f"| {'' if coarser is None else repr(coarser)} "
-                    f"| {'' if margin is None else repr(margin)} "
-                    f"| {note or ''} |"
-                )
+            for _, kind, spec, n, index, *values, note in flagged[:_MARKDOWN_ROWS]:
+                values = " | ".join(map(cell, values))
+                lines.append(f"| {kind} | {spec} | {n} | {index} | {values} | {note or ''} |")
             if len(flagged) > _MARKDOWN_ROWS:
                 hidden = len(flagged) - _MARKDOWN_ROWS
                 lines += ["", f"{hidden} of {len(flagged)} flagged entries not shown."]

@@ -13,16 +13,18 @@ blocks give, and n <= 8 grows nothing past the kept table: with any other
 growth refused, the partitions and both oracles at n = 8 keep their pinned
 bytes.  The store of kept ``classify`` and ``axioms`` inputs (``axioms._kept``)
 builds each input once per key in a pass over the specs, keeps it read-only
-and stays bounded.
+and stays bounded.  One more gate keeps every indent-2 JSON on ``verify._json_text``.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
+import ast
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -60,6 +62,69 @@ def test_the_counter_sees_a_planted_branch(tmp_path):
     )
     harness.SRC = tmp_path
     assert harness.spec_id_branches() == 1
+
+
+_LAYOUT_CONSTANT = re.compile(r"_[A-Z][A-Z_]*")  # a private upper-case name
+
+
+def _json_layouts(src: Path, exempt: str = "_json_text") -> list[str]:
+    """Where a module lays out indent-2 JSON by itself: a ``json.dumps`` or
+    ``json.JSONEncoder`` call with an ``indent`` outside ``verify``'s function
+    ``exempt``, or a ``cli`` reference to a layout constant of ``verify``,
+    through the module or imported by name."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(call)
+            for function in ast.walk(tree)
+            if path.name == "verify.py" and isinstance(function, ast.FunctionDef)
+            and function.name == exempt
+            for call in ast.walk(function)
+        }
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and not node.module
+            for alias in node.names
+            if alias.name == "verify"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("dumps", "JSONEncoder") and "indent" in [k.arg for k in node.keywords]:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+            names = []
+            if path.name == "cli.py" and isinstance(node, ast.Attribute):
+                names = [node.attr] if getattr(node.value, "id", None) in modules else []
+            elif path.name == "cli.py" and isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names] if node.module == "verify" else []
+            found += [f"cli.py:{node.lineno}: {n}" for n in names if _LAYOUT_CONSTANT.fullmatch(n)]
+    return found
+
+
+def test_only_json_text_lays_out_indented_json():
+    """Every indent-2 JSON comes from ``verify._json_text``; ``cli`` reads none of
+    ``verify``'s layout constants.  Without the exemption the gate finds the encoder
+    that ``_json_text`` makes."""
+    src = Path(verify.__file__).parent
+    assert _json_layouts(src) == []
+    assert [line.split(": ")[1] for line in _json_layouts(src, exempt="")] == ["JSONEncoder"]
+
+
+def test_the_json_layout_gate_sees_planted_layouts(tmp_path):
+    """The gate is not vacuous: a module's own ``json.dumps(..., indent=2)`` and a
+    ``cli`` read of a ``verify`` layout constant both count."""
+    (tmp_path / "planted.py").write_text(
+        "import json\n\ndef text(value):\n    return json.dumps(value, indent=2)\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "from . import verify as verify_mod\nfrom .verify import _PAD, _template\n\n"
+        "SEPARATOR = verify_mod._SEPARATOR[2]\nTEMPLATE = verify_mod._template\n"
+    )
+    assert _json_layouts(tmp_path) == [
+        "cli.py:2: _PAD", "cli.py:4: _SEPARATOR", "planted.py:4: dumps"
+    ]
 
 
 def test_every_sampled_check_runs_on_the_kernel(monkeypatch):

@@ -203,7 +203,7 @@ def test_partitions_are_the_reference_with_plain_int_blocks(n):
     """Built from label rows (uint8 masks up to n = 8, grown uint16 ones past it),
     each partition equals the recursive reference's, and its blocks are tuples of
     exact ints: a numpy integer passes ``==`` but makes a lattice report fail to
-    emit (``_blocks_texts`` sends it to ``_json_scalar``)."""
+    emit (``_blocks_texts`` sends it to ``_scalar_text``)."""
     built, reference = list(enumerate_partitions(n)), list(_recursive_enumeration(n))
     assert len(built) == len(reference) == bell_number(n)
     for part, blocks in zip(built, reference):

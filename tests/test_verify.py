@@ -315,6 +315,26 @@ def test_emit_markdown_says_how_many_flagged_entries_it_leaves_out():
     assert "not shown" not in small and small.endswith("|\n")
 
 
+def test_emit_markdown_lists_failing_and_one_sided_rows_of_any_kind():
+    """A row is listed when it fails, or when it has a finer value and no coarser
+    one, whatever its kind; a passing row with both values, or neither, is not."""
+    base = CaseRecord(kind="other", spec="x", n=2, index=0, passed=True)
+    records = [
+        replace(base, index=0, value_finer=0.5, note="one-sided"),
+        replace(base, index=1, passed=False, value_finer=0.25, value_coarser=0.5, margin=-0.25),
+        replace(base, index=2, value_finer=0.5, value_coarser=0.25, margin=0.25),
+        replace(base, index=3, value_coarser=0.5),
+        replace(base, index=4),
+    ]
+    report = VerificationReport("hand", 0, 1e-9, tuple(records), ())
+    lines = emit_report(report, "markdown").decode().splitlines()
+    listed = [line for line in lines if line.startswith("| other |")]
+    assert listed == [
+        "| other | x | 2 | 0 | 0.5 |  |  | one-sided |",
+        "| other | x | 2 | 1 | 0.25 | 0.5 | -0.25 |  |",
+    ]
+
+
 def test_emit_empty_campaign():
     report = run_monotonicity_campaign([], [3], 5, rng_seed=0)
     assert report.passed
@@ -1197,6 +1217,63 @@ def test_emit_json_rejects_non_finite_entry():
             entries[1100] = replace(full, **change)
             with pytest.raises(NonFinite):
                 emit_report(VerificationReport("bad", 0, 1e-9, tuple(entries), ()), "json")
+
+
+def test_emit_json_refuses_a_container_where_a_scalar_goes():
+    """A tuple, list or dict in a scalar field, or nested in a block, is a
+    ``TypeError``, as a set is to ``json.dumps``: not written as an array or object.
+    A margin is read as a float unless the row is skipped, so it rides on a skipped row."""
+    base = CaseRecord(kind="hand", spec="x", n=2, index=0, passed=True)
+    changes = [
+        {field: bad}
+        for bad in ((1, 2), [1, 2], {"a": 1})
+        for field in ("note", "spec")
+    ]
+    changes += [{"skipped": "reason", "margin": bad} for bad in ((1, 2), [1, 2], {"a": 1})]
+    changes += [{"blocks_coarser": ((nested,),)} for nested in ((0, 1), [0, 1])]
+    changes += [{"blocks_finer": (((0, 1), 2),)}, {"probs": ((0.5, 0.5),)}]
+    for change in changes:
+        bad = replace(base, **change)
+        for records in ([bad], [base, bad], [bad, replace(base, index=1)]):
+            report = VerificationReport("hand", 0, 1e-9, tuple(records), ())
+            with pytest.raises(TypeError):
+                emit_report(report, "json")
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    payload=st.fixed_dictionaries({"b": _JSON_VALUES, "y": _JSON_VALUES}),
+    values=st.lists(_JSON_VALUES, min_size=2, max_size=4),
+    odd=st.text(min_size=1),
+)
+def test_json_document_is_json_dumps(payload, values, odd):
+    """``_json_document`` writes ``json.dumps(..., sort_keys=True, indent=2)`` and a
+    newline, its array key before, between or after the others with 0, 1 or many
+    items; a non-finite float anywhere raises ``NonFinite``."""
+    dumps = lambda value: json.dumps(value, sort_keys=True, indent=2)
+    document = lambda *args: "".join(verify._json_document(*args))
+    assert document(payload) == dumps(payload) + "\n"
+    for key in {"a", "m", "z", odd} - set(payload):  # before, between and after "b" and "y"
+        for items in (values[:0], values[:1], values):
+            texts = [dumps(value).replace("\n", "\n    ") for value in items]
+            assert document(payload, key, texts) == dumps({**payload, key: items}) + "\n"
+    texts = [dumps(value).replace("\n", "\n    ") for value in values]
+    for bad in (math.nan, math.inf, -math.inf):
+        for spoiled in ({**payload, "b": bad}, {**payload, "y": [payload["y"], {"deep": [bad]}]}):
+            for args in ((spoiled,), (spoiled, "m"), (spoiled, "m", texts)):
+                with pytest.raises(NonFinite):
+                    document(*args)
 
 
 # ---------------------------------------------------------------------------
