@@ -44,7 +44,6 @@ from functools import cache, partial
 from types import SimpleNamespace
 from typing import Any, Callable, Mapping
 
-import json
 import math
 
 import numpy as np
@@ -64,6 +63,7 @@ from .errors import (
     _number,
     _numbers,
 )
+from .errors import _json_text, _json_value
 from .special import _group_series, _libm, upper_incomplete_gamma
 
 _LN2 = math.log(2.0)
@@ -625,7 +625,7 @@ class EntropySpec:
     def __init__(self, id: str, params: Mapping[str, Any] | None = None, **kw: Any):
         merged = dict(params or {})
         merged.update(kw)
-        if id not in _FAMILIES:
+        if not isinstance(id, str) or id not in _FAMILIES:
             raise ValidationError(
                 f"unknown entropy id {id!r}; known ids: {', '.join(CATALOG_IDS)}"
             )
@@ -712,12 +712,12 @@ def spec_to_json(spec: EntropySpec) -> str:
         key: (list(value) if isinstance(value, tuple) else value)
         for key, value in spec.params.items()
     }
-    return json.dumps({"id": spec.id, "params": params}, sort_keys=True)
+    return _json_text({"id": spec.id, "params": params})
 
 
 def spec_from_json(source: str | Mapping[str, Any]) -> EntropySpec:
-    data = json.loads(source) if isinstance(source, str) else dict(source)
-    if not isinstance(data, dict) or "id" not in data:
+    data = _json_value(source, "entropy") if isinstance(source, str) else source
+    if not isinstance(data, Mapping) or "id" not in data:
         raise ValidationError('entropy JSON must be {"id": ..., "params": {...}}')
     spec_id = data["id"]
     params = data.get("params", {})

@@ -32,9 +32,9 @@ import numpy as np
 from .catalog import EntropySpec, _map_array, _map_points, _transform_map
 from .catalog import matched_transform_target, phi_component
 from .distributions import _dirichlet_rows, _freeze
-from .errors import UnsupportedPair, _integer
+from .errors import UnsupportedPair, _integer, _json_text
 from .axioms import _SAMPLE_LIMIT, _kept
-from .verify import _VectorValues, _json_text, _kernel_plan
+from .verify import _VectorValues, _kernel_plan
 
 SLOPE_TOLERANCE = 1e-9
 ZERO_TOLERANCE = 1e-12

@@ -25,7 +25,6 @@ from typing import Sequence
 
 import argparse
 import functools
-import json
 import math
 import sys
 import traceback
@@ -42,7 +41,7 @@ from .catalog import (
 )
 from .classify import check_concavity, check_outer_map_pairing, check_slope_condition
 from .distributions import FiniteDistribution, coarse_grain
-from .errors import GentropyError, ValidationError
+from .errors import GentropyError, _json_document, _json_value
 from .partitions import Partition, bell_number, enumerate_partitions
 
 _HE_CURVE_SAMPLES = 401
@@ -58,26 +57,19 @@ def _read_source(value: str) -> str:
     try:
         with open(value, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # not UTF-8, or a NUL in the path
         raise GentropyError(f"cannot read {value!r}: {exc}") from exc
 
 
-def _load_json(text: str, what: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad {what} JSON: {exc}") from exc
-
-
 def _parse_entropy(value: str) -> EntropySpec:
-    return spec_from_json(_load_json(_read_source(value), "entropy"))
+    return spec_from_json(_read_source(value))
 
 
 def _parse_dist(value: str) -> FiniteDistribution:
     text = _read_source(value)
     stripped = text.strip()
     if stripped.startswith("["):
-        return FiniteDistribution(_load_json(stripped, "distribution"))
+        return FiniteDistribution(_json_value(stripped, "distribution"))
     if stripped.startswith("{"):
         return FiniteDistribution.from_json(stripped)
     return FiniteDistribution.from_csv(text)
@@ -97,7 +89,7 @@ def _n_range(value: str) -> list[int]:
 
 def _print_json(payload) -> None:
     """Print strict indent-2 JSON; a non-finite number is an error, not a token."""
-    sys.stdout.writelines(verify_mod._json_document(payload))
+    sys.stdout.writelines(_json_document(payload))
 
 
 def _emit(report: verify_mod.VerificationReport, fmt: str) -> None:
@@ -227,7 +219,7 @@ def _cmd_partitions(args: argparse.Namespace) -> int:
     else:  # json.dumps' own layout, each partition from the report writer's templates
         texts = (verify_mod._template(shape(part), 2) % sum(part.blocks, ()) for part in parts)
         payload = {"n": n, "count": count, "bell": count}
-        out.writelines(verify_mod._json_document(payload, "partitions", texts))
+        out.writelines(_json_document(payload, "partitions", texts))
     return 0
 
 

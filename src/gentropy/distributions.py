@@ -16,12 +16,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import json
-
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError, ZeroUnsupported
-from .errors import _holds_bool, _integer, _number
+from .errors import _holds_bool, _integer, _json_text, _json_value, _number
 
 SUM_TOLERANCE = 1e-9
 
@@ -105,14 +103,11 @@ class FiniteDistribution:
     # -- serialization ---------------------------------------------------
     def to_json(self) -> str:
         """Serialize as ``{"probs": [...]}`` (floats round-trip exactly)."""
-        return json.dumps({"probs": self._probs.tolist()})
+        return _json_text({"probs": self._probs.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteDistribution":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad distribution JSON: {exc}") from exc
+        data = _json_value(text, "distribution")
         if not isinstance(data, dict) or "probs" not in data:
             raise ValidationError('distribution JSON must be {"probs": [...]}')
         return cls(data["probs"])

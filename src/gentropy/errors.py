@@ -14,10 +14,17 @@ neither truncates nor parses:
 * :func:`_number` (:func:`_numbers` for a list or tuple), for a real argument
   or parameter, takes a finite ``int`` or ``float``.  It refuses a str, a bool,
   ``nan`` and an infinity with ``ParamOutOfDomain``.
+
+Every JSON text crosses the package boundary by one rule too: :func:`_json_value`
+reads it, refusing text that is not JSON or nests too deep with ``ValidationError``;
+:func:`_json_text` and :func:`_json_document` write it strict (``NonFinite``), keys sorted.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+
+import json
 import operator
 import sys
 
@@ -131,3 +138,43 @@ def _holds_bool(values) -> bool:
     return isinstance(values, (list, tuple)) and any(
         isinstance(x, (bool, np.bool_)) or _holds_bool(x) for x in values
     )
+
+
+_ENCODERS: dict = {}  # json.dumps' encoder by indent, made once
+
+
+def _json_value(text: str, what: str):
+    """``json.loads(text)``; text that is not JSON, or nests too deep, is a ``ValidationError``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"bad {what} JSON: {exc}") from exc
+
+
+def _json_text(value, indent: int | None = None) -> str:
+    """``json.dumps(value, sort_keys=True, indent=indent, allow_nan=False)``, from one
+    reused encoder per indent; a non-finite number raises :class:`NonFinite`."""
+    if indent not in _ENCODERS:
+        _ENCODERS[indent] = json.JSONEncoder(sort_keys=True, indent=indent, allow_nan=False)
+    try:
+        return _ENCODERS[indent].encode(value)
+    except ValueError as exc:
+        raise NonFinite(f"a JSON value is not finite: {exc}") from exc
+
+
+def _json_document(
+    payload: dict, key: str | None = None, items: Iterable[str] = ()
+) -> Iterator[str]:
+    """``payload``'s indent-2 text and a newline, its array ``key`` streamed from ``items``
+    (level-2 texts, or runs joined by ``",\\n    "``); no string holds a raw newline."""
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        yield _json_text(payload if key is None else {**payload, key: []}, 2) + "\n"
+        return
+    line = f"\n  {_json_text(key)}: [\n    0\n  ]"
+    before, after = _json_text({**payload, key: [0]}, 2).split(line)
+    opening, _, closing = line.rpartition("0")
+    yield before + opening + first
+    yield from map(",\n    ".__add__, items)
+    yield closing + after + "\n"

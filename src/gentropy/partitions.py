@@ -18,11 +18,11 @@ from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator
 
 import gc
-import json
 
 import numpy as np
 
 from .errors import DimensionMismatch, TooSmall, TooLarge, ValidationError, _integer
+from .errors import _json_text, _json_value
 
 ENUMERATION_LIMIT = 12  # Bell(12) = 4_213_597; beyond this exhaustive work explodes
 LATTICE_LIMIT = 8  # the exhaustive oracles' limit; the partitions up to it are kept
@@ -113,14 +113,11 @@ class Partition:
     # -- serialization ---------------------------------------------------
     def to_json(self) -> str:
         """Serialize as ``{"blocks": [[..], ..]}`` in canonical order."""
-        return json.dumps({"blocks": [list(b) for b in self._blocks]})
+        return _json_text({"blocks": [list(b) for b in self._blocks]})
 
     @classmethod
     def from_json(cls, text: str, ground_size: int | None = None) -> "Partition":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad partition JSON: {exc}") from exc
+        data = _json_value(text, "partition")
         blocks = data.get("blocks") if isinstance(data, dict) else None
         if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
             raise ValidationError('partition JSON must be {"blocks": [[..], ..]}')

@@ -105,8 +105,8 @@ import numpy as np
 
 from .catalog import EntropySpec, _admit, _map_points, _outcome, evaluate, phi_prime
 from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet, _pcg64_states
-from .errors import GentropyError, NonFinite, ParamOutOfDomain, TooLarge, UnsupportedFormat
-from .errors import ValidationError, _integer, _number
+from .errors import GentropyError, ParamOutOfDomain, TooLarge, UnsupportedFormat
+from .errors import ValidationError, _integer, _json_document, _json_text, _number
 from .partitions import LATTICE_LIMIT, Partition, _label_rows, enumerate_partitions
 from .partitions import _canonical_blocks, _label_blocks, _pair_labels, _pair_size, pair_draw_width
 from .partitions import _random_refinement_pair  # the per-pair draw, looked up per case
@@ -1058,44 +1058,13 @@ def max_entropy_check(
 # Report emission
 # ---------------------------------------------------------------------------
 
-# Every indent-2 JSON is :func:`_json_text`'s, ``json.dumps``' own layout.  A report's
+# Every indent-2 JSON is ``errors._json_text``'s, ``json.dumps``' own layout.  A report's
 # entries, nearly all of its bytes, reach :func:`_json_document` from :func:`_json_entries`:
 # a chunk at a time, a row shape at a time, each field's values encoded at once into ``%``
 # templates cut from that layout of zeros (no key holds a digit).
 
 _CHUNK = 1024  # entries encoded together; only one chunk's field texts are alive
 _MARKDOWN_ROWS = 200  # flagged entries a markdown report lists
-_ENCODERS: dict = {}  # json.dumps' encoder by indent, made once
-
-
-def _json_text(value, indent: int | None = None) -> str:
-    """``json.dumps(value, sort_keys=True, indent=indent, allow_nan=False)``, from one
-    reused encoder per indent; a non-finite number raises :class:`NonFinite`."""
-    if indent not in _ENCODERS:
-        _ENCODERS[indent] = json.JSONEncoder(sort_keys=True, indent=indent, allow_nan=False)
-    try:
-        return _ENCODERS[indent].encode(value)
-    except ValueError as exc:
-        raise NonFinite(f"a JSON value is not finite: {exc}") from exc
-
-
-def _json_document(
-    payload: dict, key: str | None = None, items: Iterable[str] = ()
-) -> Iterator[str]:
-    """``payload``'s indent-2 text and a newline, with the array ``key`` streamed from
-    ``items``, texts laid out at level 2 (or runs of them joined by ``",\\n    "``), into
-    its placeholder's line: no string holds a raw newline, and no other key is ``key``."""
-    items = iter(items)
-    first = next(items, None)
-    if first is None:
-        yield _json_text(payload if key is None else {**payload, key: []}, 2) + "\n"
-        return
-    line = f"\n  {_json_text(key)}: [\n    0\n  ]"
-    before, after = _json_text({**payload, key: [0]}, 2).split(line)
-    opening, _, closing = line.rpartition("0")
-    yield before + opening + first
-    yield from map(",\n    ".__add__, items)
-    yield closing + after + "\n"
 
 
 def _scalar_text(value) -> str:
@@ -1331,5 +1300,5 @@ def report_from_json(data: bytes | str) -> VerificationReport:
             summary=summary,
             metadata=obj["metadata"],
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValidationError(f"not a report's JSON: {type(exc).__name__}: {exc}") from exc

@@ -7,13 +7,19 @@ A real argument goes through ``errors._number``: an int or float, not a
 bool, finite.  Each row names one argument of one public function, a
 value it accepts, and the values it refuses; a refusal is always a typed
 ``GentropyError``, never numpy's or Python's own error, a truncation or a
-parse.
+parse.  JSON input is refused the same way, whatever value or text it holds:
+the readers raise only ``GentropyError`` and the CLI exits 2, never 3.
 """
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gentropy.axioms import (
     check_basic_axioms,
@@ -23,11 +29,13 @@ from gentropy.axioms import (
     residual_split_recursivity,
 )
 from gentropy.catalog import (
+    CATALOG_IDS,
     EntropySpec,
     outer_map,
     outer_map_prime,
     phi_component,
     phi_prime,
+    spec_from_json,
     transform_between,
 )
 from gentropy.classify import (
@@ -36,6 +44,7 @@ from gentropy.classify import (
     check_slope_condition,
     check_transform_consistency,
 )
+from gentropy.cli import main
 from gentropy.distributions import (
     FiniteDistribution,
     JointDistribution,
@@ -66,6 +75,7 @@ from gentropy.verify import (
     exhaustive_lattice_check,
     max_entropy_check,
     replay_case,
+    report_from_json,
     run_monotonicity_campaign,
 )
 
@@ -373,3 +383,56 @@ REFUSALS = {
 def test_domain_refusals_raise_their_typed_error(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+# The JSON boundary: any JSON value, or any text, read by each reader.  Keys are
+# drawn from the names the readers look for, so that values reach past the
+# top-level shape checks into the constructors.
+_NAMES = ["blocks", "coeffs", "entries", "id", "params", "probs", "q", "summary"]
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+            | st.floats(allow_nan=False, allow_infinity=False))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+    st.sampled_from(_NAMES) | st.text(max_size=3), inner, max_size=4), max_leaves=12)
+_SPECS = st.fixed_dictionaries({"id": st.sampled_from(CATALOG_IDS) | _VALUES,
+                                "params": st.dictionaries(st.sampled_from(_NAMES), _VALUES)})
+_TEXTS = st.one_of(_VALUES.map(json.dumps), _SPECS.map(json.dumps), st.text(max_size=40))
+_READERS = (spec_from_json, FiniteDistribution.from_json, Partition.from_json, report_from_json)
+_DEEP = "[" * 100_000  # past the parser's recursion limit
+
+
+def _exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code != 3, err.getvalue()[-2000:]
+    return code
+
+
+def _read_or_refuse(text, path):
+    """Each reader reads ``text`` or raises a ``GentropyError``, and so does
+    ``spec_from_json`` on its value; the CLI takes it inline and from ``path``
+    and exits 0 or 2."""
+    for read in _READERS:
+        with contextlib.suppress(GentropyError):
+            read(text)
+    with contextlib.suppress(GentropyError, ValueError, RecursionError):  # no JSON value
+        value = json.loads(text)
+        with contextlib.suppress(GentropyError):
+            spec_from_json(value)
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")  # a lone surrogate: no UTF-8
+    for source in (text, str(path)):  # inline, or a path when it does not look like JSON
+        assert _exit_code(["compute", f"--entropy={source}", "--dist=[0.5, 0.5]"]) in (0, 2)
+        assert _exit_code(["compute", '--entropy={"id": "shannon"}', f"--dist={source}"]) in (0, 2)
+        assert _exit_code(["coarsen", "--dist=[0.5, 0.5]", f"--partition={source}"]) in (0, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_TEXTS)
+def test_json_input_is_read_or_refused_with_a_typed_error(text, tmp_path_factory):
+    _read_or_refuse(text, tmp_path_factory.mktemp("source") / "input")
+
+
+@pytest.mark.parametrize("text", [_DEEP, '{"id": ["x"]}', '{"id": {"a": 1}}', "not json"],
+                         ids=["100000-deep", "list id", "object id", "not json"])
+def test_json_input_that_once_escaped_is_refused_with_a_typed_error(text, tmp_path):
+    _read_or_refuse(text, tmp_path / "input")

@@ -223,6 +223,30 @@ def test_an_internal_error_exits_3_not_1(capsys, monkeypatch):
     assert err.rstrip().endswith("internal error: RuntimeError: boom")
 
 
+@pytest.mark.parametrize("spec_id", ['["x"]', '{"a": 1}'])
+@pytest.mark.parametrize("command", ["compute", "verify", "classify"])
+def test_a_non_string_entropy_id_is_an_unknown_id_not_an_internal_error(capsys, command, spec_id):
+    """An unhashable id is refused as an unknown one (exit 2), not a ``TypeError`` (exit 3)."""
+    argv = [command, "--entropy", f'{{"id": {spec_id}}}']
+    argv += ["--dist", "[0.5, 0.5]"] if command == "compute" else []
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unknown entropy id {json.loads(spec_id)!r}")
+
+
+@pytest.mark.parametrize("option", ["--entropy", "--dist", "--partition"])
+def test_an_input_file_that_is_not_utf8_is_a_read_error(capsys, tmp_path, option):
+    """Undecodable bytes in an input file exit 2 as a read error, not 3."""
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe")
+    argv = {"--entropy": ["compute", "--entropy", str(path), "--dist", "[0.5, 0.5]"],
+            "--dist": ["compute", "--entropy", '{"id": "shannon"}', "--dist", str(path)],
+            "--partition": ["coarsen", "--dist", "[0.5, 0.5]", "--partition", str(path)]}[option]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode")
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a campaign or axiom probe ran")
 

@@ -13,7 +13,9 @@ blocks give, and n <= 8 grows nothing past the kept table: with any other
 growth refused, the partitions and both oracles at n = 8 keep their pinned
 bytes.  The store of kept ``classify`` and ``axioms`` inputs (``axioms._kept``)
 builds each input once per key in a pass over the specs, keeps it read-only
-and stays bounded.  One more gate keeps every indent-2 JSON on ``verify._json_text``.
+and stays bounded.  One more gate keeps every JSON text on ``errors``: only its
+``_json_text`` lays out indent-2 JSON, only ``errors`` writes JSON, and only
+``errors._json_value`` and ``verify.report_from_json`` parse it.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -67,19 +69,22 @@ def test_the_counter_sees_a_planted_branch(tmp_path):
 _LAYOUT_CONSTANT = re.compile(r"_[A-Z][A-Z_]*")  # a private upper-case name
 
 
+_JSON_READERS = {("errors.py", "_json_value"), ("verify.py", "report_from_json")}
+
+
 def _json_layouts(src: Path, exempt: str = "_json_text") -> list[str]:
-    """Where a module lays out indent-2 JSON by itself: a ``json.dumps`` or
-    ``json.JSONEncoder`` call with an ``indent`` outside ``verify``'s function
-    ``exempt``, or a ``cli`` reference to a layout constant of ``verify``,
+    """Where a module reads or writes JSON by itself: a ``json.dumps`` or
+    ``json.JSONEncoder`` call outside ``errors``, or one with an ``indent`` outside
+    ``errors``' function ``exempt``; a ``json.loads`` or ``json.load`` call outside
+    ``_JSON_READERS``; or a ``cli`` reference to a layout constant of ``verify``,
     through the module or imported by name."""
     found = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
-        allowed = {
-            id(call)
+        within = {  # each call's innermost enclosing function
+            id(call): function.name
             for function in ast.walk(tree)
-            if path.name == "verify.py" and isinstance(function, ast.FunctionDef)
-            and function.name == exempt
+            if isinstance(function, ast.FunctionDef)
             for call in ast.walk(function)
         }
         modules = {
@@ -90,9 +95,14 @@ def _json_layouts(src: Path, exempt: str = "_json_text") -> list[str]:
             if alias.name == "verify"
         }
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in allowed:
+            if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name in ("dumps", "JSONEncoder") and "indent" in [k.arg for k in node.keywords]:
+                function = within.get(id(node))
+                indent = "indent" in [k.arg for k in node.keywords]
+                writes = name in ("dumps", "JSONEncoder") and (
+                    path.name != "errors.py" or indent and function != exempt)
+                reads = name in ("loads", "load") and (path.name, function) not in _JSON_READERS
+                if writes or reads:
                     found.append(f"{path.name}:{node.lineno}: {name}")
             names = []
             if path.name == "cli.py" and isinstance(node, ast.Attribute):
@@ -104,26 +114,43 @@ def _json_layouts(src: Path, exempt: str = "_json_text") -> list[str]:
 
 
 def test_only_json_text_lays_out_indented_json():
-    """Every indent-2 JSON comes from ``verify._json_text``; ``cli`` reads none of
-    ``verify``'s layout constants.  Without the exemption the gate finds the encoder
-    that ``_json_text`` makes."""
+    """Every indent-2 JSON comes from ``errors._json_text``, every JSON text from
+    ``errors``, and every parse from ``errors._json_value`` or ``verify.report_from_json``;
+    ``cli`` reads none of ``verify``'s layout constants.  Without the exemption the gate
+    finds the encoder that ``_json_text`` makes."""
     src = Path(verify.__file__).parent
     assert _json_layouts(src) == []
     assert [line.split(": ")[1] for line in _json_layouts(src, exempt="")] == ["JSONEncoder"]
 
 
+def test_only_errors_and_verify_import_json():
+    src = Path(verify.__file__).parent
+    importers = {
+        path.name
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and "json" in [alias.name for alias in node.names]
+        or isinstance(node, ast.ImportFrom) and node.module == "json"
+    }
+    assert importers == {"errors.py", "verify.py"}
+
+
 def test_the_json_layout_gate_sees_planted_layouts(tmp_path):
-    """The gate is not vacuous: a module's own ``json.dumps(..., indent=2)`` and a
-    ``cli`` read of a ``verify`` layout constant both count."""
+    """The gate is not vacuous: a module's own ``json.dumps(..., indent=2)``, its own
+    compact ``json.dumps`` and ``json.loads``, and a ``cli`` read of a ``verify``
+    layout constant all count."""
     (tmp_path / "planted.py").write_text(
-        "import json\n\ndef text(value):\n    return json.dumps(value, indent=2)\n"
+        "import json\n\ndef text(value):\n    return json.dumps(value, indent=2)\n\n"
+        "def compact(value):\n    return json.dumps(value)\n\n"
+        "def value(text):\n    return json.loads(text)\n"
     )
     (tmp_path / "cli.py").write_text(
         "from . import verify as verify_mod\nfrom .verify import _PAD, _template\n\n"
         "SEPARATOR = verify_mod._SEPARATOR[2]\nTEMPLATE = verify_mod._template\n"
     )
     assert _json_layouts(tmp_path) == [
-        "cli.py:2: _PAD", "cli.py:4: _SEPARATOR", "planted.py:4: dumps"
+        "cli.py:2: _PAD", "cli.py:4: _SEPARATOR",
+        "planted.py:4: dumps", "planted.py:7: dumps", "planted.py:10: loads",
     ]
 
 
