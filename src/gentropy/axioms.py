@@ -90,12 +90,12 @@ def _kept(build, *key) -> tuple:
     arrays, least recently used dropped first; one above half of that is built per call."""
     with _KEPT_LOCK:  # a hit becomes the last used
         if (held := _KEPT_INPUTS.pop((build, *key), None)) is not None:
-            _KEPT_INPUTS[build, *key] = held
+            _KEPT_INPUTS[(build, *key)] = held
             return held[0]
     value = build(*key)  # two threads may both build one input: equal arrays, one kept
     if (size := sum(_freeze(array).nbytes for array in _arrays(value))) <= _KEPT_BYTES // 2:
         with _KEPT_LOCK:
-            _KEPT_INPUTS[build, *key] = value, size
+            _KEPT_INPUTS[(build, *key)] = value, size
             while sum(held for _, held in _KEPT_INPUTS.values()) > _KEPT_BYTES:
                 del _KEPT_INPUTS[next(iter(_KEPT_INPUTS))]
     return value

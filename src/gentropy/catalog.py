@@ -63,7 +63,7 @@ from .errors import (
     _number,
     _numbers,
 )
-from .errors import _json_text, _json_value
+from .errors import _json_text, _json_value, _shown
 from .special import _group_series, _libm, upper_incomplete_gamma
 
 _LN2 = math.log(2.0)
@@ -627,7 +627,7 @@ class EntropySpec:
         merged.update(kw)
         if not isinstance(id, str) or id not in _FAMILIES:
             raise ValidationError(
-                f"unknown entropy id {id!r}; known ids: {', '.join(CATALOG_IDS)}"
+                f"unknown entropy id {_shown(id)}; known ids: {', '.join(CATALOG_IDS)}"
             )
         family = _FAMILIES[id]
         allowed = set(family.required) | set(family.optional)

@@ -13,7 +13,7 @@ neither truncates nor parses:
   below the minimum with ``ValidationError``, one above its maximum with ``TooLarge``.
 * :func:`_number` (:func:`_numbers` for a list or tuple), for a real argument
   or parameter, takes a finite ``int`` or ``float``.  It refuses a str, a bool,
-  ``nan`` and an infinity with ``ParamOutOfDomain``.
+  ``nan`` and an infinity with ``ParamOutOfDomain``.  A refusal shows the value by :func:`_shown`.
 
 Every JSON text crosses the package boundary by one rule too: :func:`_json_value`
 reads it, refusing text that is not JSON or nests too deep with ``ValidationError``;
@@ -26,6 +26,7 @@ from collections.abc import Iterable, Iterator
 
 import json
 import operator
+import reprlib
 import sys
 
 import numpy as np
@@ -103,6 +104,18 @@ class UnsupportedFormat(ValidationError):
     """Unknown serialization format requested."""
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or ``reprlib``'s bounded one where lists, tuples and dicts nest past
+    64 levels (as a deep JSON text may): that cannot exhaust the stack, but sorts dict keys."""
+    level = [value]
+    for _ in range(64):  # one level at a time: the items, keys and values of the last
+        level = [item for v in level if isinstance(v, (list, tuple, dict))
+                 for item in ([*v, *v.values()] if isinstance(v, dict) else v)]
+        if not level:
+            return repr(value)
+    return reprlib.repr(value)
+
+
 def _integer(name: str, value, minimum: int = 0, maximum: float = float("inf")) -> int:
     """``value`` as an int in [minimum, maximum], or a ``ValidationError`` (``TooLarge`` above)."""
     try:
@@ -110,7 +123,7 @@ def _integer(name: str, value, minimum: int = 0, maximum: float = float("inf")) 
             raise TypeError
         out = operator.index(value)
     except TypeError:
-        raise ValidationError(f"{name!r} must be an integer, got {value!r}") from None
+        raise ValidationError(f"{name!r} must be an integer, got {_shown(value)}") from None
     if out < minimum:
         raise ValidationError(f"{name!r} must be >= {minimum}, got {out}")
     if out > maximum:
@@ -122,14 +135,14 @@ def _number(name: str, value) -> float:
     """``value`` as a float when it is a finite int or float, not a bool."""
     real = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (real and abs(value) <= sys.float_info.max):  # an int past it has no float
-        raise ParamOutOfDomain(f"{name!r} must be a finite number, got {value!r}")
+        raise ParamOutOfDomain(f"{name!r} must be a finite number, got {_shown(value)}")
     return float(value)
 
 
 def _numbers(name: str, values) -> tuple[float, ...]:
     """A list or tuple of :func:`_number` values, as a tuple of floats."""
     if not isinstance(values, (list, tuple)):
-        raise ParamOutOfDomain(f"{name!r} must be a list of numbers, got {values!r}")
+        raise ParamOutOfDomain(f"{name!r} must be a list of numbers, got {_shown(values)}")
     return tuple(_number(name, value) for value in values)
 
 

@@ -168,14 +168,16 @@ def bell_number(n: int) -> int:
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Yield every partition of {0..n-1} exactly once, in canonical order.
+    """An iterator over every partition of {0..n-1}, each once, in canonical order.
 
     The order is lexicographic in the restricted-growth encoding (element i
     gets the label of its block, labels appear in first-use order), which
-    coincides with canonical block form.  Guarded at n <= 12.  For n <= 8
-    (``LATTICE_LIMIT``) they are built once per process from label rows and
-    kept, so every call yields the same immutable ``Partition`` objects.  A larger n
-    grows each label row of n - 4 states by the last four and builds them anew, row by row.
+    coincides with canonical block form.  ``n`` is checked at the call, guarded
+    at n <= 12.  For n <= 8 (``LATTICE_LIMIT``) they are built once per process
+    from label rows and kept, and the iterator is the kept tuple's: every call
+    yields the same immutable ``Partition`` objects, with no generator frame per
+    item.  A larger n is lazy: it grows each label row of n - 4 states by the last
+    four and builds them anew, row by row, as the iterator is read.
     """
     n = _integer("n", n, minimum=1)
     if n > ENUMERATION_LIMIT:
@@ -184,12 +186,11 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             f"(Bell({n}) = {bell_number(n)})"
         )
     if n <= LATTICE_LIMIT:
-        yield from _kept_partitions(n)
-        return
+        return iter(_kept_partitions(n))
     labels, masks, k = _label_rows(n - 4)
     wide = (np.pad(a, ((0, 0), (0, 4)))[:, None] for a in (labels, masks.astype(np.uint16)))
     grown = (_grow(*row, range(n - 4, n)) for row in zip(*wide, k[:, None]))
-    yield from chain.from_iterable(_built(n, grown))
+    return chain.from_iterable(_built(n, grown))
 
 
 def _grow(labels, masks, k, states: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -275,12 +276,14 @@ def _pair_labels(n: int, draws: list[tuple[int, ...]]) -> np.ndarray:
 
 def _label_blocks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each label row's block count, each block's width and the rows' states block by
-    block, end to end.  Labels equal to the table's width pad a row of fewer states.  A
-    stable argsort puts blocks in order of least state, states ascending: canonical form."""
+    block, end to end.  Labels equal to the table's width pad a row of fewer states.  One
+    stable argsort of the flat table by (row, label) puts each row's blocks in order of
+    least state, states ascending (canonical form), and its pads last, where they are cut."""
     count, width = labels.shape
     ids = labels + np.arange(0, count * (width + 1), width + 1)[:, None]  # pads: last bin
     tally = np.bincount(ids.ravel(), minlength=ids.size + count).reshape(count, width + 1)[:, :-1]
-    states = np.argsort(labels, axis=1, kind="stable")[np.arange(width) < tally.sum(1)[:, None]]
+    order = np.argsort(ids, axis=None, kind="stable")
+    states = order[labels.ravel()[order] < width] % width
     return np.count_nonzero(tally, axis=1), tally[tally > 0], states
 
 

@@ -84,7 +84,8 @@ one ``enumerate_partitions`` call, consumed in full (its blocks fill the
 entries), and far fewer ``evaluate`` calls than it has edges; both names are
 looked up in this module, where the benchmark's tracer times them.  One JSON
 writer serves every report: it formats rows by shape, one ``%`` template for
-the rows of a chunk that write the same fields.
+the rows of a chunk that write the same fields; a campaign's label rows come first,
+those new to the report written by one ``"".join`` (``_LabelRows.texts``).
 """
 
 from __future__ import annotations
@@ -195,13 +196,20 @@ class _LabelRows(_Lazy):
         return _canonical_blocks(self.source[at])
 
     def texts(self, memo: dict) -> list[str]:
-        """Each row's JSON array, made once per distinct row (``memo``: texts by row bytes)."""
+        """Each row's JSON array, made once per distinct row (``memo``: texts by row bytes): the
+        fresh rows' states, each with the separator after it, joined once and cut at the NULs."""
         rows = np.ascontiguousarray(self.source)
         keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
         fresh = [key for key in dict.fromkeys(keys) if key not in memo]
         rows = np.frombuffer(b"".join(fresh), rows.dtype).reshape(-1, rows.shape[1])
-        for key, blocks in zip(fresh, _canonical_blocks(rows)):
-            memo[key] = _template(tuple(map(len, blocks))) % tuple(chain.from_iterable(blocks))
+        counts, widths, states = _label_blocks(rows)
+        after, last = np.zeros(states.size, np.intp), np.cumsum(widths) - 1
+        after[last], after[last[np.cumsum(counts) - 1]] = 1, 2  # closing a block, then a row
+        opening, inside, block, row = _template((2, 1)).split("%s")
+        ends = inside, block, row + "\0" + opening  # a row's end holds a NUL, then the next row
+        words = [str(state) + end for state in range(rows.shape[1]) for end in ends]
+        text = opening + "".join(map(words.__getitem__, (3 * states + after).tolist()))
+        memo.update(zip(fresh, text.split("\0")))
         return list(map(memo.__getitem__, keys))
 
 

@@ -15,6 +15,8 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -436,3 +438,28 @@ def test_json_input_is_read_or_refused_with_a_typed_error(text, tmp_path_factory
                          ids=["100000-deep", "list id", "object id", "not json"])
 def test_json_input_that_once_escaped_is_refused_with_a_typed_error(text, tmp_path):
     _read_or_refuse(text, tmp_path / "input")
+
+
+def test_a_refusal_shows_a_value_nested_near_the_parse_limit():
+    """Run from the top of a fresh interpreter, where ``json.loads`` still reads
+    lists nested 980 deep and fails by 999, each reader refuses such a value in
+    a parameter or as an id with a ``GentropyError``: its message shows the value
+    abbreviated, and never recurses past the stack in ``repr``."""
+    from test_cli import _CHILD_ENV
+
+    code = "\n".join((
+        "from gentropy.catalog import spec_from_json",
+        "from gentropy.errors import GentropyError",
+        "for depth in range(980, 1000):",
+        "    deep = '[' * depth + '1' + ']' * depth",
+        "    for key in ('\"id\": \"universal_group\", \"params\": {\"coeffs\": %s}',",
+        "                '\"id\": \"tsallis\", \"params\": {\"q\": %s}', '\"id\": %s'):",
+        "        try:",
+        "            spec_from_json('{' + key % deep + '}')",
+        "        except GentropyError as exc:",
+        "            print(depth, type(exc).__name__)",
+    ))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_CHILD_ENV, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 3 * 20

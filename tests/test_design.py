@@ -15,7 +15,8 @@ bytes.  The store of kept ``classify`` and ``axioms`` inputs (``axioms._kept``)
 builds each input once per key in a pass over the specs, keeps it read-only
 and stays bounded.  One more gate keeps every JSON text on ``errors``: only its
 ``_json_text`` lays out indent-2 JSON, only ``errors`` writes JSON, and only
-``errors._json_value`` and ``verify.report_from_json`` parse it.
+``errors._json_value`` and ``verify.report_from_json`` parse it.  A syntax gate keeps
+the source compiling on Python 3.10, the oldest that ``requires-python`` admits.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -152,6 +153,35 @@ def test_the_json_layout_gate_sees_planted_layouts(tmp_path):
         "cli.py:2: _PAD", "cli.py:4: _SEPARATOR",
         "planted.py:4: dumps", "planted.py:7: dumps", "planted.py:10: loads",
     ]
+
+
+def _past_310(source: str) -> list[int]:
+    """The lines of ``source`` whose syntax Python 3.10 refuses: a star in a subscript's
+    unparenthesized tuple (``a[b, *c]``, ``a[*c]``) or an ``except*``.  ``ast.parse``
+    with ``feature_version=(3, 10)`` accepts both.  A subscript's tuple is unparenthesized
+    where it starts at its first element."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        key = node.slice if isinstance(node, ast.Subscript) else None
+        if isinstance(key, ast.Tuple) and any(isinstance(e, ast.Starred) for e in key.elts):
+            if (key.lineno, key.col_offset) == (key.elts[0].lineno, key.elts[0].col_offset):
+                found.append(node.lineno)
+        found += [node.lineno] if type(node).__name__ == "TryStar" else []
+    return sorted(found)
+
+
+def test_the_source_compiles_on_python_3_10():
+    src = Path(verify.__file__).parent
+    found = {path.name: _past_310(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_3_10_gate_sees_planted_syntax():
+    """The gate is not vacuous: it flags ``a[b, *c]``, ``a[*c]`` and ``except*``, and
+    passes the parenthesized tuples that Python 3.10 takes."""
+    planted = "a[b, *c]\na[*c]\na[(b, *c)]\na[(*c,)]\n"
+    planted += "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert _past_310(planted) == [1, 2, 5]
 
 
 def test_every_sampled_check_runs_on_the_kernel(monkeypatch):

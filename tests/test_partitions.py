@@ -4,6 +4,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import chain
 import math
+import operator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from gentropy import (
     quotient_partition,
     random_refinement_pair,
 )
+from gentropy import partitions
 from gentropy.errors import DimensionMismatch, TooLarge, TooSmall, ValidationError
 from gentropy.partitions import (
     _canonical_blocks,
@@ -135,6 +137,27 @@ def test_enumeration_guard():
         next(enumerate_partitions(13))
     with pytest.raises(ValidationError):
         next(enumerate_partitions(0))
+
+
+@pytest.mark.parametrize("n", [0, 13, 2.5, "3", True])
+def test_enumeration_refuses_at_the_call(n):
+    """The refusal comes from the call itself, before any item is asked for."""
+    with pytest.raises(ValidationError):
+        enumerate_partitions(n)
+
+
+def test_enumeration_at_most_8_iterates_the_kept_objects_and_9_stays_lazy(monkeypatch):
+    """Two calls at n <= 8 give the same objects; a call at n = 9 grows no row
+    until its first item is read, and then one group of rows."""
+    for n in range(1, 9):
+        assert all(map(operator.is_, enumerate_partitions(n), enumerate_partitions(n)))
+    partitions._label_rows(5)  # kept: what n = 9 grows from
+    grow, grown = partitions._grow, []
+    monkeypatch.setattr(partitions, "_grow", lambda *a: grown.append(a) or grow(*a))
+    lazy = enumerate_partitions(9)
+    assert grown == []
+    assert next(lazy).blocks == (tuple(range(9)),)  # one block: the first in order
+    assert len(grown) == 1
 
 
 @pytest.mark.parametrize("n", [2.5, 3.0, "3"])

@@ -2,7 +2,7 @@
 
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, fields, replace
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 import copy
 import csv
@@ -938,6 +938,70 @@ def test_reports_survive_pickle_copy_and_json(monkeypatch):
         assert report_from_json(emit_report(report)) == report
         tuple(report.entries)  # once built, the copies still compare equal
         assert pickle.loads(pickle.dumps(report)) == report == copy.deepcopy(report)
+
+
+def _per_row_label_blocks(labels):
+    """``partitions._label_blocks`` as a per-row argsort and a padding mask: the
+    reference that its one sort of the flat table must equal."""
+    count, width = labels.shape
+    ids = labels + np.arange(0, count * (width + 1), width + 1)[:, None]
+    tally = np.bincount(ids.ravel(), minlength=ids.size + count).reshape(count, width + 1)[:, :-1]
+    states = np.argsort(labels, axis=1, kind="stable")[np.arange(width) < tally.sum(1)[:, None]]
+    return np.count_nonzero(tally, axis=1), tally[tally > 0], states
+
+
+def _per_row_texts(labels):
+    """Each label row's JSON array from its tuples and the template of its block
+    sizes, one ``%`` per row: the reference of ``_LabelRows.texts``."""
+    counts, widths, states = (iter(a.tolist()) for a in _per_row_label_blocks(labels))
+    blocks = iter([tuple(islice(states, w)) for w in widths])
+    rows = [tuple(islice(blocks, k)) for k in counts]
+    return [verify._template(tuple(map(len, b))) % tuple(chain.from_iterable(b)) for b in rows]
+
+
+def _label_table(rng, count, width, dtype):
+    """``count`` pairs of restricted-growth rows of 1..width states, padded with width:
+    a (count, 2, width) table as a campaign keeps, every state's chance of opening a
+    block drawn per row, and some pairs repeated."""
+    table = np.full((count, 2, width), width, dtype)
+    for row in table.reshape(-1, width):
+        fresh, blocks = rng.random(), 0
+        for state in range(rng.integers(1, width + 1)):
+            row[state] = blocks if blocks == 0 or rng.random() < fresh else rng.integers(blocks)
+            blocks = max(blocks, row[state] + 1)
+    return table[rng.integers(0, count, count)] if count > 1 else table
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 24),
+    width=st.one_of(st.integers(1, 12), st.integers(13, 300)),
+    wide=st.booleans(),
+)
+def test_label_rows_give_the_per_row_reference_blocks_and_texts(seed, count, width, wide):
+    """One sort of the flat table gives the per-row argsort's blocks, and one join gives
+    each row the text of its template, for uint8 and uint16 tables, padded rows and
+    repeated ones, a strided column of rows and of one row; a memo already holding
+    some rows' texts gives the same texts.  The writer builds neither tuples nor a
+    template per row."""
+    dtype = np.uint16 if wide or width > 255 else np.uint8
+    table = _label_table(np.random.default_rng(seed), count, width, dtype)
+    flat = table.reshape(-1, width)
+    assert all(map(np.array_equal, _label_blocks(flat), _per_row_label_blocks(flat)))
+    columns = (table[:, 0], table[:, 1], table[:1, 1])
+    halves = [column[: len(column) // 2] for column in columns]
+    expected = [(_per_row_texts(half), _per_row_texts(c)) for half, c in zip(halves, columns)]
+    template, calls = verify._template, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_canonical_blocks", None)  # a call would fail
+        patch.setattr(verify, "_template", lambda *a: calls.append(a) or template(*a))
+        for column, half, (half_texts, texts) in zip(columns, halves, expected):
+            memo = {}
+            assert verify._LabelRows(half).texts(memo) == half_texts
+            assert verify._LabelRows(column).texts(memo) == texts
+            assert verify._LabelRows(column).texts(memo) == texts  # every row from the memo
+    assert len(calls) <= 9  # at most one template a call, whatever its row count
 
 
 def test_campaign_kernel_falls_back_when_batched_phi_raises():
