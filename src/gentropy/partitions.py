@@ -13,6 +13,7 @@ deterministic.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator
@@ -28,15 +29,36 @@ ENUMERATION_LIMIT = 12  # Bell(12) = 4_213_597; beyond this exhaustive work expl
 LATTICE_LIMIT = 8  # the exhaustive oracles' limit; the partitions up to it are kept
 
 
+def _filled(cls, count: int, shared: dict, **columns) -> list:
+    """``count`` objects of the slotted dataclass ``cls``, made without ``__init__``: a field takes
+    its column's values (an iterable, one per object), else its value in ``shared``, else None,
+    as ``cls(...)`` would take them.  Each field is set by one ``map`` of its slot's setter, with
+    the collector paused (what a build makes stays in use) and then left as it was found."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        made = list(map(object.__new__, repeat(cls, count)))
+        for name in (f.name for f in fields(cls)):
+            values = columns.get(name, repeat(shared.get(name)))
+            deque(map(getattr(cls, name).__set__, made, values), 0)
+    finally:
+        if enabled:
+            gc.enable()
+    return made
+
+
+@dataclass(frozen=True)
 class Partition:
-    """An ordered set partition of the ground set {0..ground_size-1}."""
+    """An ordered set partition of the ground set {0..ground_size-1}; blocks: iterables of ints."""
 
-    __slots__ = ("_blocks", "_ground_size")
+    __slots__ = ("blocks", "ground_size")  # not slots=True, which refuses names by TypeError
+    blocks: tuple[tuple[int, ...], ...]
+    ground_size: int
 
-    def __init__(self, blocks: Iterable[Iterable[int]], ground_size: int):
-        ground_size = _integer("ground_size", ground_size, minimum=1)
+    def __post_init__(self):
+        ground_size = _integer("ground_size", self.ground_size, minimum=1)
         try:
-            cleaned = [tuple(sorted(_integer("index", x) for x in block)) for block in blocks]
+            cleaned = [tuple(sorted(_integer("index", x) for x in block)) for block in self.blocks]
         except (TypeError, ValidationError) as exc:
             raise ValidationError(f"blocks must hold integer indices: {exc}") from exc
         if any(len(block) == 0 for block in cleaned):
@@ -47,73 +69,47 @@ class Partition:
             raise ValidationError("blocks must be pairwise disjoint")
         if sorted(flat) != list(range(ground_size)):
             raise ValidationError(f"blocks must cover exactly 0..{ground_size - 1}")
-        self._blocks = tuple(cleaned)
-        self._ground_size = ground_size
+        object.__setattr__(self, "blocks", tuple(cleaned))
+        object.__setattr__(self, "ground_size", ground_size)
 
-    @classmethod
-    def _raw(cls, blocks: tuple[tuple[int, ...], ...], ground_size: int) -> "Partition":
-        # Fast path for internally generated, already-canonical blocks.
-        self = object.__new__(cls)
-        object.__setattr__(self, "_blocks", blocks)
-        object.__setattr__(self, "_ground_size", ground_size)
-        return self
-
-    def __setattr__(self, name, value):  # immutability guard for __slots__ path
-        if hasattr(self, "_ground_size"):
-            raise AttributeError("Partition is immutable")
-        object.__setattr__(self, name, value)
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self._blocks
-
-    @property
-    def ground_size(self) -> int:
-        return self._ground_size
+    def __reduce__(self):  # pickle and copy rebuild through the constructor, not setattr
+        return type(self), (self.blocks, self.ground_size)
 
     @property
     def k(self) -> int:
         """Number of blocks."""
-        return len(self._blocks)
+        return len(self.blocks)
 
     def is_identity(self) -> bool:
         """True when every block is a singleton (nothing aggregated)."""
-        return len(self._blocks) == self._ground_size
+        return len(self.blocks) == self.ground_size
 
     @classmethod
     def identity(cls, n: int) -> "Partition":
         n = _integer("n", n, minimum=1)
-        return cls._raw(tuple((i,) for i in range(n)), n)
+        return _filled(cls, 1, {"ground_size": n}, blocks=[tuple((i,) for i in range(n))])[0]
 
     @classmethod
     def total(cls, n: int) -> "Partition":
         n = _integer("n", n, minimum=1)
-        return cls._raw((tuple(range(n)),), n)
+        return _filled(cls, 1, {"ground_size": n}, blocks=[(tuple(range(n)),)])[0]
 
     def block_of(self) -> list[int]:
         """Map each element to the index of its block."""
-        owner = [0] * self._ground_size
-        for b_index, block in enumerate(self._blocks):
+        owner = [0] * self.ground_size
+        for b_index, block in enumerate(self.blocks):
             for x in block:
                 owner[x] = b_index
         return owner
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self._ground_size == other._ground_size and self._blocks == other._blocks
-
-    def __hash__(self) -> int:
-        return hash((self._ground_size, self._blocks))
-
     def __repr__(self) -> str:
-        inner = ", ".join("{" + ", ".join(map(str, b)) + "}" for b in self._blocks)
+        inner = ", ".join("{" + ", ".join(map(str, b)) + "}" for b in self.blocks)
         return f"Partition[{inner}]"
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> str:
         """Serialize as ``{"blocks": [[..], ..]}`` in canonical order."""
-        return _json_text({"blocks": [list(b) for b in self._blocks]})
+        return _json_text({"blocks": [list(b) for b in self.blocks]})
 
     @classmethod
     def from_json(cls, text: str, ground_size: int | None = None) -> "Partition":
@@ -215,25 +211,25 @@ def _label_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _built(n: int, groups: Iterable[tuple[np.ndarray, ...]]) -> Iterator[list[Partition]]:
-    """The partitions of each group of label rows in turn, built in bulk from one subset table."""
+    """The partitions of each group of label rows, built in bulk from one subset table; a group is
+    let go once the next is built, so the collector's count its build raised falls back unspent."""
     subsets = [()]
     for x in range(n):  # subset s + 2**x is subset s and x
         subsets += [subset + (x,) for subset in subsets]
     subsets = np.fromiter(subsets, object, 2**n)
     for _, masks, k in groups:
-        enabled = gc.isenabled()
-        gc.disable()  # what a build makes stays in use: a collection in it would free nothing
-        try:
-            partitions = list(map(object.__new__, repeat(Partition, k.size)))
-            deque(map(Partition._ground_size.__set__, partitions, repeat(n)), 0)
-            for width in range(k[0], k[-1] + 1):  # the first row has fewest blocks, the last most
-                rows = np.flatnonzero(k == width)
-                owners, blocks = map(partitions.__getitem__, rows.tolist()), masks[rows, :width].T
-                deque(map(Partition._blocks.__set__, owners, zip(*subsets[blocks].tolist())), 0)
-        finally:
-            if enabled:
-                gc.enable()
+        blocks = chain.from_iterable(map(_row_blocks, [subsets], [masks], [k]))  # made in the fill
+        partitions = _filled(Partition, k.size, {"ground_size": n}, blocks=blocks)
         yield partitions
+
+
+def _row_blocks(subsets: np.ndarray, masks: np.ndarray, k: np.ndarray) -> list[tuple]:
+    """Each row's blocks, by ``subsets`` of its masks, a block count at a time (run in the fill)."""
+    blocks = np.empty(k.size, object)
+    for width in range(k[0], k[-1] + 1):  # the first row has fewest blocks, the last most
+        rows = np.flatnonzero(k == width)
+        blocks[rows] = np.fromiter(zip(*subsets[masks[rows, :width].T].tolist()), object, rows.size)
+    return blocks.tolist()
 
 
 @lru_cache(maxsize=LATTICE_LIMIT)
@@ -322,4 +318,5 @@ def random_refinement_pair(n: int, rng_seed: int) -> tuple[Partition, Partition]
     """
     n, rng = _pair_size(n), np.random.default_rng(_integer("rng_seed", rng_seed))
     pair = _random_refinement_pair(n, rng.random(pair_draw_width(n)).tolist())
-    return tuple(Partition._raw(blocks, n) for blocks in _canonical_blocks(_pair_labels(n, [pair])))
+    blocks = _canonical_blocks(_pair_labels(n, [pair]))
+    return tuple(_filled(Partition, 2, {"ground_size": n}, blocks=blocks))

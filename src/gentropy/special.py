@@ -103,7 +103,10 @@ def upper_incomplete_gamma(a: float, x: float | np.ndarray) -> float | np.ndarra
     """
     if not _number("shape", a) > 0.0:
         raise ParamOutOfDomain(f"shape must be > 0, got {a!r}")
-    points = np.asarray(x)
+    try:
+        points = np.asarray(x)
+    except ValueError as exc:  # nested past numpy's 64 dimensions, or ragged
+        raise ValidationError(f"lower limit must be a number or an array of them: {exc}") from exc
     if points.dtype.kind not in "iuf" or _holds_bool(x):  # no str, bytes or bool limit
         raise ValidationError(f"lower limit must be a real number, got {x!r}")
     flat = points.astype(float, copy=False).ravel()

@@ -45,9 +45,10 @@ each vector's components.  Its results equal, bit for bit, those of ``coarse_gra
   constructor's checks; the checks of ``evaluate`` run vectorised, and a
   vector they reject records the error ``evaluate`` raises;
 * entries are kept a column per ``CaseRecord`` field (``_Entries``), made
-  records only when read themselves; the columns ``_checked`` makes stay
-  arrays (``_Lazy``) until read whole, and margins and verdicts come from
-  numpy, whose float64 ``-`` and ``>=`` give the bits Python's floats do.
+  records only when read themselves, in bulk by ``_records`` (``partitions._filled``,
+  the one builder of objects made without ``__init__``); the columns ``_checked``
+  makes stay arrays (``_Lazy``) until read whole, and margins and verdicts come
+  from numpy, whose float64 ``-`` and ``>=`` give the bits Python's floats do.
 
 When a functional's batched ``phi`` raises, ``phi`` runs once on each of
 its vectors alone; a vector it fails on keeps that outcome, and the rest
@@ -90,10 +91,10 @@ those new to the report written by one ``"".join`` (``_LabelRows.texts``).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, repeat
 from operator import attrgetter, is_not
 
@@ -108,8 +109,8 @@ from .catalog import EntropySpec, _admit, _map_points, _outcome, evaluate, phi_p
 from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet, _pcg64_states
 from .errors import GentropyError, ParamOutOfDomain, TooLarge, UnsupportedFormat
 from .errors import ValidationError, _integer, _json_document, _json_text, _number
-from .partitions import LATTICE_LIMIT, Partition, _label_rows, enumerate_partitions
-from .partitions import _canonical_blocks, _label_blocks, _pair_labels, _pair_size, pair_draw_width
+from .partitions import LATTICE_LIMIT, Partition, _label_rows, enumerate_partitions, pair_draw_width
+from .partitions import _canonical_blocks, _filled, _label_blocks, _pair_labels, _pair_size
 from .partitions import _random_refinement_pair  # the per-pair draw, looked up per case
 
 MARGIN_TOLERANCE = 1e-9
@@ -148,24 +149,7 @@ class CaseRecord:
         return _entry_dict(_entry_row(self))
 
 
-# The class and its slot setters, bound here so that a wrapper installed
-# over the module name ``CaseRecord`` does not reach :func:`_records`.
-_RECORD = CaseRecord
-_RECORD_SETTERS = tuple((f.name, getattr(CaseRecord, f.name).__set__) for f in fields(CaseRecord))
-
-
-def _records(count: int, shared: dict, **columns) -> list[CaseRecord]:
-    """``count`` records, filled a field at a time from columns.
-
-    A column is an iterable with a value for each record, ``shared`` maps a
-    field to the value all share, and a field in neither is None.  Each field
-    is set by one ``map`` of its slot's setter, with none of ``__init__``'s
-    per-record work: the values must be what ``CaseRecord(...)`` would take.
-    """
-    records = list(map(object.__new__, repeat(_RECORD, count)))
-    for name, setter in _RECORD_SETTERS:
-        deque(map(setter, records, columns.get(name, repeat(shared.get(name)))), 0)
-    return records
+_records = partial(_filled, CaseRecord)  # bound now: no wrapper over the name CaseRecord reaches it
 
 
 class _Lazy:
@@ -235,7 +219,7 @@ class _Entries(Sequence):
         if isinstance(records, _Entries):
             return records
         records = tuple(records)
-        columns = {name: list(map(attrgetter(name), records)) for name, _ in _RECORD_SETTERS}
+        columns = {f.name: list(map(attrgetter(f.name), records)) for f in fields(CaseRecord)}
         skipped = np.array([reason is not None for reason in columns["skipped"]], dtype=bool)
         margins = columns["margin"]
         measured = ~skipped & np.array([m is not None for m in margins], dtype=bool)
@@ -812,7 +796,7 @@ def _partition_values(
     plan, rows = _LATTICE_SHAPES[n]
     key, kept = (spec, spec.functional, dist.probs.tobytes()), _KEPT_TABLE
     if any(map(is_not, key[:2], kept)) or key[2] != kept[2]:
-        partitions = np.fromiter(map(attrgetter("_blocks"), enumerate_partitions(n)), dtype=object)
+        partitions = np.fromiter(map(attrgetter("blocks"), enumerate_partitions(n)), dtype=object)
         values = _VectorValues([spec], dist.probs, plan)
         values.raise_failure(values.first_failure())
         partitions.flags.writeable = values.numbers.flags.writeable = False

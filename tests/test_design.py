@@ -16,7 +16,8 @@ builds each input once per key in a pass over the specs, keeps it read-only
 and stays bounded.  One more gate keeps every JSON text on ``errors``: only its
 ``_json_text`` lays out indent-2 JSON, only ``errors`` writes JSON, and only
 ``errors._json_value`` and ``verify.report_from_json`` parse it.  A syntax gate keeps
-the source compiling on Python 3.10, the oldest that ``requires-python`` admits.
+the source compiling on Python 3.10, the oldest that ``requires-python`` admits, and
+a builder gate keeps every object made without ``__init__`` on ``partitions._filled``.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -182,6 +183,54 @@ def test_the_3_10_gate_sees_planted_syntax():
     planted = "a[b, *c]\na[*c]\na[(b, *c)]\na[(*c,)]\n"
     planted += "try:\n    pass\nexcept* ValueError:\n    pass\n"
     assert _past_310(planted) == [1, 2, 5]
+
+
+def _hand_builds(src: Path) -> list[str]:
+    """Where a module makes an object without ``__init__`` or fills a slot by its
+    descriptor: an ``object.__new__`` or a ``__set__`` outside ``partitions._filled``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        builder = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and path.name == "partitions.py"
+            and function.name == "_filled"
+            for node in ast.walk(function)
+        }
+        found += [
+            f"{path.name}:{node.lineno}: {node.attr}"
+            for node in sorted(ast.walk(tree), key=lambda node: getattr(node, "lineno", 0))
+            if isinstance(node, ast.Attribute) and id(node) not in builder
+            and (node.attr == "__set__" or node.attr == "__new__"
+                 and getattr(node.value, "id", None) == "object")
+        ]
+    return found
+
+
+def test_only_filled_builds_objects_without_init():
+    """Every object made without ``__init__``, a ``Partition`` or a ``CaseRecord``,
+    comes from ``partitions._filled``."""
+    assert _hand_builds(Path(verify.__file__).parent) == []
+
+
+def test_the_builder_gate_sees_planted_builds(tmp_path):
+    """The gate is not vacuous: ``object.__new__`` and a slot setter count anywhere
+    but in ``partitions._filled``, a ``_filled`` of another module included."""
+    builder = (
+        "def _filled(cls, count):\n    made = object.__new__(cls)\n"
+        "    cls.slot.__set__(made, 1)\n    return made\n"
+    )
+    (tmp_path / "partitions.py").write_text(
+        builder + "\ndef _raw(cls):\n    return object.__new__(cls)\n"
+    )
+    (tmp_path / "planted.py").write_text(
+        builder + "\nSETTERS = [Record.kind.__set__]\nMADE = cls.__new__(cls)\n"
+    )
+    assert _hand_builds(tmp_path) == [
+        "partitions.py:7: __new__",
+        "planted.py:2: __new__", "planted.py:3: __set__", "planted.py:6: __set__",
+    ]
 
 
 def test_every_sampled_check_runs_on_the_kernel(monkeypatch):

@@ -1,10 +1,14 @@
 """Partition canonical form, refinement order, enumeration, and sampling."""
 
 from collections import Counter, defaultdict
+from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
+import copy
+import gc
 import math
 import operator
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +31,7 @@ from gentropy.partitions import (
     _random_refinement_pair,
     pair_draw_width,
 )
+from gentropy.verify import CaseRecord
 
 
 def independent_bell(n):
@@ -76,6 +81,9 @@ def test_partition_immutable_and_hashable():
     with pytest.raises(AttributeError):
         part._blocks = ()
     assert hash(part) == hash(Partition([[2], [0, 1]], 3))
+    assert replace(part, blocks=[[2], [1], [0]]).blocks == ((0,), (1,), (2,))
+    with pytest.raises(ValidationError, match="cover exactly"):
+        replace(part, ground_size=4)  # revalidated, as the constructor does
 
 
 def test_refinement_examples():
@@ -186,13 +194,63 @@ def test_enumeration_repeats_itself(n):
     assert all(a is b for a, b in zip(first, second)) == (n <= 8)
 
 
+def _partitions_of_every_builder():
+    """Partitions from the constructor, ``identity``, ``total``, the kept n = 8 table,
+    a lazy n = 9 enumeration and the pair sampler."""
+    return [
+        Partition([[2], [0, 1]], 3), Partition.identity(4), Partition.total(5),
+        list(enumerate_partitions(8))[100], next(islice(enumerate_partitions(9), 2000, None)),
+        *random_refinement_pair(7, 3),
+    ]
+
+
+def test_partitions_survive_pickle_and_copy():
+    for part in _partitions_of_every_builder():
+        twins = [pickle.loads(pickle.dumps(part, protocol)) for protocol in (2, 5)]
+        for twin in twins + [copy.copy(part), copy.deepcopy(part)]:
+            assert type(twin) is Partition and twin == part and hash(twin) == hash(part)
+            assert (twin.blocks, twin.ground_size, repr(twin)) == (
+                part.blocks, part.ground_size, repr(part))
+
+
 def test_kept_partitions_are_immutable():
-    part = list(enumerate_partitions(8))[100]
-    blocks = part.blocks
-    for name in ("_blocks", "_ground_size", "blocks", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(part, name, ((0, 1, 2, 3, 4, 5, 6, 7),))
-    assert list(enumerate_partitions(8))[100].blocks is blocks
+    """As are those of every other builder: each assignment, to a field or to any other
+    name, raises ``AttributeError``."""
+    parts = _partitions_of_every_builder()
+    for part in parts:
+        blocks = part.blocks
+        for name in ("_blocks", "_ground_size", "blocks", "ground_size", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(part, name, ((0, 1, 2, 3, 4, 5, 6, 7),))
+        assert part.blocks is blocks
+    assert list(enumerate_partitions(8))[100] is parts[3]
+
+
+@pytest.mark.parametrize("cls", [Partition, CaseRecord])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_filled_leaves_the_collector_as_it_found_it(cls, enabled):
+    """``_filled`` pauses the collector while it fills, and leaves it on or off as it
+    was, also when a column raises mid-fill."""
+    field, value = ("blocks", ((0,),)) if cls is Partition else ("kind", "case")
+    seen = []
+
+    def column(fail):
+        for count in range(3):
+            seen.append(gc.isenabled())
+            if fail and count == 1:
+                raise RuntimeError("a column failed")
+            yield value
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        made = partitions._filled(cls, 3, {"ground_size": 1}, **{field: column(False)})
+        assert gc.isenabled() == enabled and [getattr(x, field) for x in made] == [value] * 3
+        with pytest.raises(RuntimeError, match="a column failed"):
+            partitions._filled(cls, 3, {}, **{field: column(True)})
+        assert gc.isenabled() == enabled and seen == [False] * 5
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def _recursive_enumeration(n):

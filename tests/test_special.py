@@ -85,6 +85,20 @@ def test_gamma_domain_errors():
         upper_incomplete_gamma(1.0, -0.1)
 
 
+@pytest.mark.parametrize("depth", [64, 65, 500])
+def test_gamma_refuses_a_lower_limit_nested_past_64_lists(depth):
+    """numpy holds at most 64 dimensions: a deeper lower limit is a ``ValidationError``
+    that names it, not numpy's bare ``ValueError``; 64 lists still evaluate."""
+    x = 1.0
+    for _ in range(depth):
+        x = [x]
+    if depth <= 64:
+        assert upper_incomplete_gamma(1.0, x).shape == (1,) * depth
+        return
+    with pytest.raises(ValidationError, match="lower limit"):
+        upper_incomplete_gamma(1.0, x)
+
+
 def test_gamma_past_the_float_range_is_non_finite_not_an_overflow():
     """Above a shape of about 171.6 the complete gamma passes the float range:
     that is a ``NonFinite``, for s_cd's phi too.  Below it the bits are kept."""
