@@ -80,10 +80,10 @@ kept too, and the corollary's entries are the lattice's rows against the
 identity.  ``max_entropy_check`` draws one cell per n with the campaign's row
 layout, seeded with ``SeedSequence([seed, n])``.  Every caller hands ``_checked``
 the kernel's float64 values (NaN where one failed), its errors by vector and
-each row's two indices.  A lattice or corollary call that builds its table makes
-one ``enumerate_partitions`` call, consumed in full (its blocks fill the
-entries), and far fewer ``evaluate`` calls than it has edges; both names are
-looked up in this module, where the benchmark's tracer times them.  One JSON
+each row's two indices.  A kept table's blocks wait for their first read, by either
+oracle, which makes one ``enumerate_partitions`` call, consumed in full; a lattice call
+makes far fewer ``evaluate`` calls than it has edges.  Both names are looked up in
+this module, where the benchmark's tracer times them.  One JSON
 writer serves every report: it formats rows by shape, one ``%`` template for
 the rows of a chunk that write the same fields; a campaign's label rows come first,
 those new to the report written by one ``"".join`` (``_LabelRows.texts``).
@@ -93,7 +93,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import lru_cache, partial
 from itertools import chain, repeat
 from operator import attrgetter, is_not
@@ -149,6 +149,12 @@ class CaseRecord:
         return _entry_dict(_entry_row(self))
 
 
+# Every name is refused, a field or not: slots=True's own raise TypeError for others on 3.10-3.13
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+CaseRecord.__setattr__ = CaseRecord.__delattr__ = _frozen
 _records = partial(_filled, CaseRecord)  # bound now: no wrapper over the name CaseRecord reaches it
 
 
@@ -768,21 +774,20 @@ class _VectorValues:
 
 def _partition_values(
     spec: EntropySpec, dist: FiniteDistribution
-) -> tuple[np.ndarray, tuple, np.ndarray, dict]:
-    """Every partition of ``dist.n``, the lattice's rows at n and a value table.
+) -> tuple[_PartitionWalk, tuple, np.ndarray, dict]:
+    """The blocks of every partition of ``dist.n``, the lattice's rows at n and a value table.
 
-    The partitions' blocks are one ``enumerate_partitions`` call's.  The rows
-    (each entry's finer and coarser partition index and kind, and the entries
-    against the identity) and the kernel's plan are built once per n from
-    ``partitions._label_rows`` and kept.  Its masses are the 2**n - 1 nonempty
-    subsets of the states, subset s the one with bit mask s + 1, elements
-    ascending as in a canonical block (so each sum has the bits of the blocks');
-    a width's totals matrix holds its partitions' subset ids.  The table, as
-    ``_checked`` takes it, holds ``dist`` aggregated by each partition but the
-    identity, the last: the callers evaluate and append it.  The last table whose
-    kernel raised nothing is kept read-only with its spec and functional (held,
-    compared by ``is``) and the bytes of ``dist.probs``; a call matching all three
-    gets it with no enumeration or kernel, and every call its own failure dict.
+    The blocks wait in a :class:`_PartitionWalk`, walked when first read.  The rows (each
+    entry's finer and coarser partition index and kind, and the entries against the identity)
+    and the kernel's plan are built once per n from ``partitions._label_rows`` and kept.  Its
+    masses are the 2**n - 1 nonempty subsets of the states, subset s the one with bit mask
+    s + 1, elements ascending as in a canonical block (so each sum has the bits of the
+    blocks'); a width's totals matrix holds its partitions' subset ids.  The table, as
+    ``_checked`` takes it, holds ``dist`` aggregated by each partition but the identity, the
+    last: the callers evaluate and append it.  The last table whose kernel raised nothing is
+    kept read-only with its walk, its spec and functional (held, compared by ``is``) and the
+    bytes of ``dist.probs``; a call matching all three gets them with no kernel, and every
+    call its own failure dict, so a walk runs at most once per kept table.
     """
     global _KEPT_TABLE
     n = dist.n
@@ -796,18 +801,35 @@ def _partition_values(
     plan, rows = _LATTICE_SHAPES[n]
     key, kept = (spec, spec.functional, dist.probs.tobytes()), _KEPT_TABLE
     if any(map(is_not, key[:2], kept)) or key[2] != kept[2]:
-        partitions = np.fromiter(map(attrgetter("blocks"), enumerate_partitions(n)), dtype=object)
         values = _VectorValues([spec], dist.probs, plan)
         values.raise_failure(values.first_failure())
-        partitions.flags.writeable = values.numbers.flags.writeable = False
-        kept = _KEPT_TABLE = *key, partitions, values.numbers, values.failures
-    *_, partitions, numbers, failures = kept
-    return partitions, rows, numbers, dict(failures)
+        values.numbers.flags.writeable = False
+        kept = _KEPT_TABLE = *key, _PartitionWalk(n), values.numbers, values.failures
+    *_, walk, numbers, failures = kept
+    return walk, rows, numbers, dict(failures)
+
+
+class _PartitionWalk:
+    """The blocks of every partition of n, in enumeration order, read as an object array's rows:
+    one ``enumerate_partitions`` call at the first read, kept read-only (copies wait apart)."""
+
+    __slots__ = ("n", "blocks")
+    dtype = np.dtype(object)  # as ``_Lazy.take`` reads a source
+
+    def __init__(self, n: int):
+        self.n, self.blocks = n, None
+
+    def __getitem__(self, at) -> np.ndarray:
+        if self.blocks is None:
+            walk = map(attrgetter("blocks"), enumerate_partitions(self.n))
+            self.blocks = np.fromiter(walk, object)
+            self.blocks.flags.writeable = False
+        return self.blocks[at]
 
 
 _LATTICE_SHAPES: dict[int, tuple] = {}  # n -> (subset kernel plan, lattice rows), once per n
 _LATTICE_KINDS = np.array(["covering_edge", "total_merge", "vs_identity"], dtype=object)
-_KEPT_TABLE: tuple = (None,) * 6  # spec, functional, probs bytes, partitions, numbers, failures
+_KEPT_TABLE: tuple = (None,) * 6  # spec, functional, probs bytes, partition walk, numbers, failures
 
 
 def _lattice_rows(n: int) -> tuple[np.ndarray, ...]:
@@ -848,13 +870,15 @@ def exhaustive_lattice_check(
 ) -> VerificationReport:
     """Walk every covering edge of the full partition order (n <= 8).
 
-    For every partition A and every merge of two of its blocks into B this
-    checks H(P^B) <= H(P^A); additionally every non-identity partition is
-    compared against the identity (no aggregation at all).  The minimum
-    margin over all edges is reported in the metadata.
+    For every partition A and every merge of two of its blocks into B this checks
+    H(P^B) <= H(P^A); every non-identity partition is also compared against the identity
+    (no aggregation at all).  The minimum margin over all edges is reported in the
+    metadata, beside the partition count (from the kept label rows).  The entries'
+    blocks are walked (``enumerate_partitions``) only when first read: ``passed``,
+    ``summary``, ``metadata`` and ``len`` of the entries walk nothing.
     """
     n = _lattice_n(dist, tolerance)
-    partitions, (finer, coarser, kind, _), numbers, failures = _partition_values(spec, dist)
+    walk, (finer, coarser, kind, _), numbers, failures = _partition_values(spec, dist)
     identity = _outcome(evaluate, spec, dist)  # last, as in the walk
     if isinstance(identity, GentropyError):
         failures[numbers.size], identity = identity, math.nan
@@ -865,16 +889,11 @@ def exhaustive_lattice_check(
         {"spec": spec.label(), "n": n},
         kind=_Lazy(_LATTICE_KINDS, kind),
         index=range(kind.size),
-        blocks_finer=_Lazy(partitions, finer),
-        blocks_coarser=_Lazy(partitions, coarser),
+        blocks_finer=_Lazy(walk, finer),
+        blocks_coarser=_Lazy(walk, coarser),
     )
-    report = _finish(
-        f"lattice-n{n}",
-        None,
-        tolerance,
-        entries,
-        {"partitions": len(partitions), "probs": dist.probs.tolist()},
-    )
+    metadata = {"partitions": _label_rows(n)[2].size, "probs": dist.probs.tolist()}
+    report = _finish(f"lattice-n{n}", None, tolerance, entries, metadata)
     report.metadata["min_margin"] = report.summary[0].min_margin if report.summary else None
     return report
 
@@ -894,13 +913,13 @@ def corollary1_check(
     """
     n = _lattice_n(dist, tolerance)
     base = evaluate(spec, dist)  # before the partitions, as partition by partition
-    partitions, (finer, coarser, kind, rows), numbers, failures = _partition_values(spec, dist)
+    walk, (finer, coarser, kind, rows), numbers, failures = _partition_values(spec, dist)
     entries = _checked(
         tolerance, np.append(numbers, base), failures, finer[rows], coarser[rows],
-        {"spec": spec.label(), "n": n, "blocks_finer": partitions[-1]},
+        {"spec": spec.label(), "n": n, "blocks_finer": Partition.identity(n).blocks},
         kind=_Lazy(_LATTICE_KINDS, kind[rows]),
         index=range(rows.size),
-        blocks_coarser=_Lazy(partitions[:-1]),
+        blocks_coarser=_Lazy(walk, coarser[rows]),
     )
     return _finish(
         f"corollary-n{n}",

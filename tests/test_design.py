@@ -18,6 +18,8 @@ and stays bounded.  One more gate keeps every JSON text on ``errors``: only its
 ``errors._json_value`` and ``verify.report_from_json`` parse it.  A syntax gate keeps
 the source compiling on Python 3.10, the oldest that ``requires-python`` admits, and
 a builder gate keeps every object made without ``__init__`` on ``partitions._filled``.
+A walk gate keeps every partition walk of ``verify`` in ``_PartitionWalk``, the holder
+a kept value table's walk waits in until its blocks are first read.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -231,6 +233,44 @@ def test_the_builder_gate_sees_planted_builds(tmp_path):
         "partitions.py:7: __new__",
         "planted.py:2: __new__", "planted.py:3: __set__", "planted.py:6: __set__",
     ]
+
+
+def _walk_references(path: Path) -> tuple[list[int], list[int]]:
+    """The lines where a module names ``enumerate_partitions`` (a call, or the function
+    passed on), inside ``_PartitionWalk`` and outside it; its import is no reference."""
+    tree = ast.parse(path.read_text())
+    holder = {
+        id(node)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "_PartitionWalk"
+        for node in ast.walk(cls)
+    }
+    lines = sorted(
+        (node.lineno, id(node) in holder)
+        for node in ast.walk(tree)
+        if getattr(node, "id", getattr(node, "attr", None)) == "enumerate_partitions"
+    )
+    return [at for at, inside in lines if inside], [at for at, inside in lines if not inside]
+
+
+def test_verify_walks_the_partitions_only_in_its_pending_walk():
+    """The exhaustive oracles enumerate partitions only where a kept table's walk
+    waits for its first blocks read."""
+    inside, outside = _walk_references(Path(verify.__file__))
+    assert len(inside) == 1 and outside == []
+
+
+def test_the_walk_gate_sees_planted_walks(tmp_path):
+    """The gate is not vacuous: a call outside the holder, or the function passed on
+    by name or as an attribute, counts; the import and the holder's own call do not."""
+    planted = tmp_path / "verify.py"
+    planted.write_text(
+        "from .partitions import enumerate_partitions\n"
+        "class _PartitionWalk:\n    def __getitem__(self, at):\n"
+        "        return list(enumerate_partitions(self.n))[at]\n"
+        "def _partition_values(n):\n    return list(enumerate_partitions(n))\n"
+        "WALKS = map(enumerate_partitions, range(3)), partitions.enumerate_partitions(4)\n"
+    )
+    assert _walk_references(planted) == ([4], [6, 7, 7])
 
 
 def test_every_sampled_check_runs_on_the_kernel(monkeypatch):

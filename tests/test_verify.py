@@ -687,13 +687,18 @@ def test_summarize_equals_a_per_entry_loop(rows):
 
 
 def test_case_record_is_a_frozen_value():
-    """Slotted, yet frozen: replace, ==, hash, repr, pickle and deepcopy hold."""
+    """Slotted, yet frozen: replace, ==, hash, repr, pickle and deepcopy hold, and
+    every assignment or deletion, of a field or of any other name, is refused as
+    ``FrozenInstanceError`` (not the ``TypeError`` of slots=True on 3.10-3.13)."""
     record = CaseRecord(
         "hand", "x", 3, 0, True, probs=(0.5, 0.25, 0.25), blocks_finer=((0,), (1, 2)), margin=0.1
     )
-    with pytest.raises(FrozenInstanceError):
-        record.margin = 0.2
-    assert not hasattr(record, "__dict__")
+    for name in ("margin", "extra"):  # a field or not, by assignment or by deletion
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 0.2)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    assert record.margin == 0.1 and not hasattr(record, "__dict__")
     moved = replace(record, index=1)
     assert (moved.index, moved.probs, moved.margin) == (1, record.probs, 0.1) and moved != record
     twin = CaseRecord(**{f.name: getattr(record, f.name) for f in fields(CaseRecord)})
@@ -854,6 +859,74 @@ def test_oracle_verdicts_and_summaries_materialise_no_column(monkeypatch):
     assert len(reads) >= 6 and all(at == rows for at in reads)
     assert tuple(report.entries)[rows[0]] == violations[0]
     assert slice(None) in reads  # building every record reads the columns whole
+
+
+def _walks(monkeypatch):
+    """A list that grows by n each time the oracles walk the partitions of n."""
+    walks, walk = [], verify.enumerate_partitions
+
+    def counting(n):
+        walks.append(n)
+        return walk(n)
+
+    monkeypatch.setattr(verify, "enumerate_partitions", counting)
+    return walks
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_oracle_verdicts_walk_no_partition(n, monkeypatch):
+    """``len``, ``passed``, the summaries, the metadata and an empty ``violations`` of a
+    lattice and a corollary read no blocks, so neither walks the partitions."""
+    walks, spec = _walks(monkeypatch), EntropySpec("shannon")  # a value table of its own
+    dist = FiniteDistribution(np.random.default_rng(n).dirichlet(np.ones(n)))
+    lattice, corollary = exhaustive_lattice_check(spec, dist), corollary1_check(spec, dist)
+    for report in (lattice, corollary):
+        assert len(report.entries) == sum(s.cases for s in report.summary)
+        assert report.passed and report.violations == () and report.metadata["probs"]
+    assert lattice.metadata["partitions"] == bell_number(n) == len(corollary.entries) + 1
+    assert walks == []
+
+
+_BLOCK_READS = {
+    "emit": emit_report,
+    "iteration": lambda report: list(report.entries),
+    "index": lambda report: report.entries[-1],
+    "to_dict": VerificationReport.to_dict,
+    "eq": lambda report: report.entries == (),
+    "he_violations": lambda report: report.violations,
+}
+
+
+@pytest.mark.parametrize("read", _BLOCK_READS.values(), ids=list(_BLOCK_READS))
+def test_a_blocks_read_walks_once_per_kept_table(read, monkeypatch):
+    """Every kind of blocks read walks the partitions of n once, shared by a lattice and
+    a corollary on one (spec, distribution), however often either is read; another
+    distribution walks once more.  The reads give what the reference walk gives."""
+    walks, spec = _walks(monkeypatch), EntropySpec("counterexample_HE")
+    for seed in (0, 1):
+        dist = sample_dirichlet_uniform(5, seed)
+        checks = [(exhaustive_lattice_check, _reference_lattice),
+                  (corollary1_check, _reference_corollary)]
+        reports = [check(spec, dist) for check, _ in checks]
+        assert not reports[0].passed and walks == [5] * seed  # HE's violations are read
+        for report, (_, reference) in zip(reports, checks):
+            assert read(report) == read(report) == read(reference(spec, dist))
+        assert walks == [5] * (seed + 1)
+
+
+def test_an_unread_report_pickles_and_copies_with_its_walk_pending(monkeypatch):
+    """A lattice or corollary pickled or deep-copied before its blocks are read
+    carries its walk pending, and the copy emits the parent's bytes."""
+    walks, spec = _walks(monkeypatch), EntropySpec("tsallis", q=2.0)
+    dist = sample_dirichlet_uniform(6, 3)
+    reports = [exhaustive_lattice_check(spec, dist), corollary1_check(spec, dist)]
+    copies = [[pickle.loads(pickle.dumps(r)), copy.deepcopy(r)] for r in reports]
+    for copied in chain.from_iterable(copies):
+        assert copied.entries._columns["blocks_coarser"].source.blocks is None
+    written = [[emit_report(copied) for copied in pair] for pair in copies]
+    assert walks == [6] * 4  # each copy walks its own
+    assert written == [[emit_report(report)] * 2 for report in reports]
+    assert walks == [6] * 5  # the parents share one
 
 
 def test_entries_are_a_read_only_sequence_of_records(monkeypatch):
@@ -1647,7 +1720,8 @@ def test_kept_table_holds_no_identity_error_and_stays_read_only(monkeypatch):
     """On a zero-holding distribution abe rejects the identity: the lattice
     records that error, the corollary raises it on its base, and the lattice
     again equals its reference from the kept table, which never holds it.  A
-    report built on a hit equals, to the byte, one built on a miss."""
+    report built on a hit equals, to the byte, one built on a miss.  Once the
+    blocks are read, the walk the table keeps is read-only, as its values are."""
     runs = _kernel_runs(monkeypatch)
     with_zero = FiniteDistribution(np.r_[0.0, np.random.default_rng(63).dirichlet(np.ones(5))])
     spec = EntropySpec("abe", k=0.3)
@@ -1660,11 +1734,13 @@ def test_kept_table_holds_no_identity_error_and_stays_read_only(monkeypatch):
     assert again == _reference_lattice(spec, with_zero) == lattice
     assert emit_report(again) == emit_report(lattice)
     assert len(runs) == 1
-    *_, partitions, numbers, failures = verify._KEPT_TABLE
+    *_, walk, numbers, failures = verify._KEPT_TABLE
     assert numbers.size not in failures and len(failures) < numbers.size
-    assert not partitions.flags.writeable and not numbers.flags.writeable
-    with pytest.raises(ValueError):
-        numbers[0] = 0.0
+    assert walk.blocks is not None  # the emissions above read the blocks
+    assert not walk.blocks.flags.writeable and not numbers.flags.writeable
+    for kept in (numbers, walk[:]):
+        with pytest.raises(ValueError):
+            kept[0] = kept[1]
 
 
 def test_a_refused_oracle_call_leaves_the_value_table_alone(monkeypatch):
