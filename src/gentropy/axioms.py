@@ -68,7 +68,9 @@ from .errors import (
     TooSmall,
     ValidationError,
     ZeroUnsupported,
+    _guarded,
     _integer,
+    _number,
 )
 from .verify import _INTERIOR_FLOOR, _VectorValues, _kernel_plan, _starts
 
@@ -425,8 +427,7 @@ def residual_split_recursivity(
     Compares H on (p_1, .., p_{m-1}, p_m q_1, .., p_m q_L) against
     H(outer) + p_m H(inner).
     """
-    if m is None:
-        m = outer.n
+    m = outer.n if m is None else _integer("m", m, minimum=1)
     if m != outer.n:
         raise DimensionMismatch(f"m={m} does not match the outer dimension {outer.n}")
     p = outer.probs
@@ -453,6 +454,7 @@ def residual_product_composability(
     the general composition reduces to this for any aggregation map and any
     escort exponent.
     """
+    gamma = _number("gamma", gamma)
     product = FiniteDistribution(np.outer(left.probs, right.probs).ravel())
     hl = evaluate(spec, left)
     hr = evaluate(spec, right)
@@ -482,10 +484,11 @@ def residual_escort_composability(
     ships, because the aggregation map of any specific axiomatization is a
     modeling choice this library refuses to guess.
     """
+    gamma = _number("gamma", gamma)
     if (f is None) != (f_inverse is None):
         raise ValidationError("supply both f and f_inverse, or neither")
-    f = f or _identity
-    f_inverse = f_inverse or _identity
+    f = _identity if f is None else _guarded(f, "escort f")
+    f_inverse = _identity if f_inverse is None else _guarded(f_inverse, "escort f_inverse")
 
     cells = joint.cells
     columns = cells.sum(axis=0)

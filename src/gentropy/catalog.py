@@ -57,13 +57,12 @@ from .errors import (
     NonFinite,
     ParamOutOfDomain,
     UnsupportedPair,
-    UserCallableError,
     ValidationError,
     ZeroUnsupported,
     _number,
     _numbers,
 )
-from .errors import _json_text, _json_value, _shown
+from .errors import _guarded, _integer, _json_text, _json_value, _shown
 from .special import _group_series, _libm, upper_incomplete_gamma
 
 _LN2 = math.log(2.0)
@@ -411,23 +410,9 @@ def _abe(k: float) -> _Functional:
     return _power_sum(((1, 1.0 / q), (-1, q)), q - 1.0 / q, zero_safe=False)
 
 
-def _guarded(fn: Callable, name: str) -> Callable[[float], float]:
-    """Call a user callable on one float; its failures become a typed error."""
-
-    def call(v: float) -> float:
-        try:
-            return float(fn(v))
-        except Exception as exc:
-            raise UserCallableError(
-                f"h_phi_custom {name} raised {type(exc).__name__}: {exc}"
-            ) from exc
-
-    return call
-
-
 def _h_phi_custom(params: dict) -> _Functional:
     user = {
-        name: _guarded(params[name], name)
+        name: _guarded(params[name], f"h_phi_custom {name}")
         for name in ("phi", "phi_prime", "h", "h_prime")
         if params.get(name) is not None
     }
@@ -623,8 +608,10 @@ class EntropySpec:
     __slots__ = ("_id", "_params", "_functional")
 
     def __init__(self, id: str, params: Mapping[str, Any] | None = None, **kw: Any):
-        merged = dict(params or {})
-        merged.update(kw)
+        try:
+            merged = {**dict(params or {}), **kw}
+        except (TypeError, ValueError):  # what dict cannot take
+            raise ValidationError(f"'params' must be a mapping, got {_shown(params)}") from None
         if not isinstance(id, str) or id not in _FAMILIES:
             raise ValidationError(
                 f"unknown entropy id {_shown(id)}; known ids: {', '.join(CATALOG_IDS)}"
@@ -787,9 +774,11 @@ def phi_component(spec: EntropySpec, x: float, n: int | None = None) -> float:
     At ``x = 0`` the analytic limit is returned when it exists (it is the
     value that makes expandability meaningful); functionals whose component
     diverges or is undefined at 0 raise.  No component depends on the
-    dimension: ``n`` is accepted for compatibility and ignored.
+    dimension: ``n``, an integer of at least 1 where given, is otherwise ignored.
     """
     f = spec.functional
+    if n is not None:
+        _integer("n", n, minimum=1)
     if not (0.0 <= _number("x", x) <= 1.0):
         raise ValidationError(f"x must lie in [0, 1], got {x!r}")
     if x == 0.0:

@@ -15,6 +15,9 @@ neither truncates nor parses:
   or parameter, takes a finite ``int`` or ``float``.  It refuses a str, a bool,
   ``nan`` and an infinity with ``ParamOutOfDomain``.  A refusal shows the value by :func:`_shown`.
 
+A user's callable is called through one guard, :func:`_guarded`: what it raises is a
+``UserCallableError``, chained from it, and one that is not callable is refused at entry.
+
 Every JSON text crosses the package boundary by one rule too: :func:`_json_value`
 reads it, refusing text that is not JSON or nests too deep with ``ValidationError``;
 :func:`_json_text` and :func:`_json_document` write it strict (``NonFinite``), keys sorted.
@@ -22,7 +25,7 @@ reads it, refusing text that is not JSON or nests too deep with ``ValidationErro
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import json
 import operator
@@ -73,7 +76,7 @@ class NonFinite(GentropyError):
 
 
 class UserCallableError(GentropyError):
-    """A user-supplied callable (of ``h_phi_custom``) raised."""
+    """A user-supplied callable raised, or gave what is not a number (:func:`_guarded`)."""
 
 
 class NoDerivative(GentropyError):
@@ -137,6 +140,21 @@ def _number(name: str, value) -> float:
     if not (real and abs(value) <= sys.float_info.max):  # an int past it has no float
         raise ParamOutOfDomain(f"{name!r} must be a finite number, got {_shown(value)}")
     return float(value)
+
+
+def _guarded(fn: Callable, label: str) -> Callable[[object], float]:
+    """``fn`` on one value, as a float; what it raises is a ``UserCallableError`` naming
+    ``label``.  A ``fn`` that is not callable is a ``ValidationError`` here, at entry."""
+    if not callable(fn):
+        raise ValidationError(f"{label} must be callable, got {_shown(fn)}")
+
+    def call(v) -> float:
+        try:
+            return float(fn(v))
+        except Exception as exc:
+            raise UserCallableError(f"{label} raised {type(exc).__name__}: {exc}") from exc
+
+    return call
 
 
 def _numbers(name: str, values) -> tuple[float, ...]:

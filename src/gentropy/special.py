@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import NonFinite, ParamOutOfDomain, TruncationCapHit, ValidationError
-from .errors import _holds_bool, _number, _numbers
+from .errors import _guarded, _holds_bool, _number, _numbers
 
 _GAMMA_RTOL = 1e-12
 _GAMMA_MAX_ITER = 500
@@ -167,6 +167,8 @@ def _group_series(coeffs: _Coeffs, integral: bool) -> Callable[[np.ndarray], np.
         g_coeffs = a / np.arange(1.0, a.size + 1.0)  # G(t) = t * sum c_k t^k
         return lambda t: t * np.polynomial.polynomial.polyval(t, g_coeffs)
 
+    coeffs = _guarded(coeffs, "universal_group coeffs")
+
     def series(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         total = np.zeros_like(t)
@@ -174,7 +176,7 @@ def _group_series(coeffs: _Coeffs, integral: bool) -> Callable[[np.ndarray], np.
         running = np.ones(t.shape, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(_SERIES_CAP):
-                a_k = float(coeffs(k))
+                a_k = coeffs(k)
                 if a_k < 0.0:
                     raise ParamOutOfDomain(f"coefficient a_{k} is negative")
                 term = a_k * power / (k + 1 if integral else 1)

@@ -208,16 +208,15 @@ class _Entries(Sequence):
 
     ``columns`` (lists or ``_Lazy``) and ``shared`` are as :func:`_records` takes
     them; reports read them and the arrays ``skipped``, ``violation`` (not passed,
-    not skipped) and ``margin``, a float where ``measured`` (not skipped, with a
-    margin).  An int index builds one record; iterating or slicing builds all, once.
+    not skipped) and ``margin``, NaN where an entry is skipped or has no margin.
+    An int index builds one record; iterating or slicing builds all, once.
     """
 
-    __slots__ = ("_columns", "_shared", "_built", "skipped", "violation", "margin", "measured")
+    __slots__ = ("_columns", "_shared", "_built", "skipped", "violation", "margin")
 
-    def __init__(self, columns, shared, skipped, violation, margin, measured, built=None):
+    def __init__(self, columns, shared, skipped, violation, margin, built=None):
         self._columns, self._shared, self._built = columns, shared, built
-        self.skipped, self.violation = skipped, violation
-        self.margin, self.measured = margin, measured
+        self.skipped, self.violation, self.margin = skipped, violation, margin
 
     @classmethod
     def of(cls, records: Iterable[CaseRecord]) -> _Entries:
@@ -227,11 +226,10 @@ class _Entries(Sequence):
         records = tuple(records)
         columns = {f.name: list(map(attrgetter(f.name), records)) for f in fields(CaseRecord)}
         skipped = np.array([reason is not None for reason in columns["skipped"]], dtype=bool)
-        margins = columns["margin"]
-        measured = ~skipped & np.array([m is not None for m in margins], dtype=bool)
-        margin = np.array([float(m) if ok else math.nan for m, ok in zip(margins, measured)])
+        margin = np.array([math.nan if m is None or skip else float(m)
+                           for m, skip in zip(columns["margin"], skipped.tolist())])
         violation = ~skipped & ~np.array(columns["passed"], dtype=bool)
-        return cls(columns, {}, skipped, violation, margin, measured, records)
+        return cls(columns, {}, skipped, violation, margin, records)
 
     def __len__(self) -> int:
         return len(self.skipped)
@@ -353,48 +351,38 @@ class VerificationReport:
 def _summarize(
     entries: Sequence[CaseRecord], spec_indices: Sequence[int] | None = None
 ) -> tuple[SpecSummary, ...]:
-    """One summary per spec, in order of first appearance.
+    """One summary per run of entries, in entry order.
 
     ``spec_indices`` gives each entry's spec index (all 0 when omitted, as
-    for a single-spec report).  Entries are grouped by spec index and label,
-    so two specs that share a label keep their own summaries; the worst
-    case is the first entry holding the minimum margin (a NaN first margin
-    stays the minimum, as no margin is below it).  Each run of entries of one
-    group (a lattice report is one run, a campaign one per spec) is reduced by
-    slice reductions; a report of one spec index and one shared label is one run.
+    for a single-spec report).  A run starts at entry 0 and wherever the spec
+    index changes, or the label does where entries carry their own: each report
+    this module builds gives a spec one run.  The worst case is the first entry
+    holding the run's least margin; a skipped entry has no margin.
     """
     entries = _Entries.of(entries)
     s_index = None if spec_indices is None else np.asarray(spec_indices)
-    # runs of one (spec index, label) start at 0 and wherever either changes
     change = False if s_index is None else s_index[1:] != s_index[:-1]
     if "spec" in entries._columns:  # else one label is shared by all
         labels = np.array(entries.column("spec"), dtype=object)
         change = change | (labels[1:] != labels[:-1])
     starts = [0, *(np.flatnonzero(change) + 1).tolist()][: len(entries)]
     firsts = [0] * len(starts) if s_index is None else s_index[starts].tolist()
-    keys = zip(firsts, entries._at("spec", starts))
-    groups = {}  # (spec index, label) -> [cases, violations, skip reasons, worst, least]
-    for key, start, stop in zip(keys, starts, starts[1:] + [len(entries)]):
-        tally = groups.setdefault(key, [0, 0, Counter(), None, math.nan])
+    runs = zip(firsts, entries._at("spec", starts), starts, starts[1:] + [len(entries)])
+    summaries = []
+    for s, label, start, stop in runs:
         run, margin = slice(start, stop), entries.margin[start:stop]
-        tally[0] += stop - start
-        tally[1] += int(np.count_nonzero(entries.violation[run]))
-        if entries.skipped[run].any():
-            tally[2].update(entries._at("skipped", np.flatnonzero(entries.skipped[run]) + start))
-        first = start + int(entries.measured[run].argmax())  # its first measured entry, if any
-        least = np.fmin.reduce(margin)  # NaN where no measured margin is a number
-        if tally[3] is None and entries.measured[first] and math.isnan(entries.margin[first]):
-            tally[3] = first  # a NaN first margin stays the worst: none is below it
-        elif least < tally[4] or tally[3] is None and entries.measured[first]:
-            tally[3:] = start + int((margin == least).argmax()), least
-    worst = {key: tally[3] for key, tally in groups.items() if tally[3] is not None}
-    found = zip(*(entries._at(name, list(worst.values())) for name in ("margin", "n", "index")))
-    located = {key: (m, (key[0], n, i)) for key, (m, n, i) in zip(worst, found)}
-    return tuple(
-        SpecSummary(label, cases, violations, sum(reasons.values()),
-                    *located.get((s, label), (None, None)), (*sorted(reasons.items()),))
-        for (s, label), (cases, violations, reasons, *_) in groups.items()
-    )
+        reasons = Counter(entries._at("skipped", np.flatnonzero(entries.skipped[run]) + start))
+        least, worst = np.fmin.reduce(margin), None  # NaN where no entry has a margin
+        if not math.isnan(least):
+            row = [start + int((margin == least).argmax())]
+            (least,), (n,), (index,) = (entries._at(name, row) for name in ("margin", "n", "index"))
+            worst = (s, n, index)
+        summaries.append(SpecSummary(
+            label, stop - start, int(np.count_nonzero(entries.violation[run])),
+            sum(reasons.values()), None if worst is None else least, worst,
+            (*sorted(reasons.items()),),
+        ))
+    return tuple(summaries)
 
 
 def _finish(
@@ -458,7 +446,7 @@ def _checked(
         skipped=_Lazy(reasons, at, ~is_skipped),
         passed=_Lazy(~violation),
     )
-    return _Entries(columns, shared, is_skipped, violation, margin, ~is_skipped)
+    return _Entries(columns, shared, is_skipped, violation, margin)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from gentropy.axioms import (
     check_basic_axioms,
     check_product_composability,
     residual_escort_composability,
+    residual_product_composability,
     residual_recursivity,
     residual_split_recursivity,
 )
@@ -61,6 +62,7 @@ from gentropy.errors import (
     GentropyError,
     ParamOutOfDomain,
     TooLarge,
+    UserCallableError,
     ValidationError,
     ZeroUnsupported,
 )
@@ -85,6 +87,8 @@ SHANNON = EntropySpec("shannon")
 RENYI = EntropySpec("renyi", q=2.0)
 TSALLIS = EntropySpec("tsallis", q=2.0)
 DIST = FiniteDistribution([0.2, 0.3, 0.5])
+HALVES = FiniteDistribution([0.5, 0.5])
+JOINT = JointDistribution([[0.1, 0.2], [0.3, 0.4]])
 
 BAD = (2.5, True, "3", -1, math.nan, math.inf)
 BAD_REAL = (True, "3", math.nan, math.inf)  # 2.5 and -1 are reals; a row adds them if refused
@@ -130,6 +134,9 @@ INTEGER_ROWS = [
     ("max_entropy_check", "samples",
      lambda v: max_entropy_check(SHANNON, [2], v, 0), 2, BAD + (0,)),
     ("max_entropy_check", "rng_seed", lambda v: max_entropy_check(SHANNON, [2], 2, v), 0, BAD),
+    ("residual_split_recursivity", "m",
+     lambda v: residual_split_recursivity(SHANNON, DIST, HALVES, m=v), 3, BAD + (0,)),
+    ("phi_component", "n", lambda v: phi_component(SHANNON, 0.5, v), 2, BAD + (0,)),
 ]
 
 REAL_ROWS = [
@@ -155,6 +162,10 @@ REAL_ROWS = [
     ("replay_case", "tolerance",
      lambda v: replay_case([SHANNON], 0, 3, 0, 0, tolerance=v), 1e-9, BAD_REAL + (-1,)),
     ("counterexample_suite", "tolerance", counterexample_suite, 1e-12, BAD_REAL + (-1,)),
+    ("residual_product_composability", "gamma",
+     lambda v: residual_product_composability(TSALLIS, DIST, HALVES, v), -1.0, BAD_REAL),
+    ("residual_escort_composability", "gamma",
+     lambda v: residual_escort_composability(TSALLIS, JOINT, 1.0, v), -1.0, BAD_REAL),
 ]
 
 ROWS = INTEGER_ROWS + REAL_ROWS
@@ -247,6 +258,8 @@ PINNED = {
     "outer_map_prime(sharma_mittal_rs(r=1000, s=2), 1e-310)":
         lambda: outer_map_prime(EntropySpec("sharma_mittal_rs", r=1000, s=2), 1e-310),
     "EntropySpec s_cd d=-2": lambda: EntropySpec("s_cd", c=0.5, d=-2),
+    "residual_split_recursivity m=True, one state": lambda: residual_split_recursivity(
+        SHANNON, FiniteDistribution([1.0]), HALVES, m=True),
 }
 
 
@@ -293,6 +306,10 @@ BOOL_ENTRIES = {
 def test_bool_entries_are_refused_not_taken_as_numbers(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_spec_params_take_a_mapping_or_a_list_of_pairs():
+    assert EntropySpec("tsallis", {"q": 2.0}) == EntropySpec("tsallis", [("q", 2.0)]) == TSALLIS
 
 
 def test_callable_coefficients_stay_allowed():
@@ -345,6 +362,16 @@ REFUSALS = {
     "h_phi_custom h not callable": (
         lambda: EntropySpec("h_phi_custom", phi=lambda x: x, h=0.5),
         ParamOutOfDomain, "'h' must be callable"),
+    "EntropySpec params a str": (
+        lambda: EntropySpec("tsallis", "q"), ValidationError, "'params' must be a mapping"),
+    "EntropySpec params an int": (
+        lambda: EntropySpec("tsallis", 5), ValidationError, "'params' must be a mapping, got 5"),
+    "residual_escort_composability f not callable": (
+        lambda: residual_escort_composability(SHANNON, JOINT, 1.0, 0.0, "x", lambda y: y),
+        ValidationError, "escort f must be callable, got 'x'"),
+    "residual_escort_composability f raises": (
+        lambda: residual_escort_composability(SHANNON, JOINT, 1.0, 0.0, lambda y: 1 / 0, abs),
+        UserCallableError, "escort f raised ZeroDivisionError: division by zero"),
     "Partition.from_json not an object": (
         lambda: Partition.from_json("[[0], [1]]"), ValidationError, "partition JSON must be"),
     "FiniteDistribution.from_json not an object": (

@@ -14,7 +14,13 @@ from gentropy import (
     universal_group_G_prime,
     upper_incomplete_gamma,
 )
-from gentropy.errors import NonFinite, ParamOutOfDomain, TruncationCapHit, ValidationError
+from gentropy.errors import (
+    NonFinite,
+    ParamOutOfDomain,
+    TruncationCapHit,
+    UserCallableError,
+    ValidationError,
+)
 from gentropy.special import check_series_coefficients
 
 
@@ -254,6 +260,18 @@ def test_series_callable_converges():
 def test_series_callable_cap():
     with pytest.raises(TruncationCapHit):
         universal_group_G(lambda k: 1.0, 1.0)  # constant terms never converge
+
+
+def test_series_callable_that_fails_raises_user_callable_error():
+    """A coefficient that raises, or is no number, is the user's failure, chained."""
+    def boom(k):
+        raise RuntimeError("boom")
+
+    for coeffs, cause in ((boom, RuntimeError), (lambda k: "x", ValueError)):
+        for series in (universal_group_G, universal_group_G_prime):
+            with pytest.raises(UserCallableError, match="universal_group coeffs raised") as caught:
+                series(coeffs, 0.5)
+            assert type(caught.value.__cause__) is cause
 
 
 def _functional_series(coeffs, monkeypatch):

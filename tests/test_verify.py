@@ -369,6 +369,27 @@ def test_user_callable_exceptions_become_recorded_skips():
     assert [e.skipped.split(":")[0] for e in report.entries] == ["UserCallableError"] * 4
 
 
+def _boom(k):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("coeffs, reason", [
+    (_boom, "RuntimeError: boom"),
+    (lambda k: "x", "ValueError: could not convert string to float: 'x'"),
+], ids=["raises", "not_a_number"])
+def test_callable_coefficients_that_fail_become_recorded_skips(coeffs, reason):
+    """A universal_group coefficient that raises, or is no number, skips its cases;
+    ``evaluate`` raises ``UserCallableError``, chained from the user's error."""
+    spec = EntropySpec("universal_group", coeffs=coeffs)
+    with pytest.raises(UserCallableError, match="universal_group coeffs raised") as caught:
+        evaluate(spec, FiniteDistribution([0.5, 0.5]))
+    assert f"{type(caught.value.__cause__).__name__}: {caught.value.__cause__}" == reason
+    report = run_monotonicity_campaign([SHANNON, spec], [3, 4], 3, rng_seed=0)
+    text = f"UserCallableError: universal_group coeffs raised {reason}"
+    assert report.summary[1].skip_reasons == ((text, 6),)
+    assert report.summary[0].skipped == 0
+
+
 # ---------------------------------------------------------------------------
 # The batched campaign kernel against the per-case loop
 # ---------------------------------------------------------------------------
@@ -439,20 +460,22 @@ def _reference_campaign(specs, n_values, cases_per_cell, rng_seed, tolerance=1e-
 
 
 def _reference_summary(records, spec_indices=None):
-    """The per-spec summaries by a plain loop over the records: one per (spec
-    index, label) in order of first appearance; the worst case is the first
-    measured entry whose margin no later measured margin is below."""
-    groups = {}
+    """The summaries by a plain loop over the records: one per run of entries of
+    one (spec index, label), in entry order; the worst case is the first entry
+    with a margin that no later margin of its run is below."""
+    runs = []
     for s, record in zip([0] * len(records) if spec_indices is None else spec_indices, records):
-        group = groups.setdefault((s, record.spec), [0, 0, 0, {}, None])
-        group[0] += 1
+        if not runs or runs[-1][0] != (s, record.spec):
+            runs.append([(s, record.spec), 0, 0, 0, {}, None])
+        run = runs[-1]
+        run[1] += 1
         if record.skipped is not None:
-            group[2] += 1
-            group[3][record.skipped] = group[3].get(record.skipped, 0) + 1
+            run[3] += 1
+            run[4][record.skipped] = run[4].get(record.skipped, 0) + 1
             continue
-        group[1] += not record.passed
-        if record.margin is not None and (group[4] is None or record.margin < group[4].margin):
-            group[4] = record
+        run[2] += not record.passed
+        if record.margin is not None and (run[5] is None or record.margin < run[5].margin):
+            run[5] = record
     return tuple(
         SpecSummary(
             label, cases, violations, skipped,
@@ -460,7 +483,7 @@ def _reference_summary(records, spec_indices=None):
             None if worst is None else (s, worst.n, worst.index),
             tuple(sorted(reasons.items())),
         )
-        for (s, label), (cases, violations, skipped, reasons, worst) in groups.items()
+        for (s, label), cases, violations, skipped, reasons, worst in runs
     )
 
 
@@ -637,6 +660,8 @@ def test_summary_counts_skips_per_reason_and_locates_the_worst_case():
     assert report_from_json(emit_report(report)).summary == report.summary
     tied = [CaseRecord("hand", "x", 3, index, True, margin=0.0) for index in range(3)]
     assert _summarize(tied, [4, 5, 6])[0].worst == (4, 3, 0)  # the first of equal margins
+    runs = _summarize(*_SUMMARY_CASES["interleaved_runs"])  # spec indices 0, 0, 1, 1, 0
+    assert [s.worst for s in runs] == [(0, 3, 1), (1, 3, 3), (0, 3, 4)]
 
 
 def _hand(spec, index, margin=None, skipped=None, passed=True):
@@ -644,14 +669,12 @@ def _hand(spec, index, margin=None, skipped=None, passed=True):
 
 
 _SUMMARY_CASES = {
-    # one group split into runs by an interleaved spec index
-    "interleaved": ([_hand("a", i, margin=m) for i, m in enumerate((0.5, -1.0, 0.2, -2.0, -2.0))],
-                    [0, 1, 0, 1, 0]),
+    # an interleaved spec index: one summary per run, each with its own worst case
+    "interleaved_runs": ([_hand("a", i, margin=m) for i, m in
+                          enumerate((0.5, -1.0, 0.2, -2.0, -3.0))], [0, 0, 1, 1, 0]),
     "shared_label": ([_hand("a", i, margin=-float(i)) for i in range(4)], [0, 0, 1, 1]),
     "all_skipped": ([_hand("a", 0, margin=1.0), *(_hand("b", i, skipped=r) for i, r in
                      enumerate("yxy"))], [0, 1, 1, 1]),
-    "nan_first": ([_hand("a", 0, skipped="x"), _hand("a", 1, margin=math.nan), _hand("a", 2),
-                   _hand("a", 3, margin=-5.0, passed=False)], [0, 0, 1, 0]),
     "tied": ([_hand("a", i, margin=m) for i, m in enumerate((1.0, -3.0, -3.0, 2.0, -3.0))],
              [2, 2, 2, 2, 2]),
 }
@@ -662,28 +685,60 @@ def test_summarize_equals_a_per_entry_loop_on_hand_cases(records, spec_indices):
     assert _summarize(records, spec_indices) == _reference_summary(records, spec_indices)
 
 
-_RECORDS = st.lists(
+_RUNS = st.lists(
     st.tuples(
         st.integers(0, 2),  # spec index
         st.sampled_from("ab"),  # label
-        st.sampled_from([None, None, "x", "y"]),  # skip reason
-        st.booleans(),  # passed
-        st.sampled_from([None, math.nan, -2.0, -1.0, -1.0, 0.0, 0.5, 3]),  # margin
+        st.lists(st.tuples(
+            st.sampled_from([None, None, "x", "y"]),  # skip reason
+            st.booleans(),  # passed
+            st.sampled_from([None, -2.0, -1.0, -1.0, 0.0, 0.5, 3]),  # margin
+        ), min_size=1, max_size=8),
     ),
-    max_size=40,
+    max_size=6,
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(_RECORDS)
-def test_summarize_equals_a_per_entry_loop(rows):
-    """Runs of one group split by other groups, shared labels, skipped-only
-    groups, NaN margins and ties: ``_summarize`` gives what the loop gives."""
+@given(_RUNS)
+def test_summarize_equals_a_per_entry_loop(runs):
+    """Entries in runs of one (spec index, label), as every producer gives them,
+    shared labels, skipped-only runs, margins of None and ties: ``_summarize``
+    gives what the loop gives."""
+    rows = [(s, label, *row) for s, label, run in runs for row in run]
     records = [_hand(label, i, margin, skipped, passed)
                for i, (_, label, skipped, passed, margin) in enumerate(rows)]
     spec_indices = [s for s, *_ in rows]
     assert _summarize(records, spec_indices) == _reference_summary(records, spec_indices)
     assert _summarize(records) == _reference_summary(records)
+
+
+_SUMMARY_SPECS = [*default_campaign_specs(), HE, EntropySpec("s_delta", delta=2.0)]
+
+
+def _assert_one_summary_per_spec(report, labels, cases, spec_indices=None):
+    """One summary per spec, in spec order, of ``cases`` entries each, as the loop gives."""
+    assert [s.spec for s in report.summary] == labels
+    assert [s.cases for s in report.summary] == [cases] * len(labels)
+    assert report.summary == _reference_summary(report.entries, spec_indices)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_SUMMARY_SPECS), max_size=6),
+       st.sets(st.integers(3, 6), min_size=1), st.integers(1, 3))
+def test_campaign_gives_one_summary_per_spec(specs, n_values, cases):
+    """Duplicated specs included: every spec is one run of its cells."""
+    report = run_monotonicity_campaign(specs, n_values, cases, rng_seed=0)
+    per_spec = cases * len(n_values)
+    spec_indices = [k for k in range(len(specs)) for _ in range(per_spec)]
+    _assert_one_summary_per_spec(report, [s.label() for s in specs], per_spec, spec_indices)
+
+
+def test_oracles_give_one_summary_per_spec():
+    dist = FiniteDistribution([0.1, 0.2, 0.3, 0.4])
+    for report in (exhaustive_lattice_check(HE, dist), corollary1_check(HE, dist),
+                   max_entropy_check(HE, [3, 4], 6, rng_seed=2), counterexample_suite()):
+        _assert_one_summary_per_spec(report, [HE.label()], len(report.entries))
 
 
 def test_case_record_is_a_frozen_value():
