@@ -501,7 +501,7 @@ def residual_escort_composability(
     for k in range(cells.shape[1]):
         column = FiniteDistribution(cells[:, k] / columns[k])
         value = evaluate(spec, column)
-        if abs(f_inverse(f(value)) - value) > 1e-10:
+        if not abs(f_inverse(f(value)) - value) <= 1e-10:  # a NaN round trip fails too
             raise BadInverse(
                 f"f_inverse(f(x)) deviates from x by more than 1e-10 at x={value!r}"
             )

@@ -34,6 +34,8 @@ def _filled(cls, count: int, shared: dict, **columns) -> list:
     its column's values (an iterable, one per object), else its value in ``shared``, else None,
     as ``cls(...)`` would take them.  Each field is set by one ``map`` of its slot's setter, with
     the collector paused (what a build makes stays in use) and then left as it was found."""
+    if not count:  # a passing report's violations: nothing to build
+        return []
     enabled = gc.isenabled()
     gc.disable()
     try:

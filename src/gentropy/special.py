@@ -156,9 +156,10 @@ def _group_series(coeffs: _Coeffs, integral: bool) -> Callable[[np.ndarray], np.
 
     G(t) = sum_k a_k t**(k+1) / (k+1).  A finite coefficient sequence is
     validated here and summed exactly (a polynomial, by Horner's rule).  A
-    callable ``k -> a_k`` is an infinite sequence of nonnegative terms: each
-    point stops once ``|term| <= 1e-14 * |partial sum|`` after its first
-    term, with a hard cap of 200 terms (exceeding the cap raises).
+    callable ``k -> a_k`` is an infinite sequence of finite nonnegative terms
+    (another raises ``ParamOutOfDomain``): each point stops once
+    ``|term| <= 1e-14 * |partial sum|`` after its first term, with a hard cap
+    of 200 terms (exceeding the cap raises).
     """
     if not callable(coeffs):
         a = np.asarray(check_series_coefficients(coeffs))
@@ -177,8 +178,9 @@ def _group_series(coeffs: _Coeffs, integral: bool) -> Callable[[np.ndarray], np.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(_SERIES_CAP):
                 a_k = coeffs(k)
-                if a_k < 0.0:
-                    raise ParamOutOfDomain(f"coefficient a_{k} is negative")
+                if not 0.0 <= a_k < math.inf:  # negative, infinite or NaN
+                    kind = "negative" if a_k < 0.0 else "not finite"
+                    raise ParamOutOfDomain(f"coefficient a_{k} is {kind}: {a_k!r}")
                 term = a_k * power / (k + 1 if integral else 1)
                 total = np.where(running, total + term, total)
                 if k > 0:

@@ -35,7 +35,8 @@ each vector's components.  Its results equal, bit for bit, those of ``coarse_gra
   reduced with ``sum(axis=1)``, which sums each row as ``np.sum`` does;
 * a batch has one plan (``_kernel_plan``): the draws as they are, their
   block sums (the identity's blocks are its singletons, and a one-element
-  sum is that element), or the subset sums the lattice's vectors share;
+  sum is that element), or the subset sums the lattice's vectors share, doubled
+  state by state in the same order;
 * h maps the totals by ``catalog._map_points``, whose array forms give each
   total the bits h gives it alone;
 * its inputs are ones the per-case path accepts: every draw a vector
@@ -70,23 +71,26 @@ share the evaluate phase: one vector per non-identity partition.  The
 lattice evaluates the identity with ``evaluate`` after the kernel, last as
 in the walk (so a lattice call keeps one ``evaluate`` call); the corollary
 evaluates its base before it; a table reused (below) had raised nothing.
-What depends on n alone is built once per n and kept: each lattice entry's
-partition indices and kind, by a dense table of mixed-radix codes of the label
-rows (restricted growth strings) the kept partitions are built from, and the
-kernel's plan: the 2**n - 1 subsets of the states, which every block reads, and
-per partition width a matrix of subset ids, so phi runs once per subset and a
-width's totals are one gather.  The last (spec, distribution)'s value table is
-kept too, and the corollary's entries are the lattice's rows against the
-identity.  ``max_entropy_check`` draws one cell per n with the campaign's row
-layout, seeded with ``SeedSequence([seed, n])``.  Every caller hands ``_checked``
-the kernel's float64 values (NaN where one failed), its errors by vector and
-each row's two indices.  A kept table's blocks wait for their first read, by either
-oracle, which makes one ``enumerate_partitions`` call, consumed in full; a lattice call
-makes far fewer ``evaluate`` calls than it has edges.  Both names are looked up in
-this module, where the benchmark's tracer times them.  One JSON
-writer serves every report: it formats rows by shape, one ``%`` template for
-the rows of a chunk that write the same fields; a campaign's label rows come first,
-those new to the report written by one ``"".join`` (``_LabelRows.texts``).
+What depends on n alone is built once per n and kept read-only: each lattice
+entry's partition indices and kind, by a dense table of mixed-radix codes of the
+label rows (restricted growth strings) the kept partitions are built from; the
+corollary's, the lattice's rows against the identity, with the identity's blocks;
+and the kernel's plan: the 2**n - 1 subsets of the states, which every block reads
+(their masses doubled state by state, ``_subset_masses``), and per partition width
+a matrix of subset ids, so phi runs once per subset and a width's totals are one
+gather.  The last (spec, distribution)'s value table is kept too.
+``max_entropy_check`` draws one cell per n with the campaign's row layout, seeded
+with ``SeedSequence([seed, n])``.  Every caller hands ``_checked`` the kernel's
+float64 values (NaN where one failed), its errors by vector and each row's two
+indices; only a batch with an error gets a ``skipped`` column, and without one
+every entry's ``skipped`` is a shared None.  A kept table's blocks wait for their
+first read, by either oracle, which makes one ``enumerate_partitions`` call,
+consumed in full; a lattice call makes far fewer ``evaluate`` calls than it has
+edges.  Both names are looked up in this module, where the benchmark's tracer
+times them.  One JSON writer serves every report: it formats rows by shape, one
+``%`` template for the rows of a chunk that write the same fields; a campaign's
+label rows come first, those new to the report written by one ``"".join``
+(``_LabelRows.texts``).
 """
 
 from __future__ import annotations
@@ -106,7 +110,8 @@ import math
 import numpy as np
 
 from .catalog import EntropySpec, _admit, _map_points, _outcome, evaluate, phi_prime
-from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet, _pcg64_states
+from .distributions import FiniteDistribution, _dirichlet_interior, _flat_dirichlet, _freeze
+from .distributions import _pcg64_states
 from .errors import GentropyError, ParamOutOfDomain, TooLarge, UnsupportedFormat
 from .errors import ValidationError, _integer, _json_document, _json_text, _number
 from .partitions import LATTICE_LIMIT, Partition, _label_rows, enumerate_partitions, pair_draw_width
@@ -119,6 +124,7 @@ SAMPLER = 2  # the draw layout of campaigns and max_entropy_check (see module do
 
 _INTERIOR_FLOOR = 1e-6  # resampling floor for functionals that reject zeros
 _WORST_KEYS = ("spec_index", "n", "index")  # SpecSummary.worst in JSON
+_MARGIN_ROWS = 4096  # margin rows whose coarser values ``_checked`` gathers at once (32 KiB)
 
 
 @dataclass(frozen=True, slots=True)
@@ -372,9 +378,11 @@ def _summarize(
     for s, label, start, stop in runs:
         run, margin = slice(start, stop), entries.margin[start:stop]
         reasons = Counter(entries._at("skipped", np.flatnonzero(entries.skipped[run]) + start))
-        least, worst = np.fmin.reduce(margin), None  # NaN where no entry has a margin
-        if not math.isnan(least):
-            row = [start + int((margin == least).argmax())]
+        at, worst = int(margin.argmin()), None  # the first least margin, or the first NaN
+        if math.isnan(margin[at]):  # NaN where an entry has no margin: the least of the rest
+            at = int((margin == np.fmin.reduce(margin)).argmax())
+        if not math.isnan(margin[at]):
+            row = [start + at]
             (least,), (n,), (index,) = (entries._at(name, row) for name in ("margin", "n", "index"))
             worst = (s, n, index)
         summaries.append(SpecSummary(
@@ -385,22 +393,10 @@ def _summarize(
     return tuple(summaries)
 
 
-def _finish(
-    campaign_id: str,
-    seed: int | None,
-    tolerance: float,
-    entries: Sequence[CaseRecord],
-    metadata: dict,
-    spec_indices: Sequence[int] | None = None,
-) -> VerificationReport:
-    return VerificationReport(
-        campaign_id=campaign_id,
-        seed=seed,
-        tolerance=tolerance,
-        entries=entries,
-        summary=_summarize(entries, spec_indices),
-        metadata=metadata,
-    )
+def _finish(campaign_id: str, seed: int | None, tolerance: float, entries: Sequence[CaseRecord],
+            metadata: dict, spec_indices: Sequence[int] | None = None) -> VerificationReport:
+    summary = _summarize(entries, spec_indices)
+    return VerificationReport(campaign_id, seed, tolerance, entries, summary, metadata)
 
 
 def _tolerance(tolerance) -> None:
@@ -428,22 +424,27 @@ def _checked(
     ``"Type: message"`` is the reason, written once per distinct error.  Row r
     compares the values at ``finer_rows[r]`` and ``coarser_rows[r]``; its
     first reason, finer before coarser, makes it skipped (its margin is NaN),
-    with no values and no margin.  Margins and verdicts are taken in numpy, whose
-    float64 subtraction and ``< -tolerance`` give the bits the Python floats do;
-    the ``_Lazy`` value columns read the table's floats.  ``columns`` are the
-    entries' other fields, a sequence each, and ``shared`` those all share.
+    with no values and no margin; without failures ``skipped`` is shared (None).
+    Margins (the finer values gathered, the coarser ones subtracted ``_MARGIN_ROWS`` at
+    a time: no temporary is as long as the rows) and verdicts are taken in numpy, whose
+    float64 ``-`` and ``< -tolerance`` give the bits the Python floats do; the ``_Lazy``
+    value columns read the table's floats.  ``columns`` are the entries' other fields,
+    a sequence each, and ``shared`` those all share.
     """
-    texts = {id(error): f"{type(error).__name__}: {error}" for error in failures.values()}
-    reasons = np.empty(len(numbers), dtype=object)
-    reasons[list(failures)] = [texts[id(error)] for error in failures.values()]
-    margin, nan = numbers[finer_rows] - numbers[coarser_rows], np.isnan(numbers)
+    margin = numbers[finer_rows]
+    for at in range(0, margin.size, _MARGIN_ROWS):
+        margin[at : at + _MARGIN_ROWS] -= numbers[coarser_rows[at : at + _MARGIN_ROWS]]
     is_skipped, violation = np.isnan(margin), margin < -tolerance  # NaN: not a violation
-    at = np.where(nan[finer_rows], finer_rows, coarser_rows) if failures else finer_rows
+    if failures:
+        texts = {id(error): f"{type(error).__name__}: {error}" for error in failures.values()}
+        reasons = np.empty(len(numbers), dtype=object)
+        reasons[list(failures)] = [texts[id(error)] for error in failures.values()]
+        at = np.where(np.isnan(numbers)[finer_rows], finer_rows, coarser_rows)
+        columns["skipped"] = _Lazy(reasons, at, ~is_skipped)
     columns.update(
         value_finer=_Lazy(numbers, finer_rows, is_skipped),
         value_coarser=_Lazy(numbers, coarser_rows, is_skipped),
         margin=_Lazy(margin, None, is_skipped),
-        skipped=_Lazy(reasons, at, ~is_skipped),
         passed=_Lazy(~violation),
     )
     return _Entries(columns, shared, is_skipped, violation, margin)
@@ -542,8 +543,8 @@ def _campaign_entries(
     values = _VectorValues(
         specs,
         np.concatenate([p.ravel() for p in draws] or [np.empty(0)]),
-        _kernel_plan(counts, _sum_plan(  # each block element, placed in the draws
-            _starts(block_widths), block_widths, elements + np.repeat(starts, widths))),
+        _kernel_plan(counts, partial(_segment_sums, plan=_sum_plan(  # block elements in the draws
+            _starts(block_widths), block_widths, elements + np.repeat(starts, widths)))),
         np.repeat(spec_indices, 2),
     )
     values.raise_failure(values.first_failure(2))  # a case's finer vector gates its coarser
@@ -631,8 +632,19 @@ def _segment_sums(values: np.ndarray, plan: tuple) -> np.ndarray:
     return out
 
 
-def _kernel_plan(widths: np.ndarray, masses: tuple | None = None, ids=None) -> tuple:
-    """A :class:`_VectorValues` plan, built here only: the :func:`_sum_plan` that sums the
+def _subset_masses(probs: np.ndarray) -> np.ndarray:
+    """Each nonempty subset's mass, subset s the one with bit mask s + 1 over n <= 8 states, as
+    ``np.sum`` of its elements: by doubling, ``m[2**b : 2**(b+1)] = m[:2**b] + p[b]``, in order
+    from 0.0 as numpy's pairwise sum adds below 8 elements; all n are ``np.sum``'s own."""
+    masses = np.zeros(2**probs.size)
+    for b, p in enumerate(probs.tolist()):
+        masses[1 << b : 2 << b] = masses[: 1 << b] + p
+    masses[-1] = probs.sum()  # at n = 8, in pairwise order
+    return masses[1:]
+
+
+def _kernel_plan(widths: np.ndarray, masses=None, ids=None) -> tuple:
+    """A :class:`_VectorValues` plan, built here only: the function that makes the
     masses from ``probs`` (None: the draws are the masses), ``widths``, each vector's first
     mass and the totals' plan, a matrix of mass ids per width.  Vector v reads the next
     ``widths[v]`` masses, or with ``ids`` (every vector's mass ids, end to end) those ids,
@@ -670,7 +682,7 @@ class _VectorValues:
         spec_index: np.ndarray | None = None,
     ):
         coarse, widths, starts, sums = plan
-        masses = probs if coarse is None else _segment_sums(probs, coarse)
+        masses = probs if coarse is None else coarse(probs)
         spec_index = np.zeros(len(widths), np.intp) if spec_index is None else spec_index
         self._vectors, self.failures = (specs, spec_index, masses, widths, sums), {}
         bounds = np.searchsorted(spec_index, np.arange(len(specs) + 1))
@@ -766,26 +778,26 @@ def _partition_values(
     """The blocks of every partition of ``dist.n``, the lattice's rows at n and a value table.
 
     The blocks wait in a :class:`_PartitionWalk`, walked when first read.  The rows (each
-    entry's finer and coarser partition index and kind, and the entries against the identity)
-    and the kernel's plan are built once per n from ``partitions._label_rows`` and kept.  Its
-    masses are the 2**n - 1 nonempty subsets of the states, subset s the one with bit mask
-    s + 1, elements ascending as in a canonical block (so each sum has the bits of the
-    blocks'); a width's totals matrix holds its partitions' subset ids.  The table, as
-    ``_checked`` takes it, holds ``dist`` aggregated by each partition but the identity, the
-    last: the callers evaluate and append it.  The last table whose kernel raised nothing is
-    kept read-only with its walk, its spec and functional (held, compared by ``is``) and the
-    bytes of ``dist.probs``; a call matching all three gets them with no kernel, and every
-    call its own failure dict, so a walk runs at most once per kept table.
+    entry's finer and coarser partition index and kind, then the corollary's: those of the
+    entries against the identity, and its blocks) and the kernel's plan are built once per n
+    from ``partitions._label_rows`` and kept read-only.  Its masses are the subsets'
+    (:func:`_subset_masses`); a width's totals matrix holds its partitions' subset ids.
+    The table, as ``_checked`` takes it, holds ``dist`` aggregated by each partition but
+    the identity, the last: the callers evaluate and append it.  The last table whose
+    kernel raised nothing is kept read-only with its walk, its spec and functional (held,
+    compared by ``is``) and the bytes of ``dist.probs``; a call matching all three gets them
+    with no kernel, and every call its own failure dict, so a walk runs at most once per
+    kept table.
     """
     global _KEPT_TABLE
     n = dist.n
     if n not in _LATTICE_SHAPES:
         (_, masks, k), (finer, coarser, kind) = _label_rows(n), _lattice_rows(n)
-        bits = np.arange(1, 2**n)[:, None] >> np.arange(n) & 1  # row s: the bits of subset s
-        sizes, blocks = bits.sum(axis=1), masks[:-1][masks[:-1] > 0].astype(np.intp) - 1
-        subsets = _sum_plan(_starts(sizes), sizes, np.nonzero(bits)[1])
-        plan = _kernel_plan(k[:-1], subsets, blocks)  # the identity is last
-        _LATTICE_SHAPES[n] = plan, (finer, coarser, kind, np.flatnonzero(kind))
+        blocks = masks[:-1][masks[:-1] > 0].astype(np.intp) - 1
+        plan = _kernel_plan(k[:-1], _subset_masses, blocks)  # the identity is last
+        vs = np.flatnonzero(kind)  # the rows against the identity, the corollary's
+        corollary = *map(_freeze, (finer[vs], coarser[vs], kind[vs])), Partition.identity(n).blocks
+        _LATTICE_SHAPES[n] = plan, (*map(_freeze, (finer, coarser, kind)), corollary)
     plan, rows = _LATTICE_SHAPES[n]
     key, kept = (spec, spec.functional, dist.probs.tobytes()), _KEPT_TABLE
     if any(map(is_not, key[:2], kept)) or key[2] != kept[2]:
@@ -901,21 +913,16 @@ def corollary1_check(
     """
     n = _lattice_n(dist, tolerance)
     base = evaluate(spec, dist)  # before the partitions, as partition by partition
-    walk, (finer, coarser, kind, rows), numbers, failures = _partition_values(spec, dist)
+    walk, (*_, (finer, coarser, kind, identity)), numbers, failures = _partition_values(spec, dist)
     entries = _checked(
-        tolerance, np.append(numbers, base), failures, finer[rows], coarser[rows],
-        {"spec": spec.label(), "n": n, "blocks_finer": Partition.identity(n).blocks},
-        kind=_Lazy(_LATTICE_KINDS, kind[rows]),
-        index=range(rows.size),
-        blocks_coarser=_Lazy(walk, coarser[rows]),
+        tolerance, np.append(numbers, base), failures, finer, coarser,
+        {"spec": spec.label(), "n": n, "blocks_finer": identity},
+        kind=_Lazy(_LATTICE_KINDS, kind),
+        index=range(kind.size),
+        blocks_coarser=_Lazy(walk, coarser),
     )
-    return _finish(
-        f"corollary-n{n}",
-        None,
-        tolerance,
-        entries,
-        {"probs": dist.probs.tolist(), "base_value": base},
-    )
+    metadata = {"probs": dist.probs.tolist(), "base_value": base}
+    return _finish(f"corollary-n{n}", None, tolerance, entries, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -994,13 +1001,7 @@ def counterexample_suite(tolerance: float = 1e-12) -> VerificationReport:
     ]
     label = spec.label()
     entries = [CaseRecord(spec=label, index=index, **row) for index, row in enumerate(rows)]
-    return _finish(
-        "counterexample",
-        None,
-        tolerance,
-        entries,
-        {"violations_expected": True},
-    )
+    return _finish("counterexample", None, tolerance, entries, {"violations_expected": True})
 
 
 def max_entropy_check(
@@ -1044,13 +1045,8 @@ def max_entropy_check(
             map(tuple, p.tolist()) if s else [None] for p, s in zip(drawn, sampled.tolist())
         )),
     )
-    return _finish(
-        "max-entropy",
-        rng_seed,
-        tolerance,
-        entries,
-        {"n_values": n_list, "samples": samples, "sampler": SAMPLER},
-    )
+    metadata = {"n_values": n_list, "samples": samples, "sampler": SAMPLER}
+    return _finish("max-entropy", rng_seed, tolerance, entries, metadata)
 
 
 # ---------------------------------------------------------------------------

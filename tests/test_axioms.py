@@ -280,6 +280,13 @@ def test_escort_bad_inverse_rejected():
         residual_escort_composability(SHANNON, FROZEN_JOINT, 1.0, 0.0, f=math.exp)
 
 
+@pytest.mark.parametrize("f", [lambda x: math.nan, lambda x: math.inf], ids=["nan", "inf"])
+def test_escort_non_finite_round_trip_rejected(f):
+    """An f whose value is NaN or infinite fails the round trip: no NaN residual."""
+    with pytest.raises(BadInverse, match="deviates from x"):
+        residual_escort_composability(SHANNON, FROZEN_JOINT, 1.0, 0.0, f=f, f_inverse=lambda y: y)
+
+
 # ---------------------------------------------------------------------------
 # Basic axioms
 # ---------------------------------------------------------------------------

@@ -367,11 +367,11 @@ def _flat_blocks_shape(n):
     finer[vs_identity] = identity
     coarser[vs_identity] = np.arange(identity)
     kind[vs_identity] = np.where(k[:identity] == 1, 1, 2)
-    bits = np.arange(1, 2**n)[:, None] >> np.arange(n) & 1
-    sizes, masks = bits.sum(axis=1), np.add.reduceat(1 << elements, verify._starts(block_widths))
-    subsets = verify._sum_plan(verify._starts(sizes), sizes, np.nonzero(bits)[1])
-    plan = verify._kernel_plan(k[:-1], subsets, masks[:-n] - 1)
-    return plan, (finer, coarser, kind, np.flatnonzero(kind))
+    masks = np.add.reduceat(1 << elements, verify._starts(block_widths))
+    plan = verify._kernel_plan(k[:-1], verify._subset_masses, masks[:-n] - 1)
+    vs = np.flatnonzero(kind)  # the corollary's rows, and the identity's blocks
+    corollary = finer[vs], coarser[vs], kind[vs], tuple((i,) for i in range(n))
+    return plan, (finer, coarser, kind, corollary)
 
 
 def _same(a, b):

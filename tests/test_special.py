@@ -262,6 +262,17 @@ def test_series_callable_cap():
         universal_group_G(lambda k: 1.0, 1.0)  # constant terms never converge
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_series_callable_non_finite_coefficient_names_k_and_value(bad):
+    """A callable coefficient that is NaN or infinite is refused where it is met, with its
+    index and value, not summed until the term cap."""
+    coeffs = lambda k: bad if k == 3 else 0.5**k  # noqa: E731
+    kind = "negative" if bad < 0.0 else "not finite"
+    for series in (universal_group_G, universal_group_G_prime):
+        with pytest.raises(ParamOutOfDomain, match=f"^coefficient a_3 is {kind}: {bad!r}$"):
+            series(coeffs, 0.5)
+
+
 def test_series_callable_that_fails_raises_user_callable_error():
     """A coefficient that raises, or is no number, is the user's failure, chained."""
     def boom(k):

@@ -2,6 +2,7 @@
 
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, fields, replace
+from functools import partial
 from itertools import chain, islice
 from operator import attrgetter
 import copy
@@ -13,6 +14,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -386,6 +388,17 @@ def test_callable_coefficients_that_fail_become_recorded_skips(coeffs, reason):
     assert f"{type(caught.value.__cause__).__name__}: {caught.value.__cause__}" == reason
     report = run_monotonicity_campaign([SHANNON, spec], [3, 4], 3, rng_seed=0)
     text = f"UserCallableError: universal_group coeffs raised {reason}"
+    assert report.summary[1].skip_reasons == ((text, 6),)
+    assert report.summary[0].skipped == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_callable_coefficient_is_a_counted_skip_reason(bad):
+    """A universal_group coefficient that is NaN or infinite skips its cases, each counted
+    under the error that names the coefficient, not a truncation at the term cap."""
+    spec = EntropySpec("universal_group", coeffs=lambda k: bad if k == 2 else 0.5**k)
+    report = run_monotonicity_campaign([SHANNON, spec], [3, 4], 3, rng_seed=0)
+    text = f"ParamOutOfDomain: coefficient a_2 is not finite: {bad!r}"
     assert report.summary[1].skip_reasons == ((text, 6),)
     assert report.summary[0].skipped == 0
 
@@ -1860,8 +1873,8 @@ def test_lattice_subset_table_decodes_blocks_and_sums_as_coarse_grain(n):
     id; that subset holds the block's elements and its mass has coarse_grain's bits."""
     dist = FiniteDistribution(np.random.default_rng(n).dirichlet(np.ones(n)))
     exhaustive_lattice_check(SHANNON, dist)  # keeps the shape of n
-    (subsets, _, _, (count, groups)), _ = verify._LATTICE_SHAPES[n]
-    masses = verify._segment_sums(dist.probs, subsets)
+    (subset_masses, _, _, (count, groups)), _ = verify._LATTICE_SHAPES[n]
+    masses = subset_masses(dist.probs)
     block_rows = [None] * count  # each partition's row of subset ids, in partition order
     for rows, ids in groups:
         for row, subset_ids in zip(rows.tolist(), ids):
@@ -1874,6 +1887,130 @@ def test_lattice_subset_table_decodes_blocks_and_sums_as_coarse_grain(n):
     assert decoded == blocks
     expected = [coarse_grain(dist, partition).probs for partition in partitions]
     assert masses[block_rows].tobytes() == np.concatenate([np.empty(0), *expected]).tobytes()
+
+
+
+def _old_subset_sums(probs):
+    """Each subset's mass by the per-width column sums of ``_segment_sums``, subset s the one
+    with bit mask s + 1: the lattice's masses before they were doubled."""
+    n = probs.size
+    bits = np.arange(1, 2**n)[:, None] >> np.arange(n) & 1
+    sizes = bits.sum(axis=1)
+    plan = verify._sum_plan(verify._starts(sizes), sizes, np.nonzero(bits)[1])
+    return verify._segment_sums(probs, plan)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.integers(0, 7),
+    point=st.booleans(),
+)
+def test_subset_masses_by_doubling_equal_the_segment_sums_bit_for_bit(n, seed, zeros, point):
+    """The doubled masses have the bits of the in-order column sums below 8 states and of
+    ``np.sum`` for all 8, with zero masses and point masses among the draws."""
+    probs = np.random.default_rng(seed).dirichlet(np.ones(n))
+    probs[: min(zeros, n - 1)] = 0.0
+    if point:
+        probs = np.eye(n)[seed % n]
+    probs = FiniteDistribution(probs / probs.sum()).probs
+    masses = verify._subset_masses(probs)
+    assert masses.size == 2**n - 1
+    assert masses.tobytes() == _old_subset_sums(probs).tobytes()
+    assert masses[-1] == np.sum(probs)
+
+
+def _no_failure_reports():
+    dist = FiniteDistribution(np.random.default_rng(5).dirichlet(np.ones(5)))
+    return [exhaustive_lattice_check(SHANNON, dist), corollary1_check(SHANNON, dist),
+            exhaustive_lattice_check(HE, dist), max_entropy_check(SHANNON, [3, 4], 5, 0),
+            run_monotonicity_campaign([SHANNON, HE], [3, 4], 4, rng_seed=0)]
+
+
+def test_a_report_with_no_failure_has_no_skip_column_and_writes_as_its_records():
+    """Without failures every entry's ``skipped`` is the shared None, and the report
+    writes, reads back and unpickles as one built from its records."""
+    for report in _no_failure_reports():
+        assert "skipped" not in report.entries._columns
+        assert not report.entries.skipped.any()
+        assert all(entry.skipped is None for entry in report.entries)
+        assert report.entries[len(report.entries) - 1].skipped is None
+        assert all("skipped" not in entry for entry in report.to_dict()["entries"])
+        assert all(s.skipped == 0 and s.skip_reasons == () for s in report.summary)
+        from_records = VerificationReport(
+            report.campaign_id, report.seed, report.tolerance, tuple(report.entries),
+            report.summary, report.metadata)
+        for format in ("json", "markdown", "csv"):
+            assert emit_report(report, format) == emit_report(from_records, format)
+        assert report_from_json(emit_report(report)) == report
+        again = pickle.loads(pickle.dumps(report))
+        assert again == report and emit_report(again) == emit_report(report)
+        assert all(entry.skipped is None for entry in again.entries)
+
+
+def test_a_report_with_failures_keeps_its_reasons():
+    """A spec whose h always raises skips every lattice entry, each with its reason."""
+    spec = _custom_specs()[1]
+    dist = FiniteDistribution([0.1, 0.2, 0.3, 0.4])
+    report = exhaustive_lattice_check(spec, dist)
+    reason = "UserCallableError: h_phi_custom h raised ZeroDivisionError: division by zero"
+    assert "skipped" in report.entries._columns
+    assert report.entries.skipped.all()
+    assert {entry.skipped for entry in report.entries} == {reason}
+    assert report.summary[0].skip_reasons == ((reason, len(report.entries)),)
+    assert report == _reference_lattice(spec, dist)
+    again = pickle.loads(pickle.dumps(report))
+    assert [entry.skipped for entry in again.entries] == [reason] * len(report.entries)
+    assert emit_report(again) == emit_report(report)
+
+
+def test_corollary_rows_are_kept_read_only_and_built_once_per_n(monkeypatch):
+    """The corollary's rows and the identity's blocks are made with the lattice's, once per
+    n, and every corollary at that n reads the same read-only arrays."""
+    built = []
+    lattice_rows = verify._lattice_rows
+    monkeypatch.setattr(verify, "_LATTICE_SHAPES", {})
+    monkeypatch.setattr(verify, "_lattice_rows", lambda n: built.append(n) or lattice_rows(n))
+    reports = [corollary1_check(SHANNON, sample_dirichlet_uniform(5, seed)) for seed in range(3)]
+    reports.append(exhaustive_lattice_check(SHANNON, sample_dirichlet_uniform(5, 3)))
+    assert built == [5]
+    finer, coarser, kind, (c_finer, c_coarser, c_kind, identity) = verify._LATTICE_SHAPES[5][1]
+    assert identity == Partition.identity(5).blocks
+    vs = np.flatnonzero(kind)
+    for kept, expected in ((c_finer, finer[vs]), (c_coarser, coarser[vs]), (c_kind, kind[vs])):
+        assert np.array_equal(kept, expected) and kept.dtype == np.intp
+    for kept in (finer, coarser, kind, c_finer, c_coarser, c_kind):
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = kept[0]
+    for report in reports[:3]:
+        assert report.entries._columns["kind"].rows is c_kind
+        assert report.entries._columns["blocks_coarser"].rows is c_coarser
+        assert all(entry.blocks_finer is identity for entry in report.entries)
+
+
+def test_a_warm_n8_oracle_pair_allocates_little_beyond_what_it_keeps():
+    """After a warm-up, an n = 8 lattice+corollary pair on a new distribution peaks at most
+    128 KiB above what it still holds after it, and each call 64 KiB above: no temporary is
+    as long as the lattice's 32,476 rows (254 KiB of margins)."""
+    for seed in range(2):
+        dist = sample_dirichlet_uniform(8, seed)
+        exhaustive_lattice_check(SHANNON, dist), corollary1_check(SHANNON, dist)
+    dist, excess = sample_dirichlet_uniform(8, 2), {}
+    tracemalloc.start()
+    try:
+        for calls in ((exhaustive_lattice_check, corollary1_check),
+                      (exhaustive_lattice_check,), (corollary1_check,)):
+            tracemalloc.reset_peak()
+            reports = [check(SHANNON, dist) for check in calls]
+            held, peak = tracemalloc.get_traced_memory()
+            excess[len(calls), calls[0].__name__] = peak - held
+            del reports
+    finally:
+        tracemalloc.stop()
+    assert excess.pop((2, "exhaustive_lattice_check")) <= 128 * 1024
+    assert max(excess.values()) <= 64 * 1024
 
 
 _HARD_TERMS = {
@@ -2022,7 +2159,8 @@ def test_kernel_plan_kept_per_n_gives_the_bits_of_one_built_per_call(n, seed, ze
     counts, widths, elements = _label_blocks(_label_rows(n)[0][:-1])
     count = bell_number(n) - 1
     gather = elements + np.repeat(n * np.arange(count), n)  # vector v reads the v-th tile
-    sums = verify._sum_plan(verify._starts(widths), widths, gather)
+    plan = verify._sum_plan(verify._starts(widths), widths, gather)
+    sums = partial(verify._segment_sums, plan=plan)
     built = verify._VectorValues([spec], np.tile(probs, count), verify._kernel_plan(counts, sums))
     assert _same_outcomes(*([failures.get(v) for v in range(count)] for failures in (
         kept.failures, built.failures
