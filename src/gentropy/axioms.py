@@ -27,9 +27,9 @@ Axiom identifiers used throughout:
 The sampled probes (:func:`check_basic_axioms` and
 :func:`check_product_composability`) run on the evaluation kernel of the
 campaign engine, ``verify._VectorValues``, with the draws taken as they are.
-A draw phase draws every sample's randomness in batches and lays every
-vector the probe needs end to end; one kernel call evaluates them all, and
-numpy reduces the values column by column.  The results, and any exception
+A draw phase draws every sample's randomness in batches; in the basic probe,
+vectors read each distinct mass by id.  One kernel call evaluates them all,
+and numpy reduces the values column by column.  The results, and any exception
 raised, are those of calling ``FiniteDistribution`` and ``evaluate`` sample
 by sample on the same draws; the reference loops in ``tests/test_axioms.py``
 pin this.  The kernel's failure rule (``first_failure``) picks which of its
@@ -183,7 +183,8 @@ def _budgets(spec: EntropySpec, extremes: np.ndarray, inner: np.ndarray) -> np.n
     slope, refused = np.zeros(len(extremes)), {}
     if f.phi_prime is not None:  # else phi_prime raises NoDerivative: no slope term
         d, failures = _map_points(spec, "phi_prime", extremes.ravel())
-        slope = np.abs(d[0::2]) + np.abs(d[1::2])
+        with np.errstate(over="ignore"):  # past the float range: inf, as Python's floats give
+            slope = np.abs(d[0::2]) + np.abs(d[1::2])
         first = {i // 2: error for i, error in reversed(failures.items())}  # a's before b's
         refused = {c: error for c, error in first.items() if not isinstance(error, NoDerivative)}
         slope[[c for c in first if c not in refused]] = 0.0
@@ -193,25 +194,27 @@ def _budgets(spec: EntropySpec, extremes: np.ndarray, inner: np.ndarray) -> np.n
         outer, refused = np.abs(outer), {**failures, **refused}
     if refused:
         raise refused[min(refused)]
-    return 50.0 * (1.0 + slope * np.maximum(outer, 1.0))
+    with np.errstate(over="ignore"):
+        return 50.0 * (1.0 + slope * np.maximum(outer, 1.0))
 
 
 _MAX_N = 6  # sample i has n = 2 + i % 5
 
 
-def _padded(p: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Each row of ``p`` with a zero inserted before column ``at`` of that row."""
+def _padded(p: np.ndarray, at: np.ndarray, fill: int) -> np.ndarray:
+    """Each row of ``p`` with ``fill`` inserted before column ``at`` of that row."""
     column = np.arange(p.shape[1] + 1)
     source = np.minimum(column - (column > at[:, None]), p.shape[1] - 1)
-    return np.where(column == at[:, None], 0.0, np.take_along_axis(p, source, axis=1))
+    return np.where(column == at[:, None], fill, np.take_along_axis(p, source, axis=1))
 
 
 class _BasicDraws(NamedTuple):
     """The draws of every basic-axiom sample, as columns.
 
-    Sample i's vectors lie end to end in ``probs`` from ``starts[i]``, their
-    lengths in row i of ``widths``: the base, the permuted, (for zero-safe
-    functionals) the zero-padded and the continuity-shifted vector.
+    ``probs`` holds each mass once: from ``starts[i]`` sample i's base and two shifted
+    entries, then, for zero-safe functionals, a 0.0 all padded vectors share.  Sample
+    i's vectors read them by id, their lengths in row i of ``widths``: the base, the
+    permuted, (zero-safe) the zero-padded and the continuity-shifted vector.
     """
 
     probs: np.ndarray
@@ -220,7 +223,7 @@ class _BasicDraws(NamedTuple):
     permutations: np.ndarray  # sample i's is the first n of row i
     positions: np.ndarray  # of the padding zero
     extremes: np.ndarray  # each base's largest and second-largest entry
-    plan: tuple  # the kernel plan of every vector
+    plan: tuple  # the kernel plan of every vector, by mass id
 
     def base(self, i: int) -> np.ndarray:
         """Sample i's base vector."""
@@ -237,8 +240,8 @@ def _draw_basic(zero_safe: bool, samples: int, rng_seed: int) -> _BasicDraws:
     of ``_MAX_N`` uniforms) and the padding positions (uniform on 0..n).
     A base whose minimum is not above the floor is redrawn, in sample
     order, from the base stream after its batch.  So no draw depends on
-    any value, and every sample gets all of its vectors.  The vectors of
-    one n are built as matrices and laid into ``probs`` in one scatter.
+    any value, and every sample gets all of its vectors.  The masses and
+    mass ids of one n are built as matrices and laid in one scatter each.
     """
     floor = 0.0 if zero_safe else _INTERIOR_FLOOR
     bases, perms, pads = map(np.random.default_rng, np.random.SeedSequence(rng_seed).spawn(3))
@@ -256,8 +259,8 @@ def _draw_basic(zero_safe: bool, samples: int, rng_seed: int) -> _BasicDraws:
         probs[n][j] = _dirichlet_interior(n, bases, floor)
 
     widths = dims[:, None] + np.array([0, 0, 1, 0] if zero_safe else [0, 0, 0])
-    starts = _starts(widths.sum(axis=1))
-    flat = np.empty(int(widths.sum()))
+    starts, first = _starts(dims + 2), _starts(widths.sum(axis=1))  # sample i's masses, ids
+    flat, ids = np.zeros(dims.sum() + 2 * samples + zero_safe), np.empty(widths.sum(), np.intp)
     permutations, extremes = np.zeros((samples, _MAX_N), dtype=np.intp), np.empty((samples, 2))
     for n, rows in groups.items():
         p, every = probs[n], np.arange(rows.size)
@@ -265,15 +268,15 @@ def _draw_basic(zero_safe: bool, samples: int, rng_seed: int) -> _BasicDraws:
         order = np.argsort(p, axis=1)
         hi, lo = order[:, -1], order[:, -2]
         extremes[rows, 0], extremes[rows, 1] = p[every, hi], p[every, lo]
-        shifted = p.copy()
-        shifted[every, hi] -= _CONTINUITY_EPS
-        shifted[every, lo] += _CONTINUITY_EPS
-        kinds = [p, np.take_along_axis(p, perm, axis=1)]
-        kinds += [_padded(p, positions[rows])] if zero_safe else []
-        kinds.append(shifted)
-        laid = np.hstack(kinds)
-        flat[starts[rows, None] + np.arange(laid.shape[1])] = laid
-    plan = _kernel_plan(widths.ravel())
+        own = starts[rows, None] + np.arange(n + 2)  # the base's ids, then the shifted entries'
+        flat[own] = np.hstack([p, extremes[rows] + [-_CONTINUITY_EPS, _CONTINUITY_EPS]])
+        base, shifted = own[:, :n], own[:, :n].copy()
+        shifted[every, hi], shifted[every, lo] = own[:, n], own[:, n + 1]
+        kinds = [base, np.take_along_axis(base, perm, axis=1)]
+        kinds += [_padded(base, positions[rows], flat.size - 1)] if zero_safe else []
+        laid = np.hstack([*kinds, shifted])
+        ids[first[rows, None] + np.arange(laid.shape[1])] = laid
+    plan = _kernel_plan(widths.ravel(), None, ids)
     return _BasicDraws(flat, widths, starts, permutations, positions, extremes, plan)
 
 
@@ -310,8 +313,10 @@ def check_basic_axioms(
     accepted = np.flatnonzero(~np.isnan(numbers[:raising, 0]))
     base = numbers[accepted, 0]
     moved = accepted[~np.isnan(numbers[accepted, -1])]
-    rate = np.abs(numbers[moved, -1] - numbers[moved, 0]) / _CONTINUITY_EPS
     budget = _budgets(spec, draws.extremes[moved], values.totals[stride * moved])
+    with np.errstate(all="ignore"):  # past the float range: inf or NaN, as Python's floats give
+        rate = np.abs(numbers[moved, -1] - numbers[moved, 0]) / _CONTINUITY_EPS
+        score = rate / budget
     values.raise_failure(failure)
 
     def residual(axiom, cases, score, case, size=None, budgets=None) -> AxiomResidual:
@@ -340,7 +345,7 @@ def check_basic_axioms(
         lambda i, w: {"permutation": draws.permutations[i, : draws.widths[i, 0]].tolist()},
     ))
     results.append(residual(
-        "continuity", moved, rate / budget, lambda i, w: {"rate": float(rate[w])},
+        "continuity", moved, score, lambda i, w: {"rate": float(rate[w])},
         size=rate, budgets=budget,
     ))
     return results

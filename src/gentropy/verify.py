@@ -33,10 +33,10 @@ each vector's components.  Its results equal, bit for bit, those of ``coarse_gra
   of one width: below 8 column by column from 0.0, the order numpy's pairwise
   summation keeps there, and from 8 on as the rows of a C-contiguous matrix
   reduced with ``sum(axis=1)``, which sums each row as ``np.sum`` does;
-* a batch has one plan (``_kernel_plan``): the draws as they are, their
-  block sums (the identity's blocks are its singletons, and a one-element
-  sum is that element), or the subset sums the lattice's vectors share, doubled
-  state by state in the same order;
+* a batch has one plan (``_kernel_plan``): the draws as they are, in order or by
+  id (the basic-axiom probe's vectors share their base's masses), their block sums
+  (the identity's blocks are its singletons, and a one-element sum is that element),
+  or the subset sums the lattice's vectors share, doubled state by state in order;
 * h maps the totals by ``catalog._map_points``, whose array forms give each
   total the bits h gives it alone;
 * its inputs are ones the per-case path accepts: every draw a vector
@@ -648,7 +648,7 @@ def _kernel_plan(widths: np.ndarray, masses=None, ids=None) -> tuple:
     masses from ``probs`` (None: the draws are the masses), ``widths``, each vector's first
     mass and the totals' plan, a matrix of mass ids per width.  Vector v reads the next
     ``widths[v]`` masses, or with ``ids`` (every vector's mass ids, end to end) those ids,
-    which vectors may share; it then has no first mass."""
+    which vectors may share (the lattice's subsets, the basic probe's masses): no first mass."""
     starts = _starts(widths)
     return masses, widths, None if ids is not None else starts, _sum_plan(starts, widths, ids)
 
@@ -744,7 +744,7 @@ class _VectorValues:
                     hit = lo + np.flatnonzero(admission == code)
                     rejected[hit] = True
                     self.failures.update(dict.fromkeys(hit.tolist(), error))
-            if starts is None:  # the lattice's one functional: the subsets its kept vectors read
+            if starts is None:  # one functional, by mass id: the masses its kept vectors read
                 used = np.zeros(masses.size, dtype=bool) if rejected.any() else slice(None)
                 for rows, ids in groups if rejected.any() else ():
                     used[ids[~rejected[rows]]] = True

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from gentropy import (
     EntropySpec,
@@ -26,7 +28,7 @@ from gentropy import (
 )
 from gentropy import axioms, verify
 from gentropy.axioms import AxiomResidual
-from gentropy.catalog import outer_map_prime, phi_prime
+from gentropy.catalog import _FAMILIES, CATALOG_IDS, outer_map_prime, phi_prime
 from gentropy.distributions import _dirichlet_interior
 from gentropy.errors import (
     BadInverse,
@@ -646,11 +648,13 @@ def _probe_vectors(monkeypatch, spec, samples, seed):
     kernel = verify._VectorValues
 
     def capture(specs, probs, plan, spec_index=None):
-        masses, widths, starts, _ = plan  # masses: the plan of the draws' sums, if any
-        seen.extend(
-            SimpleNamespace(probs=probs[s : s + w], blocks=masses)
-            for s, w in zip(starts, widths)
-        )
+        masses, widths, _, (count, groups) = plan  # masses: the plan of the draws' sums, if any
+        vectors = [None] * count
+        for rows, ids in groups:  # each width's vectors, a row of mass ids each
+            for v, row in zip(rows.tolist(), ids):
+                vectors[v] = SimpleNamespace(probs=probs[row], blocks=masses)
+        assert [v.probs.size for v in vectors] == widths.tolist()
+        seen.extend(vectors)
         return kernel(specs, probs, plan, spec_index)
 
     monkeypatch.setattr(axioms, "_VectorValues", capture)
@@ -698,3 +702,122 @@ def test_basic_axioms_skip_dimensions_that_admit_rejects(delta, cases):
     for seed in (0, 1729):
         _assert_probes_match(spec, 200, seed)
     assert {r.cases_run for r in check_basic_axioms(spec, 200, 0)} == {cases}
+
+
+@pytest.mark.parametrize("spec_id, params, points", [
+    ("shannon", {}, 6001), ("s_cd", {"c": 0.8, "d": 0.5}, 6000),
+])
+def test_basic_axioms_evaluate_phi_once_per_distinct_mass(spec_id, params, points):
+    """At 1,000 samples phi reads sum(n_i + 2) = 6,000 masses, each base's n entries and
+    its two continuity-shifted ones, plus the 0.0 every padded vector shares when zero-safe;
+    the permuted, padded and shifted vectors read their base's masses by id."""
+    spec = EntropySpec(spec_id, params)
+    seen, phi = [], spec.functional.phi
+
+    def counting(x):
+        seen.append(np.size(x))
+        return phi(x)
+
+    object.__setattr__(spec, "_functional", replace(spec.functional, phi=counting))
+    check_basic_axioms(spec, 1000, 0)
+    assert sum(seen) == points
+
+
+def _near(*edges):
+    """Each edge and its two float neighbours."""
+    return [x for e in edges
+            for x in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+
+
+def _real(lo, hi, *edges, rules=()):
+    """A float in [lo, hi], or an edge or a float beside one, that each of ``rules`` admits."""
+
+    def admits(x):
+        return all(ok(x) for ok in rules)
+
+    return st.one_of(st.sampled_from([x for x in _near(*edges) if admits(x)]),
+                     st.floats(lo, hi).filter(admits))
+
+
+def _one_parameter_rules(family, name):
+    """The checks of the rules of ``family`` that read ``name`` alone; its other rules and
+    checks reject at construction."""
+    return [ok for names, ok, _ in _FAMILIES[family].rules if names == name]
+
+
+def _group_params(l, three, t, sigma):
+    """l < m with the coefficients k_l..k_m that sum to 0 and weight j by k_j to 1."""
+    return {"l": l, "m": l + 1 + three, "sigma": sigma,
+            "coeffs": (t - 1.0, 1.0 - 2.0 * t, t) if three else (-1.0, 1.0)}
+
+
+_ORDER_Q = {"q": (0.0, 20.0, 0.0, 1.0)}
+_INNER_Q = {"q": (0.5, 1.5, 0.5, 1.0, 1.5)}
+_MATHAI_Q = {"q": (-10.0, 2.0, 1.0, 2.0)}
+# Each parameter's range and the edges of its family's rules and checks
+_DRAWN_RANGES = {
+    "shannon": {}, "genetic": {}, "paired": {}, "counterexample_HE": {},
+    "renyi": _ORDER_Q, "tsallis": _ORDER_Q, "havrda_charvat": _ORDER_Q,
+    "hypoentropy": {"lambda": (0.0, 100.0, 0.0)},
+    "sharma_mittal_rs": {"r": (0.0, 10.0, 0.0, 1.0), "s": (-10.0, 10.0, 1.0)},
+    "s_cd": {"c": (0.0, 1.0, 0.0, 1.0), "d": (-1.0, 10.0, -1.0, 0.0)},
+    "s_delta": {"delta": (0.0, 3.0, 0.0, *(1.0 + math.log(n) for n in range(2, 7)))},
+    "borges_roditi": {"a": (0.0, 1.0, 0.0, 1.0), "b": (0.0, 1.0, 0.0, 1.0)},
+    "s_III": {"q": (2.0 / 3.0, 1.0, 2.0 / 3.0, 1.0)},
+    "s_IV": _INNER_Q,
+    "three_param": {**_INNER_Q, "alpha": (0.0, 0.5, 0.0, 0.5), "beta": (-0.25, 0.0, -0.25, 0.0)},
+    "two_param": dict.fromkeys(("r", "k"), (-1.0, 1.0, -1.0, -0.5, 0.0, 0.5, 1.0)),
+    "abe": {"k": (-5.0, 5.0, 0.0)},
+    "kaniadakis": {"k": (-1.0, 1.0, -1.0, 0.0, 1.0)},
+    "gamma_entropy": {"gamma": (-1.0, 1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 0.5)},
+    "mathai_Mq": _MATHAI_Q, "mathai_Mq_star": _MATHAI_Q,
+}
+# Every family's parameters but h_phi_custom's, which are callables no rule bounds
+_DRAWN = {
+    **{family: st.fixed_dictionaries({
+        name: _real(*bounds, rules=_one_parameter_rules(family, name))
+        for name, bounds in ranges.items()
+    }) for family, ranges in _DRAWN_RANGES.items()},
+    "universal_group": st.fixed_dictionaries(
+        {"coeffs": st.lists(_real(0.0, 2.0, 0.0), min_size=1, max_size=3)}
+    ),
+    "nath": st.one_of(
+        st.fixed_dictionaries({"lambda": st.just(1.0), "tau": _real(-10.0, 0.0, 0.0)}),
+        st.fixed_dictionaries(dict.fromkeys(("lambda", "alpha"), _real(-5.0, 5.0, 0.0, 1.0))),
+    ),
+    "group_entropy": st.builds(_group_params, st.integers(-3, 1), st.booleans(),
+                               _real(-2.0, 2.0, 0.0, 0.5, 1.0), _real(0.0, 3.0, 0.0)),
+}
+
+
+def test_every_family_but_the_custom_one_has_drawn_parameters():
+    assert set(_DRAWN) == set(CATALOG_IDS) - {"h_phi_custom"}
+
+
+@pytest.mark.parametrize("family", sorted(_DRAWN))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), samples=st.integers(1, 60), seed=st.integers(0, 2**32))
+def test_basic_axioms_equal_per_sample_loop_on_drawn_parameters(family, data, samples, seed):
+    """Admitted parameters from each family's rules, 1-60 samples and any seed: the
+    batched probe returns what the per-sample loop returns, or raises what it raises."""
+    try:
+        spec = EntropySpec(family, data.draw(_DRAWN[family], label="params"))
+    except GentropyError:  # outside the family's rules
+        reject()
+    expected = _outcome(_reference_basic_axioms, spec, samples, seed)
+    assert _outcome(check_basic_axioms, spec, samples, seed) == expected
+
+
+@pytest.mark.parametrize("spec_id, params", [
+    # phi' scales by c / (1 - c + c*d), about 4.5e307: every slope budget overflows
+    ("s_cd", {"c": 1.0, "d": 2.2250738585072014e-308}),
+    # h = log(y) / (lambda ln 2) near 1e308: continuity rates overflow
+    ("nath", {"lambda": -2.225073858507203e-309, "alpha": 1.9057322558837289}),
+], ids=["budget", "rate"])
+def test_continuity_past_the_float_range_is_inf_as_in_the_per_sample_loop(spec_id, params):
+    """numpy's continuity arithmetic overflows to inf without a warning, as floats do;
+    the suite makes a warning an error."""
+    spec = EntropySpec(spec_id, params)
+    for samples, seed in ((1, 0), (59, 253)):
+        expected = _outcome(_reference_basic_axioms, spec, samples, seed)
+        assert _outcome(check_basic_axioms, spec, samples, seed) == expected

@@ -465,6 +465,18 @@ _PINNED_STDOUT = (
      "d198b316372f2e2e2c9d97f755c4aed7312b208ed515e5d66dec568f53eeeffe"),
     (("partitions", "--n", "9", "--format", "markdown"), 0,
      "c739a9df1f12e89808941cfb1e0eb25815deeaa01a5eeecd72108c76c438bcd4"),
+    # the axioms probes past their default sample count and seed: zero-safe, an outer
+    # map over an incomplete gamma, a dimension bound that rejects n = 2, and breakpoints
+    (("axioms", "--entropy", '{"id": "shannon"}', "--samples", "5000", "--seed", "1729"), 0,
+     "a26dbb8987f507cd05ac9858bd86ec352115ea9428d4d721b97187cbe5cd7f1d"),
+    (("axioms", "--entropy", '{"id": "s_cd", "params": {"c": 0.8, "d": 0.5}}',
+      "--samples", "5000", "--seed", "1729"), 0,
+     "38b7f0c54f3d4e828fe8718b1496793bae9f14b4d8e58926535a43fc042dadd8"),
+    (("axioms", "--entropy", '{"id": "s_delta", "params": {"delta": 2.0}}',
+      "--samples", "5000", "--seed", "1729"), 0,
+     "01bfe91c498318cf756b1f3017c1420a035b38ef5ddc1f80c66c35fb47934d91"),
+    (("axioms", "--entropy", '{"id": "counterexample_HE"}', "--samples", "5000", "--seed", "1729"),
+     0, "7b392da1b3fa3e6749ca4f8a4854a8f72539424ed6b0e1264cc9fa6cd4afe762"),
 )
 
 
