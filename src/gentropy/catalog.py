@@ -15,19 +15,23 @@ shipped as a built-in fixture for the verification engine.
 
 A family is declared by one row of ``_FAMILIES``: its parameter names,
 checks (one-line rules plus a validator), default campaign samples and a
-*form* binding the parameters to a functional.  Each form is a *kind* that
-builds ``phi`` and ``phi'`` once from the row's constants: a power sum
-``sum_i w_i x**e_i / divisor`` (:func:`_power_sum`, ``phi'`` and ``phi''``
-derived from its ``(w, e)`` terms), ``x g(-ln x)`` (:func:`_x_g_neglog`),
-``scale * x ln x / divisor`` (:func:`_x_log_x`), piecewise linear
-(:func:`_piecewise_linear`), log1p (``hypoentropy``) or incomplete gamma
-(``s_cd``).  ``genetic`` writes its polynomial ``phi`` and ``phi'`` literally;
-``h_phi_custom`` takes user callables.
+*form* binding the parameters to a functional.  The functional is a *form
+record*: a frozen dataclass whose class names the kind and whose fields hold
+the constants as plain floats and tuples, with ``phi`` and ``phi'`` its
+methods.  The kinds are a power sum ``sum_i w_i x**e_i / divisor``
+(:class:`_PowerSum`, ``phi'`` and ``phi''`` derived from its ``(w, e)``
+terms), ``x g(-ln x)`` (:class:`_XGNegLog`), ``scale * x ln x / divisor``
+(:class:`_XLogX`), piecewise linear (:class:`_PiecewiseLinear`), log1p
+(:class:`_Hypoentropy`), incomplete gamma (:class:`_SCd`) and ``genetic``'s
+literal polynomial (:class:`_Genetic`); ``h_phi_custom`` holds user callables
+(:class:`_UserForm`).  A record whose phi would divide by 0.0 or read a
+constant that is not finite is refused at construction.
 
 An outer map is one of the ``_OUTER`` kinds (identity, log, expm1 of a scaled
-log, shift), its h and h' each one form (:func:`_map`) whose array form calls
-``math``'s functions by ``map``, never numpy's twins, which differ in the last
-bit at some points.  :func:`_map_points` applies phi', h or h' to many points.
+log, shift), named with its constants by the record's ``outer``; its h and h'
+are each one form (:func:`_map`) whose array form calls ``math``'s functions
+by ``map``, never numpy's twins, which differ in the last bit at some points.
+:func:`_map_points` applies phi', h or h' to many points.
 
 Parameter domains are validated at construction; zero-probability support is
 declared per functional (``zero_safe``).  Natural logarithms throughout,
@@ -39,8 +43,9 @@ Conventions: 0*ln(0) := 0 and 0**a := 0 for a > 0.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cache, partial
+from itertools import chain
 from types import SimpleNamespace
 from typing import Any, Callable, Mapping
 
@@ -63,7 +68,7 @@ from .errors import (
     _numbers,
 )
 from .errors import _guarded, _integer, _json_text, _json_value, _shown
-from .special import _group_series, _libm, upper_incomplete_gamma
+from .special import _group_series, _libm, check_series_coefficients, upper_incomplete_gamma
 
 _LN2 = math.log(2.0)
 
@@ -95,49 +100,67 @@ class FunctionalDescriptor:
 
 @dataclass(frozen=True)
 class _Functional:
-    """Resolved, parameter-bound form of one catalog entry.
-
-    ``check_n``, when present, vets the dimension before evaluation.
-    ``phi`` maps each entry on its own, so it can run once on many
-    distributions laid end to end.
+    """The base of the form records, one frozen dataclass per form kind: its class names
+    the kind, its fields hold the constants and ``phi`` and ``phi'`` are its methods.
+    ``phi`` maps each entry on its own, so it can run once on many distributions laid
+    end to end.  h and h' are the ``_OUTER`` kind that ``outer`` names (None for the
+    identity).  A keyword ``phi``, ``phi_prime``, ``h`` or ``h_prime`` substitutes that
+    map, as ``dataclasses.replace`` passes a test's fake.  The record is refused where
+    phi would divide by 0.0 or read a constant that is not finite.
     """
 
-    phi: ArrayFn
-    phi_prime: ArrayFn | None
-    zero_safe: bool = True
-    phi_at_zero: float | None = 0.0
-    h: Callable[[float], float] | None = None
-    h_prime: Callable[[float], float] | None = None
-    breakpoints: tuple[float, ...] = ()
-    check_n: Callable[[int], None] | None = None
+    _: KW_ONLY
+    phi: InitVar[ArrayFn | None] = None
+    phi_prime: InitVar[ArrayFn | None] = None
+    h: InitVar[Callable[[float], float] | None] = None
+    h_prime: InitVar[Callable[[float], float] | None] = None
+    zero_safe = True
+    phi_at_zero = 0.0
+    breakpoints = ()
+    outer = ("identity",)  # an ``_OUTER`` kind and its constants
+    divisor = 1.0
+
+    def __post_init__(self, *maps: Callable | None) -> None:
+        if self.divisor == 0.0:
+            raise ParamOutOfDomain(f"the form {self!r} divides by 0.0")
+        for value in (self.divisor, *self._constants()):
+            if not math.isfinite(value):
+                raise ParamOutOfDomain(f"the form {self!r} reads {value!r}, which is not finite")
+        from_outer = (None, None, *_OUTER[self.outer[0]](*self.outer[1:]))
+        for name, given, derived in zip(("phi", "phi_prime", "h", "h_prime"), maps, from_outer):
+            if given is not None or derived is not None:
+                object.__setattr__(self, name, derived if given is None else given)
+
+    def _constants(self) -> tuple[float, ...]:
+        """The constants phi reads besides its divisor, worked out once it is nonzero."""
+        return ()
+
+    def check_n(self, n: int) -> None:
+        """Vet the dimension before evaluation; every n passes unless the kind says otherwise."""
 
 
 # ---------------------------------------------------------------------------
 # Form kinds and the outer-map kinds
 # ---------------------------------------------------------------------------
 
-def _sum_of_powers(terms: _Terms, divisor: float) -> ArrayFn:
-    """x -> sum_i w_i x**e_i / divisor.
+def _powers(x: np.ndarray, terms: _Terms, divisor: float) -> np.ndarray:
+    """sum_i w_i x**e_i / divisor.
 
     Terms with w = +-1 are added or subtracted and x**1 is x itself, so the
     arithmetic is that of the literal formulas, bit for bit.
     """
-
-    def phi(x: np.ndarray) -> np.ndarray:
-        acc = None
-        for w, e in terms:
-            p = x if e == 1.0 else np.power(x, e)
-            if acc is None:
-                acc = p if w == 1.0 else w * p
-            elif w == 1.0:
-                acc = acc + p
-            elif w == -1.0:
-                acc = acc - p
-            else:
-                acc = acc + w * p
-        return acc if divisor == 1.0 else acc / divisor
-
-    return phi
+    acc = None
+    for w, e in terms:
+        p = x if e == 1.0 else np.power(x, e)
+        if acc is None:
+            acc = p if w == 1.0 else w * p
+        elif w == 1.0:
+            acc = acc + p
+        elif w == -1.0:
+            acc = acc - p
+        else:
+            acc = acc + w * p
+    return acc if divisor == 1.0 else acc / divisor
 
 
 def _derive(terms: _Terms) -> _Terms:
@@ -190,76 +213,204 @@ _OUTER: dict[str, Callable[..., tuple[Callable | None, Callable | None]]] = {
 _IDENTITY = _outer(lambda y, _: y, lambda y, _: 1.0)  # (h, h') where a functional has no h
 
 
-def _power_sum(
-    terms,
-    divisor: float = 1.0,
-    *,
-    outer: tuple = ("identity",),
-    zero_safe: bool = True,
-    at_zero: float | None = None,
-) -> _Functional:
+@dataclass(frozen=True)
+class _PowerSum(_Functional):
     """phi(x) = sum_i w_i x**e_i / divisor with phi' derived from the terms.
 
-    ``at_zero`` defaults to 0 when every exponent is positive and to
-    undefined otherwise.
+    Terms with w = 0 drop, and one whose w e underflows to 0.0, which phi' would
+    lose, is refused.  ``phi_at_zero`` defaults to 0 when every exponent is
+    positive and to undefined otherwise.
     """
-    terms = tuple((float(w), float(e)) for w, e in terms if w != 0.0)
-    if at_zero is None and all(e > 0.0 for _, e in terms):
-        at_zero = 0.0
-    h, h_prime = _OUTER[outer[0]](*outer[1:])
-    return _Functional(
-        phi=_sum_of_powers(terms, divisor),
-        phi_prime=_sum_of_powers(_derive(terms), divisor),
-        zero_safe=zero_safe,
-        phi_at_zero=at_zero,
-        h=h,
-        h_prime=h_prime,
-    )
+
+    terms: _Terms
+    divisor: float = 1.0
+    outer: tuple = ("identity",)
+    zero_safe: bool = True
+    phi_at_zero: float | None = None
+
+    def __post_init__(self, *maps: Callable | None) -> None:
+        terms = tuple((float(w), float(e)) for w, e in self.terms if w != 0.0)
+        for w, e in terms:
+            if w * e == 0.0 != e:
+                raise ParamOutOfDomain(
+                    f"phi' would lose the term {w!r} x**{e!r}: w * e underflows to 0.0"
+                )
+        object.__setattr__(self, "terms", terms)
+        if self.phi_at_zero is None and all(e > 0.0 for _, e in terms):
+            object.__setattr__(self, "phi_at_zero", 0.0)
+        super().__post_init__(*maps)
+
+    def _constants(self) -> tuple[float, ...]:
+        return tuple(chain.from_iterable(self.terms + _derive(self.terms)))
+
+    def phi(self, x: np.ndarray) -> np.ndarray:
+        return _powers(x, self.terms, self.divisor)
+
+    def phi_prime(self, x: np.ndarray) -> np.ndarray:
+        return _powers(x, _derive(self.terms), self.divisor)
 
 
-def _x_g_neglog(g: ArrayFn, g_prime: ArrayFn, check_n=None) -> _Functional:
-    """phi(x) = x g(-ln x), extended by 0 at x = 0; phi'(x) = (g - g')(-ln x)."""
+@dataclass(frozen=True)
+class _XGNegLog(_Functional):
+    """phi(x) = x g(-ln x), extended by 0 at x = 0; phi'(x) = (g - g')(-ln x).
 
-    def phi(x: np.ndarray) -> np.ndarray:
+    g is t**delta, whose dimension n must keep delta <= 1 + ln n, or, without a
+    delta, the group series G of ``coeffs`` (:func:`special._group_series`).
+    """
+
+    delta: float | None = None
+    coeffs: tuple[float, ...] | Callable[[int], float] | None = None
+
+    def check_n(self, n: int) -> None:
+        bound = 1.0 + math.log(n)
+        if self.delta is not None and self.delta > bound:
+            raise DeltaExceedsBound(
+                f"s_delta with delta={self.delta!r} exceeds 1 + ln({n}) = {bound!r}"
+            )
+
+    def g(self, t: np.ndarray, integral: bool = True) -> np.ndarray:
+        """g at ``t``, or g' where not ``integral``."""
+        if self.delta is None:
+            return _group_series(self.coeffs, integral)(t)
+        g = ((1.0, float(self.delta)),)  # t**delta
+        return _powers(t, g if integral else _derive(g), 1.0)
+
+    def phi(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
         mask = x > 0.0
-        out[mask] = x[mask] * g(_neg_log(x[mask]))
+        out[mask] = x[mask] * self.g(_neg_log(x[mask]))
         return out
 
-    def phi_prime(x: np.ndarray) -> np.ndarray:
+    def phi_prime(self, x: np.ndarray) -> np.ndarray:
         t = _neg_log(x)
-        return g(t) - g_prime(t)
-
-    return _Functional(phi=phi, phi_prime=phi_prime, check_n=check_n)
+        return self.g(t) - self.g(t, integral=False)
 
 
-def _x_log_x(scale: float, divisor: float = 1.0, mirrored: bool = False) -> _Functional:
+@dataclass(frozen=True)
+class _XLogX(_Functional):
     """phi(x) = scale * x ln x / divisor, extended by 0 at x = 0; ``mirrored``
     adds the same term at 1 - x.  (x ln x)' = ln x + 1 gives phi'."""
 
-    def scaled(v: np.ndarray) -> np.ndarray:
-        v = scale * v
-        return v if divisor == 1.0 else v / divisor
+    scale: float
+    divisor: float = 1.0
+    mirrored: bool = False
 
-    return _Functional(
-        phi=lambda x: scaled(_xlogx(x) + _xlogx(1.0 - x) if mirrored else _xlogx(x)),
-        phi_prime=lambda x: scaled(np.log(x) - np.log(1.0 - x) if mirrored else np.log(x) + 1.0),
-    )
+    def _scaled(self, v: np.ndarray) -> np.ndarray:
+        v = self.scale * v
+        return v if self.divisor == 1.0 else v / self.divisor
+
+    def phi(self, x: np.ndarray) -> np.ndarray:
+        return self._scaled(_xlogx(x) + _xlogx(1.0 - x) if self.mirrored else _xlogx(x))
+
+    def phi_prime(self, x: np.ndarray) -> np.ndarray:
+        return self._scaled(np.log(x) - np.log(1.0 - x) if self.mirrored else np.log(x) + 1.0)
 
 
-def _piecewise_linear(knots: tuple[float, ...], slopes, offsets) -> _Functional:
+@dataclass(frozen=True)
+class _PiecewiseLinear(_Functional):
     """phi(x) = s_i x + b_i on the first piece i with x < knot_i (else the last);
     phi' = s_i, undefined at the knots."""
 
-    def phi(x: np.ndarray) -> np.ndarray:
-        *lines, last = (s * x + b for s, b in zip(slopes, offsets))
-        return np.select([x < knot for knot in knots], lines, default=last)
+    knots: tuple[float, ...]
+    slopes: tuple[float, ...]
+    offsets: tuple[float, ...]
 
-    return _Functional(
-        phi=phi,
-        phi_prime=lambda x: np.select([x < k for k in knots], slopes[:-1], default=slopes[-1]),
-        breakpoints=knots,
-    )
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        return self.knots
+
+    def phi(self, x: np.ndarray) -> np.ndarray:
+        *lines, last = (s * x + b for s, b in zip(self.slopes, self.offsets))
+        return np.select([x < knot for knot in self.knots], lines, default=last)
+
+    def phi_prime(self, x: np.ndarray) -> np.ndarray:
+        slopes = self.slopes
+        return np.select([x < k for k in self.knots], slopes[:-1], default=slopes[-1])
+
+
+@dataclass(frozen=True)
+class _Hypoentropy(_Functional):
+    """phi(x) = c x - (1 + lam x) ln(1 + lam x) / lam with c = (1 + 1/lam) ln(1 + lam):
+    c x spreads the constant c = sum_i c p_i over the states, so phi(0) = 0."""
+
+    lam: float
+
+    def _constants(self) -> tuple[float, ...]:
+        return (1.0 / self.lam, (1.0 + 1.0 / self.lam) * math.log1p(self.lam))
+
+    def phi(self, x: np.ndarray) -> np.ndarray:
+        inverse, c = self._constants()
+        return c * x - inverse * (1.0 + self.lam * x) * np.log1p(self.lam * x)
+
+    def phi_prime(self, x: np.ndarray) -> np.ndarray:
+        return self._constants()[1] - np.log1p(self.lam * x) - 1.0
+
+
+@dataclass(frozen=True)
+class _Genetic(_Functional):
+    """phi(x) = x - 2x^2 + 2x^3 - x^4, written literally: as a power sum its bits would differ."""
+
+    def phi(self, x: np.ndarray) -> np.ndarray:
+        return x - x**2 - x**2 * (1.0 - x) ** 2
+
+    def phi_prime(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 - 2.0 * x - 2.0 * x * (1.0 - x) * (1.0 - 2.0 * x)
+
+
+@dataclass(frozen=True)
+class _SCd(_Functional):
+    """phi(x) = e Gamma(1 + d, 1 - c ln x) / divisor, the logs by ``_libm``, with the
+    divisor 1 - c + c d; h = y - c / divisor.  phi(0) = 0 as Gamma(1+d, +inf) = 0."""
+
+    c: float
+    d: float
+    zero_safe = False
+
+    @property
+    def divisor(self) -> float:
+        return 1.0 - self.c + self.c * self.d
+
+    @property
+    def outer(self) -> tuple:
+        return ("shift", self.c / self.divisor)
+
+    def _constants(self) -> tuple[float, ...]:
+        return (math.e / self.divisor, self.c / self.divisor)
+
+    def phi(self, x: np.ndarray) -> np.ndarray:
+        limits = 1.0 - self.c * _libm(math.log, np.asarray(x, dtype=float).ravel())
+        gamma = upper_incomplete_gamma(1.0 + self.d, limits).reshape(np.shape(x))
+        return self._constants()[0] * gamma
+
+    def phi_prime(self, x: np.ndarray) -> np.ndarray:
+        # d/dx Gamma(1+d, 1 - c ln x) = (c/x) (1 - c ln x)^d exp(-(1 - c ln x))
+        u = 1.0 - self.c * np.log(x)
+        return self._constants()[1] * np.power(x, self.c - 1.0) * np.power(u, self.d)
+
+
+@dataclass(frozen=True)
+class _UserForm(_Functional):
+    """h_phi_custom's form: the user's phi, phi', h and h', each guarded, phi and phi'
+    mapped point by point; a zero-safe phi(0) is the user's phi at 0.0."""
+
+    zero_safe: bool = False
+    phi_at_zero: float | None = None
+
+    @classmethod
+    def of(cls, params: dict) -> _UserForm:
+        user = {
+            name: _guarded(params[name], f"h_phi_custom {name}")
+            for name in ("phi", "phi_prime", "h", "h_prime")
+            if params.get(name) is not None
+        }
+        maps = {name: _pointwise(fn) if name.startswith("phi") else fn for name, fn in user.items()}
+        zero_safe = bool(params.get("zero_safe", False))
+        return cls(zero_safe, user["phi"](0.0) if zero_safe else None, **maps)
+
+
+def _pointwise(fn: Callable[[float], float]) -> ArrayFn:
+    """A map of one float as a map of each entry of an array."""
+    return lambda x: np.array([fn(v) for v in np.asarray(x, dtype=float)])
 
 
 def _four_power(eps: float, weights) -> tuple[_Terms, float]:
@@ -269,6 +420,13 @@ def _four_power(eps: float, weights) -> tuple[_Terms, float]:
 
 
 _S_IV_WEIGHTS = (1.0, -1.5, 1.5, -1.0)
+
+
+def _abe_terms(k: float) -> tuple[_Terms, float]:
+    """Terms and divisor of (x^(1/q) - x^q) / (q - 1/q) with q = sqrt(1 + k^2) + k."""
+    q = math.sqrt(1.0 + k * k) + k
+    # q - 1/q = 2k
+    return ((1, 1.0 / q), (-1, q)), q - 1.0 / q
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +461,16 @@ def _validate_group_entropy(params: dict) -> None:
         raise ParamOutOfDomain("group_entropy needs k_l != 0 and k_m != 0")
 
 
-def _s_IV_concavity_gate(params: dict) -> None:
-    q = float(params["q"])
-    terms, eps = _four_power(1.0 - q, _S_IV_WEIGHTS)
+def _s_IV_concavity_gate(q: float, form: _PowerSum) -> _PowerSum:
+    """``form``, s_IV's record at ``q``, once its phi'' is <= 1e-9 on the unit interval."""
     x = np.linspace(1.0 / 513.0, 512.0 / 513.0, 512)
-    worst = float(_sum_of_powers(_derive(_derive(terms)), eps)(x).max())
+    worst = float(_powers(x, _derive(_derive(form.terms)), form.divisor).max())
     if worst > 1e-9:
         raise ParamOutOfDomain(
             f"s_IV per-state component is not concave at q={q!r} "
             f"(max second derivative {worst:.3e} on the unit interval)"
         )
+    return form
 
 
 def _two_param_region_ok(r: float, k: float) -> bool:
@@ -352,86 +510,6 @@ def _validate_h_phi_custom(params: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Forms that are not power sums
-# ---------------------------------------------------------------------------
-
-def _hypoentropy(params: dict) -> _Functional:
-    lam = float(params["lambda"])
-    c = (1.0 + 1.0 / lam) * math.log1p(lam)
-    # c x spreads the constant c = sum_i c p_i over the states, so phi(0) = 0
-    return _Functional(
-        phi=lambda x: c * x - (1.0 / lam) * (1.0 + lam * x) * np.log1p(lam * x),
-        phi_prime=lambda x: c - np.log1p(lam * x) - 1.0,
-    )
-
-
-def _universal_group(params: dict) -> _Functional:
-    g, g_prime = (_group_series(params["coeffs"], integral) for integral in (True, False))
-    return _x_g_neglog(g, g_prime)
-
-
-def _s_cd(params: dict) -> _Functional:
-    """phi(x) = e Gamma(1 + d, 1 - c ln x) / norm, the logs by ``_libm``; h = y - c / norm."""
-    c = float(params["c"])
-    d = float(params["d"])
-    norm = 1.0 - c + c * d
-    scale = math.e / norm
-
-    def phi(x: np.ndarray) -> np.ndarray:
-        limits = 1.0 - c * _libm(math.log, np.asarray(x, dtype=float).ravel())
-        return scale * upper_incomplete_gamma(1.0 + d, limits).reshape(np.shape(x))
-
-    def phi_prime(x: np.ndarray) -> np.ndarray:
-        # d/dx Gamma(1+d, 1 - c ln x) = (c/x) (1 - c ln x)^d exp(-(1 - c ln x))
-        u = 1.0 - c * np.log(x)
-        return (c / norm) * np.power(x, c - 1.0) * np.power(u, d)
-
-    h, h_prime = _OUTER["shift"](c / norm)
-    # phi(0) = 0 because Gamma(1+d, +inf) = 0
-    return _Functional(phi, phi_prime, zero_safe=False, h=h, h_prime=h_prime)
-
-
-def _s_delta(params: dict) -> _Functional:
-    g = ((1.0, float(params["delta"])),)  # g(t) = t**delta
-
-    def check_n(n: int) -> None:
-        bound = 1.0 + math.log(n)
-        if params["delta"] > bound:
-            raise DeltaExceedsBound(
-                f"s_delta with delta={params['delta']!r} exceeds 1 + ln({n}) = {bound!r}"
-            )
-
-    return _x_g_neglog(_sum_of_powers(g, 1.0), _sum_of_powers(_derive(g), 1.0), check_n)
-
-
-def _abe(k: float) -> _Functional:
-    q = math.sqrt(1.0 + k * k) + k
-    # q - 1/q = 2k
-    return _power_sum(((1, 1.0 / q), (-1, q)), q - 1.0 / q, zero_safe=False)
-
-
-def _h_phi_custom(params: dict) -> _Functional:
-    user = {
-        name: _guarded(params[name], f"h_phi_custom {name}")
-        for name in ("phi", "phi_prime", "h", "h_prime")
-        if params.get(name) is not None
-    }
-
-    def pointwise(fn: Callable[[float], float]) -> ArrayFn:
-        return lambda x: np.array([fn(v) for v in np.asarray(x, dtype=float)])
-
-    zero_safe = bool(params.get("zero_safe", False))
-    return _Functional(
-        phi=pointwise(user["phi"]),
-        phi_prime=pointwise(user["phi_prime"]) if "phi_prime" in user else None,
-        zero_safe=zero_safe,
-        phi_at_zero=user["phi"](0.0) if zero_safe else None,
-        h=user.get("h"),
-        h_prime=user.get("h_prime"),
-    )
-
-
-# ---------------------------------------------------------------------------
 # The family table
 # ---------------------------------------------------------------------------
 
@@ -464,52 +542,52 @@ _ORDER_RULE: _Rule = ("q", lambda q: q > 0.0 and q != 1.0, "q > 0, q != 1")
 _MATHAI_RULE: _Rule = ("q", lambda q: q < 2.0 and q != 1.0, "q < 2, q != 1")
 
 _FAMILIES: dict[str, _Family] = {
-    "shannon": _Family((), lambda p: _x_log_x(-1.0), samples=({},)),
-    "renyi": _Family(("q",), lambda p: _power_sum(
+    "shannon": _Family((), lambda p: _XLogX(-1.0), samples=({},)),
+    "renyi": _Family(("q",), lambda p: _PowerSum(
         ((1, p["q"]),), outer=("log", 1.0 - p["q"]),
     ), rules=(_ORDER_RULE,), samples=_each("q", 0.5, 2.0, 3.0)),
-    "tsallis": _Family(("q",), lambda p: _power_sum(
+    "tsallis": _Family(("q",), lambda p: _PowerSum(
         # q = 0 would need the 0**0 convention
         ((1, p["q"]), (-1, 1)), 1.0 - p["q"], zero_safe=p["q"] > 0.0,
     ), rules=(("q", lambda q: q >= 0.0 and q != 1.0, "q >= 0, q != 1"),),
         samples=_each("q", 0.5, 2.0, 3.0)),
     "h_phi_custom": _Family(
-        ("phi",), _h_phi_custom, validate=_validate_h_phi_custom,
+        ("phi",), _UserForm.of, validate=_validate_h_phi_custom,
         optional=("h", "phi_prime", "h_prime", "zero_safe"),
     ),
-    "genetic": _Family((), lambda p: _Functional(
-        phi=lambda x: x - x**2 - x**2 * (1.0 - x) ** 2,
-        phi_prime=lambda x: 1.0 - 2.0 * x - 2.0 * x * (1.0 - x) * (1.0 - 2.0 * x),
-    ), samples=({},)),
-    "paired": _Family((), lambda p: _x_log_x(-1.0, mirrored=True), samples=({},)),
+    "genetic": _Family((), lambda p: _Genetic(), samples=({},)),
+    "paired": _Family((), lambda p: _XLogX(-1.0, mirrored=True), samples=({},)),
     "hypoentropy": _Family(
-        ("lambda",), _hypoentropy, rules=(("lambda", lambda lam: lam > 0.0, "lambda > 0"),),
+        ("lambda",), lambda p: _Hypoentropy(float(p["lambda"])),
+        rules=(("lambda", lambda lam: lam > 0.0, "lambda > 0"),),
         samples=_each("lambda", 0.5, 1.0, 5.0),
     ),
-    "sharma_mittal_rs": _Family(("r", "s"), lambda p: _power_sum(
+    "sharma_mittal_rs": _Family(("r", "s"), lambda p: _PowerSum(
         ((1, p["r"]),),
         outer=("expm1_log", (p["s"] - 1.0) / (p["r"] - 1.0), 1.0 - p["s"]),
     ), rules=(("r s", lambda r, s: r > 0.0 and r != 1.0 and s != 1.0,
                "r > 0, r != 1, s != 1"),),
         samples=({"r": 0.5, "s": 2.0}, {"r": 0.5, "s": 0.3}, {"r": 2.0, "s": 0.5})),
     "universal_group": _Family(
-        ("coeffs",), _universal_group,
+        ("coeffs",), lambda p: _XGNegLog(coeffs=p["coeffs"]),
+        validate=lambda p: callable(p["coeffs"]) or check_series_coefficients(p["coeffs"]),
         samples=_each("coeffs", (1.0,), (1.0, 0.4), (1.0, 0.4, 0.1)),
     ),
-    "s_cd": _Family(("c", "d"), _s_cd, rules=(
+    "s_cd": _Family(("c", "d"), lambda p: _SCd(float(p["c"]), float(p["d"])), rules=(
         ("c", lambda c: 0.0 < c <= 1.0, "c in (0, 1]"),
         ("c d", lambda c, d: 1.0 - c + c * d != 0.0, "a nonzero normalizer 1 - c + c*d"),
         ("d", lambda d: d > -1.0, "d > -1"),  # the incomplete gamma's shape 1 + d is > 0
     ), samples=({"c": 0.5, "d": 1.0}, {"c": 0.8, "d": 0.5}, {"c": 1.0, "d": 2.0})),
     "s_delta": _Family(
-        ("delta",), _s_delta, rules=(("delta", lambda delta: delta > 0.0, "delta > 0"),),
+        ("delta",), lambda p: _XGNegLog(delta=p["delta"]),
+        rules=(("delta", lambda delta: delta > 0.0, "delta > 0"),),
         samples=_each("delta", 0.5, 1.0, 2.0),
     ),
-    "borges_roditi": _Family(("a", "b"), lambda p: _power_sum(
+    "borges_roditi": _Family(("a", "b"), lambda p: _PowerSum(
         ((1, p["b"]), (-1, p["a"])), p["a"] - p["b"],
         zero_safe=p["a"] > 0.0 and p["b"] > 0.0,
         # a or b at 0 leaves x**0 = 1 at x = 0 (breaking expandability); else 0
-        at_zero=((p["b"] == 0.0) - (p["a"] == 0.0)) / (p["a"] - p["b"]) or None,
+        phi_at_zero=((p["b"] == 0.0) - (p["a"] == 0.0)) / (p["a"] - p["b"]) or None,
     ), rules=(
         ("a b", lambda a, b: 0.0 <= a < 1.0 and 0.0 <= b < 1.0, "0 <= a, b < 1"),
         # The defining formula divides by a - b; the analytic a -> b limit is
@@ -519,21 +597,21 @@ _FAMILIES: dict[str, _Family] = {
         # concave-component samples: b(1-b) >= a(1-a); low-b corners stay
         # merge-monotone but lose uniform maximality
         samples=({"a": 0.7, "b": 0.3}, {"a": 0.8, "b": 0.3}, {"a": 0.9, "b": 0.4})),
-    "group_entropy": _Family(("l", "m", "coeffs", "sigma"), lambda p: _power_sum(
+    "group_entropy": _Family(("l", "m", "coeffs", "sigma"), lambda p: _PowerSum(
         # literal per-state reading of the double sum (see module notes)
         zip(p["coeffs"], -np.arange(int(p["l"]), int(p["m"]) + 1.0) * p["sigma"]),
         float(p["sigma"]), zero_safe=False,
     ), validate=_validate_group_entropy),
-    "s_III": _Family(("q",), lambda p: _power_sum(
+    "s_III": _Family(("q",), lambda p: _PowerSum(
         # x * (x^(2e) - 2 x^e + x^(-e)) / e, written on combined exponents
         *_four_power(1.0 - p["q"], (0.0, 1.0, -2.0, 1.0)),
     ), rules=(("q", lambda q: 2.0 / 3.0 < q < 1.0, "2/3 < q < 1"),),
         samples=_each("q", 0.7, 0.8, 0.9)),
-    "s_IV": _Family(("q",), lambda p: _power_sum(
+    "s_IV": _Family(("q",), lambda p: _s_IV_concavity_gate(float(p["q"]), _PowerSum(
         *_four_power(1.0 - p["q"], _S_IV_WEIGHTS), zero_safe=False,
-    ), rules=(("q", lambda q: 0.5 < q < 1.5 and q != 1.0, "1/2 < q < 3/2, q != 1"),),
-        validate=_s_IV_concavity_gate, samples=_each("q", 0.75, 0.9, 1.2)),
-    "three_param": _Family(("q", "alpha", "beta"), lambda p: _power_sum(
+    )), rules=(("q", lambda q: 0.5 < q < 1.5 and q != 1.0, "1/2 < q < 3/2, q != 1"),),
+        samples=_each("q", 0.75, 0.9, 1.2)),
+    "three_param": _Family(("q", "alpha", "beta"), lambda p: _PowerSum(
         *_four_power(1.0 - p["q"], (
             p["alpha"],
             0.5 * (1.0 - 3.0 * p["alpha"] + p["beta"]),
@@ -549,7 +627,7 @@ _FAMILIES: dict[str, _Family] = {
         {"q": 1.2, "alpha": 0.25, "beta": -0.2},
         {"q": 1.1, "alpha": 0.4, "beta": -0.05},
     )),
-    "two_param": _Family(("r", "k"), lambda p: _power_sum(
+    "two_param": _Family(("r", "k"), lambda p: _PowerSum(
         ((1, 1.0 + p["r"] - p["k"]), (-1, 1.0 + p["r"] + p["k"])), 2.0 * p["k"],
         # r >= |k| keeps the bare p**(-k) factor of the defining formula bounded
         zero_safe=p["r"] - abs(p["k"]) >= 0.0,
@@ -558,14 +636,14 @@ _FAMILIES: dict[str, _Family] = {
         ("r k", _two_param_region_ok, "(r, k) inside the admissible region"),
     ), samples=({"r": 0.0, "k": 0.3}, {"r": 0.2, "k": 0.4}, {"r": -0.2, "k": 0.6})),
     "abe": _Family(
-        ("k",), lambda p: _abe(float(p["k"])), rules=(("k", lambda k: k != 0.0, "k != 0"),),
-        samples=_each("k", -0.5, 0.3, 1.0),
+        ("k",), lambda p: _PowerSum(*_abe_terms(float(p["k"])), zero_safe=False),
+        rules=(("k", lambda k: k != 0.0, "k != 0"),), samples=_each("k", -0.5, 0.3, 1.0),
     ),
-    "kaniadakis": _Family(("k",), lambda p: _power_sum(
+    "kaniadakis": _Family(("k",), lambda p: _PowerSum(
         ((1, 1.0 - p["k"]), (-1, 1.0 + p["k"])), 2.0 * p["k"],
     ), rules=(("k", lambda k: -1.0 < k < 1.0 and k != 0.0, "-1 < k < 1, k != 0"),),
         samples=_each("k", 0.3, 0.5, -0.7)),
-    "gamma_entropy": _Family(("gamma",), lambda p: _power_sum(
+    "gamma_entropy": _Family(("gamma",), lambda p: _PowerSum(
         ((1, 1.0 - p["gamma"]), (-1, 1.0 + 2.0 * p["gamma"])), 3.0 * p["gamma"],
     ), rules=(
         ("gamma", lambda g: g != 0.0, "gamma != 0"),
@@ -573,8 +651,8 @@ _FAMILIES: dict[str, _Family] = {
          "(r, k) = (gamma/2, 3*gamma/2) inside the admissible region"),
     ), samples=_each("gamma", 0.2, 0.4, -0.3)),
     "nath": _Family(("lambda",), lambda p: (
-        _x_log_x(float(p["tau"]), _LN2) if p["lambda"] == 1.0  # shannon in bits, times -tau
-        else _power_sum(((1.0, p["alpha"]),), outer=("log", float(p["lambda"]) * _LN2))
+        _XLogX(float(p["tau"]), _LN2) if p["lambda"] == 1.0  # shannon in bits, times -tau
+        else _PowerSum(((1.0, p["alpha"]),), outer=("log", float(p["lambda"]) * _LN2))
     ), validate=_validate_nath, optional=("tau", "alpha"),
         samples=(
             {"tau": -1.0, "lambda": 1.0},
@@ -582,16 +660,16 @@ _FAMILIES: dict[str, _Family] = {
             {"alpha": 2.0, "lambda": -1.0},
         ),
     ),
-    "havrda_charvat": _Family(("q",), lambda p: _power_sum(
+    "havrda_charvat": _Family(("q",), lambda p: _PowerSum(
         ((1, p["q"]), (-1, 1)), math.pow(2.0, 1.0 - p["q"]) - 1.0,
     ), rules=(_ORDER_RULE,), samples=_each("q", 0.5, 2.0, 3.0)),
-    "mathai_Mq": _Family(("q",), lambda p: _power_sum(
+    "mathai_Mq": _Family(("q",), lambda p: _PowerSum(
         ((1, 2.0 - p["q"]), (-1, 1)), p["q"] - 1.0,
     ), rules=(_MATHAI_RULE,), samples=_each("q", -0.5, 0.5, 1.5)),
-    "mathai_Mq_star": _Family(("q",), lambda p: _power_sum(
+    "mathai_Mq_star": _Family(("q",), lambda p: _PowerSum(
         ((1, 2.0 - p["q"]),), outer=("log", p["q"] - 1.0),
     ), rules=(_MATHAI_RULE,), samples=_each("q", 0.5, 1.5, 1.9)),
-    "counterexample_HE": _Family((), lambda p: _piecewise_linear(
+    "counterexample_HE": _Family((), lambda p: _PiecewiseLinear(
         (0.25, 0.5, 0.75), (1.0, 2.0, -2.0, -1.0), (0.0, -0.25, 1.75, 1.0),
     )),
 }
@@ -755,8 +833,7 @@ def _admit(spec: EntropySpec, n: int, has_zero: bool) -> None:
     f = spec.functional
     if has_zero and not f.zero_safe:
         raise ZeroUnsupported(f"{spec.id} does not admit zero probabilities")
-    if f.check_n is not None:
-        f.check_n(n)
+    f.check_n(n)
 
 
 def _outer_value(spec: EntropySpec, total: float) -> float:

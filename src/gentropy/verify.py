@@ -729,7 +729,8 @@ class _VectorValues:
         """
         specs, _, masses, widths, (count, groups) = self._vectors
         zero, has_zero = masses == 0.0, np.zeros(count, dtype=bool)
-        for rows, ids in groups if zero.any() else ():
+        flagged = zero.any() and not all(spec.functional.zero_safe for spec in specs)
+        for rows, ids in groups if flagged else ():  # _admit reads the flag only then
             has_zero[rows] = zero[ids].any(axis=1)
         rejected = np.zeros(count, dtype=bool)
         phis, alone = np.zeros_like(masses), {}  # alone: phi's outcome on a vector alone

@@ -1,5 +1,6 @@
 """Per-functional values, parameter domains, and catalog-wide invariants."""
 
+import hashlib
 import math
 import warnings
 
@@ -182,6 +183,19 @@ def test_hypoentropy_dimension_consistency():
 )
 def test_rejected_parameters(spec_id, params):
     with pytest.raises(ParamOutOfDomain):
+        EntropySpec(spec_id, params)
+
+
+@pytest.mark.parametrize("spec_id, params, refusal", [
+    ("havrda_charvat", {"q": 0.9999999999999999}, "divides by 0.0"),  # 2**(1-q) - 1 == 0.0
+    ("abe", {"k": 5e-324}, "divides by 0.0"),  # q - 1/q == 0.0
+    ("abe", {"k": -5e-324}, "divides by 0.0"),
+    ("hypoentropy", {"lambda": 5e-324}, "reads inf, which is not finite"),  # 1/lambda == inf
+])
+def test_a_form_dividing_by_zero_or_reading_an_infinity_is_refused(spec_id, params, refusal):
+    """The rules admit these parameters, but phi would divide by 0.0 or by an infinite
+    1/lambda: numpy warns, and phi is inf or NaN.  The form record refuses them."""
+    with pytest.raises(ParamOutOfDomain, match=f"^the form _.*{refusal}$"):
         EntropySpec(spec_id, params)
 
 
@@ -674,3 +688,69 @@ def test_an_underflowed_power_sum_under_a_log_is_non_finite():
     for sp in (spec("renyi", q=944.0), spec("sharma_mittal_rs", r=1000.0, s=2.0)):
         with pytest.raises(NonFinite, match="component sum is 0.0"):
             evaluate(sp, UNIFORM4)
+
+
+# ---------------------------------------------------------------------------
+# Form records against the closures they replaced, by digest
+# ---------------------------------------------------------------------------
+
+_RECORD_SPECS = [
+    *default_campaign_specs(include_unstable=True),  # the 60 defaults and group_entropy's
+    spec("counterexample_HE"),
+    spec("nath", tau=-2.5, **{"lambda": 1.0}),
+    # near-degenerate rows, where the forms' constants are closest to a division by 0
+    spec("s_IV", q=1.0 + 1e-15), spec("s_IV", q=1.0 - 1e-15), spec("renyi", q=1.0 + 1e-15),
+]
+_HE_KNOTS = [knot + side for knot in (0.25, 0.5, 0.75) for side in (-1e-12, 0.0, 1e-12)]
+_RECORD_POINTS = np.concatenate([
+    [0.0, 5e-324, 1e-300, 1e-12], np.linspace(0.0, 1.0, 1001)[1:-1], _HE_KNOTS, [1.0]
+])
+_RECORD_SUMS = np.concatenate([
+    [0.0, 5e-324, 1e-300, 1e-12, -0.5], np.linspace(0.01, 4.0, 400), [1.0, 10.0, 1e300]
+])
+# Computed at the parent of the form records, whose builders closed over the constants.
+_RECORD_DIGESTS = {
+    "phi": "50a7312147c34b716b0726bd7450a2ef7f7412dba29bd71cd8d5a3df1dd74b63",
+    "phi_prime": "f079b7a420ac621c7c14a96773482885727d6e549c96147f2a63e4a1fe54aa85",
+    "h": "2d8b4df053c872ff46483906113819a08304fecd5fcb226918f51c0ff2f4d4ca",
+    "h_prime": "66814b8d480f7a33dbcc22a088a87e504a3765774c692fc0b48d535327e08335",
+}
+
+
+def _digest_part(value) -> bytes:
+    """An array's bytes, or the name of the error raised in its place."""
+    return value.tobytes() if isinstance(value, np.ndarray) else type(value).__name__.encode()
+
+
+def _record_digests(specs) -> dict[str, str]:
+    """sha256 over the specs of phi's bits on the points (batched, or point by point when
+    the batch raises) with the component's flags, and of phi', h and h' through
+    ``catalog._map_points``: the values and each failure's position and type."""
+    from gentropy.catalog import _map_points, _outcome
+
+    digests = {name: hashlib.sha256() for name in _RECORD_DIGESTS}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for sp in specs:
+            f = sp.functional
+            flags = (sp.label(), f.zero_safe, f.phi_at_zero, f.breakpoints)
+            digests["phi"].update(repr(flags).encode())
+            with np.errstate(all="ignore"):
+                parts = [_outcome(f.phi, _RECORD_POINTS)]
+                if not isinstance(parts[0], np.ndarray):
+                    parts = [_outcome(f.phi, point) for point in _RECORD_POINTS.reshape(-1, 1)]
+            for part in parts:
+                digests["phi"].update(_digest_part(part))
+            for name, points in (("phi_prime", _RECORD_POINTS), ("h", _RECORD_SUMS),
+                                 ("h_prime", _RECORD_SUMS)):
+                values, failures = _map_points(sp, name, points)
+                kinds = sorted((i, type(error).__name__) for i, error in failures.items())
+                digests[name].update(values.tobytes() + repr(kinds).encode())
+    return {name: digest.hexdigest() for name, digest in digests.items()}
+
+
+def test_form_records_equal_the_replaced_closures_bit_for_bit():
+    """phi, phi', h and h' of every default spec, group_entropy's unstable sample, HE,
+    nath at lambda = 1 and three near-degenerate rows, on points with 0.0, a subnormal,
+    1e-300, 1.0 and HE's knots +-1e-12, give the bits and failures the closures gave."""
+    assert _record_digests(_RECORD_SPECS) == _RECORD_DIGESTS

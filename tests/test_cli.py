@@ -189,6 +189,17 @@ def test_an_outer_map_overflow_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ") and "math range error" in err
 
 
+def test_axioms_on_a_power_sum_whose_derivative_underflows_is_a_usage_error(capsys):
+    """sigma = 5e-324 gives the terms -0.5 x**5e-324 and 0.5 x**-5e-324, whose w * e
+    round to 0.0: phi' would have no term left (a TypeError, exit 3).  The record
+    refuses them at construction, naming the underflow."""
+    params = '{"l":-1,"m":1,"sigma":5e-324,"coeffs":[-0.5,0.0,0.5]}'
+    entropy = f'{{"id":"group_entropy","params":{params}}}'
+    code, out, err = run_cli(capsys, "axioms", "--entropy", entropy, "--samples", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: phi' would lose the term -0.5 x**5e-324: w * e underflows to 0.0\n"
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan"])
 def test_verify_rejects_non_finite_tolerance_before_running(capsys, monkeypatch, tolerance):
     """A non-finite tolerance is an argument error, not a failed emission."""

@@ -18,6 +18,8 @@ and stays bounded.  One more gate keeps every JSON text on ``errors``: only its
 ``errors._json_value`` and ``verify.report_from_json`` parse it.  A syntax gate keeps
 the source compiling on Python 3.10, the oldest that ``requires-python`` admits, and
 a builder gate keeps every object made without ``__init__`` on ``partitions._filled``.
+A record gate keeps every form record (a ``catalog._Functional`` subclass) built in its
+kind class or a ``_FAMILIES`` row, and no bare ``_Functional`` built at all.
 A walk gate keeps every partition walk of ``verify`` in ``_PartitionWalk``, the holder
 a kept value table's walk waits in until its blocks are first read.
 """
@@ -232,6 +234,69 @@ def test_the_builder_gate_sees_planted_builds(tmp_path):
     assert _hand_builds(tmp_path) == [
         "partitions.py:7: __new__",
         "planted.py:2: __new__", "planted.py:3: __set__", "planted.py:6: __set__",
+    ]
+
+
+def _record_builds(src: Path) -> list[str]:
+    """Where a module builds a form record outside ``catalog``'s kind classes and its
+    ``_FAMILIES`` rows, and every build of the bare base: a call of ``_Functional``,
+    of a class ``catalog.py`` derives from it, or of such a class's attribute."""
+    kinds = {"_Functional"}
+    for node in ast.parse((src / "catalog.py").read_text()).body:
+        if isinstance(node, ast.ClassDef) and {getattr(b, "id", None) for b in node.bases} & kinds:
+            kinds.add(node.name)
+
+    def built(call: ast.Call) -> str | None:
+        func = call.func
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in kinds:
+            return f"{func.value.id}.{func.attr}"
+        name = getattr(func, "id", getattr(func, "attr", None))
+        return name if name in kinds else None
+
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        homes = [
+            node for node in tree.body if path.name == "catalog.py" and (
+                isinstance(node, ast.ClassDef) and node.name in kinds
+                or isinstance(node, (ast.Assign, ast.AnnAssign)) and "_FAMILIES" in [
+                    getattr(target, "id", None)
+                    for target in getattr(node, "targets", None) or [node.target]
+                ]
+            )
+        ]
+        allowed = {id(node) for home in homes for node in ast.walk(home)}
+        found += [
+            f"{path.name}:{node.lineno}: {name}"
+            for node in sorted(ast.walk(tree), key=lambda node: getattr(node, "lineno", 0))
+            if isinstance(node, ast.Call) and (name := built(node))
+            and (id(node) not in allowed or name == "_Functional")
+        ]
+    return found
+
+
+def test_form_records_are_built_only_by_kind_classes_and_family_rows():
+    """Every functional is its form kind's record, built in a ``_FAMILIES`` row or by its
+    kind class (``_UserForm.of``), and no record is a bare ``_Functional``."""
+    assert _record_builds(Path(verify.__file__).parent) == []
+
+
+def test_the_record_gate_sees_planted_builds(tmp_path):
+    """The gate is not vacuous: a kind built by a helper, in another module or by a
+    kind's attribute outside the homes counts, and a bare base counts anywhere."""
+    (tmp_path / "catalog.py").write_text(
+        "class _Functional:\n    pass\n\n"
+        "class _Kind(_Functional):\n    def of(cls):\n        return _Other(1.0)\n\n"
+        "class _Other(_Kind):\n    pass\n\n"
+        "_FAMILIES: dict = {'a': lambda p: _Kind(), 'b': lambda p: _Functional()}\n\n"
+        "def _helper():\n    return _Other(2.0)\n"
+    )
+    (tmp_path / "planted.py").write_text(
+        "from . import catalog\n\nMADE = [catalog._Kind(), _Kind.of()]\n"
+    )
+    assert _record_builds(tmp_path) == [
+        "catalog.py:11: _Functional", "catalog.py:14: _Other",
+        "planted.py:3: _Kind", "planted.py:3: _Kind.of",
     ]
 
 

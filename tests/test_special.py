@@ -1,5 +1,6 @@
 """Incomplete gamma against an independent quadrature oracle; series kernels."""
 
+from functools import partial
 import math
 import warnings
 
@@ -285,18 +286,18 @@ def test_series_callable_that_fails_raises_user_callable_error():
             assert type(caught.value.__cause__) is cause
 
 
-def _functional_series(coeffs, monkeypatch):
-    """The g and g' that the universal_group functional is built on."""
-    monkeypatch.setattr(catalog, "_x_g_neglog", lambda g, g_prime: (g, g_prime))
-    return catalog._universal_group({"coeffs": coeffs})
+def _functional_series(coeffs):
+    """The g and g' of the universal_group functional's form record."""
+    record = catalog.EntropySpec("universal_group", coeffs=coeffs).functional
+    return record.g, partial(record.g, integral=False)
 
 
 @pytest.mark.parametrize(
     "coeffs", [(1.0, 0.4, 0.1), lambda k: 0.5**k / math.factorial(k)], ids=["finite", "callable"]
 )
-def test_public_series_equal_the_catalog_functional_bit_for_bit(coeffs, monkeypatch):
+def test_public_series_equal_the_catalog_functional_bit_for_bit(coeffs):
     """G and G' agree with the g and g' that the universal_group functional is built on."""
-    g, g_prime = _functional_series(coeffs, monkeypatch)
+    g, g_prime = _functional_series(coeffs)
     t = np.linspace(0.01, 8.0, 2000)
     public_g = np.array([universal_group_G(coeffs, v) for v in t.tolist()])
     public_g_prime = np.array([universal_group_G_prime(coeffs, v) for v in t.tolist()])
@@ -316,10 +317,10 @@ def _series_by_loop(coeffs, t, integral):
     raise AssertionError(f"no convergence at t={t!r}")
 
 
-def test_callable_series_equal_a_per_point_loop(monkeypatch):
+def test_callable_series_equal_a_per_point_loop():
     """Over an array, each point stops at the term its own scalar loop stops at."""
     coeffs = lambda k: 1.0 / math.factorial(k)  # noqa: E731
-    g, g_prime = _functional_series(coeffs, monkeypatch)
+    g, g_prime = _functional_series(coeffs)
     t = np.concatenate([[0.0], np.linspace(0.01, 30.0, 1000)])
     for series, integral in ((g, True), (g_prime, False)):
         expected = np.array([_series_by_loop(coeffs, v, integral) for v in t.tolist()])
