@@ -3,9 +3,9 @@ Axiom residuals and value transforms
 ====================================
 
 Structural identities (recursivity, strong additivity, product
-composability, escort composition) are checked as signed residuals; a
-built-in conformance table says which functionals are expected to satisfy
-which identity.  Functionals that are monotone images of each other share
+composability, escort composition) are checked as signed residuals; each
+functional's catalog record states which identities it is expected to
+satisfy.  Functionals that are monotone images of each other share
 all ordering structure; the registered transforms make that exact.
 """
 

@@ -3,9 +3,9 @@
 Each residual is the signed difference between the two sides of an identity;
 a functional "satisfies" the axiom when the residual vanishes (to rounding)
 on every admissible input.  Checkers *report*, they do not judge: a nonzero
-residual for a functional that never claimed the axiom is expected, and the
-built-in conformance table (:func:`expected_conforming`) lets campaigns
-separate those from genuine regressions.
+residual for a functional that never claimed the axiom is expected.  Each form
+record states the axioms it satisfies (``conforms``), which :func:`expected_conforming`
+reads, so campaigns can separate those residuals from genuine regressions.
 
 Axiom identifiers used throughout:
 
@@ -46,7 +46,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
-import math
 import threading
 
 import numpy as np
@@ -128,45 +127,25 @@ class AxiomResidual:
 # Conformance expectations
 # ---------------------------------------------------------------------------
 
-_STRUCTURAL_CONFORMANCE: dict[str, frozenset[str]] = {
-    "shannon": frozenset(
-        {"recursivity", "strong_additivity", "split_recursivity", "product_additivity"}
-    ),
-    "renyi": frozenset({"product_additivity"}),
-    "tsallis": frozenset({"product_pseudo_additivity", "escort_composability"}),
-    "havrda_charvat": frozenset({"product_pseudo_additivity"}),
-    "mathai_Mq": frozenset({"product_pseudo_additivity"}),
-}
-
-
 def expected_conforming(spec: EntropySpec, axiom_id: str) -> bool:
     """Whether a zero residual is expected for this functional and axiom."""
     if axiom_id in ("positivity", "symmetry", "continuity"):
         return True
     if axiom_id == "expandability":
         return spec.functional.zero_safe
-    return axiom_id in _STRUCTURAL_CONFORMANCE.get(spec.id, frozenset())
-
-
-# gamma of H(P x Q) = H(P) + H(Q) + gamma H(P) H(Q), from the parameters.
-_PSEUDO_ADDITIVITY_GAMMA: dict[str, Callable[[dict], float]] = {
-    "shannon": lambda p: 0.0,
-    "renyi": lambda p: 0.0,
-    "tsallis": lambda p: 1.0 - float(p["q"]),
-    "havrda_charvat": lambda p: math.pow(2.0, 1.0 - float(p["q"])) - 1.0,
-    # the order reindexing q -> 2 - q turns 1 - q into q - 1
-    "mathai_Mq": lambda p: float(p["q"]) - 1.0,
-}
+    return axiom_id in spec.functional.conforms
 
 
 def pseudo_additivity_gamma(spec: EntropySpec) -> float | None:
     """The composition constant gamma making products compose, if known.
 
-    Additive functionals return 0; functionals with no known product
-    composition rule return None.
+    Additive functionals return 0, pseudo-additive ones their divisor d, as phi = (x**e - x) / d
+    gives H(P x Q) = H(P) + H(Q) + d H(P) H(Q); those with no known composition return None.
     """
-    rule = _PSEUDO_ADDITIVITY_GAMMA.get(spec.id)
-    return None if rule is None else rule(spec.params)
+    f = spec.functional
+    if "product_additivity" in f.conforms:
+        return 0.0
+    return float(f.divisor) if "product_pseudo_additivity" in f.conforms else None
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ terms), ``x g(-ln x)`` (:class:`_XGNegLog`), ``scale * x ln x / divisor``
 (:class:`_XLogX`), piecewise linear (:class:`_PiecewiseLinear`), log1p
 (:class:`_Hypoentropy`), incomplete gamma (:class:`_SCd`) and ``genetic``'s
 literal polynomial (:class:`_Genetic`); ``h_phi_custom`` holds user callables
-(:class:`_UserForm`).  A record whose phi would divide by 0.0 or read a
-constant that is not finite is refused at construction.
+(:class:`_UserForm`).  A record whose phi would divide by 0.0, or read a constant
+(its outer map's too) that is not finite, is refused at construction.  Its
+``conforms`` names the structural axioms it satisfies: no other module keys on a family.
 
 An outer map is one of the ``_OUTER`` kinds (identity, log, expm1 of a scaled
 log, shift), named with its constants by the record's ``outer``; its h and h'
@@ -43,7 +44,7 @@ Conventions: 0*ln(0) := 0 and 0**a := 0 for a > 0.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cache, partial
 from itertools import chain
 from types import SimpleNamespace
@@ -68,7 +69,7 @@ from .errors import (
     _numbers,
 )
 from .errors import _guarded, _integer, _json_text, _json_value, _shown
-from .special import _group_series, _libm, check_series_coefficients, upper_incomplete_gamma
+from .special import _group_series, _libm, upper_incomplete_gamma
 
 _LN2 = math.log(2.0)
 
@@ -106,7 +107,7 @@ class _Functional:
     end to end.  h and h' are the ``_OUTER`` kind that ``outer`` names (None for the
     identity).  A keyword ``phi``, ``phi_prime``, ``h`` or ``h_prime`` substitutes that
     map, as ``dataclasses.replace`` passes a test's fake.  The record is refused where
-    phi would divide by 0.0 or read a constant that is not finite.
+    phi would divide by 0.0 or phi or h read a constant that is not finite.
     """
 
     _: KW_ONLY
@@ -114,6 +115,7 @@ class _Functional:
     phi_prime: InitVar[ArrayFn | None] = None
     h: InitVar[Callable[[float], float] | None] = None
     h_prime: InitVar[Callable[[float], float] | None] = None
+    conforms: frozenset[str] = field(default=frozenset(), repr=False)  # axioms it satisfies
     zero_safe = True
     phi_at_zero = 0.0
     breakpoints = ()
@@ -123,7 +125,7 @@ class _Functional:
     def __post_init__(self, *maps: Callable | None) -> None:
         if self.divisor == 0.0:
             raise ParamOutOfDomain(f"the form {self!r} divides by 0.0")
-        for value in (self.divisor, *self._constants()):
+        for value in (self.divisor, *self._constants(), *self.outer[1:]):
             if not math.isfinite(value):
                 raise ParamOutOfDomain(f"the form {self!r} reads {value!r}, which is not finite")
         from_outer = (None, None, *_OUTER[self.outer[0]](*self.outer[1:]))
@@ -255,11 +257,20 @@ class _XGNegLog(_Functional):
     """phi(x) = x g(-ln x), extended by 0 at x = 0; phi'(x) = (g - g')(-ln x).
 
     g is t**delta, whose dimension n must keep delta <= 1 + ln n, or, without a
-    delta, the group series G of ``coeffs`` (:func:`special._group_series`).
+    delta, the group series G of ``coeffs`` (:func:`special._group_series` checks them).
     """
 
     delta: float | None = None
     coeffs: tuple[float, ...] | Callable[[int], float] | None = None
+
+    def __post_init__(self, *maps: Callable | None) -> None:
+        if self.delta is None:
+            g = tuple(_group_series(self.coeffs, integral) for integral in (False, True))
+        else:
+            terms = ((1.0, float(self.delta)),)  # t**delta
+            g = tuple(partial(_powers, terms=t, divisor=1.0) for t in (_derive(terms), terms))
+        object.__setattr__(self, "_g", g)  # (g', g), built once with the record
+        super().__post_init__(*maps)
 
     def check_n(self, n: int) -> None:
         bound = 1.0 + math.log(n)
@@ -270,10 +281,7 @@ class _XGNegLog(_Functional):
 
     def g(self, t: np.ndarray, integral: bool = True) -> np.ndarray:
         """g at ``t``, or g' where not ``integral``."""
-        if self.delta is None:
-            return _group_series(self.coeffs, integral)(t)
-        g = ((1.0, float(self.delta)),)  # t**delta
-        return _powers(t, g if integral else _derive(g), 1.0)
+        return self._g[integral](t)
 
     def phi(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
@@ -542,13 +550,16 @@ _ORDER_RULE: _Rule = ("q", lambda q: q > 0.0 and q != 1.0, "q > 0, q != 1")
 _MATHAI_RULE: _Rule = ("q", lambda q: q < 2.0 and q != 1.0, "q < 2, q != 1")
 
 _FAMILIES: dict[str, _Family] = {
-    "shannon": _Family((), lambda p: _XLogX(-1.0), samples=({},)),
+    "shannon": _Family((), lambda p: _XLogX(-1.0, conforms=frozenset(
+        {"recursivity", "strong_additivity", "split_recursivity", "product_additivity"}
+    )), samples=({},)),
     "renyi": _Family(("q",), lambda p: _PowerSum(
-        ((1, p["q"]),), outer=("log", 1.0 - p["q"]),
+        ((1, p["q"]),), outer=("log", 1.0 - p["q"]), conforms=frozenset({"product_additivity"}),
     ), rules=(_ORDER_RULE,), samples=_each("q", 0.5, 2.0, 3.0)),
     "tsallis": _Family(("q",), lambda p: _PowerSum(
         # q = 0 would need the 0**0 convention
         ((1, p["q"]), (-1, 1)), 1.0 - p["q"], zero_safe=p["q"] > 0.0,
+        conforms=frozenset({"product_pseudo_additivity", "escort_composability"}),
     ), rules=(("q", lambda q: q >= 0.0 and q != 1.0, "q >= 0, q != 1"),),
         samples=_each("q", 0.5, 2.0, 3.0)),
     "h_phi_custom": _Family(
@@ -570,7 +581,6 @@ _FAMILIES: dict[str, _Family] = {
         samples=({"r": 0.5, "s": 2.0}, {"r": 0.5, "s": 0.3}, {"r": 2.0, "s": 0.5})),
     "universal_group": _Family(
         ("coeffs",), lambda p: _XGNegLog(coeffs=p["coeffs"]),
-        validate=lambda p: callable(p["coeffs"]) or check_series_coefficients(p["coeffs"]),
         samples=_each("coeffs", (1.0,), (1.0, 0.4), (1.0, 0.4, 0.1)),
     ),
     "s_cd": _Family(("c", "d"), lambda p: _SCd(float(p["c"]), float(p["d"])), rules=(
@@ -662,9 +672,11 @@ _FAMILIES: dict[str, _Family] = {
     ),
     "havrda_charvat": _Family(("q",), lambda p: _PowerSum(
         ((1, p["q"]), (-1, 1)), math.pow(2.0, 1.0 - p["q"]) - 1.0,
+        conforms=frozenset({"product_pseudo_additivity"}),
     ), rules=(_ORDER_RULE,), samples=_each("q", 0.5, 2.0, 3.0)),
     "mathai_Mq": _Family(("q",), lambda p: _PowerSum(
         ((1, 2.0 - p["q"]), (-1, 1)), p["q"] - 1.0,
+        conforms=frozenset({"product_pseudo_additivity"}),
     ), rules=(_MATHAI_RULE,), samples=_each("q", -0.5, 0.5, 1.5)),
     "mathai_Mq_star": _Family(("q",), lambda p: _PowerSum(
         ((1, 2.0 - p["q"]),), outer=("log", p["q"] - 1.0),

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from types import SimpleNamespace
+import hashlib
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from gentropy import (
     residual_split_recursivity,
     residual_strong_additivity,
 )
-from gentropy import axioms, verify
+from gentropy import axioms, catalog, verify
 from gentropy.axioms import AxiomResidual
 from gentropy.catalog import _FAMILIES, CATALOG_IDS, outer_map_prime, phi_prime
 from gentropy.distributions import _dirichlet_interior
@@ -35,6 +36,7 @@ from gentropy.errors import (
     GentropyError,
     NoDerivative,
     NonFinite,
+    ParamOutOfDomain,
     TooSmall,
     UserCallableError,
     ValidationError,
@@ -203,6 +205,105 @@ def test_mathai_pseudo_additivity_reindexed_constant():
         left = FiniteDistribution(rng.dirichlet(np.ones(3)))
         right = FiniteDistribution(rng.dirichlet(np.ones(4)))
         assert abs(residual_product_composability(spec, left, right, gamma)) <= 1e-10
+
+
+_AXIOM_IDS = (
+    "positivity", "expandability", "symmetry", "continuity", "recursivity", "strong_additivity",
+    "split_recursivity", "product_additivity", "product_pseudo_additivity", "escort_composability",
+)
+_CONFORMANCE_SPECS = default_campaign_specs(include_unstable=True) + [
+    EntropySpec("counterexample_HE"), EntropySpec("nath", **{"lambda": 1.0, "tau": -2.5}),
+    EntropySpec("h_phi_custom", phi=lambda x: -x * math.log(x) if x > 0 else 0.0, zero_safe=True),
+]
+# Every row with a structural axiom or a gamma; the rest conform to the basic axioms alone.
+_STRUCTURAL_ROWS = {
+    "shannon": ("1111111100", "0x0.0p+0"),
+    **{f"renyi(q={q})": ("1111000100", "0x0.0p+0") for q in (0.5, 2.0, 3.0)},
+    "tsallis(q=0.5)": ("1111000011", "0x1.0000000000000p-1"),
+    "tsallis(q=2.0)": ("1111000011", "-0x1.0000000000000p+0"),
+    "tsallis(q=3.0)": ("1111000011", "-0x1.0000000000000p+1"),
+    "havrda_charvat(q=0.5)": ("1111000010", "0x1.a827999fcef34p-2"),
+    "havrda_charvat(q=2.0)": ("1111000010", "-0x1.0000000000000p-1"),
+    "havrda_charvat(q=3.0)": ("1111000010", "-0x1.8000000000000p-1"),
+    "mathai_Mq(q=-0.5)": ("1111000010", "-0x1.8000000000000p+0"),
+    "mathai_Mq(q=0.5)": ("1111000010", "-0x1.0000000000000p-1"),
+    "mathai_Mq(q=1.5)": ("1111000010", "0x1.0000000000000p-1"),
+}
+_CONFORMANCE_DIGEST = "435e337661b66db82a6fb349d12607279bd4b1e4502bd32f6a28021e2900fb45"
+
+
+def _conformance_row(spec) -> tuple[str, str, str | None]:
+    """The spec's label, one expected_conforming bit per axiom id, and gamma's hex."""
+    gamma = pseudo_additivity_gamma(spec)
+    bits = "".join("1" if expected_conforming(spec, axiom) else "0" for axiom in _AXIOM_IDS)
+    return spec.label(), bits, None if gamma is None else gamma.hex()
+
+
+def test_conformance_and_gamma_equal_the_replaced_tables():
+    """The 60 default specs, group_entropy's unstable sample, HE, nath at lambda = 1 and an
+    h_phi_custom: what their records state gives the answers and gamma bits that the
+    spec-id tables of ``axioms`` gave (the digest was computed with those tables)."""
+    rows = [_conformance_row(spec) for spec in _CONFORMANCE_SPECS]
+    assert len(rows) == 64
+    assert {label: (bits, gamma) for label, bits, gamma in rows if bits[4:] != "000000"
+            or gamma is not None} == _STRUCTURAL_ROWS
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _CONFORMANCE_DIGEST
+
+
+# The gamma formulas of the replaced table, on the parameter q
+_PSEUDO_ADDITIVE_RULES = {
+    "tsallis": (lambda q: 1.0 - float(q), st.one_of(
+        st.just(2), st.just(np.float64(2.5)), st.integers(0, 10**6),
+        st.floats(0.0, allow_nan=False, allow_infinity=False),
+    )),
+    "havrda_charvat": (lambda q: math.pow(2.0, 1.0 - float(q)) - 1.0, st.one_of(
+        st.just(2), st.integers(1, 10**6),
+        st.floats(0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+    )),
+    "mathai_Mq": (lambda q: float(q) - 1.0, st.one_of(
+        st.just(-5), st.integers(-10**6, 1), st.floats(max_value=2.0, exclude_max=True,
+                                                       allow_nan=False, allow_infinity=False),
+    )),
+}
+
+
+@pytest.mark.parametrize("spec_id", sorted(_PSEUDO_ADDITIVE_RULES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_gamma_has_the_bits_of_the_replaced_formulas(spec_id, data):
+    """Over each pseudo-additive family's rule, int and numpy q included, gamma read from the
+    record is a float with the bits of the formula the replaced table computed from q."""
+    formula, qs = _PSEUDO_ADDITIVE_RULES[spec_id]
+    q = data.draw(qs.filter(lambda q: q != 1), label="q")
+    try:
+        spec = EntropySpec(spec_id, q=q)
+    except ParamOutOfDomain:  # a divisor of 0.0, as havrda_charvat's next to q = 1
+        reject()
+    gamma = pseudo_additivity_gamma(spec)
+    assert type(gamma) is float and gamma.hex() == formula(q).hex()
+    _assert_pseudo_additive_shape(spec)
+
+
+def _assert_pseudo_additive_shape(spec) -> None:
+    """phi = (x**e - x) / divisor with no outer map, which makes gamma the divisor."""
+    f = spec.functional
+    assert isinstance(f, catalog._PowerSum) and f.outer == ("identity",)
+    (w, e), rest = f.terms[0], f.terms[1:]
+    assert (w, rest) == (1.0, ((-1.0, 1.0),)) and e != 1.0
+
+
+def test_every_pseudo_additive_record_has_the_shape_that_makes_gamma_its_divisor():
+    """Each record that states product_pseudo_additivity is a power sum with terms
+    ((1, e), (-1, 1)) and the identity outer map: sum_ij (p_i q_j)**e factors, so
+    H(P x Q) = H(P) + H(Q) + divisor H(P) H(Q).  Int q included."""
+    extra = [EntropySpec("tsallis", q=2), EntropySpec("mathai_Mq", q=-5),
+             EntropySpec("havrda_charvat", q=3)]
+    claimed = [spec for spec in _CONFORMANCE_SPECS + extra
+               if "product_pseudo_additivity" in spec.functional.conforms]
+    assert [spec.id for spec in claimed] == ["tsallis"] * 3 + ["havrda_charvat"] * 3 + [
+        "mathai_Mq"] * 3 + ["tsallis", "mathai_Mq", "havrda_charvat"]
+    for spec in claimed:
+        _assert_pseudo_additive_shape(spec)
 
 
 # ---------------------------------------------------------------------------

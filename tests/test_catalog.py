@@ -191,10 +191,13 @@ def test_rejected_parameters(spec_id, params):
     ("abe", {"k": 5e-324}, "divides by 0.0"),  # q - 1/q == 0.0
     ("abe", {"k": -5e-324}, "divides by 0.0"),
     ("hypoentropy", {"lambda": 5e-324}, "reads inf, which is not finite"),  # 1/lambda == inf
+    # the outer map's m = (s - 1) / (r - 1) == inf
+    ("sharma_mittal_rs", {"r": 1.0 + 2.0**-40, "s": 1e300}, "reads inf, which is not finite"),
 ])
 def test_a_form_dividing_by_zero_or_reading_an_infinity_is_refused(spec_id, params, refusal):
     """The rules admit these parameters, but phi would divide by 0.0 or by an infinite
-    1/lambda: numpy warns, and phi is inf or NaN.  The form record refuses them."""
+    1/lambda, or h would scale by an infinite m: numpy warns, or the value is NaN or
+    meaningless.  The form record refuses them."""
     with pytest.raises(ParamOutOfDomain, match=f"^the form _.*{refusal}$"):
         EntropySpec(spec_id, params)
 
@@ -625,7 +628,6 @@ _OUTER_SPECS = [
     spec("nath", alpha=2.0, **{"lambda": -1e-310}),  # log / c overflows
     spec("sharma_mittal_rs", r=0.5, s=2.0), spec("sharma_mittal_rs", r=2.0, s=0.5),
     spec("sharma_mittal_rs", r=1.0 + 2.0**-40, s=1e290),  # m * log overflows
-    spec("sharma_mittal_rs", r=1.0 + 2.0**-40, s=1e300),  # m is inf
     spec("s_cd", c=0.8, d=0.5),
 ]
 _ONE = 1.0 + np.arange(-4, 5) * 2.0**-52
@@ -754,3 +756,21 @@ def test_form_records_equal_the_replaced_closures_bit_for_bit():
     nath at lambda = 1 and three near-degenerate rows, on points with 0.0, a subnormal,
     1e-300, 1.0 and HE's knots +-1e-12, give the bits and failures the closures gave."""
     assert _record_digests(_RECORD_SPECS) == _RECORD_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(1.0, 0.4, 0.1), lambda k: 0.5**k / math.factorial(k)], ids=["finite", "callable"]
+)
+def test_the_group_series_is_built_with_the_record_and_never_per_call(coeffs, monkeypatch):
+    """universal_group's G and G' are built once each, with its record: phi, phi' and
+    evaluate reuse them, so no call re-checks or re-divides the coefficients."""
+    from gentropy import catalog
+
+    built, series = [], catalog._group_series
+    monkeypatch.setattr(catalog, "_group_series", lambda *a: built.append(a) or series(*a))
+    sp = spec("universal_group", coeffs=coeffs)
+    assert [integral for _, integral in built] == [False, True]
+    x = np.linspace(0.01, 0.99, 50)
+    sp.functional.phi(x), sp.functional.phi_prime(x), phi_prime(sp, 0.3)
+    evaluate(sp, UNIFORM4), evaluate(sp, P235)
+    assert len(built) == 2

@@ -200,6 +200,17 @@ def test_axioms_on_a_power_sum_whose_derivative_underflows_is_a_usage_error(caps
     assert err == "error: phi' would lose the term -0.5 x**5e-324: w * e underflows to 0.0\n"
 
 
+def test_compute_on_an_infinite_outer_constant_is_a_usage_error(capsys):
+    """sharma_mittal_rs(r=1+2**-40, s=1e300) has the outer constant m = (s-1)/(r-1) = inf,
+    and evaluate gave NaN on [1.0]; [0.5, 0.5] still exited 0.  The record refuses it."""
+    entropy = '{"id":"sharma_mittal_rs","params":{"r":1.0000000000009095,"s":1e300}}'
+    code, out, err = run_cli(capsys, "compute", "--entropy", entropy, "--dist", "[0.5,0.5]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the form _PowerSum(terms=((1.0, 1.0000000000009095),), ")
+    assert err.endswith(" outer=('expm1_log', inf, -1e+300), zero_safe=True, phi_at_zero=0.0)"
+                        " reads inf, which is not finite\n")
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan"])
 def test_verify_rejects_non_finite_tolerance_before_running(capsys, monkeypatch, tolerance):
     """A non-finite tolerance is an argument error, not a failed emission."""

@@ -20,6 +20,8 @@ the source compiling on Python 3.10, the oldest that ``requires-python`` admits,
 a builder gate keeps every object made without ``__init__`` on ``partitions._filled``.
 A record gate keeps every form record (a ``catalog._Functional`` subclass) built in its
 kind class or a ``_FAMILIES`` row, and no bare ``_Functional`` built at all.
+A family gate keeps every fact about a family in ``catalog``: no other module reads a
+spec's parameters or keys a table on its id.
 A walk gate keeps every partition walk of ``verify`` in ``_PartitionWalk``, the holder
 a kept value table's walk waits in until its blocks are first read.
 """
@@ -297,6 +299,59 @@ def test_the_record_gate_sees_planted_builds(tmp_path):
     assert _record_builds(tmp_path) == [
         "catalog.py:11: _Functional", "catalog.py:14: _Other",
         "planted.py:3: _Kind", "planted.py:3: _Kind.of",
+    ]
+
+
+def _family_reads(src: Path) -> list[str]:
+    """Where a module other than ``catalog`` reads a spec's parameters or keys a lookup on
+    its id: any ``.params`` attribute, and an ``.id`` attribute in a subscript, in the
+    arguments of a ``.get(...)`` or on the left of an ``in`` test."""
+
+    def on_id(node: ast.AST) -> bool:
+        return any(isinstance(n, ast.Attribute) and n.attr == "id" for n in ast.walk(node))
+
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "catalog.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in sorted(ast.walk(tree), key=lambda n: (getattr(n, "lineno", 0),
+                                                          getattr(n, "col_offset", 0))):
+            if isinstance(node, ast.Attribute) and node.attr == "params":
+                found.append(f"{path.name}:{node.lineno}: .params")
+            elif isinstance(node, ast.Subscript) and on_id(node.slice):
+                found.append(f"{path.name}:{node.lineno}: [.id]")
+            elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get"
+                  and any(on_id(arg) for arg in node.args)):
+                found.append(f"{path.name}:{node.lineno}: .get(.id)")
+            elif isinstance(node, ast.Compare) and on_id(node.left) and any(
+                isinstance(op, (ast.In, ast.NotIn)) for op in node.ops
+            ):
+                found.append(f"{path.name}:{node.lineno}: .id in")
+    return found
+
+
+def test_only_the_catalog_knows_a_family():
+    """Every fact about a family (its axioms, its gamma) is read from its form record:
+    outside ``catalog``, no module reads a spec's parameters or keeps a table keyed on
+    its id.  ``perfbench``'s counter sees only comparisons of an id with a literal."""
+    assert _family_reads(Path(verify.__file__).parent) == []
+
+
+def test_the_family_gate_sees_planted_reads(tmp_path):
+    """The gate is not vacuous: a parameter read and a subscript, ``.get`` or ``in`` test
+    on an id count anywhere but in ``catalog.py``; an id passed to a call does not."""
+    planted = (
+        "def gamma(spec):\n    return TABLE[spec.id](spec.params)\n\n"
+        "def known(spec):\n    return TABLE.get(spec.id, 0) if spec.id not in SKIP"
+        " else PAIRS[(spec.id, 'renyi')]\n\n"
+        "def fine(spec, other):\n    return lookup(spec.id), spec.id == other.id\n"
+    )
+    (tmp_path / "catalog.py").write_text(planted)
+    (tmp_path / "planted.py").write_text(planted)
+    assert _family_reads(tmp_path) == [
+        "planted.py:2: [.id]", "planted.py:2: .params",
+        "planted.py:5: .get(.id)", "planted.py:5: .id in", "planted.py:5: [.id]",
     ]
 
 
