@@ -62,7 +62,6 @@ from .distributions import (
 )
 from .errors import (
     BadInverse,
-    DimensionMismatch,
     NoDerivative,
     TooSmall,
     ValidationError,
@@ -404,16 +403,12 @@ def residual_split_recursivity(
     spec: EntropySpec,
     outer: FiniteDistribution,
     inner: FiniteDistribution,
-    m: int | None = None,
 ) -> float:
     """Residual of splitting the last state of ``outer`` by ``inner``.
 
     Compares H on (p_1, .., p_{m-1}, p_m q_1, .., p_m q_L) against
-    H(outer) + p_m H(inner).
+    H(outer) + p_m H(inner), where m is ``outer.n``.
     """
-    m = outer.n if m is None else _integer("m", m, minimum=1)
-    if m != outer.n:
-        raise DimensionMismatch(f"m={m} does not match the outer dimension {outer.n}")
     p = outer.probs
     tail = float(p[-1])
     if tail <= 0.0:

@@ -834,7 +834,8 @@ def evaluate(spec: EntropySpec, dist: FiniteDistribution) -> float:
     f = spec.functional
     p = dist.probs
     _admit(spec, dist.n, not f.zero_safe and bool(np.any(p == 0.0)))
-    return _outer_value(spec, float(np.sum(f.phi(p))))
+    with np.errstate(all="ignore"):  # a sum past the float range is not finite: NonFinite
+        return _outer_value(spec, float(np.sum(f.phi(p))))
 
 
 def _admit(spec: EntropySpec, n: int, has_zero: bool) -> None:
@@ -860,10 +861,10 @@ def _outer_value(spec: EntropySpec, total: float) -> float:
 def phi_component(spec: EntropySpec, x: float, n: int | None = None) -> float:
     """The per-state component phi at a point of [0, 1].
 
-    At ``x = 0`` the analytic limit is returned when it exists (it is the
-    value that makes expandability meaningful); functionals whose component
-    diverges or is undefined at 0 raise.  No component depends on the
-    dimension: ``n``, an integer of at least 1 where given, is otherwise ignored.
+    At ``x = 0`` the analytic limit is returned when it exists (it makes
+    expandability meaningful); a component that diverges or is undefined at 0
+    raises, and a value that is not finite raises ``NonFinite``.  No component
+    depends on the dimension: ``n``, an integer >= 1 where given, is ignored.
     """
     f = spec.functional
     if n is not None:
@@ -874,13 +875,17 @@ def phi_component(spec: EntropySpec, x: float, n: int | None = None) -> float:
         if f.phi_at_zero is None:
             raise ZeroUnsupported(f"{spec.id} per-state component undefined at 0")
         return f.phi_at_zero
-    return float(f.phi(np.array([float(x)]))[0])
+    with np.errstate(all="ignore"):  # past the float range: NonFinite, as in evaluate
+        value = float(f.phi(np.array([float(x)]))[0])
+    if not math.isfinite(value):
+        raise NonFinite(f"{spec.id} per-state component is {value!r} at {x!r}")
+    return value
 
 
 def phi_prime(spec: EntropySpec, x: float) -> float:
     """Closed-form derivative of the per-state component on (0, 1).
 
-    Piecewise components reject their non-differentiable breakpoints.
+    Piecewise components reject their breakpoints; a value not finite is ``NonFinite``.
     """
     return _at(spec, "phi_prime", _number("x", x))
 
@@ -914,7 +919,10 @@ def _phi_prime_at(spec: EntropySpec, x: float) -> float:
     for b in f.breakpoints:
         if abs(x - b) < 1e-12:
             raise BreakpointHit(f"{spec.id} component is not differentiable at {b}")
-    return float(f.phi_prime(np.array([x]))[0])
+    value = float(f.phi_prime(np.array([x]))[0])
+    if not math.isfinite(value):
+        raise NonFinite(f"{spec.id} component derivative is {value!r} at {x!r}")
+    return value
 
 
 def _map_points(spec: EntropySpec, name: str, points: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -937,14 +945,15 @@ def _map_points(spec: EntropySpec, name: str, points: np.ndarray) -> tuple[np.nd
 
 def _map_array(at: Callable, points: np.ndarray) -> tuple[np.ndarray, dict]:
     """``at``, a map of one float, at each of the 1-d float ``points``: the values, NaN where it
-    raises, and each error (by :func:`_outcome`) by position, ascending.  Its ``.array``, if
-    any, runs first, numpy's warnings off, and gives each point the bits ``at`` gives it; the
+    raises, and each error (by :func:`_outcome`) by position, ascending; numpy's warnings are
+    off.  Its ``.array``, if any, runs first and gives each point the bits ``at`` gives it; the
     points it leaves not finite, or all of them when it raises or is missing, go alone."""
     values = np.full(points.size, math.nan)
     with suppress(Exception), np.errstate(all="ignore"):  # Python's floats give no warnings
         values[:] = at.array(points)  # without one, or where it raises, every point goes alone
     alone = np.flatnonzero(~np.isfinite(values))
-    outcomes = {i: _outcome(at, y) for i, y in zip(alone.tolist(), points[alone].tolist())}
+    with np.errstate(all="ignore"):  # ``at`` judges a value that is not finite
+        outcomes = {i: _outcome(at, y) for i, y in zip(alone.tolist(), points[alone].tolist())}
     failures = {i: error for i, error in outcomes.items() if isinstance(error, Exception)}
     values[alone] = [math.nan if i in failures else value for i, value in outcomes.items()]
     return values, failures

@@ -171,8 +171,6 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
 
     failed = False
     for entry in residuals:
-        if not entry.get("expected_conforming"):
-            continue
         budget = entry.get("budget") or 1e-10
         # an expected axiom that no sample could probe is not a pass
         if entry["cases_run"] == 0 or entry["max_abs_residual"] > budget:

@@ -361,16 +361,13 @@ def _summarize(
 
     ``spec_indices`` gives each entry's spec index (all 0 when omitted, as
     for a single-spec report).  A run starts at entry 0 and wherever the spec
-    index changes, or the label does where entries carry their own: each report
-    this module builds gives a spec one run.  The worst case is the first entry
-    holding the run's least margin; a skipped entry has no margin.
+    index changes; labels are display text two specs may share.  Each report this
+    module builds gives a spec one run, labelled by its first entry.  The worst
+    case is the first entry holding the run's least margin; a skipped one has none.
     """
     entries = _Entries.of(entries)
     s_index = None if spec_indices is None else np.asarray(spec_indices)
     change = False if s_index is None else s_index[1:] != s_index[:-1]
-    if "spec" in entries._columns:  # else one label is shared by all
-        labels = np.array(entries.column("spec"), dtype=object)
-        change = change | (labels[1:] != labels[:-1])
     starts = [0, *(np.flatnonzero(change) + 1).tolist()][: len(entries)]
     firsts = [0] * len(starts) if s_index is None else s_index[starts].tolist()
     runs = zip(firsts, entries._at("spec", starts), starts, starts[1:] + [len(entries)])
@@ -716,6 +713,7 @@ class _VectorValues:
         rows, ids = next(group for group in groups if group[1].shape[1] == widths[v])
         return masses[ids[np.searchsorted(rows, v)]]
 
+    @np.errstate(all="ignore")  # a sum past the float range is not finite: h's to refuse
     def _phi_totals(self, bounds: np.ndarray, starts: np.ndarray | None) -> tuple:
         """Which vectors phi did not reach, and each vector's component sum: phi
         runs once per functional on the masses its kept vectors read (from

@@ -57,7 +57,6 @@ from gentropy.distributions import (
     sample_dirichlet_uniform,
 )
 from gentropy.errors import (
-    DimensionMismatch,
     DomainViolation,
     GentropyError,
     ParamOutOfDomain,
@@ -134,8 +133,6 @@ INTEGER_ROWS = [
     ("max_entropy_check", "samples",
      lambda v: max_entropy_check(SHANNON, [2], v, 0), 2, BAD + (0,)),
     ("max_entropy_check", "rng_seed", lambda v: max_entropy_check(SHANNON, [2], 2, v), 0, BAD),
-    ("residual_split_recursivity", "m",
-     lambda v: residual_split_recursivity(SHANNON, DIST, HALVES, m=v), 3, BAD + (0,)),
     ("phi_component", "n", lambda v: phi_component(SHANNON, 0.5, v), 2, BAD + (0,)),
 ]
 
@@ -258,8 +255,6 @@ PINNED = {
     "outer_map_prime(sharma_mittal_rs(r=1000, s=2), 1e-310)":
         lambda: outer_map_prime(EntropySpec("sharma_mittal_rs", r=1000, s=2), 1e-310),
     "EntropySpec s_cd d=-2": lambda: EntropySpec("s_cd", c=0.5, d=-2),
-    "residual_split_recursivity m=True, one state": lambda: residual_split_recursivity(
-        SHANNON, FiniteDistribution([1.0]), HALVES, m=True),
 }
 
 
@@ -331,9 +326,6 @@ REFUSALS = {
     "residual_recursivity zero head": (
         lambda: residual_recursivity(SHANNON, FiniteDistribution([0.0, 0.0, 1.0])),
         ZeroUnsupported, "zero total mass"),
-    "residual_split_recursivity m mismatch": (
-        lambda: residual_split_recursivity(SHANNON, DIST, FiniteDistribution([0.5, 0.5]), m=2),
-        DimensionMismatch, "m=2"),
     "residual_split_recursivity zero tail": (
         lambda: residual_split_recursivity(
             SHANNON, FiniteDistribution([0.5, 0.5, 0.0]), FiniteDistribution([0.5, 0.5])),

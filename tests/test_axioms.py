@@ -29,7 +29,7 @@ from gentropy import (
 )
 from gentropy import axioms, catalog, verify
 from gentropy.axioms import AxiomResidual
-from gentropy.catalog import _FAMILIES, CATALOG_IDS, outer_map_prime, phi_prime
+from gentropy.catalog import CATALOG_IDS, outer_map_prime, phi_prime
 from gentropy.distributions import _dirichlet_interior
 from gentropy.errors import (
     BadInverse,
@@ -42,6 +42,7 @@ from gentropy.errors import (
     ValidationError,
     ZeroUnsupported,
 )
+from drawn import DRAWN
 from test_verify import _with_batch_refusing_phi, _with_h_refusing_a_band
 
 SHANNON = EntropySpec("shannon")
@@ -249,6 +250,29 @@ def test_conformance_and_gamma_equal_the_replaced_tables():
             or gamma is not None} == _STRUCTURAL_ROWS
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == _CONFORMANCE_DIGEST
 
+
+
+def test_every_probed_axiom_is_one_the_record_is_expected_to_satisfy():
+    """The conformance specs (the 61 that ``certify`` runs among them) and an h_phi_custom
+    that is not zero-safe: each residual that the two probes report is expected to be zero,
+    so the ``axioms`` command judges every residual it prints.  The basic probe reports
+    expandability only for a zero-safe record, and the product probe a residual only
+    where gamma is known, for the axiom that gamma comes from."""
+    for spec in [*_CONFORMANCE_SPECS, EntropySpec("h_phi_custom", phi=lambda x: x * (1.0 - x))]:
+        residuals = [r.to_dict() for r in check_basic_axioms(spec, 20, 0)]
+        product = check_product_composability(spec, 20, 0)
+        residuals += [] if product is None else [product]
+        probed = [r["axiom_id"] for r in residuals]
+        assert ("expandability" in probed) == spec.functional.zero_safe, spec.label()
+        assert all(r["expected_conforming"] is True for r in residuals), (spec.label(), probed)
+
+
+def test_split_recursivity_takes_no_state_count():
+    """m, the split state's index, is always ``outer.n``: the call takes no ``m``."""
+    with pytest.raises(TypeError):
+        residual_split_recursivity(
+            SHANNON, FiniteDistribution([0.4, 0.6]), FiniteDistribution([0.5, 0.5]), m=2
+        )
 
 # The gamma formulas of the replaced table, on the parameter q
 _PSEUDO_ADDITIVE_RULES = {
@@ -824,85 +848,18 @@ def test_basic_axioms_evaluate_phi_once_per_distinct_mass(spec_id, params, point
     assert sum(seen) == points
 
 
-def _near(*edges):
-    """Each edge and its two float neighbours."""
-    return [x for e in edges
-            for x in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
-
-
-def _real(lo, hi, *edges, rules=()):
-    """A float in [lo, hi], or an edge or a float beside one, that each of ``rules`` admits."""
-
-    def admits(x):
-        return all(ok(x) for ok in rules)
-
-    return st.one_of(st.sampled_from([x for x in _near(*edges) if admits(x)]),
-                     st.floats(lo, hi).filter(admits))
-
-
-def _one_parameter_rules(family, name):
-    """The checks of the rules of ``family`` that read ``name`` alone; its other rules and
-    checks reject at construction."""
-    return [ok for names, ok, _ in _FAMILIES[family].rules if names == name]
-
-
-def _group_params(l, three, t, sigma):
-    """l < m with the coefficients k_l..k_m that sum to 0 and weight j by k_j to 1."""
-    return {"l": l, "m": l + 1 + three, "sigma": sigma,
-            "coeffs": (t - 1.0, 1.0 - 2.0 * t, t) if three else (-1.0, 1.0)}
-
-
-_ORDER_Q = {"q": (0.0, 20.0, 0.0, 1.0)}
-_INNER_Q = {"q": (0.5, 1.5, 0.5, 1.0, 1.5)}
-_MATHAI_Q = {"q": (-10.0, 2.0, 1.0, 2.0)}
-# Each parameter's range and the edges of its family's rules and checks
-_DRAWN_RANGES = {
-    "shannon": {}, "genetic": {}, "paired": {}, "counterexample_HE": {},
-    "renyi": _ORDER_Q, "tsallis": _ORDER_Q, "havrda_charvat": _ORDER_Q,
-    "hypoentropy": {"lambda": (0.0, 100.0, 0.0)},
-    "sharma_mittal_rs": {"r": (0.0, 10.0, 0.0, 1.0), "s": (-10.0, 10.0, 1.0)},
-    "s_cd": {"c": (0.0, 1.0, 0.0, 1.0), "d": (-1.0, 10.0, -1.0, 0.0)},
-    "s_delta": {"delta": (0.0, 3.0, 0.0, *(1.0 + math.log(n) for n in range(2, 7)))},
-    "borges_roditi": {"a": (0.0, 1.0, 0.0, 1.0), "b": (0.0, 1.0, 0.0, 1.0)},
-    "s_III": {"q": (2.0 / 3.0, 1.0, 2.0 / 3.0, 1.0)},
-    "s_IV": _INNER_Q,
-    "three_param": {**_INNER_Q, "alpha": (0.0, 0.5, 0.0, 0.5), "beta": (-0.25, 0.0, -0.25, 0.0)},
-    "two_param": dict.fromkeys(("r", "k"), (-1.0, 1.0, -1.0, -0.5, 0.0, 0.5, 1.0)),
-    "abe": {"k": (-5.0, 5.0, 0.0)},
-    "kaniadakis": {"k": (-1.0, 1.0, -1.0, 0.0, 1.0)},
-    "gamma_entropy": {"gamma": (-1.0, 1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 0.5)},
-    "mathai_Mq": _MATHAI_Q, "mathai_Mq_star": _MATHAI_Q,
-}
-# Every family's parameters but h_phi_custom's, which are callables no rule bounds
-_DRAWN = {
-    **{family: st.fixed_dictionaries({
-        name: _real(*bounds, rules=_one_parameter_rules(family, name))
-        for name, bounds in ranges.items()
-    }) for family, ranges in _DRAWN_RANGES.items()},
-    "universal_group": st.fixed_dictionaries(
-        {"coeffs": st.lists(_real(0.0, 2.0, 0.0), min_size=1, max_size=3)}
-    ),
-    "nath": st.one_of(
-        st.fixed_dictionaries({"lambda": st.just(1.0), "tau": _real(-10.0, 0.0, 0.0)}),
-        st.fixed_dictionaries(dict.fromkeys(("lambda", "alpha"), _real(-5.0, 5.0, 0.0, 1.0))),
-    ),
-    "group_entropy": st.builds(_group_params, st.integers(-3, 1), st.booleans(),
-                               _real(-2.0, 2.0, 0.0, 0.5, 1.0), _real(0.0, 3.0, 0.0)),
-}
-
-
 def test_every_family_but_the_custom_one_has_drawn_parameters():
-    assert set(_DRAWN) == set(CATALOG_IDS) - {"h_phi_custom"}
+    assert set(DRAWN) == set(CATALOG_IDS) - {"h_phi_custom"}
 
 
-@pytest.mark.parametrize("family", sorted(_DRAWN))
+@pytest.mark.parametrize("family", sorted(DRAWN))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), samples=st.integers(1, 60), seed=st.integers(0, 2**32))
 def test_basic_axioms_equal_per_sample_loop_on_drawn_parameters(family, data, samples, seed):
     """Admitted parameters from each family's rules, 1-60 samples and any seed: the
     batched probe returns what the per-sample loop returns, or raises what it raises."""
     try:
-        spec = EntropySpec(family, data.draw(_DRAWN[family], label="params"))
+        spec = EntropySpec(family, data.draw(DRAWN[family], label="params"))
     except GentropyError:  # outside the family's rules
         reject()
     expected = _outcome(_reference_basic_axioms, spec, samples, seed)

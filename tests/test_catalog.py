@@ -774,3 +774,9 @@ def test_the_group_series_is_built_with_the_record_and_never_per_call(coeffs, mo
     sp.functional.phi(x), sp.functional.phi_prime(x), phi_prime(sp, 0.3)
     evaluate(sp, UNIFORM4), evaluate(sp, P235)
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("params", ['[["q", 2.0]]', '2.0', '"q"', 'null'])
+def test_spec_json_params_must_be_an_object(params):
+    with pytest.raises(ValidationError, match='"params" must be an object'):
+        spec_from_json('{"id": "tsallis", "params": %s}' % params)

@@ -199,3 +199,21 @@ def test_concavity_fails_where_a_second_difference_is_not_finite():
     assert not cert.passed
     assert cert.to_dict()["max_violation"] is None
     assert cert.witness.x == pytest.approx(1 / 11)
+
+
+def test_slope_condition_fails_on_a_component_undefined_at_zero():
+    """tsallis(q=0) has phi' decreasing but no phi(0): the witness is the point 0, and the
+    infinite deviation is written as null."""
+    cert = check_slope_condition(EntropySpec("tsallis", q=0.0), grid_density=10)
+    assert not cert.passed
+    assert (cert.witness.x, cert.witness.p) == (0.0, 0.0)
+    assert cert.max_violation == math.inf
+    assert cert.to_dict()["max_violation"] is None
+
+
+def test_concavity_checks_the_interior_alone_where_phi_raises_at_zero():
+    spec = EntropySpec("h_phi_custom", phi=lambda x: -x * math.log(x))
+    cert = check_concavity(spec, grid_density=10)
+    assert cert.passed
+    assert cert.grid_points == 9  # the stencils centred at 1/11..9/11, none reading phi(0)
+    assert check_concavity(EntropySpec("shannon"), grid_density=10).grid_points == 10

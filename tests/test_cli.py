@@ -680,6 +680,14 @@ def test_counterexample_curve_csv(tmp_path, capsys):
     )
 
 
+
+def test_counterexample_curve_into_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    curve = tmp_path / "missing" / "curve.csv"
+    code, _, err = run_cli(capsys, "counterexample", "--expect-violation", "--curve", str(curve))
+    assert code == 2
+    assert "i/o error" in err
+    assert not curve.parent.exists()
+
 def test_partitions_json(capsys):
     code, out, _ = run_cli(capsys, "partitions", "--n", "4")
     assert code == 0

@@ -474,11 +474,11 @@ def _reference_campaign(specs, n_values, cases_per_cell, rng_seed, tolerance=1e-
 
 def _reference_summary(records, spec_indices=None):
     """The summaries by a plain loop over the records: one per run of entries of
-    one (spec index, label), in entry order; the worst case is the first entry
-    with a margin that no later margin of its run is below."""
+    one spec index, in entry order, labelled by its first entry; the worst case is
+    the first entry with a margin that no later margin of its run is below."""
     runs = []
     for s, record in zip([0] * len(records) if spec_indices is None else spec_indices, records):
-        if not runs or runs[-1][0] != (s, record.spec):
+        if not runs or runs[-1][0][0] != s:
             runs.append([(s, record.spec), 0, 0, 0, {}, None])
         run = runs[-1]
         run[1] += 1
@@ -715,9 +715,9 @@ _RUNS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(_RUNS)
 def test_summarize_equals_a_per_entry_loop(runs):
-    """Entries in runs of one (spec index, label), as every producer gives them,
-    shared labels, skipped-only runs, margins of None and ties: ``_summarize``
-    gives what the loop gives."""
+    """Entries in runs of one spec index, with labels that may change inside a run
+    or be shared across runs, skipped-only runs, margins of None and ties:
+    ``_summarize`` gives what the loop gives."""
     rows = [(s, label, *row) for s, label, run in runs for row in run]
     records = [_hand(label, i, margin, skipped, passed)
                for i, (_, label, skipped, passed, margin) in enumerate(rows)]
@@ -1244,6 +1244,16 @@ def test_oracles_raise_what_the_reference_loops_raise_first(path):
     assert expected == (ValueError, "h refused 0.5752368685240639")
     assert _first_raise(max_entropy_check, spec, [3, 4], 8, 1) == expected
 
+
+
+def test_lattice_raises_what_the_identity_alone_raises():
+    """h refuses only the identity's component sum, which the lattice evaluates apart
+    from its table of partition values: the error escapes as from the per-partition loop."""
+    top = evaluate(SHANNON, _BAND_SAFE)
+    spec = _with_h_refusing_a_band(EntropySpec("shannon"), band=(top - 1e-9, top + 1e-9))
+    expected = _first_raise(_reference_lattice, spec, _BAND_SAFE)
+    assert expected == (ValueError, f"h refused {top!r}")
+    assert _first_raise(exhaustive_lattice_check, spec, _BAND_SAFE) == expected
 
 def test_summary_keeps_specs_that_share_a_label_apart():
     """Two h_phi_custom specs share a label; each gets its own summary."""
