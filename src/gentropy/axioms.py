@@ -43,7 +43,7 @@ probe keeps its single stream.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import threading
@@ -119,7 +119,7 @@ class AxiomResidual:
     expected_conforming: bool | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # shallow: the worst case is not copied
 
 
 # ---------------------------------------------------------------------------

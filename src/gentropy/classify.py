@@ -23,7 +23,7 @@ draws, and raises what a walk over the samples in order meets first.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import math
 
@@ -34,7 +34,7 @@ from .catalog import matched_transform_target, phi_component
 from .distributions import _dirichlet_rows, _freeze
 from .errors import UnsupportedPair, _integer, _json_text
 from .axioms import _SAMPLE_LIMIT, _kept
-from .verify import _VectorValues, _kernel_plan
+from .verify import _VectorValues, _kernel_plan, _segment_sums, _starts, _sum_plan
 
 SLOPE_TOLERANCE = 1e-9
 ZERO_TOLERANCE = 1e-12
@@ -75,7 +75,7 @@ class GridCertificate:
             "max_violation": _finite_or_none(self.max_violation),
             "witness": None
             if self.witness is None
-            else {k: _finite_or_none(v) for k, v in asdict(self.witness).items()},
+            else {k: _finite_or_none(v) for k, v in vars(self.witness).items()},
             "passed": self.passed,
             "detail": {key: _finite_or_none(v) for key, v in self.detail.items()},
         }
@@ -223,7 +223,8 @@ def check_concavity(spec: EntropySpec, grid_density: int = 200) -> GridCertifica
 _BRACKET = _freeze(np.concatenate([  # the uniform, then 1e-6 off state 0, on n = 2..12
     p for n in range(2, 13) for p in (np.full(n, 1 / n), [1 - (n - 1) * 1e-6] + [1e-6] * (n - 1))
 ]))
-_BRACKET_CUTS = np.cumsum(np.repeat(np.arange(2, 13), 2))[:-1]
+_BRACKET_WIDTHS = np.repeat(np.arange(2, 13), 2)
+_BRACKET_SUMS = _sum_plan(_starts(_BRACKET_WIDTHS), _BRACKET_WIDTHS)
 
 
 def _component_sum_bracket(spec: EntropySpec) -> tuple[float, float]:
@@ -231,9 +232,9 @@ def _component_sum_bracket(spec: EntropySpec) -> tuple[float, float]:
 
     Uses the uniform and a near-degenerate distribution at each dimension;
     for the wrapped forms in the catalog the sum is monotone between those
-    extremes.  phi runs once on all 22; ``np.sum`` adds each one's slice.
+    extremes.  phi runs once on all 22; each one's slice is summed as ``np.sum`` sums it.
     """
-    sums = [float(np.sum(part)) for part in np.split(spec.functional.phi(_BRACKET), _BRACKET_CUTS)]
+    sums = _segment_sums(spec.functional.phi(_BRACKET), _BRACKET_SUMS).tolist()
     return min(sums), max(sums)
 
 
@@ -255,9 +256,8 @@ def check_outer_map_pairing(spec: EntropySpec, grid_density: int = 200) -> GridC
     step = 1.0 / (g + 1)
     xs = step * np.arange(1, g + 1)
     inner = xs[(xs - step > 0.0) & (xs + step < 1.0)]
-    second = (
-        f.phi(inner - step) + f.phi(inner + step) - 2.0 * f.phi(inner)
-    ) / step**2
+    below, above, at = np.split(f.phi(np.concatenate([inner - step, inner + step, inner])), 3)
+    second = (below + above - 2.0 * at) / step**2  # phi runs once: each entry maps alone
 
     tol = 1e-12
     pattern_up = bool(np.all(h_slopes > 0.0) and np.all(second < tol))

@@ -151,22 +151,31 @@ def check_series_coefficients(coeffs: Sequence[float]) -> tuple[float, ...]:
     return cleaned
 
 
+def _horner(c: tuple[float, ...], t: np.ndarray) -> np.ndarray:
+    """sum_k c_k t**k by ``numpy.polynomial.polynomial.polyval``'s own steps, bit for bit."""
+    acc = c[-1] + t * 0
+    for c_k in c[-2::-1]:
+        acc = c_k + acc * t
+    return acc
+
+
 def _group_series(coeffs: _Coeffs, integral: bool) -> Callable[[np.ndarray], np.ndarray]:
     """Elementwise array map of G(t) (``integral``) or of G'(t) = sum_k a_k t**k.
 
     G(t) = sum_k a_k t**(k+1) / (k+1).  A finite coefficient sequence is
-    validated here and summed exactly (a polynomial, by Horner's rule).  A
-    callable ``k -> a_k`` is an infinite sequence of finite nonnegative terms
-    (another raises ``ParamOutOfDomain``): each point stops once
+    validated and stored as floats here, and summed exactly by :func:`_horner`,
+    ``polyval``'s own steps without the ``numpy.polynomial`` import that numpy
+    makes on first use.  A callable ``k -> a_k`` is an infinite sequence of
+    finite nonnegative terms (another raises ``ParamOutOfDomain``): each point stops once
     ``|term| <= 1e-14 * |partial sum|`` after its first term, with a hard cap
     of 200 terms (exceeding the cap raises).
     """
     if not callable(coeffs):
-        a = np.asarray(check_series_coefficients(coeffs))
+        a = check_series_coefficients(coeffs)
         if not integral:
-            return lambda t: np.polynomial.polynomial.polyval(t, a)
-        g_coeffs = a / np.arange(1.0, a.size + 1.0)  # G(t) = t * sum c_k t^k
-        return lambda t: t * np.polynomial.polynomial.polyval(t, g_coeffs)
+            return lambda t: _horner(a, t)
+        c = tuple(a_k / (k + 1) for k, a_k in enumerate(a))  # G(t) = t * sum c_k t^k
+        return lambda t: t * _horner(c, t)
 
     coeffs = _guarded(coeffs, "universal_group coeffs")
 

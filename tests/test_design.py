@@ -24,6 +24,8 @@ A family gate keeps every fact about a family in ``catalog``: no other module re
 spec's parameters or keys a table on its id.
 A walk gate keeps every partition walk of ``verify`` in ``_PartitionWalk``, the holder
 a kept value table's walk waits in until its blocks are first read.
+A lazy-import gate keeps ``src/`` off ``numpy.polynomial`` and ``numpy.ma``, which numpy
+imports on first use, and fresh interpreters show that no run imports either.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -662,19 +664,90 @@ _FRESH_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", list(_FRESH_RUNS))
-def test_runs_leave_numpy_ma_unimported(run):
+def _imported_after(lines: list[str], module: str) -> bool:
+    """Whether a fresh interpreter that runs ``lines`` has imported ``module``."""
     from test_cli import _CHILD_ENV
 
     code = "\n".join((
         "import sys",
-        "from gentropy import EntropySpec, corollary1_check, exhaustive_lattice_check",
-        "from gentropy import sample_dirichlet_uniform",
+        "from gentropy import EntropySpec, corollary1_check, evaluate, exhaustive_lattice_check",
+        "from gentropy import FiniteDistribution, sample_dirichlet_uniform",
+        "from gentropy.catalog import default_campaign_specs, spec_to_json",
         "from gentropy.cli import main",
-        *_FRESH_RUNS[run],
-        "print('numpy.ma' in sys.modules, file=sys.stderr)",
+        *lines,
+        f"print({module!r} in sys.modules, file=sys.stderr)",
     ))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_CHILD_ENV, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "False"
+    return proc.stderr.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("run", list(_FRESH_RUNS))
+def test_runs_leave_numpy_ma_unimported(run):
+    assert not _imported_after(_FRESH_RUNS[run], "numpy.ma")
+
+
+def test_evaluation_leaves_numpy_polynomial_unimported():
+    """Every default spec and the counterexample evaluate, and each universal_group default
+    runs both n = 8 oracles, ``classify`` and ``axioms``, without importing
+    ``numpy.polynomial``, whose first use costs an import inside whatever is being timed."""
+    assert not _imported_after([
+        "specs = default_campaign_specs() + [EntropySpec('counterexample_HE')]",
+        "values = [evaluate(spec, FiniteDistribution([0.1, 0.2, 0.3, 0.4])) for spec in specs]",
+        "dist = sample_dirichlet_uniform(8, 0)",
+        "for spec in [spec for spec in specs if spec.id == 'universal_group']:",
+        "    exhaustive_lattice_check(spec, dist), corollary1_check(spec, dist)",
+        "    main(['classify', '--entropy', spec_to_json(spec)])",
+        "    main(['axioms', '--entropy', spec_to_json(spec)])",
+    ], "numpy.polynomial")
+
+
+_LAZY_NUMPY = {"polynomial", "ma"}  # submodules numpy imports only on first use
+
+
+def _lazy_numpy_reaches(src: Path) -> list[str]:
+    """Where a module reaches a lazily loaded numpy submodule: an attribute of a name
+    bound to numpy (``np.polynomial``), or an ``import`` or ``from numpy import`` of it."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        numpy_names = {"numpy"} | {
+            alias.asname for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name == "numpy" and alias.asname
+        }
+        for node in sorted(ast.walk(tree), key=lambda node: getattr(node, "lineno", 0)):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".") for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+                module = node.module.split(".")
+                names = [module + [alias.name] for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in numpy_names:
+                names = [["numpy", node.attr]]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: numpy.{name[1]}" for name in names
+                      if name[0] == "numpy" and name[1:2] and name[1] in _LAZY_NUMPY]
+    return found
+
+
+def test_no_module_reaches_a_lazily_loaded_numpy_submodule():
+    """Nothing in ``src/`` reaches ``numpy.polynomial`` or ``numpy.ma``, whose first use
+    imports them; ``verify._sum_plan`` counts widths by ``np.bincount`` for this reason."""
+    assert _lazy_numpy_reaches(Path(verify.__file__).parent) == []
+
+
+def test_the_lazy_numpy_gate_sees_planted_reaches(tmp_path):
+    """The gate is not vacuous: an attribute through any numpy alias, an ``import`` and a
+    ``from`` import of either submodule count; numpy's eager ``linalg`` does not."""
+    (tmp_path / "planted.py").write_text(
+        "import numpy as xp\nimport numpy.ma\nfrom numpy import linalg, polynomial\n"
+        "from numpy.polynomial.polynomial import polyval\n\n"
+        "VALUE = xp.polynomial.polynomial.polyval(0.5, [1.0])\nMASK = numpy.ma.masked\n"
+        "NORM = xp.linalg.norm\n"
+    )
+    assert _lazy_numpy_reaches(tmp_path) == [
+        "planted.py:2: numpy.ma", "planted.py:3: numpy.polynomial",
+        "planted.py:4: numpy.polynomial", "planted.py:6: numpy.polynomial",
+        "planted.py:7: numpy.ma",
+    ]

@@ -22,7 +22,7 @@ from gentropy.errors import (
     UserCallableError,
     ValidationError,
 )
-from gentropy.special import check_series_coefficients
+from gentropy.special import _group_series, _horner, check_series_coefficients
 
 
 def quadrature_tail(a, x):
@@ -325,3 +325,31 @@ def test_callable_series_equal_a_per_point_loop():
     for series, integral in ((g, True), (g_prime, False)):
         expected = np.array([_series_by_loop(coeffs, v, integral) for v in t.tolist()])
         assert series(t).tobytes() == expected.tobytes()
+
+
+def _admitted(coeffs):
+    try:
+        check_series_coefficients(coeffs)
+    except ParamOutOfDomain:
+        return False
+    return True
+
+
+_HORNER_LISTS = [[1.0], [1.0, 0.4], [1.0, 0.4, 0.1], [3.0, 1.0, 0.3, 0.05], [0.5, 0.2, 0.0]]
+
+
+@pytest.mark.parametrize("coeffs", [c for c in _HORNER_LISTS if _admitted(c)], ids=str)
+def test_group_series_take_polyvals_own_steps_bit_for_bit(coeffs):
+    """G' is ``polyval(t, a)`` and G is ``t * polyval(t, a / k)``, k = 1, 2, ..., bit for bit,
+    at signed zeros, infinities, NaN, negative t and 20,000 uniforms on [0, 40]; the library
+    sums them by its own Horner helper, never importing ``numpy.polynomial``."""
+    from numpy.polynomial.polynomial import polyval
+
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, -1e-300, -0.5, -1.0, -3.25, -40.0]
+    t = np.concatenate([edges, np.random.default_rng(0).uniform(0.0, 40.0, 20_000)])
+    a = np.array(coeffs)
+    with np.errstate(all="ignore"):  # inf * 0 is NaN in both
+        expected = {False: polyval(t, a), True: t * polyval(t, a / np.arange(1.0, a.size + 1.0))}
+        assert _horner(tuple(coeffs), t).tobytes() == expected[False].tobytes()
+        for integral, values in expected.items():
+            assert _group_series(coeffs, integral)(t).tobytes() == values.tobytes()
